@@ -41,6 +41,12 @@ python -m pytest -q -p no:cacheprovider benchmarks/bench_shard.py -k smoke
 python -m pytest -q -p no:cacheprovider tests/test_shard.py -k smoke
 
 echo
+echo "== end-to-end benchmark smoke (every name benchmarks/e2e imports) =="
+# Outside tier-1 testpaths: a refactor that breaks a name the pipeline's
+# benchmark imports must fail here, before the pipeline runs it.
+python -m pytest -q -p no:cacheprovider benchmarks/e2e/test_smoke.py
+
+echo
 echo "== repro-lint (stdlib AST checker, always on) =="
 python -m repro.analysis src
 

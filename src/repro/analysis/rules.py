@@ -21,9 +21,9 @@ MOD003   scalar↔vector parity: every batched kernel names its scalar
          property test
 MOD004   obs-counter discipline: counter/timer/gauge names are
          literal and declared in the ``repro.obs`` registry
-MOD005   backend-dispatch completeness: every ``--backend`` branch
-         has a scalar arm and routes failures through the counted
-         fallback
+MOD005   backend-dispatch locality: backend names are compared only in
+         the operator table (``repro.vector.backends``), whose arms
+         have a scalar side and count every fallback
 MOD006   failpoint discipline: fault-injection site names are
          literal and declared in the ``repro.faults`` registry, and
          every registered failpoint is placed somewhere
@@ -447,10 +447,11 @@ class ObsDiscipline(Rule):
     The registries are ``COUNTER_NAMES`` / ``TIMER_NAMES`` /
     ``GAUGE_NAMES`` in :mod:`repro.obs`.  A few wrapper functions are
     allowed to build names dynamically (their call sites are resolved
-    instead): ``_record_rows`` in the vector kernels, ``_fallback`` in
-    the fleet dispatcher, ``_parallel_fallback`` in the parallel
-    dispatcher, ``_mmap_fallback`` in the shared-column transport,
-    ``_shard_fallback`` in the scatter-gather executor, and
+    instead): ``_record_rows`` in the vector kernels, ``count_fallback``
+    in the operator table (the one counter of every backend rung —
+    inside the table module its reason may be derived from a literal
+    ``Operation(kind=...)`` row, which is read instead),
+    ``_mmap_fallback`` in the shared-column transport, and
     ``_merge_counters`` in the pool layer (which folds worker-captured
     snapshots whose names were validated when the workers wrote them).
     """
@@ -459,13 +460,18 @@ class ObsDiscipline(Rule):
     name = "obs-discipline"
 
     _OBS = "repro/obs.py"
+    _TABLE = "repro/vector/backends.py"
     _WRAPPER_BODIES = {
         ("repro/vector/kernels.py", "_record_rows"),
-        ("repro/vector/fleet.py", "_fallback"),
-        ("repro/parallel/exec.py", "_parallel_fallback"),
+        (_TABLE, "count_fallback"),
         ("repro/parallel/shmcol.py", "_mmap_fallback"),
         ("repro/parallel/pool.py", "_merge_counters"),
-        ("repro/shard/exec.py", "_shard_fallback"),
+    }
+    #: ``count_fallback(stage, reason)`` → counter family per stage.
+    _FALLBACK_FAMILY = {
+        "sharded": "shard.fallback",
+        "parallel": "parallel.fallback",
+        "vector": "vector.fallback_to_scalar",
     }
 
     def _registry(
@@ -579,6 +585,7 @@ class ObsDiscipline(Rule):
                 fn for (suffix, fn) in self._WRAPPER_BODIES
                 if mod.relpath.endswith(suffix)
             }
+            in_table = mod.relpath.endswith(self._TABLE)
             scope_table = self._scope_prefixes(mod.tree)
             scope_vars: Dict[str, str] = {}
             for per_with in scope_table.values():
@@ -597,78 +604,53 @@ class ObsDiscipline(Rule):
                 arg0 = _str_const(node.args[0]) if node.args else None
 
                 # Wrapper call sites expand to their derived names.
-                if isinstance(node.func, ast.Name):
-                    if node.func.id == "_record_rows":
-                        if arg0 is None:
-                            v = record(mod, node, "counter", None)
-                            if v:
-                                yield v
-                        else:
-                            for derived in (
-                                ("counter", f"vector.{arg0}.calls"),
-                                ("counter", f"vector.{arg0}.rows"),
-                                ("gauge", "vector.rows_per_call"),
-                            ):
-                                v = record(mod, node, *derived)
-                                if v:
-                                    yield v
-                        continue
-                    if node.func.id == "_fallback":
-                        if arg0 is None:
-                            v = record(mod, node, "counter", None)
-                            if v:
-                                yield v
-                        else:
-                            for name in (
-                                "vector.fallback_to_scalar",
-                                f"vector.fallback_to_scalar.{arg0}",
-                            ):
-                                v = record(mod, node, "counter", name)
-                                if v:
-                                    yield v
-                        continue
-                    if node.func.id == "_parallel_fallback":
-                        if arg0 is None:
-                            v = record(mod, node, "counter", None)
-                            if v:
-                                yield v
-                        else:
-                            for name in (
-                                "parallel.fallback",
-                                f"parallel.fallback.{arg0}",
-                            ):
-                                v = record(mod, node, "counter", name)
-                                if v:
-                                    yield v
-                        continue
-                    if node.func.id == "_shard_fallback":
-                        if arg0 is None:
-                            v = record(mod, node, "counter", None)
-                            if v:
-                                yield v
-                        else:
-                            for name in (
-                                "shard.fallback",
-                                f"shard.fallback.{arg0}",
-                            ):
-                                v = record(mod, node, "counter", name)
-                                if v:
-                                    yield v
-                        continue
-                    if node.func.id == "_mmap_fallback":
-                        if arg0 is None:
-                            v = record(mod, node, "counter", None)
-                            if v:
-                                yield v
-                        else:
-                            for name in (
-                                "colstore.mmap_fallback",
-                                f"colstore.mmap_fallback.{arg0}",
-                            ):
-                                v = record(mod, node, "counter", name)
-                                if v:
-                                    yield v
-                        continue
+                derived: Optional[List[Tuple[str, Optional[str]]]] = None
+                wrapper = _call_name(node)
+                if wrapper == "_record_rows" and arg0 is not None:
+                    derived = [
+                        ("counter", f"vector.{arg0}.calls"),
+                        ("counter", f"vector.{arg0}.rows"),
+                        ("gauge", "vector.rows_per_call"),
+                    ]
+                elif wrapper == "_mmap_fallback" and arg0 is not None:
+                    derived = [
+                        ("counter", "colstore.mmap_fallback"),
+                        ("counter", f"colstore.mmap_fallback.{arg0}"),
+                    ]
+                elif wrapper == "count_fallback":
+                    family = self._FALLBACK_FAMILY.get(arg0 or "")
+                    reason = (
+                        _str_const(node.args[1]) if len(node.args) > 1
+                        else None
+                    )
+                    if family is not None and reason is not None:
+                        derived = [
+                            ("counter", family),
+                            ("counter", f"{family}.{reason}"),
+                        ]
+                    elif family is not None and in_table:
+                        # Reason derived from the table row: the
+                        # Operation(kind=...) literals below cover it.
+                        derived = [("counter", family)]
+                elif wrapper == "Operation" and in_table:
+                    kinds = [
+                        _str_const(kw.value) for kw in node.keywords
+                        if kw.arg == "kind"
+                    ]
+                    derived = [
+                        ("counter", f"vector.fallback_to_scalar.{k}_column")
+                        for k in kinds
+                    ]
+                if wrapper in (
+                    "_record_rows", "_mmap_fallback", "count_fallback",
+                ) and derived is None:
+                    derived = [("counter", None)]
+                if derived is not None:
+                    for kind, name in derived:
+                        v = record(mod, node, kind, name)
+                        if v:
+                            yield v
+                    continue
 
                 if in_wrapper:
                     continue  # dynamic names allowed inside the wrappers
@@ -731,150 +713,142 @@ class ObsDiscipline(Rule):
 
 
 class BackendDispatch(Rule):
-    """MOD005: backend branches are resolved, two-armed, and fall back.
+    """MOD005: one module compares backend names; there, dispatch is
+    resolved, two-armed, and falls back counted.
 
-    * comparisons against the backend literals go through
-      ``_resolve``/``get_backend`` — directly, or via a local variable
-      assigned from a resolver in the same function (never a raw
-      parameter — a raw compare silently treats ``None`` as scalar);
-    * an ``if backend == "vector":`` (or ``"parallel"`` /
-      ``"sharded"``) must leave a scalar arm (an ``else`` or
-      fall-through code);
-    * exception handlers inside a vector/parallel/sharded arm must
-      count the event via ``_fallback`` (or ``_parallel_fallback`` /
-      ``_mmap_fallback`` / ``_shard_fallback``);
-    * column construction (``*.from_mappings``) inside a vector/parallel
-      arm must be guarded by try/except — it raises ``InvalidValue`` on
-      inputs only the scalar path can evaluate.
+    * the backend literals ``"vector"`` / ``"parallel"`` /
+      ``"sharded"`` may be *compared* (``==``, ``!=``, ``in``) only
+      inside the operator table, :mod:`repro.vector.backends`; every
+      other module passes names through and lets the table decide;
+    * inside the table, comparisons go through ``resolve``/
+      ``get_backend`` — directly, or via a local variable assigned from
+      a resolver in the same function (never a raw parameter — a raw
+      compare silently treats ``None`` as scalar);
+    * inside the table, a batched arm — an ``if`` on a batched backend
+      literal or on one of the table's predicates (``columnar`` /
+      ``pooled``) — must leave a scalar arm (an ``else`` or
+      fall-through code), its exception handlers must count the event
+      via ``count_fallback``, and column construction
+      (``*.from_mappings``) inside it must be guarded by try/except — it
+      raises ``InvalidValue`` on inputs only the scalar path can
+      evaluate.
 
     The same discipline covers the column *transport* dispatch in
     :mod:`repro.parallel`: descriptor-scheme literals (``"mmap"`` /
     ``"shm"``) must be compared through ``_scheme_of``, and an
     ``if scheme == "mmap":`` arm must leave the shm copy path as its
-    fall-through — the mmap transport is an optimisation, never the
-    only arm.
+    fall-through (handlers counted via ``_mmap_fallback``) — the mmap
+    transport is an optimisation, never the only arm.
     """
 
     code = "MOD005"
     name = "backend-dispatch"
 
-    _RESOLVERS = {"_resolve", "_resolve_backend", "get_backend"}
-    _LITERALS = {"scalar", "vector", "parallel", "sharded"}
-    #: Backend literals whose if-arms are the batched (non-scalar) path
-    #: and therefore must satisfy the arm checks.
+    _TABLE = "repro/vector/backends.py"
     _BATCH_LITERALS = {"vector", "parallel", "sharded"}
-    #: Descriptor-scheme dispatch (mmap-vs-shm transport): same shape,
-    #: scoped to the parallel package where descriptors live.
-    _SCHEME_RESOLVERS = {"_scheme_of"}
-    _SCHEME_LITERALS = {"mmap", "shm"}
-    _SCHEME_FAST = {"mmap"}
-    _SCHEME_SCOPE = "repro/parallel/"
+    #: Table predicates whose if-arms are batched paths too.
+    _PREDICATES = {"columnar", "pooled"}
+    _COUNTERS = ("count_fallback", "_mmap_fallback")
+    #: (module scope, literals, resolvers, fast-arm literals, diagnostic)
+    #: — where each resolved/two-armed dispatch discipline applies.
+    _FAMILIES: List[Tuple[str, Set[str], Set[str], Set[str], str]] = [
+        (
+            _TABLE, _BATCH_LITERALS | {"scalar"},
+            {"resolve", "get_backend"}, _BATCH_LITERALS,
+            "backend literal compared without going through "
+            "resolve()/get_backend(); a raw parameter compare misreads "
+            "backend=None",
+        ),
+        (
+            "repro/parallel/", {"mmap", "shm"}, {"_scheme_of"}, {"mmap"},
+            "descriptor scheme literal compared without going through "
+            "_scheme_of(); a raw prefix compare drifts from the "
+            "descriptor format",
+        ),
+    ]
 
-    def _families(
-        self, mod: SourceModule
-    ) -> List[Tuple[Set[str], Set[str], Set[str], str]]:
-        """(literals, resolvers, fast-arm literals, diagnostic) tuples
-        applicable to ``mod``."""
-        fams: List[Tuple[Set[str], Set[str], Set[str], str]] = [
-            (
-                self._LITERALS, self._RESOLVERS, self._BATCH_LITERALS,
-                "backend literal compared without going through "
-                "_resolve()/get_backend(); a raw parameter "
-                "compare misreads backend=None",
-            )
-        ]
-        if self._SCHEME_SCOPE in mod.relpath:
-            fams.append(
-                (
-                    self._SCHEME_LITERALS, self._SCHEME_RESOLVERS,
-                    self._SCHEME_FAST,
-                    "descriptor scheme literal compared without going "
-                    "through _scheme_of(); a raw prefix compare drifts "
-                    "from the descriptor format",
-                )
-            )
-        return fams
+    @staticmethod
+    def _compared(node: ast.Compare) -> Set[Optional[str]]:
+        """String constants a Compare tests against, looking inside
+        literal containers too (``x in ("a", "b")``)."""
+        out: Set[Optional[str]] = set()
+        for operand in [node.left, *node.comparators]:
+            elts = [operand]
+            if isinstance(operand, (ast.Tuple, ast.List, ast.Set)):
+                elts = list(operand.elts)
+            out.update(_str_const(e) for e in elts)
+        return out
 
-    def _family_compare(
-        self, node: ast.AST, literals: Set[str]
-    ) -> Optional[ast.Compare]:
-        """The Compare against one of ``literals`` inside ``node``."""
-        for sub in ast.walk(node):
-            if not isinstance(sub, ast.Compare):
-                continue
-            operands = [sub.left, *sub.comparators]
-            if any(_str_const(o) in literals for o in operands):
-                return sub
-        return None
-
-    def _resolver_names(self, scope: ast.AST, resolvers: Set[str]) -> Set[str]:
-        """Names assigned from a resolver call anywhere in ``scope``."""
-        names: Set[str] = set()
-        for node in ast.walk(scope):
-            if not (
-                isinstance(node, ast.Assign)
-                and isinstance(node.value, ast.Call)
-                and _call_name(node.value) in resolvers
-            ):
-                continue
-            for t in node.targets:
-                if isinstance(t, ast.Name):
-                    names.add(t.id)
-        return names
+    def _resolved(
+        self, mod: SourceModule, node: ast.Compare, resolvers: Set[str]
+    ) -> bool:
+        """Whether ``node`` compares a resolver's result: a resolver
+        call, a name assigned from one in the same function, or any
+        compare in a resolver's own body."""
+        scope = mod.enclosing(
+            node, ast.FunctionDef, ast.AsyncFunctionDef
+        ) or mod.tree
+        if isinstance(scope, ast.FunctionDef) and scope.name in resolvers:
+            return True
+        local = {
+            t.id
+            for sub in ast.walk(scope)
+            if isinstance(sub, ast.Assign)
+            and isinstance(sub.value, ast.Call)
+            and _call_name(sub.value) in resolvers
+            for t in sub.targets
+            if isinstance(t, ast.Name)
+        }
+        return any(
+            (isinstance(o, ast.Call) and _call_name(o) in resolvers)
+            or (isinstance(o, ast.Name) and o.id in local)
+            for o in [node.left, *node.comparators]
+        )
 
     def check(
         self, mod: SourceModule, project: Project
     ) -> Iterator[Violation]:
         if "repro/analysis/" in mod.relpath:
             return
-        families = self._families(mod)
+        in_table = mod.relpath.endswith(self._TABLE)
+        families = [f for f in self._FAMILIES if f[0] in mod.relpath]
         for node in ast.walk(mod.tree):
             if isinstance(node, ast.Compare):
-                for literals, resolvers, _fast, diagnostic in families:
-                    operands = [node.left, *node.comparators]
-                    literal = any(
-                        _str_const(o) in literals for o in operands
+                if not in_table and (
+                    self._compared(node) & self._BATCH_LITERALS
+                ):
+                    yield mod.violation(
+                        node, self.code,
+                        "backend name compared outside the operator "
+                        "table; pass the name through and let "
+                        "repro.vector.backends decide what runs",
                     )
-                    if not literal:
-                        continue
-                    if not all(
-                        isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops
-                    ):
-                        continue
-                    scope = mod.enclosing(
-                        node, ast.FunctionDef, ast.AsyncFunctionDef
-                    ) or mod.tree
+                for _scope, literals, resolvers, _fast, diagnostic in families:
                     if (
-                        isinstance(scope, ast.FunctionDef)
-                        and scope.name in resolvers
-                    ):
-                        continue  # the resolver's own body
-                    resolved = any(
-                        isinstance(o, ast.Call)
-                        and _call_name(o) in resolvers
-                        for o in operands
-                    )
-                    if not resolved:
-                        # A Name operand is fine when it was assigned from
-                        # a resolver call in the enclosing function.
-                        local = self._resolver_names(scope, resolvers)
-                        resolved = any(
-                            isinstance(o, ast.Name) and o.id in local
-                            for o in operands
+                        self._compared(node) & literals
+                        and all(
+                            isinstance(op, (ast.Eq, ast.NotEq))
+                            for op in node.ops
                         )
-                    if not resolved:
+                        and not self._resolved(mod, node, resolvers)
+                    ):
                         yield mod.violation(node, self.code, diagnostic)
             if isinstance(node, ast.If):
-                for literals, _resolvers, fast, _diagnostic in families:
-                    cmp_node = self._family_compare(node.test, literals)
-                    if cmp_node is None:
-                        continue
-                    operands = [cmp_node.left, *cmp_node.comparators]
-                    if not ({_str_const(o) for o in operands} & fast):
-                        continue
-                    yield from self._check_vector_arm(mod, node)
+                tests = list(ast.walk(node.test))
+                batched = in_table and any(
+                    isinstance(c, ast.Call)
+                    and _call_name(c) in self._PREDICATES
+                    for c in tests
+                )
+                for _scope, _literals, _resolvers, fast, _diag in families:
+                    batched = batched or any(
+                        isinstance(c, ast.Compare) and self._compared(c) & fast
+                        for c in tests
+                    )
+                if batched:
+                    yield from self._check_batched_arm(mod, node)
 
-    def _check_vector_arm(
+    def _check_batched_arm(
         self, mod: SourceModule, if_node: ast.If
     ) -> Iterator[Violation]:
         # A scalar arm must exist: an else branch or fall-through code.
@@ -896,20 +870,17 @@ class BackendDispatch(Rule):
 
         for sub in ast.walk(if_node):
             if isinstance(sub, ast.ExceptHandler):
-                calls_fallback = any(
+                counted = any(
                     isinstance(c, ast.Call)
-                    and _call_name(c) in (
-                        "_fallback", "_parallel_fallback", "_mmap_fallback",
-                        "_shard_fallback",
-                    )
+                    and _call_name(c) in self._COUNTERS
                     for c in ast.walk(sub)
                 )
-                if not calls_fallback:
+                if not counted:
                     yield mod.violation(
                         sub, self.code,
-                        "exception handler inside a vector-backend arm "
-                        "must count the event via _fallback(reason) "
-                        "before falling back to scalar",
+                        "exception handler inside a batched-backend arm "
+                        "must count the event via count_fallback(stage, "
+                        "reason) before falling back to scalar",
                     )
             if (
                 isinstance(sub, ast.Call)
@@ -920,10 +891,11 @@ class BackendDispatch(Rule):
                 if not guarded:
                     yield mod.violation(
                         sub, self.code,
-                        "column construction inside a vector-backend arm "
-                        "must be try/except-guarded with a counted "
-                        "_fallback — from_mappings raises InvalidValue "
-                        "on inputs only the scalar path can handle",
+                        "column construction inside a batched-backend "
+                        "arm must be try/except-guarded with a counted "
+                        "count_fallback — from_mappings raises "
+                        "InvalidValue on inputs only the scalar path "
+                        "can handle",
                     )
 
 

@@ -540,15 +540,18 @@ def main(argv: Optional[List[str]] = None) -> int:
             )
             return 2
     args.memory_budget_bytes = memory_budget
-    # Pre-dispatch flag validation: None (no --backend) must warn too,
-    # so the raw argparse value is exactly what we want to inspect.
-    # modlint: disable=MOD005 raw flag value inspected before dispatch, None handled explicitly
-    if args.workers is not None and args.backend not in ("parallel", "sharded"):
-        print(
-            "repro: warning: --workers only affects --backend parallel; "
-            f"the {args.backend or 'default'} backend ignores it",
-            file=sys.stderr,
-        )
+    if args.workers is not None:
+        from repro.vector.backends import POOLED_BACKENDS
+
+        # Pre-dispatch flag validation: None (no --backend) must warn
+        # too, so the raw argparse value is exactly what to inspect.
+        if args.backend not in POOLED_BACKENDS:
+            print(
+                "repro: warning: --workers only affects --backend "
+                f"{' and --backend '.join(POOLED_BACKENDS)}; the "
+                f"{args.backend or 'default'} backend ignores it",
+                file=sys.stderr,
+            )
 
     from repro.errors import ReproError
 
@@ -571,7 +574,7 @@ def _dispatch(args: argparse.Namespace) -> int:
 
         faults.arm_spec(args.faults)
     if args.backend is not None:
-        from repro.vector.fleet import set_backend
+        from repro.vector.backends import set_backend
 
         set_backend(args.backend)
     if args.workers is not None:

@@ -58,17 +58,19 @@ class VectorScan(SeqScan):
     :class:`~repro.vector.columns.UPointColumn` and per-mapping
     :class:`~repro.vector.columns.BBoxColumn`, so a parent
     :class:`Select` whose predicate compiles to a batch kernel can
-    evaluate it fleet-wide in one call.
+    evaluate it fleet-wide in one call (:meth:`batch`).
     """
 
-    #: Whether batch predicates over this scan should dispatch through
-    #: the chunked shared-memory pool (:mod:`repro.parallel`).
-    parallel = False
+    #: The operator-table backend (:mod:`repro.vector.backends`) this
+    #: scan is planned for and evaluates its batch predicates on.
+    backend = "vector"
 
     def __init__(self, relation: Relation, alias: Optional[str] = None,
-                 attr: Optional[str] = None, strict: bool = True):
+                 attr: Optional[str] = None, strict: bool = True,
+                 workers: Optional[int] = None):
         super().__init__(relation, alias, strict)
         self.attr = attr
+        self.workers = workers
         self._rows: Optional[List[Row]] = None
         self._mappings: Optional[List[Any]] = None
         self._column: Any = None
@@ -109,6 +111,17 @@ class VectorScan(SeqScan):
             self._bbox_column = BBoxColumn.from_mappings(self.mappings())
         return self._bbox_column
 
+    def batch(self, op: str, *args: Any) -> Any:
+        """Operator-table operation ``op`` over the attribute, in the
+        lanes of the column it reads (rows, or bbox-column entries)."""
+        from repro.vector.backends import OPERATIONS, on_column
+
+        col = (
+            self.bbox_column() if OPERATIONS[op].kind == "bbox"
+            else self.column()
+        )
+        return on_column(op, col, args, self.backend, self.workers)
+
     def rows(self) -> Iterator[Row]:
         return iter(self.materialized_rows())
 
@@ -117,19 +130,13 @@ class ParallelScan(VectorScan):
     """A :class:`VectorScan` whose batch predicates run chunked over the
     shared-memory process pool (:mod:`repro.parallel`).
 
-    Identical row output; only the batch-kernel dispatch differs, and it
-    degrades to the single-process kernels (counted under
-    ``parallel.fallback.*``) whenever the pool is unavailable or the
-    fleet is too small to out-earn dispatch.
+    Identical row output; only the table column differs, and it degrades
+    to the single-process kernels (counted under ``parallel.fallback.*``)
+    whenever the pool is unavailable or the fleet is too small to
+    out-earn dispatch.
     """
 
-    parallel = True
-
-    def __init__(self, relation: Relation, alias: Optional[str] = None,
-                 attr: Optional[str] = None, strict: bool = True,
-                 workers: Optional[int] = None):
-        super().__init__(relation, alias, attr, strict)
-        self.workers = workers
+    backend = "parallel"
 
 
 class MmapScan(VectorScan):
@@ -141,20 +148,20 @@ class MmapScan(VectorScan):
     intact store generation is served as ``np.memmap`` views (the
     cold-start path this operator exists for, counted under
     ``colstore.hits``), a missing/corrupt/stale one is rebuilt from the
-    scanned mappings and re-persisted (``colstore.rebuilds``).  With
-    ``parallel=True`` batch predicates dispatch through the pool like a
-    :class:`ParallelScan` — workers then map the same files
+    scanned mappings and re-persisted (``colstore.rebuilds``).  Planned
+    for the ``parallel`` backend, batch predicates dispatch through the
+    pool like a :class:`ParallelScan` — workers then map the same files
     (``colstore.mmap_direct``) rather than receiving a shm copy.
     """
 
     def __init__(self, relation: Relation, alias: Optional[str] = None,
                  attr: Optional[str] = None, strict: bool = True,
                  store_root: Optional[str] = None,
-                 parallel: bool = False, workers: Optional[int] = None):
-        super().__init__(relation, alias, attr, strict)
+                 backend: str = VectorScan.backend,
+                 workers: Optional[int] = None):
+        super().__init__(relation, alias, attr, strict, workers)
         self.store_root = store_root
-        self.parallel = parallel
-        self.workers = workers
+        self.backend = backend
 
     def _store_column(self, kind: str) -> Any:
         from repro.errors import CorruptColumnError, StorageError
@@ -207,16 +214,14 @@ class ShardedScan(VectorScan):
     unsharded batch (the ``tests/test_shard_properties.py`` identity).
     """
 
-    #: Batch predicates route through the scatter-gather executor.
-    sharded = True
+    backend = "sharded"
 
     def __init__(self, relation: Relation, alias: Optional[str] = None,
                  attr: Optional[str] = None, strict: bool = True,
                  shards: int = 2, workers: Optional[int] = None,
                  memory_budget: Optional[int] = None):
-        super().__init__(relation, alias, attr, strict)
+        super().__init__(relation, alias, attr, strict, workers)
         self.n_shards = max(1, int(shards))
-        self.workers = workers
         self.memory_budget = memory_budget
         self._manager: Any = None
 
@@ -232,28 +237,12 @@ class ShardedScan(VectorScan):
             )
         return self._manager
 
-    def present_mask(self, t: float) -> Any:
-        """Definedness of every object at ``t``, scattered per shard."""
-        from repro.shard.exec import sharded_atinstant
+    def batch(self, op: str, *args: Any) -> Any:
+        """Operator-table operation ``op`` scattered over the shards,
+        gathered into one lane per row."""
+        from repro.shard.exec import sharded
 
-        _x, _y, defined = sharded_atinstant(
-            self.manager(), t, workers=self.workers
-        )
-        return defined
-
-    def window_mask(self, rect: Any, t0: float, t1: float) -> Any:
-        """Objects inside ``rect`` during ``[t0, t1]``, via the pruned
-        scatter-gather window kernel."""
-        import numpy as np
-
-        from repro.shard.exec import sharded_window_intervals
-
-        owners = sharded_window_intervals(
-            self.manager(), rect, t0, t1, workers=self.workers
-        )[0]
-        mask = np.zeros(len(self.mappings()), dtype=bool)
-        mask[owners] = True
-        return mask
+        return sharded(op, self.manager(), args, self.workers, self.backend)
 
 
 class CrossProduct(Operator):
@@ -329,6 +318,7 @@ class Select(Operator):
         if isinstance(self.child, VectorScan) and self.child.attr is not None:
             from repro import obs
             from repro.db.expressions import compile_batch_predicate
+            from repro.vector.backends import count_fallback
 
             compiled = compile_batch_predicate(
                 self.predicate, self.child.alias, self.child.attr
@@ -342,9 +332,7 @@ class Select(Operator):
                     if hit:
                         yield row
                 return
-            if obs.enabled:
-                obs.counters.add("vector.fallback_to_scalar")
-                obs.counters.add("vector.fallback_to_scalar.predicate")
+            count_fallback("vector", "predicate")
         for row in self.child.rows():
             if self.predicate.eval(row):
                 yield row

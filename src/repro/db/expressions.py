@@ -465,9 +465,10 @@ def compile_batch_predicate(
     Supported shapes (all arguments other than the scanned attribute
     must be literals):
 
-    * ``present(attr, t)`` — one ``locate_units`` call;
-    * ``passes_window(attr, xmin, ymin, xmax, ymax, t0, t1)`` — one
-      ``bbox_filter_batch`` call, then exact per-candidate refinement;
+    * ``present(attr, t)`` — the operator table's ``present`` row;
+    * ``passes_window(attr, xmin, ymin, xmax, ymax, t0, t1)`` — the
+      ``bbox_filter`` row, then exact per-candidate refinement (the
+      ``window_intervals`` row alone on a pooled scan backend);
     * ``AND`` of two supported shapes — conjunction of masks.
 
     The returned callable takes the :class:`~repro.db.executor.
@@ -490,21 +491,7 @@ def compile_batch_predicate(
         if t is None:
             return None
         t = float(t)
-
-        def run_present(scan):
-            if getattr(scan, "sharded", False):
-                # Scatter-gather definedness over the scan's shards.
-                return scan.present_mask(t)
-            if getattr(scan, "parallel", False):
-                from repro.parallel import parallel_present
-
-                return parallel_present(scan.column(), t, workers=scan.workers)
-            from repro.vector.kernels import locate_units
-
-            _unit, defined = locate_units(scan.column(), t)
-            return defined
-
-        return run_present
+        return lambda scan: scan.batch("present", t)
 
     if (
         name == "passes_window"
@@ -519,43 +506,29 @@ def compile_batch_predicate(
         def run_window(scan):
             import numpy as np
 
-            if getattr(scan, "sharded", False):
-                from repro.spatial.bbox import Rect
+            from repro.spatial.bbox import Cube, Rect
+            from repro.vector.backends import POOLED_BACKENDS
 
-                # Shard-level bounds prune whole shards before any
-                # column is mapped; the gathered owners are exactly the
-                # unsharded kernel's.
-                return scan.window_mask(Rect(xmin, ymin, xmax, ymax), t0, t1)
-            if getattr(scan, "parallel", False):
-                from repro.parallel import parallel_window_intervals
-                from repro.spatial.bbox import Rect
-
-                # Fully batched refinement: the chunked window kernel
-                # returns exactly the nonempty clipped intervals, so an
-                # object passes iff it owns at least one returned run.
-                owners, _s, _e, _lc, _rc = parallel_window_intervals(
-                    scan.column(), Rect(xmin, ymin, xmax, ymax), t0, t1,
-                    workers=scan.workers,
-                )
-                mask = np.zeros(len(scan.mappings()), dtype=np.bool_)
-                mask[owners] = True
+            rect = Rect(xmin, ymin, xmax, ymax)
+            mappings = scan.mappings()
+            mask = np.zeros(len(mappings), dtype=np.bool_)
+            if scan.backend in POOLED_BACKENDS:
+                # Fully batched refinement: the window kernel returns
+                # exactly the nonempty clipped intervals, so an object
+                # passes iff it owns at least one returned run.  (A
+                # sharded scan prunes whole shards by their bounds
+                # before any column is mapped.)
+                mask[scan.batch("window_intervals", rect, t0, t1)[0]] = True
                 return mask
 
             from repro.ops.window import mpoint_within_rect_times
             from repro.ranges.interval import Interval
             from repro.ranges.rangeset import RangeSet
-            from repro.spatial.bbox import Cube, Rect
-            from repro.vector.kernels import bbox_filter_batch
 
-            cube = Cube(xmin, ymin, t0, xmax, ymax, t1)
-            bbcol = scan.bbox_column()
-            coarse = bbox_filter_batch(bbcol, cube)
-            mask = np.zeros(len(scan.mappings()), dtype=np.bool_)
-            rect = Rect(xmin, ymin, xmax, ymax)
+            coarse = scan.batch("bbox_filter", Cube.from_rect(rect, t0, t1))
             window = RangeSet([Interval(t0, t1)])
-            mappings = scan.mappings()
             # Exact refinement only for bbox survivors.
-            for key, hit in zip(bbcol.keys, coarse):
+            for key, hit in zip(scan.bbox_column().keys, coarse):
                 if not hit:
                     continue
                 times = mpoint_within_rect_times(mappings[key], rect)

@@ -352,30 +352,31 @@ def _make_scan(
 ) -> Operator:
     """Build the scan for one relation, honouring the backend switch.
 
-    Under the ``vector`` backend, a relation with exactly one
-    moving-point attribute is scanned by :class:`~repro.db.executor.
-    VectorScan`, which exposes the attribute columnarly so a selection
-    above it can run as one batch kernel; the ``parallel`` backend plans
-    a :class:`~repro.db.executor.ParallelScan` (same rows, batch kernels
-    chunked over the shared-memory pool); the ``sharded`` backend plans
-    a :class:`~repro.db.executor.ShardedScan` (same rows, batch kernels
-    scattered over hash-partitioned shards under a byte-budgeted shard
-    manager).  Everything else stays a plain
-    :class:`SeqScan` (VectorScan degrades to one when no batch path
-    applies, so results never change).  ``strict=False`` lets the scan
-    quarantine corrupt tuples instead of aborting.
+    A relation with exactly one moving-point attribute is scanned by
+    the scan operator that declares the current backend: a
+    :class:`~repro.db.executor.VectorScan` exposes the attribute
+    columnarly so a selection above it can run as one batch kernel; a
+    :class:`~repro.db.executor.ParallelScan` chunks those kernels over
+    the shared-memory pool; a :class:`~repro.db.executor.ShardedScan`
+    scatters them over hash-partitioned shards under a byte-budgeted
+    shard manager.  Everything else stays a plain :class:`SeqScan`
+    (VectorScan degrades to one when no batch path applies, so results
+    never change).  ``strict=False`` lets the scan quarantine corrupt
+    tuples instead of aborting.
     """
     relation = db.relation(name)
-    from repro.vector.fleet import get_backend
+    from repro.db.executor import (
+        MmapScan, ParallelScan, ShardedScan, VectorScan,
+    )
+    from repro.vector.backends import get_backend
 
-    if (
-        get_backend() == "vector"
-        or get_backend() == "parallel"
-        or get_backend() == "sharded"
-    ):
-        from repro.db.executor import (
-            MmapScan, ParallelScan, ShardedScan, VectorScan,
-        )
+    current = get_backend()
+    scan_cls = next(
+        (c for c in (VectorScan, ParallelScan, ShardedScan)
+         if c.backend == current),
+        None,
+    )
+    if scan_cls is not None:
         from repro.storage.records import codec_for
 
         mpoint_attrs = [
@@ -384,7 +385,7 @@ def _make_scan(
             if codec_for(a.type_name).type_name == "mpoint"
         ]
         if len(mpoint_attrs) == 1:
-            if get_backend() == "sharded":
+            if scan_cls is ShardedScan:
                 # Hash-partitioned scan: batch predicates scatter over
                 # the process-wide shard count under the process-wide
                 # memory budget (the CLI's --shards/--memory-budget).
@@ -411,14 +412,11 @@ def _make_scan(
                 )
                 return MmapScan(
                     relation, alias, attr=mpoint_attrs[0], strict=strict,
-                    store_root=root,
-                    parallel=get_backend() == "parallel",
+                    store_root=root, backend=current,
                 )
-            if get_backend() == "parallel":
-                return ParallelScan(relation, alias, attr=mpoint_attrs[0],
-                                    strict=strict)
-            return VectorScan(relation, alias, attr=mpoint_attrs[0],
-                              strict=strict)
+            return scan_cls(
+                relation, alias, attr=mpoint_attrs[0], strict=strict
+            )
     return SeqScan(relation, alias, strict=strict)
 
 
@@ -576,10 +574,10 @@ def explain(db: Database, sql: str) -> str:
                 f"budget={'unbounded' if budget is None else budget})"
             )
         if isinstance(node, MmapScan):
-            mode = "parallel" if node.parallel else "vector"
             return (
                 f"MmapScan({node.relation.name} AS {node.alias}, "
-                f"attr={node.attr}, store={node.store_root}, mode={mode})"
+                f"attr={node.attr}, store={node.store_root}, "
+                f"mode={node.backend})"
             )
         if isinstance(node, ParallelScan):
             return (

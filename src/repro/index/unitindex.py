@@ -23,9 +23,9 @@ from repro.temporal.uregion import URegion
 class MovingObjectIndex:
     """A per-unit spatio-temporal index over moving points/regions.
 
-    Filtering can run through either backend: the R-tree descent
-    (``scalar``) or a columnar sweep over the same per-unit cubes
-    (``vector``, :class:`~repro.vector.columns.BBoxColumn`).  Both see
+    Filtering can run through either path: the R-tree descent
+    (``scalar``) or a columnar sweep over the same per-unit cubes (every
+    columnar backend, :class:`~repro.vector.columns.BBoxColumn`).  Both see
     identical cube sets, so their candidate sets are identical; the
     column is rebuilt lazily after every ``add``.
     """
@@ -95,10 +95,9 @@ class MovingObjectIndex:
         self, cube: Cube, backend: Optional[str] = None
     ) -> Set[Hashable]:
         """Keys of objects with at least one unit cube intersecting ``cube``."""
-        from repro.vector.fleet import _resolve
+        from repro.vector.backends import columnar
 
-        resolved = _resolve(backend)
-        if resolved == "vector" or resolved == "parallel":
+        if columnar(backend):
             return set(self._unit_column().candidates(cube))
         return set(self._tree.search(cube))
 

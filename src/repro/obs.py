@@ -143,7 +143,7 @@ COUNTER_NAMES: FrozenSet[str] = frozenset({
     "vector.window_times_batch.rows",
     "vector.window_intervals_batch.calls",
     "vector.window_intervals_batch.rows",
-    # backend dispatch fallbacks (via _fallback(reason))
+    # backend ladder rungs (via count_fallback("vector", reason))
     "vector.fallback_to_scalar",
     "vector.fallback_to_scalar.upoint_column",
     "vector.fallback_to_scalar.ureal_column",
@@ -164,7 +164,7 @@ COUNTER_NAMES: FrozenSet[str] = frozenset({
     "colstore.mmap_fallback",
     "colstore.mmap_fallback.manifest",
     "colstore.mmap_fallback.stale",
-    # parallel execution (via _parallel_fallback(reason))
+    # parallel execution (via count_fallback("parallel", reason))
     "parallel.chunks",
     "parallel.fallback",
     "parallel.fallback.workers",
@@ -206,7 +206,7 @@ COUNTER_NAMES: FrozenSet[str] = frozenset({
     "shard.pruned",
     "shard.rebuilds",
     "shard.ingest_routed",
-    # sharded degradation (via _shard_fallback(reason))
+    # sharded degradation (via count_fallback("sharded", reason))
     "shard.fallback",
     "shard.fallback.column",
 })

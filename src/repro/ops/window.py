@@ -21,10 +21,9 @@ from repro.ranges.rangeset import RangeSet
 from repro.spatial.bbox import Cube, Rect
 from repro.temporal.mapping import MovingPoint
 from repro.temporal.upoint import UPoint
+from repro.vector import backends
 from repro.vector.cache import Fleet, column_for
 from repro.vector.columns import UPointColumn
-from repro.vector.fleet import _fallback
-from repro.vector.fleet import _resolve as _resolve_backend
 
 
 def _linear_within(c0: float, c1: float, lo: float, hi: float, t0: float, t1: float):
@@ -186,30 +185,26 @@ class WindowQueryEngine:
         exact time sets of their presence (restricted to the window).
 
         The filter step is backend-switched: R-tree descent (scalar) or
-        the columnar per-unit cube sweep (vector); both yield the same
-        candidate set, and the exact per-unit refinement is shared.
-        Under the ``parallel`` backend filter *and* refinement run as
-        one chunked ``window_intervals_batch`` sweep over the collection
+        the columnar per-unit cube sweep (any columnar backend); both
+        yield the same candidate set, and the exact per-unit refinement
+        is shared.  On a pooled backend filter *and* refinement run as
+        one chunked ``window_intervals`` sweep over the collection
         column (``workers`` pool processes) — same results, assembled
         straight from the kernel's canonical interval runs.
         ``strict=False`` quarantines candidates whose storage
         representation fails to load (skipped, counted under
         ``storage.quarantined``) instead of aborting the query.
         """
-        resolved = _resolve_backend(backend)
-        if resolved == "parallel":
+        if backends.pooled(backend):
             try:
                 keys, col = self._snapshot_column(strict)
             except (InvalidValue, StorageError):
-                _fallback("window_column")
+                backends.count_fallback("vector", "window_column")
             else:
-                from repro.parallel import (
-                    group_intervals,
-                    parallel_window_intervals,
-                )
+                from repro.parallel import group_intervals
 
-                rows = parallel_window_intervals(
-                    col, rect, t0, t1, workers=workers
+                rows = backends.on_column(
+                    "window_intervals", col, (rect, t0, t1), backend, workers
                 )
                 grouped = group_intervals(*rows, keys=keys)
                 grouped.sort(key=lambda kv: str(kv[0]))

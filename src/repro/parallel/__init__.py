@@ -1,12 +1,13 @@
 """Process-pool execution layer over the columnar backend.
 
 The third fleet backend (``--backend parallel``): columns are packed
-into ``multiprocessing.shared_memory`` segments once, pool workers run
-the ordinary batch kernels zero-copy on unit-balanced chunks, and every
-entry point degrades to a *counted* single-process fallback
-(``parallel.fallback.*``) when the pool cannot help — small fleets,
-one-worker configurations, or pool failures.  See DESIGN.md for how a
-chunk maps back to a contiguous run of Section-4 stacked root records.
+into ``multiprocessing.shared_memory`` segments once and pool workers
+run the operator table's kernels (:mod:`repro.vector.backends`)
+zero-copy on unit-balanced chunks; when the pool cannot help — small
+fleets, one-worker configurations, pool failures — the table's ladder
+takes the single-process rung, counted (``parallel.fallback.*``).  See
+DESIGN.md for how a chunk maps back to a contiguous run of Section-4
+stacked root records.
 """
 
 from __future__ import annotations

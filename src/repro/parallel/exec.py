@@ -1,21 +1,21 @@
-"""Chunked parallel execution of the columnar batch kernels.
+"""The fork pool's side of the operator table.
 
-Each public function here is the ``parallel``-backend twin of one
-single-process kernel: the column is packed into shared memory once
-(:mod:`repro.parallel.shmcol`), split into per-worker chunks balanced by
-*unit* count (objects differ in unit count, so an even object split
-would skew the work), and the ordinary :mod:`repro.vector.kernels`
-batch kernel runs zero-copy on every chunk concurrently.
+:func:`pool_chunks` is the pool's instantiation of
+:func:`repro.vector.backends.scatter_gather`: the column is packed into
+shared memory once (:mod:`repro.parallel.shmcol`), split into per-worker
+chunks balanced by *unit* count (objects differ in unit count, so an
+even object split would skew the work), and every worker runs the
+operation's table kernel zero-copy on its chunk.  Chunk boundaries fall
+*between* objects and a kernel's per-object output never spans chunks,
+so the table's order-stable merge is exactly the single-process output.
 
-Fallback discipline (MOD005): every entry point degrades to the exact
-single-process kernel — counted under ``parallel.fallback`` plus a
-per-reason counter — when the resolved worker count is ≤ 1
-(``.workers``), the fleet is below ``config.PARALLEL_MIN_OBJECTS``
-(``.small_fleet``), the pool or segment cannot be created
-(``.no_pool``), or a dispatched task fails for a non-library reason
-(``.error``; library errors such as ``InvalidValue`` re-raise, matching
-the single-process behaviour).  Results are therefore always exactly
-the single-process results, chunked or not.
+The pool rung declines — counted under ``parallel.fallback`` plus a
+per-reason counter, leaving the caller to run the in-process kernel —
+when the worker count is ≤ 1 (``.workers``), the fleet is below
+``config.PARALLEL_MIN_OBJECTS`` (``.small_fleet``), the pool or segment
+cannot be created (``.no_pool``), or a dispatched task fails for a
+non-library reason (``.error``/``.pool_broken``; library errors such as
+``InvalidValue`` re-raise, matching the single-process behaviour).
 """
 
 from __future__ import annotations
@@ -29,21 +29,13 @@ from repro.errors import ReproError
 from repro.parallel import pool, shmcol
 from repro.spatial.bbox import Cube, Rect
 from repro.spatial.region import Region
-from repro.vector.columns import BBoxColumn, UPointColumn
-from repro.vector.kernels import (
-    atinstant_batch,
-    bbox_filter_batch,
-    inside_prefilter,
-    locate_units,
-    window_intervals_batch,
+from repro.vector.backends import (
+    Operation,
+    count_fallback,
+    on_column,
+    scatter_gather,
 )
-
-
-def _parallel_fallback(reason: str) -> None:
-    """Count one degradation to single-process execution."""
-    if obs.enabled:
-        obs.counters.add("parallel.fallback")
-        obs.counters.add(f"parallel.fallback.{reason}")
+from repro.vector.columns import BBoxColumn, UPointColumn
 
 
 def chunk_bounds(
@@ -67,61 +59,61 @@ def chunk_bounds(
     return [(int(a), int(b)) for a, b in zip(cuts[:-1], cuts[1:]) if b > a]
 
 
-def _dispatch(
-    op: str,
-    col: Any,
-    n_items: int,
-    offsets: Optional[np.ndarray],
-    extra: Tuple[Any, ...],
-    workers: Optional[int],
-) -> Optional[List[Any]]:
-    """Run ``op`` chunked over the pool; ``None`` = caller runs in-process.
-
-    The common plumbing behind every ``parallel_*`` entry point:
-    resolves the worker count, applies the counted fallback policy,
-    packs/attaches the shared column, and merges worker counter
-    snapshots when profiling.
-    """
-    n_workers = pool.effective_workers(workers)
+def pool_chunks(
+    entry: Operation, col: Any, args: Tuple[Any, ...], n_workers: int
+) -> Optional[Any]:
+    """``entry`` over ``col`` chunked across the pool; ``None`` = the
+    caller runs the in-process kernel (the reason has been counted)."""
+    n_items = len(col)
     if n_workers <= 1:
-        _parallel_fallback("workers")
+        count_fallback("parallel", "workers")
         return None
     if n_items < config.PARALLEL_MIN_OBJECTS:
-        _parallel_fallback("small_fleet")
+        count_fallback("parallel", "small_fleet")
         return None
     try:
         descriptor = shmcol.shared_descriptor(col)
         pool.get_pool(n_workers)
     except (OSError, ValueError):
-        _parallel_fallback("no_pool")
+        count_fallback("parallel", "no_pool")
         return None
-    bounds = chunk_bounds(offsets, n_items, n_workers)
-    payloads = [
-        (op, descriptor, lo, hi, extra, obs.enabled) for lo, hi in bounds
-    ]
-    try:
+    bounds = chunk_bounds(getattr(col, "offsets", None), n_items, n_workers)
+
+    def run(ranges: Any) -> List[Any]:
+        payloads = [
+            (entry.name, descriptor, lo, hi, args, obs.enabled)
+            for lo, hi in ranges
+        ]
         results = pool.run_tasks(n_workers, payloads)
+        if obs.enabled:
+            obs.counters.add("parallel.chunks", len(payloads))
+            for _out, snap in results:
+                if snap is not None:
+                    pool._merge_counters(snap)
+        return [out for out, _snap in results]
+
+    try:
+        return scatter_gather(
+            n_items,
+            [(slice(lo, hi), (lo, hi)) for lo, hi in bounds],
+            run,
+            entry.merge,
+        )
     except ReproError:
         raise  # library errors behave exactly as in-process
     except pool.PoolBroken:
         # Workers kept dying after a full respawn: stop betting on the
         # pool and finish the query in-process (correct, just slower).
-        _parallel_fallback("pool_broken")
+        count_fallback("parallel", "pool_broken")
         return None
     except Exception:
         pool.shutdown()  # the pool may be wedged; rebuild lazily
-        _parallel_fallback("error")
+        count_fallback("parallel", "error")
         return None
-    if obs.enabled:
-        obs.counters.add("parallel.chunks", len(bounds))
-        for _out, snap in results:
-            if snap is not None:
-                pool._merge_counters(snap)
-    return [out for out, _snap in results]
 
 
 # ---------------------------------------------------------------------------
-# Public entry points: one per batch kernel
+# The table's ``parallel`` column over one already-built column
 # ---------------------------------------------------------------------------
 
 
@@ -129,39 +121,21 @@ def parallel_atinstant(
     col: UPointColumn, t: float, workers: Optional[int] = None
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Chunked :func:`repro.vector.kernels.atinstant_batch`."""
-    chunks = _dispatch(
-        "atinstant", col, col.n_objects, col.offsets, (float(t),), workers
-    )
-    if chunks is None:
-        return atinstant_batch(col, t)
-    return (
-        np.concatenate([c[0] for c in chunks]),
-        np.concatenate([c[1] for c in chunks]),
-        np.concatenate([c[2] for c in chunks]),
-    )
+    return on_column("atinstant", col, (float(t),), "parallel", workers)
 
 
 def parallel_present(
     col: UPointColumn, t: float, workers: Optional[int] = None
 ) -> np.ndarray:
     """Chunked definedness test (:func:`locate_units`'s ``defined``)."""
-    chunks = _dispatch(
-        "present", col, col.n_objects, col.offsets, (float(t),), workers
-    )
-    if chunks is None:
-        _unit, defined = locate_units(col, t)
-        return defined
-    return np.concatenate(chunks)
+    return on_column("present", col, (float(t),), "parallel", workers)
 
 
 def parallel_bbox_filter(
     col: BBoxColumn, cube: Cube, workers: Optional[int] = None
 ) -> np.ndarray:
     """Chunked :func:`repro.vector.kernels.bbox_filter_batch`."""
-    chunks = _dispatch("bbox", col, len(col), None, (cube,), workers)
-    if chunks is None:
-        return bbox_filter_batch(col, cube)
-    return np.concatenate(chunks)
+    return on_column("bbox_filter", col, (cube,), "parallel", workers)
 
 
 def parallel_window_intervals(
@@ -171,28 +145,10 @@ def parallel_window_intervals(
     t1: float,
     workers: Optional[int] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Chunked :func:`repro.vector.kernels.window_intervals_batch`.
-
-    Chunk boundaries fall *between* objects, and the merged runs of one
-    object never span chunks, so concatenating the per-chunk results
-    (owners rebased worker-side) is exactly the single-process output.
-    """
-    chunks = _dispatch(
-        "window",
-        col,
-        col.n_objects,
-        col.offsets,
-        (rect, float(t0), float(t1)),
+    """Chunked :func:`repro.vector.kernels.window_intervals_batch`."""
+    return on_column(
+        "window_intervals", col, (rect, float(t0), float(t1)), "parallel",
         workers,
-    )
-    if chunks is None:
-        return window_intervals_batch(col, rect, t0, t1)
-    return (
-        np.concatenate([c[0] for c in chunks]),
-        np.concatenate([c[1] for c in chunks]),
-        np.concatenate([c[2] for c in chunks]),
-        np.concatenate([c[3] for c in chunks]),
-        np.concatenate([c[4] for c in chunks]),
     )
 
 
@@ -203,21 +159,10 @@ def parallel_count_inside(
     workers: Optional[int] = None,
 ) -> int:
     """Chunked snapshot count: atinstant + plumbline prefilter per chunk."""
-    chunks = _dispatch(
-        "count_inside",
-        col,
-        col.n_objects,
-        col.offsets,
-        (float(t), region),
-        workers,
+    mask = on_column(
+        "count_inside", col, (float(t), region), "parallel", workers
     )
-    if chunks is None:
-        x, y, defined = atinstant_batch(col, t)
-        if not bool(defined.any()):
-            return 0
-        pts = np.column_stack([x[defined], y[defined]])
-        return int(np.count_nonzero(inside_prefilter(pts, region)))
-    return int(sum(chunks))
+    return int(np.count_nonzero(mask))
 
 
 def group_intervals(

@@ -1,10 +1,11 @@
 """The worker pool of the ``parallel`` backend.
 
 One lazily created ``fork``-context process pool per parent process.
-Workers receive tiny payloads — a shared-column descriptor plus an
-object range — attach the segment once (a small LRU of attachments is
-kept per worker), take a zero-copy chunk view, and run the ordinary
-batch kernels of :mod:`repro.vector.kernels` on it.
+Workers receive tiny payloads — an operation name, a shared-column
+descriptor and an object range — attach the segment once (a small LRU of
+attachments is kept per worker), take a zero-copy chunk view, and run
+the kernel the operator table (:mod:`repro.vector.backends`) names for
+that operation on it.
 
 Observability crosses the process boundary explicitly: when the parent
 is profiling, each task runs under ``obs.capture`` and ships its counter
@@ -26,6 +27,7 @@ from repro import deadline as deadline_mod
 from repro.analysis import dynlock
 from repro.errors import InvalidValue, ReproError
 from repro.parallel import shmcol
+from repro.vector.backends import OPERATIONS
 
 # ---------------------------------------------------------------------------
 # Worker-count policy
@@ -294,77 +296,28 @@ def _attached_column(descriptor: shmcol.Descriptor) -> Any:
     return wrapper.column
 
 
-def _op_atinstant(col: Any, lo: int, hi: int, extra: Tuple[Any, ...]) -> Any:
-    from repro.vector.kernels import atinstant_batch
-
-    (t,) = extra
-    return atinstant_batch(shmcol.chunk_units(col, lo, hi), t)
-
-
-def _op_present(col: Any, lo: int, hi: int, extra: Tuple[Any, ...]) -> Any:
-    from repro.vector.kernels import locate_units
-
-    (t,) = extra
-    _unit, defined = locate_units(shmcol.chunk_units(col, lo, hi), t)
-    return defined
-
-
-def _op_bbox(col: Any, lo: int, hi: int, extra: Tuple[Any, ...]) -> Any:
-    from repro.vector.kernels import bbox_filter_batch
-
-    (cube,) = extra
-    return bbox_filter_batch(shmcol.chunk_bbox(col, lo, hi), cube)
-
-
-def _op_window(col: Any, lo: int, hi: int, extra: Tuple[Any, ...]) -> Any:
-    from repro.vector.kernels import window_intervals_batch
-
-    rect, t0, t1 = extra
-    owner, s, e, lc, rc = window_intervals_batch(
-        shmcol.chunk_units(col, lo, hi), rect, t0, t1
-    )
-    return owner + lo, s, e, lc, rc  # rebase owners to whole-fleet indices
-
-
-def _op_count_inside(col: Any, lo: int, hi: int, extra: Tuple[Any, ...]) -> Any:
-    import numpy as np
-
-    from repro.vector.kernels import atinstant_batch, inside_prefilter
-
-    t, region = extra
-    x, y, defined = atinstant_batch(shmcol.chunk_units(col, lo, hi), t)
-    if not defined.any():
-        return 0
-    pts = np.column_stack([x[defined], y[defined]])
-    return int(np.count_nonzero(inside_prefilter(pts, region)))
-
-
-_OPS = {
-    "atinstant": _op_atinstant,
-    "present": _op_present,
-    "bbox": _op_bbox,
-    "window": _op_window,
-    "count_inside": _op_count_inside,
-}
-
-
 def run_task(
     payload: Tuple[Any, ...]
 ) -> Tuple[Any, Optional[Dict[str, Any]]]:
     """Worker entry point: one op over one chunk of one shared column.
 
-    The optional seventh payload element is the dispatcher's worker-kill
-    mark (see :func:`should_kill_worker`): the marked worker dies by
-    SIGKILL *before* touching the column, simulating an external kill —
-    no cleanup, no exception, just a corpse for the dispatcher to find.
+    ``op`` names a row of :data:`repro.vector.backends.OPERATIONS` — the
+    same entry the parent's in-process path resolves — whose kernel runs
+    over a zero-copy view of objects ``[lo, hi)``.  The optional seventh
+    payload element is the dispatcher's worker-kill mark (see
+    :func:`should_kill_worker`): the marked worker dies by SIGKILL
+    *before* touching the column, simulating an external kill — no
+    cleanup, no exception, just a corpse for the dispatcher to find.
     """
     op, descriptor, lo, hi, extra, profiled = payload[:6]
     if len(payload) > 6 and payload[6]:
         os.kill(os.getpid(), signal.SIGKILL)
-    col = _attached_column(descriptor)
+    entry = OPERATIONS[op]
+    chunk = shmcol.chunk_bbox if entry.kind == "bbox" else shmcol.chunk_units
+    view = chunk(_attached_column(descriptor), lo, hi)
     if profiled:
         with obs.capture() as counters:
-            out = _OPS[op](col, lo, hi, extra)
+            out = entry.kernel(view, *extra)
         snap = counters.snapshot()
         return out, {"counters": snap["counters"], "gauges": snap["gauges"]}
-    return _OPS[op](col, lo, hi, extra), None
+    return entry.kernel(view, *extra), None

@@ -45,8 +45,8 @@ from repro.shard.manager import ShardManager
 from repro.spatial.bbox import Cube
 from repro.temporal.mapping import MovingPoint
 from repro.temporal.upoint import UPoint
+from repro.vector import backends
 from repro.vector.cache import _BUILDERS, Fleet, column_for_versioned
-from repro.vector.kernels import atinstant_batch
 
 __all__ = ["FleetExecutor", "Snapshot"]
 
@@ -234,44 +234,29 @@ class FleetExecutor:
             fleet = self._fleet(name)
             snap = Snapshot(fleet)
             manager = self._shards.get(name)
-            shard_cols = col = None
             if manager is not None:
-                shard_cols = self._pinned_shard_columns(manager, snap)
+                parts = self._pinned_shard_columns(manager, snap)
             else:
                 col = self._pinned_column(fleet, snap, "upoint")
+                parts = None if col is None else [(slice(0, len(snap)), col)]
             candidates = self._window_candidates(name, t, window, len(snap))
-        rows: List[Tuple[int, float, float]] = []
-        if shard_cols is not None:
-            # Scatter: one kernel run per pinned shard column, global
-            # ids mapped back through the shard's id array; gather is a
-            # sort into global order (per-shard ids ascend, so this is a
-            # merge of sorted runs).
-            done = 0
-            for gids, scol in shard_cols:
-                xs, ys, defined = atinstant_batch(scol, t)
-                for j in range(len(gids)):
-                    if defined[j]:
-                        rows.append(
-                            (int(gids[j]), float(xs[j]), float(ys[j]))
-                        )
-                    done += 1
-                    if deadline is not None and done % _DEADLINE_STRIDE == 0:
-                        deadline.check()
-            rows.sort()
-        elif col is not None:
-            xs, ys, defined = atinstant_batch(col, t)
-            for i in range(len(snap)):
-                if defined[i]:
-                    rows.append((i, float(xs[i]), float(ys[i])))
-                if deadline is not None and i % _DEADLINE_STRIDE == 0:
-                    deadline.check()
+        # The ``atinstant`` table entry over the pinned parts (per-shard
+        # columns merge through their global-id arrays); its scalar
+        # reference loop when no column can describe the pin.
+        if parts is not None:
+            xs, ys, defined = backends.gather(
+                "atinstant", len(snap), parts, (t,)
+            )
         else:
-            for i, m in enumerate(snap.items):
-                p = m.value_at(t)
-                if p is not None:
-                    rows.append((i, p.x, p.y))
-                if deadline is not None and i % _DEADLINE_STRIDE == 0:
-                    deadline.check()
+            xs, ys, defined = backends.evaluate(
+                "atinstant", snap.items, (t,), backend="scalar", arrays=True
+            )
+        rows: List[Tuple[int, float, float]] = []
+        for i in range(len(snap)):
+            if defined[i]:
+                rows.append((i, float(xs[i]), float(ys[i])))
+            if deadline is not None and i % _DEADLINE_STRIDE == 0:
+                deadline.check()
         if window is not None:
             xmin, ymin, xmax, ymax = window
             rows = [

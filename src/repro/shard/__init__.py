@@ -6,8 +6,9 @@ segment per fleet.  A :class:`ShardedFleet` hash-partitions the root
 records by object id into independent per-shard fleets; a
 :class:`ShardManager` gives each shard its own column-store directory,
 column set, and STR-bulk-loaded R-tree under a byte-budgeted CLOCK
-residency policy; and :mod:`repro.shard.exec` scatters the existing
-chunk kernels across the shards and gathers bit-identical results.
+residency policy; and :mod:`repro.shard.exec` partitions each operator
+table row (:mod:`repro.vector.backends`) across the shards, whose
+outputs gather bit-identical to the unsharded kernel's.
 
 Process-wide defaults (the CLI's ``--shards`` / ``--memory-budget``
 flags land here): ``set_shards`` picks how many shards newly registered

@@ -1,19 +1,17 @@
-"""Scatter-gather execution over hash-partitioned shards.
+"""The shard executor's side of the operator table.
 
-Each entry point scatters one operation across a
-:class:`~repro.shard.manager.ShardManager`'s shards — running the
-existing chunk kernels (:mod:`repro.parallel`, order-stable and
-bit-identical per chunk) over each shard's column — and gathers the
-per-shard outputs back into the exact arrays the unsharded kernel would
-have produced:
+Each ``sharded_*`` entry point binds one row of the physical operator
+table (:mod:`repro.vector.backends`) over a
+:class:`~repro.shard.manager.ShardManager`.  What this module owns is
+the *partitioning*: lazy generators of ``(global ids, shard column)``
+parts that :func:`repro.vector.backends.scatter_gather` consumes one at
+a time — so a memory budget below the working set holds — and merges
+back into the exact arrays the unsharded kernel would have produced:
 
-* Owners come back as *local* positions; rebasing them through the
-  shard's ascending global-id array and stably sorting the shard-order
-  concatenation by owner restores the unsharded order exactly (each
-  owner lives in exactly one shard, and within an owner the kernel's
-  time order is already right).  The identity is permutation-free down
-  to the bit level — NaN ⊥ lanes, open/closed boundary flags, float
-  payloads — and pinned by the hypothesis property in
+* Outputs come back in *local* lanes; the table's merge places them
+  through the shard's ascending global-id array, which restores the
+  unsharded order exactly — bit for bit (NaN ⊥ lanes, open/closed
+  flags, float payloads), pinned by the hypothesis property in
   ``tests/test_shard_properties.py``.
 * Window scatters prune twice before touching unit data: shard-level
   bounding cubes first (:meth:`ShardManager.prune` — no column mapped
@@ -23,39 +21,27 @@ have produced:
   window kernel's slab tolerance — so dropped objects are exactly
   those the full kernel would emit no rows for.
 
-Dispatch mirrors :mod:`repro.vector.fleet`: ``_resolve`` maps the
-requested backend, batch arms are try-guarded, and failures degrade to
-the per-object scalar reference loop under the counted
-``shard.fallback.*`` wrapper.  The ``shard.evict_during_query``
-failpoint fires between per-shard kernel runs, so the chaos matrix can
-evict every resident shard mid-scatter and assert the gathered result
-is still bit-identical (columns are immutable; eviction only drops
-references).
+The ``shard.evict_during_query`` failpoint fires between per-shard
+kernel runs, so the chaos matrix can evict every resident shard
+mid-scatter and assert the gathered result is still bit-identical
+(columns are immutable; eviction only drops references).
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Tuple
+from typing import Any, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from repro import faults, obs
+from repro import faults
 from repro.config import EPSILON
-from repro.errors import InvalidValue, StorageError
-from repro.ranges import Interval, RangeSet
 from repro.shard.manager import ShardManager
 from repro.spatial.bbox import Cube, Rect
 from repro.spatial.region import Region
+from repro.vector.backends import IntervalRows, evaluate
 from repro.vector.columns import UPointColumn
-from repro.vector.fleet import _resolve
 
-IntervalRows = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-
-
-def _shard_fallback(reason: str) -> None:
-    if obs.enabled:
-        obs.counters.add("shard.fallback")
-        obs.counters.add(f"shard.fallback.{reason}")
+Part = Tuple[np.ndarray, Any]
 
 
 def _evict_failpoint(manager: ShardManager) -> None:
@@ -65,8 +51,78 @@ def _evict_failpoint(manager: ShardManager) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Gather helpers
+# Partitioners: what each operation scatters over
 # ---------------------------------------------------------------------------
+
+
+def _all_shards(manager: ShardManager, *_args: Any) -> Iterator[Part]:
+    """Every non-empty shard's unit column."""
+    fleet = manager.fleet
+    for s in range(fleet.n_shards):
+        if len(fleet.shards[s]) == 0:
+            continue
+        yield fleet.globals_of(s), manager.column(s, "upoint")
+        _evict_failpoint(manager)
+
+
+def _bbox_shards(manager: ShardManager, cube: Cube) -> Iterator[Part]:
+    """The bbox columns of the shards whose bounds survive ``cube``,
+    each entry mapped to its object's global id."""
+    for s in manager.prune(cube):
+        col, keys = manager.bbox_keys(s)
+        yield manager.fleet.globals_of(s)[keys], col
+        _evict_failpoint(manager)
+
+
+def _window_shards(
+    manager: ShardManager, rect: Rect, t0: float, t1: float
+) -> Iterator[Part]:
+    """Surviving shards' candidate objects, as whole or gathered columns."""
+    cube = Cube.from_rect(rect, float(t0), float(t1))
+    # The window kernel tolerates positions within EPSILON of the slab,
+    # so the candidate prefilters must be at least that wide or they
+    # drop objects whose rows the kernel would emit.  The kernels
+    # themselves still get the exact rect/t0/t1.
+    pad = Cube(
+        cube.xmin - EPSILON, cube.ymin - EPSILON, cube.tmin - EPSILON,
+        cube.xmax + EPSILON, cube.ymax + EPSILON, cube.tmax + EPSILON,
+    )
+    for s in manager.prune(pad):
+        bbox, keys = manager.bbox_keys(s)
+        cand = keys[bbox.overlap_mask(pad)]
+        _evict_failpoint(manager)
+        if cand.size == 0:
+            continue
+        col = manager.column(s, "upoint")
+        gids = manager.fleet.globals_of(s)
+        if 2 * int((col.offsets[cand + 1] - col.offsets[cand]).sum()) >= col.n_units:
+            # Broad window: gathering would copy most of the column
+            # anyway — run the kernel over it whole.
+            yield gids, col
+        else:
+            yield gids[cand], _gather_candidates(col, cand)
+        _evict_failpoint(manager)
+
+
+_PARTITIONERS = {
+    "bbox_filter": _bbox_shards,
+    "window_intervals": _window_shards,
+}
+
+
+def sharded(
+    op: str,
+    manager: ShardManager,
+    args: Tuple[Any, ...],
+    workers: Optional[int] = None,
+    backend: Optional[str] = "sharded",
+) -> Any:
+    """Table operation ``op`` scattered over ``manager``'s shards,
+    answered as arrays in global lanes."""
+    parts = _PARTITIONERS.get(op, _all_shards)(manager, *args)
+    return evaluate(
+        op, manager.fleet, args, backend, workers, parts=parts, arrays=True
+    )
 
 
 def _gather_candidates(col: UPointColumn, cand: np.ndarray) -> UPointColumn:
@@ -93,42 +149,8 @@ def _gather_candidates(col: UPointColumn, cand: np.ndarray) -> UPointColumn:
     )
 
 
-def _empty_interval_rows() -> IntervalRows:
-    """Dtype-exact empty output of ``window_intervals_batch``."""
-    return (
-        np.empty(0, dtype=np.int64),
-        np.empty(0), np.empty(0),
-        np.empty(0, dtype=np.bool_), np.empty(0, dtype=np.bool_),
-    )
-
-
-def _gather_intervals(
-    parts: List[Tuple[np.ndarray, IntervalRows]]
-) -> IntervalRows:
-    """Merge per-shard interval rows into global-owner order.
-
-    ``parts`` holds ``(global ids of the owners' shard, local rows)``
-    pairs in shard order.  Owners rebase through the ascending global-id
-    arrays; a stable sort by owner then interleaves the shards without
-    ever reordering two rows of the same owner — the unsharded kernel's
-    grouping, reproduced exactly.
-    """
-    if not parts:
-        return _empty_interval_rows()
-    owner = np.concatenate([gids[rows[0]] for gids, rows in parts])
-    s = np.concatenate([rows[1] for _gids, rows in parts])
-    e = np.concatenate([rows[2] for _gids, rows in parts])
-    lc = np.concatenate([rows[3] for _gids, rows in parts])
-    rc = np.concatenate([rows[4] for _gids, rows in parts])
-    order = np.argsort(owner, kind="stable")
-    return (
-        owner[order].astype(np.int64, copy=False),
-        s[order], e[order], lc[order], rc[order],
-    )
-
-
 # ---------------------------------------------------------------------------
-# Scatter-gather entry points
+# The table's rows over a shard manager
 # ---------------------------------------------------------------------------
 
 
@@ -143,41 +165,7 @@ def sharded_atinstant(
     Returns ``(x, y, defined)`` indexed by global object id — NaN in ⊥
     lanes, exactly as ``atinstant_batch`` over the unsharded column.
     """
-    from repro.parallel import parallel_atinstant
-
-    fleet = manager.fleet
-    resolved = _resolve(backend)
-    if resolved == "sharded" or resolved == "vector" or resolved == "parallel":
-        n = len(fleet)
-        x = np.full(n, np.nan)
-        y = np.full(n, np.nan)
-        defined = np.zeros(n, dtype=np.bool_)
-        try:
-            for s in range(fleet.n_shards):
-                if len(fleet.shards[s]) == 0:
-                    continue
-                col = manager.column(s, "upoint")
-                sx, sy, sd = parallel_atinstant(col, t, workers=workers)
-                _evict_failpoint(manager)
-                gids = fleet.globals_of(s)
-                x[gids], y[gids], defined[gids] = sx, sy, sd
-        except (InvalidValue, StorageError):
-            _shard_fallback("column")
-        else:
-            if obs.enabled:
-                obs.counters.add("shard.scatters")
-            return x, y, defined
-    xs: List[float] = []
-    ys: List[float] = []
-    ds: List[bool] = []
-    for m in fleet:
-        p = m.value_at(t)
-        xs.append(np.nan if p is None else float(p.x))
-        ys.append(np.nan if p is None else float(p.y))
-        ds.append(p is not None)
-    return (
-        np.asarray(xs), np.asarray(ys), np.asarray(ds, dtype=np.bool_)
-    )
+    return sharded("atinstant", manager, (t,), workers, backend)
 
 
 def sharded_window_intervals(
@@ -195,74 +183,7 @@ def sharded_window_intervals(
     drop objects that produce no rows, and the gather is a stable
     permutation back to global owner order.
     """
-    from repro.parallel import parallel_window_intervals
-
-    fleet = manager.fleet
-    resolved = _resolve(backend)
-    if resolved == "sharded" or resolved == "vector" or resolved == "parallel":
-        cube = Cube.from_rect(rect, float(t0), float(t1))
-        # The window kernel tolerates positions within EPSILON of the
-        # slab, so the candidate prefilters must be at least that wide
-        # or they drop objects whose rows the kernel would emit.  The
-        # kernels themselves still get the exact rect/t0/t1.
-        pad = Cube(
-            cube.xmin - EPSILON, cube.ymin - EPSILON, cube.tmin - EPSILON,
-            cube.xmax + EPSILON, cube.ymax + EPSILON, cube.tmax + EPSILON,
-        )
-        try:
-            parts: List[Tuple[np.ndarray, IntervalRows]] = []
-            for s in manager.prune(pad):
-                bbox, keys = manager.bbox_keys(s)
-                cand = keys[bbox.overlap_mask(pad)]
-                _evict_failpoint(manager)
-                if cand.size == 0:
-                    continue
-                col = manager.column(s, "upoint")
-                if 2 * int((col.offsets[cand + 1] - col.offsets[cand]).sum()) >= col.n_units:
-                    # Broad window: gathering would copy most of the
-                    # column anyway — run the kernel over it whole.
-                    rows = parallel_window_intervals(
-                        col, rect, t0, t1, workers=workers
-                    )
-                    parts.append((fleet.globals_of(s), rows))
-                else:
-                    sub = _gather_candidates(col, cand)
-                    rows = parallel_window_intervals(
-                        sub, rect, t0, t1, workers=workers
-                    )
-                    parts.append((fleet.globals_of(s)[cand], rows))
-                _evict_failpoint(manager)
-        except (InvalidValue, StorageError):
-            _shard_fallback("column")
-        else:
-            if obs.enabled:
-                obs.counters.add("shard.scatters")
-            return _gather_intervals(parts)
-    return _scalar_window_intervals(fleet, rect, t0, t1)
-
-
-def _scalar_window_intervals(
-    fleet: Any, rect: Rect, t0: float, t1: float
-) -> IntervalRows:
-    """Per-object reference loop (the counted degradation path)."""
-    from repro.ops.window import mpoint_within_rect_times
-
-    window = RangeSet([Interval(float(t0), float(t1))])
-    owners: List[int] = []
-    rows: List[Tuple[float, float, bool, bool]] = []
-    for i, m in enumerate(fleet):
-        spans = mpoint_within_rect_times(m, rect).intersection(window)
-        for iv in spans.intervals:
-            owners.append(i)
-            rows.append((iv.s, iv.e, iv.lc, iv.rc))
-    if not rows:
-        return _empty_interval_rows()
-    arr = np.asarray(rows, dtype=np.float64)
-    return (
-        np.asarray(owners, dtype=np.int64),
-        arr[:, 0], arr[:, 1],
-        arr[:, 2].astype(np.bool_), arr[:, 3].astype(np.bool_),
-    )
+    return sharded("window_intervals", manager, (rect, t0, t1), workers, backend)
 
 
 def sharded_count_inside(
@@ -272,35 +193,10 @@ def sharded_count_inside(
     workers: Optional[int] = None,
     backend: Optional[str] = "sharded",
 ) -> int:
-    """Snapshot count inside ``region`` at ``t``: per-shard counts sum
-    (each object lives in exactly one shard)."""
-    from repro.parallel import parallel_count_inside
-
-    fleet = manager.fleet
-    resolved = _resolve(backend)
-    if resolved == "sharded" or resolved == "vector" or resolved == "parallel":
-        try:
-            total = 0
-            for s in range(fleet.n_shards):
-                if len(fleet.shards[s]) == 0:
-                    continue
-                col = manager.column(s, "upoint")
-                total += int(
-                    parallel_count_inside(col, region, t, workers=workers)
-                )
-                _evict_failpoint(manager)
-        except (InvalidValue, StorageError):
-            _shard_fallback("column")
-        else:
-            if obs.enabled:
-                obs.counters.add("shard.scatters")
-            return total
-    count = 0
-    for m in fleet:
-        p = m.value_at(t)
-        if p is not None and region.contains_point(p.vec):
-            count += 1
-    return count
+    """Snapshot count inside ``region`` at ``t`` (each object lives in
+    exactly one shard, so the member lanes never collide)."""
+    mask = sharded("count_inside", manager, (t, region), workers, backend)
+    return int(np.count_nonzero(mask))
 
 
 def sharded_bbox_filter(
@@ -311,30 +207,5 @@ def sharded_bbox_filter(
 ) -> List[int]:
     """Global ids of objects whose bounding cube intersects ``cube``,
     ascending — the unsharded ``fleet_bbox_filter`` order."""
-    from repro.parallel import parallel_bbox_filter
-
-    fleet = manager.fleet
-    resolved = _resolve(backend)
-    if resolved == "sharded" or resolved == "vector" or resolved == "parallel":
-        try:
-            hits: List[np.ndarray] = []
-            for s in manager.prune(cube):
-                col, keys = manager.bbox_keys(s)
-                mask = parallel_bbox_filter(col, cube, workers=workers)
-                _evict_failpoint(manager)
-                hits.append(fleet.globals_of(s)[keys[mask]])
-        except (InvalidValue, StorageError):
-            _shard_fallback("column")
-        else:
-            if obs.enabled:
-                obs.counters.add("shard.scatters")
-            if not hits:
-                return []
-            merged = np.concatenate(hits)
-            merged.sort()
-            return [int(g) for g in merged]
-    return [
-        i
-        for i, m in enumerate(fleet)
-        if m.units and m.bounding_cube().intersects(cube)
-    ]
+    mask = sharded("bbox_filter", manager, (cube,), workers, backend)
+    return np.flatnonzero(mask).tolist()

@@ -18,9 +18,9 @@ columnar-ly, across *many* objects at once:
   3-D bounding-cube overlap, the filter step before the exact
   R-tree/refinement path), and ``inside_prefilter`` (batched plumbline
   crossing counts for N query points against one region).
-* :mod:`repro.vector.fleet` — the backend switch (``scalar`` |
-  ``vector`` | ``parallel``) and fleet-level convenience wrappers with
-  automatic, counted fallback to the scalar reference implementations.
+* :mod:`repro.vector.backends` — the physical operator table: which
+  code evaluates each fleet operation on each backend, and the counted
+  ladder it degrades along; :mod:`repro.vector.fleet` binds its rows.
 * :mod:`repro.vector.cache` — the columnar cache: versioned
   :class:`~repro.vector.cache.Fleet` sequences reuse built columns
   across queries (``colcache.hits``), invalidated by mutation

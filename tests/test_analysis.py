@@ -338,11 +338,99 @@ class TestMOD004ObsDiscipline:
         }, select={"MOD004"})
         assert out == []
 
+    def test_count_fallback_call_site_expands_per_stage_family(self, tmp_path):
+        # count_fallback(stage, reason) is the one backend-fallback
+        # counter: each call site implies its stage's family counter
+        # plus the per-reason one, wherever it is called from.
+        out = lint_snippets(tmp_path, {
+            "src/repro/obs.py": OBS_REGISTRY,
+            "src/repro/ops/snippet.py": """
+                def f():
+                    backends.count_fallback("parallel", "workers")
+            """,
+        }, select={"MOD004"})
+        flagged = " ".join(v.message for v in out)
+        assert codes(out) == ["MOD004", "MOD004"]
+        assert "parallel.fallback`" in flagged
+        assert "parallel.fallback.workers" in flagged
+
+    def test_count_fallback_reason_must_be_literal_outside_table(self, tmp_path):
+        out = lint_snippets(tmp_path, {
+            "src/repro/obs.py": OBS_REGISTRY,
+            "src/repro/ops/snippet.py": """
+                def f(reason):
+                    count_fallback("vector", reason)
+            """,
+        }, select={"MOD004"})
+        assert codes(out) == ["MOD004"]
+        assert "literal" in out[0].message
+
+    def test_table_rows_cover_the_derived_column_reasons(self, tmp_path):
+        # Inside the table the column-failure reason is derived from
+        # the row; the linter reads the literal Operation(kind=...)
+        # rows instead of the call site.
+        out = lint_snippets(tmp_path, {
+            "src/repro/obs.py": """
+                COUNTER_NAMES = frozenset({
+                    "vector.fallback_to_scalar",
+                    "vector.fallback_to_scalar.upoint_column",
+                })
+                TIMER_NAMES = frozenset()
+                GAUGE_NAMES = frozenset()
+            """,
+            "src/repro/vector/backends.py": """
+                ROW = Operation("atinstant", kind="upoint")
+
+                def evaluate(entry):
+                    count_fallback("vector", f"{entry.kind}_column")
+            """,
+        }, select={"MOD004"})
+        assert out == []
+
 
 class TestMOD005BackendDispatch:
-    def test_raw_backend_compare_flagged(self, tmp_path):
+    TABLE = "src/repro/vector/backends.py"
+
+    def test_backend_compare_outside_table_flagged(self, tmp_path):
+        # Even a *resolved* compare: the literal may only be compared in
+        # the operator table; everything else passes names through.
         out = lint_snippets(tmp_path, {
-            "src/repro/vector/snippet.py": """
+            "src/repro/ops/snippet.py": """
+                def f(fleet, backend=None):
+                    if resolve(backend) == "sharded":
+                        return 1
+                    return 2
+            """,
+        }, select={"MOD005"})
+        assert codes(out) == ["MOD005"]
+        assert "outside the operator table" in out[0].message
+
+    def test_backend_membership_outside_table_flagged(self, tmp_path):
+        out = lint_snippets(tmp_path, {
+            "src/repro/snippet.py": """
+                def f(args):
+                    return args.backend not in ("parallel", "sharded")
+            """,
+        }, select={"MOD005"})
+        assert codes(out) == ["MOD005"]
+
+    def test_passing_backend_names_through_clean(self, tmp_path):
+        out = lint_snippets(tmp_path, {
+            "src/repro/db/snippet.py": """
+                class Scan:
+                    backend = "parallel"
+
+                def f(col, cls):
+                    if cls.backend == get_backend():
+                        return on_column("present", col, (), "parallel")
+                    return evaluate("present", col, (), backend="scalar")
+            """,
+        }, select={"MOD005"})
+        assert out == []
+
+    def test_raw_backend_compare_in_table_flagged(self, tmp_path):
+        out = lint_snippets(tmp_path, {
+            self.TABLE: """
                 def f(fleet, backend=None):
                     if backend == "vector":
                         return 1
@@ -350,13 +438,24 @@ class TestMOD005BackendDispatch:
             """,
         }, select={"MOD005"})
         assert codes(out) == ["MOD005"]
-        assert "_resolve" in out[0].message
+        assert "resolve()" in out[0].message
 
     def test_missing_scalar_arm_flagged(self, tmp_path):
         out = lint_snippets(tmp_path, {
-            "src/repro/vector/snippet.py": """
+            self.TABLE: """
                 def f(fleet, backend=None):
-                    if _resolve(backend) == "vector":
+                    if resolve(backend) == "vector":
+                        return 1
+            """,
+        }, select={"MOD005"})
+        assert codes(out) == ["MOD005"]
+        assert "no scalar arm" in out[0].message
+
+    def test_predicate_arm_needs_scalar_arm_too(self, tmp_path):
+        out = lint_snippets(tmp_path, {
+            self.TABLE: """
+                def f(fleet, backend=None):
+                    if columnar(backend):
                         return 1
             """,
         }, select={"MOD005"})
@@ -365,9 +464,9 @@ class TestMOD005BackendDispatch:
 
     def test_unguarded_column_construction_flagged(self, tmp_path):
         out = lint_snippets(tmp_path, {
-            "src/repro/vector/snippet.py": """
+            self.TABLE: """
                 def f(fleet, backend=None):
-                    if _resolve(backend) == "vector":
+                    if resolve(backend) == "vector":
                         col = UPointColumn.from_mappings(fleet)
                         return col
                     return 2
@@ -378,9 +477,9 @@ class TestMOD005BackendDispatch:
 
     def test_handler_without_fallback_flagged(self, tmp_path):
         out = lint_snippets(tmp_path, {
-            "src/repro/vector/snippet.py": """
+            self.TABLE: """
                 def f(fleet, backend=None):
-                    if _resolve(backend) == "vector":
+                    if columnar(backend):
                         try:
                             col = UPointColumn.from_mappings(fleet)
                         except InvalidValue:
@@ -391,17 +490,17 @@ class TestMOD005BackendDispatch:
             """,
         }, select={"MOD005"})
         assert codes(out) == ["MOD005"]
-        assert "_fallback" in out[0].message
+        assert "count_fallback" in out[0].message
 
     def test_counted_fallback_dispatch_clean(self, tmp_path):
         out = lint_snippets(tmp_path, {
-            "src/repro/vector/snippet.py": """
+            self.TABLE: """
                 def f(fleet, backend=None):
-                    if _resolve(backend) == "vector":
+                    if columnar(backend):
                         try:
                             col = UPointColumn.from_mappings(fleet)
                         except InvalidValue:
-                            _fallback("upoint_column")
+                            count_fallback("vector", "upoint_column")
                         else:
                             return col
                     return 2

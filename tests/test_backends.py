@@ -1,0 +1,220 @@
+"""Totality of the physical operator table (``repro.vector.backends``).
+
+The parametrisation iterates the table itself, so a row or a backend
+added later is covered — or fails here — without anyone remembering to
+extend a per-backend test file: every (operation, backend, operand)
+cell is bit-identical to the row's scalar reference loop, and every
+rung of the ladder taken is counted exactly once, in exactly one
+``*.fallback`` family.
+"""
+
+import numpy as np
+import pytest
+
+from repro import config, obs
+from repro.parallel import pool, shmcol
+from repro.ranges.interval import Interval
+from repro.shard import ShardManager, ShardedFleet
+from repro.shard.exec import sharded
+from repro.spatial.bbox import Cube, Rect
+from repro.temporal.mapping import MovingPoint, MovingReal
+from repro.temporal.upoint import UPoint
+from repro.temporal.ureal import UReal
+from repro.vector import backends
+from repro.vector.backends import BACKENDS, OPERATIONS, evaluate
+from repro.vector.cache import clear_cache
+from repro.workloads.regions import regular_polygon
+
+FAMILIES = ("vector.fallback_to_scalar", "parallel.fallback", "shard.fallback")
+OPERANDS = ("fleet", "shards")
+N_SHARDS = 3
+
+# Instants on unit boundaries: 1.0 closes one unit and is excluded by
+# the next; 3.0 is an open right end followed by a gap; 4.5 is inside
+# the gap; 5.0 re-opens closed.
+ARGS = {
+    "atinstant": [(1.0,), (3.0,), (4.5,), (5.0,)],
+    "atinstant_real": [(1.0,), (3.0,), (4.5,)],
+    "present": [(1.0,), (3.0,), (4.5,), (5.0,)],
+    "bbox_filter": [(Cube(0.0, 0.0, 0.5, 6.0, 6.0, 2.5),)],
+    "window_intervals": [(Rect(0.5, 0.5, 6.0, 6.0), 0.5, 5.5)],
+    "count_inside": [
+        (1.0, regular_polygon((3.0, 3.0), 2.5, 8)),
+        (3.0, regular_polygon((3.0, 3.0), 2.5, 8)),
+    ],
+}
+
+
+@pytest.fixture(autouse=True)
+def _clean_state():
+    backends.set_backend("scalar")
+    clear_cache()
+    yield
+    backends.set_backend("scalar")
+    clear_cache()
+    pool.shutdown()
+    shmcol.release_all()
+
+
+def gappy_point(i):
+    """⊥ lanes, a gap, and every open/closed end combination."""
+    if i % 5 == 4:
+        return MovingPoint([])  # ⊥ everywhere, no bounding cube
+    o = float(i % 7)
+    return MovingPoint([
+        UPoint.between(0.0, (o, o), 1.0, (o + 1, o), lc=True, rc=True),
+        UPoint.between(1.0, (o + 1, o), 3.0, (o + 1, o + 2), lc=False, rc=False),
+        UPoint.between(5.0, (o, o + 2), 6.0, (o, o), lc=True, rc=i % 2 == 0),
+    ])
+
+
+def gappy_real(i):
+    if i % 5 == 4:
+        return MovingReal([])
+    return MovingReal([
+        UReal(Interval(0.0, 1.0, True, True), 0, 1, float(i)),
+        UReal(Interval(1.0, 3.0, False, False), 1, 0, float(i)),
+    ])
+
+
+class Foreign:
+    """Evaluates like its mapping but is not one: every column builder
+    rejects it, so only the scalar loop can answer."""
+
+    def __init__(self, mapping):
+        self._m = mapping
+        self.units = mapping.units
+
+    def value_at(self, t):
+        return self._m.value_at(t)
+
+    def present(self, t):
+        return self._m.present(t)
+
+    def bounding_cube(self):
+        return self._m.bounding_cube()
+
+
+def make_fleet(op, heterogeneous, n=17):
+    make = gappy_real if OPERATIONS[op].kind == "ureal" else gappy_point
+    fleet = [make(i) for i in range(n)]
+    if heterogeneous:
+        fleet[2] = Foreign(fleet[2])
+    return fleet
+
+
+def run_cell(op, backend, operand, fleet, args, workers=2):
+    """One table cell, answered as arrays, plus the counters it moved."""
+    with obs.capture() as c:
+        if operand == "shards":
+            manager = ShardManager(ShardedFleet(fleet, N_SHARDS))
+            got = sharded(op, manager, args, workers, backend)
+        else:
+            got = evaluate(op, fleet, args, backend, workers, arrays=True)
+    return got, c.snapshot()["counters"]
+
+
+def reference(op, fleet, args):
+    entry = OPERATIONS[op]
+    answer = entry.scalar(fleet, *args)
+    return answer if entry.encode is None else entry.encode(answer)
+
+
+def assert_identical(got, want):
+    got = got if isinstance(got, tuple) else (got,)
+    want = want if isinstance(want, tuple) else (want,)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype
+        assert np.array_equal(g, w, equal_nan=g.dtype.kind == "f")
+
+
+def cells():
+    for op, entry in OPERATIONS.items():
+        for backend in BACKENDS:
+            for operand in OPERANDS:
+                if operand == "shards" and not entry.chunked:
+                    continue  # never partitioned: query-local fleets
+                yield op, backend, operand
+
+
+def test_the_table_has_every_operation():
+    assert set(OPERATIONS) == set(ARGS) == {
+        "atinstant", "atinstant_real", "present", "bbox_filter",
+        "window_intervals", "count_inside",
+    }
+    for name, entry in OPERATIONS.items():
+        assert entry.name == name
+        assert callable(entry.kernel) and callable(entry.merge)
+        assert callable(entry.scalar)
+
+
+@pytest.mark.parametrize("op,backend,operand", list(cells()))
+def test_cell_matches_scalar_reference(op, backend, operand):
+    """(a) ⊥/gap lanes and open/closed ends: bit-identical, and the
+    only rung ever left is the pool's (17 objects cannot pay for it)."""
+    fleet = make_fleet(op, heterogeneous=False)
+    for args in ARGS[op]:
+        got, counted = run_cell(op, backend, operand, fleet, args)
+        assert_identical(got, reference(op, fleet, args))
+        pooled = OPERATIONS[op].chunked and backends.pooled(
+            backend, sharded=operand == "shards"
+        ) and backends.columnar(backend)
+        moved = {f: counted.get(f, 0) for f in FAMILIES}
+        if pooled and operand == "fleet":
+            assert moved == {**dict.fromkeys(FAMILIES, 0), "parallel.fallback": 1}
+            assert counted["parallel.fallback.small_fleet"] == 1
+        elif pooled:
+            # One pool rung per shard column the scatter ran.
+            assert moved["parallel.fallback"] >= 1
+            assert moved["parallel.fallback"] == counted[
+                "parallel.fallback.small_fleet"
+            ]
+            assert moved["vector.fallback_to_scalar"] == 0
+            assert moved["shard.fallback"] == 0
+            assert counted["shard.scatters"] == 1
+        else:
+            assert moved == dict.fromkeys(FAMILIES, 0)
+
+
+@pytest.mark.parametrize("op,backend,operand", list(cells()))
+def test_cell_degrades_counted_when_no_column_can_be_built(op, backend, operand):
+    """(b) a member the column builders reject: the columnar rungs give
+    way to the scalar loop, counted once in the operand's own family."""
+    fleet = make_fleet(op, heterogeneous=True)
+    args = ARGS[op][0]
+    got, counted = run_cell(op, backend, operand, fleet, args)
+    assert_identical(got, reference(op, fleet, args))
+    moved = {f: counted.get(f, 0) for f in FAMILIES}
+    want = dict.fromkeys(FAMILIES, 0)
+    if backends.columnar(backend):
+        if operand == "shards":
+            want["shard.fallback"] = 1
+            assert counted["shard.fallback.column"] == 1
+            assert "shard.scatters" not in counted
+        else:
+            want["vector.fallback_to_scalar"] = 1
+            reason = f"vector.fallback_to_scalar.{OPERATIONS[op].kind}_column"
+            assert counted[reason] == 1
+    # A shard column built before the foreign member's shard was reached
+    # has been through the pool rung already; nothing else may move.
+    moved.pop("parallel.fallback")
+    want.pop("parallel.fallback")
+    assert moved == want
+
+
+@pytest.mark.parametrize(
+    "op", [name for name, entry in OPERATIONS.items() if entry.chunked]
+)
+@pytest.mark.parametrize("operand", OPERANDS)
+def test_pooled_cells_through_real_chunks(op, operand, monkeypatch):
+    """The same cells with the pool actually engaged: chunk outputs merge
+    back bit-identical, and no rung is left."""
+    monkeypatch.setattr(config, "PARALLEL_MIN_OBJECTS", 2)
+    fleet = make_fleet(op, heterogeneous=False, n=23)
+    backend = "parallel" if operand == "fleet" else "sharded"
+    for args in ARGS[op][:2]:
+        got, counted = run_cell(op, backend, operand, fleet, args)
+        assert_identical(got, reference(op, fleet, args))
+        assert counted["parallel.chunks"] >= 2
+        assert not any("fallback" in name for name in counted)

@@ -119,6 +119,29 @@ class TestCli:
         ]
 
 
+class TestCliWorkersFlag:
+    def teardown_method(self):
+        from repro.parallel import set_workers
+        from repro.vector.fleet import set_backend
+
+        set_backend("scalar")
+        set_workers(None)
+
+    def test_warning_names_every_backend_it_affects(self, capsys):
+        argv = ["--workers", "2", "snapshot", "--objects", "4"]
+        assert cli_main(["--backend", "vector", *argv]) == 0
+        err = capsys.readouterr().err
+        assert "--workers only affects --backend parallel" in err
+        assert "--backend sharded" in err
+        assert "the vector backend ignores it" in err
+
+    @pytest.mark.parametrize("backend", ["parallel", "sharded"])
+    def test_silent_on_the_backends_it_affects(self, backend, capsys):
+        argv = ["--workers", "2", "snapshot", "--objects", "4"]
+        assert cli_main(["--backend", backend, *argv]) == 0
+        assert "warning" not in capsys.readouterr().err
+
+
 class TestCliFaults:
     def setup_method(self):
         from repro import faults

@@ -341,7 +341,10 @@ class TestDbWiring:
 
 
 class TestWindowEngine:
-    def test_backend_parity(self):
+    # "sharded" over an unpartitioned collection is the vector column:
+    # it used to fall through to the scalar R-tree descent, uncounted.
+    @pytest.mark.parametrize("columnar", ["vector", "sharded"])
+    def test_backend_parity(self, columnar):
         import random
 
         rng = random.Random(11)
@@ -357,10 +360,22 @@ class TestWindowEngine:
             rect = Rect(x0, y0, x0 + rng.uniform(1, 40), y0 + rng.uniform(1, 40))
             t0 = rng.uniform(0, 20)
             t1 = t0 + rng.uniform(0, 15)
+            cube = Cube.from_rect(rect, t0, t1)
             scalar = eng.query(rect, t0, t1, backend="scalar")
-            vector = eng.query(rect, t0, t1, backend="vector")
+            with obs.capture() as c:
+                batched = eng.query(rect, t0, t1, backend=columnar)
+                candidates = eng._index.candidates_in_cube(
+                    cube, backend=columnar
+                )
+            counted = c.snapshot()["counters"]
+            assert counted["vector.bbox_filter.calls"] == 2
+            assert "rtree.nodes_visited" not in counted
+            assert not any("fallback" in name for name in counted)
             naive = eng.query_naive(rect, t0, t1)
-            assert scalar == vector == naive
+            assert scalar == batched == naive
+            assert candidates == eng._index.candidates_in_cube(
+                cube, backend="scalar"
+            )
 
 
 class TestCli:
