@@ -1047,25 +1047,19 @@ GUARDED_BY: Dict[Tuple[str, str], Tuple[Guard, ...]] = {
     ("repro/vector/cache.py", "ColumnCache"): (
         Guard(
             lock="_lock",
-            attrs=("_entries", "_bytes"),
-            owners=(
-                # _drop/_store_entry/_evict_over_budget are "caller
-                # holds the lock" helpers of the locked get path.
-                "__init__", "_get_versioned_locked", "_drop",
-                "_store_entry", "_evict_over_budget",
-            ),
+            # The repro.residency table (entries, byte total, CLOCK
+            # state), which takes no lock of its own; _store_entry is the
+            # "caller holds the lock" put+fit helper of the locked get path.
+            attrs=("_entries",),
+            owners=("__init__", "_get_versioned_locked", "_store_entry"),
         ),
     ),
     ("repro/shard/manager.py", "ShardManager"): (
         Guard(
             lock="_lock",
-            attrs=("_resident", "_ring", "_hand"),
-            owners=(
-                # _map_column/_evict_over_budget/_evict_one document
-                # "caller holds the lock".
-                "__init__", "_map_column", "_evict_over_budget",
-                "_evict_one",
-            ),
+            attrs=("_resident",),  # the repro.residency table, as above
+            # _charge (put+fit) documents "caller holds the lock".
+            owners=("__init__", "_charge"),
         ),
     ),
     ("repro/server/ingest.py", "GroupCommitter"): (

@@ -40,10 +40,12 @@ BUFFER_RETRY_BASE_DELAY: float = 0.0005
 
 #: Default evaluation backend for fleet-level operations: ``"scalar"``
 #: (per-object reference loops), ``"vector"`` (columnar numpy kernels,
-#: :mod:`repro.vector`), or ``"parallel"`` (those same kernels chunked
-#: over a process pool with shared-memory columns, :mod:`repro.parallel`).
-#: Flip at runtime with ``repro.vector.set_backend`` or the CLI's
-#: ``--backend`` flag.
+#: :mod:`repro.vector`), ``"parallel"`` (those kernels chunked over a
+#: process pool whose workers map store-backed columns from their files
+#: and attach the rest through shared memory, :mod:`repro.parallel`) or
+#: ``"sharded"`` (scattered over the budgeted shards of a
+#: hash-partitioned fleet, :mod:`repro.shard`).  Flip at runtime with
+#: ``repro.vector.set_backend`` or the CLI's ``--backend`` flag.
 DEFAULT_BACKEND: str = "scalar"
 
 #: Default worker count of the ``parallel`` backend's process pool.
@@ -58,16 +60,11 @@ DEFAULT_WORKERS: int = 0
 #: Read at call time, so tests and benchmarks may lower it.
 PARALLEL_MIN_OBJECTS: int = 1024
 
-#: Capacity, in columns, of the fleet-identity column cache
-#: (:mod:`repro.vector.cache`).  Least-recently-used entries beyond this
-#: are dropped.
-COLCACHE_CAPACITY: int = 16
-
 #: Byte budget of the fleet-identity column cache: the resident bytes of
-#: unpinned (heap-backed) cached columns are held at or under this, LRU
-#: entries evicted first.  Memmap-pinned entries are exempt — their
-#: pages belong to the OS, and re-opening a store column costs
-#: validation, not memory.  High-water tracked as ``colcache.bytes``.
+#: unpinned (heap-backed) cached columns are held at or under this by
+#: CLOCK eviction (:mod:`repro.residency`).  Memmap-pinned entries are
+#: exempt — their pages belong to the OS, and re-opening a store column
+#: costs validation, not memory.  High-water tracked as ``colcache.bytes``.
 COLCACHE_BYTES: int = 256 * 1024 * 1024
 
 #: Default shard count of :mod:`repro.shard` hash-partitioned fleets.

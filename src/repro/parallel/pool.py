@@ -2,10 +2,10 @@
 
 One lazily created ``fork``-context process pool per parent process.
 Workers receive tiny payloads — an operation name, a shared-column
-descriptor and an object range — attach the segment once (a small LRU of
-attachments is kept per worker), take a zero-copy chunk view, and run
-the kernel the operator table (:mod:`repro.vector.backends`) names for
-that operation on it.
+descriptor and an object range — attach the segment once (each worker
+keeps a small CLOCK table of attachments, :mod:`repro.residency`), take
+a zero-copy chunk view, and run the kernel the operator table
+(:mod:`repro.vector.backends`) names for that operation on it.
 
 Observability crosses the process boundary explicitly: when the parent
 is profiling, each task runs under ``obs.capture`` and ships its counter
@@ -19,7 +19,6 @@ import atexit
 import multiprocessing
 import os
 import signal
-from collections import OrderedDict
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro import config, faults, obs
@@ -27,6 +26,7 @@ from repro import deadline as deadline_mod
 from repro.analysis import dynlock
 from repro.errors import InvalidValue, ReproError
 from repro.parallel import shmcol
+from repro.residency import Residency
 from repro.vector.backends import OPERATIONS
 
 # ---------------------------------------------------------------------------
@@ -277,22 +277,21 @@ def _merge_counters(snapshot: Mapping[str, Any]) -> None:
 # Worker-side task entry points
 # ---------------------------------------------------------------------------
 
-#: Worker-local LRU of attached shared segments, keyed by segment name.
-_ATTACHED: "OrderedDict[str, shmcol.AttachedColumn]" = OrderedDict()
+#: Worker-local table of attached columns, keyed by ``(kind, name)``: the
+#: ``upoint`` and ``bbox`` columns of one store share an ``mmap://`` name.
+_ATTACHED: Residency[Tuple[str, str], shmcol.AttachedColumn] = Residency(
+    on_evict=lambda _key, wrapper: wrapper.close()
+)
 _ATTACH_LIMIT = 16
 
 
 def _attached_column(descriptor: shmcol.Descriptor) -> Any:
-    name = descriptor[1]
-    wrapper = _ATTACHED.get(name)
+    key = descriptor[:2]
+    wrapper = _ATTACHED.get(key)
     if wrapper is None:
         wrapper = shmcol.attach(descriptor)
-        _ATTACHED[name] = wrapper
-        while len(_ATTACHED) > _ATTACH_LIMIT:
-            _stale, old = _ATTACHED.popitem(last=False)
-            old.close()
-    else:
-        _ATTACHED.move_to_end(name)
+        _ATTACHED.put(key, wrapper, 1)
+        _ATTACHED.fit(_ATTACH_LIMIT)
     return wrapper.column
 
 

@@ -7,11 +7,10 @@ per shard.  Columns are mapped lazily — a query maps only the shards
 its window survives :meth:`prune` — and stay resident until the memory
 budget forces them out.
 
-Eviction is the buffer pool's CLOCK idiom (``repro.storage.buffer``):
-every resident shard carries a reference bit, set on insertion and on
-every hit; when the mapped bytes exceed the budget the hand sweeps the
-residency ring, clearing set bits and evicting the first shard whose
-bit is already clear.  Eviction drops *references* — the manager's and
+Eviction is the shared CLOCK policy (:mod:`repro.residency`): a resident
+shard costs its mapped column bytes plus an estimate for its R-tree, and
+whenever that cost is charged or grows the table is fitted back to the
+budget, cold shards first.  Eviction drops *references* — the manager's and
 the process column cache's — never bytes under a live reader: columns
 are immutable, so a scatter that obtained a column before the eviction
 keeps reading consistent data (the ``shard.evict_during_query`` chaos
@@ -33,6 +32,7 @@ from repro import config, obs
 from repro.analysis import dynlock
 from repro.errors import CorruptColumnError, InvalidValue, StorageError
 from repro.index.rtree import RTree3D
+from repro.residency import Residency
 from repro.shard.fleet import ShardedFleet
 from repro.spatial.bbox import Cube
 from repro.vector.cache import column_for_versioned, column_nbytes, evict_columns
@@ -40,15 +40,14 @@ from repro.vector.store import _BUILDERS, ColumnStore
 
 
 class _Resident:
-    """One shard's mapped state: columns by kind, byte total, CLOCK bit."""
+    """One shard's mapped state: columns by kind, R-tree, and their cost."""
 
-    __slots__ = ("columns", "nbytes", "ref", "tree")
+    __slots__ = ("columns", "nbytes", "tree")
 
     def __init__(self) -> None:
         # kind -> (version vector entry, column)
         self.columns: Dict[str, Tuple[Any, Any]] = {}
         self.nbytes = 0
-        self.ref = True  # second chance: set on insert and on every hit
         self.tree: Optional[RTree3D] = None
 
 
@@ -83,9 +82,7 @@ class ShardManager:
         #: candidate pruning (the server's ``index=False`` opt-out).
         self.indexed = bool(indexed)
         self._lock = dynlock.rlock("shard.manager")
-        self._resident: Dict[int, _Resident] = {}
-        self._ring: List[int] = []  # clock order (insertion order)
-        self._hand = 0  # persists across evictions — that is the point
+        self._resident: Residency[int, _Resident] = Residency(on_evict=self._dropped)
         self._stores: Dict[int, ColumnStore] = {}
 
     # -- configuration ------------------------------------------------------
@@ -109,7 +106,7 @@ class ShardManager:
     @property
     def resident_bytes(self) -> int:
         with self._lock:
-            return sum(r.nbytes for r in self._resident.values())
+            return self._resident.total
 
     def resident_shards(self) -> List[int]:
         with self._lock:
@@ -120,34 +117,26 @@ class ShardManager:
     def column(self, s: int, kind: str) -> Any:
         """The ``kind`` column of shard ``s``, mapping it if cold.
 
-        Hits (``shard.hits``) set the CLOCK reference bit; misses map or
-        build the column (``shard.maps``), charge its bytes, and evict
-        cold shards until the budget fits again.
+        Any access sets the shard's CLOCK reference bit.  Hits count
+        ``shard.hits``; misses map or build the column (``shard.maps``),
+        charge its bytes, and evict cold shards until the budget fits.
         """
         with self._lock:
             shard = self.fleet.shards[s]
-            res = self._resident.get(s)
-            if res is not None:
-                held = res.columns.get(kind)
-                if held is not None and held[0] == shard.version:
-                    res.ref = True
-                    if obs.enabled:
-                        obs.counters.add("shard.hits")
-                    return held[1]
+            res = self._resident.get(s) or _Resident()
+            held = res.columns.get(kind)
+            if held is not None and held[0] == shard.version:
+                if obs.enabled:
+                    obs.counters.add("shard.hits")
+                return held[1]
             version, col = self._map_column(s, kind)
-            if res is None:
-                res = _Resident()
-                self._resident[s] = res
-                self._ring.append(s)
-            old = res.columns.get(kind)
-            if old is not None:
-                res.nbytes -= column_nbytes(old[1])
+            if held is not None:
+                res.nbytes -= column_nbytes(held[1])
             res.columns[kind] = (version, col)
             res.nbytes += column_nbytes(col)
-            res.ref = True
             if obs.enabled:
                 obs.counters.add("shard.maps")
-            self._evict_over_budget()
+            self._charge(s, res)
             return col
 
     def bbox_keys(self, s: int) -> Tuple[Any, np.ndarray]:
@@ -176,36 +165,18 @@ class ShardManager:
                 pass  # store unusable: degrade to the in-memory build
         return column_for_versioned(shard, kind)
 
-    def _evict_over_budget(self) -> None:
-        """CLOCK sweep until the resident bytes fit the budget.  Caller
-        holds the lock."""
+    def _charge(self, s: int, res: _Resident) -> None:
+        """Enter shard ``s`` at its current cost, then CLOCK-evict until
+        the resident bytes fit the budget.  Caller holds the lock."""
+        self._resident.put(s, res, res.nbytes)
         budget = self._effective_budget()
-        total = sum(r.nbytes for r in self._resident.values())
         if budget is not None:
-            # Two sweeps suffice: the first clears every set bit, the
-            # second must then evict (mirrors BufferPool._evict).
-            guard = 2 * len(self._ring) + 1
-            while total > budget and self._ring and guard > 0:
-                guard -= 1
-                p = self._hand % len(self._ring)
-                victim = self._ring[p]
-                res = self._resident[victim]
-                if res.ref:
-                    res.ref = False  # second chance spent
-                    self._hand = p + 1
-                    continue
-                total -= res.nbytes
-                self._evict_one(victim, p)
-        if obs.enabled:
-            obs.counters.high_water("shard.resident_bytes", float(total))
+            self._resident.fit(budget)
+        obs.high_water("shard.resident_bytes", float(self._resident.total))
 
-    def _evict_one(self, s: int, ring_pos: int) -> None:
-        """Drop shard ``s`` from residency (and from the process column
-        cache, so its bytes actually leave).  Caller holds the lock."""
-        del self._resident[s]
-        self._ring.pop(ring_pos)
-        if self._ring and self._hand >= len(self._ring):
-            self._hand = 0
+    def _dropped(self, s: int, res: _Resident) -> None:
+        """Shard ``s`` left residency: drop it from the process column
+        cache too, so its bytes actually leave."""
         evict_columns(self.fleet.shards[s])
         if obs.enabled:
             obs.counters.add("shard.evictions")
@@ -217,13 +188,11 @@ class ShardManager:
         callers stay valid — eviction is reference-dropping only.
         """
         with self._lock:
-            dropped = 0
-            while self._ring:
-                self._evict_one(self._ring[0], 0)
-                dropped += 1
-            if obs.enabled:
-                obs.counters.high_water("shard.resident_bytes", 0.0)
-            return dropped
+            shards = list(self._resident)
+            for s in shards:
+                self._resident.evict(s)
+            obs.high_water("shard.resident_bytes", 0.0)
+            return len(shards)
 
     # -- pruning ------------------------------------------------------------
 
@@ -259,9 +228,8 @@ class ShardManager:
         residency entry: evicting the shard drops it too.
         """
         with self._lock:
-            res = self._resident.get(s)
-            if res is not None and res.tree is not None:
-                res.ref = True
+            res = self._resident.get(s) or _Resident()
+            if res.tree is not None:
                 return res.tree
             gids = self.fleet.globals_of(s)
             shard = self.fleet.shards[s]
@@ -270,16 +238,10 @@ class ShardManager:
                 for j, m in enumerate(shard)
                 for u in m.units
             ]
-            tree = RTree3D.bulk_load(entries)
-            if res is None:
-                res = _Resident()
-                self._resident[s] = res
-                self._ring.append(s)
-            res.tree = tree
+            res.tree = RTree3D.bulk_load(entries)
             res.nbytes += _TREE_ENTRY_BYTES * len(entries)
-            res.ref = True
-            self._evict_over_budget()
-            return tree
+            self._charge(s, res)
+            return res.tree
 
     def note_insert(self, s: int, cube: Cube, gid: int) -> None:
         """Keep a resident shard tree current after a unit ingest (cold
@@ -289,6 +251,7 @@ class ShardManager:
             if res is not None and res.tree is not None:
                 res.tree.insert(cube, gid)
                 res.nbytes += _TREE_ENTRY_BYTES
+                self._charge(s, res)
 
     def window_candidates(self, cube: Cube) -> Set[int]:
         """Global ids of objects whose units may intersect ``cube``:
@@ -341,8 +304,7 @@ class ShardManager:
                     )
                 # The rebuilt files replace whatever the resident entry
                 # was mapped over; drop it so the next map is clean.
-                if s in self._resident:
-                    self._evict_one(s, self._ring.index(s))
+                self._resident.evict(s)
                 rebuilt.append(s)
                 if obs.enabled:
                     obs.counters.add("shard.rebuilds")

@@ -10,7 +10,7 @@ Modules:
 
 * :mod:`repro.storage.darray` — database arrays and subarrays;
 * :mod:`repro.storage.pages` — the page file;
-* :mod:`repro.storage.buffer` — the buffer pool (LRU, pin counts);
+* :mod:`repro.storage.buffer` — the buffer pool (CLOCK, pin counts);
 * :mod:`repro.storage.flob` — inline-or-paged large object placement;
 * :mod:`repro.storage.records` — per-type codecs (pack/unpack);
 * :mod:`repro.storage.tuplestore` — heap files of tuples with embedded

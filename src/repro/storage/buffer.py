@@ -1,14 +1,11 @@
 """A buffer pool over a page file: CLOCK replacement with pin counts.
 
 The DBMS "places values under control of the DBMS into memory"
-(Section 4); this pool is that control point.  Replacement is
-second-chance (CLOCK): every frame carries a reference bit, set on
-insertion and on every hit; the eviction hand sweeps the frames in a
-ring, clearing set bits and evicting the first unpinned frame whose bit
-is already clear.  One sweep costs O(1) amortized (against LRU's
-move-to-end per *hit*), approximates LRU closely, and — unlike strict
-LRU — survives looping scans slightly larger than the pool without
-evicting every page on every lap.
+(Section 4); this pool is that control point.  Replacement is the
+shared second-chance policy of :mod:`repro.residency`, one unit of cost
+per frame: a frame with a positive pin count is never a victim, a dirty
+victim is written back, and — unlike strict LRU — a looping scan
+slightly larger than the pool does not evict every page on every lap.
 
 It exposes hit/miss statistics so the benchmarks can report logical vs
 physical I/O.  Hit/miss bookkeeping is unified with :mod:`repro.obs`:
@@ -22,11 +19,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict
 
 from repro import obs
 from repro.config import BUFFER_RETRY_BASE_DELAY, BUFFER_RETRY_LIMIT
 from repro.errors import StorageError, TransientIOError
+from repro.residency import Residency
 from repro.storage.pages import PageFile
 
 
@@ -36,7 +34,6 @@ class _Frame:
     data: bytearray
     pin_count: int = 0
     dirty: bool = False
-    ref: bool = True  # second chance: set on insert and on every hit
 
 
 class BufferPool:
@@ -47,9 +44,10 @@ class BufferPool:
             raise StorageError("buffer pool needs capacity >= 1")
         self._pf = pagefile
         self._capacity = capacity
-        self._frames: Dict[int, _Frame] = {}
-        self._ring: List[_Frame] = []  # clock order (insertion order)
-        self._hand = 0  # persists across evictions — that is the point
+        self._frames: Residency[int, _Frame] = Residency(
+            is_pinned=lambda frame: frame.pin_count > 0,
+            on_evict=self._write_back,
+        )
         self.hits = 0
         self.misses = 0
 
@@ -72,15 +70,16 @@ class BufferPool:
             self.hits += 1
             if obs.enabled:
                 obs.counters.add("buffer.hits")
-            frame.ref = True
         else:
             self.misses += 1
             if obs.enabled:
                 obs.counters.add("buffer.misses")
-            self._evict_if_needed()
+            # Make room first: the incoming frame is not a candidate of
+            # the sweep that admits it.
+            if not self._frames.fit(self._capacity - 1):
+                raise StorageError("buffer pool exhausted: all frames pinned")
             frame = _Frame(page_no, bytearray(self._read_with_retry(page_no)))
-            self._frames[page_no] = frame
-            self._ring.append(frame)
+            self._frames.put(page_no, frame, 1)
         frame.pin_count += 1
         return frame.data
 
@@ -108,7 +107,7 @@ class BufferPool:
 
     def unpin(self, page_no: int, dirty: bool = False) -> None:
         """Release a pin; mark the frame dirty if the caller modified it."""
-        frame = self._frames.get(page_no)
+        frame = self._frames.get(page_no)  # a pinned frame's bit is already set
         if frame is None or frame.pin_count == 0:
             raise StorageError(f"unpin of page {page_no} that is not pinned")
         frame.pin_count -= 1
@@ -121,50 +120,15 @@ class BufferPool:
 
     # -- maintenance --------------------------------------------------------
 
-    def _clock_victim_index(self) -> Optional[int]:
-        """Sweep the ring: clear set reference bits, return the index of
-        the first unpinned frame whose bit is already clear.
-
-        Two full revolutions bound the sweep: the first may only be
-        clearing bits, the second must then find any unpinned frame.
-        Pinned frames are skipped (and keep their bits untouched — a
-        pinned page is in use by definition).  On success the hand is
-        left at the victim's slot, which the removal vacates, so the
-        next sweep resumes with the frame that follows it.
-        """
-        n = len(self._ring)
-        for _ in range(2 * n):
-            p = self._hand % n
-            frame = self._ring[p]
-            if frame.pin_count > 0:
-                self._hand = (p + 1) % n
-                continue
-            if frame.ref:
-                frame.ref = False  # second chance spent
-                self._hand = (p + 1) % n
-                continue
-            self._hand = p
-            return p
-        return None
-
-    def _evict_if_needed(self) -> None:
-        while len(self._frames) >= self._capacity:
-            idx = self._clock_victim_index()
-            if idx is None:
-                raise StorageError("buffer pool exhausted: all frames pinned")
-            victim = self._ring.pop(idx)
-            if self._ring and self._hand >= len(self._ring):
-                self._hand = 0
-            del self._frames[victim.page_no]
-            if victim.dirty:
-                self._pf.write_page(victim.page_no, bytes(victim.data))
+    def _write_back(self, page_no: int, frame: _Frame) -> None:
+        if frame.dirty:
+            self._pf.write_page(page_no, bytes(frame.data))
+            frame.dirty = False
 
     def flush(self) -> None:
         """Write back all dirty frames (keeps them resident)."""
-        for frame in self._ring:
-            if frame.dirty:
-                self._pf.write_page(frame.page_no, bytes(frame.data))
-                frame.dirty = False
+        for frame in self._frames.values():
+            self._write_back(frame.page_no, frame)
 
     @property
     def resident_pages(self) -> int:

@@ -24,13 +24,13 @@ behaviour.  Counters: ``colcache.hits`` / ``colcache.misses`` /
 from __future__ import annotations
 
 import weakref
-from collections import OrderedDict
 from collections.abc import MutableSequence
 from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro import config, obs
 from repro.analysis import dynlock
 from repro.errors import InvalidValue, StorageError
+from repro.residency import Residency
 from repro.vector.columns import BBoxColumn, UPointColumn, URealColumn
 
 #: Changelog entries kept per fleet.  Past the cap the oldest half is
@@ -166,30 +166,25 @@ def column_nbytes(column: Any) -> int:
 class ColumnCache:
     """Byte-budgeted cache of built columns keyed by fleet identity.
 
-    Eviction is by resident *bytes*, not entry count: an entry-count LRU
-    could hold N huge columns while evicting small ones, so pressure is
-    measured in :func:`column_nbytes` and least-recently-used entries
-    are dropped until the unpinned total fits the budget
+    Eviction is by resident *bytes*, not entry count: an entry-count cap
+    could hold N huge columns while evicting small ones, so an entry
+    costs its :func:`column_nbytes` and the shared CLOCK policy
+    (:mod:`repro.residency`) evicts until the total fits the budget
     (``config.COLCACHE_BYTES`` unless overridden per instance).  Entries
-    built from the persistent column store (:mod:`repro.vector.store`)
-    are *pinned* and exempt: a memmap-backed column is nearly free to
+    whose column is memmap-backed (``column.source`` names its
+    :mod:`repro.vector.store`) are *pinned* at cost zero: nearly free to
     keep resident (the OS owns the pages) but costly to re-open and
     re-validate.  The unpinned high-water mark is tracked as the
-    ``colcache.bytes`` gauge.  An explicit ``capacity`` (entry count)
-    is still honoured as an additional cap for callers that want one.
+    ``colcache.bytes`` gauge.
     """
 
-    __slots__ = ("_budget", "_bytes", "_capacity", "_entries", "_lock")
+    __slots__ = ("_budget", "_entries", "_lock")
 
-    def __init__(
-        self, capacity: Optional[int] = None, budget: Optional[int] = None
-    ):
-        self._capacity = capacity
+    def __init__(self, budget: Optional[int] = None):
         self._budget = budget
-        self._bytes = 0  # resident bytes of unpinned entries
-        # (id(fleet), kind) -> (version, weakref, column, pinned, nbytes)
-        self._entries: "OrderedDict[Tuple[int, str], Tuple[int, Any, Any, bool, int]]" = (
-            OrderedDict()
+        # (id(fleet), kind) -> (version, weakref, column)
+        self._entries: Residency[Tuple[int, str], Tuple[int, Any, Any]] = (
+            Residency(is_pinned=lambda entry: entry[2].source is not None)
         )
         # The query service reads columns from executor threads while
         # the ingest path mutates fleets; every cache operation that
@@ -206,12 +201,11 @@ class ColumnCache:
     def resident_bytes(self) -> int:
         """Current unpinned resident bytes (the budgeted quantity)."""
         with self._lock:
-            return self._bytes
+            return self._entries.total
 
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
-            self._bytes = 0
 
     def drop_fleet(self, fleet: Any) -> None:
         """Forget every cached column of ``fleet`` (all kinds).
@@ -220,16 +214,8 @@ class ColumnCache:
         its own reference would leave the bytes resident here.
         """
         with self._lock:
-            fid = id(fleet)
-            for key in [k for k in self._entries if k[0] == fid]:
-                self._drop(key)
-
-    def _drop(self, key: Tuple[int, str]) -> None:
-        """Remove one entry, keeping the byte account. Caller holds the
-        lock (or is the locked get path itself)."""
-        entry = self._entries.pop(key, None)
-        if entry is not None and not entry[3]:
-            self._bytes -= entry[4]
+            for kind in _BUILDERS:
+                self._entries.evict((id(fleet), kind))
 
     def get(self, fleet: Fleet, kind: str) -> Any:
         """The ``kind`` column of ``fleet``, rebuilt only when stale."""
@@ -253,80 +239,56 @@ class ColumnCache:
         key = (id(fleet), kind)
         entry = self._entries.get(key)
         if entry is not None:
-            version, ref, column, pinned, _nbytes = entry
+            version, ref, column = entry
             if ref() is not fleet:
                 # id() was recycled by a new fleet: a stale stranger's
                 # entry, not an invalidation of *this* fleet's column.
-                self._drop(key)
+                self._entries.evict(key)
             elif version == fleet.version:
                 if obs.enabled:
                     obs.counters.add("colcache.hits")
-                self._entries.move_to_end(key)
                 return version, column
             else:
                 # Stale: splice the changed objects into the existing
                 # column when the fleet's changelog pins exactly which
                 # ones they are — O(changed) instead of a full rebuild.
                 new_version = fleet.version
-                spliced = self._try_extend(
-                    fleet, kind, version, column, pinned
-                )
+                spliced = self._try_extend(fleet, kind, version, column)
                 if spliced is not None and fleet.version == new_version:
-                    column, pinned = spliced
                     if obs.enabled:
                         obs.counters.add("colcache.extended")
-                    self._store_entry(key, new_version, ref, column, pinned)
-                    self._entries.move_to_end(key)
-                    return new_version, column
+                    self._store_entry(key, new_version, ref, spliced)
+                    return new_version, spliced
                 if obs.enabled:
                     obs.counters.add("colcache.invalidations")
-                self._drop(key)
+                self._entries.evict(key)
         if obs.enabled:
             obs.counters.add("colcache.misses")
         version = fleet.version
-        column, pinned = self._build(fleet, kind, version)
-        self._store_entry(key, version, weakref.ref(fleet), column, pinned)
-        self._evict_over_budget()
+        column = self._build(fleet, kind, version)
+        self._store_entry(key, version, weakref.ref(fleet), column)
         return version, column
 
     def _store_entry(
-        self, key: Tuple[int, str], version: int, ref: Any,
-        column: Any, pinned: bool,
+        self, key: Tuple[int, str], version: int, ref: Any, column: Any
     ) -> None:
-        """Insert or replace one entry, keeping the byte account and the
-        ``colcache.bytes`` high-water gauge.  Caller holds the lock."""
-        self._drop(key)
-        nbytes = column_nbytes(column)
-        self._entries[key] = (version, ref, column, pinned, nbytes)
-        if not pinned:
-            self._bytes += nbytes
-            if obs.enabled:
-                obs.counters.high_water("colcache.bytes", float(self._bytes))
-
-    def _evict_over_budget(self) -> None:
-        """Drop LRU unpinned entries until the resident bytes fit the
-        budget (and, when a capacity was configured, the entry count
-        fits it too).  Caller holds the lock."""
+        """Insert or replace one entry, then fit the cache to its budget
+        (a splice that grew the column pays like a fresh build); keeps
+        the ``colcache.bytes`` high-water gauge.  Caller holds the lock."""
+        cost = 0 if column.source is not None else column_nbytes(column)
+        self._entries.put(key, (version, ref, column), cost)
+        if cost:
+            obs.high_water("colcache.bytes", float(self._entries.total))
         budget = self._budget if self._budget is not None else config.COLCACHE_BYTES
-        for k in list(self._entries):
-            over_bytes = self._bytes > max(budget, 0)
-            over_count = (
-                self._capacity is not None
-                and len(self._entries) > max(self._capacity, 1)
-            )
-            if not (over_bytes or over_count):
-                break
-            if self._entries[k][3]:
-                continue  # pinned: memmap-backed, exempt from the budget
-            self._drop(k)
+        self._entries.fit(max(budget, 0))
 
     @staticmethod
     def _try_extend(
-        fleet: Fleet, kind: str, old_version: int, column: Any, pinned: bool
-    ) -> Optional[Tuple[Any, bool]]:
-        """``(column, pinned)`` spliced forward to ``fleet.version``, or
-        None when only a full rebuild is sound (structural mutation,
-        trimmed changelog, splice-incompatible column)."""
+        fleet: Fleet, kind: str, old_version: int, column: Any
+    ) -> Optional[Any]:
+        """``column`` spliced forward to ``fleet.version`` (persisted, if
+        store-backed), or None when only a full rebuild is sound
+        (structural mutation, trimmed changelog, splice-incompatible)."""
         changed = fleet.changes_since(old_version)
         if not changed:
             return None
@@ -338,36 +300,32 @@ class ColumnCache:
         from repro.vector import store as storemod
 
         st = storemod.store_for(fleet)
-        if st is not None and pinned:
+        if st is not None and column.source is not None:
             try:
-                newcol = st.extend_or_save(
+                return st.extend_or_save(
                     kind, newcol, min(changed),
                     fleet_version=fleet.version, n_objects=len(items),
                 )
-                return newcol, newcol.source is not None
             except (OSError, StorageError):
                 pass  # store unusable: keep the in-memory splice
-        return newcol, False
+        return newcol
 
     @staticmethod
-    def _build(fleet: Fleet, kind: str, version: int) -> Tuple[Any, bool]:
-        """Build one column: from the bound persistent store (pinned)
-        when one is configured for this fleet, else in memory."""
+    def _build(fleet: Fleet, kind: str, version: int) -> Any:
+        """Build one column: from the bound persistent store (memmap-
+        backed) when one is configured for this fleet, else in memory."""
         from repro.vector import store as storemod
 
         st = storemod.store_for(fleet)
         if st is not None:
             try:
-                return (
-                    st.load_or_rebuild(kind, fleet, fleet_version=version),
-                    True,
-                )
+                return st.load_or_rebuild(kind, fleet, fleet_version=version)
             except (OSError, StorageError):
                 # Store directory unusable (permissions, disk full):
                 # degrade to a plain in-memory build, never fail the
                 # query over a persistence problem.
                 pass
-        return _BUILDERS[kind](fleet), False
+        return _BUILDERS[kind](fleet)
 
 
 #: Process-wide cache used by the fleet helpers and the query engine.

@@ -458,3 +458,74 @@ class TestSqlWiring:
             obs.disable()
         assert sorted(r["id"].value for r in rows) == ["AF1"]
         assert obs.get("parallel.fallback.small_fleet") >= 1
+
+
+# ---------------------------------------------------------------------------
+# Worker attach table: one store, two column kinds, one mmap:// name
+# ---------------------------------------------------------------------------
+
+
+class TestAttachTableKeyedByKind:
+    """The ``upoint`` and ``bbox`` columns of one store-backed fleet
+    share an ``mmap://<crc>:<root>`` descriptor name; a worker that has
+    attached one must not serve it for the other."""
+
+    @pytest.fixture
+    def store_columns(self, tmp_path):
+        from repro.parallel import pool
+        from repro.vector.store import clear_store, set_store
+
+        set_store(str(tmp_path))
+        fleet = Fleet(make_fleet(30))
+        for kind in ("upoint", "bbox"):  # persist both kinds, then reopen
+            column_for(fleet, kind)      # them from one manifest generation
+        clear_cache()
+        up, bb = column_for(fleet, "upoint"), column_for(fleet, "bbox")
+        assert up.source.manifest_crc == bb.source.manifest_crc
+        pool._ATTACHED.clear()
+        yield up, bb
+        pool._ATTACHED.clear()
+        pool.shutdown()
+        clear_store()
+
+    def test_run_task_in_process_on_both_descriptors(self, store_columns):
+        from repro.parallel import pool, shmcol
+
+        up, bb = store_columns
+        d_up, d_bb = shmcol.shared_descriptor(up), shmcol.shared_descriptor(bb)
+        assert d_up[1] == d_bb[1] and d_up[0] != d_bb[0]
+        cube = Cube(-500, -500, 0, 500, 500, 80)
+        n = len(up)
+        for _ in range(2):  # second lap is served from the attach table
+            (xs, ys, defined), _snap = pool.run_task(
+                ("atinstant", d_up, 0, n, (40.0,), False)
+            )
+            mask, _snap = pool.run_task(
+                ("bbox_filter", d_bb, 0, n, (cube,), False)
+            )
+            ex, ey, ed = atinstant_batch(up, 40.0)
+            assert np.array_equal(defined, ed)
+            assert np.array_equal(xs[defined], ex[ed])
+            assert np.array_equal(ys[defined], ey[ed])
+            assert np.array_equal(mask, bbox_filter_batch(bb, cube))
+        assert len(pool._ATTACHED) == 2
+
+    @pytest.mark.skipif(
+        "fork" not in __import__("multiprocessing").get_all_start_methods(),
+        reason="fork start method required",
+    )
+    def test_alternating_ops_never_fall_back(
+        self, store_columns, small_min_objects
+    ):
+        up, bb = store_columns
+        cube = Cube(-500, -500, 0, 500, 500, 80)
+        ex, ey, ed = atinstant_batch(up, 40.0)
+        with obs.capture() as counters:
+            for _ in range(3):
+                xs, ys, defined = parallel_atinstant(up, 40.0, workers=2)
+                mask = parallel_bbox_filter(bb, cube, workers=2)
+                assert np.array_equal(defined, ed)
+                assert np.array_equal(xs[defined], ex[ed])
+                assert np.array_equal(mask, bbox_filter_batch(bb, cube))
+        assert counters.get("parallel.fallback") == 0
+        assert counters.get("parallel.chunks") == 12
