@@ -1031,15 +1031,14 @@ GUARDED_BY: Dict[Tuple[str, str], Tuple[Guard, ...]] = {
     ("repro/server/executor.py", "FleetExecutor"): (
         Guard(
             lock="_lock",
-            attrs=("_fleets", "_indexes", "_shards", "_dedup"),
+            attrs=("_fleets", "_shards", "_unit_counts", "_dedup"),
             owners=(
                 # _fleet/_apply_one/_append_unit/_pinned_column/
-                # _pinned_shard_columns/_window_candidates document
-                # "caller holds the lock" and are only reached from
-                # public methods that take it.
+                # _pinned_shard_columns document "caller holds the
+                # lock" and are only reached from public methods that
+                # take it.
                 "__init__", "_fleet", "_apply_one", "_append_unit",
                 "_pinned_column", "_pinned_shard_columns",
-                "_window_candidates",
             ),
         ),
         Guard(lock="_lat_lock", attrs=("_latencies",), owners=("__init__",)),
@@ -1092,7 +1091,7 @@ GUARDED_BY: Dict[Tuple[str, str], Tuple[Guard, ...]] = {
 #: ``_entries`` — so those are only checked inside their own module.)
 _CROSS_MODULE_ATTRS: Dict[str, str] = {
     "_fleets": "repro/server/executor.py",
-    "_indexes": "repro/server/executor.py",
+    "_unit_counts": "repro/server/executor.py",
     "_latencies": "repro/server/executor.py",
     "_resident": "repro/shard/manager.py",
 }
@@ -1224,7 +1223,9 @@ class AsyncioHygiene(Rule):
     via ``asyncio.to_thread`` is that fsync never parks the loop.  The
     rule flags the blocking primitives this codebase actually has:
     sleeps, sync file I/O, fsync-class barriers (``wal.sync``), and the
-    lock-taking ``FleetExecutor`` methods.  Passing a bound method *by
+    lock-taking ``FleetExecutor`` methods — and the per-row reply
+    framing (``row_line``, ``frame_snapshot``), which parks every other
+    session while one big reply renders.  Passing a function *by
     reference* to ``asyncio.to_thread(...)`` is naturally clean — only
     direct calls are flagged.
     """
@@ -1247,6 +1248,9 @@ class AsyncioHygiene(Rule):
         "query_sql", "explain_sql", "snapshot_rows", "snapshot", "stats",
         "apply_units", "register_fleet", "fleet", "fleet_names",
     }
+    #: ``repro.server.protocol`` functions that format one line per
+    #: result row; replies are rendered in the worker thread.
+    _ROW_FRAMING = {"row_line", "frame_snapshot"}
 
     def check(
         self, mod: SourceModule, project: Project
@@ -1272,6 +1276,8 @@ class AsyncioHygiene(Rule):
         dotted = _dotted(func)
         if dotted in self._BLOCKING_DOTTED:
             return f"`{dotted}` blocks the event loop"
+        if dotted.rpartition(".")[2] in self._ROW_FRAMING:
+            return f"`{dotted}` formats reply rows on the event loop"
         if isinstance(func, ast.Name):
             if func.id == "open":
                 return "sync file I/O (`open`) blocks the event loop"

@@ -8,11 +8,11 @@ versioned fleet so in-flight queries never observe a torn fleet.
 
 Layering (modelled on a REPL/executor split):
 
-* :mod:`repro.server.protocol` — parse request lines, format response
-  lines; knows nothing about fleets or execution.
-* :mod:`repro.server.executor` — owns the fleets, their R-tree indexes,
-  the SQL database, and the snapshot-isolation pin; knows nothing about
-  sockets.
+* :mod:`repro.server.protocol` — parse request lines, frame replies
+  into encoded blocks; knows nothing about fleets or execution.
+* :mod:`repro.server.executor` — owns the fleets, the SQL database, and
+  the snapshot-isolation pin; answers reads as arrays; knows nothing
+  about sockets.
 * :mod:`repro.server.ingest` — the WAL group committer and recovery
   replay for ``INGEST`` records.
 * :mod:`repro.server.session` — the asyncio session layer wiring the

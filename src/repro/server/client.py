@@ -117,6 +117,9 @@ def _parse_kv(text: str, sep: str) -> Dict[str, str]:
     return out
 
 
+#: Bytes asked of the socket per bulk read of a reply body.
+_READ_CHUNK = 1 << 18
+
 #: Distinguishes clients within a process for seq-token namespacing.
 _CLIENT_IDS = itertools.count(1)
 
@@ -264,31 +267,40 @@ class ServerClient:
 
     def _read_reply(self) -> Reply:
         reply = Reply()
-        first = True
-        while True:
-            raw = self._file.readline()
-            if not raw:
-                raise ConnectionLost("connection closed mid-response")
-            text = raw.decode("utf-8").rstrip("\n")
-            if first:
-                first = False
-                if text.startswith("ERR "):
-                    _, _, detail = text.partition(" ")
-                    rtype, _, message = detail.partition(" ")
-                    raise ServerError(rtype, message)
-                if text == "BYE":
-                    reply.lines.append(text)
-                    return reply
-                if text == "OK" or text.startswith("OK "):
-                    reply.fields = _parse_kv(text[3:], " ")
-                    continue
-                raise ProtocolError(f"unexpected response header {text!r}")
-            if text == "END":
-                return reply
+        raw = self._file.readline()
+        if not raw:
+            raise ConnectionLost("connection closed mid-response")
+        text = raw.decode("utf-8").rstrip("\n")
+        if text.startswith("ERR "):
+            _, _, detail = text.partition(" ")
+            rtype, _, message = detail.partition(" ")
+            raise ServerError(rtype, message)
+        if text == "BYE":
+            reply.lines.append(text)
+            return reply
+        if not (text == "OK" or text.startswith("OK ")):
+            raise ProtocolError(f"unexpected response header {text!r}")
+        reply.fields = _parse_kv(text[3:], " ")
+        # Everything up to the bare END line in as few reads as the
+        # socket allows, then one decode, one split, one loop.  (A data
+        # line always carries its ROW/PLAN/MSG/STAT prefix, so only the
+        # terminator can be a whole line reading "END".)
+        chunks: List[bytes] = []
+        tail = b"\n"
+        while tail != b"\nEND\n":
+            chunk = self._file.read1(_READ_CHUNK)
+            if not chunk:
+                if not tail.endswith(b"\nEND"):
+                    raise ConnectionLost("connection closed mid-response")
+                chunk = b"\n"  # END then EOF: complete, as readline had it
+            chunks.append(chunk)
+            tail = (tail + chunk[-5:])[-5:]
+        for text in b"".join(chunks).decode("utf-8").split("\n")[:-2]:
             if text.startswith("ROW "):
                 reply.rows.append(_parse_kv(text[4:], "\t"))
             else:
                 reply.lines.append(text)
+        return reply
 
     # -- command helpers ---------------------------------------------------
 

@@ -1,10 +1,10 @@
-"""Execution state of the query service: fleets, indexes, snapshots.
+"""Execution state of the query service: fleets and snapshots.
 
 The executor owns everything the protocol layer must never touch
-directly: the live :class:`~repro.vector.cache.Fleet` containers, their
-STR-bulk-loaded R-tree indexes, the SQL database, and the mutation lock
-that serializes ingest against column builds.  Sessions hand it parsed
-requests and get plain Python values back.
+directly: the live :class:`~repro.vector.cache.Fleet` containers, the
+SQL database, and the mutation lock that serializes ingest against
+column builds.  Sessions hand it parsed requests and get immutable
+values back — statement results, or the kernel's own arrays.
 
 Snapshot isolation
 ------------------
@@ -23,14 +23,16 @@ Sharded fleets (``register_fleet(..., shards=N)`` or the process-wide
 ``version`` is the tuple of per-shard stamps, and an ingest bumps only
 the one shard it routes to — so a pinned read over a 16-shard fleet
 stays column-served on 15 shards while the 16th rebuilds.  Each sharded
-fleet's columns and per-shard R-trees live under a byte-budgeted
+fleet's columns live under a byte-budgeted
 :class:`~repro.shard.manager.ShardManager` held in ``_shards``.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict, deque
-from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Deque, Dict, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro import deadline as deadline_mod
 from repro import faults, obs
@@ -39,16 +41,14 @@ from repro.deadline import Deadline
 from repro.db.catalog import Database
 from repro.db.script import StatementResult, run_script
 from repro.errors import InvalidValue, QueryError, StorageError
-from repro.index.rtree import RTree3D
-from repro.shard.fleet import ShardedFleet, shard_of
+from repro.shard.fleet import ShardedFleet
 from repro.shard.manager import ShardManager
-from repro.spatial.bbox import Cube
 from repro.temporal.mapping import MovingPoint
 from repro.temporal.upoint import UPoint
 from repro.vector import backends
 from repro.vector.cache import _BUILDERS, Fleet, column_for_versioned
 
-__all__ = ["FleetExecutor", "Snapshot"]
+__all__ = ["FleetExecutor", "Snapshot", "SnapshotRows"]
 
 #: Latency samples kept for the p50/p99 gauges (a sliding window).
 _LATENCY_WINDOW = 512
@@ -57,9 +57,6 @@ _LATENCY_WINDOW = 512
 #: older than the most recent 64k ingests can no longer collide with a
 #: live retry (retries are bounded in time), so evicting it is safe.
 _DEDUP_CAPACITY = 65536
-
-#: Rows assembled between deadline checks in ``snapshot_rows``.
-_DEADLINE_STRIDE = 4096
 
 
 class Snapshot:
@@ -81,8 +78,41 @@ class Snapshot:
         return len(self.items)
 
 
+class SnapshotRows:
+    """The ``(object index, x, y)`` rows of one read, kept as arrays.
+
+    ``ids``/``xs``/``ys`` are what the kernel produced, masked down to
+    the defined (and in-window) lanes; the framing layer renders them
+    in blocks without a per-row Python object in between.  As a
+    sequence it reads like the list of tuples it replaces: ``len()``,
+    iteration yielding ``(int, float, float)``, and ``==`` against such
+    a list (or another ``SnapshotRows``).
+    """
+
+    __slots__ = ("ids", "xs", "ys")
+
+    def __init__(self, ids: np.ndarray, xs: np.ndarray, ys: np.ndarray):
+        self.ids = ids
+        self.xs = xs
+        self.ys = ys
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __iter__(self) -> Iterator[Tuple[int, float, float]]:
+        return zip(self.ids.tolist(), self.xs.tolist(), self.ys.tolist())
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (SnapshotRows, list)):
+            return NotImplemented
+        return list(self) == list(other)
+
+    def __repr__(self) -> str:
+        return f"SnapshotRows({list(self)!r})"
+
+
 class FleetExecutor:
-    """Owns fleets, indexes, and the SQL database; executes requests.
+    """Owns fleets and the SQL database; executes requests.
 
     Thread-safe: sessions call in from worker threads while the ingest
     committer applies batches — every state access runs under one
@@ -98,8 +128,9 @@ class FleetExecutor:
         self._lock = dynlock.rlock("server.executor")
         self._lat_lock = dynlock.rlock("server.executor.latency")
         self._fleets: Dict[str, Any] = {}
-        self._indexes: Dict[str, RTree3D] = {}
         self._shards: Dict[str, ShardManager] = {}
+        # Units per fleet, kept incrementally so STATS is O(fleets).
+        self._unit_counts: Dict[str, int] = {}
         self._db = db if db is not None else Database("server")
         self._latencies: Deque[float] = deque(maxlen=_LATENCY_WINDOW)
         # Idempotency table: seq token -> the unit count the original
@@ -122,15 +153,14 @@ class FleetExecutor:
     ) -> Any:
         """Adopt ``mappings`` as the live fleet ``name``.
 
-        Builds the per-unit R-tree via STR bulk loading (the cheap path
-        for the initial load; later ingest maintains it with per-batch
-        inserts).  Re-registering a name replaces the fleet.
+        Re-registering a name replaces the fleet.  ``index`` is accepted
+        and ignored: the executor keeps no spatial index (a window is a
+        mask on the kernel's output, see DESIGN.md).
 
         ``shards`` > 1 partitions the fleet (defaulting to the
         process-wide ``repro.shard.get_shards()``, itself 1 unless the
-        CLI's ``--shards`` raised it): columns and per-shard R-trees
-        then live under a :class:`ShardManager` with the process-wide
-        memory budget, the R-trees STR-bulk-loaded lazily per shard.
+        CLI's ``--shards`` raised it): columns then live under a
+        :class:`ShardManager` with the process-wide memory budget.
         """
         from repro import shard as shardmod
 
@@ -139,26 +169,16 @@ class FleetExecutor:
             ShardedFleet(mappings, n_shards) if n_shards > 1
             else Fleet(mappings)
         )
+        units = sum(len(m.units) for m in fleet)
         with self._lock:
             self._fleets[name] = fleet
+            self._unit_counts[name] = units
             if isinstance(fleet, ShardedFleet):
-                self._indexes.pop(name, None)
                 self._shards[name] = ShardManager(
-                    fleet,
-                    budget=shardmod.get_memory_budget(),
-                    indexed=index,
+                    fleet, budget=shardmod.get_memory_budget()
                 )
-                return fleet
-            self._shards.pop(name, None)
-            if index:
-                entries = [
-                    (u.bounding_cube(), i)
-                    for i, m in enumerate(fleet)
-                    for u in m.units
-                ]
-                self._indexes[name] = RTree3D.bulk_load(entries)
             else:
-                self._indexes.pop(name, None)
+                self._shards.pop(name, None)
         return fleet
 
     def fleet_names(self) -> List[str]:
@@ -214,19 +234,19 @@ class FleetExecutor:
         t: float,
         window: Optional[Tuple[float, float, float, float]] = None,
         deadline: Optional[Deadline] = None,
-    ) -> Tuple[Snapshot, List[Tuple[int, float, float]]]:
+    ) -> Tuple[Snapshot, SnapshotRows]:
         """Defined positions of fleet ``name`` at instant ``t``.
 
         Returns ``(snapshot, rows)`` with one ``(object index, x, y)``
-        row per member defined at ``t`` — filtered to ``window`` (an
-        ``xmin ymin xmax ymax`` rectangle) when given, using the live
-        R-tree as a candidate prefilter.  The rows describe the pinned
+        row per member defined at ``t`` — filtered to ``window`` (a
+        closed ``xmin ymin xmax ymax`` rectangle) when given.  The
+        window is a mask over the kernel's output arrays, not an index
+        probe: the whole-fleet kernel is cheaper than any search that
+        could stand in front of it.  The rows describe the pinned
         snapshot exactly: ingest applied after the pin is invisible.
 
-        ``deadline`` is checked before pinning and again every
-        ``_DEADLINE_STRIDE`` rows of assembly, so an expired budget
-        surfaces as :class:`~repro.errors.DeadlineExceeded` instead of
-        a late answer.
+        ``deadline`` is checked before pinning; the framing layer
+        checks it again per block of rows it renders.
         """
         if deadline is not None:
             deadline.check()
@@ -239,7 +259,6 @@ class FleetExecutor:
             else:
                 col = self._pinned_column(fleet, snap, "upoint")
                 parts = None if col is None else [(slice(0, len(snap)), col)]
-            candidates = self._window_candidates(name, t, window, len(snap))
         # The ``atinstant`` table entry over the pinned parts (per-shard
         # columns merge through their global-id arrays); its scalar
         # reference loop when no column can describe the pin.
@@ -251,22 +270,15 @@ class FleetExecutor:
             xs, ys, defined = backends.evaluate(
                 "atinstant", snap.items, (t,), backend="scalar", arrays=True
             )
-        rows: List[Tuple[int, float, float]] = []
-        for i in range(len(snap)):
-            if defined[i]:
-                rows.append((i, float(xs[i]), float(ys[i])))
-            if deadline is not None and i % _DEADLINE_STRIDE == 0:
-                deadline.check()
         if window is not None:
             xmin, ymin, xmax, ymax = window
-            rows = [
-                (i, x, y)
-                for i, x, y in rows
-                if (candidates is None or i in candidates)
-                and xmin <= x <= xmax
-                and ymin <= y <= ymax
-            ]
-        return snap, rows
+            defined = (
+                defined
+                & (xmin <= xs) & (xs <= xmax)
+                & (ymin <= ys) & (ys <= ymax)
+            )
+        ids = np.flatnonzero(defined)
+        return snap, SnapshotRows(ids, xs[ids], ys[ids])
 
     def _pinned_shard_columns(
         self, manager: ShardManager, snap: Snapshot
@@ -292,34 +304,6 @@ class FleetExecutor:
                 return None  # cannot serve the pin from live columns
             out.append((fleet.globals_of(s), scol))
         return out
-
-    def _window_candidates(
-        self,
-        name: str,
-        t: float,
-        window: Optional[Tuple[float, float, float, float]],
-        n: int,
-    ) -> Optional[set]:
-        """Index candidates for a window query, or None (no prefilter).
-
-        The live index is a *superset* of any pinned snapshot (units are
-        only ever added), so pruning with it never drops a true hit;
-        exactness comes from the per-position refinement above.  Sharded
-        fleets prune shard-first through the manager's per-shard trees.
-        """
-        if window is None:
-            return None
-        xmin, ymin, xmax, ymax = window
-        cube = Cube(xmin, ymin, t, xmax, ymax, t)
-        tree = self._indexes.get(name)
-        if tree is None:
-            manager = self._shards.get(name)
-            if manager is not None and manager.indexed:
-                return {
-                    k for k in manager.window_candidates(cube) if k < n
-                }
-            return None
-        return {int(k) for k in tree.search(cube) if int(k) < n}
 
     # -- SQL --------------------------------------------------------------
 
@@ -416,18 +400,7 @@ class FleetExecutor:
         else:
             grown = prior.appended(unit)
             fleet[obj] = grown
-        tree = self._indexes.get(req.fleet)
-        if tree is not None:
-            tree.insert(unit.bounding_cube(), obj)
-        manager = self._shards.get(req.fleet)
-        if manager is not None:
-            # Ingest touches exactly one shard: the object's home shard
-            # gets the tree insert; every other shard's pin stays valid.
-            manager.note_insert(
-                shard_of(obj, manager.fleet.n_shards),
-                unit.bounding_cube(),
-                obj,
-            )
+        self._unit_counts[req.fleet] += 1
         if obs.enabled:
             obs.add("ingest.units")
         return len(grown.units)
@@ -468,9 +441,7 @@ class FleetExecutor:
             for name in sorted(self._fleets):
                 fleet = self._fleets[name]
                 out[f"fleet.{name}.objects"] = len(fleet)
-                out[f"fleet.{name}.units"] = sum(
-                    len(m.units) for m in fleet
-                )
+                out[f"fleet.{name}.units"] = self._unit_counts[name]
                 version = fleet.version
                 if isinstance(version, tuple):
                     # Sharded: report the vector's sum (one ingest still

@@ -30,6 +30,11 @@ zero or more data lines (``ROW``/``PLAN``/``MSG``/``STAT``), and a bare
 (no terminator — the line *is* the whole response) and never tear the
 session down; ``CLOSE`` answers with a single ``BYE``.
 
+Replies leave this module as a list of encoded *blocks* of at most
+``BLOCK_ROWS`` lines (:func:`frame_lines`, :func:`frame_snapshot`): the
+session renders them in its worker thread and only writes and drains
+on the event loop, one block at a time.
+
 This module is pure string work: it never touches fleets, sockets, or
 execution state — the session layer feeds it lines and writes back
 whatever it returns.
@@ -38,15 +43,19 @@ whatever it returns.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
+from repro.deadline import Deadline
 from repro.errors import ProtocolError
 
 __all__ = [
+    "BLOCK_ROWS",
     "BYE",
     "END",
     "Request",
     "err_line",
+    "frame_lines",
+    "frame_snapshot",
     "ok_line",
     "parse_request",
     "row_line",
@@ -55,6 +64,14 @@ __all__ = [
 
 END = "END"
 BYE = "BYE"
+
+#: Lines per encoded reply block.  The session drains after each block,
+#: so this bounds both the strings alive while a reply is rendered and
+#: the bytes buffered ahead of a slow reader (~200 KB of rows).  Measured
+#: on a 9.6k-row reply under two clients: rendering the reply as one
+#: block costs +7 MB of server peak RSS (82 -> 89 MB); 256 and 2048 are
+#: level on memory and latency, and fewer blocks are fewer loop wake-ups.
+BLOCK_ROWS = 2048
 
 #: Commands and the argument counts ``parse_request`` enforces.
 COMMANDS = ("QUERY", "EXPLAIN", "INGEST", "SNAPSHOT", "STATS", "CLOSE")
@@ -212,3 +229,58 @@ def row_line(**fields: object) -> str:
 def stat_line(name: str, value: object) -> str:
     """One ``STAT`` data line."""
     return f"STAT {name} {_clean(str(value))}"
+
+
+def _block(lines: Sequence[str]) -> bytes:
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def frame_lines(lines: Sequence[str]) -> List[bytes]:
+    """Reply lines as wire bytes, ``BLOCK_ROWS`` lines to a block."""
+    return [
+        _block(lines[at:at + BLOCK_ROWS])
+        for at in range(0, len(lines), BLOCK_ROWS)
+    ]
+
+
+def frame_snapshot(
+    version: object,
+    objects: int,
+    ids: Any,
+    xs: Any,
+    ys: Any,
+    deadline: Optional[Deadline] = None,
+) -> List[bytes]:
+    """The whole SNAPSHOT reply — header, rows, ``END`` — as blocks.
+
+    ``ids``/``xs``/``ys`` are the executor's parallel arrays; each block
+    goes ``tolist()`` → one formatted line per row → one join and one
+    encode, byte for byte what ``row_line(obj=i, x=repr(x), y=repr(y))``
+    renders (``tolist`` yields Python floats, so ``repr`` is the float's
+    own, never ``np.float64(...)``).  A shard version *vector* is
+    written comma-joined, without the spaces that would split the
+    header's ``key=value`` fields.  ``deadline.check()`` runs once per
+    block, so an abandoned request stops rendering.
+    """
+    if isinstance(version, tuple):
+        version = ",".join(map(str, version))
+    n = len(ids)
+    lines = [ok_line(version=version, objects=objects, rows=n)]
+    blocks: List[bytes] = []
+    for at in range(0, max(n, 1), BLOCK_ROWS):
+        if deadline is not None:
+            deadline.check()
+        stop = at + BLOCK_ROWS
+        lines.extend(
+            f"ROW obj={i}\tx={x!r}\ty={y!r}"
+            for i, x, y in zip(
+                ids[at:stop].tolist(),
+                xs[at:stop].tolist(),
+                ys[at:stop].tolist(),
+            )
+        )
+        if stop >= n:
+            lines.append(END)
+        blocks.append(_block(lines))
+        lines = []
+    return blocks

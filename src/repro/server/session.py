@@ -1,11 +1,13 @@
 """The asyncio session layer: sockets in, protocol lines out.
 
 One task per connection reads request lines, parses them with
-:mod:`repro.server.protocol`, and dispatches to the executor (reads run
-in worker threads so the loop stays responsive) or the group committer
-(ingest).  The session layer holds **no** execution state of its own —
-a malformed or failing request answers with a single ``ERR`` line and
-the session keeps going.
+:mod:`repro.server.protocol`, and dispatches to the executor or the
+group committer (ingest).  A read runs *whole* in a worker thread —
+execution and the rendering of its reply into encoded blocks — so the
+loop only ever writes bytes and drains; no row is formatted on it.  The
+session layer holds **no** execution state of its own — a malformed or
+failing request answers with a single ``ERR`` line and the session
+keeps going.
 
 Graceful shutdown: :meth:`QueryServer.stop` closes the listener, lets
 in-flight requests drain (bounded), cancels sessions idling in
@@ -168,7 +170,7 @@ class QueryServer:
         try:
             request = protocol.parse_request(line)
             if request.command == "CLOSE":
-                await _write(writer, [protocol.BYE])
+                await _write(writer, protocol.frame_lines([protocol.BYE]))
                 return True
             self._admit(request)
             deadline = (
@@ -176,7 +178,7 @@ class QueryServer:
                 if request.deadline_ms is not None
                 else None
             )
-            lines = await self._dispatch(request, deadline)
+            blocks = await self._dispatch(request, deadline)
         except asyncio.CancelledError:
             raise
         except Exception as exc:  # ERR answers; the session survives
@@ -186,7 +188,7 @@ class QueryServer:
                 elif not isinstance(exc, Overloaded):
                     # shed requests were already counted by _admit
                     obs.add("server.errors")
-            await _write(writer, [protocol.err_line(exc)])
+            await _write(writer, protocol.frame_lines([protocol.err_line(exc)]))
             return False
         if faults.active and faults.should_fire("server.conn_drop"):
             # The degraded path the chaos matrix drives: the work is
@@ -195,7 +197,7 @@ class QueryServer:
             # what the seq-token dedup table must absorb.
             writer.close()
             return True
-        await _write(writer, lines)
+        await _write(writer, blocks)
         return False
 
     def _admit(self, request: protocol.Request) -> None:
@@ -230,7 +232,8 @@ class QueryServer:
 
     async def _dispatch(
         self, request: protocol.Request, deadline: Optional[Deadline] = None
-    ) -> List[str]:
+    ) -> List[bytes]:
+        """The reply to ``request`` as encoded blocks."""
         command = request.command
         if command == "INGEST":
             units = await _bounded(
@@ -242,69 +245,66 @@ class QueryServer:
                 ),
                 deadline,
             )
-            return [protocol.ok_line(units=units), protocol.END]
-        if command == "STATS":
-            stats = await asyncio.to_thread(self._executor.stats)
-            lines = [protocol.ok_line(stats=len(stats))]
-            lines.extend(
-                protocol.stat_line(name, stats[name]) for name in stats
+            return protocol.frame_lines(
+                [protocol.ok_line(units=units), protocol.END]
             )
-            lines.append(protocol.END)
-            return lines
+        reply = asyncio.to_thread(_reply, self._executor, request, deadline)
+        if command == "STATS":
+            return await reply
         # The read commands: timed, counted, snapshot-isolated.
         started = time.perf_counter()
-        if command == "QUERY":
-            results = await _bounded(
-                asyncio.to_thread(
-                    self._executor.query_sql, request.sql, deadline
-                ),
-                deadline,
-            )
-            lines = [protocol.ok_line(statements=len(results))]
-            for res in results:
-                if res.rows is None:
-                    lines.append(f"MSG {protocol._clean(res.message)}")
-                    continue
-                for row in res.rows:
-                    lines.append(protocol.row_line(
-                        **{k: _format_field(v) for k, v in row.items()}
-                    ))
-        elif command == "EXPLAIN":
-            plan = await _bounded(
-                asyncio.to_thread(
-                    self._executor.explain_sql, request.sql, deadline
-                ),
-                deadline,
-            )
-            lines = [protocol.ok_line()]
-            lines.extend(f"PLAN {pl}" for pl in plan.splitlines() if pl)
-        else:  # SNAPSHOT
-            snap, rows = await _bounded(
-                asyncio.to_thread(
-                    self._executor.snapshot_rows,
-                    request.fleet,
-                    request.t,
-                    request.window,
-                    deadline,
-                ),
-                deadline,
-            )
-            lines = [
-                protocol.ok_line(
-                    version=snap.version, objects=len(snap), rows=len(rows)
-                )
-            ]
-            lines.extend(
-                protocol.row_line(obj=i, x=repr(x), y=repr(y))
-                for i, x, y in rows
-            )
-        lines.append(protocol.END)
+        blocks = await _bounded(reply, deadline)
         self._executor.record_latency(
             (time.perf_counter() - started) * 1000.0
         )
         if obs.enabled:
             obs.add("server.queries")
-        return lines
+        return blocks
+
+
+def _reply(
+    executor: FleetExecutor,
+    request: protocol.Request,
+    deadline: Optional[Deadline],
+) -> List[bytes]:
+    """Execute a read or STATS request and frame its reply.
+
+    Runs under ``asyncio.to_thread``: the executor call and the framing
+    of its result share one thread hop, and the event loop sees only
+    finished byte blocks (MOD008 keeps row formatting out of
+    coroutines).
+    """
+    command = request.command
+    if command == "SNAPSHOT":
+        snap, rows = executor.snapshot_rows(
+            request.fleet, request.t, request.window, deadline
+        )
+        return protocol.frame_snapshot(
+            snap.version, len(snap), rows.ids, rows.xs, rows.ys, deadline
+        )
+    if command == "QUERY":
+        results = executor.query_sql(request.sql, deadline)
+        lines = [protocol.ok_line(statements=len(results))]
+        for res in results:
+            if res.rows is None:
+                lines.append(f"MSG {protocol._clean(res.message)}")
+                continue
+            for row in res.rows:
+                lines.append(protocol.row_line(
+                    **{k: _format_field(v) for k, v in row.items()}
+                ))
+    elif command == "EXPLAIN":
+        plan = executor.explain_sql(request.sql, deadline)
+        lines = [protocol.ok_line()]
+        lines.extend(f"PLAN {pl}" for pl in plan.splitlines() if pl)
+    else:  # STATS
+        stats = executor.stats()
+        lines = [protocol.ok_line(stats=len(stats))]
+        lines.extend(
+            protocol.stat_line(name, stats[name]) for name in stats
+        )
+    lines.append(protocol.END)
+    return protocol.frame_lines(lines)
 
 
 async def _bounded(aw: Awaitable[_T], deadline: Optional[Deadline]) -> _T:
@@ -340,30 +340,23 @@ def _format_field(value: object) -> str:
     return str(value)
 
 
-#: Response lines buffered between ``drain()`` calls.  Small enough
-#: that a slow reader bounds the per-session buffer at a few KB, large
-#: enough that short responses pay a single drain.
-_WRITE_CHUNK = 256
-
-
-async def _write(writer: asyncio.StreamWriter, lines: List[str]) -> None:
-    """Write response lines with backpressure.
+async def _write(writer: asyncio.StreamWriter, blocks: List[bytes]) -> None:
+    """Write reply blocks with backpressure.
 
     ``StreamWriter.write`` only buffers; without ``drain()`` a client
     that stops reading lets a big SNAPSHOT/QUERY response grow the
-    transport buffer without bound.  Draining every ``_WRITE_CHUNK``
-    lines parks *this* session (and only this session) until the peer
-    catches up.
+    transport buffer without bound.  Draining after every block
+    (``protocol.BLOCK_ROWS`` lines) parks *this* session (and only this
+    session) until the peer catches up.
     """
-    for start in range(0, len(lines), _WRITE_CHUNK):
+    for block in blocks:
         if faults.active and faults.should_fire("server.slow_client"):
             # A peer that stops reading: park this session mid-response
             # the way a full transport buffer would.  Only this session
             # stalls — the chaos matrix asserts concurrent sessions
             # keep answering.
             await asyncio.sleep(_SLOW_CLIENT_STALL_S)
-        chunk = lines[start:start + _WRITE_CHUNK]
-        writer.write(("\n".join(chunk) + "\n").encode("utf-8"))
+        writer.write(block)
         await writer.drain()
 
 

@@ -73,14 +73,10 @@ class ShardManager:
         fleet: ShardedFleet,
         root: Optional[str] = None,
         budget: Optional[int] = None,
-        indexed: bool = True,
     ):
         self.fleet = fleet
         self.root = os.fspath(root) if root is not None else None
         self._budget = budget
-        #: Whether callers should consult the per-shard R-trees for
-        #: candidate pruning (the server's ``index=False`` opt-out).
-        self.indexed = bool(indexed)
         self._lock = dynlock.rlock("shard.manager")
         self._resident: Residency[int, _Resident] = Residency(on_evict=self._dropped)
         self._stores: Dict[int, ColumnStore] = {}
@@ -219,6 +215,10 @@ class ShardManager:
         return keep
 
     # -- per-shard R-trees --------------------------------------------------
+    #
+    # For library callers; the query service builds none (its window is
+    # a mask on the kernel output), so whoever loads a tree and then
+    # mutates the fleet owes it the ``note_insert``.
 
     def rtree(self, s: int) -> RTree3D:
         """Shard ``s``'s unit R-tree, STR-bulk-loaded on first use.

@@ -799,6 +799,54 @@ class TestMOD008AsyncioHygiene:
         }, select={"MOD008"})
         assert out == []
 
+    def test_row_framing_in_coroutine_flagged(self, tmp_path):
+        out = lint_snippets(tmp_path, {
+            "src/repro/server/snippet.py": """
+                from repro.server import protocol
+
+                async def dispatch(snap, rows):
+                    lines = [
+                        protocol.row_line(obj=i, x=repr(x), y=repr(y))
+                        for i, x, y in rows
+                    ]
+                    blocks = protocol.frame_snapshot(
+                        snap.version, len(snap), rows.ids, rows.xs, rows.ys
+                    )
+                    return lines, blocks
+            """,
+        }, select={"MOD008"})
+        assert codes(out) == ["MOD008"] * 2
+        assert all("formats reply rows" in v.message for v in out)
+
+    def test_row_framing_in_worker_function_clean(self, tmp_path):
+        out = lint_snippets(tmp_path, {
+            "src/repro/server/snippet.py": """
+                import asyncio
+
+                from repro.server import protocol
+
+                def snapshot_reply(executor, request, deadline):
+                    snap, rows = executor.snapshot_rows(request.fleet, request.t)
+                    return protocol.frame_snapshot(
+                        snap.version, len(snap), rows.ids, rows.xs, rows.ys
+                    )
+
+                def query_reply(rows):
+                    return protocol.frame_lines(
+                        [protocol.row_line(**row) for row in rows]
+                    )
+
+                async def dispatch(executor, request, deadline):
+                    # By reference: rendered on the worker thread.  The
+                    # fixed one-line replies may be framed on the loop.
+                    await asyncio.to_thread(
+                        snapshot_reply, executor, request, deadline
+                    )
+                    return protocol.frame_lines([protocol.ok_line(), protocol.END])
+            """,
+        }, select={"MOD008"})
+        assert out == []
+
     def test_outside_server_package_not_in_scope(self, tmp_path):
         out = lint_snippets(tmp_path, {
             "src/repro/db/snippet.py": """

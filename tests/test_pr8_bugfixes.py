@@ -23,7 +23,8 @@ import threading
 import pytest
 
 from repro.server.executor import FleetExecutor
-from repro.server.session import _WRITE_CHUNK, _write, serve_in_thread
+from repro.server.protocol import BLOCK_ROWS, frame_lines
+from repro.server.session import _write, serve_in_thread
 from repro.storage.wal import Wal
 from repro.temporal.mapping import MovingPoint
 from repro.temporal.upoint import UPoint
@@ -133,10 +134,10 @@ class _FakeWriter:
 class TestWriteBackpressure:
     def test_write_drains_every_chunk(self):
         writer = _FakeWriter()
-        lines = [f"ROW {i}" for i in range(int(_WRITE_CHUNK * 2.5))]
+        lines = [f"ROW {i}" for i in range(int(BLOCK_ROWS * 2.5))]
         import asyncio
 
-        asyncio.run(_write(writer, lines))
+        asyncio.run(_write(writer, frame_lines(lines)))
         kinds = [kind for kind, _ in writer.events]
         # write/drain alternate: no unbounded buffering between drains.
         assert kinds == ["write", "drain"] * 3
@@ -149,7 +150,7 @@ class TestWriteBackpressure:
         writer = _FakeWriter()
         import asyncio
 
-        asyncio.run(_write(writer, ["OK", "END"]))
+        asyncio.run(_write(writer, frame_lines(["OK", "END"])))
         assert [k for k, _ in writer.events] == ["write", "drain"]
 
     def test_slow_reader_still_gets_everything(self):

@@ -12,9 +12,11 @@ regression: two sessions, one mutating ingest).
 """
 
 import asyncio
+import contextlib
 import os
 import re
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -22,10 +24,18 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, reject, settings
+from hypothesis import strategies as st
 
 from repro import faults, obs
 from repro.errors import InvalidValue, ProtocolError, QueryError
-from repro.server.client import ServerClient, ServerError
+from repro.server.client import (
+    ClientTimeout,
+    ConnectionLost,
+    Reply,
+    ServerClient,
+    ServerError,
+)
 from repro.server.executor import FleetExecutor
 from repro.server.ingest import (
     GroupCommitter,
@@ -36,12 +46,14 @@ from repro.server.ingest import (
     replay_ingest,
 )
 from repro.server.protocol import (
+    END,
     err_line,
     ok_line,
     parse_request,
     row_line,
 )
 from repro.server.session import serve_in_thread
+from repro.shard.fleet import shard_of
 from repro.storage import wal as walmod
 from repro.storage.wal import Wal, WalRecord
 from repro.temporal.mapping import MovingPoint
@@ -600,6 +612,476 @@ class TestWire:
             assert int(after.fields["version"]) > \
                    int(before.fields["version"])
             assert len(after.rows) == 1
+
+
+    def test_sharded_version_vector_round_trips(self):
+        """The shard version vector survives the header's space-split
+        (it used to be written ``(13, 12, 13, 12)`` and parse as
+        ``'(13,'``), and one INGEST moves exactly one coordinate."""
+        ex = FleetExecutor()
+        ex.register_fleet("f", _mappings(50), shards=4)
+        run = serve_in_thread(ex)
+        try:
+            with ServerClient("127.0.0.1", run.port) as c:
+                before = c.snapshot("f", 10.0)
+                assert set(before.fields) == {"version", "objects", "rows"}
+                assert before.fields["objects"] == "50"
+                assert before.fields["rows"] == str(len(before.rows))
+                vec = tuple(int(v) for v in before.fields["version"].split(","))
+                assert vec == ex.fleet("f").version
+                c.ingest("f", 7, (1e6, 0.0, 0.0, 1e6 + 10, 1.0, 1.0))
+                after = c.snapshot("f", 10.0)
+                vec2 = tuple(int(v) for v in after.fields["version"].split(","))
+                assert vec2 == ex.fleet("f").version
+                moved = [s for s in range(4) if vec[s] != vec2[s]]
+                assert moved == [shard_of(7, 4)]
+        finally:
+            run.stop()
+
+
+# ---------------------------------------------------------------------------
+# wire ≡ scalar, byte for byte
+# ---------------------------------------------------------------------------
+
+#: Coordinates where ``repr`` changes shape: signed zero, the 1e16 and
+#: 1e-4 thresholds of exponent notation, 17-digit values.
+_EDGE_COORDS = [
+    -0.0, 0.0, 1e16, -1e16, 9999999999999998.0, 1.2345678901234568e16,
+    1e-5, -1e-5, 9.999e-5, 1e-4, 1.0001e-4, 123456789.125, 0.1 + 0.2,
+]
+_coord = st.one_of(
+    st.floats(min_value=-60.0, max_value=60.0, allow_nan=False),
+    st.sampled_from(_EDGE_COORDS),
+)
+_step = st.floats(min_value=0.1, max_value=8.0, allow_nan=False)
+
+
+@st.composite
+def _moving_point(draw):
+    """Gapped or adjacent units with random closedness; half of them
+    stand still (``x0 + 0·t``), so an edge coordinate — ``-0.0`` at
+    negative instants included — is served exactly as drawn."""
+    from repro.ranges.interval import Interval
+    from repro.temporal.mseg import MPoint
+
+    t = draw(st.floats(min_value=-40.0, max_value=20.0, allow_nan=False))
+    units = []
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        s = t + draw(_step) * draw(st.sampled_from([0.0, 1.0]))
+        t = s + draw(_step)
+        # Two closed ends may not share an instant.
+        lc = draw(st.booleans()) and not (
+            units and units[-1].interval.e == s and units[-1].interval.rc
+        )
+        rc = draw(st.booleans())
+        p0 = (draw(_coord), draw(_coord))
+        if draw(st.booleans()):
+            units.append(UPoint(
+                Interval(s, t, lc, rc), MPoint(p0[0], 0.0, p0[1], 0.0)
+            ))
+        else:
+            p1 = (draw(_coord), draw(_coord))
+            units.append(UPoint.between(s, p0, t, p1, lc=lc, rc=rc))
+    try:
+        return MovingPoint(units)
+    except InvalidValue:  # adjacent units drew the same function
+        reject()
+
+
+@st.composite
+def _wire_case(draw):
+    """``(mappings, t, window or None, shards)``: ``t`` mostly on a unit
+    boundary or inside a unit, the window mostly with an edge lying
+    exactly on a served position."""
+    mappings = draw(st.lists(_moving_point(), min_size=1, max_size=8))
+    spans = [u.interval for m in mappings for u in m.units]
+    pick = draw(st.integers(min_value=0, max_value=4)) if spans else 0
+    if pick == 0:
+        t = draw(st.floats(min_value=-60.0, max_value=80.0, allow_nan=False))
+    else:
+        span = draw(st.sampled_from(spans))
+        t = (span.s, span.e, (span.s + span.e) / 2.0, span.e)[pick - 1]
+    window = None
+    if draw(st.booleans()):
+        at = [p for p in (m.value_at(t) for m in mappings) if p is not None]
+        if at and draw(st.integers(min_value=0, max_value=3)):
+            p = draw(st.sampled_from(at))
+            x, y = p.x, p.y
+        else:
+            x, y = draw(_coord), draw(_coord)
+        w = draw(st.floats(min_value=0.0, max_value=80.0, allow_nan=False))
+        h = draw(st.floats(min_value=0.0, max_value=80.0, allow_nan=False))
+        # (x, y) is the lower-left or the upper-right corner.
+        window = (
+            (x, y, x + w, y + h) if draw(st.booleans())
+            else (x - w, y - h, x, y)
+        )
+    return mappings, t, window, draw(st.sampled_from([1, 1, 3, 4]))
+
+
+def _parent_reply(version, mappings, t, window):
+    """The reply as the parent commit framed it: scalar ``value_at``,
+    the closed window test, one ``row_line`` per row.  (A shard vector
+    is comma-joined: the parent's rendering of it was the bug.)"""
+    rows = []
+    for i, m in enumerate(mappings):
+        p = m.value_at(t)
+        if p is None:
+            continue
+        if window is not None and not (
+            window[0] <= p.x <= window[2] and window[1] <= p.y <= window[3]
+        ):
+            continue
+        rows.append(row_line(obj=i, x=repr(p.x), y=repr(p.y)))
+    if isinstance(version, tuple):
+        version = ",".join(str(v) for v in version)
+    head = ok_line(version=version, objects=len(mappings), rows=len(rows))
+    return ("\n".join([head, *rows, END]) + "\n").encode("utf-8")
+
+
+def _raw_reply(stream, line):
+    """The bytes one request line is answered with, unparsed."""
+    stream.write(line.encode("utf-8") + b"\n")
+    stream.flush()
+    out = [stream.readline()]
+    while out[-1] != b"END\n" and not out[0].startswith(b"ERR "):
+        assert out[-1], "connection closed mid-reply"
+        out.append(stream.readline())
+    return b"".join(out)
+
+
+def _snapshot_line(name, t, window):
+    line = f"SNAPSHOT {name} {t!r}"
+    if window is not None:
+        line += " " + " ".join(repr(v) for v in window)
+    return line
+
+
+class TestWireMatchesScalar:
+    def test_generated_fleets_byte_for_byte(self):
+        ex = FleetExecutor()
+        run = serve_in_thread(ex)
+        sock = socket.create_connection(("127.0.0.1", run.port), timeout=30.0)
+        stream = sock.makefile("rwb")
+        names = (f"f{n}" for n in range(1 << 30))
+
+        @given(case=_wire_case())
+        @settings(max_examples=200, deadline=None,
+                  suppress_health_check=[HealthCheck.too_slow])
+        def check(case):
+            mappings, t, window, shards = case
+            name = next(names)
+            fleet = ex.register_fleet(name, mappings, shards=shards)
+            got = _raw_reply(stream, _snapshot_line(name, t, window))
+            assert b"np." not in got
+            assert got == _parent_reply(fleet.version, mappings, t, window)
+
+        try:
+            check()
+        finally:
+            stream.close()
+            sock.close()
+            run.stop()
+
+    def test_signed_zero_and_exponent_forms_reach_the_wire(self):
+        """The shapes the property hunts for, pinned: ``-0.0``, ``1e+16``
+        and ``1e-05`` are written as Python floats write them."""
+        from repro.ranges.interval import Interval
+        from repro.temporal.mseg import MPoint
+
+        # Unit functions x0 + 0·t; at t < 0 the product is -0.0, so a
+        # negative-zero x0 is served as such.
+        still = [(-0.0, 1e16), (1e-5, -1e16), (9999999999999998.0, 1e-4)]
+        mappings = [
+            MovingPoint([UPoint(
+                Interval(-10.0, -1.0, True, True), MPoint(x, 0.0, y, 0.0)
+            )])
+            for x, y in still
+        ]
+        ex = FleetExecutor()
+        ex.register_fleet("f", mappings)
+        run = serve_in_thread(ex)
+        try:
+            with ServerClient("127.0.0.1", run.port) as c:
+                rows = c.snapshot("f", -5.0).rows
+        finally:
+            run.stop()
+        assert rows == [
+            {"obj": "0", "x": "-0.0", "y": "1e+16"},
+            {"obj": "1", "x": "1e-05", "y": "-1e+16"},
+            {"obj": "2", "x": "9999999999999998.0", "y": "0.0001"},
+        ]
+
+    def test_multi_block_reply_matches_the_parent_framing(self):
+        """A reply longer than one framing block (and one whose rows
+        end exactly on a block boundary) joins up seamlessly."""
+        from repro.server.protocol import BLOCK_ROWS
+
+        for n in (BLOCK_ROWS, 2 * BLOCK_ROWS + 17):
+            mappings = [
+                MovingPoint([_unit(0.0, i * 0.1, -i / 3.0, 10.0, i / 7.0, i)])
+                for i in range(n)
+            ]
+            ex = FleetExecutor()
+            fleet = ex.register_fleet("f", mappings)
+            run = serve_in_thread(ex)
+            try:
+                with socket.create_connection(
+                    ("127.0.0.1", run.port), timeout=30.0
+                ) as sock, sock.makefile("rwb") as stream:
+                    got = _raw_reply(stream, _snapshot_line("f", 3.3, None))
+            finally:
+                run.stop()
+            assert got == _parent_reply(fleet.version, mappings, 3.3, None)
+
+
+# ---------------------------------------------------------------------------
+# the client's bulk read keeps its failure contract
+# ---------------------------------------------------------------------------
+
+
+@contextlib.contextmanager
+def _stub_server(answer):
+    """A one-connection listener: ``answer(conn)`` runs per request
+    line (CLOSE is answered ``BYE``); returning False hangs up."""
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def serve():
+        try:
+            conn, _peer = listener.accept()
+        except OSError:
+            return
+        conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        with conn, conn.makefile("rb") as requests:
+            for line in requests:
+                if line.strip() == b"CLOSE":
+                    conn.sendall(b"BYE\n")
+                    break
+                if answer(conn) is False:
+                    break
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    try:
+        yield listener.getsockname()[1]
+    finally:
+        listener.close()
+        thread.join(5.0)
+
+
+def _in_pieces(payload, size):
+    def answer(conn):
+        for at in range(0, len(payload), size):
+            conn.sendall(payload[at:at + size])
+    return answer
+
+
+#: One reply with every kind of data line, in an order worth keeping —
+#: and a MSG whose text starts with the terminator's word.
+_RECORDED = (
+    "OK version=13,12 objects=3 rows=2\n"
+    "MSG END of run\n"
+    "ROW obj=0\tx=-0.0\ty=1e+16\n"
+    "PLAN SeqScan(planes)\n"
+    "STAT fleet.f.units 7\n"
+    "ROW obj=2\tx=1e-05\ty=0.30000000000000004\n"
+    "MSG ENDED\n"
+    "END\n"
+).encode("utf-8")
+_RECORDED_REPLY = Reply(
+    fields={"version": "13,12", "objects": "3", "rows": "2"},
+    rows=[
+        {"obj": "0", "x": "-0.0", "y": "1e+16"},
+        {"obj": "2", "x": "1e-05", "y": "0.30000000000000004"},
+    ],
+    lines=["MSG END of run", "PLAN SeqScan(planes)",
+           "STAT fleet.f.units 7", "MSG ENDED"],
+)
+
+
+class TestClientBulkRead:
+    @pytest.mark.parametrize("size", [1, 7, len(_RECORDED)])
+    def test_delivery_granularity_does_not_change_the_reply(self, size):
+        with _stub_server(_in_pieces(_RECORDED, size)) as port:
+            with ServerClient("127.0.0.1", port, max_retries=0) as c:
+                assert c.request("SNAPSHOT f 1.0") == _RECORDED_REPLY
+                # The stream is positioned after END: a second request
+                # on the same connection reads its own reply.
+                assert c.request("SNAPSHOT f 2.0") == _RECORDED_REPLY
+
+    def test_zero_row_reply(self):
+        payload = b"OK version=3 objects=0 rows=0\nEND\n"
+        with _stub_server(_in_pieces(payload, len(payload))) as port:
+            with ServerClient("127.0.0.1", port, max_retries=0) as c:
+                reply = c.request("SNAPSHOT f 1.0")
+        assert reply == Reply(
+            fields={"version": "3", "objects": "0", "rows": "0"}
+        )
+
+    @pytest.mark.parametrize("cut", [0, 10, 60, len(_RECORDED) - 5])
+    def test_eof_mid_reply_is_connection_lost(self, cut):
+        def answer(conn):
+            conn.sendall(_RECORDED[:cut])
+            return False
+
+        with _stub_server(answer) as port:
+            c = ServerClient("127.0.0.1", port, max_retries=0)
+            with pytest.raises(ConnectionLost):
+                c.request("SNAPSHOT f 1.0")
+            c.close()
+
+    @pytest.mark.parametrize("payload, want", [
+        (_RECORDED, _RECORDED_REPLY),
+        (b"OK rows=0\nEND\n", Reply(fields={"rows": "0"})),
+    ])
+    def test_eof_right_after_the_end_word_completes_the_reply(
+        self, payload, want
+    ):
+        def answer(conn):
+            conn.sendall(payload[:-1])  # "...END", no newline, then EOF
+            return False
+
+        with _stub_server(answer) as port:
+            c = ServerClient("127.0.0.1", port, max_retries=0)
+            assert c.request("SNAPSHOT f 1.0") == want
+            c.close()
+
+    @pytest.mark.parametrize("cut", [0, 10, 60])
+    def test_silence_is_a_counted_client_timeout(self, cut):
+        release = threading.Event()
+
+        def answer(conn):
+            conn.sendall(_RECORDED[:cut])
+            release.wait(10.0)
+            return False
+
+        with _stub_server(answer) as port:
+            c = ServerClient(
+                "127.0.0.1", port, request_timeout=0.2, max_retries=0
+            )
+            with obs.capture() as counters:
+                with pytest.raises(ClientTimeout):
+                    c.request("SNAPSHOT f 1.0")
+                assert counters.get("client.timeouts") == 1
+            release.set()
+            c.close()
+
+    def test_err_line_awaits_no_terminator(self):
+        payload = b"ERR QueryError no fleet named 'ghost'\n"
+        with _stub_server(_in_pieces(payload, len(payload))) as port:
+            with ServerClient("127.0.0.1", port, max_retries=0) as c:
+                started = time.monotonic()
+                with pytest.raises(ServerError) as exc_info:
+                    c.request("SNAPSHOT ghost 1.0")
+                assert time.monotonic() - started < 5.0  # not the 10 s deadline
+                assert exc_info.value.remote_type == "QueryError"
+                assert str(exc_info.value) == "no fleet named 'ghost'"
+                # ... and the connection is still in step.
+                with pytest.raises(ServerError):
+                    c.request("SNAPSHOT ghost 2.0")
+
+    def test_bye_awaits_no_terminator(self):
+        with _stub_server(lambda conn: None) as port:
+            c = ServerClient("127.0.0.1", port, max_retries=0)
+            assert c.request("CLOSE") == Reply(lines=["BYE"])
+            c.close()
+
+    def test_unexpected_header_is_a_protocol_error(self):
+        payload = b"HELLO there\nEND\n"
+        with _stub_server(_in_pieces(payload, len(payload))) as port:
+            c = ServerClient("127.0.0.1", port, max_retries=0)
+            with pytest.raises(ProtocolError, match="unexpected response"):
+                c.request("STATS")
+            c.close()
+
+
+# ---------------------------------------------------------------------------
+# STATS: the incremental unit count
+# ---------------------------------------------------------------------------
+
+
+_ingest_script = st.lists(
+    st.one_of(
+        # A unit continuing object ``obj`` (6 appends a lane, 7 is past
+        # the end until it has).
+        st.tuples(st.just("new"), st.integers(min_value=0, max_value=7)),
+        # Step ``k`` (modulo the steps so far) resent under its own SEQ.
+        st.tuples(st.just("dup"), st.integers(min_value=0, max_value=30)),
+        # A unit the fleet must reject: far past the end, or on top of
+        # object 0's first slice.
+        st.tuples(st.just("bad"), st.booleans()),
+    ),
+    min_size=1, max_size=25,
+)
+
+
+class TestUnitCount:
+    @given(script=_ingest_script, shards=st.sampled_from([1, 3]),
+           batch=st.integers(min_value=1, max_value=4))
+    @settings(max_examples=60, deadline=None, suppress_health_check=[
+        HealthCheck.function_scoped_fixture, HealthCheck.too_slow,
+    ])
+    def test_count_equals_walked_sum_through_dedup_reject_replay(
+        self, script, shards, batch
+    ):
+        baseline = _mappings(6)
+        first = baseline[0].units[0].interval
+
+        def boot():
+            ex = FleetExecutor()
+            ex.register_fleet("fleet", baseline, shards=shards)
+            return ex
+
+        def served_units(ex):
+            walked = sum(len(m.units) for m in ex.fleet("fleet"))
+            assert ex.stats()["fleet.fleet.units"] == walked
+            return walked
+
+        requests, clock = [], 1e6
+        for k, (kind, arg) in enumerate(script):
+            if kind == "dup" and requests:
+                requests.append(requests[arg % len(requests)])
+            elif kind == "bad":
+                requests.append(IngestRequest(
+                    "fleet", 99 if arg else 0,
+                    (first.s, 0.0, 0.0, first.e, 1.0, 1.0), seq=f"s{k}",
+                ))
+            else:
+                clock += 10.0
+                requests.append(IngestRequest(
+                    "fleet", arg if kind == "new" else 0,
+                    (clock, k, 0.0, clock + 5.0, k, 1.0), seq=f"s{k}",
+                ))
+
+        ex, wal = boot(), Wal()
+        landed = set()
+        with obs.capture() as counters:
+            for at in range(0, len(requests), batch):
+                before = served_units(ex)
+                chunk = requests[at:at + batch]
+                fresh = 0
+                for req, res in zip(chunk, commit(wal, ex, chunk)):
+                    if isinstance(res, InvalidValue):
+                        assert req.seq not in landed
+                    elif req.seq not in landed:
+                        landed.add(req.seq)
+                        fresh += 1
+                assert served_units(ex) == before + fresh
+            assert counters.get("ingest.units") == len(landed)
+        for (kind, _), req in zip(script, requests):
+            if kind == "bad":
+                assert req.seq not in landed
+
+        recovered = boot()
+        replay_ingest(wal, recovered)
+        assert served_units(recovered) == served_units(ex)
+        wal.close()
+
+    def test_reregistering_resets_the_count(self):
+        ex = FleetExecutor()
+        ex.register_fleet("fleet", _mappings(4))
+        ex.register_fleet("fleet", _mappings(2, legs=5))
+        assert ex.stats()["fleet.fleet.units"] == 10
 
 
 # ---------------------------------------------------------------------------
