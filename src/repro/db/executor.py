@@ -8,11 +8,35 @@ selection, and a projection — all the Section-2 queries need.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
+from repro import obs
 from repro.db.expressions import Expr, Row
 from repro.db.relation import Relation
-from repro.errors import QueryError
+from repro.errors import QueryError, StorageError
+from repro.storage.records import codec_for, safe_unpack
+from repro.temporal.mapping import MovingPoint
+
+_MPOINT = codec_for("mpoint")
+
+
+#: What :meth:`VectorScan._guard` answers for a quarantined value.
+_QUARANTINED = object()
+
+
+def _as_is(value: Any) -> Any:
+    return value
 
 
 class Operator:
@@ -53,12 +77,16 @@ class VectorScan(SeqScan):
     """A scan that additionally exposes its moving-point attribute as a
     columnar batch (Section-4 layout, :mod:`repro.vector.columns`).
 
-    Behaves exactly like :class:`SeqScan` when iterated; on top of that
-    it materializes the relation once and caches the attribute's
-    :class:`~repro.vector.columns.UPointColumn` and per-mapping
-    :class:`~repro.vector.columns.BBoxColumn`, so a parent
+    Behaves exactly like :class:`SeqScan` when iterated.  On top of that
+    it reads the relation once and keeps what it read, so a parent
     :class:`Select` whose predicate compiles to a batch kernel can
-    evaluate it fleet-wide in one call (:meth:`batch`).
+    evaluate it relation-wide in one call (:meth:`batch`) and then ask
+    for the surviving rows alone (:meth:`rows_at`).  Over a materialized
+    relation what is kept is the tuples' *stored* values: the attribute's
+    :class:`~repro.vector.columns.UPointColumn` is the stored unit
+    arrays reinterpreted, and a value is unpacked only for a row that is
+    returned.  Column lanes, masks and :meth:`rows_at` arguments are all
+    tuple ids; a quarantined tuple is an empty lane that yields no row.
     """
 
     #: The operator-table backend (:mod:`repro.vector.backends`) this
@@ -71,28 +99,110 @@ class VectorScan(SeqScan):
         super().__init__(relation, alias, strict)
         self.attr = attr
         self.workers = workers
-        self._rows: Optional[List[Row]] = None
+        #: Attribute names the rows carry; ``None`` means all.  The
+        #: planner starts a single-relation statement's scan from the
+        #: empty set and every operator above adds what it names
+        #: (:meth:`carry`), so nothing else is unpacked.
+        self.columns: Optional[Set[str]] = None
+        #: What turns a held value into the attribute value.
+        self._decode = safe_unpack if relation.store is not None else _as_is
+        self._held: Optional[Dict[int, List[Any]]] = None
         self._mappings: Optional[List[Any]] = None
         self._column: Any = None
-        self._bbox_column: Any = None
 
-    def materialized_rows(self) -> List[Row]:
-        """The qualified rows, scanned once and cached."""
-        if self._rows is None:
-            self._rows = [
-                {f"{self.alias}.{k}": v for k, v in row.items()}
-                for row in self.relation.scan(strict=self.strict)
-            ]
-        return self._rows
+    def _guard(self, fn: Callable[..., Any], *args: Any) -> Any:
+        """``fn(*args)``; under ``strict=False`` a :class:`StorageError`
+        is counted (``storage.quarantined``) and answered with
+        ``_QUARANTINED``."""
+        if self.strict:
+            return fn(*args)
+        try:
+            return fn(*args)
+        except StorageError:
+            if obs.enabled:
+                obs.counters.add("storage.quarantined")
+            return _QUARANTINED
+
+    def carry(self, references: Iterable[str]) -> None:
+        """Have the rows carry the attributes that ``references`` (column
+        names, possibly qualified by the alias) name."""
+        if self.columns is not None:
+            prefix = f"{self.alias}."
+            self.columns.update(
+                name[len(prefix):] if name.startswith(prefix) else name
+                for name in references
+            )
+
+    def _attr_index(self) -> int:
+        if self.attr is None:
+            raise QueryError(f"VectorScan over {self.alias!r} has no "
+                             "moving-point attribute")
+        return self.relation.schema.names.index(self.attr)
+
+    def held(self) -> Dict[int, List[Any]]:
+        """Tuple id → the tuple's values in schema order, read once per
+        scan: stored values (every length, FLOB chain and page verified,
+        the moving-point units array checked for its layout, nothing
+        unpacked) for a materialized relation, the live values
+        otherwise.  The keys are the lane → tuple-id map: ascending, and
+        missing exactly the quarantined tuples."""
+        if self._held is None:
+            store = self.relation.store
+            if store is None:
+                self._held = {
+                    tid: list(row.values())
+                    for tid, row in enumerate(self.relation.scan())
+                }
+            else:
+                at = None if self.attr is None else self._attr_index()
+                self._held = {
+                    tid: stored
+                    for tid, stored in store.scan_stored(self.strict)
+                    if at is None
+                    or self._guard(_MPOINT.unit_array, stored[at])
+                    is not _QUARANTINED
+                }
+        return self._held
+
+    def rows_at(self, tids: Iterable[int]) -> Iterator[Row]:
+        """The qualified rows of the tuples ``tids`` that hold one,
+        carrying (and, over a materialized relation, unpacking) only
+        :attr:`columns`."""
+        held = self.held()
+        picked = [
+            (i, f"{self.alias}.{name}")
+            for i, name in enumerate(self.relation.schema.names)
+            if self.columns is None or name in self.columns
+        ]
+        decode = self._decode
+
+        def unpack(values: List[Any]) -> Row:
+            return {key: decode(values[i]) for i, key in picked}
+
+        for tid in tids:
+            values = held.get(tid)
+            if values is None:
+                continue
+            row = self._guard(unpack, values)
+            if row is _QUARANTINED:
+                del held[tid]
+                continue
+            yield row
 
     def mappings(self) -> List[Any]:
-        """The moving-point attribute values, aligned with the rows."""
+        """The moving-point attribute values by tuple id (the empty
+        mapping where a tuple holds no row)."""
         if self._mappings is None:
-            if self.attr is None:
-                raise QueryError(f"VectorScan over {self.alias!r} has no "
-                                 "moving-point attribute")
-            key = f"{self.alias}.{self.attr}"
-            self._mappings = [row[key] for row in self.materialized_rows()]
+            at = self._attr_index()
+            held = self.held()
+            out: List[Any] = [MovingPoint()] * len(self.relation)
+            for tid in list(held):
+                value = self._guard(self._decode, held[tid][at])
+                if value is _QUARANTINED:
+                    del held[tid]
+                else:
+                    out[tid] = value
+            self._mappings = out
         return self._mappings
 
     def column(self):
@@ -100,30 +210,29 @@ class VectorScan(SeqScan):
         if self._column is None:
             from repro.vector.columns import UPointColumn
 
-            self._column = UPointColumn.from_mappings(self.mappings())
+            if self.relation.store is None:
+                self._column = UPointColumn.from_mappings(self.mappings())
+            else:
+                import numpy as np
+
+                at = self._attr_index()
+                held = self.held()
+                self._column = UPointColumn.from_unit_arrays(
+                    [stored[at].arrays[0] for stored in held.values()],
+                    lanes=np.fromiter(held, np.int64, len(held)),
+                    n_objects=len(self.relation),
+                )
         return self._column
 
-    def bbox_column(self):
-        """Per-mapping bounding cubes of the attribute (lazily, cached)."""
-        if self._bbox_column is None:
-            from repro.vector.columns import BBoxColumn
-
-            self._bbox_column = BBoxColumn.from_mappings(self.mappings())
-        return self._bbox_column
-
     def batch(self, op: str, *args: Any) -> Any:
-        """Operator-table operation ``op`` over the attribute, in the
-        lanes of the column it reads (rows, or bbox-column entries)."""
-        from repro.vector.backends import OPERATIONS, on_column
+        """Operator-table operation ``op`` over the attribute, one lane
+        per tuple id."""
+        from repro.vector.backends import on_column
 
-        col = (
-            self.bbox_column() if OPERATIONS[op].kind == "bbox"
-            else self.column()
-        )
-        return on_column(op, col, args, self.backend, self.workers)
+        return on_column(op, self.column(), args, self.backend, self.workers)
 
     def rows(self) -> Iterator[Row]:
-        return iter(self.materialized_rows())
+        return self.rows_at(list(self.held()))
 
 
 class ParallelScan(VectorScan):
@@ -163,42 +272,35 @@ class MmapScan(VectorScan):
         self.store_root = store_root
         self.backend = backend
 
-    def _store_column(self, kind: str) -> Any:
-        from repro.errors import CorruptColumnError, StorageError
+    def _store_column(self) -> Any:
+        from repro.errors import CorruptColumnError
         from repro.vector.store import ColumnStore
 
         if self.store_root is None:
             return None
         store = ColumnStore(self.store_root)
-        # Serve straight from disk when the stored generation matches
-        # the relation's cardinality — without materializing the rows,
+        # Serve straight from disk when the stored generation has one
+        # lane per tuple of the relation — without building anything,
         # which is the whole cold-start saving.  Any mismatch falls
-        # through to the validating load-or-rebuild over the scanned
+        # through to the validating load-or-rebuild over the unpacked
         # mappings.
         try:
-            entry = store.manifest()["columns"].get(kind)
+            entry = store.manifest()["columns"].get("upoint")
             if entry is not None and entry.get("n_objects") == len(self.relation):
-                return store.load(kind)
+                return store.load("upoint")
         except CorruptColumnError:
             pass
         try:
-            return store.load_or_rebuild(kind, self.mappings())
+            return store.load_or_rebuild("upoint", self.mappings())
         except (OSError, StorageError):
             return None  # degraded: in-memory transcription below
 
     def column(self):
         if self._column is None:
-            self._column = self._store_column("upoint")
+            self._column = self._store_column()
         if self._column is None:
             return super().column()
         return self._column
-
-    def bbox_column(self):
-        if self._bbox_column is None:
-            self._bbox_column = self._store_column("bbox")
-        if self._bbox_column is None:
-            return super().bbox_column()
-        return self._bbox_column
 
 
 class ShardedScan(VectorScan):
@@ -315,24 +417,26 @@ class Select(Operator):
         self.predicate = predicate
 
     def rows(self) -> Iterator[Row]:
-        if isinstance(self.child, VectorScan) and self.child.attr is not None:
-            from repro import obs
-            from repro.db.expressions import compile_batch_predicate
-            from repro.vector.backends import count_fallback
+        scan = self.child
+        if isinstance(scan, VectorScan):
+            if scan.attr is not None:
+                from repro.db.expressions import compile_batch_predicate
+                from repro.vector.backends import count_fallback
 
-            compiled = compile_batch_predicate(
-                self.predicate, self.child.alias, self.child.attr
-            )
-            if compiled is not None:
-                mask = compiled(self.child)
-                if obs.enabled:
-                    obs.counters.add("vector.batch_select.calls")
-                    obs.counters.add("vector.batch_select.rows", len(mask))
-                for row, hit in zip(self.child.materialized_rows(), mask):
-                    if hit:
-                        yield row
-                return
-            count_fallback("vector", "predicate")
+                compiled = compile_batch_predicate(
+                    self.predicate, scan.alias, scan.attr
+                )
+                if compiled is not None:
+                    import numpy as np
+
+                    mask = compiled(scan)
+                    if obs.enabled:
+                        obs.counters.add("vector.batch_select.calls")
+                        obs.counters.add("vector.batch_select.rows", len(mask))
+                    yield from scan.rows_at(np.flatnonzero(mask).tolist())
+                    return
+                count_fallback("vector", "predicate")
+            scan.carry(self.predicate.columns())
         for row in self.child.rows():
             if self.predicate.eval(row):
                 yield row

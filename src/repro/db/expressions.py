@@ -370,7 +370,7 @@ def _fn_passes_window(
     per-unit interval intersection, no sampling).  This scalar form is
     the reference; over a :class:`~repro.db.executor.VectorScan` the
     same call is recognized by :func:`compile_batch_predicate` and runs
-    as a batched bounding-box filter plus per-candidate refinement.
+    as one ``window_intervals`` kernel sweep over the scan's column.
     """
     from repro.ops.window import mpoint_within_rect_times
     from repro.ranges.rangeset import RangeSet
@@ -467,12 +467,12 @@ def compile_batch_predicate(
 
     * ``present(attr, t)`` — the operator table's ``present`` row;
     * ``passes_window(attr, xmin, ymin, xmax, ymax, t0, t1)`` — the
-      ``bbox_filter`` row, then exact per-candidate refinement (the
-      ``window_intervals`` row alone on a pooled scan backend);
+      ``window_intervals`` row: filter and exact refinement in one
+      kernel sweep;
     * ``AND`` of two supported shapes — conjunction of masks.
 
     The returned callable takes the :class:`~repro.db.executor.
-    VectorScan` and returns a numpy boolean mask aligned with its rows.
+    VectorScan` and returns a numpy boolean mask indexed by tuple id.
     """
     if isinstance(expr, And):
         left = compile_batch_predicate(expr.left, alias, attr)
@@ -506,33 +506,15 @@ def compile_batch_predicate(
         def run_window(scan):
             import numpy as np
 
-            from repro.spatial.bbox import Cube, Rect
-            from repro.vector.backends import POOLED_BACKENDS
+            from repro.spatial.bbox import Rect
 
+            # The window kernel returns exactly the nonempty clipped
+            # intervals, so an object passes iff it owns at least one
+            # returned run.  (A sharded scan prunes whole shards by
+            # their bounds before any column is mapped.)
+            mask = np.zeros(len(scan.relation), dtype=np.bool_)
             rect = Rect(xmin, ymin, xmax, ymax)
-            mappings = scan.mappings()
-            mask = np.zeros(len(mappings), dtype=np.bool_)
-            if scan.backend in POOLED_BACKENDS:
-                # Fully batched refinement: the window kernel returns
-                # exactly the nonempty clipped intervals, so an object
-                # passes iff it owns at least one returned run.  (A
-                # sharded scan prunes whole shards by their bounds
-                # before any column is mapped.)
-                mask[scan.batch("window_intervals", rect, t0, t1)[0]] = True
-                return mask
-
-            from repro.ops.window import mpoint_within_rect_times
-            from repro.ranges.interval import Interval
-            from repro.ranges.rangeset import RangeSet
-
-            coarse = scan.batch("bbox_filter", Cube.from_rect(rect, t0, t1))
-            window = RangeSet([Interval(t0, t1)])
-            # Exact refinement only for bbox survivors.
-            for key, hit in zip(scan.bbox_column().keys, coarse):
-                if not hit:
-                    continue
-                times = mpoint_within_rect_times(mappings[key], rect)
-                mask[key] = bool(times.intersection(window))
+            mask[scan.batch("window_intervals", rect, t0, t1)[0]] = True
             return mask
 
         return run_window

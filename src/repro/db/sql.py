@@ -40,6 +40,7 @@ from repro.db.executor import (
     Project,
     SeqScan,
     Select,
+    VectorScan,
 )
 from repro.db.expressions import (
     And,
@@ -470,6 +471,16 @@ def plan_query(
         plan = CrossProduct(plan, _make_scan(db, name, alias, strict=strict))
     for join in parsed.joins:
         plan = _plan_join(plan, db, join, strict=strict)
+    if isinstance(plan, VectorScan) and parsed.items is not None:
+        # Still the bare scan (one relation, no join) under an explicit
+        # select list: its rows need to carry only what the operators
+        # above name.  A WHERE evaluated row by row adds its own columns
+        # (Select.rows); one compiled to a kernel reads the column.
+        plan.columns = set()
+        above = [item.expr for item in parsed.items] + parsed.group_by
+        above += [expr for expr, _descending in parsed.order_by]
+        for expr in above:
+            plan.carry(expr.columns())
     if parsed.where is not None:
         plan = Select(plan, parsed.where)
 

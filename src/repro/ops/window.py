@@ -1,8 +1,8 @@
 """Spatio-temporal window queries: filter and refine.
 
 "Find all objects inside rectangle W during [t0, t1]" is the classic
-moving objects query.  The filter step uses the per-unit 3-D R-tree
-(:mod:`repro.index`); the refinement step here is *exact*: a linearly
+moving objects query.  The scalar filter step uses the per-unit 3-D
+R-tree (:mod:`repro.index`); the refinement step here is *exact*: a linearly
 moving point lies inside an axis-aligned rectangle exactly when four
 linear inequalities hold, so the time set is an intersection of
 intervals computed in closed form per unit — no sampling.
@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Callable, Dict, Hashable, Iterable, List, Optional, Tuple
 
 from repro import obs
-from repro.config import feq, fle, fzero
+from repro.config import EPSILON, feq, fle, fzero
 from repro.errors import InvalidValue, StorageError
 from repro.index.unitindex import MovingObjectIndex
 from repro.ranges.interval import Interval
@@ -184,18 +184,17 @@ class WindowQueryEngine:
         """Objects inside ``rect`` at some instant of [t0, t1], with the
         exact time sets of their presence (restricted to the window).
 
-        The filter step is backend-switched: R-tree descent (scalar) or
-        the columnar per-unit cube sweep (any columnar backend); both
-        yield the same candidate set, and the exact per-unit refinement
-        is shared.  On a pooled backend filter *and* refinement run as
-        one chunked ``window_intervals`` sweep over the collection
-        column (``workers`` pool processes) — same results, assembled
-        straight from the kernel's canonical interval runs.
-        ``strict=False`` quarantines candidates whose storage
+        On every columnar backend filter *and* refinement are one
+        ``window_intervals`` sweep over the collection column (chunked
+        over ``workers`` pool processes where the backend has a pool),
+        the answer assembled straight from the kernel's canonical
+        interval runs; ``scalar`` is the reference: R-tree descent, then
+        the exact per-unit refinement of each candidate — same results.
+        ``strict=False`` quarantines objects whose storage
         representation fails to load (skipped, counted under
         ``storage.quarantined``) instead of aborting the query.
         """
-        if backends.pooled(backend):
+        if backends.columnar(backend):
             try:
                 keys, col = self._snapshot_column(strict)
             except (InvalidValue, StorageError):
@@ -211,9 +210,14 @@ class WindowQueryEngine:
                 return grouped
         window_times = RangeSet([Interval(t0, t1)])
         results: List[Tuple[Hashable, RangeSet[float]]] = []
-        cube = Cube(rect.xmin, rect.ymin, t0, rect.xmax, rect.ymax, t1)
+        # The refinement admits a coordinate within EPSILON of the window
+        # (``fle`` in ``_linear_within``); so must the filter before it.
+        cube = Cube(
+            rect.xmin - EPSILON, rect.ymin - EPSILON, t0,
+            rect.xmax + EPSILON, rect.ymax + EPSILON, t1,
+        )
         for key in sorted(
-            self._index.candidates_in_cube(cube, backend=backend), key=str
+            self._index.candidates_in_cube(cube, backend="scalar"), key=str
         ):
             if strict:
                 mp = self._resolve(key)

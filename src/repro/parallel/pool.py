@@ -101,6 +101,31 @@ def _worker_reset_signals() -> None:
     signal.signal(signal.SIGINT, signal.SIG_IGN)
 
 
+def _worker_init(slots: Any) -> None:
+    """Initializer of every pool worker: default signal dispositions,
+    then a core of its own.
+
+    Forked workers start on whichever core the scheduler picks at that
+    moment and are woken there from then on; on a small machine both
+    workers of a two-chunk batch regularly end up on one core (the
+    dispatching thread holds the other) and the chunks run one after
+    the other for the rest of the pool's life — or side by side, if the
+    fork happened to fall differently.  Worker ``k`` (``slots`` counts
+    them across respawns) is therefore pinned to the ``k``-th core this
+    process may use, wrapping around, so that what a batch costs does
+    not depend on where its workers were born.
+    """
+    _worker_reset_signals()
+    if not hasattr(os, "sched_setaffinity"):  # pragma: no cover - non-Linux
+        return
+    with slots.get_lock():
+        slot = slots.value
+        slots.value += 1
+    cores = sorted(os.sched_getaffinity(0))
+    if len(cores) > 1:
+        os.sched_setaffinity(0, {cores[slot % len(cores)]})
+
+
 def get_pool(n: int) -> Any:
     """The shared pool, (re)created to hold exactly ``n`` workers."""
     global _pool, _pool_size
@@ -112,7 +137,10 @@ def get_pool(n: int) -> Any:
                 ctx = multiprocessing.get_context("fork")
             else:  # pragma: no cover - non-POSIX fallback
                 ctx = multiprocessing.get_context()
-            _pool = ctx.Pool(processes=n, initializer=_worker_reset_signals)
+            _pool = ctx.Pool(
+                processes=n, initializer=_worker_init,
+                initargs=(ctx.Value("i", 0),),
+            )
             _pool_size = n
             if obs.enabled:
                 obs.counters.high_water("parallel.workers", n)

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
+from repro.config import EPSILON
 from repro.errors import InvalidValue
 from repro.geometry.primitives import Vec
 
@@ -50,6 +51,24 @@ class Rect:
     def contains_point(self, p: Vec) -> bool:
         """True iff the point lies in the closed rectangle."""
         return self.xmin <= p[0] <= self.xmax and self.ymin <= p[1] <= self.ymax
+
+    def near(self, x, y, eps: float = EPSILON):
+        """True iff ``(x, y)`` lies in the rectangle grown by ``eps`` on
+        every side — a bool for floats, a mask for coordinate arrays.
+
+        The one bounding-box cut in front of the eps-tolerant
+        point-in-region tests, scalar (``Region.contains_point``) and
+        batched (``inside_prefilter``) alike: ``point_on_seg`` accepts a
+        point within ``eps`` of a segment's box, so the exact
+        :meth:`contains_point` would cut points the test behind it
+        accepts.
+        """
+        return (
+            (self.xmin - eps <= x)
+            & (x <= self.xmax + eps)
+            & (self.ymin - eps <= y)
+            & (y <= self.ymax + eps)
+        )
 
     def contains_rect(self, other: "Rect") -> bool:
         """True iff ``other`` lies entirely within this rectangle."""

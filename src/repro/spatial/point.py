@@ -9,6 +9,9 @@ from repro.errors import InvalidValue, TypeMismatch, UndefinedValue
 from repro.geometry.primitives import Vec, dist, point_cmp
 
 
+_new = object.__new__
+
+
 class Point:
     """A point in the Euclidean plane, with lexicographic order.
 
@@ -33,6 +36,15 @@ class Point:
     def from_vec(cls, v: Vec) -> "Point":
         """Wrap a raw coordinate tuple."""
         return cls(v[0], v[1])
+
+    @classmethod
+    def of_finite(cls, xy: Vec) -> "Point":
+        """Wrap a pair of Python floats the caller has already checked
+        to be finite — for bulk builders that validate a whole
+        coordinate array at once instead of once per point."""
+        p = _new(cls)
+        _set_xy(p, xy)
+        return p
 
     def __setattr__(self, name, value):
         raise AttributeError("Point values are immutable")
@@ -90,3 +102,8 @@ class Point:
         if self._xy is None:
             return "Point(⊥)"
         return f"Point({self._xy[0]:g}, {self._xy[1]:g})"
+
+
+#: The slot's own setter: ``Point.__setattr__`` refuses, and
+#: ``object.__setattr__`` looks the name up on every call.
+_set_xy = Point._xy.__set__

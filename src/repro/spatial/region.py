@@ -134,7 +134,7 @@ class Cycle:
 
     def contains_point(self, p: Vec, boundary_counts: bool = True) -> bool:
         """True iff ``p`` is enclosed (boundary included by default)."""
-        if not self._bbox.contains_point(p):
+        if not self._bbox.near(p[0], p[1]):
             return False
         return point_in_segset(p, self._segs, boundary_counts=boundary_counts)
 
@@ -401,7 +401,7 @@ class Region:
     ) -> bool:
         """Point-in-region (the static ``inside`` predicate)."""
         v = p.vec if isinstance(p, Point) else (float(p[0]), float(p[1]))
-        if self._bbox is None or not self._bbox.contains_point(v):
+        if self._bbox is None or not self._bbox.near(v[0], v[1]):
             return False
         return any(f.contains_point(v, boundary_counts) for f in self._faces)
 

@@ -581,6 +581,23 @@ class MovingPointCodec(Codec):
         ]
         return MovingPoint(units, validate=False)
 
+    def unit_array(self, stored: StoredValue) -> DatabaseArray:
+        """The stored units array, for readers that reinterpret its
+        payload in bulk (``UPointColumn.from_unit_arrays``) instead of
+        unpacking record by record; anything but this codec's layout is
+        a :class:`CorruptRecordError`, as it is for :func:`safe_unpack`.
+        """
+        if (
+            codec_for(stored.type_name) is not self
+            or not stored.arrays
+            or stored.arrays[0].record_format != self._UNIT.format
+        ):
+            raise CorruptRecordError(
+                f"value of type {stored.type_name!r} does not hold a "
+                f"{self.type_name} units array"
+            )
+        return stored.arrays[0]
+
 
 # ---------------------------------------------------------------------------
 # Mappings of variable-size units: shared subarrays (Figure 7)

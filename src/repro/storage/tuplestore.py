@@ -17,7 +17,7 @@ the buffer pool do not.
 from __future__ import annotations
 
 import struct
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from repro import faults, obs
 from repro.errors import CorruptRecordError, StorageError
@@ -236,13 +236,20 @@ class TupleStore:
 
     # -- read path ---------------------------------------------------------------
 
-    def fetch(self, tuple_id: int) -> List:
-        """Read one tuple back, unpacking every attribute value.
+    def fetch_stored(self, tuple_id: int) -> List[StoredValue]:
+        """Read one tuple back as its per-attribute stored values.
 
-        Every length and offset is validated before slicing; a mangled
-        tuple raises :class:`CorruptRecordError` naming the tuple,
-        never a bare ``struct.error`` and never a silently short value.
+        The storage half of :meth:`fetch`: every length and offset is
+        validated before slicing and every FLOB chain is read, so a
+        mangled tuple raises :class:`CorruptRecordError` naming the
+        tuple, never a bare ``struct.error`` and never a silently short
+        value — but no attribute is unpacked.  Columnar readers
+        reinterpret the unit arrays in bulk and unpack only the rows
+        they return.
         """
+        return list(self._walk(tuple_id))
+
+    def _walk(self, tuple_id: int) -> Iterator[StoredValue]:
         if not 0 <= tuple_id < len(self._tuples):
             raise StorageError(f"tuple id {tuple_id} out of range")
         data = self._tuples[tuple_id]
@@ -256,7 +263,6 @@ class TupleStore:
                 )
 
         off = 0
-        values = []
         for attr_name, _type in self.schema:
             need(off, 2, f"type tag of {attr_name!r}")
             (tname_len,) = struct.unpack_from("<H", data, off)
@@ -290,8 +296,28 @@ class TupleStore:
                     off += 17
                     blob = self._flobs.read(FlobRef(first_page, length))
                 arrays.append(DatabaseArray.from_bytes(blob))
-            values.append(safe_unpack(StoredValue(tname, bytes(root), arrays)))
-        return values
+            yield StoredValue(tname, bytes(root), arrays)
+
+    def fetch(self, tuple_id: int) -> List:
+        """Read one tuple back, unpacking every attribute value.
+
+        :meth:`fetch_stored` plus the codecs, attribute by attribute; a
+        mangled tuple raises :class:`CorruptRecordError`.
+        """
+        return [safe_unpack(stored) for stored in self._walk(tuple_id)]
+
+    def _scan(self, read: Callable[[int], List], strict: bool) -> Iterator[Tuple[int, List]]:
+        for tid in range(len(self._tuples)):
+            if strict:
+                yield tid, read(tid)
+                continue
+            try:
+                row = read(tid)
+            except StorageError:
+                if obs.enabled:
+                    obs.counters.add("storage.quarantined")
+                continue
+            yield tid, row
 
     def scan(self, strict: bool = True) -> Iterator[List]:
         """Iterate over all tuples in insertion order.
@@ -301,17 +327,16 @@ class TupleStore:
         ``storage.quarantined`` — instead of aborting the scan; with the
         default ``strict=True`` the :class:`StorageError` propagates.
         """
-        for tid in range(len(self._tuples)):
-            if strict:
-                yield self.fetch(tid)
-                continue
-            try:
-                row = self.fetch(tid)
-            except StorageError:
-                if obs.enabled:
-                    obs.counters.add("storage.quarantined")
-                continue
+        for _tid, row in self._scan(self.fetch, strict):
             yield row
+
+    def scan_stored(
+        self, strict: bool = True
+    ) -> Iterator[Tuple[int, List[StoredValue]]]:
+        """:meth:`scan` at the :meth:`fetch_stored` seam: ``(tuple id,
+        stored values)`` pairs, the id kept so that a quarantined tuple
+        leaves a gap instead of shifting its successors."""
+        return self._scan(self.fetch_stored, strict)
 
     # -- statistics -----------------------------------------------------------------
 

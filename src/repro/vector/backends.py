@@ -59,8 +59,7 @@ from repro.vector.kernels import (
 BACKENDS = ("scalar", "vector", "parallel", "sharded")
 
 #: Backends that reach the fork pool given the operand for it: the ones
-#: ``workers=`` (the CLI's ``--workers``) affects, and whose SQL scans
-#: batch their window refinement.
+#: ``workers=`` (the CLI's ``--workers``) affects.
 POOLED_BACKENDS = ("parallel", "sharded")
 
 #: The process-wide default (the CLI's ``--backend`` flag ends up here).
@@ -236,10 +235,14 @@ def _scalar_count_inside(
 
 def _points(lanes: Tuple[np.ndarray, np.ndarray, np.ndarray]) -> List[Optional[Point]]:
     xs, ys, defined = lanes
-    return [
-        Point(float(x), float(y)) if d else None
-        for x, y, d in zip(xs, ys, defined)
-    ]
+    if not (np.isfinite(xs[defined]).all() and np.isfinite(ys[defined]).all()):
+        raise InvalidValue("point coordinates must be finite")
+    out: List[Optional[Point]] = list(
+        map(Point.of_finite, zip(xs.tolist(), ys.tolist()))
+    )
+    for i in np.flatnonzero(~defined).tolist():
+        out[i] = None
+    return out
 
 
 def _point_lanes(

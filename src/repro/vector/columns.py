@@ -233,6 +233,44 @@ class UPointColumn(UnitColumn):
             rec["x0"], rec["x1"], rec["y0"], rec["y1"],
         )
 
+    @classmethod
+    def from_unit_arrays(
+        cls,
+        arrays: Sequence[DatabaseArray],
+        lanes: np.ndarray,
+        n_objects: int,
+    ) -> "UPointColumn":
+        """Column over stored ``mapping(upoint)`` units arrays — the page
+        bytes reinterpreted, no unit object built.
+
+        ``arrays[k]`` holds the units of object ``lanes[k]`` (ascending)
+        out of ``n_objects``; an object without an array has no units.  Field for field equal to
+        :meth:`from_mappings` over the unpacked values, and what their
+        constructors reject (``s > e``, a degenerate interval not closed
+        on both sides, non-finite coefficients) is the same
+        :class:`InvalidValue` here, checked on the whole column at once.
+        """
+        lens = np.fromiter((len(a) for a in arrays), np.int64, len(arrays))
+        counts = np.zeros(n_objects, dtype=np.int64)
+        counts[lanes] = lens
+        rec = np.frombuffer(
+            bytearray().join(a.payload for a in arrays), dtype=cls.UNIT_DTYPE
+        )
+        for flag in ("lc", "rc"):  # struct's "?" reads any nonzero byte as True
+            rec[flag] = rec[flag].view(np.uint8) != 0
+        s, e = rec["s"], rec["e"]
+        if np.any(s > e):
+            raise InvalidValue("stored unit interval start exceeds its end")
+        if np.any((s == e) & ~(rec["lc"] & rec["rc"])):
+            raise InvalidValue("a degenerate interval must be closed on both sides")
+        if not all(np.isfinite(rec[f]).all() for f in cls.EXTRA_FIELDS):
+            raise InvalidValue("MPoint coefficients must be finite")
+        owner = np.repeat(np.arange(len(arrays)), lens)
+        if np.any((s[1:] < s[:-1]) & (owner[1:] == owner[:-1])):
+            # A mapping sorts its units on construction; so does its column.
+            rec = rec[np.lexsort((rec["rc"], e, ~rec["lc"], s, owner))]
+        return cls.from_records(_as_offsets(counts), rec)
+
     def to_mappings(self) -> List[MovingPoint]:
         """Materialize the column back into ``MovingPoint`` objects."""
         from repro.temporal.mseg import MPoint

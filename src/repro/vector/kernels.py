@@ -257,30 +257,33 @@ def on_boundary_batch(
 
     Vectorized transcription of ``point_on_seg`` (span-scaled collinear
     tolerance + eps-widened bounding box) any-reduced over segments.
+    The box test runs over all N × S pairs, the collinearity arithmetic
+    only over the pairs that pass it — around a polygon a segment or two
+    per point, not S.
     """
     px, py = _points_to_arrays(points)
     arr = segs if isinstance(segs, np.ndarray) else segs_to_array(segs)
     _record_rows("on_boundary", len(px))
+    on = np.zeros(len(px), dtype=np.bool_)
     if arr.size == 0 or px.size == 0:
-        return np.zeros(len(px), dtype=np.bool_)
+        return on
     x0, y0, x1, y1 = arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3]
-    dqx, dqy = x1 - x0, y1 - y0
-    drx = px[:, None] - x0
-    dry = py[:, None] - y0
-    val = dqx * dry - dqy * drx
-    scale = np.maximum.reduce(
-        [np.broadcast_to(np.abs(dqx), val.shape),
-         np.broadcast_to(np.abs(dqy), val.shape),
-         np.abs(drx), np.abs(dry), np.ones_like(val)]
-    )
-    collinear = np.abs(val) <= eps * scale
     in_box = (
         (np.minimum(x0, x1) - eps <= px[:, None])
         & (px[:, None] <= np.maximum(x0, x1) + eps)
         & (np.minimum(y0, y1) - eps <= py[:, None])
         & (py[:, None] <= np.maximum(y0, y1) + eps)
     )
-    return np.any(collinear & in_box, axis=1)
+    p, s = np.nonzero(in_box)
+    dqx, dqy = (x1 - x0)[s], (y1 - y0)[s]
+    drx = px[p] - x0[s]
+    dry = py[p] - y0[s]
+    val = dqx * dry - dqy * drx
+    scale = np.maximum.reduce(
+        [np.abs(dqx), np.abs(dqy), np.abs(drx), np.abs(dry), np.ones_like(val)]
+    )
+    on[p[np.abs(val) <= eps * scale]] = True
+    return on
 
 
 def inside_prefilter(
@@ -294,16 +297,25 @@ def inside_prefilter(
     Equivalent to ``point_in_segset(p, region.segments())`` per point —
     odd parity of upward-ray crossings over *all* boundary segments
     (parity handles holes and islands-in-holes alike), with boundary
-    points decided by ``boundary_counts``.  Used as the set-at-a-time
-    prefilter in fleet snapshot queries before any per-object exact
-    work.
+    points decided by ``boundary_counts`` — behind the bounding-box cut
+    of ``Region.contains_point`` (:meth:`Rect.near`, the same ``eps``):
+    only points that pass it reach the O(points × segments) sweeps.
+    Used as the set-at-a-time prefilter in fleet snapshot queries before
+    any per-object exact work.
     """
     px, py = _points_to_arrays(points)
-    arr = segs_to_array(region.segments())
-    odd = crossings_above_batch(np.column_stack([px, py]), arr, eps) % 2 == 1
-    on = on_boundary_batch(np.column_stack([px, py]), arr, eps)
     _record_rows("inside_prefilter", len(px))
-    return np.where(on, boundary_counts, odd)
+    inside = np.zeros(len(px), dtype=np.bool_)
+    if not region.faces:
+        return inside
+    idx = np.flatnonzero(region.bbox().near(px, py, eps))
+    if idx.size:
+        near = np.column_stack([px[idx], py[idx]])
+        arr = segs_to_array(region.segments())
+        odd = crossings_above_batch(near, arr, eps) % 2 == 1
+        on = on_boundary_batch(near, arr, eps)
+        inside[idx] = np.where(on, boundary_counts, odd)
+    return inside
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,10 @@ path (fleet helpers, window engine, SQL batch predicates), with the
 counted fallbacks engaging exactly when dispatch is not worthwhile.
 """
 
+import os
+import signal
+import time
+
 import numpy as np
 import pytest
 
@@ -529,3 +533,66 @@ class TestAttachTableKeyedByKind:
                 assert np.array_equal(mask, bbox_filter_batch(bb, cube))
         assert counters.get("parallel.fallback") == 0
         assert counters.get("parallel.chunks") == 12
+
+
+# ---------------------------------------------------------------------------
+# Worker placement
+# ---------------------------------------------------------------------------
+
+
+def _where(_i):
+    """Worker-side: which process ran this, and where it may run."""
+    time.sleep(0.02)  # long enough that the other worker takes the next
+    return os.getpid(), sorted(os.sched_getaffinity(0))
+
+
+def _die():
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="needs two cores this process may run on",
+)
+class TestWorkerPlacement:
+    """What a two-chunk batch costs must not depend on where the
+    scheduler happened to put the workers when they were forked: each
+    gets a core of its own (found while steadying ``api_scan_warm`` —
+    unpinned, both workers sat on one core in 34 of 35 batches and the
+    chunks ran back to back)."""
+
+    def _placement(self):
+        from repro.parallel import pool
+
+        return dict(pool.get_pool(2).map(_where, range(8), chunksize=1))
+
+    def test_each_worker_has_a_core_of_its_own(self):
+        from repro.parallel import pool
+
+        cores = sorted(os.sched_getaffinity(0))
+        pool.shutdown()
+        try:
+            seen = self._placement()
+        finally:
+            pool.shutdown()
+        assert sorted(seen.values()) == [[cores[0]], [cores[1]]]
+        assert sorted(os.sched_getaffinity(0)) == cores  # parent untouched
+
+    def test_a_respawned_worker_is_pinned_too(self):
+        from repro.parallel import pool
+
+        pool.shutdown()
+        try:
+            first = self._placement()
+            # Mid-task, as the chaos matrix kills: an idle worker may
+            # die holding the task queue's read lock and wedge the pool.
+            pool.get_pool(2).apply_async(_die)
+            deadline = time.monotonic() + 5.0
+            while time.monotonic() < deadline:
+                seen = self._placement()
+                if len(seen) == 2 and set(seen) != set(first):
+                    break
+            assert set(seen) != set(first), "the pool never respawned"
+            assert all(len(where) == 1 for where in seen.values())
+        finally:
+            pool.shutdown()
