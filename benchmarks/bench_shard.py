@@ -1,11 +1,11 @@
 """V10: sharded fleets under a memory budget (repro.shard).
 
-Claim under test: hash-partitioned shards with per-shard column stores,
+Claim under test: spatially tiled shards with per-shard column stores,
 shard-level bbox pruning, and candidate sub-column gather answer a
 window query over 1M objects / 4M units in under 100 ms *cold* — with a
 resident-byte budget smaller than the fleet's total column bytes, so
-the CLOCK policy is actively evicting shards throughout — while
-returning results bit-identical to the unsharded vector kernel
+the CLOCK policy evicts shards as windows move across the extent —
+while returning results bit-identical to the unsharded vector kernel
 (mismatch count asserted at zero, eviction churn and the
 ``shard.resident_bytes`` high-water counter-asserted against the
 budget).
@@ -30,6 +30,7 @@ from repro.shard import ShardManager, ShardedFleet, sharded_window_intervals
 from repro.spatial.bbox import Rect
 from repro.temporal.mapping import MovingPoint
 from repro.vector.cache import clear_cache
+from repro.vector.kernels import window_intervals_batch
 from repro.vector.store import _BUILDERS
 
 FLEET_SIZE = 1_000_000
@@ -42,6 +43,14 @@ BUDGET_DIVISOR = 4
 #: gather (not the fleet size) sets the kernel cost.
 RECT = Rect(4000.0, 4000.0, 4500.0, 4500.0)
 WINDOW = (20.0, 25.0)
+#: Windows of RECT's size drawn across the 10k x 10k extent.  One
+#: window overlaps a tile or two; together they visit every tile, so a
+#: budget below the column total has to evict however the fleet was cut.
+SWEEP = [
+    Rect(x, y, x + 500.0, y + 500.0)
+    for x in (1000.0, 3500.0, 6000.0, 8500.0)
+    for y in (1000.0, 3500.0, 6000.0, 8500.0)
+]
 BUDGET_MS = 100.0
 
 
@@ -80,8 +89,9 @@ def measure_sharded(mappings, shards: int = SHARDS, root=None) -> dict:
     """Stage per-shard stores, then time cold and warm budgeted scatters.
 
     Cold means: nothing resident (``evict_all`` + process cache clear),
-    columns mapped from the per-shard mmap stores during the query, with
-    the budget forcing evictions as the scatter sweeps the shards.
+    columns mapped from the per-shard mmap stores during the query.  The
+    untimed ``SWEEP`` that follows moves the window across every tile,
+    the budget forcing evictions as it goes.
     """
     if root is None:
         root = tempfile.mkdtemp(prefix="bench_shard_")
@@ -106,6 +116,9 @@ def measure_sharded(mappings, shards: int = SHARDS, root=None) -> dict:
         tic = time.perf_counter()
         warm = sharded_window_intervals(manager, rect, t0, t1)
         warm_s = time.perf_counter() - tic
+        swept = [
+            sharded_window_intervals(manager, r, t0, t1) for r in SWEEP
+        ]
         evictions = obs.get("shard.evictions")
         pruned = obs.get("shard.pruned")
         resident_high = obs.snapshot()["gauges"].get(
@@ -114,8 +127,11 @@ def measure_sharded(mappings, shards: int = SHARDS, root=None) -> dict:
     finally:
         obs.disable()
 
-    reference = window_intervals_batch_reference(mappings, rect, t0, t1)
+    flat = _BUILDERS["upoint"](mappings)  # the unsharded oracle
+    reference = window_intervals_batch(flat, rect, t0, t1)
     mismatches = _mismatches(got, reference) + _mismatches(warm, reference)
+    for r, rows in zip(SWEEP, swept):
+        mismatches += _mismatches(rows, window_intervals_batch(flat, r, t0, t1))
     return {
         "objects": len(mappings),
         "units": int(sum(len(m.units) for m in mappings)),
@@ -131,13 +147,6 @@ def measure_sharded(mappings, shards: int = SHARDS, root=None) -> dict:
         "shards_pruned": int(pruned),
         "mismatches": int(mismatches),
     }
-
-
-def window_intervals_batch_reference(mappings, rect, t0, t1):
-    """The unsharded kernel over one flat column (the oracle)."""
-    from repro.vector.kernels import window_intervals_batch
-
-    return window_intervals_batch(_BUILDERS["upoint"](mappings), rect, t0, t1)
 
 
 def assert_result(result: dict) -> None:

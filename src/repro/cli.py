@@ -394,7 +394,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="evaluation backend for fleet-level operations: scalar "
         "reference loops, columnar numpy kernels (repro.vector), "
         "those kernels chunked over a shared-memory process pool "
-        "(repro.parallel), or hash-partitioned shards with "
+        "(repro.parallel), or spatially tiled shards with "
         "scatter-gather execution (repro.shard)",
     )
     parser.add_argument(
@@ -410,9 +410,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         type=int,
         default=None,
         metavar="N",
-        help="hash-partition fleets into N shards by object id "
-        "(N >= 1; 1 keeps fleets unsharded, the default); each shard "
-        "owns its own columns, store directory, and R-tree",
+        help="pack fleets into N equal-count spatial tiles of their "
+        "objects' bounding cubes (N >= 1; 1 keeps fleets unsharded, the "
+        "default); each shard owns its own columns and store directory",
     )
     parser.add_argument(
         "--memory-budget",

@@ -44,7 +44,7 @@ BUFFER_RETRY_BASE_DELAY: float = 0.0005
 #: process pool whose workers map store-backed columns from their files
 #: and attach the rest through shared memory, :mod:`repro.parallel`) or
 #: ``"sharded"`` (scattered over the budgeted shards of a
-#: hash-partitioned fleet, :mod:`repro.shard`).  Flip at runtime with
+#: spatially tiled fleet, :mod:`repro.shard`).  Flip at runtime with
 #: ``repro.vector.set_backend`` or the CLI's ``--backend`` flag.
 DEFAULT_BACKEND: str = "scalar"
 
@@ -67,7 +67,7 @@ PARALLEL_MIN_OBJECTS: int = 1024
 #: costs validation, not memory.  High-water tracked as ``colcache.bytes``.
 COLCACHE_BYTES: int = 256 * 1024 * 1024
 
-#: Default shard count of :mod:`repro.shard` hash-partitioned fleets.
+#: Default shard count of :mod:`repro.shard` spatially tiled fleets.
 #: ``1`` means unsharded (every existing path unchanged); the CLI's
 #: ``--shards`` flag and ``repro.shard.set_shards`` raise it.
 DEFAULT_SHARDS: int = 1

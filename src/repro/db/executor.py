@@ -304,12 +304,13 @@ class MmapScan(VectorScan):
 
 
 class ShardedScan(VectorScan):
-    """A :class:`VectorScan` hash-partitioned into fleet shards, batch
-    predicates answered by scatter-gather (:mod:`repro.shard`).
+    """A :class:`VectorScan` tiled into fleet shards, batch predicates
+    answered by scatter-gather (:mod:`repro.shard`).
 
     Row output is identical; the difference is physical: the attribute's
-    mappings are partitioned by object id into ``n_shards`` shard
-    fleets, each with its own columns held under a byte-budgeted
+    mappings are packed into ``n_shards`` equal-count spatial tiles of
+    their bounding cubes (whole objects, row order kept within a shard),
+    each a shard fleet with its own columns held under a byte-budgeted
     :class:`~repro.shard.manager.ShardManager` — window predicates prune
     whole shards by their bounding cubes before any column is mapped,
     and the per-shard kernel outputs gather back bit-identical to the

@@ -96,9 +96,15 @@ def _worker_reset_signals() -> None:
     from the handler, and resume waiting: unkillable, hanging the
     terminate-side ``join()`` forever.  SIGTERM must kill a worker;
     SIGINT stays parent-side (the dispatcher drains and retries).
+
+    Workers are forked with SIGTERM blocked (:func:`get_pool`) and
+    unblock it here, once the default disposition is back: a
+    ``terminate()`` that arrives before this ran stays pending and then
+    kills, instead of being swallowed by the inherited handler.
     """
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGTERM})
 
 
 def _worker_init(slots: Any) -> None:
@@ -137,10 +143,17 @@ def get_pool(n: int) -> Any:
                 ctx = multiprocessing.get_context("fork")
             else:  # pragma: no cover - non-POSIX fallback
                 ctx = multiprocessing.get_context()
-            _pool = ctx.Pool(
-                processes=n, initializer=_worker_init,
-                initargs=(ctx.Value("i", 0),),
-            )
+            # Blocked across the fork — and in the pool's own threads,
+            # which fork the replacements of dead workers — until each
+            # worker has reset its dispositions.
+            mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM})
+            try:
+                _pool = ctx.Pool(
+                    processes=n, initializer=_worker_init,
+                    initargs=(ctx.Value("i", 0),),
+                )
+            finally:
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
             _pool_size = n
             if obs.enabled:
                 obs.counters.high_water("parallel.workers", n)

@@ -1,14 +1,16 @@
-"""Sharded fleets: hash partitioning, scatter-gather, memory budget.
+"""Sharded fleets: spatial tiling, scatter-gather, memory budget.
 
 The Section-4 sliced representation was designed for *large* sets of
 moving objects; this package is the scale step past one shared-memory
-segment per fleet.  A :class:`ShardedFleet` hash-partitions the root
-records by object id into independent per-shard fleets; a
-:class:`ShardManager` gives each shard its own column-store directory,
-column set, and STR-bulk-loaded R-tree under a byte-budgeted CLOCK
-residency policy; and :mod:`repro.shard.exec` partitions each operator
-table row (:mod:`repro.vector.backends`) across the shards, whose
-outputs gather bit-identical to the unsharded kernel's.
+segment per fleet.  A :class:`ShardedFleet` packs the root records into
+equal-count spatial tiles of their bounding cubes — whole objects, each
+in exactly one shard, global ids ascending within it — so a window
+query's shard-level cube test rules out every tile it does not overlap;
+a :class:`ShardManager` gives each shard its own column-store directory
+and column set under a byte-budgeted CLOCK residency policy; and
+:mod:`repro.shard.exec` partitions each operator table row
+(:mod:`repro.vector.backends`) across the shards, whose outputs gather
+bit-identical to the unsharded kernel's.
 
 Process-wide defaults (the CLI's ``--shards`` / ``--memory-budget``
 flags land here): ``set_shards`` picks how many shards newly registered
@@ -28,7 +30,7 @@ from repro.shard.exec import (
     sharded_count_inside,
     sharded_window_intervals,
 )
-from repro.shard.fleet import ShardedFleet, shard_of
+from repro.shard.fleet import ShardedFleet
 from repro.shard.manager import ShardManager
 
 __all__ = [
@@ -38,7 +40,6 @@ __all__ = [
     "get_shards",
     "set_memory_budget",
     "set_shards",
-    "shard_of",
     "sharded_atinstant",
     "sharded_bbox_filter",
     "sharded_count_inside",

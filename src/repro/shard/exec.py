@@ -9,14 +9,18 @@ a time — so a memory budget below the working set holds — and merges
 back into the exact arrays the unsharded kernel would have produced:
 
 * Outputs come back in *local* lanes; the table's merge places them
-  through the shard's ascending global-id array, which restores the
-  unsharded order exactly — bit for bit (NaN ⊥ lanes, open/closed
-  flags, float payloads), pinned by the hypothesis property in
-  ``tests/test_shard_properties.py``.
+  through the shard's global-id array.  Every object lives in exactly
+  one shard and that array is strictly ascending (the two invariants
+  :class:`~repro.shard.fleet.ShardedFleet` keeps however it places
+  objects), which restores the unsharded order exactly — bit for bit
+  (NaN ⊥ lanes, open/closed flags, float payloads), pinned by the
+  hypothesis properties in ``tests/test_shard_properties.py``.
 * Window scatters prune twice before touching unit data: shard-level
   bounding cubes first (:meth:`ShardManager.prune` — no column mapped
-  at all), then the shard's bbox column selects candidate objects whose
-  units are gathered into a compact sub-column for the kernel.  Both
+  at all; the shards are spatial tiles, so a selective window keeps the
+  one or two it overlaps), then the shard's bbox column selects
+  candidate objects whose units are gathered into a compact sub-column
+  for the kernel.  Both
   filters test against the query cube widened by ``EPSILON`` — the
   window kernel's slab tolerance — so dropped objects are exactly
   those the full kernel would emit no rows for.

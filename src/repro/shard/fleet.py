@@ -1,24 +1,47 @@
-"""Hash-partitioned fleets: Section-4 root records split by object id.
+"""Space-tiled fleets: Section-4 root records split into spatial tiles.
 
 The paper's sliced representation keeps one *root record* per moving
 object and an array of fixed-size unit records per slice; nothing in
 that layout requires all root records to live in one array.  A
-:class:`ShardedFleet` partitions them by a multiplicative hash of the
-object id into ``n_shards`` independent :class:`repro.vector.cache.Fleet`
-sequences — each with its own version stamp, its own columns, and (under
-a :class:`repro.shard.manager.ShardManager`) its own column-store
-directory and R-tree — while still presenting the global fleet as one
-sequence in insertion order.
+:class:`ShardedFleet` partitions them into ``n_shards`` independent
+:class:`repro.vector.cache.Fleet` sequences — each with its own version
+stamp, its own columns, and (under a
+:class:`repro.shard.manager.ShardManager`) its own column-store
+directory — while still presenting the global fleet as one sequence in
+insertion order.
+
+**Placement.**  Section 4.2 gives every unit a bounding cube so that a
+query can discard what it cannot touch before reading it; a shard whose
+members share a region of space gives the same test a whole shard to
+discard.  Bulk construction therefore computes every member's bounding
+cube from its unit column (:meth:`BBoxColumn.from_upoint`) and packs the
+members into exactly ``n_shards`` *tiles of equal count* by recursive
+bisection on cube centres: ``k`` tiles split ``⌊k/2⌋ + ⌈k/2⌉``, the
+members in the same proportion along one axis, recurse.  The axis cut is
+the one whose centre spread is largest *relative to the members' mean
+extent on it* (how many members fit side by side, at most all of them)
+— an axis on which members are as wide as the fleet (time, for
+short-lived objects that all start together) separates nothing and is
+never cut.  An object appended later joins the shard whose bound
+needs the least enlargement (the R-tree's ChooseLeaf rule), ties to the
+smaller shard, then the lower index.
+
+Placement is *object-granular* — an object's units never span shards —
+because the window kernel merges adjacent in-rect runs within an object
+and the gather requires each owner in one part; for fleets of
+world-spanning objects the tile bounds merely overlap and pruning
+degrades, the answers stay exact.
 
 Two invariants make scatter-gather exact rather than approximate:
 
-* **Stable global ids.**  An object's global id is its append position,
-  forever; ``globals_of(s)`` maps a shard's local positions back to
-  ascending global ids.  Because appends receive increasing ids, every
-  shard's global-id array is sorted — so per-shard kernel output, owner
-  columns rebased through ``globals_of``, concatenated in shard order
-  and stably sorted by owner, is *identical* to the unsharded kernel's
-  output (see :mod:`repro.shard.exec`).
+* **Stable global ids, ascending per shard.**  An object's global id is
+  its append position, forever, and it lives in exactly one shard;
+  ``globals_of(s)`` maps a shard's local positions back to *strictly
+  ascending* global ids (bulk members are placed shard by shard in id
+  order, appends receive increasing ids) — so per-shard kernel output,
+  owner columns rebased through ``globals_of``, concatenated in shard
+  order and stably sorted by owner, is *identical* to the unsharded
+  kernel's output (see :mod:`repro.shard.exec`).
 * **Single-shard writes.**  ``append``/``__setitem__`` route to exactly
   one shard (counted: ``shard.ingest_routed``) and bump exactly one
   shard version, so the version *vector* (:attr:`version`) moves in one
@@ -35,27 +58,92 @@ from repro import obs
 from repro.errors import InvalidValue
 from repro.spatial.bbox import Cube
 from repro.vector.cache import Fleet
+from repro.vector.columns import BBoxColumn
 
-#: Knuth's multiplicative constant (2^32 / φ): spreads consecutive ids
-#: across shards while staying a pure function of the id alone.
-_HASH_MULT = 2654435761
+#: Members whose cubes are computed per step of bulk construction: the
+#: transcription's transient row list stays a few MB instead of growing
+#: with the fleet.
+_CUBE_CHUNK = 8192
 
 
-def shard_of(obj_id: int, n_shards: int) -> int:
-    """Shard owning global object id ``obj_id`` (deterministic hash)."""
-    if n_shards < 1:
-        raise InvalidValue(f"shard count must be >= 1, got {n_shards}")
-    return ((obj_id * _HASH_MULT) & 0xFFFFFFFF) % n_shards
+def _cube_of(value: Any) -> Any:
+    """``value``'s bounding cube; None for an empty mapping, False for a
+    member that is not a sliced mapping (it has no cube, and a bound
+    that excludes it would prune rows it should produce)."""
+    try:
+        return value.bounding_cube() if value.units else None
+    except AttributeError:
+        return False
+
+
+def _member_cubes(members: List[Any]) -> Tuple[np.ndarray, np.ndarray, List[int]]:
+    """``(gids, boxes, unsliced)`` of a member list.
+
+    ``boxes[k]`` is the bounding cube ``(xmin, ymin, tmin, xmax, ymax,
+    tmax)`` of member ``gids[k]`` (ascending); empty mappings have none,
+    and ``unsliced`` lists the members that are not sliced mappings at
+    all.
+    """
+    gids: List[np.ndarray] = [np.empty(0, dtype=np.int64)]
+    boxes: List[np.ndarray] = [np.empty((0, 6))]
+    unsliced: List[int] = []
+    for base in range(0, len(members), _CUBE_CHUNK):
+        chunk = members[base:base + _CUBE_CHUNK]
+        try:
+            col = BBoxColumn.from_mappings(chunk)
+        except InvalidValue:
+            cubes = [(k, _cube_of(m)) for k, m in enumerate(chunk)]
+            unsliced += [base + k for k, c in cubes if c is False]
+            col = BBoxColumn.from_cubes([(k, c) for k, c in cubes if c])
+        gids.append(col.keys_int64() + base)
+        boxes.append(np.column_stack(
+            [col.xmin, col.ymin, col.tmin, col.xmax, col.ymax, col.tmax]
+        ))
+    return np.concatenate(gids), np.concatenate(boxes), unsliced
+
+
+def _tile(boxes: np.ndarray, k: int) -> np.ndarray:
+    """Tile index in ``range(k)`` for each cube: ``k`` groups whose
+    sizes differ by at most one, by recursive bisection on cube centres.
+    """
+    centres = (boxes[:, :3] + boxes[:, 3:]) / 2.0
+    extents = boxes[:, 3:] - boxes[:, :3]
+    out = np.zeros(len(boxes), dtype=np.int64)
+
+    def split(idx: np.ndarray, first: int, k: int) -> None:
+        if k == 1 or idx.size == 0:
+            out[idx] = first
+            return
+        c = centres[idx]
+        spread = c.max(axis=0) - c.min(axis=0)
+        # How many members fit side by side along each axis — at most
+        # all of them, so axes on which the members are (nearly) points
+        # tie at "as separable as it gets" and the first one is cut,
+        # rather than one with no spread to speak of winning on 1/0.
+        width = np.maximum(extents[idx].mean(axis=0), spread / idx.size)
+        fit = np.divide(spread, width, out=np.zeros(3), where=width > 0)
+        axis = int(np.argmax(fit))
+        idx = idx[np.argsort(c[:, axis], kind="stable")]
+        left = k // 2
+        # The first ``n % k`` tiles of a group take the odd members, so
+        # the halves split again into sizes that still differ by <= 1.
+        cut = left * (idx.size // k) + min(left, idx.size % k)
+        split(idx[:cut], first, left)
+        split(idx[cut:], first + left, k - left)
+
+    split(np.arange(len(boxes)), 0, k)
+    return out
 
 
 class ShardedFleet:
-    """A fleet of moving objects hash-partitioned into shard fleets.
+    """A fleet of moving objects partitioned into spatial shard fleets.
 
     Sequence-like in *global* order (``len``/``[]``/iteration match the
     equivalent unsharded fleet member for member), with all storage held
     by the per-shard :class:`Fleet` instances in :attr:`shards`.  Shard
-    membership is ``shard_of(global_id, n_shards)`` — never rebalanced,
-    so a mapping's shard (and its position within it) is stable for the
+    membership is decided once — by tiling at construction, by least
+    bound enlargement on ``append`` — and never rebalanced, so a
+    mapping's shard (and its position within it) is stable for the
     fleet's lifetime.
     """
 
@@ -68,28 +156,52 @@ class ShardedFleet:
         if n_shards < 1:
             raise InvalidValue(f"shard count must be >= 1, got {n_shards}")
         self.n_shards = n_shards
-        self.shards: List[Fleet] = [Fleet() for _ in range(n_shards)]
-        # global id -> (shard, local position)
-        self._locate: List[Tuple[int, int]] = []
+        members = list(mappings)
+        gids, boxes, unsliced = _member_cubes(members)
+        assign = np.full(len(members), -1, dtype=np.int64)
+        assign[gids] = _tile(boxes, n_shards)
+        # Members without a cube say nothing about where they belong:
+        # they even out the counts.
+        counts = np.bincount(assign[gids], minlength=n_shards)
+        for gid in np.flatnonzero(assign < 0):
+            assign[gid] = s = int(np.argmin(counts))
+            counts[s] += 1
+        order = np.argsort(assign, kind="stable")
+        ends = np.cumsum(counts)
         # shard -> ascending global ids of its members
-        self._globals: List[List[int]] = [[] for _ in range(n_shards)]
-        self._garr: List[Optional[np.ndarray]] = [None] * n_shards
+        self._garr: List[Optional[np.ndarray]] = [
+            order[end - n:end] for n, end in zip(counts, ends)
+        ]
+        self._globals: List[List[int]] = [g.tolist() for g in self._garr]
+        self.shards: List[Fleet] = [
+            Fleet(members[g] for g in gl) for gl in self._globals
+        ]
+        # global id -> (shard, local position)
+        self._locate: List[Tuple[int, int]] = [(0, 0)] * len(members)
+        for s, gl in enumerate(self._globals):
+            for j, g in enumerate(gl):
+                self._locate[g] = (s, j)
+        # Sticky: a member without a bounding cube makes its shard
+        # un-prunable for good (later bounded appends must not revive
+        # a bound that excludes the unbounded member).
+        self._poisoned: List[bool] = [False] * n_shards
+        for gid in unsliced:
+            self._poisoned[assign[gid]] = True
         # shard -> union of member bounding cubes (None until the first
         # bounded member arrives); a conservative superset, grown on
         # every write, consulted by ShardManager.prune *before* any
         # column of the shard is mapped.
         self._bounds: List[Optional[Cube]] = [None] * n_shards
-        # Sticky: a member without a bounding cube makes its shard
-        # un-prunable for good (later bounded appends must not revive
-        # a bound that excludes the unbounded member).
-        self._poisoned: List[bool] = [False] * n_shards
-        for m in mappings:
-            self.append(m)
-        # Prebuild the global-id arrays: bulk construction would
-        # otherwise defer an O(objects) list conversion into the first
-        # query's (timed, cold) scatter.
+        tiles = assign[gids]
         for s in range(n_shards):
-            self.globals_of(s)
+            rows = boxes[tiles == s]
+            if len(rows) and not self._poisoned[s]:
+                self._bounds[s] = Cube(
+                    *rows[:, :3].min(axis=0).tolist(),
+                    *rows[:, 3:].max(axis=0).tolist(),
+                )
+        if obs.enabled and members:
+            obs.counters.add("shard.ingest_routed", len(members))
 
     # -- versioning ---------------------------------------------------------
 
@@ -122,18 +234,28 @@ class ShardedFleet:
     def __setitem__(self, i: int, value: Any) -> None:
         s, j = self._locate[i]
         self.shards[s][j] = value
-        self._grow_bounds(s, value)
+        self._grow_bounds(s, _cube_of(value))
         if obs.enabled:
             obs.counters.add("shard.ingest_routed")
 
     def append(self, value: Any) -> None:
         gid = len(self._locate)
-        s = shard_of(gid, self.n_shards)
+        cube = _cube_of(value)
+
+        def cost(s: int) -> Tuple[float, int, int]:
+            # ChooseLeaf: least enlargement of the bound, then fewer
+            # members, then lower index.  A shard without a bound, like
+            # a member without a cube, has nothing to enlarge.
+            bound = self._bounds[s]
+            grow = bound.enlargement(cube) if bound and cube else 0.0
+            return grow, len(self.shards[s]), s
+
+        s = min(range(self.n_shards), key=cost)
         shard = self.shards[s]
         shard.append(value)
         self._locate.append((s, len(shard) - 1))
         self._globals[s].append(gid)
-        self._grow_bounds(s, value)
+        self._grow_bounds(s, cube)
         if obs.enabled:
             obs.counters.add("shard.ingest_routed")
 
@@ -170,19 +292,15 @@ class ShardedFleet:
         must never be pruned)."""
         return self._bounds[s]
 
-    def _grow_bounds(self, s: int, value: Any) -> None:
-        if self._poisoned[s]:
-            return
-        try:
-            cube = value.bounding_cube() if value.units else None
-        except AttributeError:
-            # Not a sliced mapping: no cube to grow by.  A bound that
-            # excludes this member would prune rows it should produce,
-            # so the shard becomes un-prunable for good.
+    def shard_of(self, gid: int) -> int:
+        """The shard holding global object id ``gid``."""
+        return self._locate[gid][0]
+
+    def _grow_bounds(self, s: int, cube: Any) -> None:
+        if cube is False:
+            # The shard becomes un-prunable for good.
             self._poisoned[s] = True
             self._bounds[s] = None
-            return
-        if cube is None:
-            return
-        current = self._bounds[s]
-        self._bounds[s] = cube if current is None else current.union(cube)
+        elif cube is not None and not self._poisoned[s]:
+            current = self._bounds[s]
+            self._bounds[s] = cube if current is None else current.union(cube)

@@ -2,63 +2,60 @@
 
 A :class:`ShardManager` owns the physical side of a
 :class:`~repro.shard.fleet.ShardedFleet`: one column-store directory
-(``<root>/shard_NNN``), one column set, and one STR-bulk-loaded R-tree
-per shard.  Columns are mapped lazily — a query maps only the shards
-its window survives :meth:`prune` — and stay resident until the memory
-budget forces them out.
+(``<root>/shard_NNN``) and one column set per shard.  Columns are mapped
+lazily — a query maps only the shards its window survives :meth:`prune`,
+which for a fleet of spatial tiles is the few tiles the window overlaps
+— and stay resident until the memory budget forces them out.
 
 Eviction is the shared CLOCK policy (:mod:`repro.residency`): a resident
-shard costs its mapped column bytes plus an estimate for its R-tree, and
-whenever that cost is charged or grows the table is fitted back to the
-budget, cold shards first.  Eviction drops *references* — the manager's and
-the process column cache's — never bytes under a live reader: columns
-are immutable, so a scatter that obtained a column before the eviction
-keeps reading consistent data (the ``shard.evict_during_query`` chaos
-scenario pins exactly this).
+shard costs its mapped column bytes, and whenever that cost is charged
+or grows the table is fitted back to the budget, cold shards first.
+Eviction drops *references* — the manager's and the process column
+cache's — never bytes under a live reader: columns are immutable, so a
+scatter that obtained a column before the eviction keeps reading
+consistent data (the ``shard.evict_during_query`` chaos scenario pins
+exactly this).
 
 Recovery is per shard: each shard directory has its own CRC'd manifest,
 so :meth:`verify_and_repair` rebuilds a corrupt shard alone
-(``shard.rebuilds``) while its siblings' files are untouched.
+(``shard.rebuilds``) while its siblings' files are untouched.  A store
+is stamped with the shard's *generation* — its version and a CRC of its
+membership — so files persisted for other members (another fleet, or
+this one under another placement) are rebuilt, never served.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Any, Dict, List, Optional, Set, Tuple
+import zlib
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro import config, obs
 from repro.analysis import dynlock
 from repro.errors import CorruptColumnError, InvalidValue, StorageError
-from repro.index.rtree import RTree3D
 from repro.residency import Residency
 from repro.shard.fleet import ShardedFleet
 from repro.spatial.bbox import Cube
 from repro.vector.cache import column_for_versioned, column_nbytes, evict_columns
+from repro.vector.columns import BBoxColumn, UPointColumn
 from repro.vector.store import _BUILDERS, ColumnStore
 
 
 class _Resident:
-    """One shard's mapped state: columns by kind, R-tree, and their cost."""
+    """One shard's mapped state: columns by kind and their cost."""
 
-    __slots__ = ("columns", "nbytes", "tree")
+    __slots__ = ("columns", "nbytes")
 
     def __init__(self) -> None:
         # kind -> (version vector entry, column)
         self.columns: Dict[str, Tuple[Any, Any]] = {}
         self.nbytes = 0
-        self.tree: Optional[RTree3D] = None
-
-
-#: Rough per-entry heap cost charged for a resident R-tree (cube + node
-#: bookkeeping); the trees are pure-python, this is an estimate, but an
-#: estimate inside the budget beats an exact figure outside it.
-_TREE_ENTRY_BYTES = 200
 
 
 class ShardManager:
-    """Residency, pruning, indexing, and recovery for one sharded fleet.
+    """Residency, pruning, and recovery for one sharded fleet.
 
     ``root`` selects persistent per-shard column stores (None keeps
     everything in memory through the process column cache).  ``budget``
@@ -80,6 +77,8 @@ class ShardManager:
         self._lock = dynlock.rlock("shard.manager")
         self._resident: Residency[int, _Resident] = Residency(on_evict=self._dropped)
         self._stores: Dict[int, ColumnStore] = {}
+        # shard -> (shard version, generation stamp at that version)
+        self._stamps: Dict[int, Tuple[int, int]] = {}
 
     # -- configuration ------------------------------------------------------
 
@@ -146,6 +145,25 @@ class ShardManager:
             col = self.column(s, "bbox")
         return col, col.keys_int64()
 
+    def _generation(self, s: int) -> int:
+        """The stamp a store of shard ``s`` must carry to be served: the
+        shard's version above a CRC32 of its membership and bound.
+
+        Version and object count alone cannot tell two same-sized shards
+        apart — and equal-count tiles are all the same size — so files
+        persisted for other members would be served as this shard's.
+        Members and bound change only with the version, so the sum is
+        taken once per version, not once per map.
+        """
+        fleet = self.fleet
+        version = fleet.shards[s].version
+        held = self._stamps.get(s)
+        if held is None or held[0] != version:
+            crc = zlib.crc32(fleet.globals_of(s).tobytes())
+            crc = zlib.crc32(repr(fleet.bounds(s)).encode(), crc)
+            held = self._stamps[s] = (version, (version << 32) | crc)
+        return held[1]
+
     def _map_column(self, s: int, kind: str) -> Tuple[Any, Any]:
         """``(version, column)`` for one shard, preferring its store.
         Caller holds the lock."""
@@ -154,7 +172,7 @@ class ShardManager:
         if st is not None:
             try:
                 col = st.load_or_rebuild(
-                    kind, shard, fleet_version=shard.version
+                    kind, shard, fleet_version=self._generation(s)
                 )
                 return shard.version, col
             except (OSError, StorageError):
@@ -214,54 +232,6 @@ class ShardManager:
             obs.counters.add("shard.pruned", ruled_out)
         return keep
 
-    # -- per-shard R-trees --------------------------------------------------
-    #
-    # For library callers; the query service builds none (its window is
-    # a mask on the kernel output), so whoever loads a tree and then
-    # mutates the fleet owes it the ``note_insert``.
-
-    def rtree(self, s: int) -> RTree3D:
-        """Shard ``s``'s unit R-tree, STR-bulk-loaded on first use.
-
-        Entries are keyed by *global* object id, so candidate sets union
-        across shards without translation.  The tree rides the shard's
-        residency entry: evicting the shard drops it too.
-        """
-        with self._lock:
-            res = self._resident.get(s) or _Resident()
-            if res.tree is not None:
-                return res.tree
-            gids = self.fleet.globals_of(s)
-            shard = self.fleet.shards[s]
-            entries = [
-                (u.bounding_cube(), int(gids[j]))
-                for j, m in enumerate(shard)
-                for u in m.units
-            ]
-            res.tree = RTree3D.bulk_load(entries)
-            res.nbytes += _TREE_ENTRY_BYTES * len(entries)
-            self._charge(s, res)
-            return res.tree
-
-    def note_insert(self, s: int, cube: Cube, gid: int) -> None:
-        """Keep a resident shard tree current after a unit ingest (cold
-        trees pick the unit up when they are next bulk-loaded)."""
-        with self._lock:
-            res = self._resident.get(s)
-            if res is not None and res.tree is not None:
-                res.tree.insert(cube, gid)
-                res.nbytes += _TREE_ENTRY_BYTES
-                self._charge(s, res)
-
-    def window_candidates(self, cube: Cube) -> Set[int]:
-        """Global ids of objects whose units may intersect ``cube``:
-        shard-level pruning first, then each surviving shard's R-tree."""
-        out: Set[int] = set()
-        for s in self.prune(cube):
-            for gid in self.rtree(s).search(cube):
-                out.add(int(gid))
-        return out
-
     # -- persistence & recovery ---------------------------------------------
 
     def persist(self, kinds: Tuple[str, ...] = ("upoint",)) -> None:
@@ -273,15 +243,27 @@ class ShardManager:
             st = self._store(s)
             assert st is not None
             shard = self.fleet.shards[s]
+            generation = self._generation(s)
+            built: Dict[str, Any] = {}
             for kind in kinds:
-                st.load_or_rebuild(kind, shard, fleet_version=shard.version)
+                # The boxes derive from the unit column when that is in
+                # hand, not from a second walk over the shard's units.
+                derive = (
+                    {"upoint": built["upoint"]}
+                    if kind == "bbox" and "upoint" in built else {}
+                )
+                built[kind] = st.load_or_rebuild(
+                    kind, shard, fleet_version=generation, **derive
+                )
 
     def verify_and_repair(self, kinds: Tuple[str, ...] = ("upoint",)) -> List[int]:
         """Verify every shard store's payload CRCs; rebuild corrupt ones.
 
-        A shard that fails deep verification is rebuilt *alone* from its
-        shard fleet (``shard.rebuilds``) — sibling directories are never
-        touched, let alone invalidated.  Returns the rebuilt shard ids.
+        A shard that fails deep verification, or whose store was built
+        for another generation of it (:meth:`_generation`), is rebuilt
+        *alone* from its shard fleet (``shard.rebuilds``) — sibling
+        directories are never touched, let alone invalidated.  Returns
+        the rebuilt shard ids.
         """
         rebuilt: List[int] = []
         with self._lock:
@@ -289,9 +271,11 @@ class ShardManager:
                 st = self._store(s)
                 if st is None or not st.exists():
                     continue
+                generation = self._generation(s)
                 try:
                     st.verify()
-                    continue
+                    if all(st.fleet_version(k) == generation for k in kinds):
+                        continue
                 except (CorruptColumnError, StorageError, OSError):
                     pass
                 shard = self.fleet.shards[s]
@@ -299,7 +283,7 @@ class ShardManager:
                     st.save(
                         kind,
                         _BUILDERS[kind](shard),
-                        fleet_version=shard.version,
+                        fleet_version=generation,
                         n_objects=len(shard),
                     )
                 # The rebuilt files replace whatever the resident entry
@@ -314,19 +298,20 @@ class ShardManager:
 
     def total_column_bytes(self, kind: str = "upoint") -> int:
         """Bytes the full fleet's ``kind`` columns would occupy if every
-        shard were mapped at once (the budget's comparison point)."""
+        shard were mapped at once (the budget's comparison point) — by
+        arithmetic on the members, so that asking maps and caches
+        nothing."""
         total = 0
-        for s in range(self.fleet.n_shards):
-            shard = self.fleet.shards[s]
-            n_units = sum(len(m.units) for m in shard)
+        for shard in self.fleet.shards:
             if kind == "upoint":
-                from repro.vector.columns import UPointColumn
-
+                n_units = sum(len(m.units) for m in shard)
                 total += n_units * UPointColumn.UNIT_DTYPE.itemsize
                 total += (len(shard) + 1) * 8  # CSR offsets
+            elif kind == "bbox":
+                n_boxes = sum(1 for m in shard if m.units)
+                total += n_boxes * BBoxColumn.RECORD_DTYPE.itemsize
             else:
-                version, col = column_for_versioned(shard, kind)
-                total += column_nbytes(col)
+                raise InvalidValue(f"no byte count for column kind {kind!r}")
         return total
 
     def globals_of(self, s: int) -> np.ndarray:

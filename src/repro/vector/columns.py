@@ -569,6 +569,7 @@ class BBoxColumn:
         mappings: Sequence[Union[MovingPoint, Mapping]],
         keys: Optional[Sequence[object]] = None,
         per_unit: bool = False,
+        upoint: Optional[UPointColumn] = None,
     ) -> "BBoxColumn":
         """One box per object (default) or per unit (``per_unit=True``).
 
@@ -576,10 +577,22 @@ class BBoxColumn:
         their keys simply never appear in filter results, matching the
         scalar path, which skips empty operands.
 
+        Per-object boxes of moving points come from their unit column
+        (:meth:`from_upoint`) — ``upoint`` when the caller already holds
+        it, one transcription otherwise — instead of one
+        ``bounding_cube()`` walk per object.
+
         Raises :class:`InvalidValue` for members that are not sliced
         mappings, like the other column builders, so backend dispatchers
         can route mixed fleets through the counted scalar fallback.
         """
+        if not per_unit:
+            if upoint is None and all(
+                isinstance(m, MovingPoint) for m in mappings
+            ):
+                upoint = UPointColumn.from_mappings(mappings)
+            if upoint is not None:
+                return cls.from_upoint(upoint, keys)
         if keys is None:
             keys = list(range(len(mappings)))
         entries: List[Tuple[object, Cube]] = []
@@ -597,6 +610,39 @@ class BBoxColumn:
             else:
                 entries.append((key, m.bounding_cube()))
         return cls.from_cubes(entries)
+
+    @classmethod
+    def from_upoint(
+        cls, col: UPointColumn, keys: Optional[Sequence[object]] = None
+    ) -> "BBoxColumn":
+        """One box per object of ``col`` that has units, from its arrays.
+
+        Each unit's end points are ``x0 + x1·s`` and ``x0 + x1·e`` — the
+        two correctly rounded operations ``MPoint.at`` performs — and an
+        object's box is the min/max over its CSR segment, so every field
+        equals ``Mapping.bounding_cube()``'s.  Objects without units
+        contribute no entry, as in :meth:`from_mappings`; ``keys[i]`` is
+        object ``i``'s key (default: its position).
+        """
+        lanes = np.flatnonzero(np.diff(col.offsets))
+        if lanes.size == 0:
+            return cls([], *([np.empty(0)] * 6))
+        # Empty objects own no unit rows, so the segment starts of the
+        # non-empty ones are consecutive cuts of the unit arrays.
+        cuts = col.offsets[lanes]
+        xa, xb = col.x0 + col.x1 * col.starts, col.x0 + col.x1 * col.ends
+        ya, yb = col.y0 + col.y1 * col.starts, col.y0 + col.y1 * col.ends
+        lo, hi = np.minimum.reduceat, np.maximum.reduceat
+        out = cls(
+            lanes.tolist() if keys is None else [keys[i] for i in lanes],
+            lo(np.minimum(xa, xb), cuts), lo(np.minimum(ya, yb), cuts),
+            lo(col.starts, cuts),
+            hi(np.maximum(xa, xb), cuts), hi(np.maximum(ya, yb), cuts),
+            hi(col.ends, cuts),
+        )
+        if keys is None:
+            out._keys_i64 = lanes
+        return out
 
     def _records(self) -> np.ndarray:
         """Structured ``RECORD_DTYPE`` array for persistence.

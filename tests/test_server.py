@@ -53,7 +53,6 @@ from repro.server.protocol import (
     row_line,
 )
 from repro.server.session import serve_in_thread
-from repro.shard.fleet import shard_of
 from repro.storage import wal as walmod
 from repro.storage.wal import Wal, WalRecord
 from repro.temporal.mapping import MovingPoint
@@ -634,7 +633,7 @@ class TestWire:
                 vec2 = tuple(int(v) for v in after.fields["version"].split(","))
                 assert vec2 == ex.fleet("f").version
                 moved = [s for s in range(4) if vec[s] != vec2[s]]
-                assert moved == [shard_of(7, 4)]
+                assert moved == [ex.fleet("f").shard_of(7)]
         finally:
             run.stop()
 

@@ -7,6 +7,7 @@ budget enforced by CLOCK eviction and recovery scoped to single shards.
 """
 
 import os
+import types
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from repro.server.executor import FleetExecutor
 from repro.shard import (
     ShardManager,
     ShardedFleet,
-    shard_of,
     sharded_atinstant,
     sharded_bbox_filter,
     sharded_count_inside,
@@ -59,28 +59,25 @@ def make_fleet(n=60, seed=11):
 
 
 # ---------------------------------------------------------------------------
-# Hash partitioning
+# Spatial tiling
 # ---------------------------------------------------------------------------
 
 
-class TestShardOf:
-    def test_deterministic_and_in_range(self):
-        for n_shards in (1, 2, 3, 7):
-            for gid in range(200):
-                s = shard_of(gid, n_shards)
-                assert 0 <= s < n_shards
-                assert s == shard_of(gid, n_shards)
+class TestTiling:
+    def test_shard_of_answers_from_placement(self):
+        fleet = ShardedFleet(make_fleet(40), 3)
+        for s in range(3):
+            for gid in fleet.globals_of(s):
+                assert fleet.shard_of(int(gid)) == s
 
-    def test_spreads_consecutive_ids(self):
-        # The multiplicative hash must not send a consecutive run of
-        # ids to one shard (a modulo-by-id layout would round-robin;
-        # a constant layout would starve the scatter).
-        hits = {shard_of(gid, 4) for gid in range(16)}
-        assert len(hits) == 4
+    def test_tiles_are_equal_count(self):
+        for n_shards in (1, 2, 3, 7):
+            fleet = ShardedFleet(make_fleet(50), n_shards)
+            sizes = [len(f) for f in fleet.shards]
+            assert sum(sizes) == 50
+            assert max(sizes) - min(sizes) <= 1
 
     def test_rejects_bad_count(self):
-        with pytest.raises(InvalidValue):
-            shard_of(3, 0)
         with pytest.raises(InvalidValue):
             ShardedFleet([], n_shards=0)
 
@@ -111,7 +108,7 @@ class TestShardedFleet:
         fleet.append(mappings[29])
         v1 = fleet.version
         changed = [s for s in range(4) if v0[s] != v1[s]]
-        assert changed == [shard_of(29, 4)]
+        assert changed == [fleet.shard_of(29)]
 
     def test_setitem_bumps_exactly_one_coordinate(self):
         mappings = make_fleet(30)
@@ -120,7 +117,7 @@ class TestShardedFleet:
         fleet[7] = mappings[8]
         v1 = fleet.version
         changed = [s for s in range(4) if v0[s] != v1[s]]
-        assert changed == [shard_of(7, 4)]
+        assert changed == [fleet.shard_of(7)]
         assert fleet[7] is mappings[8]
 
     def test_ingest_routed_counted(self):
@@ -274,15 +271,35 @@ class TestShardManager:
         assert obs.get("shard.pruned") == 4
         assert manager.resident_shards() == []  # no column was mapped
 
-    def test_window_candidates_global_ids(self):
-        mappings = make_fleet(40)
-        fleet = ShardedFleet(mappings, 3)
+    def test_window_inside_one_cluster_touches_one_shard(self):
+        """The guard that pruning fires, by count: four far-apart
+        clusters tile into four shards, and a window inside one cluster
+        rules out the other three before any column is mapped."""
+        corners = [(0.0, 0.0), (5000.0, 0.0), (0.0, 5000.0), (5000.0, 5000.0)]
+        mappings = [
+            MovingPoint.from_waypoints(
+                [(0, (cx + i, cy + i)), (10, (cx + i + 3.0, cy + i))]
+            )
+            for i in range(6) for cx, cy in corners
+        ]
+        fleet = ShardedFleet(mappings, 4)
+        assert [len(f) for f in fleet.shards] == [6, 6, 6, 6]
         manager = ShardManager(fleet)
-        cube = mappings[5].bounding_cube()
-        cand = manager.window_candidates(cube)
-        assert 5 in cand
-        for gid in cand:
-            assert mappings[gid].bounding_cube().intersects(cube)
+        rect = Rect(4990.0, -10.0, 5020.0, 20.0)
+        want = window_intervals_batch(_BUILDERS["upoint"](mappings), rect, 2.0, 8.0)
+        with obs.capture() as counters:
+            got = sharded_window_intervals(manager, rect, 2.0, 8.0)
+            assert counters.get("shard.pruned") == 3
+            assert counters.get("shard.maps") == 2  # one shard: bbox + upoint
+            assert counters.get("shard.hits") == 0
+            again = sharded_window_intervals(manager, rect, 2.0, 8.0)
+            assert counters.get("shard.pruned") == 6
+            assert counters.get("shard.maps") == 2
+            assert counters.get("shard.hits") == 2
+        assert len(want[0]) == 6
+        for result in (got, again):
+            for g, w in zip(result, want):
+                assert g.tobytes() == w.tobytes()
 
     def test_per_shard_store_directories(self, tmp_path):
         fleet = ShardedFleet(make_fleet(30), 3)
@@ -321,6 +338,83 @@ class TestShardManager:
         col = manager.column(1, "upoint")
         want = _BUILDERS["upoint"](fleet.shards[1])
         assert np.array_equal(col.starts, want.starts)
+
+    @pytest.mark.parametrize("other", ["mirrored", "shifted"])
+    def test_store_of_other_members_is_rebuilt_not_served(self, tmp_path, other):
+        """Two fleets of one size share a root: every shard has the same
+        version and object count, so only the generation stamp can tell
+        that the files describe other members (``mirrored``: the tiles
+        swap) or the same ids somewhere else (``shifted``)."""
+        def fleet_of(xs):
+            return [
+                MovingPoint.from_waypoints([(0, (x, 0.0)), (10, (x, 1.0))])
+                for x in xs
+            ]
+
+        first = fleet_of(float(i) for i in range(8))
+        second = fleet_of(
+            7.0 - i if other == "mirrored" else i + 100.0 for i in range(8)
+        )
+        root = os.fspath(tmp_path)
+        ShardManager(ShardedFleet(first, 2), root=root).persist(("upoint", "bbox"))
+        manager = ShardManager(ShardedFleet(second, 2), root=root)
+        with obs.capture() as counters:
+            x, _y, defined = sharded_atinstant(manager, 0.0)
+            rebuilds = counters.get("colstore.rebuilds")
+        assert defined.all()
+        assert x.tolist() == [m.value_at(0.0).x for m in second]
+        assert rebuilds == 2
+        # The unmapped bbox files are stale too, and repair says so once.
+        assert manager.verify_and_repair(("upoint", "bbox")) == [0, 1]
+        assert manager.verify_and_repair(("upoint", "bbox")) == []
+        cube = second[0].bounding_cube()
+        assert sharded_bbox_filter(manager, cube) == [0]
+
+    def test_generation_is_summed_once_per_version(self, tmp_path, monkeypatch):
+        """Budgeted reads re-map a shard over and over; its stamp is a
+        sum over the membership, taken when the shard's version moves
+        and not per map — and a write to the shard does move it."""
+        from repro.shard import manager as managermod
+
+        fleet = ShardedFleet(make_fleet(30), 3)
+        manager = ShardManager(fleet, root=os.fspath(tmp_path), budget=1)
+        manager.persist()
+        sums = []
+        crc32 = managermod.zlib.crc32
+        counting = types.SimpleNamespace(
+            crc32=lambda *a: sums.append(1) or crc32(*a)
+        )
+        # The manager's own sums only: the store's CRCs go on as before.
+        monkeypatch.setattr(managermod, "zlib", counting)
+        stamp = manager._generation(0)
+        for _ in range(3):
+            manager.column(0, "upoint")
+            manager.column(1, "upoint")  # budget 1: shard 0 is evicted
+        assert sums == []
+        fleet[fleet.globals_of(0)[0]] = make_fleet(1, seed=99)[0]
+        with obs.capture() as counters:
+            manager.column(0, "upoint")
+            assert counters.get("colstore.rebuilds") == 1
+        assert sums and manager._generation(0) != stamp
+
+    def test_total_column_bytes_is_arithmetic(self, tmp_path):
+        """The bbox total equals the persisted records' bytes, and asking
+        for it maps nothing and caches nothing."""
+        from repro.vector import cache as cachemod
+
+        mappings = make_fleet(30) + [MovingPoint([])]
+        manager = ShardManager(
+            ShardedFleet(mappings, 3), root=os.fspath(tmp_path), budget=1
+        )
+        total = manager.total_column_bytes("bbox")
+        assert manager.resident_bytes == 0
+        assert manager.resident_shards() == []
+        assert len(cachemod._CACHE) == 0
+        assert total == sum(
+            manager.column(s, "bbox")._records().nbytes for s in range(3)
+        )
+        with pytest.raises(InvalidValue):
+            manager.total_column_bytes("nosuch")
 
     def test_total_column_bytes_matches_built(self):
         fleet = ShardedFleet(make_fleet(30), 3)
@@ -543,7 +637,7 @@ class TestServerWiring:
         assert out == [1]
         v1 = ex.fleet("f").version
         changed = [s for s in range(4) if v0[s] != v1[s]]
-        assert changed == [shard_of(20, 4)]
+        assert changed == [ex.fleet("f").shard_of(20)]
         # The new object is served by the next snapshot.
         _, rows = ex.snapshot_rows("f", 1.0)
         assert any(r[0] == 20 for r in rows)

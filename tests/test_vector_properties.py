@@ -191,6 +191,69 @@ class TestBBoxFilterEquivalence:
 
 
 @st.composite
+def boxed_points(draw):
+    """Moving points that stress the per-object reduction: instant
+    units (``s == e``), stationary units, single-unit and empty members."""
+    units = []
+    t = draw(st.floats(min_value=-50.0, max_value=50.0, allow_nan=False))
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        t += draw(st.floats(min_value=0.1, max_value=10.0, allow_nan=False))
+        p = (draw(coord), draw(coord))
+        if draw(st.booleans()):
+            span = draw(st.sampled_from([0.0, 0.5, 7.0]))
+            closed = span == 0.0 or draw(st.booleans())
+            units.append(
+                UPoint.stationary(Interval(t, t + span, closed, closed), p)
+            )
+        else:
+            span = draw(st.floats(min_value=0.1, max_value=10.0, allow_nan=False))
+            units.append(
+                UPoint.between(t, p, t + span, (draw(coord), draw(coord)))
+            )
+        t += span
+    return MovingPoint(units)
+
+
+BOX_FIELDS = ("xmin", "ymin", "tmin", "xmax", "ymax", "tmax")
+
+
+class TestBBoxFromUnitColumn:
+    """``BBoxColumn.from_upoint`` reads every object's cube off the unit
+    arrays; the per-object ``bounding_cube()`` walk is its reference."""
+
+    @given(
+        st.lists(boxed_points(), min_size=0, max_size=8),
+        st.sampled_from(["none", "first", "middle", "last"]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equals_bounding_cube_field_by_field(self, fleet, hole):
+        if hole != "none":
+            at = {"first": 0, "middle": len(fleet) // 2, "last": len(fleet)}
+            fleet = list(fleet)
+            fleet.insert(at[hole], MovingPoint([]))
+        col = BBoxColumn.from_upoint(UPointColumn.from_mappings(fleet))
+        want = [(i, m.bounding_cube()) for i, m in enumerate(fleet) if m.units]
+        assert col.keys == [i for i, _c in want]
+        assert np.array_equal(col.keys_int64(), [i for i, _c in want])
+        for f in BOX_FIELDS:
+            assert np.array_equal(getattr(col, f), [getattr(c, f) for _i, c in want])
+        # The default builder takes the same route, custom keys ride along.
+        names = [f"o{i}" for i in range(len(fleet))]
+        named = BBoxColumn.from_mappings(fleet, keys=names)
+        assert named.keys == [names[i] for i, _c in want]
+        assert np.array_equal(named.xmin, col.xmin)
+
+    @given(st.lists(boxed_points(), min_size=1, max_size=6))
+    @settings(max_examples=60, deadline=None)
+    def test_per_unit_boxes_untouched(self, fleet):
+        col = BBoxColumn.from_mappings(fleet, per_unit=True)
+        want = [(i, u.bounding_cube()) for i, m in enumerate(fleet) for u in m.units]
+        assert col.keys == [i for i, _c in want]
+        for f in BOX_FIELDS:
+            assert np.array_equal(getattr(col, f), [getattr(c, f) for _i, c in want])
+
+
+@st.composite
 def simple_regions(draw):
     """A convex-ish polygon: a radial perturbation of a regular n-gon."""
     import math
