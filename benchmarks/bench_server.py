@@ -184,8 +184,8 @@ def measure_worker_kill(seed: int = 2026) -> Dict[str, float]:
     import numpy as np
 
     from repro import config
+    from repro.faultmatrix import track as _track
     from repro.parallel import parallel_window_intervals, pool, shmcol
-    from repro.server.chaos import _track
     from repro.spatial.bbox import Rect
     from repro.vector.store import _BUILDERS
 

@@ -17,7 +17,7 @@ import random
 import time
 
 from repro import faults
-from repro.storage.crashmatrix import format_matrix, run_crash_matrix
+from repro.faultmatrix import format_matrix, run_matrix
 from repro.storage.pages import PageFile
 from repro.storage.tuplestore import TupleStore
 from repro.storage.wal import Wal
@@ -128,7 +128,7 @@ def measure_disarmed_reads(tracks) -> dict:
 def run_all(count: int = TUPLES) -> dict:
     tracks = build_tracks(count)
     tic = time.perf_counter()
-    matrix = run_crash_matrix(seed=2000)
+    matrix = run_matrix(seed=2000)
     matrix_s = time.perf_counter() - tic
     return {
         "append": measure_append(tracks),
@@ -152,7 +152,7 @@ def test_s1_recovery_equivalence():
 
 
 def test_s1_crash_matrix_survives():
-    entries = run_crash_matrix(seed=2000)
+    entries = run_matrix(seed=2000)
     assert all(e.ok for e in entries), format_matrix(entries)
 
 

@@ -10,12 +10,12 @@ Commands
 ``info``              version, type system, and operation inventory
 ``snapshot``          evaluate a generated fleet at one instant
                       (exercises the ``--backend`` switch fleet-wide)
-``crash-matrix``      run every registered failpoint's crash/recovery
-                      scenario (:mod:`repro.storage.crashmatrix`)
+``crash-matrix``      run every registered failpoint's scenario: the
+                      failpoint view of :mod:`repro.faultmatrix`
 ``chaos-matrix``      degrade a *live* query service — dropped
                       connections, stalled peers, SIGKILLed workers,
-                      duplicate ingest — and verify it recovers
-                      (:mod:`repro.server.chaos`)
+                      duplicate ingest — and verify it recovers: the
+                      live view of the same table
 ``serve``             run the always-on query service
                       (:mod:`repro.server`) until SIGINT/SIGTERM
 
@@ -200,8 +200,14 @@ def cmd_snapshot(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_crash_matrix(args: argparse.Namespace) -> int:
-    """Run the arm → crash → recover → verify matrix over all failpoints.
+def cmd_fault_matrix(args: argparse.Namespace) -> int:
+    """Run one view of the fault matrix (:mod:`repro.faultmatrix`).
+
+    ``crash-matrix`` is the whole failpoint registry — arm → crash →
+    recover → verify for the storage rows, the live rows at smoke scale;
+    ``chaos-matrix`` is the live rows plus overload: concurrent query +
+    ingest traffic over a real socket while connections drop, sessions
+    stall, fork workers are SIGKILLed, and ingests are delivered twice.
 
     SIGINT/SIGTERM stop the run at the next scenario boundary (each
     scenario cleans up after itself), report what already ran, and exit
@@ -209,7 +215,8 @@ def cmd_crash_matrix(args: argparse.Namespace) -> int:
     """
     import signal
 
-    from repro.storage.crashmatrix import format_matrix, run_crash_matrix
+    from repro.errors import InvalidValue
+    from repro.faultmatrix import format_matrix, run_matrix
 
     stop_requested = {"flag": False}
 
@@ -223,62 +230,23 @@ def cmd_crash_matrix(args: argparse.Namespace) -> int:
         except (ValueError, OSError):  # pragma: no cover - non-main thread
             pass
     try:
-        entries = run_crash_matrix(
-            seed=args.seed,
-            only=args.only,
-            should_stop=lambda: stop_requested["flag"],
-        )
-    finally:
-        for sig, handler in previous.items():
-            signal.signal(sig, handler)
-    print(format_matrix(entries))
-    if stop_requested["flag"]:
-        print(
-            f"crash-matrix: interrupted — {len(entries)} scenario(s) "
-            "completed, state cleaned up"
-        )
-        return 0
-    return 0 if entries and all(e.ok for e in entries) else 1
-
-
-def cmd_chaos_matrix(args: argparse.Namespace) -> int:
-    """Run the live degradation matrix against a running query service.
-
-    The live twin of ``crash-matrix``: concurrent query + ingest
-    traffic over a real socket while connections drop, sessions stall,
-    fork workers are SIGKILLed, and ingests are delivered twice.  Same
-    interrupt contract: SIGINT/SIGTERM stop at the next scenario
-    boundary and report what already ran.
-    """
-    import signal
-
-    from repro.server.chaos import format_matrix, run_chaos_matrix
-
-    stop_requested = {"flag": False}
-
-    def _request_stop(_signum: int, _frame: object) -> None:
-        stop_requested["flag"] = True
-
-    previous = {}
-    for sig in (signal.SIGINT, signal.SIGTERM):
-        try:
-            previous[sig] = signal.signal(sig, _request_stop)
-        except (ValueError, OSError):  # pragma: no cover - non-main thread
-            pass
-    try:
-        entries = run_chaos_matrix(
+        entries = run_matrix(
             seed=args.seed,
             quick=args.quick,
             only=args.only,
+            live_only=args.live_only,
             should_stop=lambda: stop_requested["flag"],
         )
+    except InvalidValue as exc:
+        print(f"repro: InvalidValue: {exc}", file=sys.stderr)
+        return 2
     finally:
         for sig, handler in previous.items():
             signal.signal(sig, handler)
     print(format_matrix(entries))
     if stop_requested["flag"]:
         print(
-            f"chaos-matrix: interrupted — {len(entries)} scenario(s) "
+            f"{args.command}: interrupted — {len(entries)} scenario(s) "
             "completed, state cleaned up"
         )
         return 0
@@ -477,7 +445,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                           help="workload seed (default 2000)")
     matrix_p.add_argument("--only", default=None, metavar="FAILPOINT",
                           help="run a single failpoint's scenario")
-    matrix_p.set_defaults(fn=cmd_crash_matrix)
+    matrix_p.set_defaults(fn=cmd_fault_matrix, quick=True, live_only=False)
     chaos_p = sub.add_parser(
         "chaos-matrix",
         help="degrade a live query service and verify it recovers",
@@ -490,7 +458,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     chaos_p.add_argument("--only", default=None, metavar="SCENARIO",
                          help="run a single scenario (failpoint name or "
                          "server.overload)")
-    chaos_p.set_defaults(fn=cmd_chaos_matrix)
+    chaos_p.set_defaults(fn=cmd_fault_matrix, live_only=True)
     serve_p = sub.add_parser(
         "serve", help="run the always-on query service"
     )

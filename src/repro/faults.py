@@ -6,7 +6,8 @@ site costs one module-attribute branch (``if faults.active:``), the
 same discipline :mod:`repro.obs` uses.  Armed, the site consults its
 *trigger policy* and either raises a typed error or performs a
 site-specific corruption (a torn write, a flipped bit), letting the
-crash-matrix tests prove that recovery and detection actually work.
+fault matrix (:mod:`repro.faultmatrix`, one scenario per name below)
+prove that recovery and detection actually work.
 
 Every failpoint name is a string literal registered in
 :data:`FAILPOINT_NAMES`; ``repro-lint`` rule MOD006 cross-checks the
@@ -93,7 +94,7 @@ FAILPOINT_NAMES: FrozenSet[str] = frozenset({
     # query service ingest path (repro.server.ingest)
     "wal.group_commit_crash",   # crash at the group-commit sync barrier
     "server.ingest_crash",      # crash after durable sync, pre-apply
-    # live degradation (chaos matrix, repro.server.chaos)
+    # live degradation (the fault matrix's live rows)
     "server.conn_drop",         # drop the connection after the work,
                                 # before the response reaches the wire
     "server.slow_client",       # stall one session's response writes

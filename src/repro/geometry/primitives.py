@@ -144,7 +144,8 @@ def convex_hull(points: list[Vec]) -> list[Vec]:
 
     Andrew's monotone chain; collinear points on the hull boundary are
     dropped.  Returns the input unchanged (deduplicated, sorted) when
-    fewer than three distinct points are supplied.
+    fewer than three distinct points are supplied.  The result is closed
+    under ``Region.polygon``: fewer than three points, or a valid cycle.
     """
     pts = sorted(set(points))
     if len(pts) < 3:
@@ -159,4 +160,26 @@ def convex_hull(points: list[Vec]) -> list[Vec]:
         while len(upper) >= 2 and orientation(upper[-2], upper[-1], p) <= 0:
             upper.pop()
         upper.append(p)
-    return lower[:-1] + upper[:-1]
+    hull = lower[:-1] + upper[:-1]
+    # The chain judges each turn as (a, v, b); ``touch``, which validates
+    # a cycle, judges a vertex against an edge in segment order, (a, b, v)
+    # with a < b, and orientation's tolerance scales with whichever pair
+    # comes first.  A sliver vertex can pass the first and fail the
+    # second, so drop what ``touch`` itself would place inside an edge it
+    # is not an end of, and what ``point_eq`` cannot tell from the vertex
+    # before it.
+    from repro.geometry.segment import point_in_seg_interior
+
+    i = 0
+    while len(hull) >= 3 and i < len(hull):
+        n = len(hull)
+        if point_eq(hull[i], hull[i - 1]) or any(
+            point_in_seg_interior(hull[i], sorted((hull[j - 1], hull[j])))
+            for j in range(n)
+            if j != i and j != (i + 1) % n
+        ):
+            del hull[i]
+            i = 0
+        else:
+            i += 1
+    return hull

@@ -35,6 +35,9 @@ from repro.vector.backends import OPERATIONS
 
 _workers_override: Optional[int] = None
 
+#: Resolved once: ``os.cpu_count()`` reads sysfs, and every gather asks.
+_CPU_COUNT = os.cpu_count() or 1
+
 
 def set_workers(n: Optional[int]) -> None:
     """Set this process's default worker count (``None`` = use config).
@@ -64,7 +67,7 @@ def effective_workers(requested: Optional[int] = None) -> int:
     if n < 0:
         raise InvalidValue(f"workers must be >= 0, got {n}")
     if n == 0:
-        n = os.cpu_count() or 1
+        n = _CPU_COUNT
     return n
 
 

@@ -15,9 +15,11 @@ Modules:
 * :mod:`repro.storage.records` — per-type codecs (pack/unpack);
 * :mod:`repro.storage.tuplestore` — heap files of tuples with embedded
   attribute values;
-* :mod:`repro.storage.wal` — write-ahead log and crash recovery;
-* :mod:`repro.storage.crashmatrix` — the arm → crash → recover → verify
-  harness run over every registered failpoint.
+* :mod:`repro.storage.wal` — write-ahead log and crash recovery.
+
+The arm → crash → recover → verify harness over every registered
+failpoint sits above this package, in :mod:`repro.faultmatrix`: its
+scenarios also need the query service, which builds on storage.
 """
 
 from __future__ import annotations

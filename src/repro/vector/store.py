@@ -42,6 +42,7 @@ takes for corrupt pages.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import struct
@@ -92,6 +93,7 @@ _LAYOUT: Dict[str, Tuple[Tuple[str, np.dtype], ...]] = {
 COLUMN_KINDS: Tuple[str, ...] = tuple(sorted(_LAYOUT))
 
 
+@functools.lru_cache(maxsize=None)
 def _dtype_hash(dtype: np.dtype) -> int:
     """CRC32 of the dtype's field description — a layout fingerprint.
 

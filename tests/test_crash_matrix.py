@@ -1,16 +1,12 @@
-"""The crash-matrix acceptance property and degradation regressions."""
+"""The fault-matrix acceptance property and degradation regressions."""
 
 import pytest
 
-from repro import faults, obs
-from repro.errors import ReproError, StorageError
+from repro import faultmatrix, faults, obs
+from repro.errors import InvalidValue, ReproError, StorageError
+from repro.faultmatrix import SCENARIOS, Scenario, format_matrix, run_matrix
 from repro.spatial.bbox import Rect
 from repro.storage.buffer import BufferPool
-from repro.storage.crashmatrix import (
-    SCENARIOS,
-    format_matrix,
-    run_crash_matrix,
-)
 from repro.storage.pages import PageFile
 from repro.temporal.mapping import MovingPoint
 
@@ -25,30 +21,45 @@ def _clean_faults():
 
 
 class TestCrashMatrix:
-    def test_every_failpoint_survives(self):
-        entries = run_crash_matrix(seed=2000)
-        assert len(entries) == len(faults.FAILPOINT_NAMES)
-        failed = [e for e in entries if not e.ok]
-        assert not failed, format_matrix(entries)
-        assert all(e.fired for e in entries), format_matrix(entries)
+    @pytest.mark.parametrize("row", SCENARIOS, ids=lambda row: row.label)
+    def test_scenario_survives(self, row):
+        # One id per table row, quick scale; each row is looked up in the
+        # view that has it (the failpoint-less overload row is live-only).
+        entries = run_matrix(
+            seed=2000, only=row.label, live_only=row.failpoint is None
+        )
+        assert [e.label for e in entries] == [row.label]
+        assert entries[0].fired and entries[0].ok, format_matrix(entries)
 
     def test_matrix_covers_the_whole_registry(self):
-        # A failpoint registered without a scenario must fail loudly,
-        # not silently shrink the matrix.
-        assert set(SCENARIOS) == set(faults.FAILPOINT_NAMES)
+        # One row per failpoint, no failpoint twice; the only row without
+        # one is the overload row.
+        covered = [row.failpoint for row in SCENARIOS if row.failpoint]
+        assert sorted(covered) == sorted(faults.FAILPOINT_NAMES)
+        assert [row.label for row in SCENARIOS if not row.failpoint] == [
+            "server.overload"
+        ]
+        assert sorted(row.label for row in SCENARIOS if row.live) == [
+            "ingest.dup_send", "parallel.worker_kill", "server.conn_drop",
+            "server.overload", "server.slow_client", "shard.evict_during_query",
+        ]
 
     def test_seed_variation(self):
-        entries = run_crash_matrix(seed=77, only="pagefile.torn_write")
+        entries = run_matrix(seed=77, only="pagefile.torn_write")
         assert len(entries) == 1 and entries[0].ok, format_matrix(entries)
 
     def test_armed_state_restored(self):
         faults.arm("wal.sync_crash", "every:100")
-        run_crash_matrix(seed=2000, only="flob.write_crash")
+        run_matrix(seed=2000, only="flob.write_crash")
         assert faults.armed() == {"wal.sync_crash": "every:100"}
 
     def test_unknown_only_raises_nothing_runs(self):
-        entries = run_crash_matrix(seed=2000, only="not.a.failpoint")
-        assert entries == []
+        with pytest.raises(InvalidValue, match="wal.torn_tail"):
+            run_matrix(seed=2000, only="not.a.failpoint")
+        # A label of the other view is as unknown as a typo.
+        with pytest.raises(InvalidValue, match="server.overload"):
+            run_matrix(seed=2000, only="wal.torn_tail", live_only=True)
+        assert faults.fired("wal.torn_tail") == 0
 
     def test_missing_scenario_detected(self, monkeypatch):
         monkeypatch.setattr(
@@ -56,7 +67,29 @@ class TestCrashMatrix:
             faults.FAILPOINT_NAMES | {"phantom.site"},
         )
         with pytest.raises(ReproError, match="phantom.site"):
-            run_crash_matrix(seed=2000)
+            run_matrix(seed=2000)
+        # ... and the other way: a row whose failpoint left the registry.
+        monkeypatch.setattr(
+            faults, "FAILPOINT_NAMES",
+            faults.FAILPOINT_NAMES - {"phantom.site", "wal.torn_tail"},
+        )
+        with pytest.raises(ReproError, match="wal.torn_tail"):
+            run_matrix(seed=2000)
+
+    def test_fired_is_judged_per_scenario_not_per_process(self, monkeypatch):
+        # faults.fired() never goes down: one firing anywhere earlier in
+        # the process must not vouch for a row whose body never reaches
+        # its site.
+        faults.arm("flob.write_crash")
+        assert faults.should_fire("flob.write_crash")
+        idle = Scenario("flob.write_crash", "flob.write_crash", "once", False,
+                        lambda run: "did nothing")
+        monkeypatch.setattr(faultmatrix, "SCENARIOS", tuple(
+            idle if row.label == idle.label else row for row in SCENARIOS
+        ))
+        (entry,) = run_matrix(only="flob.write_crash")
+        assert (entry.fired, entry.ok) == (False, False)
+        assert entry.detail == "failpoint never fired"
 
 
 class TestBufferRetry:

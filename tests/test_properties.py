@@ -2,7 +2,7 @@
 
 import math
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.geometry.mergesegs import merge_segs
@@ -16,6 +16,10 @@ from repro.temporal.mapping import MovingPoint, MovingReal
 from repro.temporal.quadratics import eval_quad, solve_quadratic
 from repro.temporal.ureal import UReal
 from repro.ops.distance import mpoint_distance
+
+#: A sliver the monotone chain kept (its turn test sits exactly on the
+#: tolerance) while ``Region`` rejected it as a touch.
+HULL_SLIVER = [(0.0, 1.0), (0.0, -1.0), (1e-9, 0.0)]
 
 # -- strategies ----------------------------------------------------------------
 
@@ -161,6 +165,7 @@ class TestGeometryProperties:
             assert any(point_on_seg(mid, m, 1e-6) for m in merged)
 
     @given(st.lists(coords, min_size=3, max_size=10, unique=True))
+    @example(HULL_SLIVER)
     def test_region_area_nonnegative(self, pts):
         from repro.geometry.primitives import convex_hull
 
@@ -171,6 +176,7 @@ class TestGeometryProperties:
         assert r.perimeter() > 0
 
     @given(st.lists(coords, min_size=3, max_size=10, unique=True), coords)
+    @example(HULL_SLIVER, (0.0, 0.0))
     def test_convex_region_contains_centroid_not_far_points(self, pts, probe):
         from repro.geometry.primitives import convex_hull
 

@@ -1,11 +1,12 @@
 """Resilience tests: deadlines, admission control, idempotent retries,
-worker-failure recovery, and the live chaos matrix.
+and worker-failure recovery.
 
 Covers the PR-9 surface end to end: the :mod:`repro.deadline` budget
 algebra (unit + Hypothesis properties), the wire-level ``DEADLINE`` /
 ``SEQ`` attributes, the session layer's overload shedding, the
-client's typed timeout + retry loop, the parallel dispatcher's
-SIGKILL survival, and the chaos matrix that ties them together.
+client's typed timeout + retry loop, and the parallel dispatcher's
+SIGKILL survival.  The live rows of the fault matrix that tie them
+together run in ``tests/test_crash_matrix.py``.
 """
 
 from __future__ import annotations
@@ -629,29 +630,3 @@ class TestWorkerFailure:
         finally:
             faults.disarm()
             pool.shutdown()
-
-
-# ---------------------------------------------------------------------------
-# the chaos matrix
-# ---------------------------------------------------------------------------
-
-
-class TestChaosMatrix:
-    def test_quick_matrix_is_green(self):
-        from repro.server.chaos import run_chaos_matrix
-
-        entries = run_chaos_matrix(seed=2026, quick=True)
-        assert len(entries) == 6
-        failures = [e for e in entries if not e.ok]
-        assert not failures, "\n".join(
-            f"{e.failpoint}: {e.detail}" for e in failures
-        )
-        assert all(e.fired for e in entries)
-
-    def test_crash_matrix_registry_now_covers_chaos_failpoints(self):
-        from repro.storage.crashmatrix import SCENARIOS
-
-        for name in ("server.conn_drop", "server.slow_client",
-                     "parallel.worker_kill", "ingest.dup_send",
-                     "shard.evict_during_query"):
-            assert name in SCENARIOS

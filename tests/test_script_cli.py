@@ -157,6 +157,21 @@ class TestCliFaults:
         out = capsys.readouterr().out
         assert "1/1 failpoints survived" in out
 
+    def test_matrix_unknown_only_is_a_usage_error(self, capsys):
+        # Used to run nothing, print "0/0 failpoints survived", exit 1.
+        for command in ("crash-matrix", "chaos-matrix"):
+            assert cli_main([command, "--only", "not.a.scenario"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("repro: InvalidValue: unknown scenario")
+            assert len(captured.err.strip().splitlines()) == 1
+
+    def test_chaos_matrix_command(self, capsys):
+        assert cli_main(
+            ["chaos-matrix", "--quick", "--only", "server.overload"]
+        ) == 0
+        assert "1/1 failpoints survived" in capsys.readouterr().out
+
     def test_bad_fault_spec_is_one_line_error(self, capsys):
         assert cli_main(["--faults", "not.a.failpoint", "info"]) == 1
         err = capsys.readouterr().err

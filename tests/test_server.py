@@ -473,18 +473,10 @@ class TestIngestDurability:
         # Coalesced: far fewer durability barriers than requests.
         assert 1 <= counters.get("ingest.group_commits") < 12
 
-    def test_crash_matrix_covers_both_ingest_failpoints(self):
-        from repro.storage.crashmatrix import format_matrix, run_crash_matrix
-
-        for name in ("wal.group_commit_crash", "server.ingest_crash"):
-            entries = run_crash_matrix(seed=4, only=name)
-            assert len(entries) == 1 and entries[0].ok, \
-                format_matrix(entries)
-
     def test_crash_matrix_should_stop_halts_cleanly(self):
-        from repro.storage.crashmatrix import run_crash_matrix
+        from repro.faultmatrix import run_matrix
 
-        assert run_crash_matrix(seed=4, should_stop=lambda: True) == []
+        assert run_matrix(seed=4, should_stop=lambda: True) == []
 
 
 # ---------------------------------------------------------------------------

@@ -686,19 +686,8 @@ class TestServerWiring:
 
 
 # ---------------------------------------------------------------------------
-# Chaos scenario + CLI flags
+# CLI flags
 # ---------------------------------------------------------------------------
-
-
-class TestChaosScenario:
-    def test_evict_during_query_quick(self):
-        from repro.server.chaos import SCENARIOS
-
-        entry = SCENARIOS["shard.evict_during_query"](
-            "shard.evict_during_query", 2026, True
-        )
-        assert entry.fired
-        assert entry.ok, entry.detail
 
 
 class TestCliFlags:
