@@ -9,12 +9,14 @@ faster than a cold one, and STR bulk loading packs a 10k-entry
 ``RTree3D`` ≥5× faster than incremental insertion with node visits per
 query no worse.
 
-Runs both as pytest (equivalence + speedups asserted; the quick
-``smoke`` test is wired into scripts/check.sh) and as a script:
-``python benchmarks/bench_parallel.py --json BENCH_parallel.json``.
+Runs as pytest (equivalence + speedups asserted; the quick ``smoke``
+test is wired into scripts/check.sh).  The speedup tests time the pool
+against a single-process pass *including its column build*; the
+end-to-end comparison with columns resident is
+``parallel.speedup_vs_vector`` of ``benchmarks/e2e/run.py --workload
+api_scan_warm``.
 """
 
-import json
 import random
 import time
 
@@ -206,16 +208,6 @@ def measure_str_bulk(entries_n: int = 10_000, queries_n: int = 50) -> dict:
     }
 
 
-def run_all(count: int = FLEET_SIZE, workers: int = WORKERS) -> dict:
-    fleet = build_fleet(count)
-    return {
-        "fleet_size": count,
-        "workers": workers,
-        "parallel": measure_parallel(fleet, workers),
-        "colcache": measure_colcache(fleet),
-        "str_bulk": measure_str_bulk(),
-    }
-
 
 # -- pytest entry points ------------------------------------------------------
 
@@ -268,45 +260,3 @@ def test_v5_str_bulk_load_speedup():
     assert stats["mismatches"] == 0
     assert stats["speedup"] >= 5.0, stats
     assert stats["node_visits_packed"] <= stats["node_visits_grown"], stats
-
-
-if __name__ == "__main__":
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--json", default=None, help="write results to this file")
-    parser.add_argument("--objects", type=int, default=FLEET_SIZE)
-    parser.add_argument("--workers", type=int, default=WORKERS)
-    args = parser.parse_args()
-
-    results = run_all(args.objects, args.workers)
-    p = results["parallel"]
-    print(
-        f"fleet: {p['objects']} objects, {p['workers']} workers, "
-        f"{p['chunks']} chunks"
-    )
-    for op in ("atinstant", "window"):
-        s = p[op]
-        print(
-            f"{op:10s} single {s['single_process_s'] * 1e3:8.2f} ms   "
-            f"parallel {s['parallel_s'] * 1e3:8.3f} ms   "
-            f"speedup {s['speedup']:.1f}x   mismatches {s['mismatches']}"
-        )
-    c = results["colcache"]
-    print(
-        f"colcache   cold   {c['cold_s'] * 1e3:8.2f} ms   "
-        f"warm     {c['warm_s'] * 1e3:8.3f} ms   "
-        f"speedup {c['speedup']:.1f}x"
-    )
-    s = results["str_bulk"]
-    print(
-        f"str_bulk   grow   {s['incremental_s'] * 1e3:8.2f} ms   "
-        f"bulk     {s['bulk_s'] * 1e3:8.2f} ms   "
-        f"speedup {s['speedup']:.1f}x   visits {s['node_visits_packed']} "
-        f"vs {s['node_visits_grown']}   mismatches {s['mismatches']}"
-    )
-    shutdown()
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as f:
-            json.dump(results, f, indent=2)
-        print(f"wrote {args.json}")

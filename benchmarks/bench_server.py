@@ -8,24 +8,17 @@ stream (WAL-durable, group-committed) keeps sustained throughput at
 column cache splices forward instead of rebuilding, and the group
 committer amortizes the fsync.
 
-Two degradation phases ride along (PR 9): a *degraded-mode* run — 10%
-of responses dropped after the work (``server.conn_drop``) plus one
-SIGKILLed fork worker mid-query — and an *overload* run that saturates
-admission control (``max_inflight=2`` against 3× the query workers).
-Both record p50/p99 and the shed/retry counters into the JSON; the
-claim is that client-visible failures stay at zero (retries + dedup
-absorb the chaos) and the p99 of *admitted* requests stays bounded.
+A *degraded-mode* run rides along (PR 9): 10% of responses dropped
+after the work (``server.conn_drop``); the claim is that client-visible
+failures stay at zero (retries + dedup absorb the chaos).  The killed
+fork worker and the overload phase are rows of ``python -m repro
+chaos-matrix``.
 
-Runs both as pytest (the quick ``smoke`` tests — start → ingest →
-query → shutdown — are wired into scripts/check.sh) and as a script::
-
-    python benchmarks/bench_server.py --json BENCH_server.json
+Runs as pytest (the quick ``smoke`` tests — start → ingest → query →
+shutdown — are wired into scripts/check.sh); sustained throughput and
+latency are the ``wire_*`` workloads of ``benchmarks/e2e/run.py``.
 """
 
-import argparse
-import json
-import os
-import tempfile
 import threading
 import time
 from typing import Dict, List, Optional
@@ -37,9 +30,6 @@ from repro.server.session import RunningServer, serve_in_thread
 from repro.storage.wal import Wal
 from repro.workloads.trajectories import FlightGenerator
 
-FLEET_SIZE = 500
-WORKERS = 4
-DURATION_S = 2.0
 QUERY_T = 60.0
 
 #: Fault plan of the degraded-mode phase: one in ten responses vanishes
@@ -100,23 +90,17 @@ def measure_qps(
     duration: float,
     workers: int,
     with_ingest: bool,
-    wal_path: Optional[str] = None,
     fault_spec: Optional[str] = None,
-    max_inflight: Optional[int] = None,
 ) -> Dict[str, float]:
-    """One traffic phase; optionally degraded (``fault_spec``) and/or
-    admission-limited (``max_inflight``).
+    """One traffic phase; optionally degraded (``fault_spec``).
 
-    Degraded/limited phases also report the resilience counters:
+    A degraded phase also reports the resilience counters:
     ``shed`` (requests answered Overloaded), ``client_retries``,
     ``shed_rate``, and ``client_errors`` (failures the retry budget
     could not absorb — the headline number, expected 0).
     """
-    wal = Wal(wal_path) if wal_path else (Wal() if with_ingest else None)
-    server_kwargs = {}
-    if max_inflight is not None:
-        server_kwargs["max_inflight"] = max_inflight
-    run = start_server(mappings, wal=wal, **server_kwargs)
+    wal = Wal() if with_ingest else None
+    run = start_server(mappings, wal=wal)
     stop = threading.Event()
     latencies: List[List[float]] = [[] for _ in range(workers)]
     ingested = [0]
@@ -135,7 +119,7 @@ def measure_qps(
                 args=(run.port, stop, ingested, len(mappings), errors),
             )
         )
-    degraded = fault_spec is not None or max_inflight is not None
+    degraded = fault_spec is not None
     if degraded:
         obs.enable()
         shed0 = obs.get("server.shed")
@@ -172,52 +156,6 @@ def measure_qps(
         out["shed_rate"] = shed / total if total else 0.0
         out["client_errors"] = len(errors)
     return out
-
-
-def measure_worker_kill(seed: int = 2026) -> Dict[str, float]:
-    """Time a parallel window query through one SIGKILLed fork worker.
-
-    The pool must detect the death, respawn, retry the lost chunks,
-    and still return the bit-identical result; the entry records the
-    recovery cost next to an unfaulted run of the same query.
-    """
-    import numpy as np
-
-    from repro import config
-    from repro.faultmatrix import track as _track
-    from repro.parallel import parallel_window_intervals, pool, shmcol
-    from repro.spatial.bbox import Rect
-    from repro.vector.store import _BUILDERS
-
-    n = max(config.PARALLEL_MIN_OBJECTS, 1024) + 64
-    col = _BUILDERS["upoint"]([_track(seed, i) for i in range(n)])
-    rect = Rect(0.0, 0.0, 60.0, 60.0)
-    obs.enable()
-    pool.shutdown()
-    shmcol.release_all()
-    try:
-        tic = time.perf_counter()
-        clean = parallel_window_intervals(col, rect, 0.0, 12.0, workers=4)
-        clean_s = time.perf_counter() - tic
-        deaths0 = obs.get("parallel.worker_deaths")
-        retries0 = obs.get("parallel.chunk_retries")
-        faults.arm("parallel.worker_kill", "once")
-        tic = time.perf_counter()
-        killed = parallel_window_intervals(col, rect, 0.0, 12.0, workers=4)
-        killed_s = time.perf_counter() - tic
-    finally:
-        faults.disarm()
-        pool.shutdown()
-        shmcol.release_all()
-    identical = all(np.array_equal(a, b) for a, b in zip(killed, clean))
-    return {
-        "objects": n,
-        "clean_ms": 1000.0 * clean_s,
-        "killed_ms": 1000.0 * killed_s,
-        "worker_deaths": obs.get("parallel.worker_deaths") - deaths0,
-        "chunk_retries": obs.get("parallel.chunk_retries") - retries0,
-        "result_identical": identical,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -267,112 +205,3 @@ def test_v7_smoke_degraded_conn_drop():
     )
     assert result["queries"] > 0
     assert result["client_errors"] == 0
-
-
-# ---------------------------------------------------------------------------
-# script: the sustained-throughput measurement
-# ---------------------------------------------------------------------------
-
-
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--objects", type=int, default=FLEET_SIZE)
-    parser.add_argument("--duration", type=float, default=DURATION_S)
-    parser.add_argument("--workers", type=int, default=WORKERS)
-    parser.add_argument("--json", default=None, metavar="PATH")
-    args = parser.parse_args()
-
-    mappings = build_mappings(args.objects)
-    print(
-        f"fleet: {args.objects} objects; {args.workers} query workers; "
-        f"{args.duration:g}s per phase"
-    )
-
-    baseline = measure_qps(
-        mappings, args.duration, args.workers, with_ingest=False
-    )
-    print(
-        f"baseline (no ingest):   {baseline['qps']:8.1f} qps   "
-        f"p50 {baseline['p50_ms']:.2f} ms   p99 {baseline['p99_ms']:.2f} ms"
-    )
-
-    tmp = tempfile.mkdtemp(prefix="bench_server_")
-    wal_path = os.path.join(tmp, "ingest.wal")
-    loaded = measure_qps(
-        mappings, args.duration, args.workers, with_ingest=True,
-        wal_path=wal_path,
-    )
-    print(
-        f"with concurrent ingest: {loaded['qps']:8.1f} qps   "
-        f"p50 {loaded['p50_ms']:.2f} ms   p99 {loaded['p99_ms']:.2f} ms   "
-        f"({loaded['units_ingested']} units ingested, WAL-durable)"
-    )
-
-    ratio = loaded["qps"] / baseline["qps"] if baseline["qps"] else 0.0
-    print(f"qps ratio (ingest / baseline): {ratio:.2f}")
-    assert ratio >= 0.5, (
-        f"sustained qps under ingest fell to {ratio:.2f}x of baseline"
-    )
-
-    degraded = measure_qps(
-        mappings, args.duration, args.workers, with_ingest=True,
-        wal_path=os.path.join(tmp, "degraded.wal"),
-        fault_spec=DEGRADED_FAULTS,
-    )
-    print(
-        f"degraded (10% drops):   {degraded['qps']:8.1f} qps   "
-        f"p50 {degraded['p50_ms']:.2f} ms   p99 {degraded['p99_ms']:.2f} ms   "
-        f"({degraded['client_retries']} retries, "
-        f"{degraded['client_errors']} client errors)"
-    )
-    assert degraded["client_errors"] == 0, (
-        "conn drops leaked through the retry budget: "
-        f"{degraded['client_errors']} client-visible failures"
-    )
-
-    kill = measure_worker_kill()
-    print(
-        f"worker kill:            clean {kill['clean_ms']:.1f} ms → "
-        f"killed {kill['killed_ms']:.1f} ms   "
-        f"({kill['worker_deaths']} death(s), "
-        f"{kill['chunk_retries']} chunk(s) retried, "
-        f"identical={kill['result_identical']})"
-    )
-    assert kill["result_identical"], (
-        "post-respawn parallel result differs from the clean run"
-    )
-
-    overload = measure_qps(
-        mappings, args.duration, 3 * args.workers, with_ingest=False,
-        max_inflight=2,
-    )
-    print(
-        f"overload (inflight=2):  {overload['qps']:8.1f} qps   "
-        f"p50 {overload['p50_ms']:.2f} ms   p99 {overload['p99_ms']:.2f} ms   "
-        f"(shed rate {overload['shed_rate']:.2f}, "
-        f"{overload['client_errors']} client errors)"
-    )
-    assert overload["client_errors"] == 0, (
-        "admission control produced client-visible failures: "
-        f"{overload['client_errors']}"
-    )
-
-    if args.json:
-        doc = {
-            "fleet_size": args.objects,
-            "workers": args.workers,
-            "duration_s": args.duration,
-            "baseline": baseline,
-            "with_ingest": loaded,
-            "qps_ratio": ratio,
-            "degraded": degraded,
-            "worker_kill": kill,
-            "overload": overload,
-        }
-        with open(args.json, "w", encoding="utf-8") as f:
-            json.dump(doc, f, indent=2)
-        print(f"wrote {args.json}")
-
-
-if __name__ == "__main__":
-    main()

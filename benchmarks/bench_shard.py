@@ -10,31 +10,24 @@ while returning results bit-identical to the unsharded vector kernel
 ``shard.resident_bytes`` high-water counter-asserted against the
 budget).
 
-Runs both as pytest (a quick 2-shard equivalence ``smoke`` is wired
-into scripts/check.sh) and as a script producing the scaling curve::
-
-    python benchmarks/bench_shard.py --json BENCH_shard.json
+Runs as pytest at smoke scale (a quick 2-shard equivalence ``smoke`` is
+wired into scripts/check.sh); the timed run is the ``shard_window_cold``
+workload of ``benchmarks/e2e/run.py``.
 """
 
-import argparse
-import json
 import random
-import sys
 import tempfile
 import time
-
-import numpy as np
 
 from repro import obs
 from repro.shard import ShardManager, ShardedFleet, sharded_window_intervals
 from repro.spatial.bbox import Rect
 from repro.temporal.mapping import MovingPoint
 from repro.vector.cache import clear_cache
+from repro.vector.columns import UPointColumn
 from repro.vector.kernels import window_intervals_batch
-from repro.vector.store import _BUILDERS
 
-FLEET_SIZE = 1_000_000
-LEGS = 4  # units per object: 1M objects x 4 legs = 4M units
+LEGS = 4  # units per object
 SHARDS = 16
 #: Budget as a fraction of the fleet's total upoint bytes — small
 #: enough that a full scatter cannot hold every shard resident.
@@ -51,10 +44,9 @@ SWEEP = [
     for x in (1000.0, 3500.0, 6000.0, 8500.0)
     for y in (1000.0, 3500.0, 6000.0, 8500.0)
 ]
-BUDGET_MS = 100.0
 
 
-def build_fleet(count: int = FLEET_SIZE, legs: int = LEGS, seed: int = 2000):
+def build_fleet(count: int, legs: int = LEGS, seed: int = 2000):
     """Deterministic local trajectories over a 10k x 10k world.
 
     Short ±50 legs keep per-object bounding boxes tight, the regime the
@@ -127,7 +119,7 @@ def measure_sharded(mappings, shards: int = SHARDS, root=None) -> dict:
     finally:
         obs.disable()
 
-    flat = _BUILDERS["upoint"](mappings)  # the unsharded oracle
+    flat = UPointColumn.from_mappings(mappings)  # the unsharded oracle
     reference = window_intervals_batch(flat, rect, t0, t1)
     mismatches = _mismatches(got, reference) + _mismatches(warm, reference)
     for r, rows in zip(SWEEP, swept):
@@ -189,66 +181,3 @@ def test_v10_counter_assertions():
     result = measure_sharded(mappings, shards=8)
     assert_result(result)
     assert result["resident_bytes_high_water"] > 0.0
-
-
-# ---------------------------------------------------------------------------
-# script entry point
-# ---------------------------------------------------------------------------
-
-
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--json", default=None, help="write results to this file")
-    parser.add_argument("--objects", type=int, default=FLEET_SIZE)
-    parser.add_argument("--shards", type=int, default=SHARDS)
-    args = parser.parse_args()
-
-    print(f"building {args.objects} objects x {LEGS} legs ...", flush=True)
-    tic = time.perf_counter()
-    mappings = build_fleet(args.objects)
-    print(f"  built in {time.perf_counter() - tic:.1f}s", flush=True)
-
-    scales = sorted({args.objects // 10, 3 * args.objects // 10, args.objects})
-    curve = []
-    for n in scales:
-        print(f"measuring {n} objects / {n * LEGS} units ...", flush=True)
-        result = measure_sharded(mappings[:n], shards=args.shards)
-        assert_result(result)
-        print(
-            f"  cold {result['cold_window_ms']:.1f} ms, "
-            f"warm {result['warm_window_ms']:.1f} ms, "
-            f"{result['rows']} rows, {result['evictions']} evictions, "
-            f"budget {result['memory_budget_bytes'] / 1e6:.0f}MB of "
-            f"{result['total_column_bytes'] / 1e6:.0f}MB",
-            flush=True,
-        )
-        curve.append(result)
-
-    final = curve[-1]
-    ok = final["cold_window_ms"] < BUDGET_MS
-    doc = {
-        "benchmark": "sharded scatter-gather under memory budget",
-        "claim_cold_window_ms_under": BUDGET_MS,
-        "claim_met": bool(ok),
-        "scaling": curve,
-    }
-    if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-        print(f"wrote {args.json}")
-    if not ok:
-        print(
-            f"FAIL: cold window query took {final['cold_window_ms']:.1f} ms "
-            f"(budget {BUDGET_MS} ms)",
-            file=sys.stderr,
-        )
-        return 1
-    print(
-        f"ok: {final['objects']} objects / {final['units']} units cold in "
-        f"{final['cold_window_ms']:.1f} ms, 0 mismatches"
-    )
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -1,22 +1,15 @@
-"""S1: crash-safe storage — logging overhead and recovery cost.
+"""S1: crash-safe storage — recovery equivalence and the crash matrix.
 
-Claims under test: (1) the WAL makes tuple appends durably atomic at a
-bounded, measured cost over the unlogged store; (2) recovery replays a
-committed log back into an equivalent store (equivalence asserted in
-the same run); (3) with every failpoint disarmed the fault machinery is
-one module-attribute branch per site — the disarmed crash matrix
-machinery itself runs in milliseconds.
-
-Runs both as pytest (equivalence assertions, no wall-clock flakiness)
-and as a script: ``python benchmarks/bench_storage_faults.py --json
-BENCH_storage.json``.
+Claims under test: recovery replays a committed log back into an
+equivalent store (equivalence asserted in the same run), and every row
+of the crash matrix survives.  Runs as pytest (equivalence assertions,
+no wall-clock thresholds); timings live in ``benchmarks/e2e/run.py``
+(``ingest.replay_s``, ``recover_s``, ``wal.append_sync_ms``).
 """
 
-import json
 import random
 import time
 
-from repro import faults
 from repro.faultmatrix import format_matrix, run_matrix
 from repro.storage.pages import PageFile
 from repro.storage.tuplestore import TupleStore
@@ -71,18 +64,6 @@ def _store(wal):
     )
 
 
-def measure_append(tracks) -> dict:
-    """Time unlogged vs WAL-logged appends of the same workload."""
-    plain_s = _best_of(lambda: _fill(_store(None), tracks))
-    logged_s = _best_of(lambda: _fill(_store(Wal()), tracks))
-    return {
-        "tuples": len(tracks),
-        "plain_append_s": plain_s,
-        "wal_append_s": logged_s,
-        "wal_overhead_x": logged_s / plain_s,
-    }
-
-
 def measure_recovery(tracks) -> dict:
     """Time a full recovery replay AND assert equivalence, same run."""
     wal = Wal()
@@ -116,32 +97,6 @@ def measure_recovery(tracks) -> dict:
     }
 
 
-def measure_disarmed_reads(tracks) -> dict:
-    """Scan cost with the fault machinery present but disarmed."""
-    store = _store(None)
-    _fill(store, tracks)
-    faults.disarm()
-    scan_s = _best_of(lambda: list(store.scan()))
-    return {"tuples": len(tracks), "scan_s": scan_s}
-
-
-def run_all(count: int = TUPLES) -> dict:
-    tracks = build_tracks(count)
-    tic = time.perf_counter()
-    matrix = run_matrix(seed=2000)
-    matrix_s = time.perf_counter() - tic
-    return {
-        "append": measure_append(tracks),
-        "recovery": measure_recovery(tracks),
-        "disarmed_scan": measure_disarmed_reads(tracks),
-        "crash_matrix": {
-            "wall_s": matrix_s,
-            "survived": sum(e.ok for e in matrix),
-            "total": len(matrix),
-        },
-    }
-
-
 # -- pytest entry points (assertions only, no wall-clock thresholds) -------
 
 
@@ -154,31 +109,3 @@ def test_s1_recovery_equivalence():
 def test_s1_crash_matrix_survives():
     entries = run_matrix(seed=2000)
     assert all(e.ok for e in entries), format_matrix(entries)
-
-
-if __name__ == "__main__":
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--tuples", type=int, default=TUPLES,
-                        help=f"workload size (default {TUPLES})")
-    parser.add_argument("--json", default=None, help="write results to this file")
-    args = parser.parse_args()
-
-    results = run_all(args.tuples)
-    app, rec = results["append"], results["recovery"]
-    print(f"appends ({app['tuples']} tuples): "
-          f"plain {app['plain_append_s']:.4f}s, "
-          f"wal {app['wal_append_s']:.4f}s "
-          f"({app['wal_overhead_x']:.2f}x)")
-    print(f"recovery: {rec['recover_s']:.4f}s over {rec['wal_bytes']} WAL "
-          f"bytes / {rec['pages']} pages, "
-          f"checkpoint {rec['checkpoint_s']:.4f}s, "
-          f"{rec['mismatches']} mismatches")
-    cm = results["crash_matrix"]
-    print(f"crash matrix: {cm['survived']}/{cm['total']} survived "
-          f"in {cm['wall_s']:.2f}s")
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as f:
-            json.dump(results, f, indent=2)
-        print(f"wrote {args.json}")

@@ -6,11 +6,11 @@ a whole-fleet ``atinstant`` is one vectorized binary search plus one
 fused evaluation — more than an order of magnitude faster than the
 per-object scalar loop, while returning the same answers bit for bit.
 
-Runs both as pytest (equivalence + speedup asserted together) and as a
-script: ``python benchmarks/bench_vector.py --json BENCH_vector.json``.
+Runs as pytest (equivalence + speedup asserted together); the timings
+that are tracked over time are ``kernels.*`` / ``fleet.*`` of
+``benchmarks/e2e/run.py --workload api_scan_warm``.
 """
 
-import json
 import random
 import time
 
@@ -131,16 +131,6 @@ def measure_bbox_filter(fleet, cube: Cube) -> dict:
     }
 
 
-def run_all(count: int = FLEET_SIZE) -> dict:
-    fleet = build_fleet(count)
-    t_mid = 60.0  # inside most flights' lifetime
-    cube = Cube(200, 200, 20, 800, 800, 90)
-    return {
-        "fleet_size": count,
-        "atinstant": measure_atinstant(fleet, t_mid),
-        "bbox_filter": measure_bbox_filter(fleet, cube),
-    }
-
 
 # -- pytest entry points ------------------------------------------------------
 
@@ -169,37 +159,3 @@ def test_v1_colcache_warm_beats_cold():
     stats = measure_atinstant(fleet, 60.0)
     assert stats["mismatches"] == 0
     assert stats["warm_speedup"] >= 5.0, stats
-
-
-if __name__ == "__main__":
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--json", default=None, help="write results to this file")
-    parser.add_argument("--objects", type=int, default=FLEET_SIZE)
-    args = parser.parse_args()
-
-    results = run_all(args.objects)
-    a = results["atinstant"]
-    print(f"fleet: {a['objects']} objects, {a['units']} units")
-    print(
-        f"atinstant  scalar {a['scalar_s'] * 1e3:8.2f} ms   "
-        f"kernel {a['kernel_s'] * 1e3:8.3f} ms   "
-        f"speedup {a['speedup']:.1f}x   mismatches {a['mismatches']}"
-    )
-    print(
-        f"           build {a['build_s'] * 1e3:9.2f} ms   "
-        f"cold {a['end_to_end_cold_s'] * 1e3:10.2f} ms   "
-        f"warm {a['end_to_end_warm_s'] * 1e3:8.3f} ms   "
-        f"(warm speedup {a['warm_speedup']:.1f}x)"
-    )
-    b = results["bbox_filter"]
-    print(
-        f"bboxfilter scalar {b['scalar_s'] * 1e3:8.2f} ms   "
-        f"kernel {b['kernel_s'] * 1e3:8.3f} ms   "
-        f"speedup {b['speedup']:.1f}x   mismatches {b['mismatches']}"
-    )
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as f:
-            json.dump(results, f, indent=2)
-        print(f"wrote {args.json}")

@@ -32,9 +32,9 @@ _COLSTORE_SCOPE = "colstore"
 def _build_column(kind: str, mappings: Sequence):
     """Build one column kind from mappings (lazy import: the catalog
     must stay importable without pulling in numpy-backed modules)."""
-    from repro.vector.store import _BUILDERS
+    from repro.vector.columns import KINDS
 
-    return _BUILDERS[kind](mappings)
+    return KINDS[kind].from_mappings(mappings)
 
 
 class Database:

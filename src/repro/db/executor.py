@@ -273,7 +273,6 @@ class MmapScan(VectorScan):
         self.backend = backend
 
     def _store_column(self) -> Any:
-        from repro.errors import CorruptColumnError
         from repro.vector.store import ColumnStore
 
         if self.store_root is None:
@@ -281,17 +280,13 @@ class MmapScan(VectorScan):
         store = ColumnStore(self.store_root)
         # Serve straight from disk when the stored generation has one
         # lane per tuple of the relation — without building anything,
-        # which is the whole cold-start saving.  Any mismatch falls
-        # through to the validating load-or-rebuild over the unpacked
-        # mappings.
+        # which is the whole cold-start saving.  Anything else is
+        # rebuilt from the unpacked mappings.
         try:
-            entry = store.manifest()["columns"].get("upoint")
-            if entry is not None and entry.get("n_objects") == len(self.relation):
-                return store.load("upoint")
-        except CorruptColumnError:
-            pass
-        try:
-            return store.load_or_rebuild("upoint", self.mappings())
+            col = store.load_current("upoint", len(self.relation))
+            if col is None:
+                col = store.rebuild("upoint", self.mappings())
+            return col
         except (OSError, StorageError):
             return None  # degraded: in-memory transcription below
 

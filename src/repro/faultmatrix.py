@@ -61,8 +61,9 @@ from repro.storage.wal import Wal
 from repro.temporal.mapping import MovingPoint
 from repro.temporal.upoint import UPoint
 from repro.vector.cache import clear_cache, column_for_versioned
+from repro.vector.columns import UPointColumn
 from repro.vector.kernels import window_intervals_batch
-from repro.vector.store import ColumnStore, _BUILDERS, clear_store, set_store
+from repro.vector.store import ColumnStore, clear_store, set_store
 
 __all__ = [
     "MatrixEntry",
@@ -325,7 +326,7 @@ def _rows(store: TupleStore) -> List[Tuple[str, int]]:
 
 def _expect_column(col, mappings: Sequence[MovingPoint], complaint: str) -> None:
     """``col`` must be byte-identical to a from-scratch build over ``mappings``."""
-    ref = _BUILDERS["upoint"](mappings)
+    ref = UPointColumn.from_mappings(mappings)
     if (col.offsets.tobytes() != ref.offsets.tobytes()
             or col.x0.tobytes() != ref.x0.tobytes()):
         raise ScenarioFailed(complaint)
@@ -435,9 +436,9 @@ def _colstore_save(run: Run) -> str:
     old = grown[:4]
     with tempfile.TemporaryDirectory(prefix="faultmatrix_") as root:
         store = ColumnStore(root)
-        store.save("upoint", _BUILDERS["upoint"](old), n_objects=len(old))
+        store.save("upoint", UPointColumn.from_mappings(old), n_objects=len(old))
         with run.armed():
-            store.save("upoint", _BUILDERS["upoint"](grown), n_objects=len(grown))
+            store.save("upoint", UPointColumn.from_mappings(grown), n_objects=len(grown))
         # Atomicity: either the old generation still verifies and reads
         # back byte-identical, or the damage is typed — never silent.
         try:
@@ -457,7 +458,7 @@ def _shmcol_pack(run: Run) -> str:
     from the OS namespace, not leaked, and a repack must serve
     identical bytes."""
     mappings = _tracks(run.seed, 4)
-    col = _BUILDERS["upoint"](mappings)
+    col = UPointColumn.from_mappings(mappings)
     try:
         before = set(os.listdir("/dev/shm"))
     except OSError:  # pragma: no cover - non-Linux fallback
@@ -698,7 +699,7 @@ def _worker_kill(run: Run) -> str:
     """SIGKILL a fork worker mid-query: the dispatcher must respawn the
     pool, retry the lost chunks, and return the bit-identical result."""
     n = max(config.PARALLEL_MIN_OBJECTS, 1024) + 64
-    col = _BUILDERS["upoint"](_tracks(run.seed, n))
+    col = UPointColumn.from_mappings(_tracks(run.seed, n))
     pool.shutdown()
     shmcol.release_all()
     with obs.capture():
@@ -743,7 +744,7 @@ def _shard_evict(run: Run) -> str:
     if evictions < 1:
         raise ScenarioFailed("failpoint fired but no shard was ever evicted")
     _expect_window(
-        probes, _BUILDERS["upoint"](mappings),
+        probes, UPointColumn.from_mappings(mappings),
         "a result array differs from the single-process kernel "
         "(torn read through a mid-scatter eviction)",
     )

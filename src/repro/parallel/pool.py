@@ -356,8 +356,7 @@ def run_task(
     if len(payload) > 6 and payload[6]:
         os.kill(os.getpid(), signal.SIGKILL)
     entry = OPERATIONS[op]
-    chunk = shmcol.chunk_bbox if entry.kind == "bbox" else shmcol.chunk_units
-    view = chunk(_attached_column(descriptor), lo, hi)
+    view = _attached_column(descriptor).chunk(lo, hi)
     if profiled:
         with obs.capture() as counters:
             out = entry.kernel(view, *extra)

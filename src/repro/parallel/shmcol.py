@@ -6,7 +6,10 @@ per task, the arrays are copied **once** into a ``multiprocessing.
 shared_memory`` segment; what crosses the process boundary afterwards is
 a tiny *descriptor* — ``(kind, segment name, field layout)`` — from
 which a worker reconstructs the column as numpy views over the mapped
-segment.  Workers therefore read the exact bytes the parent packed:
+segment.  This module is transport only: which arrays a kind consists
+of, and how a column is rebuilt from them, is the kind's row of
+``repro.vector.columns.KINDS`` (``ARRAYS`` / ``arrays()`` /
+``from_arrays``).  Workers therefore read the exact bytes the parent packed:
 zero copies, bit-identical kernel inputs.
 
 Lifetime: the parent keeps a registry entry per packed column, tied to
@@ -35,14 +38,7 @@ import numpy as np
 
 from repro import faults, obs
 from repro.errors import CorruptColumnError, InvalidValue
-from repro.vector.columns import BBoxColumn, UPointColumn, URealColumn
-
-#: Per-kind field order: names of the arrays that make up each column.
-FIELDS: Dict[str, Tuple[str, ...]] = {
-    "upoint": ("offsets", "starts", "ends", "lc", "rc", "x0", "x1", "y0", "y1"),
-    "ureal": ("offsets", "starts", "ends", "lc", "rc", "a", "b", "c", "r"),
-    "bbox": ("xmin", "ymin", "tmin", "xmax", "ymax", "tmax"),
-}
+from repro.vector.columns import Column, column_class
 
 #: A picklable shared-column handle: (kind, segment name, field layout),
 #: the layout being ``(field, dtype, length, byte offset)`` tuples.
@@ -66,16 +62,6 @@ def _mmap_fallback(reason: str) -> None:
         obs.add(f"colstore.mmap_fallback.{reason}")
 
 
-def _kind_of(col: Any) -> str:
-    if isinstance(col, UPointColumn):
-        return "upoint"
-    if isinstance(col, URealColumn):
-        return "ureal"
-    if isinstance(col, BBoxColumn):
-        return "bbox"
-    raise InvalidValue(f"cannot share a {type(col).__name__}")
-
-
 def _align8(n: int) -> int:
     return (n + 7) & ~7
 
@@ -87,12 +73,13 @@ def pack(col: Any) -> Tuple[Descriptor, shared_memory.SharedMemory]:
     responsible for eventually ``close()`` + ``unlink()`` (see
     :func:`shared_descriptor` for the registry that automates this).
     """
-    kind = _kind_of(col)
+    if not isinstance(col, Column):
+        raise InvalidValue(f"cannot share a {type(col).__name__}")
     layout: List[Tuple[str, str, int, int]] = []
     arrays: List[Tuple[int, np.ndarray]] = []
     offset = 0
-    for field in FIELDS[kind]:
-        arr = np.ascontiguousarray(getattr(col, field))
+    for field, arr in zip(col.ARRAYS, col.arrays()):
+        arr = np.ascontiguousarray(arr)
         offset = _align8(offset)
         layout.append((field, arr.dtype.str, len(arr), offset))
         arrays.append((offset, arr))
@@ -122,7 +109,7 @@ def pack(col: Any) -> Tuple[Descriptor, shared_memory.SharedMemory]:
         except (OSError, BufferError):  # pragma: no cover - best-effort
             pass
         raise
-    return (kind, shm.name, tuple(layout)), shm
+    return (col.KIND, shm.name, tuple(layout)), shm
 
 
 class AttachedColumn:
@@ -161,7 +148,7 @@ def _attach_mmap(kind: str, name: str) -> AttachedColumn:
         crc = int(crc_text)
     except ValueError as exc:
         raise CorruptColumnError(f"malformed mmap descriptor {name!r}") from exc
-    column = ColumnStore(root)._load(kind)
+    column, _entry = ColumnStore(root)._load(kind)
     if column.source is None or column.source.manifest_crc != crc:
         raise CorruptColumnError(
             f"column store at {root!r} is no longer generation {crc:#010x}"
@@ -172,6 +159,7 @@ def _attach_mmap(kind: str, name: str) -> AttachedColumn:
 def attach(descriptor: Descriptor) -> AttachedColumn:
     """Open a packed column in this process (typically a pool worker)."""
     kind, name, layout = descriptor
+    cls = column_class(kind)
     if _scheme_of(name) == "mmap":
         return _attach_mmap(kind, name)
     shm = shared_memory.SharedMemory(name=name)
@@ -190,44 +178,7 @@ def attach(descriptor: Descriptor) -> AttachedColumn:
         field: np.frombuffer(shm.buf, dtype=np.dtype(dt), count=n, offset=off)
         for field, dt, n, off in layout
     }
-    if kind == "bbox":
-        column: Any = BBoxColumn(
-            list(range(len(fields["xmin"]))),
-            **{f: fields[f] for f in FIELDS["bbox"]},
-        )
-    elif kind == "ureal":
-        column = URealColumn(*(fields[f] for f in FIELDS["ureal"]))
-    else:
-        column = UPointColumn(*(fields[f] for f in FIELDS["upoint"]))
-    return AttachedColumn(shm, column)
-
-
-# ---------------------------------------------------------------------------
-# Chunk views: the object/entry range a single worker operates on
-# ---------------------------------------------------------------------------
-
-
-def chunk_units(col: Any, lo: int, hi: int) -> Any:
-    """Object-range ``[lo, hi)`` slice of a unit column, (nearly) zero-copy.
-
-    The per-unit arrays are plain views; only the small per-object
-    offsets array is rebased.  Works for ``UPointColumn`` and
-    ``URealColumn`` alike.
-    """
-    kind = _kind_of(col)
-    offsets = col.offsets
-    u0, u1 = int(offsets[lo]), int(offsets[hi])
-    rebased = offsets[lo : hi + 1] - u0
-    fields = [getattr(col, f)[u0:u1] for f in FIELDS[kind][1:]]
-    return type(col)(rebased, *fields)
-
-
-def chunk_bbox(col: BBoxColumn, lo: int, hi: int) -> BBoxColumn:
-    """Entry-range ``[lo, hi)`` slice of a bounding-box column."""
-    return BBoxColumn(
-        col.keys[lo:hi],
-        *(getattr(col, f)[lo:hi] for f in FIELDS["bbox"]),
-    )
+    return AttachedColumn(shm, cls.from_arrays([fields[f] for f in cls.ARRAYS]))
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +237,7 @@ def _mmap_descriptor(col: Any) -> Optional[Descriptor]:
     if obs.enabled:
         obs.add("colstore.mmap_direct")
     return (
-        _kind_of(col),
+        col.KIND,
         f"{_MMAP_PREFIX}{source.manifest_crc}:{source.root}",
         (),
     )

@@ -46,7 +46,8 @@ from repro.shard.manager import ShardManager
 from repro.temporal.mapping import MovingPoint
 from repro.temporal.upoint import UPoint
 from repro.vector import backends
-from repro.vector.cache import _BUILDERS, Fleet, column_for_versioned
+from repro.vector.cache import Fleet, column_for_versioned
+from repro.vector.columns import KINDS
 
 __all__ = ["FleetExecutor", "Snapshot", "SnapshotRows"]
 
@@ -222,7 +223,7 @@ class FleetExecutor:
             else:
                 # The fleet moved on past the pin: build from the pinned
                 # members themselves (immutable, so always consistent).
-                col = _BUILDERS[kind](snap.items)
+                col = KINDS[kind].from_mappings(snap.items)
         except (InvalidValue, StorageError):
             col = None
         snap._columns[kind] = col

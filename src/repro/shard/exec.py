@@ -43,7 +43,7 @@ from repro.shard.manager import ShardManager
 from repro.spatial.bbox import Cube, Rect
 from repro.spatial.region import Region
 from repro.vector.backends import IntervalRows, evaluate
-from repro.vector.columns import UPointColumn
+from repro.vector.columns import UnitColumn
 
 Part = Tuple[np.ndarray, Any]
 
@@ -129,7 +129,7 @@ def sharded(
     )
 
 
-def _gather_candidates(col: UPointColumn, cand: np.ndarray) -> UPointColumn:
+def _gather_candidates(col: UnitColumn, cand: np.ndarray) -> UnitColumn:
     """A compact sub-column holding ``cand``'s objects, units intact.
 
     ``cand`` is ascending local object positions; whole objects are
@@ -146,11 +146,7 @@ def _gather_candidates(col: UPointColumn, cand: np.ndarray) -> UPointColumn:
         idx = np.empty(0, dtype=np.int64)
     else:
         idx = np.repeat(off[cand] - suboff[:-1], lens) + np.arange(total)
-    return UPointColumn(
-        suboff,
-        col.starts[idx], col.ends[idx], col.lc[idx], col.rc[idx],
-        col.x0[idx], col.x1[idx], col.y0[idx], col.y1[idx],
-    )
+    return type(col)(suboff, *(a[idx] for a in col.arrays()[1:]))
 
 
 # ---------------------------------------------------------------------------

@@ -34,13 +34,13 @@ import numpy as np
 
 from repro import config, obs
 from repro.analysis import dynlock
-from repro.errors import CorruptColumnError, InvalidValue, StorageError
+from repro.errors import CorruptColumnError, StorageError
 from repro.residency import Residency
 from repro.shard.fleet import ShardedFleet
 from repro.spatial.bbox import Cube
-from repro.vector.cache import column_for_versioned, column_nbytes, evict_columns
-from repro.vector.columns import BBoxColumn, UPointColumn
-from repro.vector.store import _BUILDERS, ColumnStore
+from repro.vector.cache import column_for_versioned, evict_columns
+from repro.vector.columns import column_class
+from repro.vector.store import ColumnStore
 
 
 class _Resident:
@@ -126,9 +126,9 @@ class ShardManager:
                 return held[1]
             version, col = self._map_column(s, kind)
             if held is not None:
-                res.nbytes -= column_nbytes(held[1])
+                res.nbytes -= held[1].nbytes
             res.columns[kind] = (version, col)
-            res.nbytes += column_nbytes(col)
+            res.nbytes += col.nbytes
             if obs.enabled:
                 obs.counters.add("shard.maps")
             self._charge(s, res)
@@ -282,7 +282,7 @@ class ShardManager:
                 for kind in kinds:
                     st.save(
                         kind,
-                        _BUILDERS[kind](shard),
+                        column_class(kind).from_mappings(shard),
                         fleet_version=generation,
                         n_objects=len(shard),
                     )
@@ -301,18 +301,8 @@ class ShardManager:
         shard were mapped at once (the budget's comparison point) — by
         arithmetic on the members, so that asking maps and caches
         nothing."""
-        total = 0
-        for shard in self.fleet.shards:
-            if kind == "upoint":
-                n_units = sum(len(m.units) for m in shard)
-                total += n_units * UPointColumn.UNIT_DTYPE.itemsize
-                total += (len(shard) + 1) * 8  # CSR offsets
-            elif kind == "bbox":
-                n_boxes = sum(1 for m in shard if m.units)
-                total += n_boxes * BBoxColumn.RECORD_DTYPE.itemsize
-            else:
-                raise InvalidValue(f"no byte count for column kind {kind!r}")
-        return total
+        cls = column_class(kind)
+        return sum(cls.stored_nbytes(shard) for shard in self.fleet.shards)
 
     def globals_of(self, s: int) -> np.ndarray:
         return self.fleet.globals_of(s)

@@ -1,10 +1,12 @@
 """Columnar cache: built columns keyed by fleet identity + version stamp.
 
-``BENCH_vector.json`` made the economics plain: the batched ``atinstant``
-kernel costs well under a millisecond at 10,000 objects, but building its
-column costs tens of milliseconds — repeated snapshot and window queries
-were paying a ~40× overhead to re-transcribe an unchanged fleet.  The
-cache closes that gap for fleets that opt into mutation tracking:
+The economics (``benchmarks/e2e/run.py --workload api_scan_warm``,
+``cache.build_upoint_ms`` beside ``kernels.atinstant_ms``): the batched
+``atinstant`` kernel costs well under a millisecond at 10,000 objects,
+but building its column costs tens of milliseconds — repeated snapshot
+and window queries were paying a ~40× overhead to re-transcribe an
+unchanged fleet.  The cache closes that gap for fleets that opt into
+mutation tracking:
 
 * :class:`Fleet` is a list-like sequence of moving objects carrying a
   monotonically increasing *version stamp*, bumped by every mutating
@@ -25,13 +27,13 @@ from __future__ import annotations
 
 import weakref
 from collections.abc import MutableSequence
-from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Any, Iterable, List, Optional, Set, Tuple
 
 from repro import config, obs
 from repro.analysis import dynlock
 from repro.errors import InvalidValue, StorageError
 from repro.residency import Residency
-from repro.vector.columns import BBoxColumn, UPointColumn, URealColumn
+from repro.vector.columns import KINDS, column_class
 
 #: Changelog entries kept per fleet.  Past the cap the oldest half is
 #: trimmed and versions at or below the trim point become unknowable
@@ -132,43 +134,12 @@ class Fleet(MutableSequence[Any]):
         return f"Fleet({len(self._items)} objects, version={self._version})"
 
 
-#: How each column kind is built from a fleet of mappings.
-_BUILDERS: Dict[str, Callable[[Any], Any]] = {
-    "upoint": UPointColumn.from_mappings,
-    "ureal": URealColumn.from_mappings,
-    "bbox": BBoxColumn.from_mappings,
-}
-
-#: Array attributes that carry a column's payload, across all kinds.
-_ARRAY_FIELDS = (
-    "offsets", "starts", "ends", "lc", "rc",
-    "xmin", "ymin", "tmin", "xmax", "ymax", "tmax",
-)
-
-
-def column_nbytes(column: Any) -> int:
-    """Resident bytes of a built column: the sum of its array payloads.
-
-    Counts every numpy field the column carries (CSR offsets, interval
-    arrays, motion coefficients, bbox coordinates); non-array attributes
-    (``keys`` lists, sources) are bookkeeping, not payload, and are not
-    charged.  This is the unit of account for both the column cache's
-    byte budget and the shard manager's residency budget.
-    """
-    total = 0
-    for name in _ARRAY_FIELDS + tuple(getattr(type(column), "EXTRA_FIELDS", ())):
-        nbytes = getattr(getattr(column, name, None), "nbytes", None)
-        if nbytes is not None:
-            total += int(nbytes)
-    return total
-
-
 class ColumnCache:
     """Byte-budgeted cache of built columns keyed by fleet identity.
 
     Eviction is by resident *bytes*, not entry count: an entry-count cap
     could hold N huge columns while evicting small ones, so an entry
-    costs its :func:`column_nbytes` and the shared CLOCK policy
+    costs its column's ``nbytes`` and the shared CLOCK policy
     (:mod:`repro.residency`) evicts until the total fits the budget
     (``config.COLCACHE_BYTES`` unless overridden per instance).  Entries
     whose column is memmap-backed (``column.source`` names its
@@ -214,7 +185,7 @@ class ColumnCache:
         its own reference would leave the bytes resident here.
         """
         with self._lock:
-            for kind in _BUILDERS:
+            for kind in KINDS:
                 self._entries.evict((id(fleet), kind))
 
     def get(self, fleet: Fleet, kind: str) -> Any:
@@ -230,8 +201,7 @@ class ColumnCache:
         its own builder iteration — must not silently feed the kernel a
         stale column.
         """
-        if kind not in _BUILDERS:
-            raise InvalidValue(f"unknown column kind {kind!r}")
+        column_class(kind)
         with self._lock:
             return self._get_versioned_locked(fleet, kind)
 
@@ -275,7 +245,7 @@ class ColumnCache:
         """Insert or replace one entry, then fit the cache to its budget
         (a splice that grew the column pays like a fresh build); keeps
         the ``colcache.bytes`` high-water gauge.  Caller holds the lock."""
-        cost = 0 if column.source is not None else column_nbytes(column)
+        cost = 0 if column.source is not None else column.nbytes
         self._entries.put(key, (version, ref, column), cost)
         if cost:
             obs.high_water("colcache.bytes", float(self._entries.total))
@@ -325,7 +295,7 @@ class ColumnCache:
                 # degrade to a plain in-memory build, never fail the
                 # query over a persistence problem.
                 pass
-        return _BUILDERS[kind](fleet)
+        return KINDS[kind].from_mappings(fleet)
 
 
 #: Process-wide cache used by the fleet helpers and the query engine.
@@ -351,10 +321,7 @@ def column_for_versioned(
     describes (None for plain sequences, which carry no stamp)."""
     if isinstance(fleet, Fleet):
         return _CACHE.get_versioned(fleet, kind)
-    builder = _BUILDERS.get(kind)
-    if builder is None:
-        raise InvalidValue(f"unknown column kind {kind!r}")
-    return None, builder(fleet)
+    return None, column_class(kind).from_mappings(fleet)
 
 
 #: How many get→mutate→re-get rounds :func:`revalidate` tolerates before

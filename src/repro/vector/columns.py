@@ -17,7 +17,7 @@ just another view of the Section-4 on-disk structure.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -26,8 +26,22 @@ from repro.ranges.interval import Interval
 from repro.spatial.bbox import Cube
 from repro.storage.darray import DatabaseArray
 from repro.temporal.mapping import Mapping, MovingPoint, MovingReal
+from repro.temporal.mseg import MPoint
 from repro.temporal.upoint import UPoint
 from repro.temporal.ureal import UReal
+
+
+#: Record layout of a CSR offsets file (the stacked root records).
+OFFSETS_DTYPE = np.dtype("<i8")
+#: The interval quadruple every unit record starts with.
+_INTERVAL = [("s", "<f8"), ("e", "<f8"), ("lc", "?"), ("rc", "?")]
+
+_STRUCT_CODES = {"<f8": "d", "|b1": "?", "<i8": "q"}
+
+
+def _struct_format(dtype: np.dtype) -> str:
+    """The ``struct`` format whose bytes equal one packed ``dtype`` record."""
+    return "<" + "".join(_STRUCT_CODES[dtype[name].str] for name in dtype.names)
 
 
 def _as_offsets(counts: List[int]) -> np.ndarray:
@@ -37,48 +51,101 @@ def _as_offsets(counts: List[int]) -> np.ndarray:
     return offsets
 
 
-class UnitColumn:
-    """Shared interval columns: ``starts``/``ends``/``lc``/``rc`` + offsets."""
+def _sorted_changes(changed: Sequence[int], n_new: int) -> List[int]:
+    """The distinct changed object indices, ascending, all inside the fleet."""
+    out = sorted({int(i) for i in changed})
+    if out and (out[0] < 0 or out[-1] >= n_new):
+        raise InvalidValue("changed object index out of range")
+    return out
+
+
+class Column:
+    """What every column kind answers (the rows of :data:`KINDS`).
+
+    A kind declares ``KIND``, ``FILES`` — the ordered ``(file name,
+    record dtype)`` pairs it persists as, the last one locating objects
+    (see ``rewrite_points``) — and ``ARRAYS``, the attribute names of its
+    payload arrays in constructor order; and implements ``from_mappings``,
+    ``records()`` / ``from_records(arrays)`` (one array per file),
+    ``from_arrays``, ``stored_nbytes(mappings)``, ``rewrite_points`` and
+    ``chunk(lo, hi)``.
+    """
 
     # __weakref__ lets the column cache and the shared-memory segment
     # registry key off column/owner identity without keeping it alive.
     # ``source`` identifies the persistent store a memmap-backed column
     # was opened from (:mod:`repro.vector.store`), or None for columns
     # that live purely in process memory.
-    __slots__ = ("offsets", "starts", "ends", "lc", "rc", "source", "__weakref__")
+    __slots__ = ("source", "__weakref__")
 
-    #: Per-subclass unit fields beyond the shared interval quadruple;
-    #: in constructor order, so splicing can rebuild via ``cls(...)``.
-    EXTRA_FIELDS: Tuple[str, ...] = ()
+    KIND: str
+    FILES: Tuple[Tuple[str, np.dtype], ...]
+    ARRAYS: Tuple[str, ...]
 
-    def __init__(
-        self,
-        offsets: np.ndarray,
-        starts: np.ndarray,
-        ends: np.ndarray,
-        lc: np.ndarray,
-        rc: np.ndarray,
-    ):
-        self.offsets = np.ascontiguousarray(offsets, dtype=np.int64)
-        self.starts = np.ascontiguousarray(starts, dtype=np.float64)
-        self.ends = np.ascontiguousarray(ends, dtype=np.float64)
-        self.lc = np.ascontiguousarray(lc, dtype=np.bool_)
-        self.rc = np.ascontiguousarray(rc, dtype=np.bool_)
-        self.source = None
-        if self.offsets.ndim != 1 or len(self.offsets) == 0:
-            raise InvalidValue("offsets must be a 1-D array of length n+1")
-        if int(self.offsets[-1]) != len(self.starts):
-            raise InvalidValue("offsets do not cover the unit arrays")
+    def arrays(self) -> List[np.ndarray]:
+        """The payload arrays, in constructor order (``ARRAYS`` names them)."""
+        return [getattr(self, name) for name in self.ARRAYS]
 
-    @staticmethod
-    def _check_offsets(offsets: np.ndarray, n_units: int) -> np.ndarray:
-        """Validate a CSR offsets array against ``n_units`` unit records."""
-        offsets = np.asarray(offsets, dtype=np.int64)
+    @classmethod
+    def from_arrays(cls, arrays: Sequence[np.ndarray]):
+        """Inverse of :meth:`arrays`."""
+        return cls(*arrays)
+
+    @property
+    def nbytes(self) -> int:
+        """Resident bytes: the sum of the payload arrays (the unit of
+        account of the column cache's and the shard manager's budgets).
+        Key lists and sources are bookkeeping, not payload."""
+        return sum(int(a.nbytes) for a in self.arrays())
+
+
+class UnitColumn(Column):
+    """A fleet of ``mapping(unit)`` values as arrays: CSR ``offsets`` plus
+    one array per field of the unit record.
+
+    A subclass declares what its unit is — ``KIND``, ``FILES``, the record
+    ``UNIT_DTYPE`` (interval quadruple ``s, e, lc, rc`` first) and its
+    ``MAPPING`` class — and the transcription pair ``_rows(units) ->
+    rows`` / ``_from_rows(rows) -> units``, called once per fleet so the
+    per-unit Python stays one comprehension.  Everything that only moves
+    arrays around is written once here, driven by the dtype's field names.
+    """
+
+    __slots__ = ("offsets", "starts", "ends", "lc", "rc")
+
+    #: numpy layout of one unit record, byte-identical to ``UNIT_FORMAT``.
+    UNIT_DTYPE: np.dtype
+    MAPPING: type
+    #: struct layout of one root record (a unit-count offset).
+    ROOT_FORMAT = _struct_format(np.dtype([("n", OFFSETS_DTYPE)]))
+
+    def __init_subclass__(cls) -> None:
+        #: Attribute per unit-record field, in record order.
+        cls.FIELDS = ("starts", "ends", "lc", "rc") + cls.UNIT_DTYPE.names[4:]
+        cls.ARRAYS = ("offsets",) + cls.FIELDS
+        #: struct layout of one unit record in a database array.
+        cls.UNIT_FORMAT = _struct_format(cls.UNIT_DTYPE)
+
+    def __init__(self, offsets: np.ndarray, *fields: np.ndarray):
+        dtype = self.UNIT_DTYPE
+        self._assign(
+            np.ascontiguousarray(offsets, dtype=np.int64),
+            [
+                np.ascontiguousarray(a, dtype=dtype[name])
+                for name, a in zip(dtype.names, fields, strict=True)
+            ],
+        )
+
+    def _assign(self, offsets: np.ndarray, fields: Sequence[np.ndarray]) -> None:
+        """Adopt arrays as they are (no copy) once the offsets cover them."""
         if offsets.ndim != 1 or len(offsets) == 0:
             raise InvalidValue("offsets must be a 1-D array of length n+1")
-        if int(offsets[-1]) != n_units:
+        if int(offsets[-1]) != len(fields[0]):
             raise InvalidValue("offsets do not cover the unit arrays")
-        return offsets
+        self.offsets = offsets
+        for attr, a in zip(self.FIELDS, fields):
+            setattr(self, attr, a)
+        self.source = None
 
     @property
     def n_objects(self) -> int:
@@ -96,6 +163,126 @@ class UnitColumn:
 
     def __len__(self) -> int:
         return self.n_objects
+
+    # -- mappings <-> arrays ------------------------------------------------
+
+    @classmethod
+    def from_mappings(cls, mappings: Sequence[Mapping]):
+        """Transcribe a fleet of mappings into one column."""
+        counts: List[int] = []
+        units: List = []
+        for m in mappings:
+            if not isinstance(m, Mapping):
+                raise InvalidValue(
+                    f"{cls.__name__} holds mappings, got {type(m).__name__}"
+                )
+            units += m.units
+            counts.append(len(m.units))
+        for t in set(map(type, units)):
+            if not issubclass(t, cls.MAPPING.unit_type):
+                raise InvalidValue(
+                    f"{cls.__name__} holds {cls.KIND} units, got {t.__name__}"
+                )
+        rec = np.array(cls._rows(units), dtype=cls.UNIT_DTYPE)
+        return cls(_as_offsets(counts), *(rec[name] for name in rec.dtype.names))
+
+    def to_mappings(self) -> List:
+        """Materialize the column back into ``MAPPING`` objects."""
+        units = self._from_rows(zip(*(getattr(self, f).tolist() for f in self.FIELDS)))
+        cuts = self.offsets.tolist()
+        # Units come back in CSR order, which is the validated unit
+        # order they were transcribed in; revalidating every
+        # round-trip would defeat the batch backend's purpose.
+        return [
+            self.MAPPING(units[lo:hi], validate=False)  # modlint: disable=MOD002 see comment above
+            for lo, hi in zip(cuts, cuts[1:])
+        ]
+
+    # -- the column-kind protocol (see Column) ------------------------------
+
+    @classmethod
+    def stored_nbytes(cls, mappings: Sequence[Mapping]) -> int:
+        """Bytes ``from_mappings(mappings)`` occupies, by arithmetic on the
+        members alone (nothing is built)."""
+        (_units, unit), (_offsets, root) = cls.FILES
+        n_units = sum(len(m.units) for m in mappings)
+        return n_units * unit.itemsize + (len(mappings) + 1) * root.itemsize
+
+    def records(self) -> List[np.ndarray]:
+        """The persistent form, one array per entry of ``FILES``."""
+        rec = np.empty(self.n_units, dtype=self.UNIT_DTYPE)
+        for attr, name in zip(self.FIELDS, rec.dtype.names):
+            rec[name] = getattr(self, attr)
+        return [rec, np.ascontiguousarray(self.offsets, dtype=OFFSETS_DTYPE)]
+
+    @classmethod
+    def from_records(cls, arrays: Sequence[np.ndarray]):
+        """Zero-copy view over :meth:`records`-shaped arrays (e.g. memmaps).
+
+        Unlike the constructor, the strided per-field views of the unit
+        records are kept as-is — no contiguous copy — so a memory-mapped
+        file stays lazily paged and cold open cost is the mmap, not a
+        column-width materialization.  The batch kernels only ever do
+        comparisons, reductions and fancy indexing, all of which accept
+        strided inputs.
+        """
+        rec, offsets = arrays
+        col = object.__new__(cls)
+        col._assign(
+            np.asarray(offsets, dtype=np.int64),
+            [rec[name] for name in cls.UNIT_DTYPE.names],
+        )
+        return col
+
+    @staticmethod
+    def rewrite_points(offsets: np.ndarray, min_changed: int) -> List[int]:
+        """Per-file record index from which stored bytes change when every
+        object below ``min_changed`` kept its exact unit rows.
+
+        Objects are contiguous in fleet order, so the units file changes
+        from the first changed object's CSR offset and the offsets file
+        from entry ``min_changed + 1`` (the entries up to and including
+        ``min_changed`` are sums over unchanged objects).
+        """
+        old_n = len(offsets) - 1
+        return [
+            int(offsets[min(min_changed, old_n)]),
+            min(min_changed + 1, old_n + 1),
+        ]
+
+    def chunk(self, lo: int, hi: int):
+        """Object-range ``[lo, hi)`` slice, (nearly) zero-copy: the unit
+        arrays are plain views, only the small offsets array is rebased."""
+        offsets = self.offsets
+        u0, u1 = int(offsets[lo]), int(offsets[hi])
+        return type(self)(
+            offsets[lo : hi + 1] - u0,
+            *(getattr(self, f)[u0:u1] for f in self.FIELDS),
+        )
+
+    def to_darrays(self) -> Tuple[DatabaseArray, DatabaseArray]:
+        """Serialize as Section-4 database arrays ``(root, units)``.
+
+        ``root`` holds the offsets array (one record per object plus the
+        final sentinel); ``units`` holds the fixed-size unit records.
+        Packing is a single buffer copy — the numpy record layout is
+        byte-identical to the struct format.
+        """
+        rec, offsets = self.records()
+        root = DatabaseArray(self.ROOT_FORMAT)
+        root.extend_packed(offsets.tobytes(), len(offsets))
+        units = DatabaseArray(self.UNIT_FORMAT)
+        units.extend_packed(rec.tobytes(), len(rec))
+        return root, units
+
+    @classmethod
+    def from_darrays(cls, root: DatabaseArray, units: DatabaseArray):
+        """Rebuild a column from database arrays written by :meth:`to_darrays`."""
+        rec = np.frombuffer(units.payload, dtype=cls.UNIT_DTYPE)
+        return cls(
+            np.frombuffer(root.payload, dtype=OFFSETS_DTYPE),
+            *(rec[name] for name in rec.dtype.names),
+        )
 
     def extended(self, mappings: Sequence[Mapping], changed: Sequence[int]):
         """Splice an updated fleet into a new column without retranscribing.
@@ -117,12 +304,8 @@ class UnitColumn:
         n_old = self.n_objects
         if n_new < n_old:
             raise InvalidValue("column extension cannot shrink the fleet")
-        changed_sorted = sorted({int(i) for i in changed})
+        changed_sorted = _sorted_changes(changed, n_new)
         changed_set = set(changed_sorted)
-        if changed_sorted and (
-            changed_sorted[0] < 0 or changed_sorted[-1] >= n_new
-        ):
-            raise InvalidValue("changed object index out of range")
         for i in range(n_old, n_new):
             if i not in changed_set:
                 raise InvalidValue(
@@ -158,11 +341,10 @@ class UnitColumn:
                                            int(self.offsets[j]))))
             i = j
 
-        fields = ("starts", "ends", "lc", "rc") + cls.EXTRA_FIELDS
         spliced = [
             np.concatenate([getattr(src, f)[sl] for src, sl in pieces])
             if pieces else getattr(self, f)[:0]
-            for f in fields
+            for f in cls.FIELDS
         ]
         return cls(offsets, *spliced)
 
@@ -175,63 +357,28 @@ class UPointColumn(UnitColumn):
     ``(x0, x1, y0, y1)`` with position ``(x0 + x1·t, y0 + y1·t)``.
     """
 
-    __slots__ = ("x0", "x1", "y0", "y1")
-
-    #: struct layout of one unit record in a database array.
-    UNIT_FORMAT = "<dd??dddd"
-    #: numpy layout with identical bytes (bulk pack/unpack bridge).
+    KIND = "upoint"
     UNIT_DTYPE = np.dtype(
-        [
-            ("s", "<f8"),
-            ("e", "<f8"),
-            ("lc", "?"),
-            ("rc", "?"),
-            ("x0", "<f8"),
-            ("x1", "<f8"),
-            ("y0", "<f8"),
-            ("y1", "<f8"),
-        ]
+        _INTERVAL + [("x0", "<f8"), ("x1", "<f8"), ("y0", "<f8"), ("y1", "<f8")]
     )
-    #: struct layout of one root record (a unit-count offset).
-    ROOT_FORMAT = "<q"
+    FILES = (("upoint.bin", UNIT_DTYPE), ("offsets.bin", OFFSETS_DTYPE))
+    MAPPING = MovingPoint
+    __slots__ = UNIT_DTYPE.names[4:]
 
-    EXTRA_FIELDS = ("x0", "x1", "y0", "y1")
+    @staticmethod
+    def _rows(units: Sequence[UPoint]) -> List[tuple]:
+        return [
+            (iv.s, iv.e, iv.lc, iv.rc, mo.x0, mo.x1, mo.y0, mo.y1)
+            for u in units
+            for iv, mo in [(u.interval, u.motion)]
+        ]
 
-    def __init__(self, offsets, starts, ends, lc, rc, x0, x1, y0, y1):
-        super().__init__(offsets, starts, ends, lc, rc)
-        self.x0 = np.ascontiguousarray(x0, dtype=np.float64)
-        self.x1 = np.ascontiguousarray(x1, dtype=np.float64)
-        self.y0 = np.ascontiguousarray(y0, dtype=np.float64)
-        self.y1 = np.ascontiguousarray(y1, dtype=np.float64)
-
-    @classmethod
-    def from_mappings(cls, mappings: Sequence[MovingPoint]) -> "UPointColumn":
-        """Transcribe a fleet of moving points into one column."""
-        counts: List[int] = []
-        rows: List[Tuple[float, float, bool, bool, float, float, float, float]] = []
-        for m in mappings:
-            if not isinstance(m, Mapping):
-                raise InvalidValue(
-                    f"UPointColumn holds mappings, got {type(m).__name__}"
-                )
-            for u in m.units:
-                if not isinstance(u, UPoint):
-                    raise InvalidValue(
-                        f"UPointColumn holds upoint units, got {type(u).__name__}"
-                    )
-                iv, mo = u.interval, u.motion
-                rows.append(
-                    (iv.s, iv.e, iv.lc, iv.rc, mo.x0, mo.x1, mo.y0, mo.y1)
-                )
-            counts.append(len(m.units))
-        rec = np.array(rows, dtype=cls.UNIT_DTYPE) if rows else np.empty(
-            0, dtype=cls.UNIT_DTYPE
-        )
-        return cls(
-            _as_offsets(counts),
-            rec["s"], rec["e"], rec["lc"], rec["rc"],
-            rec["x0"], rec["x1"], rec["y0"], rec["y1"],
-        )
+    @staticmethod
+    def _from_rows(rows: Sequence[tuple]) -> List[UPoint]:
+        return [
+            UPoint(Interval(s, e, lc, rc), MPoint(x0, x1, y0, y1))
+            for s, e, lc, rc, x0, x1, y0, y1 in rows
+        ]
 
     @classmethod
     def from_unit_arrays(
@@ -263,223 +410,42 @@ class UPointColumn(UnitColumn):
             raise InvalidValue("stored unit interval start exceeds its end")
         if np.any((s == e) & ~(rec["lc"] & rec["rc"])):
             raise InvalidValue("a degenerate interval must be closed on both sides")
-        if not all(np.isfinite(rec[f]).all() for f in cls.EXTRA_FIELDS):
+        if not all(np.isfinite(rec[f]).all() for f in cls.UNIT_DTYPE.names[4:]):
             raise InvalidValue("MPoint coefficients must be finite")
         owner = np.repeat(np.arange(len(arrays)), lens)
         if np.any((s[1:] < s[:-1]) & (owner[1:] == owner[:-1])):
             # A mapping sorts its units on construction; so does its column.
             rec = rec[np.lexsort((rec["rc"], e, ~rec["lc"], s, owner))]
-        return cls.from_records(_as_offsets(counts), rec)
-
-    def to_mappings(self) -> List[MovingPoint]:
-        """Materialize the column back into ``MovingPoint`` objects."""
-        from repro.temporal.mseg import MPoint
-
-        out: List[MovingPoint] = []
-        for i in range(self.n_objects):
-            sl = self.units_of(i)
-            units = [
-                UPoint(
-                    Interval(
-                        float(self.starts[j]), float(self.ends[j]),
-                        bool(self.lc[j]), bool(self.rc[j]),
-                    ),
-                    MPoint(
-                        float(self.x0[j]), float(self.x1[j]),
-                        float(self.y0[j]), float(self.y1[j]),
-                    ),
-                )
-                for j in range(sl.start, sl.stop)
-            ]
-            # Units come back in CSR order, which is the validated unit
-            # order they were transcribed in; revalidating every
-            # round-trip would defeat the batch backend's purpose.
-            out.append(MovingPoint(units, validate=False))  # modlint: disable=MOD002 see comment above
-        return out
-
-    def _unit_records(self) -> np.ndarray:
-        rec = np.empty(self.n_units, dtype=self.UNIT_DTYPE)
-        rec["s"], rec["e"] = self.starts, self.ends
-        rec["lc"], rec["rc"] = self.lc, self.rc
-        rec["x0"], rec["x1"] = self.x0, self.x1
-        rec["y0"], rec["y1"] = self.y0, self.y1
-        return rec
-
-    @classmethod
-    def from_records(
-        cls, offsets: np.ndarray, rec: np.ndarray
-    ) -> "UPointColumn":
-        """Zero-copy view over structured unit records (e.g. a memmap).
-
-        Unlike the constructor, the strided per-field views of ``rec``
-        are kept as-is — no contiguous copy — so a memory-mapped file
-        stays lazily paged and cold open cost is the mmap, not a
-        column-width materialization.  The batch kernels only ever do
-        comparisons, reductions and fancy indexing, all of which accept
-        strided inputs.
-        """
-        col = object.__new__(cls)
-        col.offsets = cls._check_offsets(offsets, len(rec))
-        col.starts, col.ends = rec["s"], rec["e"]
-        col.lc, col.rc = rec["lc"], rec["rc"]
-        col.x0, col.x1 = rec["x0"], rec["x1"]
-        col.y0, col.y1 = rec["y0"], rec["y1"]
-        col.source = None
-        return col
-
-    def to_darrays(self) -> Tuple[DatabaseArray, DatabaseArray]:
-        """Serialize as Section-4 database arrays ``(root, units)``.
-
-        ``root`` holds the offsets array (one record per object plus the
-        final sentinel); ``units`` holds the fixed-size unit records.
-        Packing is a single buffer copy — the numpy record layout is
-        byte-identical to the struct format.
-        """
-        root = DatabaseArray(self.ROOT_FORMAT)
-        root.extend_packed(self.offsets.astype("<i8").tobytes(), len(self.offsets))
-        units = DatabaseArray(self.UNIT_FORMAT)
-        units.extend_packed(self._unit_records().tobytes(), self.n_units)
-        return root, units
-
-    @classmethod
-    def from_darrays(
-        cls, root: DatabaseArray, units: DatabaseArray
-    ) -> "UPointColumn":
-        """Rebuild a column from database arrays written by :meth:`to_darrays`."""
-        offsets = np.frombuffer(root.payload, dtype="<i8").astype(np.int64)
-        rec = np.frombuffer(units.payload, dtype=cls.UNIT_DTYPE)
-        return cls(
-            offsets,
-            rec["s"], rec["e"], rec["lc"], rec["rc"],
-            rec["x0"], rec["x1"], rec["y0"], rec["y1"],
-        )
-
+        return cls.from_records([rec, _as_offsets(counts)])
 
 class URealColumn(UnitColumn):
     """Columnar ``mapping(ureal)`` fleet: ``(a, b, c, r)`` per unit."""
 
-    __slots__ = ("a", "b", "c", "r")
-
-    UNIT_FORMAT = "<dd??ddd?"
+    KIND = "ureal"
     UNIT_DTYPE = np.dtype(
-        [
-            ("s", "<f8"),
-            ("e", "<f8"),
-            ("lc", "?"),
-            ("rc", "?"),
-            ("a", "<f8"),
-            ("b", "<f8"),
-            ("c", "<f8"),
-            ("r", "?"),
-        ]
+        _INTERVAL + [("a", "<f8"), ("b", "<f8"), ("c", "<f8"), ("r", "?")]
     )
-    ROOT_FORMAT = "<q"
+    FILES = (("ureal.bin", UNIT_DTYPE), ("ureal_offsets.bin", OFFSETS_DTYPE))
+    MAPPING = MovingReal
+    __slots__ = UNIT_DTYPE.names[4:]
 
-    EXTRA_FIELDS = ("a", "b", "c", "r")
+    @staticmethod
+    def _rows(units: Sequence[UReal]) -> List[tuple]:
+        return [
+            (iv.s, iv.e, iv.lc, iv.rc, *u.coefficients)
+            for u in units
+            for iv in [u.interval]
+        ]
 
-    def __init__(self, offsets, starts, ends, lc, rc, a, b, c, r):
-        super().__init__(offsets, starts, ends, lc, rc)
-        self.a = np.ascontiguousarray(a, dtype=np.float64)
-        self.b = np.ascontiguousarray(b, dtype=np.float64)
-        self.c = np.ascontiguousarray(c, dtype=np.float64)
-        self.r = np.ascontiguousarray(r, dtype=np.bool_)
-
-    @classmethod
-    def from_mappings(cls, mappings: Sequence[MovingReal]) -> "URealColumn":
-        """Transcribe a fleet of moving reals into one column."""
-        counts: List[int] = []
-        rows: List[tuple] = []
-        for m in mappings:
-            if not isinstance(m, Mapping):
-                raise InvalidValue(
-                    f"URealColumn holds mappings, got {type(m).__name__}"
-                )
-            for u in m.units:
-                if not isinstance(u, UReal):
-                    raise InvalidValue(
-                        f"URealColumn holds ureal units, got {type(u).__name__}"
-                    )
-                iv = u.interval
-                a, b, c, r = u.coefficients
-                rows.append((iv.s, iv.e, iv.lc, iv.rc, a, b, c, r))
-            counts.append(len(m.units))
-        rec = np.array(rows, dtype=cls.UNIT_DTYPE) if rows else np.empty(
-            0, dtype=cls.UNIT_DTYPE
-        )
-        return cls(
-            _as_offsets(counts),
-            rec["s"], rec["e"], rec["lc"], rec["rc"],
-            rec["a"], rec["b"], rec["c"], rec["r"],
-        )
-
-    def to_mappings(self) -> List[MovingReal]:
-        """Materialize the column back into ``MovingReal`` objects."""
-        out: List[MovingReal] = []
-        for i in range(self.n_objects):
-            sl = self.units_of(i)
-            units = [
-                UReal(
-                    Interval(
-                        float(self.starts[j]), float(self.ends[j]),
-                        bool(self.lc[j]), bool(self.rc[j]),
-                    ),
-                    float(self.a[j]), float(self.b[j]), float(self.c[j]),
-                    bool(self.r[j]),
-                )
-                for j in range(sl.start, sl.stop)
-            ]
-            # Same as UPointColumn.to_mappings: CSR order preserves the
-            # validated unit order of the source mappings.
-            out.append(MovingReal(units, validate=False))  # modlint: disable=MOD002 see comment above
-        return out
-
-    def _unit_records(self) -> np.ndarray:
-        rec = np.empty(self.n_units, dtype=self.UNIT_DTYPE)
-        rec["s"], rec["e"] = self.starts, self.ends
-        rec["lc"], rec["rc"] = self.lc, self.rc
-        rec["a"], rec["b"], rec["c"], rec["r"] = self.a, self.b, self.c, self.r
-        return rec
-
-    @classmethod
-    def from_records(
-        cls, offsets: np.ndarray, rec: np.ndarray
-    ) -> "URealColumn":
-        """Zero-copy view over structured unit records (e.g. a memmap).
-
-        See :meth:`UPointColumn.from_records` for why the strided field
-        views are deliberately not copied.
-        """
-        col = object.__new__(cls)
-        col.offsets = cls._check_offsets(offsets, len(rec))
-        col.starts, col.ends = rec["s"], rec["e"]
-        col.lc, col.rc = rec["lc"], rec["rc"]
-        col.a, col.b, col.c, col.r = rec["a"], rec["b"], rec["c"], rec["r"]
-        col.source = None
-        return col
-
-    def to_darrays(self) -> Tuple[DatabaseArray, DatabaseArray]:
-        """Serialize as Section-4 database arrays ``(root, units)``."""
-        root = DatabaseArray(self.ROOT_FORMAT)
-        root.extend_packed(self.offsets.astype("<i8").tobytes(), len(self.offsets))
-        units = DatabaseArray(self.UNIT_FORMAT)
-        units.extend_packed(self._unit_records().tobytes(), self.n_units)
-        return root, units
-
-    @classmethod
-    def from_darrays(
-        cls, root: DatabaseArray, units: DatabaseArray
-    ) -> "URealColumn":
-        """Rebuild a column from database arrays written by :meth:`to_darrays`."""
-        offsets = np.frombuffer(root.payload, dtype="<i8").astype(np.int64)
-        rec = np.frombuffer(units.payload, dtype=cls.UNIT_DTYPE)
-        return cls(
-            offsets,
-            rec["s"], rec["e"], rec["lc"], rec["rc"],
-            rec["a"], rec["b"], rec["c"], rec["r"],
-        )
+    @staticmethod
+    def _from_rows(rows: Sequence[tuple]) -> List[UReal]:
+        return [
+            UReal(Interval(s, e, lc, rc), a, b, c, r)
+            for s, e, lc, rc, a, b, c, r in rows
+        ]
 
 
-class BBoxColumn:
+class BBoxColumn(Column):
     """Columnar bounding cubes: one ``(x, y, t)`` box per entry.
 
     Entries carry opaque ``keys`` (object identities).  Built either one
@@ -488,13 +454,8 @@ class BBoxColumn:
     records store, exactly what the R-tree indexes).
     """
 
-    __slots__ = (
-        "_keys", "_keys_i64", "xmin", "ymin", "tmin", "xmax", "ymax", "tmax",
-        "source", "__weakref__",
-    )
-
-    #: struct layout of one persisted bbox record: integer key + cube.
-    RECORD_FORMAT = "<qdddddd"
+    KIND = "bbox"
+    #: numpy layout of one persisted bbox record: integer key + cube.
     RECORD_DTYPE = np.dtype(
         [
             ("key", "<i8"),
@@ -506,16 +467,19 @@ class BBoxColumn:
             ("tmax", "<f8"),
         ]
     )
+    #: struct layout with identical bytes.
+    RECORD_FORMAT = _struct_format(RECORD_DTYPE)
+    FILES = (("bbox.bin", RECORD_DTYPE),)
+    #: Names of :meth:`arrays`: the cube coordinates (keys are identity,
+    #: not payload — a column rebuilt from its arrays is keyed by position).
+    ARRAYS = RECORD_DTYPE.names[1:]
+    __slots__ = ("_keys", "_keys_i64", *ARRAYS)
 
-    def __init__(self, keys, xmin, ymin, tmin, xmax, ymax, tmax):
+    def __init__(self, keys, *coords):
         self._keys: Optional[List[object]] = list(keys)
         self._keys_i64: Optional[np.ndarray] = None
-        self.xmin = np.ascontiguousarray(xmin, dtype=np.float64)
-        self.ymin = np.ascontiguousarray(ymin, dtype=np.float64)
-        self.tmin = np.ascontiguousarray(tmin, dtype=np.float64)
-        self.xmax = np.ascontiguousarray(xmax, dtype=np.float64)
-        self.ymax = np.ascontiguousarray(ymax, dtype=np.float64)
-        self.tmax = np.ascontiguousarray(tmax, dtype=np.float64)
+        for name, a in zip(self.ARRAYS, coords, strict=True):
+            setattr(self, name, np.ascontiguousarray(a, dtype=np.float64))
         self.source = None
         if len(self._keys) != len(self.xmin):
             raise InvalidValue("BBoxColumn keys and coordinates disagree in length")
@@ -551,16 +515,10 @@ class BBoxColumn:
     @classmethod
     def from_cubes(cls, entries: Sequence[Tuple[object, Cube]]) -> "BBoxColumn":
         """Build from ``(key, cube)`` pairs."""
-        keys = [k for k, _c in entries]
         cubes = [c for _k, c in entries]
         return cls(
-            keys,
-            [c.xmin for c in cubes],
-            [c.ymin for c in cubes],
-            [c.tmin for c in cubes],
-            [c.xmax for c in cubes],
-            [c.ymax for c in cubes],
-            [c.tmax for c in cubes],
+            [k for k, _c in entries],
+            *([getattr(c, f) for c in cubes] for f in cls.ARRAYS),
         )
 
     @classmethod
@@ -644,8 +602,21 @@ class BBoxColumn:
             out._keys_i64 = lanes
         return out
 
-    def _records(self) -> np.ndarray:
-        """Structured ``RECORD_DTYPE`` array for persistence.
+    # -- the column-kind protocol (see Column) ------------------------------
+
+    @classmethod
+    def from_arrays(cls, arrays: Sequence[np.ndarray]) -> "BBoxColumn":
+        """Inverse of :meth:`arrays`, keyed by entry position."""
+        return cls(range(len(arrays[0])), *arrays)
+
+    @classmethod
+    def stored_nbytes(cls, mappings: Sequence[Mapping]) -> int:
+        """Bytes ``from_mappings(mappings)`` persists as, by arithmetic on
+        the members alone (one record per member that has units)."""
+        return sum(1 for m in mappings if m.units) * cls.RECORD_DTYPE.itemsize
+
+    def records(self) -> List[np.ndarray]:
+        """The persistent form, one array per entry of ``FILES``.
 
         Only integer keys (the fleet positions the default builders
         assign) can be persisted; columns with opaque keys stay
@@ -658,25 +629,37 @@ class BBoxColumn:
             raise InvalidValue(
                 "BBoxColumn with non-integer keys cannot be persisted"
             ) from exc
-        rec["xmin"], rec["ymin"], rec["tmin"] = self.xmin, self.ymin, self.tmin
-        rec["xmax"], rec["ymax"], rec["tmax"] = self.xmax, self.ymax, self.tmax
-        return rec
+        for name in self.ARRAYS:
+            rec[name] = getattr(self, name)
+        return [rec]
 
     @classmethod
-    def from_records(cls, rec: np.ndarray) -> "BBoxColumn":
-        """Zero-copy view over structured bbox records (e.g. a memmap).
+    def from_records(cls, arrays: Sequence[np.ndarray]) -> "BBoxColumn":
+        """Zero-copy view over :meth:`records`-shaped arrays (e.g. a memmap).
 
-        Every field — keys included — stays a strided view of ``rec``;
-        the Python key *list* materializes only if :attr:`keys` is
-        actually read, so a cold mmap load costs O(1), not O(entries).
+        Every field — keys included — stays a strided view of the
+        records; the Python key *list* materializes only if :attr:`keys`
+        is actually read, so a cold mmap load costs O(1), not O(entries).
         """
+        (rec,) = arrays
         col = object.__new__(cls)
         col._keys = None
         col._keys_i64 = rec["key"]
-        col.xmin, col.ymin, col.tmin = rec["xmin"], rec["ymin"], rec["tmin"]
-        col.xmax, col.ymax, col.tmax = rec["xmax"], rec["ymax"], rec["tmax"]
+        for name in cls.ARRAYS:
+            setattr(col, name, rec[name])
         col.source = None
         return col
+
+    @staticmethod
+    def rewrite_points(rec: np.ndarray, min_changed: int) -> List[int]:
+        """Record index from which the stored file changes when every
+        object below ``min_changed`` is unchanged: the first record whose
+        key is a changed object (records are in ascending key order)."""
+        return [int(np.searchsorted(rec["key"], min_changed))]
+
+    def chunk(self, lo: int, hi: int) -> "BBoxColumn":
+        """Entry-range ``[lo, hi)`` slice (array views, keys kept)."""
+        return BBoxColumn(self.keys[lo:hi], *(a[lo:hi] for a in self.arrays()))
 
     def __len__(self) -> int:
         return len(self.xmin)
@@ -708,12 +691,8 @@ class BBoxColumn:
                 "BBoxColumn extension needs ascending unique keys "
                 "(the default per-object build)"
             )
-        changed_sorted = sorted({int(i) for i in changed})
+        changed_sorted = _sorted_changes(changed, n_new)
         changed_set = set(changed_sorted)
-        if changed_sorted and (
-            changed_sorted[0] < 0 or changed_sorted[-1] >= n_new
-        ):
-            raise InvalidValue("changed object index out of range")
         if any(k >= n_new for k in old_keys):
             raise InvalidValue("column extension cannot shrink the fleet")
         sub = BBoxColumn.from_mappings(
@@ -725,12 +704,9 @@ class BBoxColumn:
             np.asarray([int(k) for k in sub.keys], dtype=np.int64),
         ])
         order = np.argsort(merged_keys, kind="stable")
-        fields = ("xmin", "ymin", "tmin", "xmax", "ymax", "tmax")
         merged = [
-            np.concatenate(
-                [getattr(self, f)[keep], getattr(sub, f)]
-            )[order]
-            for f in fields
+            np.concatenate([old[keep], new])[order]
+            for old, new in zip(self.arrays(), sub.arrays())
         ]
         return BBoxColumn(merged_keys[order].tolist(), *merged)
 
@@ -753,3 +729,22 @@ class BBoxColumn:
                 seen.add(key)
                 out.append(key)
         return out
+
+
+#: The column kinds: everything outside this module that needs a kind's
+#: builder, record layout, file names or byte count reads it from here.
+#: Adding a kind is one class answering the protocol plus one entry.
+KINDS: Dict[str, type] = {
+    cls.KIND: cls for cls in (UPointColumn, URealColumn, BBoxColumn)
+}
+
+
+def column_class(kind: str) -> type:
+    """The column class of ``kind``; an unknown kind is :class:`InvalidValue`."""
+    try:
+        return KINDS[kind]
+    except KeyError:
+        raise InvalidValue(
+            f"unknown column kind {kind!r}; expected one of "
+            f"{', '.join(sorted(KINDS))}"
+        ) from None

@@ -3,11 +3,13 @@
 Section 4 of the paper makes unit records fixed-size and array-packed
 precisely so they can live on external storage and be scanned without
 deserialization.  This module takes the in-memory fleet columns of
-:mod:`repro.vector.columns` the final step: each column kind is one
-little-endian file of fixed-size records (``upoint.bin``, ``ureal.bin``,
-``bbox.bin``, plus CSR ``offsets.bin`` files — the stacked root
-records), with a small header and a CRC-checked JSON manifest tying the
-files together.  Because the file payload is byte-identical to the
+:mod:`repro.vector.columns` the final step: each column kind persists
+as the little-endian files of fixed-size records its class declares
+(``KINDS[kind].FILES``: ``upoint.bin``, ``ureal.bin``, ``bbox.bin``,
+plus CSR ``offsets.bin`` files — the stacked root records), with a small
+header and a CRC-checked JSON manifest tying the files together.  What a
+kind is — builder, record layout, file names — is read from that table;
+nothing here names one.  Because the file payload is byte-identical to the
 numpy struct dtypes the batch kernels already consume, a warm process
 restart costs one ``np.memmap`` per file instead of a full tuple-store
 rebuild — the cold-start rebuild this PR kills.
@@ -48,13 +50,13 @@ import os
 import struct
 import weakref
 import zlib
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro import faults, obs
 from repro.errors import CorruptColumnError, InvalidValue
-from repro.vector.columns import BBoxColumn, UPointColumn, URealColumn
+from repro.vector.columns import KINDS, column_class
 
 __all__ = [
     "COLUMN_KINDS",
@@ -73,24 +75,7 @@ FORMAT_VERSION = 1
 
 MANIFEST_NAME = "manifest.json"
 
-#: Per-kind file layout: ordered ``(file name, record dtype)`` pairs.
-#: Unit columns persist as (units file, CSR offsets file); the bbox
-#: column is a single file of ``(key, cube)`` records.
-_LAYOUT: Dict[str, Tuple[Tuple[str, np.dtype], ...]] = {
-    "upoint": (
-        ("upoint.bin", UPointColumn.UNIT_DTYPE),
-        ("offsets.bin", np.dtype("<i8")),
-    ),
-    "ureal": (
-        ("ureal.bin", URealColumn.UNIT_DTYPE),
-        ("ureal_offsets.bin", np.dtype("<i8")),
-    ),
-    "bbox": (
-        ("bbox.bin", BBoxColumn.RECORD_DTYPE),
-    ),
-}
-
-COLUMN_KINDS: Tuple[str, ...] = tuple(sorted(_LAYOUT))
+COLUMN_KINDS: Tuple[str, ...] = tuple(sorted(KINDS))
 
 
 @functools.lru_cache(maxsize=None)
@@ -104,26 +89,9 @@ def _dtype_hash(dtype: np.dtype) -> int:
     return zlib.crc32(str(dtype.descr).encode("utf-8"))
 
 
-def _column_records(kind: str, column) -> List[np.ndarray]:
-    """The column's persistent representation, one array per file."""
-    if kind == "upoint":
-        return [column._unit_records(), np.ascontiguousarray(column.offsets, dtype="<i8")]
-    if kind == "ureal":
-        return [column._unit_records(), np.ascontiguousarray(column.offsets, dtype="<i8")]
-    if kind == "bbox":
-        return [column._records()]
-    raise InvalidValue(f"unknown column kind {kind!r}")
-
-
-def _column_from_records(kind: str, arrays: Sequence[np.ndarray]):
-    """Inverse of :func:`_column_records`: zero-copy column views."""
-    if kind == "upoint":
-        return UPointColumn.from_records(arrays[1], arrays[0])
-    if kind == "ureal":
-        return URealColumn.from_records(arrays[1], arrays[0])
-    if kind == "bbox":
-        return BBoxColumn.from_records(arrays[0])
-    raise InvalidValue(f"unknown column kind {kind!r}")
+def _file_entry(count: int, crc: int, dtype: np.dtype) -> dict:
+    """One file's manifest entry."""
+    return {"count": count, "crc32": crc, "dtype_crc32": _dtype_hash(dtype)}
 
 
 class MmapSource:
@@ -231,19 +199,50 @@ class ColumnStore:
         v = entry.get("fleet_version")
         return int(v) if v is not None else None
 
-    def _write_manifest(self, payload: dict) -> None:
-        body = json.dumps(payload, sort_keys=True).encode("utf-8")
-        doc = json.dumps(
-            {"crc32": zlib.crc32(body), "payload": payload}, sort_keys=True
-        ).encode("utf-8")
-        tmp = self.path(MANIFEST_NAME + ".tmp")
+    # -- writing ----------------------------------------------------------
+
+    def _replace(self, name: str, *chunks: bytes) -> None:
+        """Write file ``name`` whole: temporary, fsync, rename into place
+        (a fresh inode, so views of the old file keep their bytes)."""
+        tmp = self.path(name + ".tmp")
         with open(tmp, "wb") as fh:
-            fh.write(doc)
+            for chunk in chunks:
+                fh.write(chunk)
             fh.flush()
             os.fsync(fh.fileno())
-        os.replace(tmp, self.path(MANIFEST_NAME))
+        os.replace(tmp, self.path(name))
 
-    # -- writing ----------------------------------------------------------
+    def _replace_records(self, name: str, dtype: np.dtype, rec: np.ndarray) -> dict:
+        """Write one column file whole; its manifest entry."""
+        body = rec.tobytes()
+        self._replace(name, HEADER.pack(MAGIC, FORMAT_VERSION, 0, len(rec)), body)
+        return _file_entry(len(rec), zlib.crc32(body), dtype)
+
+    def _commit(
+        self,
+        payload: dict,
+        kind: str,
+        files: Dict[str, dict],
+        fleet_version: Optional[int],
+        n_objects: Optional[int],
+    ) -> None:
+        """Point the manifest at the files just written for ``kind``."""
+        entry: Dict[str, object] = {"files": files}
+        if fleet_version is not None:
+            entry["fleet_version"] = int(fleet_version)
+        if n_objects is not None:
+            entry["n_objects"] = int(n_objects)
+        payload["format"] = FORMAT_VERSION
+        payload["columns"][kind] = entry
+        if faults.active:
+            faults.fail("colstore.manifest_crash")
+        body = json.dumps(payload, sort_keys=True).encode("utf-8")
+        self._replace(
+            MANIFEST_NAME,
+            json.dumps(
+                {"crc32": zlib.crc32(body), "payload": payload}, sort_keys=True
+            ).encode("utf-8"),
+        )
 
     def save(
         self,
@@ -263,68 +262,21 @@ class ColumnStore:
         (fires before the manifest update) let the crash matrix pin
         both torn-store shapes.
         """
-        if kind not in _LAYOUT:
-            raise InvalidValue(
-                f"unknown column kind {kind!r}; expected one of "
-                f"{', '.join(COLUMN_KINDS)}"
-            )
-        arrays = _column_records(kind, column)
+        layout = column_class(kind).FILES
+        arrays = column.records()
         os.makedirs(self.root, exist_ok=True)
         try:
             payload = self._manifest()[0]
         except CorruptColumnError:
             payload = {"format": FORMAT_VERSION, "columns": {}}
         files: Dict[str, dict] = {}
-        for (name, dtype), rec in zip(_LAYOUT[kind], arrays):
+        for (name, dtype), rec in zip(layout, arrays):
             if faults.active:
                 faults.fail("colstore.write_crash")
-            rec = np.ascontiguousarray(rec, dtype=dtype)
-            body = rec.tobytes()
-            tmp = self.path(name + ".tmp")
-            with open(tmp, "wb") as fh:
-                fh.write(HEADER.pack(MAGIC, FORMAT_VERSION, 0, len(rec)))
-                fh.write(body)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, self.path(name))
-            files[name] = {
-                "count": len(rec),
-                "crc32": zlib.crc32(body),
-                "dtype_crc32": _dtype_hash(dtype),
-            }
-        entry: Dict[str, object] = {"files": files}
-        if fleet_version is not None:
-            entry["fleet_version"] = int(fleet_version)
-        if n_objects is not None:
-            entry["n_objects"] = int(n_objects)
-        payload["format"] = FORMAT_VERSION
-        payload["columns"][kind] = entry
-        if faults.active:
-            faults.fail("colstore.manifest_crash")
-        self._write_manifest(payload)
-
-    def _rewrite_points(self, kind: str, min_changed: int, entry: dict) -> List[int]:
-        """Per-file record index from which the stored bytes change when
-        every object below ``min_changed`` kept its exact unit rows.
-
-        Objects are contiguous in fleet order in every file, so the
-        records of objects ``< min_changed`` are a byte-identical prefix
-        of the new file: units files change from the first changed
-        object's CSR offset, offsets files from entry ``min_changed+1``
-        (the entries up to and including ``min_changed`` are sums over
-        unchanged objects), and the bbox file from the first record
-        whose key is a changed object.
-        """
-        if kind == "bbox":
-            rec = self._open_file("bbox.bin", BBoxColumn.RECORD_DTYPE,
-                                  entry["files"]["bbox.bin"])
-            return [int(np.searchsorted(rec["key"], min_changed))]
-        offsets_name = _LAYOUT[kind][1][0]
-        offs = self._open_file(offsets_name, np.dtype("<i8"),
-                               entry["files"][offsets_name])
-        old_n = len(offs) - 1
-        i = min(min_changed, old_n)
-        return [int(offs[i]), min(min_changed + 1, old_n + 1)]
+            files[name] = self._replace_records(
+                name, dtype, np.ascontiguousarray(rec, dtype=dtype)
+            )
+        self._commit(payload, kind, files, fleet_version, n_objects)
 
     def extend_or_save(
         self,
@@ -363,14 +315,9 @@ class ColumnStore:
         cannot see past their count) or rewritten whole to a temporary
         and renamed over (the old views keep the old inode).
         """
-        if kind not in _LAYOUT:
-            raise InvalidValue(
-                f"unknown column kind {kind!r}; expected one of "
-                f"{', '.join(COLUMN_KINDS)}"
-            )
-        arrays = _column_records(kind, column)
+        cls = column_class(kind)
         try:
-            done = self._extend_files(kind, arrays, min_changed)
+            done = self._extend_files(cls, column.records(), min_changed)
         except (CorruptColumnError, OSError, KeyError, TypeError, ValueError):
             done = None
         if done is None:
@@ -381,31 +328,28 @@ class ColumnStore:
             if obs.enabled:
                 obs.add("colstore.extends")
             payload, files = done
-            entry: Dict[str, object] = {"files": files}
-            if fleet_version is not None:
-                entry["fleet_version"] = int(fleet_version)
-            if n_objects is not None:
-                entry["n_objects"] = int(n_objects)
-            payload["columns"][kind] = entry
-            if faults.active:
-                faults.fail("colstore.manifest_crash")
-            self._write_manifest(payload)
+            self._commit(payload, kind, files, fleet_version, n_objects)
         try:
-            return self._load(kind)
+            return self._load(kind)[0]
         except CorruptColumnError:
             return column
 
     def _extend_files(
-        self, kind: str, arrays: Sequence[np.ndarray], min_changed: int
+        self, cls: type, arrays: Sequence[np.ndarray], min_changed: int
     ) -> Optional[Tuple[dict, Dict[str, dict]]]:
-        """Tail-write every file of ``kind``; None ⇒ not extendable."""
+        """Tail-write every file of kind ``cls``; None ⇒ not extendable."""
         payload, _crc = self._manifest()
-        entry = payload["columns"].get(kind)
+        entry = payload["columns"].get(cls.KIND)
         if entry is None:
             return None
-        points = self._rewrite_points(kind, min_changed, entry)
+        # The kind's last file locates objects; it alone says where each
+        # file's records start to differ (Column.rewrite_points).
+        name, dtype = cls.FILES[-1]
+        points = cls.rewrite_points(
+            self._open_file(name, dtype, entry["files"][name]), min_changed
+        )
         files: Dict[str, dict] = {}
-        for (name, dtype), rec, k in zip(_LAYOUT[kind], arrays, points):
+        for (name, dtype), rec, k in zip(cls.FILES, arrays, points):
             finfo = entry["files"][name]
             old_count, old_crc = int(finfo["count"]), int(finfo["crc32"])
             if int(finfo["dtype_crc32"]) != _dtype_hash(dtype):
@@ -419,7 +363,6 @@ class ColumnStore:
                 # Pure append: grow the file past the record range any
                 # live memmap view covers, then bump the header count.
                 tail = rec[k:].tobytes()
-                crc = zlib.crc32(tail, old_crc)
                 # modlint: disable=MOD009 deliberate in-place append: only bytes past every pinned view's record range are written, readers are gated by the header count + manifest CRC (fsynced below), and a rename here would orphan live memmaps
                 with open(self.path(name), "r+b") as fh:
                     fh.seek(HEADER.size + k * dtype.itemsize)
@@ -429,23 +372,12 @@ class ColumnStore:
                     fh.write(HEADER.pack(MAGIC, FORMAT_VERSION, 0, len(rec)))
                     fh.flush()
                     os.fsync(fh.fileno())
+                files[name] = _file_entry(
+                    len(rec), zlib.crc32(tail, old_crc), dtype
+                )
             else:
-                # Records before old_count changed: whole-file rewrite
-                # to a fresh inode so pinned views keep their old bytes.
-                body = rec.tobytes()
-                crc = zlib.crc32(body)
-                tmp = self.path(name + ".tmp")
-                with open(tmp, "wb") as fh:
-                    fh.write(HEADER.pack(MAGIC, FORMAT_VERSION, 0, len(rec)))
-                    fh.write(body)
-                    fh.flush()
-                    os.fsync(fh.fileno())
-                os.replace(tmp, self.path(name))
-            files[name] = {
-                "count": len(rec),
-                "crc32": crc,
-                "dtype_crc32": _dtype_hash(dtype),
-            }
+                # Records before old_count changed: whole-file rewrite.
+                files[name] = self._replace_records(name, dtype, rec)
         return payload, files
 
     # -- reading ----------------------------------------------------------
@@ -491,24 +423,28 @@ class ColumnStore:
             obs.add("colstore.bytes_mapped", count * dtype.itemsize)
         return mm
 
-    def _load(self, kind: str):
-        """Memmap-backed column for ``kind`` (cheap validation tier)."""
+    def _load(self, kind: str) -> Tuple[Any, dict]:
+        """``(memmap-backed column, its manifest entry)`` for ``kind``
+        (cheap validation tier) — the entry is the one the column was
+        mapped from, so staleness is judged against the same read."""
         payload, crc = self._manifest()
         entry = payload["columns"].get(kind)
-        if entry is None:
+        cls = KINDS.get(kind)
+        if entry is None or cls is None:
             raise CorruptColumnError(
                 f"column store has no {kind!r} column"
             )
-        arrays: List[np.ndarray] = []
         try:
-            for name, dtype in _LAYOUT[kind]:
-                arrays.append(self._open_file(name, dtype, entry["files"][name]))
+            arrays = [
+                self._open_file(name, dtype, entry["files"][name])
+                for name, dtype in cls.FILES
+            ]
         except (KeyError, TypeError) as exc:
             raise CorruptColumnError(
                 f"column store manifest entry for {kind!r} is malformed"
             ) from exc
         try:
-            col = _column_from_records(kind, arrays)
+            col = cls.from_records(arrays)
         except InvalidValue as exc:
             # e.g. an offsets array that does not cover the unit file —
             # internally inconsistent data that passed the cheap checks.
@@ -518,7 +454,7 @@ class ColumnStore:
         col.source = MmapSource(self.root, kind, crc)
         if obs.enabled:
             obs.add("colstore.validations")
-        return col
+        return col, entry
 
     def load(self, kind: str):
         """Open column ``kind`` from disk (counted ``colstore.hits``).
@@ -526,7 +462,32 @@ class ColumnStore:
         Raises :class:`CorruptColumnError` when the manifest or any
         backing file fails the cheap validation tier.
         """
-        col = self._load(kind)
+        col, _entry = self._load(kind)
+        if obs.enabled:
+            obs.add("colstore.hits")
+        return col
+
+    def load_current(
+        self, kind: str, n_objects: int, fleet_version: Optional[int] = None
+    ):
+        """The stored ``kind`` column (counted ``colstore.hits``), or None
+        when it is missing, corrupt or stale.
+
+        Staleness: when ``fleet_version`` is given and differs from the
+        version recorded in the manifest, or the stored object count
+        disagrees with ``n_objects`` (a store directory re-pointed at a
+        different workload), the stored bytes describe another fleet.
+        """
+        try:
+            col, entry = self._load(kind)
+        except CorruptColumnError:
+            return None
+        stored_v = entry.get("fleet_version")
+        stored_n = entry.get("n_objects")
+        if (fleet_version is not None and stored_v != fleet_version) or (
+            stored_n is not None and stored_n != n_objects
+        ):
+            return None
         if obs.enabled:
             obs.add("colstore.hits")
         return col
@@ -545,9 +506,9 @@ class ColumnStore:
             entry = payload["columns"].get(k)
             if entry is None:
                 raise CorruptColumnError(f"column store has no {k!r} column")
-            if k not in _LAYOUT:
+            if k not in KINDS:
                 raise CorruptColumnError(f"manifest lists unknown kind {k!r}")
-            for name, dtype in _LAYOUT[k]:
+            for name, dtype in KINDS[k].FILES:
                 try:
                     finfo = entry["files"][name]
                     declared = int(finfo["crc32"])
@@ -569,6 +530,27 @@ class ColumnStore:
 
     # -- the degrade path --------------------------------------------------
 
+    def rebuild(
+        self,
+        kind: str,
+        mappings: Sequence,
+        fleet_version: Optional[int] = None,
+        **build_kwargs,
+    ):
+        """Build ``kind`` from ``mappings`` (counted ``colstore.rebuilds``),
+        persist it, and re-open it from disk so the caller gets a
+        memmap-backed column with ``source`` set; if even the re-open
+        fails (disk gone), the freshly built in-memory column is
+        returned — degraded, never wrong."""
+        built = column_class(kind).from_mappings(mappings, **build_kwargs)
+        if obs.enabled:
+            obs.add("colstore.rebuilds")
+        self.save(kind, built, fleet_version, n_objects=len(mappings))
+        try:
+            return self._load(kind)[0]
+        except CorruptColumnError:
+            return built
+
     def load_or_rebuild(
         self,
         kind: str,
@@ -576,50 +558,13 @@ class ColumnStore:
         fleet_version: Optional[int] = None,
         **build_kwargs,
     ):
-        """Serve ``kind`` from disk, rebuilding from ``mappings`` if the
-        stored column is missing, corrupt, or stale.
-
-        Staleness: when ``fleet_version`` is given and differs from the
-        version recorded in the manifest, or the stored object count
-        disagrees with ``len(mappings)`` (a store directory re-pointed
-        at a different workload), the stored bytes describe another
-        fleet and are rebuilt.  Rebuilds are counted under
-        ``colstore.rebuilds``; a clean disk serve is a ``colstore.hits``.
-        The rebuilt column is persisted and re-opened from disk so the
-        caller always gets a memmap-backed column with ``source`` set;
-        if even the re-open fails (disk gone), the freshly built
-        in-memory column is returned — degraded, never wrong.
-        """
-        n_objects = len(mappings)
-        try:
-            col = self._load(kind)
-        except CorruptColumnError:
-            pass
-        else:
-            entry = self.manifest()["columns"][kind]
-            stored_v = entry.get("fleet_version")
-            stored_n = entry.get("n_objects")
-            if (fleet_version is None or stored_v == fleet_version) and (
-                stored_n is None or stored_n == n_objects
-            ):
-                if obs.enabled:
-                    obs.add("colstore.hits")
-                return col
-        built = _BUILDERS[kind](mappings, **build_kwargs)
-        if obs.enabled:
-            obs.add("colstore.rebuilds")
-        self.save(kind, built, fleet_version, n_objects=n_objects)
-        try:
-            return self._load(kind)
-        except CorruptColumnError:
-            return built
-
-
-_BUILDERS = {
-    "upoint": UPointColumn.from_mappings,
-    "ureal": URealColumn.from_mappings,
-    "bbox": BBoxColumn.from_mappings,
-}
+        """Serve ``kind`` from disk (:meth:`load_current`), rebuilding
+        from ``mappings`` (:meth:`rebuild`) if the stored column is
+        missing, corrupt, or stale."""
+        col = self.load_current(kind, len(mappings), fleet_version)
+        if col is None:
+            col = self.rebuild(kind, mappings, fleet_version, **build_kwargs)
+        return col
 
 
 # ---------------------------------------------------------------------------

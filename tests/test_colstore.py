@@ -28,15 +28,13 @@ from repro.errors import CorruptColumnError, SimulatedCrash
 from repro.storage.wal import Wal
 from repro.temporal.mapping import MovingPoint
 from repro.vector.cache import Fleet, clear_cache
+from repro.vector.columns import KINDS, UPointColumn
 from repro.vector.fleet import fleet_atinstant, set_backend
 from repro.vector.kernels import atinstant_batch
 from repro.vector.store import (
     COLUMN_KINDS,
     HEADER,
     MANIFEST_NAME,
-    _BUILDERS,
-    _LAYOUT,
-    _column_records,
     ColumnStore,
     clear_store,
     set_store,
@@ -88,7 +86,7 @@ def save_all(root, mappings):
     store = ColumnStore(os.fspath(root))
     for kind in COLUMN_KINDS:
         src = mappings_for(kind, mappings)
-        store.save(kind, _BUILDERS[kind](src), n_objects=len(src))
+        store.save(kind, KINDS[kind].from_mappings(src), n_objects=len(src))
     return store
 
 
@@ -104,7 +102,7 @@ def flip_byte(path, offset):
 ALL_FILES = [
     (kind, name)
     for kind in COLUMN_KINDS
-    for name, _dtype in _LAYOUT[kind]
+    for name, _dtype in KINDS[kind].FILES
 ]
 
 
@@ -113,10 +111,8 @@ class TestRoundTrip:
     def test_file_payload_is_in_memory_bytes(self, tmp_path, kind):
         mappings = make_mappings()
         store = save_all(tmp_path, mappings)
-        built = _BUILDERS[kind](mappings_for(kind, mappings))
-        for (name, dtype), rec in zip(
-            _LAYOUT[kind], _column_records(kind, built)
-        ):
+        built = KINDS[kind].from_mappings(mappings_for(kind, mappings))
+        for (name, dtype), rec in zip(KINDS[kind].FILES, built.records()):
             with open(store.path(name), "rb") as fh:
                 fh.seek(HEADER.size)
                 on_disk = fh.read()
@@ -128,12 +124,10 @@ class TestRoundTrip:
     def test_loaded_column_arrays_bit_identical(self, tmp_path, kind):
         mappings = make_mappings()
         store = save_all(tmp_path, mappings)
-        built = _BUILDERS[kind](mappings_for(kind, mappings))
+        built = KINDS[kind].from_mappings(mappings_for(kind, mappings))
         loaded = store.load(kind)
         for (_name, dtype), built_rec, loaded_rec in zip(
-            _LAYOUT[kind],
-            _column_records(kind, built),
-            _column_records(kind, loaded),
+            KINDS[kind].FILES, built.records(), loaded.records()
         ):
             assert (
                 np.ascontiguousarray(built_rec, dtype=dtype).tobytes()
@@ -146,7 +140,7 @@ class TestRoundTrip:
     def test_kernel_results_identical_from_disk(self, tmp_path):
         mappings = make_mappings()
         store = save_all(tmp_path, mappings)
-        built = _BUILDERS["upoint"](mappings)
+        built = UPointColumn.from_mappings(mappings)
         loaded = store.load("upoint")
         for t in (0.0, 0.5, 1.0, 2.5):
             bx, by, bd = atinstant_batch(built, t)
@@ -172,13 +166,11 @@ class TestRoundTrip:
     def _assert_round_trip(self, root, mappings):
         store = ColumnStore(os.fspath(root))
         for kind in COLUMN_KINDS:
-            built = _BUILDERS[kind](mappings_for(kind, mappings))
+            built = KINDS[kind].from_mappings(mappings_for(kind, mappings))
             store.save(kind, built)
             loaded = store.load(kind)
             for (_name, dtype), b, l in zip(
-                _LAYOUT[kind],
-                _column_records(kind, built),
-                _column_records(kind, loaded),
+                KINDS[kind].FILES, built.records(), loaded.records()
             ):
                 assert (
                     np.ascontiguousarray(b, dtype=dtype).tobytes()
@@ -280,7 +272,7 @@ class TestLoadOrRebuild:
     def test_fleet_version_mismatch_is_stale(self, tmp_path):
         mappings = make_mappings()
         store = ColumnStore(os.fspath(tmp_path))
-        store.save(kind="upoint", column=_BUILDERS["upoint"](mappings),
+        store.save(kind="upoint", column=UPointColumn.from_mappings(mappings),
                    fleet_version=3, n_objects=len(mappings))
         obs.reset()
         store.load_or_rebuild("upoint", mappings, fleet_version=4)
@@ -295,6 +287,34 @@ class TestLoadOrRebuild:
         c = counters()
         assert c.get("colstore.rebuilds", 0) == 0
         assert c["colstore.hits"] == 1
+
+    def test_served_column_costs_one_manifest_read(self, tmp_path, monkeypatch):
+        """Staleness is judged on the manifest entry the column was
+        mapped from, not on a second read of the file — for the store's
+        own degrade path and for the SQL scan in front of it."""
+        from repro.db.executor import MmapScan
+
+        wal = Wal()
+        db = Database(wal=wal)
+        rel = db.create_relation("ships", SCHEMA)
+        mappings = make_mappings(6)
+        for i, m in enumerate(mappings):
+            rel.insert([f"s{i}", m])
+        root = os.fspath(tmp_path / "cols")
+        db.checkpoint_columns(root, "ships", "track")
+        reads = []
+        real = ColumnStore._manifest
+        monkeypatch.setattr(
+            ColumnStore, "_manifest", lambda self: reads.append(1) or real(self)
+        )
+        obs.reset()
+        ColumnStore(root).load_or_rebuild("upoint", mappings)
+        assert len(reads) == 1
+        scan = MmapScan(rel, attr="track", store_root=root)
+        assert scan.column().source is not None
+        assert len(reads) == 2
+        assert counters()["colstore.hits"] == 2
+        assert counters().get("colstore.rebuilds", 0) == 0
 
 
 #: (failpoint, policy) matrix: every registered colstore failpoint, at
@@ -318,7 +338,7 @@ class TestTornWrites:
         faults.arm(failpoint, policy)
         with pytest.raises(SimulatedCrash):
             store.save(
-                "upoint", _BUILDERS["upoint"](mappings=grown),
+                "upoint", UPointColumn.from_mappings(mappings=grown),
                 n_objects=len(grown),
             )
         faults.disarm()

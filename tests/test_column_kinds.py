@@ -1,0 +1,273 @@
+"""The column-kind table (:data:`repro.vector.columns.KINDS`).
+
+One protocol, checked once over every row of the table on generated
+fleets; the layouts that cross a layer (page bytes ↔ column records) or
+a process (column files, shm descriptors) pinned as literals; and the
+two lookups that used to guess — an unknown kind, a listed kind without
+a byte count — failing loudly or answering.
+"""
+
+import os
+import shutil
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import obs
+from repro.errors import InvalidValue
+from repro.ops.distance import mpoint_static_distance
+from repro.parallel import shmcol
+from repro.ranges.interval import Interval
+from repro.shard import ShardedFleet, ShardManager
+from repro.spatial.point import Point
+from repro.storage.records import MovingPointCodec, MovingRealCodec
+from repro.temporal.mapping import MovingPoint, MovingReal
+from repro.temporal.upoint import UPoint
+from repro.temporal.ureal import UReal
+from repro.vector.columns import (
+    KINDS,
+    OFFSETS_DTYPE,
+    BBoxColumn,
+    UPointColumn,
+    URealColumn,
+    column_class,
+)
+from repro.vector.store import ColumnStore, _dtype_hash
+from tests.test_columnar_paths import fleets
+
+PARENT_STORE = os.path.join(os.path.dirname(__file__), "data", "colstore_parent")
+
+
+def members(kind, fleet):
+    """Kind-appropriate inputs: moving reals are derived values (here,
+    distance to the origin), point/bbox kinds take the points as-is."""
+    if kind == "ureal":
+        return [mpoint_static_distance(m, Point(0.0, 0.0)) for m in fleet]
+    return list(fleet)
+
+
+def same_arrays(a, b):
+    """Two columns of one kind hold bit-identical payload arrays."""
+    assert type(a) is type(b)
+    for name, x, y in zip(a.ARRAYS, a.arrays(), b.arrays()):
+        assert x.dtype == y.dtype, name
+        assert np.asarray(x).tobytes() == np.asarray(y).tobytes(), name
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+class TestProtocol:
+    """Every kind answers the same protocol the same way."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(fleet=fleets(), data=st.data())
+    def test_protocol(self, kind, fleet, data):
+        cls = KINDS[kind]
+        mappings = members(kind, fleet)
+        col = cls.from_mappings(mappings)
+        assert col.KIND == kind and column_class(kind) is cls
+
+        # records() -> from_records: zero-copy, field for field.
+        records = col.records()
+        assert [r.dtype for r in records] == [dt for _name, dt in cls.FILES]
+        again = cls.from_records(records)
+        same_arrays(again, col)
+        for a in again.arrays():
+            assert not a.size or any(np.shares_memory(a, r) for r in records)
+
+        # nbytes is the payload, and the arithmetic count is the files.
+        assert col.nbytes == sum(a.nbytes for a in col.arrays())
+        assert cls.stored_nbytes(mappings) == sum(r.nbytes for r in records)
+
+        # chunk(lo, hi) is the column of that range alone.
+        lo = data.draw(st.integers(0, len(col)))
+        hi = data.draw(st.integers(lo, len(col)))
+        part = (
+            [mappings[k] for k in col.keys[lo:hi]]
+            if kind == "bbox" else mappings[lo:hi]
+        )
+        same_arrays(col.chunk(lo, hi), cls.from_mappings(part))
+
+        # pack -> attach crosses the process boundary intact.
+        descriptor, segment = shmcol.pack(col)
+        try:
+            assert descriptor[0] == kind
+            assert [f for f, *_ in descriptor[2]] == list(cls.ARRAYS)
+            attached = shmcol.attach(descriptor)
+            same_arrays(attached.column, col)
+            del attached
+        finally:
+            segment.close()
+            segment.unlink()
+
+    @settings(max_examples=40, deadline=None)
+    @given(fleet=fleets(), newer=fleets(max_size=10), data=st.data())
+    def test_extended_equals_rebuild(self, kind, fleet, newer, data):
+        cls = KINDS[kind]
+        old, new = members(kind, fleet), members(kind, newer)
+        changed = set(range(len(old), len(new))) | set(
+            data.draw(st.lists(st.integers(0, len(old) - 1), max_size=4))
+        )
+        current = [
+            new[i] if i in changed and i < len(new) else old[i]
+            for i in range(max(len(old), len(new)))
+        ]
+        spliced = cls.from_mappings(old).extended(current, changed)
+        same_arrays(spliced, cls.from_mappings(current))
+        if kind == "bbox":
+            assert spliced.keys == cls.from_mappings(current).keys
+
+
+DARRAY_FLEET = [
+    MovingPoint([UPoint.between(0, (0, 0), 5, (10, 10)),
+                 UPoint.between(5, (10, 10), 10, (10, 0), lc=False)]),
+    MovingPoint([]),
+    MovingPoint([UPoint.between(3, (2, 2), 4, (3, 3), lc=False, rc=False)]),
+    MovingPoint([UPoint.between(1, (-1.5, 0.25), 2.5, (4, -8))]),
+]
+REALS = [
+    MovingReal([UReal(Interval(0, 5), 0.0, 1.0, 2.0)]),
+    MovingReal([UReal(Interval(0, 2, True, False), 1.0, 0.0, 0.0),
+                UReal(Interval(3, 4), 0.0, 0.0, 9.0, r=True)]),
+    MovingReal([]),
+]
+
+
+@pytest.mark.parametrize("kind", ["upoint", "ureal"])
+def test_darray_round_trip(kind):
+    """Unit kinds serialize as Section-4 ``(root, units)`` database
+    arrays and come back equal, mapping for mapping."""
+    fleet = {"upoint": DARRAY_FLEET, "ureal": REALS}[kind]
+    col = KINDS[kind].from_mappings(fleet)
+    root, units = col.to_darrays()
+    assert len(root) == col.n_objects + 1
+    assert len(units) == col.n_units
+    assert KINDS[kind].from_darrays(root, units).to_mappings() == fleet
+
+
+class TestPinnedLayouts:
+    """Bytes other code reinterprets on trust."""
+
+    def test_struct_formats_are_the_codecs(self):
+        """``from_unit_arrays`` reads page bytes through ``UNIT_DTYPE``;
+        the storage codecs wrote them through these struct formats."""
+        assert UPointColumn.UNIT_FORMAT == MovingPointCodec._UNIT.format == "<dd??dddd"
+        assert URealColumn.UNIT_FORMAT == MovingRealCodec._UNIT.format == "<dd??ddd?"
+        assert UPointColumn.ROOT_FORMAT == URealColumn.ROOT_FORMAT == "<q"
+        assert BBoxColumn.RECORD_FORMAT == "<qdddddd"
+
+    def test_file_names_and_fingerprints(self):
+        """What the manifest of every store ever written records."""
+        assert {
+            kind: [(name, _dtype_hash(dt), dt.itemsize) for name, dt in cls.FILES]
+            for kind, cls in KINDS.items()
+        } == {
+            "upoint": [("upoint.bin", 0x2E6DB72C, 50), ("offsets.bin", 0xD41E153B, 8)],
+            "ureal": [("ureal.bin", 0xA7460ED2, 43), ("ureal_offsets.bin", 0xD41E153B, 8)],
+            "bbox": [("bbox.bin", 0x78CE8F79, 56)],
+        }
+        assert _dtype_hash(OFFSETS_DTYPE) == 0xD41E153B
+
+    def test_shm_descriptor_layout(self):
+        """The descriptor a worker of either build can attach."""
+        layouts = {}
+        for kind, fleet in (("upoint", DARRAY_FLEET), ("ureal", REALS),
+                            ("bbox", DARRAY_FLEET)):
+            descriptor, segment = shmcol.pack(KINDS[kind].from_mappings(fleet))
+            segment.close()
+            segment.unlink()
+            layouts[descriptor[0]] = descriptor[2]
+        assert layouts == {
+            "upoint": (
+                ("offsets", "<i8", 5, 0), ("starts", "<f8", 4, 40),
+                ("ends", "<f8", 4, 72), ("lc", "|b1", 4, 104),
+                ("rc", "|b1", 4, 112), ("x0", "<f8", 4, 120),
+                ("x1", "<f8", 4, 152), ("y0", "<f8", 4, 184),
+                ("y1", "<f8", 4, 216),
+            ),
+            "ureal": (
+                ("offsets", "<i8", 4, 0), ("starts", "<f8", 3, 32),
+                ("ends", "<f8", 3, 56), ("lc", "|b1", 3, 80),
+                ("rc", "|b1", 3, 88), ("a", "<f8", 3, 96),
+                ("b", "<f8", 3, 120), ("c", "<f8", 3, 144),
+                ("r", "|b1", 3, 168),
+            ),
+            "bbox": (
+                ("xmin", "<f8", 3, 0), ("ymin", "<f8", 3, 24),
+                ("tmin", "<f8", 3, 48), ("xmax", "<f8", 3, 72),
+                ("ymax", "<f8", 3, 96), ("tmax", "<f8", 3, 120),
+            ),
+        }
+
+    def test_store_written_by_the_parent_commit(self, tmp_path):
+        """``tests/data/colstore_parent`` was written by the code before
+        the table existed (``DARRAY_FLEET`` / ``REALS``, upoint and bbox
+        at fleet version 7): it loads, verifies, and a save of the same
+        fleet today produces the same bytes, manifest included."""
+        parent = ColumnStore(PARENT_STORE)
+        parent.verify()
+        fleets_by_kind = {"upoint": DARRAY_FLEET, "ureal": REALS, "bbox": DARRAY_FLEET}
+        for kind, fleet in fleets_by_kind.items():
+            loaded = parent.load(kind)
+            same_arrays(loaded, KINDS[kind].from_mappings(fleet))
+            for a in loaded.arrays():  # still views of the mapped files
+                assert any(isinstance(b, np.memmap) for b in _bases(a))
+        assert parent.load_current("upoint", 4, fleet_version=7) is not None
+        assert parent.load_current("upoint", 4, fleet_version=8) is None
+
+        fresh = ColumnStore(os.fspath(tmp_path / "fresh"))
+        for kind, version in (("upoint", 7), ("ureal", None), ("bbox", 7)):
+            fleet = fleets_by_kind[kind]
+            fresh.save(kind, KINDS[kind].from_mappings(fleet), version,
+                       n_objects=len(fleet))
+        for name in sorted(os.listdir(PARENT_STORE)):
+            with open(os.path.join(PARENT_STORE, name), "rb") as a, \
+                    open(fresh.path(name), "rb") as b:
+                assert a.read() == b.read(), name
+
+        # An in-place extension of the parent's files equals a rebuild.
+        grown = os.fspath(tmp_path / "grown")
+        shutil.copytree(PARENT_STORE, grown)
+        longer = DARRAY_FLEET + [DARRAY_FLEET[0]]
+        with obs.capture() as counters:
+            col = ColumnStore(grown).extend_or_save(
+                "upoint", UPointColumn.from_mappings(longer), 4,
+                fleet_version=8, n_objects=5,
+            )
+            assert counters.get("colstore.extends") == 1
+        same_arrays(col, UPointColumn.from_mappings(longer))
+        ColumnStore(grown).verify()
+
+
+def _bases(a):
+    while a is not None:
+        yield a
+        a = getattr(a, "base", None)
+
+
+class TestLookupsFailLoudly:
+    def test_attach_rejects_an_unknown_kind(self):
+        """A descriptor naming no registered kind used to be attached as
+        a moving-point column."""
+        col = UPointColumn.from_mappings(DARRAY_FLEET)
+        (_kind, name, layout), segment = shmcol.pack(col)
+        try:
+            with pytest.raises(InvalidValue, match="bbox, upoint, ureal"):
+                shmcol.attach(("nosuch", name, layout))
+        finally:
+            segment.close()
+            segment.unlink()
+
+    def test_every_listed_kind_has_a_byte_count(self, tmp_path):
+        """``total_column_bytes("ureal")`` used to raise for a kind the
+        store persists; every row of the table now counts its files."""
+        mappings = DARRAY_FLEET * 3  # 12 objects, 9 with units, 12 units
+        manager = ShardManager(ShardedFleet(mappings, 2), root=os.fspath(tmp_path))
+        assert {kind: manager.total_column_bytes(kind) for kind in KINDS} == {
+            "upoint": 12 * 50 + (12 + 2) * 8,
+            "ureal": 12 * 43 + (12 + 2) * 8,
+            "bbox": 9 * 56,
+        }
+        with pytest.raises(InvalidValue, match="bbox, upoint, ureal"):
+            manager.total_column_bytes("nosuch")

@@ -24,7 +24,7 @@ from repro.residency import Residency
 from repro.shard import ShardedFleet, ShardManager
 from repro.storage.buffer import BufferPool
 from repro.storage.pages import PageFile
-from repro.vector.cache import ColumnCache, Fleet, clear_cache, column_nbytes
+from repro.vector.cache import ColumnCache, Fleet, clear_cache
 from repro.workloads.trajectories import random_flights
 
 
@@ -238,9 +238,7 @@ def test_column_splice_growth_evicts_to_budget():
     other, grown = Fleet(random_flights(10, seed=1)), Fleet(random_flights(10, seed=2))
     extra = random_flights(5, seed=3)
     sizing = ColumnCache()
-    both = column_nbytes(sizing.get(other, "upoint")) + column_nbytes(
-        sizing.get(grown, "upoint")
-    )
+    both = sizing.get(other, "upoint").nbytes + sizing.get(grown, "upoint").nbytes
     cache = ColumnCache(budget=both + 64)
     cache.get(other, "upoint")
     cache.get(grown, "upoint")

@@ -47,7 +47,8 @@ from repro.storage.wal import Wal, WalRecord
 from repro.temporal.mapping import MovingPoint
 from repro.temporal.upoint import UPoint
 from repro.vector.cache import clear_cache
-from repro.vector.store import _BUILDERS, clear_store
+from repro.vector.columns import UPointColumn
+from repro.vector.store import clear_store
 from repro.workloads.trajectories import FlightGenerator
 
 
@@ -528,7 +529,7 @@ class TestWireResilience:
 
 
 def _window_column(n: int):
-    return _BUILDERS["upoint"]([_track(i) for i in range(n)])
+    return UPointColumn.from_mappings([_track(i) for i in range(n)])
 
 
 def _worker_signal_dispositions():

@@ -27,15 +27,11 @@ from repro.shard import (
 )
 from repro.spatial.bbox import Cube, Rect
 from repro.temporal.mapping import MovingPoint
-from repro.vector.cache import (
-    ColumnCache,
-    Fleet,
-    clear_cache,
-    column_nbytes,
-)
+from repro.vector.cache import ColumnCache, Fleet, clear_cache
+from repro.vector.columns import UPointColumn
 from repro.vector.fleet import set_backend
 from repro.vector.kernels import atinstant_batch, window_intervals_batch
-from repro.vector.store import _BUILDERS, set_store
+from repro.vector.store import set_store
 from repro.workloads.trajectories import random_flights
 
 
@@ -156,7 +152,7 @@ class TestColumnCacheBudget:
         cache.get(b, "upoint")
         # Budget of one byte: at most one entry can be mid-insertion
         # resident; the eviction loop then drops it too.
-        assert cache.resident_bytes <= column_nbytes(cache.get(b, "upoint"))
+        assert cache.resident_bytes <= cache.get(b, "upoint").nbytes
         assert len(cache) <= 1
 
     def test_unbudgeted_keeps_entries(self):
@@ -166,7 +162,7 @@ class TestColumnCacheBudget:
             cache.get(f, "upoint")
         assert len(cache) == 4
         assert cache.resident_bytes == sum(
-            column_nbytes(cache.get(f, "upoint")) for f in fleets
+            cache.get(f, "upoint").nbytes for f in fleets
         )
 
     def test_high_water_gauge(self):
@@ -179,7 +175,7 @@ class TestColumnCacheBudget:
             gauge = obs.snapshot()["gauges"].get("colcache.bytes", 0.0)
         finally:
             obs.disable()
-        assert gauge >= column_nbytes(col)
+        assert gauge >= col.nbytes
 
     def test_pinned_store_columns_exempt(self, tmp_path):
         set_store(os.fspath(tmp_path))
@@ -218,9 +214,7 @@ class TestShardManager:
         finally:
             obs.disable()
         assert obs.get("shard.evictions") >= 3
-        assert manager.resident_bytes <= column_nbytes(
-            manager.column(0, "upoint")
-        )
+        assert manager.resident_bytes <= manager.column(0, "upoint").nbytes
 
     def test_unbudgeted_keeps_all_resident(self):
         fleet = ShardedFleet(make_fleet(60), 4)
@@ -286,7 +280,7 @@ class TestShardManager:
         assert [len(f) for f in fleet.shards] == [6, 6, 6, 6]
         manager = ShardManager(fleet)
         rect = Rect(4990.0, -10.0, 5020.0, 20.0)
-        want = window_intervals_batch(_BUILDERS["upoint"](mappings), rect, 2.0, 8.0)
+        want = window_intervals_batch(UPointColumn.from_mappings(mappings), rect, 2.0, 8.0)
         with obs.capture() as counters:
             got = sharded_window_intervals(manager, rect, 2.0, 8.0)
             assert counters.get("shard.pruned") == 3
@@ -336,7 +330,7 @@ class TestShardManager:
         # The repaired store verifies clean and still serves the column.
         assert manager.verify_and_repair() == []
         col = manager.column(1, "upoint")
-        want = _BUILDERS["upoint"](fleet.shards[1])
+        want = UPointColumn.from_mappings(fleet.shards[1])
         assert np.array_equal(col.starts, want.starts)
 
     @pytest.mark.parametrize("other", ["mirrored", "shifted"])
@@ -411,7 +405,7 @@ class TestShardManager:
         assert manager.resident_shards() == []
         assert len(cachemod._CACHE) == 0
         assert total == sum(
-            manager.column(s, "bbox")._records().nbytes for s in range(3)
+            manager.column(s, "bbox").records()[0].nbytes for s in range(3)
         )
         with pytest.raises(InvalidValue):
             manager.total_column_bytes("nosuch")
@@ -420,7 +414,7 @@ class TestShardManager:
         fleet = ShardedFleet(make_fleet(30), 3)
         manager = ShardManager(fleet)
         built = sum(
-            column_nbytes(_BUILDERS["upoint"](fleet.shards[s]))
+            UPointColumn.from_mappings(fleet.shards[s]).nbytes
             for s in range(3)
         )
         assert manager.total_column_bytes() == built
@@ -440,7 +434,7 @@ class TestScatterGatherEquivalence:
     @pytest.mark.parametrize("budget", [None, 1])
     def test_window_intervals_bit_identical(self, budget):
         mappings, manager = _manager(budget=budget)
-        col = _BUILDERS["upoint"](mappings)
+        col = UPointColumn.from_mappings(mappings)
         cube = mappings[3].bounding_cube()
         rect = Rect(cube.xmin, cube.ymin, cube.xmax, cube.ymax)
         t0, t1 = cube.tmin, cube.tmax
@@ -454,7 +448,7 @@ class TestScatterGatherEquivalence:
     @pytest.mark.parametrize("budget", [None, 1])
     def test_atinstant_bit_identical(self, budget):
         mappings, manager = _manager(budget=budget)
-        col = _BUILDERS["upoint"](mappings)
+        col = UPointColumn.from_mappings(mappings)
         t = mappings[0].units[0].interval.s
         want = atinstant_batch(col, t)
         got = sharded_atinstant(manager, t)
@@ -492,7 +486,7 @@ class TestScatterGatherEquivalence:
             manager, Rect(1e9, 1e9, 1e9 + 1, 1e9 + 1), 0.0, 1.0
         )
         want = window_intervals_batch(
-            _BUILDERS["upoint"](mappings), Rect(1e9, 1e9, 1e9 + 1, 1e9 + 1),
+            UPointColumn.from_mappings(mappings), Rect(1e9, 1e9, 1e9 + 1, 1e9 + 1),
             0.0, 1.0,
         )
         for g, w in zip(got, want):
@@ -737,7 +731,7 @@ def test_v10_smoke_shard_equivalence(monkeypatch):
     monkeypatch.setattr(config, "PARALLEL_MIN_OBJECTS", 2)
     mappings = make_fleet(24, seed=5)
     manager = ShardManager(ShardedFleet(mappings, 2), budget=1)
-    col = _BUILDERS["upoint"](mappings)
+    col = UPointColumn.from_mappings(mappings)
     cube = mappings[1].bounding_cube()
     rect = Rect(cube.xmin, cube.ymin, cube.xmax, cube.ymax)
     want = window_intervals_batch(col, rect, cube.tmin, cube.tmax)

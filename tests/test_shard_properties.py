@@ -29,8 +29,8 @@ from repro.spatial.bbox import Cube, Rect
 from repro.temporal.mapping import MovingPoint
 from repro.temporal.upoint import UPoint
 from repro.vector.backends import OPERATIONS, evaluate
+from repro.vector.columns import UPointColumn
 from repro.vector.kernels import atinstant_batch, window_intervals_batch
-from repro.vector.store import _BUILDERS
 from repro.workloads.regions import regular_polygon
 
 coord = st.floats(min_value=-60.0, max_value=60.0, allow_nan=False)
@@ -132,7 +132,7 @@ def test_window_scatter_gather_identity(fw, n_shards):
     mappings, rect, t0, t1 = fw
     manager = ShardManager(ShardedFleet(mappings, n_shards))
     want = window_intervals_batch(
-        _BUILDERS["upoint"](mappings), rect, t0, t1
+        UPointColumn.from_mappings(mappings), rect, t0, t1
     )
     _assert_bit_identical(sharded_window_intervals(manager, rect, t0, t1), want)
 
@@ -143,7 +143,7 @@ def test_window_identity_under_budget_pressure(fw, n_shards):
     mappings, rect, t0, t1 = fw
     manager = ShardManager(ShardedFleet(mappings, n_shards), budget=1)
     want = window_intervals_batch(
-        _BUILDERS["upoint"](mappings), rect, t0, t1
+        UPointColumn.from_mappings(mappings), rect, t0, t1
     )
     _assert_bit_identical(sharded_window_intervals(manager, rect, t0, t1), want)
 
@@ -153,7 +153,7 @@ def test_window_identity_under_budget_pressure(fw, n_shards):
 def test_atinstant_scatter_gather_identity(fi, n_shards):
     mappings, t = fi
     manager = ShardManager(ShardedFleet(mappings, n_shards))
-    want = atinstant_batch(_BUILDERS["upoint"](mappings), t)
+    want = atinstant_batch(UPointColumn.from_mappings(mappings), t)
     _assert_bit_identical(sharded_atinstant(manager, t), want)
 
 
@@ -173,7 +173,7 @@ def test_identity_survives_concurrent_ingest(fw, extra, n_shards, replace_first)
     live = list(mappings)
 
     def check():
-        want = window_intervals_batch(_BUILDERS["upoint"](live), rect, t0, t1)
+        want = window_intervals_batch(UPointColumn.from_mappings(live), rect, t0, t1)
         _assert_bit_identical(
             sharded_window_intervals(manager, rect, t0, t1), want
         )

@@ -70,29 +70,6 @@ class TestColumns:
         with pytest.raises(InvalidValue):
             UPointColumn.from_mappings([MovingReal([UReal(Interval(0, 1), 0, 1, 0)])])
 
-    def test_darray_round_trip(self):
-        fleet = make_fleet()
-        col = UPointColumn.from_mappings(fleet)
-        root, units = col.to_darrays()
-        assert len(root) == col.n_objects + 1
-        assert len(units) == col.n_units
-        again = UPointColumn.from_darrays(root, units)
-        assert again.to_mappings() == fleet
-
-    def test_ureal_darray_round_trip(self):
-        fleet = [
-            MovingReal([UReal(Interval(0, 5), 0.0, 1.0, 2.0)]),
-            MovingReal(
-                [
-                    UReal(Interval(0, 2, True, False), 1.0, 0.0, 0.0),
-                    UReal(Interval(3, 4), 0.0, 0.0, 9.0, r=True),
-                ]
-            ),
-        ]
-        col = URealColumn.from_mappings(fleet)
-        root, units = col.to_darrays()
-        assert URealColumn.from_darrays(root, units).to_mappings() == fleet
-
     def test_bbox_column_skips_empty(self):
         fleet = make_fleet()
         col = BBoxColumn.from_mappings(fleet)
