@@ -35,10 +35,6 @@ echo "== parallel-backend smoke (2 workers, tiny fleet, equivalence) =="
 python -m pytest -q -p no:cacheprovider benchmarks/bench_parallel.py -k smoke
 
 echo
-echo "== column-store cold-start smoke (populated store, no rebuild) =="
-python -m pytest -q -p no:cacheprovider benchmarks/bench_colstore.py -k smoke
-
-echo
 echo "== query-service smoke (start -> ingest -> query -> shutdown) =="
 python -m pytest -q -p no:cacheprovider benchmarks/bench_server.py -k smoke
 

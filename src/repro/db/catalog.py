@@ -140,7 +140,7 @@ class Database:
             "relation": relation,
             "attribute": attribute,
             "kinds": list(kinds),
-            "manifest_crc": store._manifest()[1],
+            "manifest_crc": store.manifest_crc(),
         }
         if self._wal is not None:
             self._wal.append(
@@ -233,7 +233,7 @@ class Database:
         store = ColumnStore(doc["root"])
         try:
             store.verify()
-            if store._manifest()[1] == doc.get("manifest_crc"):
+            if store.manifest_crc() == doc.get("manifest_crc"):
                 return  # checkpointed generation intact
         except CorruptColumnError:
             pass

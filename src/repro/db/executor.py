@@ -254,7 +254,7 @@ class MmapScan(VectorScan):
     transcription of the tuple store.
 
     Row output is identical; only the column acquisition differs: an
-    intact store generation is served as ``np.memmap`` views (the
+    intact store generation is served as views of the mapped files (the
     cold-start path this operator exists for, counted under
     ``colstore.hits``), a missing/corrupt/stale one is rebuilt from the
     scanned mappings and re-persisted (``colstore.rebuilds``).  Planned

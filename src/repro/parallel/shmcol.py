@@ -227,7 +227,7 @@ def _mmap_descriptor(col: Any) -> Optional[Descriptor]:
     from repro.vector.store import ColumnStore
 
     try:
-        _payload, crc = ColumnStore(source.root)._manifest()
+        crc = ColumnStore(source.root).manifest_crc()
     except CorruptColumnError:
         _mmap_fallback("manifest")
         return None

@@ -11,7 +11,8 @@ header and a CRC-checked JSON manifest tying the files together.  What a
 kind is — builder, record layout, file names — is read from that table;
 nothing here names one.  Because the file payload is byte-identical to the
 numpy struct dtypes the batch kernels already consume, a warm process
-restart costs one ``np.memmap`` per file instead of a full tuple-store
+restart maps each file once (one descriptor: header ``pread``, ``fstat``,
+read-only ``mmap``, ``np.frombuffer``) instead of a full tuple-store
 rebuild — the cold-start rebuild this PR kills.
 
 File layout (all little-endian)::
@@ -19,7 +20,7 @@ File layout (all little-endian)::
     <16-byte header> <count × record>
     header = magic b"MODC" | u16 format version | u16 reserved | i64 count
 
-The 16-byte header keeps the payload 8-byte aligned for memmap views.
+The 16-byte header keeps the payload 8-byte aligned for mapped views.
 The manifest (``manifest.json``) records the format version, the fleet
 version each column was built from, and per-file record counts, CRCs,
 and dtype hashes; the manifest itself carries a CRC over its payload so
@@ -44,8 +45,10 @@ takes for corrupt pages.
 
 from __future__ import annotations
 
+import copy
 import functools
 import json
+import mmap
 import os
 import struct
 import weakref
@@ -84,7 +87,7 @@ def _dtype_hash(dtype: np.dtype) -> int:
 
     Two processes agree on this iff their in-memory struct layout is
     byte-identical, so a file written by an older field layout is
-    rejected before a memmap view can misinterpret it.
+    rejected before a mapped view can misinterpret it.
     """
     return zlib.crc32(str(dtype.descr).encode("utf-8"))
 
@@ -92,6 +95,59 @@ def _dtype_hash(dtype: np.dtype) -> int:
 def _file_entry(count: int, crc: int, dtype: np.dtype) -> dict:
     """One file's manifest entry."""
     return {"count": count, "crc32": crc, "dtype_crc32": _dtype_hash(dtype)}
+
+
+def _check_header(name: str, head: bytes, count: int) -> None:
+    """Reject a column-file header that is torn, foreign, from another
+    format version, or disagrees with the manifest's record count."""
+    if len(head) != HEADER.size:
+        raise CorruptColumnError(f"{name}: truncated header")
+    magic, version, _reserved, file_count = HEADER.unpack(head)
+    if magic != MAGIC:
+        raise CorruptColumnError(f"{name}: bad magic {magic!r}")
+    if version != FORMAT_VERSION:
+        raise CorruptColumnError(
+            f"{name}: format v{version} != supported v{FORMAT_VERSION}"
+        )
+    if file_count != count:
+        raise CorruptColumnError(
+            f"{name}: header count {file_count} != manifest count {count}"
+        )
+
+
+@functools.lru_cache(maxsize=128)
+def _parse_manifest(raw: bytes) -> Tuple[dict, int]:
+    """``(payload, payload_crc)`` of manifest bytes ``raw``, verified.
+
+    Memoised on the bytes themselves — identical bytes get the identical
+    verdict, which no mtime/size/inode key can promise — so a column map
+    pays for the JSON parse and the CRC re-serialisation once per
+    manifest generation, not once per map.  A raise is not cached.  The
+    returned payload is shared between callers and must not be mutated.
+    """
+    try:
+        doc = json.loads(raw)
+        payload = doc["payload"]
+        declared = int(doc["crc32"])
+        columns = payload["columns"]
+        fmt = int(payload["format"])
+    except (ValueError, KeyError, TypeError) as exc:
+        raise CorruptColumnError(
+            "column store manifest is not valid JSON of the expected shape"
+        ) from exc
+    actual = zlib.crc32(json.dumps(payload, sort_keys=True).encode("utf-8"))
+    if actual != declared:
+        raise CorruptColumnError(
+            f"column store manifest CRC mismatch "
+            f"(declared {declared:#010x}, computed {actual:#010x})"
+        )
+    if fmt != FORMAT_VERSION:
+        raise CorruptColumnError(
+            f"column store format v{fmt} != supported v{FORMAT_VERSION}"
+        )
+    if not isinstance(columns, dict):
+        raise CorruptColumnError("column store manifest: columns not a map")
+    return payload, actual
 
 
 class MmapSource:
@@ -149,7 +205,12 @@ class ColumnStore:
     # -- manifest ---------------------------------------------------------
 
     def _manifest(self) -> Tuple[dict, int]:
-        """``(payload, payload_crc)`` of the manifest, CRC-verified."""
+        """``(payload, payload_crc)`` of the manifest, CRC-verified.
+
+        The file is read on every call — that read is the staleness
+        check — but the payload is the memoised, *shared* parse of those
+        bytes: read it, never change it (writers take a deep copy).
+        """
         try:
             with open(self.path(MANIFEST_NAME), "rb") as fh:
                 raw = fh.read()
@@ -157,35 +218,17 @@ class ColumnStore:
             raise CorruptColumnError(
                 f"column store manifest unreadable: {exc}"
             ) from exc
-        try:
-            doc = json.loads(raw)
-            payload = doc["payload"]
-            declared = int(doc["crc32"])
-            columns = payload["columns"]
-            fmt = int(payload["format"])
-        except (ValueError, KeyError, TypeError) as exc:
-            raise CorruptColumnError(
-                "column store manifest is not valid JSON of the expected shape"
-            ) from exc
-        actual = zlib.crc32(
-            json.dumps(payload, sort_keys=True).encode("utf-8")
-        )
-        if actual != declared:
-            raise CorruptColumnError(
-                f"column store manifest CRC mismatch "
-                f"(declared {declared:#010x}, computed {actual:#010x})"
-            )
-        if fmt != FORMAT_VERSION:
-            raise CorruptColumnError(
-                f"column store format v{fmt} != supported v{FORMAT_VERSION}"
-            )
-        if not isinstance(columns, dict):
-            raise CorruptColumnError("column store manifest: columns not a map")
-        return payload, actual
+        return _parse_manifest(raw)
 
     def manifest(self) -> dict:
-        """The manifest payload (raises :class:`CorruptColumnError`)."""
-        return self._manifest()[0]
+        """The manifest payload, the caller's own copy (raises
+        :class:`CorruptColumnError`)."""
+        return copy.deepcopy(self._manifest()[0])
+
+    def manifest_crc(self) -> int:
+        """CRC32 of the manifest payload — what pins a store generation
+        (raises :class:`CorruptColumnError`)."""
+        return self._manifest()[1]
 
     def fleet_version(self, kind: str) -> Optional[int]:
         """Fleet version column ``kind`` was built from, or None."""
@@ -266,7 +309,7 @@ class ColumnStore:
         arrays = column.records()
         os.makedirs(self.root, exist_ok=True)
         try:
-            payload = self._manifest()[0]
+            payload = self.manifest()
         except CorruptColumnError:
             payload = {"format": FORMAT_VERSION, "columns": {}}
         files: Dict[str, dict] = {}
@@ -308,7 +351,7 @@ class ColumnStore:
         disagrees with the durable manifest and every reader rejects it
         as :class:`CorruptColumnError` instead of serving torn records.
 
-        Memmap safety: live queries may still hold ``np.memmap`` views
+        Mapping safety: live queries may still hold mapped views
         of the *current* files (pinned snapshots), so stored bytes are
         never mutated in place — a file is either purely appended to
         (existing record range untouched; the old fixed-shape views
@@ -338,7 +381,7 @@ class ColumnStore:
         self, cls: type, arrays: Sequence[np.ndarray], min_changed: int
     ) -> Optional[Tuple[dict, Dict[str, dict]]]:
         """Tail-write every file of kind ``cls``; None ⇒ not extendable."""
-        payload, _crc = self._manifest()
+        payload = self.manifest()  # a copy: ``_commit`` writes into it
         entry = payload["columns"].get(cls.KIND)
         if entry is None:
             return None
@@ -383,8 +426,13 @@ class ColumnStore:
     # -- reading ----------------------------------------------------------
 
     def _open_file(self, name: str, dtype: np.dtype, finfo: dict) -> np.ndarray:
-        """Memmap one column file after the cheap validation tier."""
-        path = self.path(name)
+        """Map one column file after the cheap validation tier.
+
+        One descriptor does all of it — header, size, mapping — and is
+        closed before returning.  The result is a plain read-only
+        ``ndarray`` over the mapping; the mapping lives exactly as long
+        as the arrays viewing it, so dropping the last view unmaps.
+        """
         declared_dtype = int(finfo["dtype_crc32"])
         if declared_dtype != _dtype_hash(dtype):
             raise CorruptColumnError(
@@ -393,35 +441,31 @@ class ColumnStore:
             )
         count = int(finfo["count"])
         try:
-            with open(path, "rb") as fh:
-                head = fh.read(HEADER.size)
+            fd = os.open(self.path(name), os.O_RDONLY)
+            try:
+                head = os.pread(fd, HEADER.size, 0)
+                actual = os.fstat(fd).st_size
+                _check_header(name, head, count)
+                expected = HEADER.size + count * dtype.itemsize
+                if actual != expected:
+                    raise CorruptColumnError(
+                        f"{name}: file size {actual} != expected {expected}"
+                    )
+                if count == 0:
+                    return np.empty(0, dtype=dtype)
+                # Not MAP_POPULATE: over ten alternating runs it moved
+                # neither the median nor the spread of a cold read, and
+                # it maps pages a pruned read never touches.
+                buf = mmap.mmap(
+                    fd, actual, flags=mmap.MAP_SHARED, prot=mmap.PROT_READ
+                )
+            finally:
+                os.close(fd)
         except OSError as exc:
             raise CorruptColumnError(f"{name}: unreadable: {exc}") from exc
-        if len(head) != HEADER.size:
-            raise CorruptColumnError(f"{name}: truncated header")
-        magic, version, _reserved, file_count = HEADER.unpack(head)
-        if magic != MAGIC:
-            raise CorruptColumnError(f"{name}: bad magic {magic!r}")
-        if version != FORMAT_VERSION:
-            raise CorruptColumnError(
-                f"{name}: format v{version} != supported v{FORMAT_VERSION}"
-            )
-        if file_count != count:
-            raise CorruptColumnError(
-                f"{name}: header count {file_count} != manifest count {count}"
-            )
-        expected = HEADER.size + count * dtype.itemsize
-        actual = os.path.getsize(path)
-        if actual != expected:
-            raise CorruptColumnError(
-                f"{name}: file size {actual} != expected {expected}"
-            )
-        if count == 0:
-            return np.empty(0, dtype=dtype)
-        mm = np.memmap(path, dtype=dtype, mode="r", offset=HEADER.size, shape=(count,))
         if obs.enabled:
             obs.add("colstore.bytes_mapped", count * dtype.itemsize)
-        return mm
+        return np.frombuffer(buf, dtype=dtype, count=count, offset=HEADER.size)
 
     def _load(self, kind: str) -> Tuple[Any, dict]:
         """``(memmap-backed column, its manifest entry)`` for ``kind``
@@ -516,10 +560,9 @@ class ColumnStore:
                     raise CorruptColumnError(
                         f"column store manifest entry for {k!r} is malformed"
                     ) from exc
-                self._open_file(name, dtype, finfo)
-                with open(self.path(name), "rb") as fh:
-                    fh.seek(HEADER.size)
-                    actual = zlib.crc32(fh.read())
+                actual = zlib.crc32(
+                    self._open_file(name, dtype, finfo).view(np.uint8)
+                )
                 if actual != declared:
                     raise CorruptColumnError(
                         f"{name}: payload CRC mismatch "

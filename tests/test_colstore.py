@@ -11,10 +11,18 @@ Covers the tentpole guarantees of the mmap store:
   store either at the old consistent generation or detectably torn,
   and ``load_or_rebuild`` repairs both shapes;
 * backend parity — query results with a store configured are identical
-  across the scalar, vector, and parallel backends.
+  across the scalar, vector, and parallel backends;
+* the open path — one descriptor per file and none left behind, a
+  manifest parse memoised on the bytes that never serves a stale or
+  caller-mutated payload, and read-only views that outlive eviction,
+  rename and append;
+* the cold-start smoke — a populated store serves a cold process's
+  first query with zero rebuilds, a damaged one is rebuilt, not served.
 """
 
+import gc
 import os
+import struct
 import zlib
 
 import numpy as np
@@ -25,9 +33,10 @@ from hypothesis import strategies as st
 from repro import faults, obs
 from repro.db.catalog import Database
 from repro.errors import CorruptColumnError, SimulatedCrash
+from repro.shard import ShardedFleet, ShardManager
 from repro.storage.wal import Wal
 from repro.temporal.mapping import MovingPoint
-from repro.vector.cache import Fleet, clear_cache
+from repro.vector.cache import Fleet, clear_cache, column_for
 from repro.vector.columns import KINDS, UPointColumn
 from repro.vector.fleet import fleet_atinstant, set_backend
 from repro.vector.kernels import atinstant_batch
@@ -36,6 +45,7 @@ from repro.vector.store import (
     HEADER,
     MANIFEST_NAME,
     ColumnStore,
+    _parse_manifest,
     clear_store,
     set_store,
 )
@@ -501,3 +511,248 @@ class TestBackendParity:
                 assert c is None and w is None
             else:
                 assert s.x == c.x == w.x and s.y == c.y == w.y
+
+
+def open_descriptors():
+    return len(os.listdir("/proc/self/fd"))
+
+
+needs_proc_fd = pytest.mark.skipif(
+    not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd here"
+)
+
+
+def _as_directory(path):
+    os.remove(path)
+    os.mkdir(path)  # opens read-only, cannot be read: EISDIR
+
+
+def _truncate_header(path):
+    with open(path, "r+b") as fh:
+        fh.truncate(HEADER.size // 2)
+
+
+def _overwrite(offset, fmt, value):
+    def damage(path):
+        with open(path, "r+b") as fh:
+            fh.seek(offset)
+            fh.write(struct.pack(fmt, value))
+    return damage
+
+
+def _append_byte(path):
+    with open(path, "ab") as fh:
+        fh.write(b"\0")
+
+
+#: How to damage ``upoint.bin``, and the message the cheap tier answers with.
+REJECTED_SHAPES = [
+    pytest.param(_as_directory, "upoint.bin: unreadable", id="unreadable file"),
+    pytest.param(_truncate_header, "upoint.bin: truncated header",
+                 id="truncated header"),
+    pytest.param(_overwrite(0, "<4s", b"XXXX"), "upoint.bin: bad magic",
+                 id="bad magic"),
+    pytest.param(_overwrite(4, "<H", 99), "upoint.bin: format v99",
+                 id="wrong version"),
+    pytest.param(_overwrite(8, "<q", 10**6),
+                 "upoint.bin: header count 1000000 != manifest count",
+                 id="header != manifest count"),
+    pytest.param(_append_byte, "upoint.bin: file size", id="wrong size"),
+]
+
+
+class TestDescriptors:
+    @needs_proc_fd
+    def test_load_and_drop_rounds_leave_no_descriptor(self, tmp_path):
+        store = save_all(tmp_path, make_mappings())
+        before = open_descriptors()
+        for _ in range(200):
+            for kind in COLUMN_KINDS:
+                store.load(kind)
+        assert open_descriptors() == before
+
+    @needs_proc_fd
+    @pytest.mark.parametrize("damage,message", REJECTED_SHAPES)
+    def test_rejected_file_leaves_no_descriptor(self, tmp_path, damage, message):
+        store = save_all(tmp_path, make_mappings())
+        damage(store.path("upoint.bin"))
+        before = open_descriptors()
+        with pytest.raises(CorruptColumnError, match=message):
+            store.load("upoint")
+        assert open_descriptors() == before
+
+
+class TestManifestMemo:
+    def test_flipped_byte_rejected_and_restored_bytes_served(self, tmp_path):
+        store = save_all(tmp_path, make_mappings())
+        store.load("upoint")
+        with open(store.path(MANIFEST_NAME), "rb") as fh:
+            good = fh.read()
+        flip_byte(store.path(MANIFEST_NAME), 12)
+        with pytest.raises(CorruptColumnError):
+            store.load("upoint")
+        with open(store.path(MANIFEST_NAME), "wb") as fh:
+            fh.write(good)
+        assert store.load("upoint").source is not None
+
+    def test_manifest_is_the_callers_own_copy(self, tmp_path):
+        store = save_all(tmp_path, make_mappings())
+        crc = store.manifest_crc()
+        mine = store.manifest()
+        mine["format"] = 99
+        mine["columns"]["upoint"]["files"]["upoint.bin"]["count"] = 0
+        del mine["columns"]["bbox"]
+        again = store.manifest()
+        assert again["format"] == 1 and set(again["columns"]) == set(COLUMN_KINDS)
+        assert again["columns"]["upoint"]["files"]["upoint.bin"]["count"] > 0
+        col = store.load("upoint")
+        assert len(col.x0) > 0 and col.source.manifest_crc == crc
+        assert store.has("bbox")
+
+    def test_save_between_loads_is_seen(self, tmp_path):
+        mappings = make_mappings()
+        store = ColumnStore(os.fspath(tmp_path))
+        store.save("upoint", UPointColumn.from_mappings(mappings), fleet_version=1)
+        first = store.load("upoint")
+        store.save("bbox", KINDS["bbox"].from_mappings(mappings))
+        second = store.load("upoint")
+        assert second.source.manifest_crc == store.manifest_crc()
+        assert second.source.manifest_crc != first.source.manifest_crc
+        assert store.has("bbox")
+        grown = mappings + make_mappings(3, seed=11)
+        store.save("upoint", UPointColumn.from_mappings(grown), fleet_version=2)
+        assert store.fleet_version("upoint") == 2
+        assert len(store.load("upoint").offsets) == len(grown) + 1
+        assert len(first.offsets) == len(mappings) + 1
+
+    def test_memo_is_bounded(self, tmp_path):
+        _parse_manifest.cache_clear()
+        bound = _parse_manifest.cache_info().maxsize
+        assert bound is not None
+        column = KINDS["bbox"].from_mappings(make_mappings(2))
+        crcs = set()
+        for i in range(bound + 8):
+            store = ColumnStore(os.fspath(tmp_path / f"s{i}"))
+            store.save("bbox", column, fleet_version=i)
+            crcs.add(store.manifest_crc())
+        info = _parse_manifest.cache_info()
+        assert len(crcs) == bound + 8  # every manifest was a distinct one
+        assert info.currsize == bound
+
+
+def _bytes_of(column):
+    return [np.array(a).tobytes() for a in column.arrays()]
+
+
+class TestViewLifetime:
+    def test_loaded_arrays_are_read_only(self, tmp_path):
+        store = save_all(tmp_path, make_mappings())
+        for kind in COLUMN_KINDS:
+            col = store.load(kind)
+            for a in col.arrays():
+                assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                col.arrays()[0][0] = 0
+
+    def test_views_outlive_shard_eviction(self, tmp_path):
+        fleet = ShardedFleet(make_mappings(24), 2)
+        manager = ShardManager(fleet, root=os.fspath(tmp_path))
+        manager.persist()
+        manager.evict_all()
+        col = manager.column(0, "upoint")
+        assert col.source is not None
+        frozen = _bytes_of(col)
+        assert manager.evict_all() == 1
+        gc.collect()
+        assert _bytes_of(col) == frozen
+        assert _bytes_of(manager.column(0, "upoint")) == frozen
+
+    def test_views_outlive_a_rename_over_their_file(self, tmp_path):
+        mappings = make_mappings()
+        store = save_all(tmp_path, mappings)
+        col = store.load("upoint")
+        frozen = _bytes_of(col)
+        other = make_mappings(20, seed=99)
+        store.save("upoint", UPointColumn.from_mappings(other))
+        gc.collect()
+        assert _bytes_of(col) == frozen
+        assert _bytes_of(store.load("upoint")) != frozen
+
+    def test_views_end_at_their_own_count_after_an_append(self, tmp_path):
+        mappings = make_mappings()
+        store = save_all(tmp_path, mappings)
+        col = store.load("upoint")
+        frozen = _bytes_of(col)
+        grown = mappings + make_mappings(3, seed=11)
+        obs.reset()
+        latest = store.extend_or_save(
+            "upoint", UPointColumn.from_mappings(grown),
+            min_changed=len(mappings), n_objects=len(grown),
+        )
+        assert counters()["colstore.extends"] == 1  # appended in place
+        gc.collect()
+        assert _bytes_of(col) == frozen
+        assert len(col.offsets) == len(mappings) + 1
+        assert len(latest.offsets) == len(grown) + 1
+        assert len(latest.x0) > len(col.x0)
+
+
+def _assert_answers_as_the_scalar_loop(got, mappings, t):
+    scalar = fleet_atinstant(list(mappings), t, backend="scalar")
+    assert len(got) == len(scalar)
+    for s, g in zip(scalar, got):
+        if s is None:
+            assert g is None
+        else:
+            assert s.x == g.x and s.y == g.y
+
+
+class TestColdStartSmoke:
+    """A ``--colstore`` directory a previous process populated, opened by
+    a process with nothing resident."""
+
+    T = 60.0
+
+    def _populated(self, root, mappings):
+        set_store(root)
+        column_for(Fleet(mappings), "upoint")
+        clear_cache()
+        clear_store()
+        return ColumnStore(root)
+
+    def _cold_process(self, root, mappings):
+        set_store(root)  # resets the store→fleet binding too
+        clear_cache()
+        return Fleet(mappings)
+
+    def test_v6_smoke_cold_start_serves_from_disk(self, tmp_path):
+        """The first query is served from the mapped files (hit, zero
+        rebuilds), answers identical to the scalar loop."""
+        mappings = random_flights(300, legs=3, seed=9)
+        root = os.fspath(tmp_path)
+        self._populated(root, mappings)
+        fleet = self._cold_process(root, mappings)
+        obs.reset()
+        got = fleet_atinstant(fleet, self.T, backend="vector")
+        snap = counters()
+        assert snap.get("colstore.hits", 0) >= 1
+        assert snap.get("colstore.rebuilds", 0) == 0
+        assert snap.get("colstore.bytes_mapped", 0) > 0
+        _assert_answers_as_the_scalar_loop(got, mappings, self.T)
+
+    def test_v6_smoke_corrupt_store_rebuilt_not_served(self, tmp_path):
+        """Damage the stored column: the cold query must rebuild
+        (counted) and still answer correctly."""
+        mappings = random_flights(100, legs=3, seed=9)
+        root = os.fspath(tmp_path)
+        store = self._populated(root, mappings)
+        # The cheap tier cannot see a payload flip, so break the header
+        # too: the cold open rejects the file outright.
+        flip_byte(store.path("upoint.bin"), HEADER.size + 1)
+        with open(store.path("upoint.bin"), "r+b") as fh:
+            fh.write(b"XXXX")
+        fleet = self._cold_process(root, mappings)
+        obs.reset()
+        got = fleet_atinstant(fleet, self.T, backend="vector")
+        assert counters().get("colstore.rebuilds", 0) >= 1
+        _assert_answers_as_the_scalar_loop(got, mappings, self.T)
