@@ -35,10 +35,6 @@ echo "== parallel-backend smoke (2 workers, tiny fleet, equivalence) =="
 python -m pytest -q -p no:cacheprovider benchmarks/bench_parallel.py -k smoke
 
 echo
-echo "== query-service smoke (start -> ingest -> query -> shutdown) =="
-python -m pytest -q -p no:cacheprovider benchmarks/bench_server.py -k smoke
-
-echo
 echo "== sharded-backend smoke (2 shards, tiny budget, equivalence) =="
 python -m pytest -q -p no:cacheprovider benchmarks/bench_shard.py -k smoke
 python -m pytest -q -p no:cacheprovider tests/test_shard.py -k smoke

@@ -103,7 +103,8 @@ WINDOW = (Rect(0.0, 0.0, 60.0, 60.0), 0.0, 12.0)
 
 TRACK_UNITS = 6
 
-Digest = Tuple[Tuple[str, str, str], ...]
+#: What a probe saw: the bytes of the reply's ``(obj, x, y)`` table.
+Digest = bytes
 
 
 # ---------------------------------------------------------------------------
@@ -545,11 +546,9 @@ def _group_commit(run: Run) -> str:
 
 def _probe_digest(client: ServerClient) -> Digest:
     """The wire-level digest of the fleet at the probe instant."""
-    reply = client.snapshot(FLEET, PROBE_T)
-    return tuple(
-        (row.get("obj", ""), row.get("x", ""), row.get("y", ""))
-        for row in reply.rows
-    )
+    table = client.snapshot(FLEET, PROBE_T).table
+    assert table is not None  # snapshot() asks for the binary frame
+    return table.tobytes()
 
 
 class _Traffic:

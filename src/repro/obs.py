@@ -185,6 +185,7 @@ COUNTER_NAMES: FrozenSet[str] = frozenset({
     # query service (repro.server)
     "server.sessions",
     "server.queries",
+    "server.reply_bytes",
     "server.errors",
     "ingest.units",
     "ingest.group_commits",

@@ -5,6 +5,18 @@ request/response, responses returned as parsed :class:`Reply` values.
 Not an ORM: rows come back as the ``key=value`` dictionaries the wire
 carries.
 
+:meth:`ServerClient.snapshot` asks for the binary frame
+(``FORMAT=bin``, see :mod:`repro.server.protocol`): the table arrives as
+the bytes the server's arrays were and becomes :attr:`Reply.table`, a
+read-only structured array (``obj``, ``x``, ``y``), with one
+``np.frombuffer`` and no string in between — ``reply.table["x"]`` is
+the column.  :attr:`Reply.rows` of such a reply is a lazy read-only
+sequence over that table yielding the very dictionaries a text reply
+parses to (float64 round-trips through ``repr`` exactly), so a caller
+written against rows does not care which framing it was served.  What is
+parsed is decided by the reply header, not by what was asked: the text
+framing, for debugging, is ``request("SNAPSHOT <fleet> <t>")``.
+
 Resilience
 ----------
 The client owns the retry half of the service's overload contract:
@@ -21,6 +33,11 @@ The client owns the retry half of the service's overload contract:
   each unit with a ``SEQ=<client_id>:<n>`` token, and the server's
   dedup table makes a retry of an applied-but-unacked ingest
   exactly-once.
+* A reply that timed out, tore or did not parse leaves bytes of unknown
+  meaning on the socket, so the client hangs up and the next request
+  (a retry or the caller's own) opens a fresh connection — or raises
+  :class:`ConnectionLost` at once when the server refuses it.  A client
+  the caller closed stays closed.
 """
 
 from __future__ import annotations
@@ -30,10 +47,13 @@ import os
 import socket
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro import faults, obs
 from repro.errors import ProtocolError, ReproError
+from repro.server.protocol import ROW_DTYPE
 
 __all__ = [
     "ClientTimeout",
@@ -91,13 +111,52 @@ def jittered_backoff(
     return min(cap_ms, jittered)
 
 
+class _TableRows(Sequence[Dict[str, str]]):
+    """``Reply.rows`` of a binary reply: the dictionaries the text parse
+    would have built, made when asked for."""
+
+    __slots__ = ("_table",)
+
+    def __init__(self, table: np.ndarray):
+        self._table = table
+
+    def __len__(self) -> int:
+        return len(self._table)
+
+    def __getitem__(self, index: Any) -> Any:
+        if isinstance(index, slice):
+            return _TableRows(self._table[index])
+        i, x, y = self._table[index].item()
+        return {"obj": str(i), "x": repr(x), "y": repr(y)}
+
+    def __iter__(self) -> Iterator[Dict[str, str]]:
+        t = self._table
+        for i, x, y in zip(t["obj"].tolist(), t["x"].tolist(), t["y"].tolist()):
+            yield {"obj": str(i), "x": repr(x), "y": repr(y)}
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (_TableRows, list)):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            a == b for a, b in zip(self, other)
+        )
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
 @dataclass
 class Reply:
-    """One parsed response: the OK header fields plus the data lines."""
+    """One parsed response: the OK header fields plus the data lines.
+
+    ``table`` is set for a binary SNAPSHOT reply only; ``rows`` then
+    reads from it (same dictionaries, built on demand).
+    """
 
     fields: Dict[str, str] = field(default_factory=dict)
-    rows: List[Dict[str, str]] = field(default_factory=list)
+    rows: Sequence[Dict[str, str]] = field(default_factory=list)
     lines: List[str] = field(default_factory=list)  # PLAN / MSG / STAT text
+    table: Optional[np.ndarray] = field(default=None, compare=False)
 
     def stat(self, name: str) -> Optional[str]:
         """The value of a ``STAT <name> <value>`` line, if present."""
@@ -168,14 +227,18 @@ class ServerClient:
             (self._host, self._port), timeout=self._connect_timeout
         )
         self._file = self._sock.makefile("rwb")
+        self._dropped = False
 
-    def _reconnect(self) -> None:
+    def _drop(self) -> None:
+        """Hang up without ceremony; the next request reconnects.  (A
+        client the caller closed is not dropped: it stays closed.)"""
+        self._dropped = True
         try:
             self._file.close()
-            self._sock.close()
         except OSError:
             pass
-        self._connect()
+        finally:
+            self._sock.close()
 
     def close(self) -> None:
         """End the session politely (``CLOSE`` → ``BYE``), then hang up."""
@@ -212,10 +275,16 @@ class ServerClient:
         answers always retry (the server did no work); timeouts and
         lost connections retry only when ``idempotent`` — a non-
         idempotent request that may already have applied must surface
-        to the caller instead of silently applying twice.
+        to the caller instead of silently applying twice.  A server
+        that refuses the reconnect is down: that raises at once.
         """
         attempt = 0
         while True:
+            if self._dropped:  # by the previous request or attempt
+                try:
+                    self._connect()
+                except OSError as exc:
+                    raise ConnectionLost(f"cannot reconnect: {exc}") from None
             try:
                 return self._request_once(line, timeout)
             except ServerError as exc:
@@ -226,14 +295,10 @@ class ServerClient:
                     raise
                 hint_ms = exc.retry_after_ms() or 0
                 delay_ms = max(hint_ms, self._backoff_ms(attempt))
-            except (ClientTimeout, ConnectionLost) as exc:
+            except (ClientTimeout, ConnectionLost):
                 if not idempotent or attempt >= self._max_retries:
                     raise
                 delay_ms = self._backoff_ms(attempt)
-                try:
-                    self._reconnect()
-                except OSError:
-                    raise exc from None
             if obs.enabled:
                 obs.add("client.retries")
             time.sleep(delay_ms / 1000.0)
@@ -256,14 +321,23 @@ class ServerClient:
             self._file.write(line.rstrip("\n").encode("utf-8") + b"\n")
             self._file.flush()
             return self._read_reply()
-        except socket.timeout:
-            if obs.enabled:
-                obs.add("client.timeouts")
-            raise ClientTimeout(
-                f"no response within the read deadline for {line.split()[0]}"
-            ) from None
-        except (ConnectionResetError, BrokenPipeError) as exc:
-            raise ConnectionLost(f"connection lost mid-request: {exc}") from None
+        except (OSError, UnicodeDecodeError, ProtocolError) as exc:
+            # What is left of this reply would be read as the next one.
+            # (A ServerError is a whole reply: the connection is in step.)
+            self._drop()
+            if isinstance(exc, socket.timeout):
+                if obs.enabled:
+                    obs.add("client.timeouts")
+                raise ClientTimeout(
+                    f"no response within the read deadline for {line.split()[0]}"
+                ) from None
+            if isinstance(exc, OSError):
+                raise ConnectionLost(
+                    f"connection lost mid-request: {exc}"
+                ) from None
+            if isinstance(exc, UnicodeDecodeError):
+                raise ProtocolError(f"reply is not UTF-8: {exc}") from None
+            raise
 
     def _read_reply(self) -> Reply:
         reply = Reply()
@@ -281,6 +355,13 @@ class ServerClient:
         if not (text == "OK" or text.startswith("OK ")):
             raise ProtocolError(f"unexpected response header {text!r}")
         reply.fields = _parse_kv(text[3:], " ")
+        if reply.fields.pop("format", "text") == "bin":
+            # The frame's own keys describe the bytes, not the result.
+            reply.table = self._read_table(
+                reply.fields.pop("bytes", ""), reply.fields.get("rows", "")
+            )
+            reply.rows = _TableRows(reply.table)
+            return reply
         # Everything up to the bare END line in as few reads as the
         # socket allows, then one decode, one split, one loop.  (A data
         # line always carries its ROW/PLAN/MSG/STAT prefix, so only the
@@ -295,12 +376,43 @@ class ServerClient:
                 chunk = b"\n"  # END then EOF: complete, as readline had it
             chunks.append(chunk)
             tail = (tail + chunk[-5:])[-5:]
+        rows: List[Dict[str, str]] = []
         for text in b"".join(chunks).decode("utf-8").split("\n")[:-2]:
             if text.startswith("ROW "):
-                reply.rows.append(_parse_kv(text[4:], "\t"))
+                rows.append(_parse_kv(text[4:], "\t"))
             else:
                 reply.lines.append(text)
+        reply.rows = rows
         return reply
+
+    def _read_table(self, nbytes_text: str, rows_text: str) -> np.ndarray:
+        """The body of a ``format=bin`` reply: ``bytes`` bytes — an
+        ``<u8`` count and that many ``ROW_DTYPE`` records — then ``END``."""
+        try:
+            nbytes, rows = int(nbytes_text), int(rows_text)
+        except ValueError:
+            raise ProtocolError(
+                "binary reply header needs integer rows= and bytes="
+            ) from None
+        if rows < 0 or nbytes != 8 + ROW_DTYPE.itemsize * rows:
+            raise ProtocolError(
+                f"binary reply declares bytes={nbytes} for rows={rows}"
+            )
+        body = self._file.read(nbytes)
+        if len(body) < nbytes:
+            raise ConnectionLost("connection closed mid-table")
+        count = int.from_bytes(body[:8], "little")
+        if count != rows:
+            raise ProtocolError(
+                f"binary table holds {count} records, header says rows={rows}"
+            )
+        end = self._file.readline()
+        if not end:
+            raise ConnectionLost("connection closed before END")
+        if end.rstrip(b"\n") != b"END":
+            raise ProtocolError(f"expected END after the table, got {end!r}")
+        # bytes are immutable, so the array is read-only.
+        return np.frombuffer(body, dtype=ROW_DTYPE, count=rows, offset=8)
 
     # -- command helpers ---------------------------------------------------
 
@@ -359,7 +471,10 @@ class ServerClient:
         window: Optional[Tuple[float, float, float, float]] = None,
         deadline_ms: Optional[float] = None,
     ) -> Reply:
-        line = f"SNAPSHOT {self._attrs(deadline_ms)}{fleet} {t!r}"
+        """Fleet positions at ``t``, asked for as the binary frame:
+        ``Reply.table`` is set and ``rows`` is lazy.  (The ``ROW`` lines
+        a bare socket gets: ``request("SNAPSHOT <fleet> <t>")``.)"""
+        line = f"SNAPSHOT FORMAT=bin {self._attrs(deadline_ms)}{fleet} {t!r}"
         if window is not None:
             line += " " + " ".join(repr(v) for v in window)
         return self.request(line, idempotent=True)

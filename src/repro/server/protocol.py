@@ -23,6 +23,10 @@ Requests that do work (everything but STATS/CLOSE) accept *attributes*
                     exactly-once — a duplicate is answered from the
                     dedup table (``ingest.dedup_hits``), on live retry
                     and across WAL-replay restarts alike.
+    FORMAT=bin      SNAPSHOT only: frame the rows of *this* reply as
+                    the binary table below.  Without it a reply is the
+                    line framing — text is the absence of the attribute,
+                    not a second value of it.
 
 Responses are line-framed as well: a single ``OK key=value ...`` header,
 zero or more data lines (``ROW``/``PLAN``/``MSG``/``STAT``), and a bare
@@ -30,20 +34,36 @@ zero or more data lines (``ROW``/``PLAN``/``MSG``/``STAT``), and a bare
 (no terminator — the line *is* the whole response) and never tear the
 session down; ``CLOSE`` answers with a single ``BYE``.
 
+The binary SNAPSHOT frame replaces the ``ROW`` lines with one table, the
+arrays the executor produced written as the bytes they are::
+
+    OK version=<v> objects=<n> rows=<N> format=bin bytes=<B>\n
+    <B bytes>        B = 8 + 24·N:  <u8 N, then N records of ROW_DTYPE
+                     (<i8 obj, <f8 x, <f8 y), all little-endian
+    END\n
+
+The header says what follows (``format=bin`` present or not), so a reply
+is parsed by what it declares, never by what was asked: an ``ERR`` is
+the one text line above whatever the request's ``FORMAT``, and a request
+without the attribute is answered with exactly the text bytes it always
+was.  The attribute is per request — the session holds no format state.
+
 Replies leave this module as a list of encoded *blocks* of at most
-``BLOCK_ROWS`` lines (:func:`frame_lines`, :func:`frame_snapshot`): the
+``BLOCK_ROWS`` rows (:func:`frame_lines`, :func:`frame_snapshot`): the
 session renders them in its worker thread and only writes and drains
 on the event loop, one block at a time.
 
-This module is pure string work: it never touches fleets, sockets, or
-execution state — the session layer feeds it lines and writes back
-whatever it returns.
+This module never touches fleets, sockets, or execution state — the
+session layer feeds it lines and arrays and writes back whatever it
+returns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Any, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.deadline import Deadline
 from repro.errors import ProtocolError
@@ -52,6 +72,7 @@ __all__ = [
     "BLOCK_ROWS",
     "BYE",
     "END",
+    "ROW_DTYPE",
     "Request",
     "err_line",
     "frame_lines",
@@ -73,6 +94,10 @@ BYE = "BYE"
 #: level on memory and latency, and fewer blocks are fewer loop wake-ups.
 BLOCK_ROWS = 2048
 
+#: One row of a binary SNAPSHOT table — a fixed-size little-endian
+#: record, the idiom of ``UPointColumn.UNIT_DTYPE`` and the column store.
+ROW_DTYPE = np.dtype([("obj", "<i8"), ("x", "<f8"), ("y", "<f8")])
+
 #: Commands and the argument counts ``parse_request`` enforces.
 COMMANDS = ("QUERY", "EXPLAIN", "INGEST", "SNAPSHOT", "STATS", "CLOSE")
 
@@ -92,28 +117,31 @@ class Request:
     window: Optional[Tuple[float, float, float, float]] = None
     deadline_ms: Optional[float] = None  # DEADLINE=<ms> attribute
     seq: str = ""                        # SEQ=<token> attribute (INGEST)
+    format: str = "text"                 # "bin" under FORMAT=bin (SNAPSHOT)
 
 
 #: Attribute keys ``parse_request`` understands (KEY=value tokens
 #: between the command and its arguments).
-_ATTR_KEYS = ("DEADLINE", "SEQ")
+_ATTR_KEYS = ("DEADLINE", "SEQ", "FORMAT")
 
 
-def _split_attrs(rest: str) -> Tuple[Optional[float], str, str]:
+def _split_attrs(rest: str) -> Tuple[Optional[float], str, str, str]:
     """Strip leading ``KEY=value`` attribute tokens off a request tail.
 
-    Returns ``(deadline_ms, seq, remainder)``.  Only *leading* tokens
-    are consumed, so attribute-shaped text inside a SQL statement is
-    never touched.
+    Returns ``(deadline_ms, seq, fmt, remainder)``; ``seq`` and ``fmt``
+    are empty when not given.  Only *leading* tokens are consumed, so
+    attribute-shaped text inside a SQL statement is never touched.
     """
     deadline_ms: Optional[float] = None
     seq = ""
+    fmt = ""
     while rest:
         head, _, tail = rest.partition(" ")
         key, eq, value = head.partition("=")
-        if not eq or key.upper() not in _ATTR_KEYS:
+        key = key.upper()
+        if not eq or key not in _ATTR_KEYS:
             break
-        if key.upper() == "DEADLINE":
+        if key == "DEADLINE":
             try:
                 deadline_ms = float(value)
             except ValueError:
@@ -122,12 +150,16 @@ def _split_attrs(rest: str) -> Tuple[Optional[float], str, str]:
                 ) from None
             if deadline_ms <= 0:
                 raise ProtocolError("DEADLINE must be > 0 milliseconds")
-        else:  # SEQ
+        elif key == "SEQ":
             if not value:
                 raise ProtocolError("SEQ token must be non-empty")
             seq = value
+        else:  # FORMAT
+            fmt = value.lower()
+            if fmt != "bin":
+                raise ProtocolError(f"FORMAT: expected bin, got {value!r}")
         rest = tail.strip()
-    return deadline_ms, seq, rest
+    return deadline_ms, seq, fmt, rest
 
 
 def _floats(parts: List[str], what: str) -> List[float]:
@@ -158,9 +190,11 @@ def parse_request(line: str) -> Request:
         if rest:
             raise ProtocolError(f"{command} takes no arguments")
         return Request(command)
-    deadline_ms, seq, rest = _split_attrs(rest)
+    deadline_ms, seq, fmt, rest = _split_attrs(rest)
     if seq and command != "INGEST":
         raise ProtocolError("SEQ only applies to INGEST")
+    if fmt and command != "SNAPSHOT":
+        raise ProtocolError("FORMAT only applies to SNAPSHOT")
     if command in ("QUERY", "EXPLAIN"):
         if not rest:
             raise ProtocolError(f"{command} needs a SQL statement")
@@ -200,7 +234,7 @@ def parse_request(line: str) -> Request:
         window = (xmin, ymin, xmax, ymax)
     return Request(
         "SNAPSHOT", fleet=fleet, t=values[0], window=window,
-        deadline_ms=deadline_ms,
+        deadline_ms=deadline_ms, format=fmt or "text",
     )
 
 
@@ -243,6 +277,25 @@ def frame_lines(lines: Sequence[str]) -> List[bytes]:
     ]
 
 
+def _row_lines(ids: Any, xs: Any, ys: Any) -> bytes:
+    """One block of ``ROW`` lines: ``tolist()`` → one formatted line per
+    row → one join and one encode."""
+    return "".join(
+        f"ROW obj={i}\tx={x!r}\ty={y!r}\n"
+        for i, x, y in zip(ids.tolist(), xs.tolist(), ys.tolist())
+    ).encode("utf-8")
+
+
+def _records(ids: Any, xs: Any, ys: Any) -> bytes:
+    """One block of ``ROW_DTYPE`` records: three column stores into one
+    structured array, whose buffer is the wire bytes."""
+    block = np.empty(len(ids), dtype=ROW_DTYPE)
+    block["obj"] = ids
+    block["x"] = xs
+    block["y"] = ys
+    return block.tobytes()
+
+
 def frame_snapshot(
     version: object,
     objects: int,
@@ -250,37 +303,46 @@ def frame_snapshot(
     xs: Any,
     ys: Any,
     deadline: Optional[Deadline] = None,
+    fmt: str = "text",
 ) -> List[bytes]:
     """The whole SNAPSHOT reply — header, rows, ``END`` — as blocks.
 
-    ``ids``/``xs``/``ys`` are the executor's parallel arrays; each block
-    goes ``tolist()`` → one formatted line per row → one join and one
-    encode, byte for byte what ``row_line(obj=i, x=repr(x), y=repr(y))``
-    renders (``tolist`` yields Python floats, so ``repr`` is the float's
-    own, never ``np.float64(...)``).  A shard version *vector* is
-    written comma-joined, without the spaces that would split the
-    header's ``key=value`` fields.  ``deadline.check()`` runs once per
-    block, so an abandoned request stops rendering.
+    ``ids``/``xs``/``ys`` are the executor's parallel arrays, rendered
+    ``BLOCK_ROWS`` rows to a block.  As ``text`` the bytes are those of
+    ``row_line(obj=i, x=repr(x), y=repr(y))`` per row (``tolist`` yields
+    Python floats, so ``repr`` is the float's own, never
+    ``np.float64(...)``); as ``bin`` the header gains ``format=bin
+    bytes=B`` and the rows are one table, an ``<u8`` count and
+    ``ROW_DTYPE`` records, with no per-row Python at all.  A shard
+    version *vector* is written comma-joined, without the spaces that
+    would split the header's ``key=value`` fields.  ``deadline.check()``
+    runs once per block, so an abandoned request stops rendering; every
+    block exists before the first is written, so a reply is whole or an
+    ``ERR`` line, never a torn table.
     """
     if isinstance(version, tuple):
         version = ",".join(map(str, version))
     n = len(ids)
-    lines = [ok_line(version=version, objects=objects, rows=n)]
+    if fmt == "bin":
+        render = _records
+        lead = _block([ok_line(
+            version=version, objects=objects, rows=n,
+            format=fmt, bytes=8 + ROW_DTYPE.itemsize * n,
+        )]) + n.to_bytes(8, "little")
+    else:
+        render = _row_lines
+        lead = _block([ok_line(version=version, objects=objects, rows=n)])
     blocks: List[bytes] = []
     for at in range(0, max(n, 1), BLOCK_ROWS):
         if deadline is not None:
             deadline.check()
         stop = at + BLOCK_ROWS
-        lines.extend(
-            f"ROW obj={i}\tx={x!r}\ty={y!r}"
-            for i, x, y in zip(
-                ids[at:stop].tolist(),
-                xs[at:stop].tolist(),
-                ys[at:stop].tolist(),
-            )
+        # (bytes + b"" is the same object: only the first and the last
+        # block are copied to take the header and the terminator.)
+        blocks.append(
+            lead
+            + render(ids[at:stop], xs[at:stop], ys[at:stop])
+            + (_block([END]) if stop >= n else b"")
         )
-        if stop >= n:
-            lines.append(END)
-        blocks.append(_block(lines))
-        lines = []
+        lead = b""
     return blocks

@@ -259,6 +259,7 @@ class QueryServer:
         )
         if obs.enabled:
             obs.add("server.queries")
+            obs.add("server.reply_bytes", sum(map(len, blocks)))
         return blocks
 
 
@@ -280,7 +281,8 @@ def _reply(
             request.fleet, request.t, request.window, deadline
         )
         return protocol.frame_snapshot(
-            snap.version, len(snap), rows.ids, rows.xs, rows.ys, deadline
+            snap.version, len(snap), rows.ids, rows.xs, rows.ys, deadline,
+            request.format,
         )
     if command == "QUERY":
         results = executor.query_sql(request.sql, deadline)

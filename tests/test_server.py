@@ -47,6 +47,7 @@ from repro.server.ingest import (
 )
 from repro.server.protocol import (
     END,
+    ROW_DTYPE,
     err_line,
     ok_line,
     parse_request,
@@ -741,11 +742,30 @@ def _raw_reply(stream, line):
     return b"".join(out)
 
 
-def _snapshot_line(name, t, window):
-    line = f"SNAPSHOT {name} {t!r}"
+def _snapshot_line(name, t, window, attrs=""):
+    line = f"SNAPSHOT {attrs}{name} {t!r}"
     if window is not None:
         line += " " + " ".join(repr(v) for v in window)
     return line
+
+
+def _raw_table_as_text(stream, line):
+    """A ``FORMAT=bin`` reply read off the bare socket and written out
+    as the text reply it stands for: the header minus the frame's own
+    keys, one ``row_line`` per record."""
+    stream.write(line.encode("utf-8") + b"\n")
+    stream.flush()
+    head = stream.readline().decode("utf-8").split()
+    assert head[-2] == "format=bin", head
+    nbytes = int(head[-1].partition("=")[2])
+    body = stream.read(nbytes)
+    assert stream.readline() == b"END\n"
+    table = np.frombuffer(body, dtype=ROW_DTYPE, offset=8)
+    assert len(table) == int.from_bytes(body[:8], "little")
+    rows = [
+        row_line(obj=i, x=repr(x), y=repr(y)) for i, x, y in table.tolist()
+    ]
+    return ("\n".join([" ".join(head[:-2]), *rows, END]) + "\n").encode("utf-8")
 
 
 class TestWireMatchesScalar:
@@ -766,6 +786,11 @@ class TestWireMatchesScalar:
             got = _raw_reply(stream, _snapshot_line(name, t, window))
             assert b"np." not in got
             assert got == _parent_reply(fleet.version, mappings, t, window)
+            # The binary table stands for the same reply, string for
+            # string.
+            assert got == _raw_table_as_text(
+                stream, _snapshot_line(name, t, window, "FORMAT=bin ")
+            )
 
         try:
             check()
@@ -832,24 +857,26 @@ class TestWireMatchesScalar:
 
 
 @contextlib.contextmanager
-def _stub_server(answer):
-    """A one-connection listener: ``answer(conn)`` runs per request
-    line (CLOSE is answered ``BYE``); returning False hangs up."""
+def _stub_server(answer, connections=1):
+    """A listener taking ``connections`` connections in turn:
+    ``answer(conn)`` runs per request line (CLOSE is answered ``BYE``);
+    returning False hangs up."""
     listener = socket.create_server(("127.0.0.1", 0))
 
     def serve():
-        try:
-            conn, _peer = listener.accept()
-        except OSError:
-            return
-        conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        with conn, conn.makefile("rb") as requests:
-            for line in requests:
-                if line.strip() == b"CLOSE":
-                    conn.sendall(b"BYE\n")
-                    break
-                if answer(conn) is False:
-                    break
+        for _ in range(connections):
+            try:
+                conn, _peer = listener.accept()
+            except OSError:
+                return
+            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            with conn, conn.makefile("rb") as requests:
+                for line in requests:
+                    if line.strip() == b"CLOSE":
+                        conn.sendall(b"BYE\n")
+                        break
+                    if answer(conn) is False:
+                        break
 
     thread = threading.Thread(target=serve, daemon=True)
     thread.start()
@@ -1121,3 +1148,138 @@ class TestServeCommand:
             if proc2.poll() is None:  # pragma: no cover - cleanup only
                 proc2.kill()
         assert proc2.returncode == 0
+
+
+# ---------------------------------------------------------------------------
+# V7 smokes: start -> ingest -> query -> shutdown, live ingest, dropped
+# responses (moved from benchmarks/bench_server.py; timings are the
+# wire_* workloads of benchmarks/e2e)
+# ---------------------------------------------------------------------------
+
+QUERY_T = 60.0
+
+#: Fault plan of the degraded-mode smoke: one in ten responses vanishes
+#: after the work is done (seeded, so runs are comparable).
+DEGRADED_FAULTS = "server.conn_drop=prob:0.1:2026"
+
+
+def start_server(mappings, wal=None, **kwargs):
+    executor = FleetExecutor()
+    executor.register_fleet("fleet", mappings)
+    return serve_in_thread(executor, wal=wal, **kwargs)
+
+
+def _query_worker(port, stop, counter, errors):
+    try:
+        with ServerClient("127.0.0.1", port) as client:
+            while not stop.is_set():
+                client.snapshot("fleet", QUERY_T)
+                counter[0] += 1
+    except Exception as exc:
+        errors.append(f"query: {type(exc).__name__}: {exc}")
+
+
+def _ingest_worker(port, stop, counter, objects, errors):
+    """A continuous WAL-durable ingest stream, rotating over the fleet."""
+    t0 = 1.0e6
+    try:
+        with ServerClient("127.0.0.1", port) as client:
+            k = 0
+            while not stop.is_set():
+                obj = k % objects
+                start = t0 + 10.0 * (k // objects)
+                client.ingest(
+                    "fleet", obj, (start, 0.0, 0.0, start + 8.0, 5.0, 5.0)
+                )
+                counter[0] += 1
+                k += 1
+    except Exception as exc:
+        errors.append(f"ingest: {type(exc).__name__}: {exc}")
+
+
+def measure_qps(mappings, duration, workers, fault_spec=None):
+    """One traffic phase — ``workers`` closed-loop whole-fleet readers
+    beside one ingest stream — optionally degraded (``fault_spec``).
+    ``client_errors`` counts the failures the retry budget could not
+    absorb."""
+    wal = Wal()
+    run = start_server(mappings, wal=wal)
+    stop = threading.Event()
+    queries = [[0] for _ in range(workers)]
+    ingested = [0]
+    errors = []
+    threads = [
+        threading.Thread(
+            target=_query_worker, args=(run.port, stop, queries[i], errors)
+        )
+        for i in range(workers)
+    ]
+    threads.append(threading.Thread(
+        target=_ingest_worker,
+        args=(run.port, stop, ingested, len(mappings), errors),
+    ))
+    if fault_spec:
+        faults.arm_spec(fault_spec)
+    try:
+        for th in threads:
+            th.start()
+        time.sleep(duration)
+        stop.set()
+        for th in threads:
+            th.join(timeout=20)
+    finally:
+        faults.disarm()
+    run.stop()
+    wal.close()
+    return {
+        "queries": sum(q[0] for q in queries),
+        "units_ingested": ingested[0],
+        "client_errors": len(errors),
+    }
+
+
+@pytest.mark.parametrize("format", ["bin", "text"])
+def test_v7_smoke_lifecycle(format):
+    """Start → ingest → query → shutdown, over the wire, in one breath."""
+    mappings = _mappings(8, seed=7, legs=4)
+    wal = Wal()
+    run = start_server(mappings, wal=wal)
+    try:
+        with ServerClient("127.0.0.1", run.port) as client:
+            def snapshot(t):
+                if format == "bin":
+                    return client.snapshot("fleet", t)
+                return client.request(_snapshot_line("fleet", t, None))
+
+            before = snapshot(QUERY_T)
+            assert int(before.fields["objects"]) == 8
+            assert (before.table is not None) == (format == "bin")
+            units = client.ingest(
+                "fleet", 0, (1.0e6, 0.0, 0.0, 1.0e6 + 8.0, 2.0, 2.0)
+            )
+            assert units == len(mappings[0].units) + 1
+            after = snapshot(1.0e6 + 4.0)
+            assert len(after.rows) == 1  # only the freshly fed object
+            assert int(after.fields["version"]) > int(before.fields["version"])
+            stats = client.stats()
+            assert stats.stat("fleet.fleet.objects") == "8"
+    finally:
+        run.stop()
+        wal.close()
+
+
+def test_v7_smoke_concurrent_ingest_qps():
+    """A short sustained run with live ingest still answers queries."""
+    result = measure_qps(_mappings(32, seed=11, legs=4), 0.5, workers=2)
+    assert result["queries"] > 0
+    assert result["units_ingested"] > 0
+
+
+def test_v7_smoke_degraded_conn_drop():
+    """10% dropped responses: retries absorb every one, zero failures."""
+    result = measure_qps(
+        _mappings(16, seed=13, legs=4), 0.5, workers=2,
+        fault_spec=DEGRADED_FAULTS,
+    )
+    assert result["queries"] > 0
+    assert result["client_errors"] == 0
