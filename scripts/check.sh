@@ -24,13 +24,6 @@ echo "== tier-1: counter-assertion smoke (benchmarks, -k counter) =="
 python -m pytest -q -p no:cacheprovider benchmarks/bench_alg_atinstant.py -k counter
 
 echo
-echo "== residency smoke (hot pages survive a looping scan, by count) =="
-# The only guard of second-chance behaviour itself; the pool, the column
-# cache, the shard manager and the worker attach table share one CLOCK
-# (repro.residency), so it covers all four.
-python -m pytest -q -p no:cacheprovider benchmarks/bench_buffer.py
-
-echo
 echo "== parallel-backend smoke (2 workers, tiny fleet, equivalence) =="
 python -m pytest -q -p no:cacheprovider benchmarks/bench_parallel.py -k smoke
 

@@ -92,7 +92,9 @@ class Database:
             raise CatalogError(f"no relation named {name!r}")
         if self._wal is not None:
             self._log_op({"op": "drop", "name": name})
-        del self._relations[name]
+        from repro.vector.cache import evict_columns
+
+        evict_columns(self._relations.pop(name))  # its kept scan state
 
     def _log_op(self, doc: dict) -> None:
         assert self._wal is not None

@@ -8,6 +8,7 @@ selection, and a projection — all the Section-2 queries need.
 
 from __future__ import annotations
 
+import sys
 from typing import (
     Any,
     Callable,
@@ -22,7 +23,14 @@ from typing import (
 )
 
 from repro import obs
-from repro.db.expressions import Expr, Row
+from repro.db.expressions import (
+    BatchPredicate,
+    Expr,
+    Row,
+    bind,
+    compile_batch_predicate,
+    conjuncts,
+)
 from repro.db.relation import Relation
 from repro.errors import QueryError, StorageError
 from repro.storage.records import codec_for, safe_unpack
@@ -37,6 +45,23 @@ _QUARANTINED = object()
 
 def _as_is(value: Any) -> Any:
     return value
+
+
+class _Bound:
+    """An expression as one operator evaluates it: unqualified columns
+    are resolved against the first row (every row an operator sees has
+    the same keys), not searched for in every row."""
+
+    __slots__ = ("_expr", "_bound")
+
+    def __init__(self, expr: Expr):
+        self._expr = expr
+        self._bound = False
+
+    def __call__(self, row: Row) -> Any:
+        if not self._bound:
+            self._expr, self._bound = bind(self._expr, row), True
+        return self._expr.eval(row)
 
 
 class Operator:
@@ -73,20 +98,61 @@ class SeqScan(Operator):
             yield {f"{self.alias}.{k}": v for k, v in row.items()}
 
 
+class _Held:
+    """One read of a relation: the ``version`` it was read at, tuple id →
+    the tuple's values in schema order, how many tuples the relation
+    had, whether every one of them verified (``clean``), and — from the
+    first statement that needs it — the attribute's column built from
+    exactly these rows.  Rows and column are one cache entry, so a
+    statement never pairs the rows of one version with the column of
+    another.  ``nbytes``/``source`` are what the column cache charges
+    and pins by."""
+
+    __slots__ = ("version", "rows", "n", "clean", "rows_bytes", "column")
+    source = None
+
+    def __init__(self, version: int, rows: Dict[int, List[Any]], n: int,
+                 rows_bytes: int):
+        self.version, self.rows, self.n = version, rows, n
+        self.clean = len(rows) == n
+        self.rows_bytes = rows_bytes
+        self.column: Any = None
+
+    @property
+    def nbytes(self) -> int:
+        column = self.column
+        return self.rows_bytes + (0 if column is None else column.nbytes)
+
+
 class VectorScan(SeqScan):
     """A scan that additionally exposes its moving-point attribute as a
     columnar batch (Section-4 layout, :mod:`repro.vector.columns`).
 
     Behaves exactly like :class:`SeqScan` when iterated.  On top of that
-    it reads the relation once and keeps what it read, so a parent
-    :class:`Select` whose predicate compiles to a batch kernel can
-    evaluate it relation-wide in one call (:meth:`batch`) and then ask
-    for the surviving rows alone (:meth:`rows_at`).  Over a materialized
-    relation what is kept is the tuples' *stored* values: the attribute's
+    it keeps what it read, so a parent :class:`Select` can evaluate the
+    conjuncts that compile to a batch kernel relation-wide in one call
+    each (:meth:`batch`) and then ask for the surviving rows alone
+    (:meth:`rows_at`).  Over a materialized relation what is kept is the
+    tuples' *stored* values: the attribute's
     :class:`~repro.vector.columns.UPointColumn` is the stored unit
     arrays reinterpreted, and a value is unpacked only for a row that is
     returned.  Column lanes, masks and :meth:`rows_at` arguments are all
     tuple ids; a quarantined tuple is an empty lane that yields no row.
+
+    What is kept outlives the statement.  The values read and the column
+    built from them are one entry (:class:`_Held`) per ``(relation,
+    attr)`` in the process-wide column cache (its byte budget, lock and
+    ``colcache.*`` counters), valid at the relation version it was read
+    at, so the next statement on an unchanged relation reads no page, no
+    FLOB chain and re-verifies nothing.  The contract is the buffer
+    pool's: a tuple is verified when it is read into residency, not on
+    every hit — bytes changed behind the relation's back need
+    :meth:`Relation.invalidate`.  Only a *clean* read is kept: one that
+    quarantined a tuple is this scan's alone, so a damaged relation is
+    re-read, raises under ``strict=True`` and counts
+    ``storage.quarantined`` on every statement.  A kept read is shared
+    between statements and threads: its rows are never mutated, and its
+    column is set once, from those rows.
     """
 
     #: The operator-table backend (:mod:`repro.vector.backends`) this
@@ -106,9 +172,10 @@ class VectorScan(SeqScan):
         self.columns: Optional[Set[str]] = None
         #: What turns a held value into the attribute value.
         self._decode = safe_unpack if relation.store is not None else _as_is
-        self._held: Optional[Dict[int, List[Any]]] = None
+        self._held: Optional[_Held] = None
+        #: Tuples that were read but whose values failed to unpack.
+        self._rotten: Set[int] = set()
         self._mappings: Optional[List[Any]] = None
-        self._column: Any = None
 
     def _guard(self, fn: Callable[..., Any], *args: Any) -> Any:
         """``fn(*args)``; under ``strict=False`` a :class:`StorageError`
@@ -139,30 +206,68 @@ class VectorScan(SeqScan):
                              "moving-point attribute")
         return self.relation.schema.names.index(self.attr)
 
-    def held(self) -> Dict[int, List[Any]]:
-        """Tuple id → the tuple's values in schema order, read once per
-        scan: stored values (every length, FLOB chain and page verified,
-        the moving-point units array checked for its layout, nothing
-        unpacked) for a materialized relation, the live values
-        otherwise.  The keys are the lane → tuple-id map: ascending, and
-        missing exactly the quarantined tuples."""
+    def _read(self) -> _Held:
+        """Read the relation: stored values (every length, FLOB chain
+        and page verified, the moving-point units array checked for its
+        layout, nothing unpacked) for a materialized relation, the live
+        values otherwise."""
+        version = self.relation.version  # before anything it describes
+        store = self.relation.store
+        if store is None:
+            live = {
+                tid: list(row.values())
+                for tid, row in enumerate(self.relation.scan())
+            }
+            # The values are the relation's own; the containers are not.
+            overhead = sys.getsizeof(live)
+            overhead += sum(map(sys.getsizeof, live.values()))
+            return _Held(version, live, len(live), overhead)
+        n = len(store)
+        at = None if self.attr is None else self._attr_index()
+        rows = {
+            tid: stored
+            for tid, stored in store.scan_stored(self.strict)
+            if tid < n
+            and (
+                at is None
+                or self._guard(_MPOINT.unit_array, stored[at])
+                is not _QUARANTINED
+            )
+        }
+        nbytes = sum(v.total_bytes for stored in rows.values() for v in stored)
+        return _Held(version, rows, n, nbytes)
+
+    def _keep(self, held: _Held) -> None:
+        """Share ``held`` (charged at what it weighs now) if it is clean."""
+        if held.clean:
+            from repro.vector import cache
+
+            cache.keep(self.relation, ("scan", self.attr), held.version, held)
+
+    def _state(self) -> _Held:
+        """What this scan answers from: the read kept at the relation's
+        current version, or one of its own."""
         if self._held is None:
-            store = self.relation.store
-            if store is None:
-                self._held = {
-                    tid: list(row.values())
-                    for tid, row in enumerate(self.relation.scan())
-                }
-            else:
-                at = None if self.attr is None else self._attr_index()
-                self._held = {
-                    tid: stored
-                    for tid, stored in store.scan_stored(self.strict)
-                    if at is None
-                    or self._guard(_MPOINT.unit_array, stored[at])
-                    is not _QUARANTINED
-                }
+            from repro.vector import cache
+
+            held = cache.lookup(self.relation, ("scan", self.attr))
+            if held is None:
+                held = self._read()
+                self._keep(held)
+            self._held = held
         return self._held
+
+    def held(self) -> Dict[int, List[Any]]:
+        """Tuple id → the tuple's values in schema order (see
+        :meth:`_read`).  The keys are the lane → tuple-id map: ascending,
+        and missing exactly the quarantined tuples.  Read-only."""
+        return self._state().rows
+
+    @property
+    def n_tuples(self) -> int:
+        """How many tuples the relation had when it was read: the number
+        of lanes of every column and mask of this scan."""
+        return self._state().n
 
     def rows_at(self, tids: Iterable[int]) -> Iterator[Row]:
         """The qualified rows of the tuples ``tids`` that hold one,
@@ -181,48 +286,59 @@ class VectorScan(SeqScan):
 
         for tid in tids:
             values = held.get(tid)
-            if values is None:
+            if values is None or tid in self._rotten:
                 continue
             row = self._guard(unpack, values)
             if row is _QUARANTINED:
-                del held[tid]
+                self._rotten.add(tid)
                 continue
             yield row
+
+    def value(self, tid: int) -> Any:
+        """The moving-point attribute of tuple ``tid``, or None where
+        the tuple holds no row."""
+        values = self.held().get(tid)
+        if values is None or tid in self._rotten:
+            return None
+        value = self._guard(self._decode, values[self._attr_index()])
+        if value is _QUARANTINED:
+            self._rotten.add(tid)
+            return None
+        return value
 
     def mappings(self) -> List[Any]:
         """The moving-point attribute values by tuple id (the empty
         mapping where a tuple holds no row)."""
         if self._mappings is None:
-            at = self._attr_index()
-            held = self.held()
-            out: List[Any] = [MovingPoint()] * len(self.relation)
-            for tid in list(held):
-                value = self._guard(self._decode, held[tid][at])
-                if value is _QUARANTINED:
-                    del held[tid]
-                else:
-                    out[tid] = value
-            self._mappings = out
+            empty = MovingPoint()
+            values = map(self.value, range(self.n_tuples))
+            self._mappings = [empty if v is None else v for v in values]
         return self._mappings
 
+    def _build_column(self) -> Any:
+        from repro.vector.columns import UPointColumn
+
+        if self.relation.store is None:
+            return UPointColumn.from_mappings(self.mappings())
+        import numpy as np
+
+        at = self._attr_index()
+        held = self.held()
+        return UPointColumn.from_unit_arrays(
+            [stored[at].arrays[0] for stored in held.values()],
+            lanes=np.fromiter(held, np.int64, len(held)),
+            n_objects=self.n_tuples,
+        )
+
     def column(self):
-        """The attribute's unit column (built lazily, cached)."""
-        if self._column is None:
-            from repro.vector.columns import UPointColumn
-
-            if self.relation.store is None:
-                self._column = UPointColumn.from_mappings(self.mappings())
-            else:
-                import numpy as np
-
-                at = self._attr_index()
-                held = self.held()
-                self._column = UPointColumn.from_unit_arrays(
-                    [stored[at].arrays[0] for stored in held.values()],
-                    lanes=np.fromiter(held, np.int64, len(held)),
-                    n_objects=len(self.relation),
-                )
-        return self._column
+        """The attribute's unit column, built by the first statement to
+        ask and kept with the rows it was built from."""
+        held = self._state()
+        column = held.column
+        if column is None:
+            column = held.column = self._build_column()
+            self._keep(held)
+        return column
 
     def batch(self, op: str, *args: Any) -> Any:
         """Operator-table operation ``op`` over the attribute, one lane
@@ -271,6 +387,7 @@ class MmapScan(VectorScan):
         super().__init__(relation, alias, attr, strict, workers)
         self.store_root = store_root
         self.backend = backend
+        self._column: Any = None
 
     def _store_column(self) -> Any:
         from repro.vector.store import ColumnStore
@@ -283,7 +400,7 @@ class MmapScan(VectorScan):
         # which is the whole cold-start saving.  Anything else is
         # rebuilt from the unpacked mappings.
         try:
-            col = store.load_current("upoint", len(self.relation))
+            col = store.load_current("upoint", self.n_tuples)
             if col is None:
                 col = store.rebuild("upoint", self.mappings())
             return col
@@ -381,12 +498,13 @@ class HashJoin(Operator):
     def rows(self) -> Iterator[Row]:
         from repro.db.expressions import _unwrap
 
+        left_key, right_key = _Bound(self.left_key), _Bound(self.right_key)
         table: Dict[Any, List[Row]] = {}
         for rrow in self.right.rows():
-            key = _unwrap(self.right_key.eval(rrow))
+            key = _unwrap(right_key(rrow))
             table.setdefault(key, []).append(rrow)
         for lrow in self.left.rows():
-            key = _unwrap(self.left_key.eval(lrow))
+            key = _unwrap(left_key(lrow))
             for rrow in table.get(key, ()):
                 merged = dict(lrow)
                 overlap = set(merged) & set(rrow)
@@ -401,40 +519,52 @@ class HashJoin(Operator):
 class Select(Operator):
     """Filter rows by a boolean expression.
 
-    When the child is a :class:`VectorScan` and the predicate compiles
-    to a batch kernel (see ``compile_batch_predicate``), the filter runs
-    fleet-wide in one mask evaluation instead of once per row; a
-    non-compilable predicate over a VectorScan falls back to the scalar
-    row loop and counts the event.
+    Over a :class:`VectorScan` the predicate's top-level ``AND`` is
+    split: the conjuncts that compile to a batch kernel (see
+    ``compile_batch_predicate``) are one fleet-wide mask each —
+    :attr:`batch` — and the rest — :attr:`rest` — run row by row over
+    the mask's survivors only, which carry just the columns those
+    conjuncts name.  When no conjunct compiles the whole predicate runs
+    as the scalar row loop and the event is counted.
     """
 
     def __init__(self, child: Operator, predicate: Expr):
         self.child = child
         self.predicate = predicate
+        #: ``(conjunct, its BatchPredicate)`` pairs.
+        self.batch: List[Tuple[Expr, BatchPredicate]] = []
+        self.rest: List[Expr] = [predicate]
+        if isinstance(child, VectorScan) and child.attr is not None:
+            compiled = [
+                (part, compile_batch_predicate(part, child.alias, child.attr))
+                for part in conjuncts(predicate)
+            ]
+            self.batch = [(part, run) for part, run in compiled if run]
+            if self.batch:
+                self.rest = [part for part, run in compiled if run is None]
 
     def rows(self) -> Iterator[Row]:
         scan = self.child
+        survivors = None
         if isinstance(scan, VectorScan):
-            if scan.attr is not None:
-                from repro.db.expressions import compile_batch_predicate
+            scan.carry(name for part in self.rest for name in part.columns())
+            if self.batch:
+                import numpy as np
+
+                mask = np.logical_and.reduce(
+                    [run(scan) for _part, run in self.batch]
+                )
+                if obs.enabled:
+                    obs.counters.add("vector.batch_select.calls")
+                    obs.counters.add("vector.batch_select.rows", len(mask))
+                survivors = scan.rows_at(np.flatnonzero(mask).tolist())
+            elif scan.attr is not None:
                 from repro.vector.backends import count_fallback
 
-                compiled = compile_batch_predicate(
-                    self.predicate, scan.alias, scan.attr
-                )
-                if compiled is not None:
-                    import numpy as np
-
-                    mask = compiled(scan)
-                    if obs.enabled:
-                        obs.counters.add("vector.batch_select.calls")
-                        obs.counters.add("vector.batch_select.rows", len(mask))
-                    yield from scan.rows_at(np.flatnonzero(mask).tolist())
-                    return
                 count_fallback("vector", "predicate")
-            scan.carry(self.predicate.columns())
-        for row in self.child.rows():
-            if self.predicate.eval(row):
+        tests = [_Bound(part) for part in self.rest]
+        for row in scan.rows() if survivors is None else survivors:
+            if all(test(row) for test in tests):
                 yield row
 
 
@@ -446,8 +576,9 @@ class Project(Operator):
         self.outputs = list(outputs)
 
     def rows(self) -> Iterator[Row]:
+        outputs = [(name, _Bound(expr)) for name, expr in self.outputs]
         for row in self.child.rows():
-            yield {name: expr.eval(row) for name, expr in self.outputs}
+            yield {name: value(row) for name, value in outputs}
 
 
 class Sort(Operator):
@@ -463,8 +594,9 @@ class Sort(Operator):
         from repro.db.expressions import _unwrap
 
         for expr, descending in reversed(self.keys):
+            value = _Bound(expr)
             materialized.sort(
-                key=lambda row: _unwrap(expr.eval(row)), reverse=descending
+                key=lambda row: _unwrap(value(row)), reverse=descending
             )
         return iter(materialized)
 
@@ -502,8 +634,9 @@ class Aggregate(Operator):
 
         buckets: Dict[tuple, List[Row]] = {}
         order: List[tuple] = []
+        groups = [_Bound(expr) for _name, expr in self.groups]
         for row in self.child.rows():
-            key = tuple(_unwrap(expr.eval(row)) for _name, expr in self.groups)
+            key = tuple(_unwrap(value(row)) for value in groups)
             if key not in buckets:
                 buckets[key] = []
                 order.append(key)
@@ -511,6 +644,10 @@ class Aggregate(Operator):
         if not self.groups and not buckets:
             buckets[()] = []
             order.append(())
+        args = {
+            name: _Bound(arg)
+            for name, _func, arg in self.aggregates if arg is not None
+        }
         for key in order:
             members = buckets[key]
             out: Row = {
@@ -525,7 +662,7 @@ class Aggregate(Operator):
                     continue
                 if arg is None:
                     raise QueryError(f"aggregate {func} needs an argument")
-                vals = [_unwrap(arg.eval(row)) for row in members]
+                vals = [_unwrap(args[name](row)) for row in members]
                 vals = [v for v in vals if v is not None]
                 out[name] = fn(vals) if vals or func == "count" else None
             yield out

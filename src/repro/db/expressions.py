@@ -47,11 +47,14 @@ class Column(Expr):
 
     name: str
 
+    def qualified(self, row: Row) -> List[str]:
+        """The qualified keys (alias.column) of ``row`` this name matches."""
+        return [k for k in row if k.endswith("." + self.name)]
+
     def eval(self, row: Row) -> Any:
         if self.name in row:
             return row[self.name]
-        # Unqualified lookup over qualified keys (alias.column).
-        matches = [k for k in row if k.endswith("." + self.name)]
+        matches = self.qualified(row)
         if len(matches) == 1:
             return row[matches[0]]
         if len(matches) > 1:
@@ -171,6 +174,46 @@ class Not(Expr):
 
     def columns(self) -> List[str]:
         return self.inner.columns()
+
+
+def map_columns(expr: Expr, fn: Callable[[Column], Expr]) -> Expr:
+    """``expr`` with every column reference ``c`` replaced by ``fn(c)``."""
+    if isinstance(expr, Column):
+        return fn(expr)
+    if isinstance(expr, Call):
+        return Call(expr.func, tuple(map_columns(a, fn) for a in expr.args))
+    if isinstance(expr, Compare):
+        return Compare(
+            expr.op, map_columns(expr.left, fn), map_columns(expr.right, fn)
+        )
+    if isinstance(expr, (And, Or)):
+        return type(expr)(map_columns(expr.left, fn), map_columns(expr.right, fn))
+    if isinstance(expr, Not):
+        return Not(map_columns(expr.inner, fn))
+    return expr
+
+
+def bind(expr: Expr, row: Row) -> Expr:
+    """``expr`` for rows keyed like ``row``: an unqualified column that
+    names exactly one of the keys becomes that key, so evaluating it is
+    one dictionary lookup.  A column that is unknown or ambiguous stays
+    as written and raises from :meth:`Column.eval` if and when it is
+    evaluated, as it would unbound."""
+
+    def qualify(col: Column) -> Column:
+        if col.name in row:
+            return col
+        matches = col.qualified(row)
+        return Column(matches[0]) if len(matches) == 1 else col
+
+    return map_columns(expr, qualify)
+
+
+def conjuncts(expr: Expr) -> List[Expr]:
+    """The operands of ``expr``'s top-level ``AND``s, left to right."""
+    if isinstance(expr, And):
+        return conjuncts(expr.left) + conjuncts(expr.right)
+    return [expr]
 
 
 # ---------------------------------------------------------------------------
@@ -440,11 +483,25 @@ def register_function(name: str, fn: Callable[..., Any]) -> None:
 # Batch-expression path (the vector backend)
 # ---------------------------------------------------------------------------
 #
-# A predicate over a VectorScan's moving-point attribute can sometimes be
+# A conjunct over a VectorScan's moving-point attribute can sometimes be
 # evaluated fleet-wide with one kernel call instead of once per row.  The
 # compiler below recognizes those shapes and returns a callable mapping
 # the scan to a boolean mask over its rows; ``None`` means "not
-# vectorizable — run the scalar row loop" (a counted fallback).
+# vectorizable — run it row by row" (``Select`` decides over which rows).
+
+
+@dataclass(frozen=True)
+class BatchPredicate:
+    """A conjunct compiled onto the operator table: calling it with the
+    :class:`~repro.db.executor.VectorScan` answers a numpy boolean mask
+    indexed by tuple id; ``op`` names the table row it runs (what
+    ``EXPLAIN`` shows)."""
+
+    op: str
+    mask: Callable[[Any], Any]
+
+    def __call__(self, scan: Any) -> Any:
+        return self.mask(scan)
 
 
 def _literal_value(e: Expr) -> Any:
@@ -459,8 +516,8 @@ def _refers_to(e: Expr, alias: str, attr: str) -> bool:
 
 def compile_batch_predicate(
     expr: Expr, alias: str, attr: str
-) -> Optional[Callable[[Any], Any]]:
-    """Compile ``expr`` into a fleet-wide mask evaluator, if possible.
+) -> Optional[BatchPredicate]:
+    """Compile one conjunct into a fleet-wide mask evaluator, if possible.
 
     Supported shapes (all arguments other than the scanned attribute
     must be literals):
@@ -469,18 +526,15 @@ def compile_batch_predicate(
     * ``passes_window(attr, xmin, ymin, xmax, ymax, t0, t1)`` — the
       ``window_intervals`` row: filter and exact refinement in one
       kernel sweep;
-    * ``AND`` of two supported shapes — conjunction of masks.
+    * ``length(trajectory(attr)) {>, >=, <, <=} c`` — the
+      ``path_length`` row decides every lane it can certify, the scalar
+      expression the rest (:func:`_length_predicate`).
 
-    The returned callable takes the :class:`~repro.db.executor.
-    VectorScan` and returns a numpy boolean mask indexed by tuple id.
+    ``AND`` is not a shape: :class:`~repro.db.executor.Select` compiles
+    each operand of the top-level conjunction on its own.
     """
-    if isinstance(expr, And):
-        left = compile_batch_predicate(expr.left, alias, attr)
-        right = compile_batch_predicate(expr.right, alias, attr)
-        if left is None or right is None:
-            return None
-        return lambda scan: left(scan) & right(scan)
-
+    if isinstance(expr, Compare):
+        return _length_predicate(expr, alias, attr)
     if not isinstance(expr, Call):
         return None
     args = expr.args
@@ -491,7 +545,7 @@ def compile_batch_predicate(
         if t is None:
             return None
         t = float(t)
-        return lambda scan: scan.batch("present", t)
+        return BatchPredicate("present", lambda scan: scan.batch("present", t))
 
     if (
         name == "passes_window"
@@ -512,14 +566,65 @@ def compile_batch_predicate(
             # intervals, so an object passes iff it owns at least one
             # returned run.  (A sharded scan prunes whole shards by
             # their bounds before any column is mapped.)
-            mask = np.zeros(len(scan.relation), dtype=np.bool_)
+            mask = np.zeros(scan.n_tuples, dtype=np.bool_)
             rect = Rect(xmin, ymin, xmax, ymax)
             mask[scan.batch("window_intervals", rect, t0, t1)[0]] = True
             return mask
 
-        return run_window
+        return BatchPredicate("window_intervals", run_window)
 
     return None
+
+
+def _length_predicate(
+    expr: Compare, alias: str, attr: str
+) -> Optional[BatchPredicate]:
+    """``length(trajectory(attr)) op c`` as a mask evaluator.
+
+    The ``path_length`` kernel answers ``(length, exact)``: an upper
+    bound of the trajectory's length on every lane, the length itself
+    (up to summation rounding) where ``exact``.  Inside a band of
+    ``EPSILON``, relative as everywhere in the geometry, around ``c``
+    the sum decides nothing.  Below it every lane is decided — the
+    trajectory is no longer than its bound; above it the exact ones are.
+    The remaining lanes evaluate ``expr`` itself on their tuple alone,
+    so the scalar path stays the only place geometry is merged.
+    """
+    outer, c = expr.left, _literal_value(expr.right)
+    if (
+        expr.op not in ("<", "<=", ">", ">=")
+        or isinstance(c, bool)
+        or not isinstance(c, (int, float))
+        or not (isinstance(outer, Call) and outer.func.lower() == "length")
+        or len(outer.args) != 1
+    ):
+        return None
+    inner = outer.args[0]
+    if not (
+        isinstance(inner, Call)
+        and inner.func.lower() == "trajectory"
+        and len(inner.args) == 1
+        and _refers_to(inner.args[0], alias, attr)
+    ):
+        return None
+    key = inner.args[0].name
+    wants_less = expr.op in ("<", "<=")
+
+    def run_length(scan):
+        import numpy as np
+
+        from repro.config import EPSILON
+
+        length, exact = scan.batch("path_length")
+        band = EPSILON * np.maximum(np.maximum(length, abs(c)), 1.0)
+        below = length < c - band
+        mask = np.where(below, wants_less, not wants_less)
+        for tid in np.flatnonzero(~below & ~(exact & (length > c + band))):
+            value = scan.value(int(tid))
+            mask[tid] = value is not None and expr.eval({key: value})
+        return mask
+
+    return BatchPredicate("path_length", run_length)
 
 
 def function_names() -> List[str]:

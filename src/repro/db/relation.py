@@ -27,6 +27,11 @@ class Relation:
     With a WAL attached (materialized relations only), tuple inserts
     are logged under the scope ``rel:<name>`` and survive a crash via
     :meth:`TupleStore.recover`.
+
+    :attr:`version` stamps the contents: every :meth:`insert` moves it
+    (after the tuple is visible), so what a scan read at one stamp may
+    be kept for as long as the stamp stands (``VectorScan``).  Recovery
+    builds a new relation object, which shares nothing kept for the old.
     """
 
     def __init__(
@@ -41,6 +46,7 @@ class Relation:
         self.schema = schema
         self._materialized = materialized
         self._rows: List[List[Any]] = []
+        self._stamp = 0
         self._store: Optional[TupleStore] = None
         if materialized:
             self._store = TupleStore(
@@ -63,6 +69,20 @@ class Relation:
             self._store.append(coerced)
         else:
             self._rows.append(list(coerced))
+            self._stamp += 1
+
+    @property
+    def version(self) -> int:
+        """Monotonic stamp; moves whenever the tuples may have."""
+        if self._store is not None:
+            return self._stamp + self._store.version
+        return self._stamp
+
+    def invalidate(self) -> None:
+        """Move :attr:`version` without an insert, for a caller that
+        changed the stored bytes behind the relation's back (a repair
+        tool, a test damaging a page): nothing read before counts."""
+        self._stamp += 1
 
     def insert_dict(self, row: Dict[str, Any]) -> None:
         """Insert one tuple given as a name → value mapping."""

@@ -51,6 +51,7 @@ from repro.db.expressions import (
     Literal,
     Not,
     Or,
+    map_columns,
 )
 from repro.errors import QueryError
 
@@ -320,32 +321,7 @@ def _is_aggregate(expr: Expr) -> bool:
 
 def _substitute_aliases(expr: Expr, aliases: dict) -> Expr:
     """Replace column references to select aliases by their expressions."""
-    if isinstance(expr, Column) and expr.name in aliases:
-        return aliases[expr.name]
-    if isinstance(expr, Call):
-        return Call(
-            expr.func,
-            tuple(_substitute_aliases(a, aliases) for a in expr.args),
-        )
-    if isinstance(expr, Compare):
-        return Compare(
-            expr.op,
-            _substitute_aliases(expr.left, aliases),
-            _substitute_aliases(expr.right, aliases),
-        )
-    if isinstance(expr, And):
-        return And(
-            _substitute_aliases(expr.left, aliases),
-            _substitute_aliases(expr.right, aliases),
-        )
-    if isinstance(expr, Or):
-        return Or(
-            _substitute_aliases(expr.left, aliases),
-            _substitute_aliases(expr.right, aliases),
-        )
-    if isinstance(expr, Not):
-        return Not(_substitute_aliases(expr.inner, aliases))
-    return expr
+    return map_columns(expr, lambda col: aliases.get(col.name, col))
 
 
 def _make_scan(
@@ -612,7 +588,11 @@ def explain(db: Database, sql: str) -> str:
                 f"slack={node.slack})"
             )
         if isinstance(node, Select):
-            return f"Select({node.predicate!r})"
+            batch = ", ".join(
+                f"{run.op}: {part!r}" for part, run in node.batch
+            )
+            rows = ", ".join(repr(part) for part in node.rest)
+            return f"Select(batch=[{batch}], rows=[{rows}])"
         if isinstance(node, Project):
             return f"Project({', '.join(n for n, _e in node.outputs)})"
         if isinstance(node, Aggregate):

@@ -143,6 +143,9 @@ COUNTER_NAMES: FrozenSet[str] = frozenset({
     "vector.window_times_batch.rows",
     "vector.window_intervals_batch.calls",
     "vector.window_intervals_batch.rows",
+    "vector.path_length_batch.calls",
+    "vector.path_length_batch.rows",
+    "vector.path_length_batch.pairs",
     # backend ladder rungs (via count_fallback("vector", reason))
     "vector.fallback_to_scalar",
     "vector.fallback_to_scalar.upoint_column",

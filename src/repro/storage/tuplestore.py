@@ -63,6 +63,9 @@ class TupleStore:
             kwargs["inline_threshold"] = inline_threshold
         self._flobs = FlobStore(self._pool, **kwargs)
         self._tuples: List[bytes] = []
+        #: Bumped after every append becomes visible: what a reader saw
+        #: at one stamp is what the directory holds while it stands.
+        self.version = 0
         self._wal = wal
         self._wal_scope = wal_scope
         self.inline_arrays = 0
@@ -150,6 +153,7 @@ class TupleStore:
                 # in-memory apply: recovery must resurrect this tuple.
                 faults.fail("tuplestore.commit_crash")
         self._tuples.append(data)
+        self.version += 1
         return len(self._tuples) - 1
 
     def checkpoint(self) -> None:

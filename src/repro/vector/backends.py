@@ -52,6 +52,7 @@ from repro.vector.kernels import (
     bbox_filter_batch,
     inside_prefilter,
     locate_units,
+    path_length_batch,
     ureal_atinstant_batch,
     window_intervals_batch,
 )
@@ -233,6 +234,14 @@ def _scalar_count_inside(
     return np.asarray(mask, dtype=np.bool_)
 
 
+def _scalar_path_length(fleet: Sequence[Any]) -> Tuple[np.ndarray, np.ndarray]:
+    """The merged trajectory's own length: every lane exact."""
+    return (
+        np.asarray([m.trajectory().length() for m in fleet], dtype=np.float64),
+        np.ones(len(fleet), dtype=np.bool_),
+    )
+
+
 def _points(lanes: Tuple[np.ndarray, np.ndarray, np.ndarray]) -> List[Optional[Point]]:
     xs, ys, defined = lanes
     if not (np.isfinite(xs[defined]).all() and np.isfinite(ys[defined]).all()):
@@ -311,6 +320,10 @@ OPERATIONS: Dict[str, Operation] = {
         Operation(
             "count_inside", kind="upoint", kernel=_inside_kernel,
             merge=_merge_lanes(False), scalar=_scalar_count_inside,
+        ),
+        Operation(
+            "path_length", kind="upoint", kernel=path_length_batch,
+            merge=_merge_lanes(0.0, True), scalar=_scalar_path_length,
         ),
     )
 }

@@ -21,13 +21,18 @@ Plain sequences (lists, tuples) have no version stamp and bypass the
 cache entirely — they get a fresh column per call, exactly the pre-cache
 behaviour.  Counters: ``colcache.hits`` / ``colcache.misses`` /
 ``colcache.invalidations``.
+
+A relation's scan state (:class:`repro.db.executor.VectorScan`) lives in
+the same table under the same budget, lock and counters: any owner with
+a ``version`` keeps values under :meth:`ColumnCache.lookup` /
+:meth:`ColumnCache.keep`.
 """
 
 from __future__ import annotations
 
 import weakref
 from collections.abc import MutableSequence
-from typing import Any, Iterable, List, Optional, Set, Tuple
+from typing import Any, Hashable, Iterable, List, Optional, Set, Tuple
 
 from repro import config, obs
 from repro.analysis import dynlock
@@ -153,10 +158,10 @@ class ColumnCache:
 
     def __init__(self, budget: Optional[int] = None):
         self._budget = budget
-        # (id(fleet), kind) -> (version, weakref, column)
-        self._entries: Residency[Tuple[int, str], Tuple[int, Any, Any]] = (
-            Residency(is_pinned=lambda entry: entry[2].source is not None)
-        )
+        # (id(owner), kind or slot) -> (version, weakref, column or value)
+        self._entries: Residency[
+            Tuple[int, Hashable], Tuple[int, Any, Any]
+        ] = Residency(is_pinned=lambda entry: entry[2].source is not None)
         # The query service reads columns from executor threads while
         # the ingest path mutates fleets; every cache operation that
         # touches the entry table runs under this lock.  Re-entrant
@@ -179,14 +184,16 @@ class ColumnCache:
             self._entries.clear()
 
     def drop_fleet(self, fleet: Any) -> None:
-        """Forget every cached column of ``fleet`` (all kinds).
+        """Forget everything held for ``fleet`` (a fleet's columns of
+        all kinds, a relation's scan state).
 
-        Used by the shard manager when it evicts a shard: dropping only
-        its own reference would leave the bytes resident here.
+        Used by the shard manager when it evicts a shard and by the
+        catalog when a relation is dropped: dropping only their own
+        reference would leave the bytes resident here.
         """
         with self._lock:
-            for kind in KINDS:
-                self._entries.evict((id(fleet), kind))
+            for key in [key for key in self._entries if key[0] == id(fleet)]:
+                self._entries.evict(key)
 
     def get(self, fleet: Fleet, kind: str) -> Any:
         """The ``kind`` column of ``fleet``, rebuilt only when stale."""
@@ -205,33 +212,77 @@ class ColumnCache:
         with self._lock:
             return self._get_versioned_locked(fleet, kind)
 
-    def _get_versioned_locked(self, fleet: Fleet, kind: str) -> Tuple[int, Any]:
-        key = (id(fleet), kind)
+    def _entry_of(
+        self, owner: Any, key: Tuple[int, Hashable]
+    ) -> Optional[Tuple[int, Any, Any]]:
+        """``key``'s entry if it is ``owner``'s.  Caller holds the lock."""
         entry = self._entries.get(key)
-        if entry is not None:
-            version, ref, column = entry
-            if ref() is not fleet:
-                # id() was recycled by a new fleet: a stale stranger's
-                # entry, not an invalidation of *this* fleet's column.
-                self._entries.evict(key)
-            elif version == fleet.version:
+        if entry is not None and entry[1]() is not owner:
+            # id() was recycled by a new owner: a stale stranger's
+            # entry, not an invalidation of *this* owner's value.
+            self._entries.evict(key)
+            return None
+        return entry
+
+    def lookup(self, owner: Any, slot: Hashable) -> Any:
+        """What :meth:`keep` holds for ``owner`` under ``slot`` if it was
+        kept at ``owner.version``, else None — a hit, an invalidation
+        (the entry goes) or a miss, counted like a column's."""
+        key = (id(owner), slot)
+        with self._lock:
+            entry = self._entry_of(owner, key)
+            if entry is not None and entry[0] == owner.version:
                 if obs.enabled:
                     obs.counters.add("colcache.hits")
-                return version, column
-            else:
-                # Stale: splice the changed objects into the existing
-                # column when the fleet's changelog pins exactly which
-                # ones they are — O(changed) instead of a full rebuild.
-                new_version = fleet.version
-                spliced = self._try_extend(fleet, kind, version, column)
-                if spliced is not None and fleet.version == new_version:
-                    if obs.enabled:
-                        obs.counters.add("colcache.extended")
-                    self._store_entry(key, new_version, ref, spliced)
-                    return new_version, spliced
+                return entry[2]
+            if entry is not None:
                 if obs.enabled:
                     obs.counters.add("colcache.invalidations")
                 self._entries.evict(key)
+            if obs.enabled:
+                obs.counters.add("colcache.misses")
+            return None
+
+    def keep(self, owner: Any, slot: Hashable, version: int, value: Any) -> None:
+        """Hold ``value`` (anything with ``nbytes`` and ``source``) for
+        ``owner`` under ``slot``, charged to the budget like a column.
+
+        ``version`` is ``owner.version`` as read *before* ``value`` was
+        built.  Versions only rise and move after a change is visible,
+        so an entry that still matches at :meth:`lookup` was built from
+        exactly the current contents; one overtaken meanwhile is never
+        served, and never replaces what a later version kept.  Keeping
+        the same value again charges it at what it weighs now.  The
+        value is shared from here on.
+        """
+        key = (id(owner), slot)
+        with self._lock:
+            entry = self._entry_of(owner, key)
+            if entry is None or entry[0] <= version:
+                self._store_entry(key, version, weakref.ref(owner), value)
+
+    def _get_versioned_locked(self, fleet: Fleet, kind: str) -> Tuple[int, Any]:
+        key = (id(fleet), kind)
+        entry = self._entry_of(fleet, key)
+        if entry is not None:
+            version, ref, column = entry
+            if version == fleet.version:
+                if obs.enabled:
+                    obs.counters.add("colcache.hits")
+                return version, column
+            # Stale: splice the changed objects into the existing
+            # column when the fleet's changelog pins exactly which
+            # ones they are — O(changed) instead of a full rebuild.
+            new_version = fleet.version
+            spliced = self._try_extend(fleet, kind, version, column)
+            if spliced is not None and fleet.version == new_version:
+                if obs.enabled:
+                    obs.counters.add("colcache.extended")
+                self._store_entry(key, new_version, ref, spliced)
+                return new_version, spliced
+            if obs.enabled:
+                obs.counters.add("colcache.invalidations")
+            self._entries.evict(key)
         if obs.enabled:
             obs.counters.add("colcache.misses")
         version = fleet.version
@@ -240,7 +291,7 @@ class ColumnCache:
         return version, column
 
     def _store_entry(
-        self, key: Tuple[int, str], version: int, ref: Any, column: Any
+        self, key: Tuple[int, Hashable], version: int, ref: Any, column: Any
     ) -> None:
         """Insert or replace one entry, then fit the cache to its budget
         (a splice that grew the column pays like a fresh build); keeps
@@ -349,15 +400,26 @@ def revalidate(fleet: Any, kind: str, version: Optional[int], column: Any) -> An
     return column
 
 
+def lookup(owner: Any, slot: Hashable) -> Any:
+    """:meth:`ColumnCache.lookup` on the process-wide cache."""
+    return _CACHE.lookup(owner, slot)
+
+
+def keep(owner: Any, slot: Hashable, version: int, value: Any) -> None:
+    """:meth:`ColumnCache.keep` on the process-wide cache."""
+    _CACHE.keep(owner, slot, version, value)
+
+
 def clear_cache() -> None:
     """Drop every cached column (tests, benchmarks)."""
     _CACHE.clear()
 
 
 def evict_columns(fleet: Any) -> None:
-    """Drop the process-cached columns of one fleet (all kinds).
+    """Drop what the process cache holds for one fleet or relation.
 
-    The shard manager calls this when it evicts a shard, so the shard's
-    bytes actually leave the process instead of lingering here.
+    The shard manager calls this when it evicts a shard and the catalog
+    when it drops a relation, so the bytes actually leave the process
+    instead of lingering here.
     """
     _CACHE.drop_fleet(fleet)

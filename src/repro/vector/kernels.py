@@ -429,3 +429,108 @@ def window_intervals_batch(
     clc = np.where(degenerate, True, clc)
     crc = np.where(degenerate, True, crc)
     return run_owner[keep], cs[keep], ce[keep], clc[keep], crc[keep]
+
+
+# ---------------------------------------------------------------------------
+# Trajectory length, batched: Σ hypot per object, certified against merge-segs
+# ---------------------------------------------------------------------------
+
+#: Within-object segment pairs tested per block of
+#: :func:`path_length_batch` (each costs a few dozen bytes of scratch).
+_PAIR_BLOCK = 1 << 16
+
+
+def _turns(
+    seg: Tuple[np.ndarray, ...], a: np.ndarray,
+    rx: np.ndarray, ry: np.ndarray, eps: float,
+) -> np.ndarray:
+    """``orientation(p, q, r, eps) != 0`` for segments ``a`` = (p, q)
+    against the points r = (``rx``, ``ry``, overwritten): the scalar's
+    cross product against the scalar's ``eps * span``, term for term.
+    ``seg`` is p, ``q - p`` and ``max(|q - p|…, 1)``, once per segment;
+    the rest runs in place — at this size a temporary costs more than
+    the arithmetic that fills it."""
+    px, py, dx, dy, reach = seg
+    rx -= px[a]
+    ry -= py[a]
+    val = dx[a]
+    val *= ry
+    minus = dy[a]
+    minus *= rx
+    val -= minus
+    np.abs(val, out=val)
+    np.abs(rx, out=rx)
+    np.abs(ry, out=ry)
+    np.maximum(rx, ry, out=rx)
+    np.maximum(rx, reach[a], out=rx)
+    rx *= eps
+    return val > rx
+
+
+def path_length_batch(
+    col: UPointColumn, eps: float = EPSILON
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``length(trajectory(·))`` of every object, without building a line.
+
+    Returns ``(length, exact)`` per lane.  ``length`` sums ``hypot`` over
+    the object's units whose end points differ — the segments
+    ``MovingPoint.trajectory`` hands to ``merge_segs``.  ``exact`` holds
+    where no two of those segments are ``collinear`` (the four
+    ``orientation`` tests of :func:`repro.geometry.segment.collinear`
+    on ``make_seg``-ordered end points, term for term): every segment is
+    then its own ``_group_collinear`` group, ``merge_segs`` returns them
+    unchanged, and ``length`` *is* the trajectory's length up to the
+    rounding of a different summation order.  Elsewhere merging can only
+    shorten the union, or bridge a gap of at most ``eps`` between two
+    collinear runs, so an inexact lane's sum is raised by ``eps`` per
+    segment and is an upper bound.  An empty lane is ``(0.0, True)``.
+
+    The pair tests run within objects only, in blocks of
+    ``_PAIR_BLOCK``: Σ nᵢ(nᵢ−1)/2 of them, the comparisons the scalar
+    ``_group_collinear`` makes when nothing merges.
+    """
+    n = col.n_objects
+    s, e = col.starts, col.ends
+    ax, ay = col.x0 + col.x1 * s, col.y0 + col.y1 * s
+    bx, by = col.x0 + col.x1 * e, col.y0 + col.y1 * e
+    kept = np.flatnonzero((ax != bx) | (ay != by))
+    _record_rows("path_length_batch", n)
+    exact = np.ones(n, dtype=np.bool_)
+    if kept.size == 0:
+        return np.zeros(n), exact
+    owner = np.searchsorted(col.offsets, kept, side="right") - 1
+    ax, ay, bx, by = ax[kept], ay[kept], bx[kept], by[kept]
+    swap = (ax > bx) | ((ax == bx) & (ay > by))  # make_seg: left end first
+    ux, uy = np.where(swap, bx, ax), np.where(swap, by, ay)
+    vx, vy = np.where(swap, ax, bx), np.where(swap, ay, by)
+    dx, dy = vx - ux, vy - uy
+    length = np.bincount(owner, weights=np.hypot(dx, dy), minlength=n)
+    reach = np.maximum(np.maximum(np.abs(dx), np.abs(dy)), 1.0)
+    seg = (ux, uy, dx, dy, reach)
+
+    # Segment j pairs with the ``later[j]`` segments after it in its object.
+    counts = np.bincount(owner, minlength=n)
+    m = len(kept)
+    later = np.cumsum(counts)[owner] - np.arange(m) - 1
+    done = np.cumsum(later)
+    lo = 0
+    while lo < m:
+        base = int(done[lo - 1]) if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(done, base + _PAIR_BLOCK, "right")))
+        reps = later[lo:hi]
+        j = np.repeat(np.arange(lo, hi), reps)
+        k = j + 1 + np.arange(len(j)) - np.repeat(done[lo:hi] - reps - base, reps)
+        # collinear(sⱼ, sₖ): both ends of each on the other's carrier.
+        # Each test runs on the pairs the previous ones left — few.
+        for flip, rx, ry in (
+            (False, ux, uy), (False, vx, vy), (True, ux, uy), (True, vx, vy)
+        ):
+            a, b = (k, j) if flip else (j, k)
+            straight = ~_turns(seg, a, rx[b], ry[b], eps)
+            j, k = j[straight], k[straight]
+        exact[owner[j]] = False
+        lo = hi
+    if obs.enabled:
+        obs.counters.add("vector.path_length_batch.pairs", int(done[-1]))
+    length[~exact] += eps * counts[~exact]
+    return length, exact

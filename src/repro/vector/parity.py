@@ -67,4 +67,8 @@ KERNEL_PARITY: Dict[str, KernelParity] = {
         scalar="repro.ops.window.mpoint_within_rect_times",
         test="test_window_intervals_batch_matches_scalar",
     ),
+    "path_length_batch": KernelParity(
+        scalar="repro.temporal.mapping.MovingPoint.trajectory",
+        test="test_path_length_bounds_and_certifies_trajectory_length",
+    ),
 }

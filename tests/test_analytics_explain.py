@@ -103,3 +103,101 @@ class TestExplain:
         sql = "SELECT id FROM planes WHERE airline = 'LH'"
         assert db.query(sql)  # plan built by explain is the same shape
         assert "SeqScan" in explain(db, sql)
+
+
+class TestExplainSplit:
+    """``Select`` shows which conjuncts run as one kernel mask (and on
+    which operator-table row) and which run row by row: the three
+    statements of ``benchmarks/e2e``'s ``api_scan_warm``."""
+
+    Q1 = (
+        "SELECT airline, id FROM planes WHERE airline = ``Lufthansa'' "
+        "AND length(trajectory(flight)) > 5000"
+    )
+    PRESENT = "SELECT id FROM planes WHERE present(flight, 3.5)"
+    WINDOW = (
+        "SELECT id FROM planes WHERE "
+        "passes_window(flight, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0)"
+    )
+    AIRLINE = (
+        "Compare(op='=', left=Column(name='airline'), "
+        "right=Literal(value='Lufthansa'))"
+    )
+    LENGTH = (
+        "Compare(op='>', left=Call(func='length', args=(Call("
+        "func='trajectory', args=(Column(name='flight'),)),)), "
+        "right=Literal(value=5000))"
+    )
+
+    @pytest.fixture
+    def db(self):
+        from repro.vector.fleet import set_backend
+
+        db = Database()
+        planes = db.create_relation(
+            "planes",
+            [("airline", "string"), ("id", "string"), ("flight", "mpoint")],
+            materialized=True,
+        )
+        planes.insert(["Lufthansa", "LH1", track(0, 10, 0)])
+        set_backend("vector")
+        yield db
+        set_backend("scalar")
+
+    def plan(self, db, sql):
+        return [line.strip() for line in explain(db, sql).splitlines()]
+
+    def test_q1_splits_its_conjunction(self, db):
+        assert self.plan(db, self.Q1) == [
+            "Project(airline, id)",
+            f"Select(batch=[path_length: {self.LENGTH}], rows=[{self.AIRLINE}])",
+            "VectorScan(planes AS planes, attr=flight)",
+        ]
+
+    def test_present_and_window_are_all_batch(self, db):
+        present = (
+            "Call(func='present', args=(Column(name='flight'), "
+            "Literal(value=3.5)))"
+        )
+        assert self.plan(db, self.PRESENT) == [
+            "Project(id)",
+            f"Select(batch=[present: {present}], rows=[])",
+            "VectorScan(planes AS planes, attr=flight)",
+        ]
+        window = self.plan(db, self.WINDOW)[1]
+        assert window.startswith(
+            "Select(batch=[window_intervals: Call(func='passes_window', "
+        )
+        assert window.endswith("], rows=[])")
+
+    def test_an_uncompiled_predicate_is_one_row_test(self, db):
+        from repro.vector.fleet import set_backend
+
+        whole = f"And(left={self.AIRLINE}, right={self.LENGTH})"
+        either = self.Q1.replace(" AND ", " OR ")
+        assert self.plan(db, either)[1] == (
+            f"Select(batch=[], rows=[Or(left={self.AIRLINE}, "
+            f"right={self.LENGTH})])"
+        )
+        set_backend("scalar")
+        assert self.plan(db, self.Q1)[1:] == [
+            f"Select(batch=[], rows=[{whole}])",
+            "SeqScan(planes AS planes)",
+        ]
+
+    def test_fallback_is_counted_only_when_nothing_compiled(self, db):
+        from repro import obs
+
+        obs.enable()
+        try:
+            for sql, fallbacks in (
+                (self.Q1, 0), (self.PRESENT, 0),
+                (self.Q1.replace(" AND ", " OR "), 1),
+                ("SELECT id FROM planes WHERE NOT present(flight, 3.5)", 1),
+            ):
+                with obs.capture() as c:
+                    db.query(sql)
+                assert c.get("vector.fallback_to_scalar.predicate") == fallbacks
+                assert c.get("vector.batch_select.calls") == 1 - fallbacks
+        finally:
+            obs.disable()

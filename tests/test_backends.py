@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro import config, obs
+from repro.config import EPSILON
 from repro.parallel import pool, shmcol
 from repro.ranges.interval import Interval
 from repro.shard import ShardManager, ShardedFleet
@@ -23,6 +24,7 @@ from repro.temporal.ureal import UReal
 from repro.vector import backends
 from repro.vector.backends import BACKENDS, OPERATIONS, evaluate
 from repro.vector.cache import clear_cache
+from repro.vector.columns import UPointColumn
 from repro.workloads.regions import regular_polygon
 
 FAMILIES = ("vector.fallback_to_scalar", "parallel.fallback", "shard.fallback")
@@ -42,6 +44,7 @@ ARGS = {
         (1.0, regular_polygon((3.0, 3.0), 2.5, 8)),
         (3.0, regular_polygon((3.0, 3.0), 2.5, 8)),
     ],
+    "path_length": [()],
 }
 
 
@@ -94,10 +97,25 @@ class Foreign:
     def bounding_cube(self):
         return self._m.bounding_cube()
 
+    def trajectory(self):
+        return self._m.trajectory()
+
+
+def out_and_back(i):
+    """Retraces its first leg: the trajectory is shorter than the path."""
+    o = float(i)
+    return MovingPoint([
+        UPoint.between(0.0, (o, o), 1.0, (o + 3, o + 1)),
+        UPoint.between(1.0, (o + 3, o + 1), 2.0, (o, o), lc=False),
+        UPoint.between(2.0, (o, o), 3.0, (o, o + 2), lc=False),
+    ])
+
 
 def make_fleet(op, heterogeneous, n=17):
     make = gappy_real if OPERATIONS[op].kind == "ureal" else gappy_point
     fleet = [make(i) for i in range(n)]
+    if op == "path_length":
+        fleet[5], fleet[11] = out_and_back(5), out_and_back(11)
     if heterogeneous:
         fleet[2] = Foreign(fleet[2])
     return fleet
@@ -114,8 +132,25 @@ def run_cell(op, backend, operand, fleet, args, workers=2):
     return got, c.snapshot()["counters"]
 
 
-def reference(op, fleet, args):
+def reference(op, fleet, args, backend="scalar"):
+    """What a cell must answer bit for bit: the row's scalar loop.
+
+    ``path_length`` certifies instead of transcribing — its kernel sums
+    in another order than the merged line and flags the lanes where the
+    sum is only a bound — so its columnar cells are held to the
+    whole-column kernel, and that to the scalar loop lane by lane."""
     entry = OPERATIONS[op]
+    if op == "path_length" and backends.columnar(backend) and all(
+        isinstance(m, MovingPoint) for m in fleet
+    ):
+        length, exact = whole = entry.kernel(UPointColumn.from_mappings(fleet))
+        merged, _ = entry.scalar(fleet)
+        band = EPSILON * np.maximum(length, 1.0)
+        assert np.all(length >= merged - band)
+        assert np.all(np.abs(length - merged)[exact] <= band[exact])
+        assert [i for i in range(len(fleet)) if not exact[i]] == [5, 11]
+        assert np.all(length[~exact] > merged[~exact] + 1.0)
+        return whole
     answer = entry.scalar(fleet, *args)
     return answer if entry.encode is None else entry.encode(answer)
 
@@ -141,7 +176,7 @@ def cells():
 def test_the_table_has_every_operation():
     assert set(OPERATIONS) == set(ARGS) == {
         "atinstant", "atinstant_real", "present", "bbox_filter",
-        "window_intervals", "count_inside",
+        "window_intervals", "count_inside", "path_length",
     }
     for name, entry in OPERATIONS.items():
         assert entry.name == name
@@ -156,7 +191,7 @@ def test_cell_matches_scalar_reference(op, backend, operand):
     fleet = make_fleet(op, heterogeneous=False)
     for args in ARGS[op]:
         got, counted = run_cell(op, backend, operand, fleet, args)
-        assert_identical(got, reference(op, fleet, args))
+        assert_identical(got, reference(op, fleet, args, backend))
         pooled = OPERATIONS[op].chunked and backends.pooled(
             backend, sharded=operand == "shards"
         ) and backends.columnar(backend)
@@ -215,6 +250,6 @@ def test_pooled_cells_through_real_chunks(op, operand, monkeypatch):
     backend = "parallel" if operand == "fleet" else "sharded"
     for args in ARGS[op][:2]:
         got, counted = run_cell(op, backend, operand, fleet, args)
-        assert_identical(got, reference(op, fleet, args))
+        assert_identical(got, reference(op, fleet, args, backend))
         assert counted["parallel.chunks"] >= 2
         assert not any("fallback" in name for name in counted)

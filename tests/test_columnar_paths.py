@@ -432,14 +432,16 @@ def _planes(n=4, flob=()):
 
 def _truncate(rel, tid):
     rel.store._tuples[tid] = rel.store._tuples[tid][:-4]
+    rel.invalidate()  # changed behind the relation's back
 
 
 def _flip_page_byte(rel, page_no):
-    """Flip one payload byte of a page on disk and drop the cached
-    frames, so the next read sees it."""
+    """Flip one payload byte of a page on disk and drop what was read
+    before — cached frames, kept scan state — so the next read sees it."""
     store = rel.store
     store.buffer_pool.flush()
     store.buffer_pool._frames.clear()
+    rel.invalidate()
     f = store.pagefile._file
     at = page_no * store.pagefile.page_size + PAGE_HEADER_SIZE + 20
     f.seek(at)
@@ -570,17 +572,305 @@ class TestDecodeOnlyWhatIsReturned:
 
     @pytest.mark.parametrize("backend", ["scalar", "vector", "parallel"])
     def test_every_flob_chain_is_read_once_per_statement(self, backend):
+        """Never twice in a statement — and by a scan that keeps what it
+        read (every columnar one), once per *version* of the relation."""
         db, rel, _pages = _planes(n=6, flob={1, 4})
         assert rel.store.external_arrays == 2
         set_backend(backend)
-        for text in (
-            "SELECT id FROM planes WHERE present(flight, 12.0)",
-            f"SELECT id, flight FROM planes WHERE {self.WINDOW}",
-            "SELECT id FROM planes WHERE NOT present(flight, 12.0)",
-        ):
+
+        def chains_read():
+            counts = []
+            for text in (
+                "SELECT id FROM planes WHERE present(flight, 12.0)",
+                f"SELECT id, flight FROM planes WHERE {self.WINDOW}",
+                "SELECT id FROM planes WHERE NOT present(flight, 12.0)",
+            ):
+                with obs.capture() as c:
+                    db.query(text)
+                counts.append(c.get("storage.flob_reads"))
+            return counts
+
+        keeps = backend != "scalar"
+        assert chains_read() == ([2, 0, 0] if keeps else [2, 2, 2])
+        rel.insert(["F6", 6, _track(6, legs=8)])
+        assert chains_read() == ([3, 0, 0] if keeps else [3, 3, 3])
+
+
+class TestKeptScanState:
+    """What a columnar scan read is kept per (relation, version): the
+    next statement on an unchanged relation reads nothing, and nothing
+    read before an ``insert`` or an ``invalidate()`` is served after it."""
+
+    #: Q1's shape: a string conjunct beside the trajectory-length one.
+    Q1 = (
+        "SELECT id FROM planes WHERE id = 'F1' "
+        "AND length(trajectory(flight)) > 1.0"
+    )
+
+    @pytest.mark.parametrize("name", _scan_class.NAMES)
+    def test_a_statement_after_insert_sees_the_new_tuple(self, name, tmp_path):
+        db, rel, _pages = _planes(n=4, flob={1})
+
+        def answers():
+            return [
+                [r["id"].value for r in db.query(text)]
+                for text in (
+                    "SELECT id FROM planes WHERE present(flight, 42.0)",
+                    "SELECT id FROM planes WHERE rank >= 3",
+                    self.Q1,
+                )
+            ]
+
+        with _scan_class(name, os.fspath(tmp_path)):
+            assert answers() == [[], ["F3"], ["F1"]]
+            rel.insert(["F4", 4, _track(4, legs=8)])
+            assert answers() == [["F4"], ["F3", "F4"], ["F1"]]
+
+    @pytest.mark.parametrize("name", _scan_class.NAMES)
+    def test_second_statement_reads_nothing_until_invalidated(
+        self, name, tmp_path, unpacked
+    ):
+        db, rel, _pages = _planes(n=6, flob={1, 4})
+
+        def work():
+            del unpacked[:]
             with obs.capture() as c:
+                rows = db.query(self.Q1)
+            assert [r["id"].value for r in rows] == ["F1"]
+            # Pages pinned (read from the file or found in the pool),
+            # FLOB chains walked, flights unpacked.
+            return (
+                c.get("storage.page_reads") + c.get("buffer.hits"),
+                c.get("storage.flob_reads"), len(unpacked),
+            )
+
+        with _scan_class(name, os.fspath(tmp_path)):
+            first = work()
+            assert first[:2] == (2, 2)
+            if name == "scalar":  # the row loop: reads and unpacks it all
+                assert work() == first == (2, 2, 6)
+                return
+            # A sharded scan tiles the unpacked flights anew per
+            # statement; every other one never unpacks a flight here.
+            flights = 6 if name == "sharded" else 0
+            assert work() == (0, 0, flights)
+            assert work() == (0, 0, flights)
+            rel.invalidate()
+            assert work()[:2] == (2, 2)
+            assert work() == (0, 0, flights)
+
+    # (A sharded scan's shard columns come and go in the same cache.)
+    @pytest.mark.parametrize("name", ["vector", "parallel", "mmap"])
+    def test_kept_state_is_charged_to_the_column_cache(self, name, tmp_path):
+        from repro.vector import cache
+
+        db, rel, _pages = _planes(n=6, flob={1, 4})
+        with _scan_class(name, os.fspath(tmp_path)):
+            assert cache._CACHE.resident_bytes == 0
+            with obs.capture() as c:
+                db.query(self.Q1)
+            assert c.get("colcache.misses") >= 1 and not c.get("colcache.hits")
+            held = cache._CACHE.resident_bytes
+            assert held >= sum(len(t) for t in rel.store._tuples) // 2
+            with obs.capture() as c:
+                db.query(self.Q1)
+            assert c.get("colcache.hits") >= 1 and not c.get("colcache.misses")
+            assert cache._CACHE.resident_bytes == held
+            rel.invalidate()
+            with obs.capture() as c:
+                db.query(self.Q1)
+            assert c.get("colcache.invalidations") >= 1
+            assert cache._CACHE.resident_bytes == held  # replaced, not added
+
+    def test_a_damaged_relation_is_never_kept(self):
+        db, rel, _pages = _planes(n=4, flob={1})
+        set_backend("vector")
+        _truncate(rel, 2)
+        text = "SELECT id FROM planes"
+        for _ in range(2):
+            with obs.capture() as c:
+                rows = db.query(text, strict=False)
+            assert [r["id"].value for r in rows] == ["F0", "F1", "F3"]
+            assert c.get("storage.quarantined") == 1
+            assert c.get("storage.flob_reads") == 1
+            assert not c.get("colcache.hits")
+            with pytest.raises(StorageError):
                 db.query(text)
-            assert c.get("storage.flob_reads") == 2, (backend, text)
+
+    def test_a_rotten_value_never_touches_the_kept_state(self, monkeypatch):
+        """A tuple that reads clean but fails to unpack is skipped by the
+        statement that met it, and met again by the next."""
+        db, rel, _pages = _planes(n=4)
+        set_backend("vector")
+        original = MovingPointCodec.unpack
+
+        def rots(self, stored):
+            if next(iter(stored.arrays[0]))[0] == 20.0:  # F2's start
+                raise StorageError("simulated rot")
+            return original(self, stored)
+
+        monkeypatch.setattr(MovingPointCodec, "unpack", rots)
+        text = "SELECT id, flight FROM planes"
+        for _ in range(2):
+            with obs.capture() as c:
+                rows = db.query(text, strict=False)
+            assert [r["id"].value for r in rows] == ["F0", "F1", "F3"]
+            assert c.get("storage.quarantined") == 1
+        assert len(db.query("SELECT id FROM planes")) == 4
+
+    @pytest.mark.parametrize("materialized", [True, False])
+    def test_an_insert_between_rows_and_column_tears_nothing(
+        self, materialized
+    ):
+        """The rows a scan read and the column built from them are one
+        kept entry at the version of the read: an insert landing between
+        the two leaves that scan whole at the old version, and nothing it
+        builds afterwards stands in for the new one."""
+        from repro.db.executor import VectorScan
+
+        db = Database("d")
+        rel = db.create_relation(
+            "planes", SCHEMA, materialized=materialized,
+            inline_threshold=INLINE_THRESHOLD,
+        )
+        for i in range(3):
+            rel.insert([f"F{i}", i, _track(i)])
+
+        def scan():
+            return VectorScan(rel, attr="flight")
+
+        early, late = scan(), scan()
+        assert list(early.held()) == list(late.held()) == [0, 1, 2]
+        rel.insert(["F3", 3, _track(3)])
+        assert early.column().n_objects == early.n_tuples == 3
+        # The column just built was kept at the version of its rows, not
+        # at the relation's current one: the next scan reads afresh ...
+        fresh = scan()
+        assert fresh.n_tuples == 4 and fresh.column().n_objects == 4
+        assert fresh.batch("present", 32.0).tolist() == [0, 0, 0, 1]
+        # ... and an overtaken scan finishing late (its rows were a hit
+        # at the old version) replaces nothing kept since.
+        assert late.column().n_objects == late.n_tuples == 3
+        with obs.capture() as c:
+            hit = scan()
+            assert hit.n_tuples == 4 and hit.column() is fresh.column()
+        assert c.get("colcache.hits") == 1 and not c.get("colcache.misses")
+        set_backend("vector")
+        text = "SELECT id FROM planes WHERE present(flight, 32.0)"
+        assert [r["id"].value for r in db.query(text)] == ["F3"]
+
+    def test_dropping_a_relation_releases_its_kept_state(self):
+        from repro.vector import cache
+
+        db, _rel, _pages = _planes(n=4, flob={1})
+        set_backend("vector")
+        db.query(self.Q1)
+        assert cache._CACHE.resident_bytes > 0
+        db.drop_relation("planes")
+        assert cache._CACHE.resident_bytes == 0 and len(cache._CACHE) == 0
+
+    def test_recovery_and_recreation_start_from_nothing(self):
+        from repro.storage.wal import Wal
+
+        wal = Wal()
+        db = Database("d", wal=wal)
+        rel = db.create_relation("planes", SCHEMA, materialized=True)
+        for i in range(3):
+            rel.insert([f"F{i}", i, _track(i)])
+        set_backend("vector")
+        text = "SELECT id FROM planes WHERE present(flight, 12.0)"
+        assert [r["id"].value for r in db.query(text)] == ["F1"]
+        wal.crash()
+        recovered = Database.recover(wal)
+        assert recovered.relation("planes") is not rel
+        with obs.capture() as c:
+            assert [r["id"].value for r in recovered.query(text)] == ["F1"]
+        assert not c.get("colcache.hits")
+        db.drop_relation("planes")
+        again = db.create_relation("planes", SCHEMA, materialized=True)
+        again.insert(["G0", 0, _track(1)])
+        assert [r["id"].value for r in db.query(text)] == ["G0"]
+
+
+    @pytest.mark.parametrize("shape", ["server", "bare"])
+    def test_two_threads_query_while_a_third_inserts(self, shape):
+        """``server``: statements and inserts all go through
+        ``FleetExecutor.query_sql`` from worker threads, the shape
+        ``to_thread`` gives the query service (its lock serialises them;
+        the suite's ``REPRO_DYNLOCK=1`` pass witnesses the order
+        executor → column cache).  ``bare``: an in-memory relation with
+        no lock at all, so scans, the cache and ``insert`` interleave.
+        Either way a statement sees every tuple whose insert returned
+        before it began, and the last one sees them all."""
+        import sys
+        import threading
+
+        from repro.io.text import to_text
+        from repro.server.executor import FleetExecutor
+
+        total, start = 40, 3
+        executor = FleetExecutor()
+        rel = executor.db.create_relation(
+            "planes", SCHEMA, materialized=shape == "server",
+            inline_threshold=INLINE_THRESHOLD,
+        )
+        for i in range(start):
+            rel.insert([f"F{i}", i, _track(i, legs=1 + 7 * (i % 2))])
+        text = "SELECT id FROM planes WHERE length(trajectory(flight)) > 0.5"
+        inserted = [start]  # tuples whose insert has returned
+        failures, seen = [], {0: [], 1: []}
+
+        def query():
+            if shape == "server":
+                return executor.query_sql(text)[-1].rows
+            return executor.db.query(text)
+
+        def reader(k):
+            try:
+                while inserted[0] < total:
+                    floor = inserted[0]
+                    count = len(query())
+                    assert floor <= count <= total, (floor, count)
+                    seen[k].append(count)
+            except BaseException as exc:  # surfaced by the main thread
+                failures.append(exc)
+
+        def writer():
+            try:
+                for i in range(start, total):
+                    flight = _track(i, legs=1 + 7 * (i % 2))
+                    if shape == "server":
+                        executor.query_sql(
+                            f"INSERT INTO planes VALUES ('F{i}', {i}, "
+                            f"'{to_text(flight)}')"
+                        )
+                    else:
+                        rel.insert([f"F{i}", i, flight])
+                    inserted[0] = i + 1
+            except BaseException as exc:
+                failures.append(exc)
+                inserted[0] = total  # let the readers stop
+
+        set_backend("vector")
+        threads = [
+            threading.Thread(target=reader, args=(0,)),
+            threading.Thread(target=reader, args=(1,)),
+            threading.Thread(target=writer),
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert failures == []
+        assert len(query()) == total
+        for counts in seen.values():
+            assert counts == sorted(counts)
 
 
 class TestFetchSeam:

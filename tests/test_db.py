@@ -203,6 +203,43 @@ class TestQueries:
         with pytest.raises(QueryError):
             planes_db.query("SELECT id FROM planes p, planes q LIMIT 1")
 
+    def test_unqualified_columns_resolve_once_per_operator(
+        self, planes_db, monkeypatch
+    ):
+        """Regression: ``Column.eval`` searched the row's keys for every
+        row of every statement.  An operator now binds its expressions
+        to its first row; what cannot be bound raises as before — the
+        same message, and only if it is evaluated."""
+        from repro.db import executor
+
+        with pytest.raises(QueryError) as caught:
+            planes_db.query("SELECT id FROM planes a, planes b")
+        assert str(caught.value) == "ambiguous column 'id': ['a.id', 'b.id']"
+        with pytest.raises(QueryError) as caught:
+            planes_db.query("SELECT a.id FROM planes a, planes b WHERE id = 'LH1'")
+        assert str(caught.value) == "ambiguous column 'id': ['a.id', 'b.id']"
+        with pytest.raises(QueryError) as caught:
+            planes_db.query("SELECT missing FROM planes")
+        assert str(caught.value) == "unknown column 'missing'"
+        n = len(planes_db.query("SELECT id FROM planes"))
+        pairs = planes_db.query(
+            "SELECT a.id, b.id FROM planes a, planes b "
+            "WHERE a.id = a.id OR id = 'never evaluated'"
+        )
+        assert len(pairs) == n * n
+
+        binds = []
+        original = executor.bind
+        monkeypatch.setattr(
+            executor, "bind",
+            lambda expr, row: binds.append(expr) or original(expr, row),
+        )
+        rows = planes_db.query(
+            "SELECT airline, id FROM planes WHERE airline <> 'nobody' ORDER BY id"
+        )
+        assert len(rows) == n > 1
+        assert len(binds) == 4  # predicate, sort key, two outputs
+
     def test_register_function(self, planes_db):
         register_function("double_len", lambda l: l.length() * 2)
         rows = planes_db.query(

@@ -11,7 +11,10 @@ eviction loops without changing what gets evicted:
   recorded on the commit before the policy was shared) and
   :class:`ShardManager` (column accesses under a three-shard budget,
   counters pinned), plus a regression test for the path that used to
-  change an entry's cost without fitting the budget.
+  change an entry's cost without fitting the budget;
+* second-chance behaviour itself, by hit count through the pool: a loop
+  that fits stays resident, and a re-referenced hot set survives a
+  looping scan larger than the pool (LRU's worst case).
 """
 
 import random
@@ -190,6 +193,51 @@ def test_buffer_pool_trace_equals_parent():
     stats = buffer_trace()
     assert (stats["hits"], stats["misses"]) == (1042, 959)
     assert (stats["physical_reads"], stats["physical_writes"]) == (959, 473)
+
+
+def looping_scan(pages, capacity, laps, hot_pages=0):
+    """``laps`` sequential sweeps over ``pages`` cold pages after one
+    warming lap, one of ``hot_pages`` hot pages touched (round-robin)
+    after every cold access.  Returns the pool and the hot hit count."""
+    pool = BufferPool(PageFile(), capacity=capacity)
+    page_nos = [pool.new_page() for _ in range(pages + hot_pages)]
+    hot, cold = page_nos[:hot_pages], page_nos[hot_pages:]
+
+    def touch(page_no):
+        pool.pin(page_no)
+        pool.unpin(page_no)
+
+    for p in page_nos:  # first lap: all compulsory misses
+        touch(p)
+    pool.hits = pool.misses = 0
+    hot_hits = touched = 0
+    for _ in range(laps):
+        for p in cold:
+            touch(p)
+            if hot:
+                before = pool.hits
+                touch(hot[touched % len(hot)])
+                touched += 1
+                hot_hits += pool.hits - before
+    return pool, hot_hits
+
+
+def test_looping_scan_that_fits_stays_resident():
+    pool, _hot = looping_scan(pages=48, capacity=64, laps=10)
+    assert (pool.hits, pool.misses) == (480, 0)
+
+
+def test_hot_pages_survive_a_scan_larger_than_the_pool():
+    """Second chances keep a re-referenced hot set resident while a
+    larger-than-pool cold scan streams past."""
+    pool, hot_hits = looping_scan(pages=96, capacity=32, laps=10, hot_pages=8)
+    assert pool.hits + pool.misses == 2 * 960
+    assert hot_hits >= 0.9 * 960
+
+
+def test_looping_scan_counts_every_touch_once():
+    pool, _hot = looping_scan(pages=72, capacity=64, laps=3)
+    assert pool.hits + pool.misses == 72 * 3
 
 
 def shard_trace(seed=2026, steps=600):

@@ -235,6 +235,7 @@ def test_every_partitioned_operation_identical_after_writes(
         "bbox_filter": (Cube.from_rect(rect, t0, t1),),
         "window_intervals": (rect, t0, t1),
         "count_inside": (t0, region),
+        "path_length": (),
     }
     assert set(queries) == {n for n, e in OPERATIONS.items() if e.chunked}
     try:

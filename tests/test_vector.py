@@ -303,10 +303,18 @@ class TestDbWiring:
         obs.reset()
         obs.enable()
         try:
-            planes_db.query(QUERIES[3])
+            planes_db.query(QUERIES[3].replace(" AND ", " OR "))
         finally:
             obs.disable()
         assert obs.get("vector.fallback_to_scalar.predicate") == 1
+
+    def test_conjunction_with_one_compilable_operand_is_split(self, planes_db):
+        """The fallback is counted only when *no* conjunct compiles."""
+        set_backend("vector")
+        with obs.capture() as c:
+            planes_db.query(QUERIES[3])
+        assert c.get("vector.fallback_to_scalar.predicate") == 0
+        assert c.get("vector.batch_select.calls") == 1
 
     def test_explain_shows_vector_scan(self, planes_db):
         from repro.db.sql import explain

@@ -6,10 +6,15 @@ randomly generated fleets, including ⊥/gap instants and closed/open unit
 boundaries, and query instants biased onto the boundaries themselves.
 """
 
+import math
+import operator
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.config import EPSILON
 from repro.geometry.plumbline import crossings_above, point_in_segset
 from repro.geometry.segment import point_on_seg
 from repro.ranges.interval import Interval
@@ -26,6 +31,7 @@ from repro.vector.kernels import (
     inside_prefilter,
     locate_units,
     on_boundary_batch,
+    path_length_batch,
     segs_to_array,
     ureal_atinstant_batch,
     window_intervals_batch,
@@ -405,3 +411,196 @@ class TestWindowEquivalence:
             expected = mpoint_within_rect_times(m, rect).intersection(clip)
             got = RangeSet(per_object.get(i, []))
             assert got == expected, (i, rect, t0, t1)
+
+
+# ---------------------------------------------------------------------------
+# path_length: an upper bound everywhere, the length itself where certified
+# ---------------------------------------------------------------------------
+
+grid = st.integers(min_value=0, max_value=80).map(lambda k: k / 8.0)
+LEGS = ("new", "new", "back", "stay", "tiny", "straight", "again", "hop")
+
+
+@st.composite
+def routes(draw, max_legs=6):
+    """A moving point built to give ``merge_segs`` work: legs that fly
+    back to an earlier vertex (out-and-back retraces, closed loops), fly
+    the previous leg a second time (exact duplicates), stand still, move
+    less than EPSILON, continue straight on, or resume a sub-EPSILON hop
+    further along the same line — and the empty mapping."""
+    pos = (draw(grid), draw(grid))
+    seen, legs, t = [pos], [], 0.0
+    for _ in range(draw(st.integers(min_value=0, max_value=max_legs))):
+        kind = draw(st.sampled_from(LEGS))
+        start, last = pos, legs[-1] if legs else None
+        if kind == "back":
+            end = draw(st.sampled_from(seen))
+        elif kind == "stay":
+            end = pos
+        elif kind == "tiny":
+            end = (pos[0] + draw(st.sampled_from([0.25, 0.5, 2.0])) * EPSILON, pos[1])
+        elif last is not None and kind == "again":
+            start, end = last
+        elif last is not None and kind in ("straight", "hop") and last[0] != last[1]:
+            (ax, ay), (bx, by) = last
+            step = EPSILON / (2.0 * math.hypot(bx - ax, by - ay))
+            if kind == "hop":
+                start = (bx + (bx - ax) * step, by + (by - ay) * step)
+            end = (2 * bx - ax, 2 * by - ay)
+        else:
+            end = (draw(grid), draw(grid))
+        legs.append((start, end))
+        seen.append(end)
+        pos = end
+    units = []
+    for start, end in legs:
+        duration = draw(st.sampled_from([1.0, 2.0, 3.0]))
+        units.append(UPoint.between(t, start, t + duration, end, rc=False))
+        t += duration
+    return MovingPoint.normalized(units)
+
+
+class TestPathLength:
+    @given(st.lists(routes(), min_size=0, max_size=8))
+    @settings(max_examples=300, deadline=None)
+    def test_path_length_bounds_and_certifies_trajectory_length(self, fleet):
+        length, exact = path_length_batch(UPointColumn.from_mappings(fleet))
+        assert len(length) == len(exact) == len(fleet)
+        for i, m in enumerate(fleet):
+            line = m.trajectory()
+            want = line.length()
+            band = EPSILON * max(1.0, want, length[i])
+            assert length[i] >= want - band, (i, m)
+            if exact[i]:
+                assert abs(length[i] - want) <= band, (i, m)
+                # Certified means nothing merged: one segment per unit
+                # that moved, each as the unit drew it.
+                moved = [
+                    u for u in m.units if u.start_point() != u.end_point()
+                ]
+                assert len(line.segments) == len(moved), (i, m)
+
+    def test_named_degeneracies(self):
+        a, b, c = (0.0, 0.0), (3.0, 4.0), (3.0, 0.0)
+
+        def route(*legs):
+            return MovingPoint.normalized([
+                UPoint.between(float(k), p, k + 1.0, q, rc=False)
+                for k, (p, q) in enumerate(legs)
+            ])
+
+        fleet = [
+            route((a, b), (b, c), (c, a)),   # a triangle: nothing merges
+            route((a, b), (b, a)),           # out and back
+            route((a, b), (a, b)),           # the same leg twice
+            route((a, a), (a, b)),           # a stationary unit first
+            route((a, (EPSILON / 2, 0.0))),  # one sub-EPSILON segment
+            MovingPoint([]),
+        ]
+        length, exact = path_length_batch(UPointColumn.from_mappings(fleet))
+        assert list(exact) == [True, False, False, True, True, True]
+        want = [m.trajectory().length() for m in fleet]
+        assert want[:4] == [12.0, 5.0, 5.0, 5.0] and want[5] == 0.0
+        assert list(length[[0, 3, 5]]) == [12.0, 5.0, 0.0]
+        assert length[4] == want[4] == EPSILON / 2
+        assert 10.0 <= length[1] <= 10.0 + 1e-8 and length[1] == length[2]
+
+    def test_pairs_are_tested_within_objects_in_bounded_blocks(self, monkeypatch):
+        from repro import obs
+        from repro.vector import kernels
+
+        fleet = [
+            MovingPoint.from_waypoints(
+                [(float(k), (float(k), float(k * k % 7))) for k in range(n + 1)]
+            )
+            for n in (1, 9, 1, 4, 30)
+        ]
+        fleet[2] = MovingPoint([])
+        col = UPointColumn.from_mappings(fleet)
+        whole = path_length_batch(col)
+        for block in (1, 7, 64):
+            monkeypatch.setattr(kernels, "_PAIR_BLOCK", block)
+            obs.enable()
+            try:
+                with obs.capture() as c:
+                    got = path_length_batch(col)
+            finally:
+                obs.disable()
+            assert all(np.array_equal(g, w) for g, w in zip(got, whole))
+            assert c.get("vector.path_length_batch.pairs") == sum(
+                n * (n - 1) // 2 for n in (1, 9, 4, 30)
+            )
+
+
+def _lit(value):
+    """A float as the SQL tokenizer reads numbers (no sign, no exponent)."""
+    return format(value, ".20f")
+
+
+class TestLengthPredicate:
+    """``length(trajectory(x)) op c`` answers like the scalar row loop on
+    every backend, with ``c`` far from every lane's length and inside
+    the band of one — where the kernel must hand the lane back."""
+
+    @given(
+        fleet=st.lists(routes(), min_size=1, max_size=8),
+        op=st.sampled_from(["<", "<=", ">", ">="]),
+        pick=st.integers(min_value=0, max_value=7),
+        nudge=st.sampled_from([-2.0, -0.5, -1e-4, 0.0, 0.0, 1e-4, 0.5, 2.0, None]),
+        far=grid,
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_sql_predicate_equals_the_row_loop(self, fleet, op, pick, nudge, far):
+        from repro import obs
+        from repro.db.catalog import Database
+        from repro.vector.cache import clear_cache
+        from repro.vector.fleet import set_backend
+
+        lengths = [m.trajectory().length() for m in fleet]
+        near = lengths[pick % len(lengths)]
+        c = far * 3.0 if nudge is None else near + nudge * EPSILON * max(1.0, near)
+        c = max(c, 0.0)
+        mem, mat = Database("mem"), Database("mat")
+        for db, materialized in ((mem, False), (mat, True)):
+            rel = db.create_relation(
+                "planes", [("id", "int"), ("flight", "mpoint")],
+                materialized=materialized, inline_threshold=128,
+            )
+            for i, m in enumerate(fleet):
+                rel.insert([i, m])
+        text = (
+            "SELECT id FROM planes WHERE "
+            f"length(trajectory(flight)) {op} {_lit(c)}"
+        )
+        compare = {
+            "<": operator.lt, "<=": operator.le,
+            ">": operator.gt, ">=": operator.ge,
+        }[op]
+        want = [i for i, n in enumerate(lengths) if compare(n, float(_lit(c)))]
+        obs.enable()
+        try:
+            for backend in ("scalar", "vector", "parallel", "sharded"):
+                set_backend(backend)
+                for db in (mem, mat):
+                    with obs.capture() as counted:
+                        got = [row["id"].value for row in db.query(text)]
+                    assert got == want, (backend, text)
+                    assert not counted.get("vector.fallback_to_scalar")
+        finally:
+            obs.disable()
+            set_backend("scalar")
+            clear_cache()
+
+    @pytest.mark.parametrize("text", [
+        "length(trajectory(flight)) = 5.0",
+        "length(flight) > 5.0",
+        "5.0 < length(trajectory(flight))",
+        "length(trajectory(flight)) > rank",
+        "length(trajectory(flight)) > 'five'",
+    ])
+    def test_other_shapes_are_left_to_the_row_loop(self, text):
+        from repro.db.expressions import compile_batch_predicate
+        from repro.db.sql import parse_query
+
+        where = parse_query(f"SELECT id FROM planes WHERE {text}").where
+        assert compile_batch_predicate(where, "planes", "flight") is None
