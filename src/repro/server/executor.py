@@ -9,7 +9,9 @@ values back — statement results, or the kernel's own arrays.
 Snapshot isolation
 ------------------
 Every read pins a :class:`Snapshot` at start: the fleet's version stamp
-plus an immutable tuple of its members.  Ingest never mutates a
+plus an immutable tuple of its members (``fleet.members()`` — built once
+per version and shared by every pin taken at it, so pinning costs the
+same at any fleet size).  Ingest never mutates a
 ``Mapping`` in place — it *replaces* the member with a new mapping that
 shares the old unit slices (:meth:`repro.temporal.mapping.Mapping.
 appended`) — so a pinned tuple keeps describing exactly the pre-ingest
@@ -72,7 +74,7 @@ class Snapshot:
 
     def __init__(self, fleet: Any):
         self.version = fleet.version
-        self.items: Tuple[Any, ...] = tuple(fleet)
+        self.items: Tuple[Any, ...] = fleet.members()
         self._columns: Dict[str, Any] = {}
 
     def __len__(self) -> int:
@@ -170,7 +172,7 @@ class FleetExecutor:
             ShardedFleet(mappings, n_shards) if n_shards > 1
             else Fleet(mappings)
         )
-        units = sum(len(m.units) for m in fleet)
+        units = sum(len(m.units) for m in fleet.members())
         with self._lock:
             self._fleets[name] = fleet
             self._unit_counts[name] = units

@@ -30,6 +30,7 @@ a ``version`` keeps values under :meth:`ColumnCache.lookup` /
 
 from __future__ import annotations
 
+import operator
 import weakref
 from collections.abc import MutableSequence
 from typing import Any, Hashable, Iterable, List, Optional, Set, Tuple
@@ -60,11 +61,15 @@ class Fleet(MutableSequence[Any]):
     back to a full rebuild.
     """
 
-    __slots__ = ("_items", "_version", "_changes", "_floor", "__weakref__")
+    __slots__ = (
+        "_items", "_version", "_changes", "_floor", "_members", "__weakref__",
+    )
 
     def __init__(self, items: Iterable[Any] = ()):
         self._items: List[Any] = list(items)
         self._version = 0
+        # (version, members at that version), built on first ask.
+        self._members: Optional[Tuple[int, Tuple[Any, ...]]] = None
         # (version, object index) per mutation; index -1 = structural.
         self._changes: List[Tuple[int, int]] = []
         self._floor = 0
@@ -81,6 +86,23 @@ class Fleet(MutableSequence[Any]):
             drop = len(self._changes) - _CHANGELOG_CAP // 2
             self._floor = self._changes[drop - 1][0]
             del self._changes[:drop]
+
+    def members(self) -> Tuple[Any, ...]:
+        """The current members as an immutable tuple, shared until the
+        next version bump.
+
+        One C-level copy of the list per version, an attribute read
+        after that: every reader that pins the fleet at one version
+        holds the *same* tuple, and a tuple handed out before a mutation
+        keeps describing the fleet as it was.  Reads ``_items`` directly
+        — a subclass's ``__getitem__`` / ``__iter__`` is not consulted.
+        Call it under whatever lock serializes the fleet's mutators (a
+        mutator changes the list before it bumps the version).
+        """
+        held = self._members
+        if held is None or held[0] != self._version:
+            held = self._members = (self._version, tuple(self._items))
+        return held[1]
 
     def changes_since(self, version: int) -> Optional[Set[int]]:
         """Object indices mutated after ``version``, or None when the
@@ -121,10 +143,13 @@ class Fleet(MutableSequence[Any]):
 
     def __setitem__(self, i: Any, value: Any) -> None:
         self._items[i] = value
-        if isinstance(i, int):
-            self._record(i if i >= 0 else len(self._items) + i)
-        else:
+        if isinstance(i, slice):
             self._record(-1)
+        else:
+            # Anything the list took as a position: an int, a numpy
+            # integer out of ``np.flatnonzero``, any ``__index__``.
+            i = operator.index(i)
+            self._record(i if i >= 0 else len(self._items) + i)
 
     def __delitem__(self, i: Any) -> None:
         del self._items[i]
@@ -313,7 +338,7 @@ class ColumnCache:
         changed = fleet.changes_since(old_version)
         if not changed:
             return None
-        items = list(fleet)
+        items = fleet.members()
         try:
             newcol = column.extended(items, changed)
         except (InvalidValue, IndexError):

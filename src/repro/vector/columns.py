@@ -44,17 +44,17 @@ def _struct_format(dtype: np.dtype) -> str:
     return "<" + "".join(_STRUCT_CODES[dtype[name].str] for name in dtype.names)
 
 
-def _as_offsets(counts: List[int]) -> np.ndarray:
+def _as_offsets(counts: Union[Sequence[int], np.ndarray]) -> np.ndarray:
     """Cumulative unit counts → CSR offsets (the stacked root records)."""
     offsets = np.zeros(len(counts) + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
     return offsets
 
 
-def _sorted_changes(changed: Sequence[int], n_new: int) -> List[int]:
+def _sorted_changes(changed: Sequence[int], n_new: int) -> np.ndarray:
     """The distinct changed object indices, ascending, all inside the fleet."""
-    out = sorted({int(i) for i in changed})
-    if out and (out[0] < 0 or out[-1] >= n_new):
+    out = np.array(sorted({int(i) for i in changed}), dtype=np.int64)
+    if out.size and (out[0] < 0 or out[-1] >= n_new):
         raise InvalidValue("changed object index out of range")
     return out
 
@@ -292,8 +292,12 @@ class UnitColumn(Column):
         this column's build input.  Only the changed objects go through
         the Python-level ``from_mappings`` transcription; every
         unchanged object's unit rows are copied as whole array slices,
-        so the result is bit-identical to ``from_mappings(mappings)`` at
-        a cost of O(changed units) transcription + one memcopy.
+        so the result is bit-identical to ``from_mappings(mappings)``.
+
+        Cost: Python work is O(changed units) for the transcription plus
+        O(runs of consecutive changed objects) for the slice list; what
+        grows with the fleet is array work only — one ``cumsum`` over the
+        unit counts and one ``concatenate`` per field.
 
         Raises :class:`InvalidValue` when ``changed`` is inconsistent
         with the new fleet (an index out of range, an appended object
@@ -305,41 +309,44 @@ class UnitColumn(Column):
         if n_new < n_old:
             raise InvalidValue("column extension cannot shrink the fleet")
         changed_sorted = _sorted_changes(changed, n_new)
-        changed_set = set(changed_sorted)
-        for i in range(n_old, n_new):
-            if i not in changed_set:
-                raise InvalidValue(
-                    f"appended object {i} missing from the change set"
-                )
+        n_changed = len(changed_sorted)
+        # Distinct, ascending and below n_new: the appended objects are
+        # all there iff the tail from n_old on has one entry each.
+        appended = changed_sorted[np.searchsorted(changed_sorted, n_old):]
+        if len(appended) != n_new - n_old:
+            missing = np.setdiff1d(np.arange(n_old, n_new), appended)
+            raise InvalidValue(
+                f"appended object {missing[0]} missing from the change set"
+            )
         cls = type(self)
-        sub = cls.from_mappings([mappings[i] for i in changed_sorted])
-        rank = {obj: k for k, obj in enumerate(changed_sorted)}
+        sub = cls.from_mappings([mappings[i] for i in changed_sorted.tolist()])
 
         counts = np.empty(n_new, dtype=np.int64)
-        old_counts = np.diff(self.offsets)
-        sub_counts = np.diff(sub.offsets)
-        for i in range(n_new):
-            k = rank.get(i)
-            counts[i] = sub_counts[k] if k is not None else old_counts[i]
-        offsets = _as_offsets(list(counts))
+        counts[:n_old] = np.diff(self.offsets)
+        counts[changed_sorted] = np.diff(sub.offsets)
+        offsets = _as_offsets(counts)
 
-        # Maximal runs of consecutive same-source objects become single
-        # array-slice pieces; a pure tail append is just two pieces.
+        # A maximal run of consecutive changed objects is one slice of
+        # ``sub``; the unchanged objects between two runs are one slice
+        # of this column.  A pure tail append is just two pieces.
+        run_starts = np.flatnonzero(np.diff(changed_sorted) != 1) + 1
+        run_lo = [0, *run_starts.tolist()] if n_changed else []
+        run_hi = [*run_lo[1:], n_changed]
         pieces: List[Tuple[UnitColumn, slice]] = []
-        i = 0
-        while i < n_new:
-            src: UnitColumn = sub if i in changed_set else self
-            j = i
-            while j < n_new and (j in changed_set) is (src is sub):
-                j += 1
-            if src is sub:
-                lo, hi = rank[i], rank[j - 1] + 1
-                pieces.append((sub, slice(int(sub.offsets[lo]),
-                                          int(sub.offsets[hi]))))
-            else:
-                pieces.append((self, slice(int(self.offsets[i]),
-                                           int(self.offsets[j]))))
-            i = j
+        done = 0  # old objects below this are spliced
+        for lo, hi in zip(run_lo, run_hi):
+            # A gap ends at an old object: every appended one is in a
+            # run that starts at or before n_old.
+            first = int(changed_sorted[lo])
+            if first > done:
+                pieces.append((self, slice(int(self.offsets[done]),
+                                           int(self.offsets[first]))))
+            pieces.append((sub, slice(int(sub.offsets[lo]),
+                                      int(sub.offsets[hi]))))
+            done = int(changed_sorted[hi - 1]) + 1
+        if done < n_old:
+            pieces.append((self, slice(int(self.offsets[done]),
+                                       int(self.offsets[n_old]))))
 
         spliced = [
             np.concatenate([getattr(src, f)[sl] for src, sl in pieces])
@@ -673,7 +680,10 @@ class BBoxColumn(Column):
         ``from_mappings(mappings)`` build (one box per object, keys =
         fleet positions, empty mappings skipped): only changed objects
         have their bounding cubes recomputed; everything else is merged
-        back in key order.  Raises :class:`InvalidValue` for columns
+        back in key order.  Python work is O(changed); what grows with
+        the column is array work only (a ``diff`` and a keep mask over
+        the keys, one ``insert`` per coordinate).  Raises
+        :class:`InvalidValue` for columns
         whose keys are not the ascending integer positions the default
         builder assigns (per-unit or custom-keyed columns), or when
         ``changed`` is inconsistent with the fleet — callers degrade to
@@ -681,34 +691,45 @@ class BBoxColumn(Column):
         """
         n_new = len(mappings)
         try:
-            old_keys = [int(k) for k in self.keys]
-        except (TypeError, ValueError) as exc:
+            old_keys = self.keys_int64()
+        except InvalidValue as exc:
             raise InvalidValue(
                 "BBoxColumn with non-integer keys cannot be extended"
             ) from exc
-        if old_keys != sorted(set(old_keys)):
+        if np.any(np.diff(old_keys) <= 0):
             raise InvalidValue(
                 "BBoxColumn extension needs ascending unique keys "
                 "(the default per-object build)"
             )
         changed_sorted = _sorted_changes(changed, n_new)
-        changed_set = set(changed_sorted)
-        if any(k >= n_new for k in old_keys):
+        if old_keys.size and old_keys[-1] >= n_new:
             raise InvalidValue("column extension cannot shrink the fleet")
+        changed_list = changed_sorted.tolist()
         sub = BBoxColumn.from_mappings(
-            [mappings[i] for i in changed_sorted], keys=changed_sorted
+            [mappings[i] for i in changed_list], keys=changed_list
         )
-        keep = [j for j, k in enumerate(old_keys) if k not in changed_set]
-        merged_keys = np.concatenate([
-            np.asarray([old_keys[j] for j in keep], dtype=np.int64),
-            np.asarray([int(k) for k in sub.keys], dtype=np.int64),
-        ])
-        order = np.argsort(merged_keys, kind="stable")
-        merged = [
-            np.concatenate([old[keep], new])[order]
-            for old, new in zip(self.arrays(), sub.arrays())
-        ]
-        return BBoxColumn(merged_keys[order].tolist(), *merged)
+        sub_keys = sub.keys_int64()
+        # Entries of changed objects go: where each changed index sits
+        # among the (ascending) keys, if it is there at all.
+        at_old = np.searchsorted(old_keys, changed_sorted)
+        inside = at_old < len(old_keys)
+        at_old, wanted = at_old[inside], changed_sorted[inside]
+        keep = np.ones(len(old_keys), dtype=bool)
+        keep[at_old[old_keys[at_old] == wanted]] = False
+        kept_keys = old_keys[keep]
+        # Both sides ascend and share no key: inserting each new entry
+        # before the first kept key above it is the merge in key order.
+        at = np.searchsorted(kept_keys, sub_keys)
+        merged_keys = np.insert(kept_keys, at, sub_keys)
+        out = BBoxColumn(
+            merged_keys.tolist(),
+            *(
+                np.insert(old[keep], at, new)
+                for old, new in zip(self.arrays(), sub.arrays())
+            ),
+        )
+        out._keys_i64 = merged_keys
+        return out
 
     def overlap_mask(self, cube: Cube) -> np.ndarray:
         """Boolean mask of entries whose box intersects ``cube``.

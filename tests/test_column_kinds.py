@@ -57,6 +57,45 @@ def same_arrays(a, b):
         assert np.asarray(x).tobytes() == np.asarray(y).tobytes(), name
 
 
+def _indices(n_old, draw, **kw):
+    return set(draw(st.lists(st.integers(0, n_old - 1), **kw))) if n_old else set()
+
+
+def _run(n_old, draw):
+    if not n_old:
+        return set()
+    lo = draw(st.integers(0, n_old - 1))
+    return set(range(lo, draw(st.integers(lo, n_old - 1)) + 1))
+
+
+#: Change-set shapes ``extended`` has to splice right: shape →
+#: ``(n_old, draw)`` → ``(objects replaced, objects merely listed as
+#: changed, objects appended)``.  On an empty old column every shape
+#: degenerates to "append these".
+CHANGE_SHAPES = {
+    "first": lambda n, draw: ({0} if n else set(), set(), 0),
+    "last": lambda n, draw: ({n - 1} if n else set(), set(), 0),
+    "run": lambda n, draw: (_run(n, draw), set(), 0),
+    "two_runs": lambda n, draw: (_run(n, draw) | _run(n, draw), set(), 0),
+    "scattered": lambda n, draw: (
+        _indices(n, draw, max_size=4), set(), draw(st.integers(0, 3))
+    ),
+    "beside_appended": lambda n, draw: (
+        {n - 1} if n else set(), set(), draw(st.integers(1, 3))
+    ),
+    "append_only": lambda n, draw: (set(), set(), draw(st.integers(1, 3))),
+    "everything": lambda n, draw: (
+        set(range(n)), set(), draw(st.integers(0, 2))
+    ),
+    "emptied": lambda n, draw: (_indices(n, draw, min_size=1, max_size=2), set(), 0),
+    "listed_not_differing": lambda n, draw: (
+        _indices(n, draw, max_size=2), _indices(n, draw, min_size=1, max_size=4),
+        draw(st.integers(0, 1)),
+    ),
+    "nothing": lambda n, draw: (set(), set(), 0),
+}
+
+
 @pytest.mark.parametrize("kind", sorted(KINDS))
 class TestProtocol:
     """Every kind answers the same protocol the same way."""
@@ -102,22 +141,32 @@ class TestProtocol:
             segment.close()
             segment.unlink()
 
-    @settings(max_examples=40, deadline=None)
-    @given(fleet=fleets(), newer=fleets(max_size=10), data=st.data())
-    def test_extended_equals_rebuild(self, kind, fleet, newer, data):
+    @settings(max_examples=120, deadline=None)
+    @given(
+        fleet=fleets(min_size=0),
+        newer=fleets(max_size=10),
+        shape=st.sampled_from(sorted(CHANGE_SHAPES)),
+        data=st.data(),
+    )
+    def test_extended_equals_rebuild(self, kind, fleet, newer, shape, data):
         cls = KINDS[kind]
-        old, new = members(kind, fleet), members(kind, newer)
-        changed = set(range(len(old), len(new))) | set(
-            data.draw(st.lists(st.integers(0, len(old) - 1), max_size=4))
-        )
-        current = [
-            new[i] if i in changed and i < len(new) else old[i]
-            for i in range(max(len(old), len(new)))
-        ]
-        spliced = cls.from_mappings(old).extended(current, changed)
-        same_arrays(spliced, cls.from_mappings(current))
+        old, pool = members(kind, fleet), members(kind, newer)
+        replaced, claimed, n_appended = CHANGE_SHAPES[shape](len(old), data.draw)
+        current = old + [pool[k % len(pool)] for k in range(n_appended)]
+        for k, i in enumerate(sorted(replaced)):
+            current[i] = (
+                type(current[i])([]) if shape == "emptied"
+                else pool[(k + n_appended) % len(pool)]
+            )
+        changed = replaced | claimed | set(range(len(old), len(current)))
+        spliced = cls.from_mappings(old).extended(tuple(current), changed)
+        rebuilt = cls.from_mappings(current)
+        same_arrays(spliced, rebuilt)
         if kind == "bbox":
-            assert spliced.keys == cls.from_mappings(current).keys
+            assert spliced.keys == rebuilt.keys
+            assert spliced.keys_int64().tolist() == rebuilt.keys
+            # A spliced column splices again (the serving path does).
+            same_arrays(spliced.extended(tuple(current), claimed), rebuilt)
 
 
 DARRAY_FLEET = [

@@ -1,0 +1,152 @@
+"""A served read executes the same Python at any fleet size.
+
+What a read does around the kernel — pin the snapshot, fetch or splice
+the column, mask the window — must not walk the fleet in Python: that
+work runs under the executor lock ingest needs, and grows with the
+fleet while the kernel beside it is one array pass.  Each guard counts
+the source lines one call executes (``tests/linecount.py``) over a
+1 000-object and an 8 000-object fleet of identically shaped members
+and requires the two counts to be *equal*; the arrays are eight times
+longer, the Python is the same.  Deterministic: no clock is read.
+"""
+
+import numpy as np
+import pytest
+
+from repro.ranges.interval import Interval
+from repro.server.executor import FleetExecutor, Snapshot
+from repro.server.ingest import IngestRequest
+from repro.shard import ShardedFleet
+from repro.temporal.mapping import MovingPoint, MovingReal
+from repro.temporal.upoint import UPoint
+from repro.temporal.ureal import UReal
+from repro.vector.cache import Fleet, clear_cache
+from repro.vector.columns import KINDS
+from tests.linecount import lines_executed
+
+SIZES = (1_000, 8_000)
+#: Defined for every member of :func:`points`.
+T = 5.0
+WINDOW = (0.0, 0.0, 40.0, 40.0)
+
+
+def point(i: int) -> MovingPoint:
+    """Two adjacent units over ``[0, 20]``, placed by ``i``."""
+    x, y = float(i % 100), float(i // 100)
+    return MovingPoint([
+        UPoint.between(0.0, (x, y), 10.0, (x + 1.0, y)),
+        UPoint.between(10.0, (x + 1.0, y), 20.0, (x + 1.0, y + 1.0), lc=False),
+    ])
+
+
+def points(n: int):
+    return [point(i) for i in range(n)]
+
+
+def real(i: int) -> MovingReal:
+    return MovingReal([UReal(Interval(0.0, 10.0), 0.0, 1.0, float(i))])
+
+
+def grown(m: MovingPoint) -> MovingPoint:
+    """``m`` with one more unit, as an ingest leaves it."""
+    last = m.units[-1]
+    e = last.interval.e
+    x, y = last.vec_at(e)
+    return m.appended(UPoint.between(e, (x, y), e + 10.0, (x + 1.0, y), lc=False))
+
+
+@pytest.fixture(autouse=True)
+def _fresh_cache():
+    clear_cache()
+    yield
+    clear_cache()
+
+
+def same_at_both_sizes(measure):
+    """``measure(n)`` → line events (one count or several); equal at
+    both sizes, and the tracer saw every call."""
+    small, large = (measure(n) for n in SIZES)
+    assert small == large, f"{small} lines at {SIZES[0]}, {large} at {SIZES[1]}"
+    assert np.all(np.ravel(small) > 0)
+
+
+class TestPin:
+    @pytest.mark.parametrize("build", [Fleet, lambda ms: ShardedFleet(ms, 4)],
+                             ids=["fleet", "sharded"])
+    def test_snapshot_of_a_container(self, build):
+        def measure(n):
+            fleet = build(points(n))
+            cold, snap = lines_executed(Snapshot, fleet)
+            assert len(snap) == n
+            # After a write the tuple is rebuilt — still not in Python.
+            fleet[n // 2] = grown(fleet[n // 2])
+            moved, snap = lines_executed(Snapshot, fleet)
+            assert snap.items[n // 2] is fleet[n // 2]
+            held, _ = lines_executed(Snapshot, fleet)
+            return cold, moved, held
+
+        same_at_both_sizes(measure)
+
+    @pytest.mark.parametrize("shards", [1, 4])
+    def test_executor_snapshot(self, shards):
+        def measure(n):
+            ex = FleetExecutor()
+            ex.register_fleet("f", points(n), shards=shards)
+            count, snap = lines_executed(ex.snapshot, "f")
+            assert len(snap) == n
+            return count
+
+        same_at_both_sizes(measure)
+
+
+class TestSnapshotRows:
+    @pytest.mark.parametrize("window", [None, WINDOW], ids=["whole", "window"])
+    def test_warm_column(self, window):
+        def measure(n):
+            ex = FleetExecutor()
+            ex.register_fleet("f", points(n))
+            ex.snapshot_rows("f", T, window)  # builds the column
+            count, (snap, rows) = lines_executed(ex.snapshot_rows, "f", T, window)
+            assert len(snap) == n
+            assert 0 < len(rows) < n if window else len(rows) == n
+            return count
+
+        same_at_both_sizes(measure)
+
+    @pytest.mark.parametrize("window", [None, WINDOW], ids=["whole", "window"])
+    def test_right_after_an_ingest(self, window):
+        """The read that splices the column pays array work only."""
+        def measure(n):
+            ex = FleetExecutor()
+            ex.register_fleet("f", points(n))
+            ex.snapshot_rows("f", T, window)
+            (count,) = ex.apply_units(
+                [IngestRequest("f", n // 2, (20.0, 0.0, 0.0, 30.0, 1.0, 1.0))]
+            )
+            assert count == 3
+            lines, (snap, _rows) = lines_executed(
+                ex.snapshot_rows, "f", 25.0, window
+            )
+            assert len(snap.items[n // 2].units) == 3
+            return lines
+
+        same_at_both_sizes(measure)
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_extended_by_one_object(kind):
+    """``column.extended(members, {one object})``: the splice itself."""
+    def measure(n):
+        if kind == "ureal":
+            old = [real(i) for i in range(n)]
+            new = real(n + 7)
+        else:
+            old = points(n)
+            new = grown(old[n // 2])
+        col = KINDS[kind].from_mappings(old)
+        current = tuple(old[: n // 2] + [new] + old[n // 2 + 1:])
+        count, out = lines_executed(col.extended, current, {n // 2})
+        assert len(out) == n
+        return count
+
+    same_at_both_sizes(measure)

@@ -13,7 +13,9 @@ regression: two sessions, one mutating ingest).
 
 import asyncio
 import contextlib
+import copy
 import os
+import pickle
 import re
 import signal
 import socket
@@ -54,12 +56,13 @@ from repro.server.protocol import (
     row_line,
 )
 from repro.server.session import serve_in_thread
+from repro.shard import ShardedFleet
 from repro.storage import wal as walmod
 from repro.storage.wal import Wal, WalRecord
 from repro.temporal.mapping import MovingPoint
 from repro.temporal.upoint import UPoint
 from repro.vector.cache import Fleet, clear_cache, column_for_versioned
-from repro.vector.columns import BBoxColumn, UPointColumn
+from repro.vector.columns import KINDS, BBoxColumn, UPointColumn
 from repro.vector.store import ColumnStore, clear_store, set_store
 from repro.workloads.trajectories import FlightGenerator
 
@@ -193,6 +196,109 @@ class TestFleetChangelog:
         assert fleet.changes_since(fleet.version + 1) is None
         assert fleet.changes_since(-50) is None
 
+    @pytest.mark.parametrize("index", [np.int64(3), np.int32(-1), np.uint8(3)])
+    def test_numpy_integer_index_is_one_object_not_structural(self, index):
+        """An index straight out of ``np.flatnonzero`` used to be logged
+        as a structural change: the next read rebuilt the whole column."""
+        fleet = Fleet(_mappings(4))
+        _, before = column_for_versioned(fleet, "upoint")
+        v = fleet.version
+        with obs.capture() as seen:
+            fleet[index] = fleet[3].appended(_unit(1e6, 0, 0, 1e6 + 1, 1, 1))
+            assert fleet.changes_since(v) == {3}
+            _, after = column_for_versioned(fleet, "upoint")
+        assert seen.get("colcache.extended") == 1
+        assert seen.get("colcache.invalidations") == 0
+        assert after.n_units == before.n_units + 1
+
+    def test_slice_assignment_stays_structural(self):
+        fleet = Fleet(_mappings(3))
+        v = fleet.version
+        fleet[0:1] = _mappings(1, seed=9)
+        assert fleet.changes_since(v) is None
+        with pytest.raises(TypeError):
+            fleet["1"] = fleet[1]
+        assert fleet.version == v + 1
+
+
+def _fleet_mutations():
+    """Every way a ``MutableSequence`` changes, by name."""
+    a, b, c = _mappings(3, seed=11)
+
+    def iadd(f):
+        f += [a, b]
+
+    def slice_assign(f):
+        f[1:3] = [a, b, c]
+
+    def delete(f):
+        del f[1]
+
+    return {
+        "append": lambda f: f.append(a),
+        "extend": lambda f: f.extend([a, b]),
+        "insert_front": lambda f: f.insert(0, a),
+        "insert_middle": lambda f: f.insert(2, a),
+        "insert_tail": lambda f: f.insert(len(f), a),
+        "pop": lambda f: f.pop(),
+        "remove": lambda f: f.remove(f[2]),
+        "reverse": lambda f: f.reverse(),
+        "iadd": iadd,
+        "setitem": lambda f: f.__setitem__(1, a),
+        "slice_assign": slice_assign,
+        "del": delete,
+        "clear": lambda f: f.clear(),
+        "invalidate": lambda f: f.invalidate(),
+    }
+
+
+class TestFleetMembers:
+    """``members()``: the fleet as an immutable tuple, one per version."""
+
+    @pytest.mark.parametrize("name", sorted(_fleet_mutations()))
+    def test_equals_tuple_after_every_mutator(self, name):
+        fleet = Fleet(_mappings(4))
+        before = fleet.members()
+        assert before == tuple(fleet) and fleet.members() is before
+        frozen = list(before)
+        _fleet_mutations()[name](fleet)
+        after = fleet.members()
+        assert after == tuple(fleet) and len(after) == len(fleet)
+        assert after is not before and fleet.members() is after
+        assert list(before) == frozen  # the old pin did not move
+
+    @pytest.mark.parametrize(
+        "clone", [copy.copy, lambda f: pickle.loads(pickle.dumps(f))],
+        ids=["copy", "pickle"],
+    )
+    @pytest.mark.parametrize("asked_before", [False, True])
+    def test_a_cloned_fleet_answers_for_itself(self, clone, asked_before):
+        fleet = Fleet(["a", "b", "c"])  # unit values do not pickle
+        if asked_before:
+            fleet.members()
+        twin = clone(fleet)
+        assert twin.members() == ("a", "b", "c") and twin.version == fleet.version
+        twin[1] = "B"
+        assert twin.members() == tuple(twin) == ("a", "B", "c")
+
+    def test_sharded_members_follow_global_order(self):
+        mappings = _mappings(23)
+        fleet = ShardedFleet(mappings, 4)
+        held = fleet.members()
+        assert held == tuple(fleet) == tuple(mappings)
+        assert fleet.members() is held
+        grown = fleet[7].appended(_unit(1e6, 0, 0, 1e6 + 1, 1, 1))
+        fleet[7] = grown
+        extra = _mappings(1, seed=9)[0]
+        fleet.append(extra)
+        moved = fleet.members()
+        assert moved == tuple(fleet) and fleet.members() is moved
+        assert moved[7] is grown and moved[23] is extra
+        assert held == tuple(mappings)
+        fleet.invalidate()
+        assert fleet.members() == moved and fleet.members() is not moved
+        assert ShardedFleet([], 3).members() == ()
+
 
 class TestColumnExtended:
     def test_upoint_extension_bit_identical(self):
@@ -223,6 +329,34 @@ class TestColumnExtended:
         new = list(mappings) + [_mappings(1, seed=5)[0]]
         with pytest.raises(InvalidValue):
             col.extended(new, {0})  # object 3 appeared but is not listed
+
+    def test_every_rejection_keeps_its_message(self):
+        mappings = _mappings(4)
+        more = mappings + _mappings(2, seed=5)
+        upoint = UPointColumn.from_mappings(mappings)
+        bbox = BBoxColumn.from_mappings(mappings)
+        cubes = [(k, m.bounding_cube()) for k, m in enumerate(mappings)]
+        cases = [
+            (upoint, mappings[:3], set(), "column extension cannot shrink the fleet"),
+            (upoint, mappings, {4}, "changed object index out of range"),
+            (upoint, mappings, {-1}, "changed object index out of range"),
+            (upoint, more, {0, 5}, "appended object 4 missing from the change set"),
+            (upoint, more, {4}, "appended object 5 missing from the change set"),
+            (bbox, mappings[:3], set(), "column extension cannot shrink the fleet"),
+            (bbox, mappings, {4}, "changed object index out of range"),
+            (BBoxColumn.from_cubes([("a", cubes[0][1])]), mappings, {0},
+             "BBoxColumn with non-integer keys cannot be extended"),
+            (BBoxColumn.from_cubes(cubes[::-1]), mappings, {0},
+             "BBoxColumn extension needs ascending unique keys "
+             "(the default per-object build)"),
+            (BBoxColumn.from_mappings(mappings, per_unit=True), mappings, {0},
+             "BBoxColumn extension needs ascending unique keys "
+             "(the default per-object build)"),
+        ]
+        for column, fleet, changed, message in cases:
+            with pytest.raises(InvalidValue) as exc_info:
+                column.extended(fleet, changed)
+            assert str(exc_info.value) == message
 
     def test_cache_splices_forward_on_ingest(self):
         fleet = Fleet(_mappings(4))
@@ -338,6 +472,34 @@ class TestExecutorIsolation:
         # A query started *after* the batch sees every new unit.
         _, rows_after = ex.snapshot_rows("fleet", t_future)
         assert sorted(i for i, _, _ in rows_after) == [0, 2]
+
+    @pytest.mark.parametrize("shards", [1, 3])
+    def test_pins_share_members_until_the_fleet_moves(self, shards):
+        ex = FleetExecutor()
+        mappings = _mappings(9)
+        fleet = ex.register_fleet("fleet", mappings, shards=shards)
+        first, second = ex.snapshot("fleet"), ex.snapshot("fleet")
+        assert first.items is second.items
+        assert first.items is ex.snapshot_rows("fleet", 60.0)[0].items
+        as_pinned = {
+            kind: KINDS[kind].from_mappings(first.items).records()
+            for kind in ("upoint", "bbox")
+        }
+
+        old_member = fleet[2]
+        fleet[2] = old_member.appended(_unit(1e6, 0, 0, 1e6 + 8, 1, 1))
+        fleet.append(_mappings(1, seed=9)[0])
+
+        assert len(first) == 9 and first.items[2] is old_member
+        assert first.version != fleet.version
+        assert first.items == tuple(mappings)
+        for kind, records in as_pinned.items():
+            again = KINDS[kind].from_mappings(first.items).records()
+            assert [r.tobytes() for r in again] == [r.tobytes() for r in records]
+        moved = ex.snapshot("fleet")
+        assert len(moved) == 10 and moved.items[2] is fleet[2]
+        assert moved.items is not first.items
+        assert moved.version == fleet.version
 
     def test_snapshot_rows_window_filter(self):
         ex = FleetExecutor()
@@ -553,6 +715,53 @@ class TestConcurrency:
         assert errors == []
         assert sum(len(m.units) for m in ex.fleet("fleet")) == \
                sum(len(m.units) for m in _mappings(4)) + 30
+
+
+    def test_every_reply_counts_the_fleet_of_its_version(self):
+        """Two readers beside one ingesting client: a reply's ``objects=``
+        is the fleet's length at the reply's ``version=``, never the
+        length of a fleet that moved on while the read was in flight."""
+        ex = FleetExecutor()
+        fleet = ex.register_fleet("fleet", _mappings(5))
+        # Ingest k (1-based) leaves the fleet at version k; every third
+        # one appends a new object, the others grow an existing one.
+        length_at = {0: 5}
+        run = serve_in_thread(ex)
+        errors, seen = [], []
+        done = threading.Event()
+
+        def reader():
+            try:
+                with ServerClient("127.0.0.1", run.port) as c:
+                    while not done.is_set():
+                        fields = c.snapshot("fleet", 60.0).fields
+                        seen.append((int(fields["version"]), int(fields["objects"])))
+            except Exception as exc:  # pragma: no cover - the failure
+                errors.append(repr(exc))
+
+        readers = [threading.Thread(target=reader) for _ in range(2)]
+        for th in readers:
+            th.start()
+        try:
+            with ServerClient("127.0.0.1", run.port) as c:
+                for k in range(1, 61):
+                    n = length_at[k - 1]
+                    if k % 3 == 0:
+                        c.ingest("fleet", n, (0.0, 0, 0, 10.0, 1, 1))
+                        n += 1
+                    else:
+                        t0 = 1e6 + 20.0 * k
+                        c.ingest("fleet", k % 5, (t0, 0, 0, t0 + 10.0, 1, 1))
+                    length_at[k] = n
+        finally:
+            done.set()
+            for th in readers:
+                th.join(timeout=20)
+            run.stop()
+        assert errors == [] and not any(th.is_alive() for th in readers)
+        assert fleet.version == 60 and len(fleet) == length_at[60]
+        assert seen and all(length_at[v] == n for v, n in seen)
+        assert len({v for v, _ in seen}) > 1  # reads did interleave
 
 
 # ---------------------------------------------------------------------------
