@@ -8,15 +8,16 @@ Claims under test:
 * the unit lookup is a binary search: time grows logarithmically in the
   number of units n at fixed result size r;
 * the evaluation cost grows (near-)linearly in r at fixed n.
+
+The same claims by exact operation count (no pytest-benchmark, no
+clock) are tier-1 tests: ``tests/test_obs.py::TestSection51Probes``.
 """
 
-import math
 import time
 
 import pytest
 
 from conftest import report, translating_mregion
-from repro import obs
 from repro.ops.interaction import mregion_atinstant
 
 
@@ -99,63 +100,3 @@ def test_a1_log_vs_linear_shape(benchmark):
     assert by_n[-1][1] < by_n[0][1] * 8.0
     # ...while 16x larger results must cost at least 4x more (linear-ish).
     assert by_r[-1][1] > by_r[0][1] * 4.0
-
-
-def test_a1_counter_probes_logarithmic():
-    """The O(log n) claim by *operation count* instead of wall-clock.
-
-    ``repro.obs`` counts the binary-search probes of ``unit_at`` and the
-    moving segments evaluated; unlike timings these are exact, so the
-    assertions are tight: probes bounded by ceil(log2 n) + 2, result work
-    equal to r.  Runs without pytest-benchmark (check.sh smoke).
-    """
-    rows = []
-    for n in (16, 256, 4096):
-        mr = translating_mregion(units=n, sides=8)
-        t = mr.start_time() + 0.37 * (mr.end_time() - mr.start_time())
-        with obs.capture() as c:
-            region = mregion_atinstant(mr, t, structured=False)
-        assert region.area() > 0
-        rows.append(
-            (
-                n,
-                c.get("mapping.unit_at.probes"),
-                c.get("atinstant.msegs_evaluated"),
-            )
-        )
-    report(
-        "A1 atinstant op counts vs n (fixed r=8)",
-        rows,
-        ("units n", "probes", "msegs"),
-    )
-    for n, probes, msegs in rows:
-        assert 1 <= probes <= math.ceil(math.log2(n)) + 2
-        assert msegs == 8  # evaluation work is exactly r, independent of n
-    # 256x more units may add only ~log2(256) = 8 probes.
-    assert rows[-1][1] - rows[0][1] <= 9
-
-
-def test_a1_counter_result_size_linear():
-    """Evaluation counts grow exactly with r while lookup stays O(log n)."""
-    rows = []
-    for r in (16, 64, 256):
-        mr = translating_mregion(units=4, sides=r)
-        t_query = mr.start_time() + 1.7
-        with obs.capture() as c:
-            region = mregion_atinstant(mr, t_query, structured=False)
-        assert len(region.segments()) == r
-        rows.append(
-            (
-                r,
-                c.get("atinstant.msegs_evaluated"),
-                c.get("mapping.unit_at.probes"),
-            )
-        )
-    report(
-        "A1 atinstant op counts vs r (fixed n=4)",
-        rows,
-        ("segments r", "msegs", "probes"),
-    )
-    for r, msegs, probes in rows:
-        assert msegs == r
-        assert probes <= math.ceil(math.log2(4)) + 2

@@ -10,7 +10,7 @@ faster than a cold one, and STR bulk loading packs a 10k-entry
 query no worse.
 
 Runs as pytest (equivalence + speedups asserted; the quick ``smoke``
-test is wired into scripts/check.sh).  The speedup tests time the pool
+test is tier-1, in ``tests/test_parallel.py``).  The speedup tests time the pool
 against a single-process pass *including its column build*; the
 end-to-end comparison with columns resident is
 ``parallel.speedup_vs_vector`` of ``benchmarks/e2e/run.py --workload
@@ -25,12 +25,7 @@ import numpy as np
 from bench_vector import build_fleet
 from repro import config, obs
 from repro.index.rtree import RTree3D
-from repro.parallel import (
-    parallel_atinstant,
-    parallel_window_intervals,
-    set_workers,
-    shutdown,
-)
+from repro.parallel import parallel_atinstant, parallel_window_intervals
 from repro.spatial.bbox import Cube, Rect
 from repro.vector.cache import Fleet, clear_cache, column_for
 from repro.vector.columns import UPointColumn
@@ -210,33 +205,6 @@ def measure_str_bulk(entries_n: int = 10_000, queries_n: int = 50) -> dict:
 
 
 # -- pytest entry points ------------------------------------------------------
-
-
-def test_v5_smoke_parallel_equivalence():
-    """Fast gate for scripts/check.sh: 2 workers, tiny fleet, answers
-    identical to the single-process kernels, chunked dispatch engaged."""
-    min_objects = config.PARALLEL_MIN_OBJECTS
-    config.PARALLEL_MIN_OBJECTS = 2
-    try:
-        fleet = build_fleet(400, seed=5)
-        col = UPointColumn.from_mappings(fleet)
-        t = 60.0
-        t0, t1 = WINDOW
-
-        with obs.capture() as counters:
-            par_at = parallel_atinstant(col, t, workers=2)
-            par_win = parallel_window_intervals(
-                col, RECT, t0, t1, workers=2
-            )
-            snap = counters.snapshot()["counters"]
-        assert _atinstant_mismatches(col, par_at, t) == 0
-        assert _window_mismatches(col, par_win, RECT, t0, t1) == 0
-        assert snap.get("parallel.chunks", 0) >= 2
-        assert snap.get("parallel.fallback", 0) == 0
-    finally:
-        config.PARALLEL_MIN_OBJECTS = min_objects
-        set_workers(None)
-        shutdown()
 
 
 def test_v5_parallel_speedup():

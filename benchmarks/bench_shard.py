@@ -10,8 +10,8 @@ while returning results bit-identical to the unsharded vector kernel
 ``shard.resident_bytes`` high-water counter-asserted against the
 budget).
 
-Runs as pytest at smoke scale (a quick 2-shard equivalence ``smoke`` is
-wired into scripts/check.sh); the timed run is the ``shard_window_cold``
+Runs as pytest at smoke scale (the quick 2-shard ``smoke`` tests are
+tier-1, in ``tests/test_shard.py``); the timed run is the ``shard_window_cold``
 workload of ``benchmarks/e2e/run.py``.
 """
 
@@ -162,16 +162,8 @@ def assert_result(result: dict) -> None:
 
 
 # ---------------------------------------------------------------------------
-# pytest entry points (scripts/check.sh runs -k smoke)
+# pytest entry points
 # ---------------------------------------------------------------------------
-
-
-def test_v10_smoke_shard_bench():
-    """2 shards, 2k objects, tiny budget: the full measurement protocol
-    (stage -> evict -> cold scatter -> counters) with zero mismatches."""
-    mappings = build_fleet(2_000, seed=2000)
-    result = measure_sharded(mappings, shards=2)
-    assert_result(result)
 
 
 def test_v10_counter_assertions():

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Tier-1 verification: the full test suite plus a fast operation-counter
-# smoke of the Section-5.1 benchmark (asserts the O(log n) probe claim
-# by exact count, no wall-clock flakiness, no pytest-benchmark flags).
+# Tier-1 verification: the full test suite (which holds every smoke that
+# used to run from benchmarks/bench_*.py: the Section-5.1 counter claims,
+# the parallel and the sharded equivalence), then the gates around it.
 #
 # Usage: scripts/check.sh  (from the repository root)
 set -euo pipefail
@@ -18,19 +18,6 @@ echo "== dynlock witness: full suite with the lock-order graph armed =="
 # lock; any lock-order inversion witnessed anywhere in the suite raises
 # LockOrderError at the offending acquire (see repro.analysis.dynlock).
 REPRO_DYNLOCK=1 python -m pytest -x -q -p no:cacheprovider
-
-echo
-echo "== tier-1: counter-assertion smoke (benchmarks, -k counter) =="
-python -m pytest -q -p no:cacheprovider benchmarks/bench_alg_atinstant.py -k counter
-
-echo
-echo "== parallel-backend smoke (2 workers, tiny fleet, equivalence) =="
-python -m pytest -q -p no:cacheprovider benchmarks/bench_parallel.py -k smoke
-
-echo
-echo "== sharded-backend smoke (2 shards, tiny budget, equivalence) =="
-python -m pytest -q -p no:cacheprovider benchmarks/bench_shard.py -k smoke
-python -m pytest -q -p no:cacheprovider tests/test_shard.py -k smoke
 
 echo
 echo "== end-to-end benchmark smoke (every name benchmarks/e2e imports) =="

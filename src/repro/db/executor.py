@@ -8,6 +8,7 @@ selection, and a projection — all the Section-2 queries need.
 
 from __future__ import annotations
 
+import os
 import sys
 from typing import (
     Any,
@@ -74,6 +75,10 @@ class Operator:
         """Materialize the operator's output."""
         return list(self.rows())
 
+    def describe(self) -> str:
+        """The operator's line in ``EXPLAIN``."""
+        return type(self).__name__
+
 
 class SeqScan(Operator):
     """Scan one relation, qualifying column names with the alias.
@@ -97,6 +102,9 @@ class SeqScan(Operator):
         for row in self.relation.scan(strict=self.strict):
             yield {f"{self.alias}.{k}": v for k, v in row.items()}
 
+    def describe(self) -> str:
+        return f"SeqScan({self.relation.name} AS {self.alias})"
+
 
 class _Held:
     """One read of a relation: the ``version`` it was read at, tuple id →
@@ -106,7 +114,8 @@ class _Held:
     exactly these rows.  Rows and column are one cache entry, so a
     statement never pairs the rows of one version with the column of
     another.  ``nbytes``/``source`` are what the column cache charges
-    and pins by."""
+    and pins by: a column mapped from the column store weighs nothing
+    (the OS owns its pages), the rows always do."""
 
     __slots__ = ("version", "rows", "n", "clean", "rows_bytes", "column")
     source = None
@@ -121,7 +130,9 @@ class _Held:
     @property
     def nbytes(self) -> int:
         column = self.column
-        return self.rows_bytes + (0 if column is None else column.nbytes)
+        if column is None or column.source is not None:
+            return self.rows_bytes
+        return self.rows_bytes + column.nbytes
 
 
 class VectorScan(SeqScan):
@@ -153,18 +164,35 @@ class VectorScan(SeqScan):
     ``storage.quarantined`` on every statement.  A kept read is shared
     between statements and threads: its rows are never mutated, and its
     column is set once, from those rows.
+
+    Where the column's bytes live is decided in one place
+    (:meth:`_build_column`): with a column store configured
+    (:func:`repro.vector.store.set_store`) they are the mapped files
+    under ``<store root>/<relation>.<attr>``, served as stored or written
+    from the kept stored arrays; otherwise they are built in memory.
+    ``backend`` names the operator-table column
+    (:mod:`repro.vector.backends`) the batch predicates run on.
     """
 
-    #: The operator-table backend (:mod:`repro.vector.backends`) this
-    #: scan is planned for and evaluates its batch predicates on.
+    #: The backend a scan evaluates on unless planned for another.
     backend = "vector"
 
     def __init__(self, relation: Relation, alias: Optional[str] = None,
                  attr: Optional[str] = None, strict: bool = True,
-                 workers: Optional[int] = None):
+                 backend: str = backend):
         super().__init__(relation, alias, strict)
         self.attr = attr
-        self.workers = workers
+        self.backend = backend
+        from repro.vector.store import get_store
+
+        store = get_store()
+        #: The attribute's column-store directory — one per (relation,
+        #: attribute), so two relations never interleave manifest
+        #: generations — or None when no store is configured.
+        self.store_root: Optional[str] = (
+            None if store is None or attr is None
+            else os.path.join(store.root, f"{relation.name}.{attr}")
+        )
         #: Attribute names the rows carry; ``None`` means all.  The
         #: planner starts a single-relation statement's scan from the
         #: empty set and every operator above adds what it names
@@ -315,7 +343,10 @@ class VectorScan(SeqScan):
             self._mappings = [empty if v is None else v for v in values]
         return self._mappings
 
-    def _build_column(self) -> Any:
+    def _transcribe(self, held: _Held) -> Any:
+        """The column of ``held``'s rows, built in memory: the stored
+        unit arrays reinterpreted (nothing unpacked) for a materialized
+        relation, the live mappings otherwise."""
         from repro.vector.columns import UPointColumn
 
         if self.relation.store is None:
@@ -323,12 +354,35 @@ class VectorScan(SeqScan):
         import numpy as np
 
         at = self._attr_index()
-        held = self.held()
         return UPointColumn.from_unit_arrays(
-            [stored[at].arrays[0] for stored in held.values()],
-            lanes=np.fromiter(held, np.int64, len(held)),
-            n_objects=self.n_tuples,
+            [stored[at].arrays[0] for stored in held.rows.values()],
+            lanes=np.fromiter(held.rows, np.int64, len(held.rows)),
+            n_objects=held.n,
         )
+
+    def _build_column(self, held: _Held) -> Any:
+        """The column of ``held``'s rows, from wherever its bytes live.
+
+        With a column store, a clean read is served the stored
+        generation when it has one lane per tuple (the cold-start
+        saving: nothing is built), else its transcription is persisted
+        and mapped back.  An unusable store directory degrades to the
+        in-memory column; a read that quarantined a tuple never reaches
+        the store — its column, like its rows, is this scan's alone.
+        """
+        if self.store_root is None or not held.clean:
+            return self._transcribe(held)
+        from repro.vector.store import ColumnStore
+
+        store = ColumnStore(self.store_root)
+        column = store.load_current("upoint", held.n)
+        if column is None:
+            column = self._transcribe(held)
+            try:
+                column = store.persist("upoint", column, n_objects=held.n)
+            except (OSError, StorageError):
+                pass  # degraded: the in-memory transcription
+        return column
 
     def column(self):
         """The attribute's unit column, built by the first statement to
@@ -336,7 +390,7 @@ class VectorScan(SeqScan):
         held = self._state()
         column = held.column
         if column is None:
-            column = held.column = self._build_column()
+            column = held.column = self._build_column(held)
             self._keep(held)
         return column
 
@@ -345,119 +399,18 @@ class VectorScan(SeqScan):
         per tuple id."""
         from repro.vector.backends import on_column
 
-        return on_column(op, self.column(), args, self.backend, self.workers)
+        return on_column(op, self.column(), args, self.backend)
 
     def rows(self) -> Iterator[Row]:
         return self.rows_at(list(self.held()))
 
-
-class ParallelScan(VectorScan):
-    """A :class:`VectorScan` whose batch predicates run chunked over the
-    shared-memory process pool (:mod:`repro.parallel`).
-
-    Identical row output; only the table column differs, and it degrades
-    to the single-process kernels (counted under ``parallel.fallback.*``)
-    whenever the pool is unavailable or the fleet is too small to
-    out-earn dispatch.
-    """
-
-    backend = "parallel"
-
-
-class MmapScan(VectorScan):
-    """A :class:`VectorScan` whose columns come from the persistent
-    column store (:mod:`repro.vector.store`) instead of a per-process
-    transcription of the tuple store.
-
-    Row output is identical; only the column acquisition differs: an
-    intact store generation is served as views of the mapped files (the
-    cold-start path this operator exists for, counted under
-    ``colstore.hits``), a missing/corrupt/stale one is rebuilt from the
-    scanned mappings and re-persisted (``colstore.rebuilds``).  Planned
-    for the ``parallel`` backend, batch predicates dispatch through the
-    pool like a :class:`ParallelScan` — workers then map the same files
-    (``colstore.mmap_direct``) rather than receiving a shm copy.
-    """
-
-    def __init__(self, relation: Relation, alias: Optional[str] = None,
-                 attr: Optional[str] = None, strict: bool = True,
-                 store_root: Optional[str] = None,
-                 backend: str = VectorScan.backend,
-                 workers: Optional[int] = None):
-        super().__init__(relation, alias, attr, strict, workers)
-        self.store_root = store_root
-        self.backend = backend
-        self._column: Any = None
-
-    def _store_column(self) -> Any:
-        from repro.vector.store import ColumnStore
-
-        if self.store_root is None:
-            return None
-        store = ColumnStore(self.store_root)
-        # Serve straight from disk when the stored generation has one
-        # lane per tuple of the relation — without building anything,
-        # which is the whole cold-start saving.  Anything else is
-        # rebuilt from the unpacked mappings.
-        try:
-            col = store.load_current("upoint", self.n_tuples)
-            if col is None:
-                col = store.rebuild("upoint", self.mappings())
-            return col
-        except (OSError, StorageError):
-            return None  # degraded: in-memory transcription below
-
-    def column(self):
-        if self._column is None:
-            self._column = self._store_column()
-        if self._column is None:
-            return super().column()
-        return self._column
-
-
-class ShardedScan(VectorScan):
-    """A :class:`VectorScan` tiled into fleet shards, batch predicates
-    answered by scatter-gather (:mod:`repro.shard`).
-
-    Row output is identical; the difference is physical: the attribute's
-    mappings are packed into ``n_shards`` equal-count spatial tiles of
-    their bounding cubes (whole objects, row order kept within a shard),
-    each a shard fleet with its own columns held under a byte-budgeted
-    :class:`~repro.shard.manager.ShardManager` — window predicates prune
-    whole shards by their bounding cubes before any column is mapped,
-    and the per-shard kernel outputs gather back bit-identical to the
-    unsharded batch (the ``tests/test_shard_properties.py`` identity).
-    """
-
-    backend = "sharded"
-
-    def __init__(self, relation: Relation, alias: Optional[str] = None,
-                 attr: Optional[str] = None, strict: bool = True,
-                 shards: int = 2, workers: Optional[int] = None,
-                 memory_budget: Optional[int] = None):
-        super().__init__(relation, alias, attr, strict, workers)
-        self.n_shards = max(1, int(shards))
-        self.memory_budget = memory_budget
-        self._manager: Any = None
-
-    def manager(self):
-        """The scan's shard manager (partitioned lazily, cached)."""
-        if self._manager is None:
-            from repro.shard.fleet import ShardedFleet
-            from repro.shard.manager import ShardManager
-
-            self._manager = ShardManager(
-                ShardedFleet(self.mappings(), self.n_shards),
-                budget=self.memory_budget,
-            )
-        return self._manager
-
-    def batch(self, op: str, *args: Any) -> Any:
-        """Operator-table operation ``op`` scattered over the shards,
-        gathered into one lane per row."""
-        from repro.shard.exec import sharded
-
-        return sharded(op, self.manager(), args, self.workers, self.backend)
+    def describe(self) -> str:
+        text = f"VectorScan({self.relation.name} AS {self.alias}, attr={self.attr}"
+        if self.backend != VectorScan.backend:
+            text += f", backend={self.backend}"
+        if self.store_root is not None:
+            text += f", store={self.store_root}"
+        return text + ")"
 
 
 class CrossProduct(Operator):
@@ -515,6 +468,9 @@ class HashJoin(Operator):
                 merged.update(rrow)
                 yield merged
 
+    def describe(self) -> str:
+        return f"HashJoin({self.left_key!r} = {self.right_key!r})"
+
 
 class Select(Operator):
     """Filter rows by a boolean expression.
@@ -567,6 +523,11 @@ class Select(Operator):
             if all(test(row) for test in tests):
                 yield row
 
+    def describe(self) -> str:
+        batch = ", ".join(f"{run.op}: {part!r}" for part, run in self.batch)
+        rows = ", ".join(repr(part) for part in self.rest)
+        return f"Select(batch=[{batch}], rows=[{rows}])"
+
 
 class Project(Operator):
     """Evaluate output expressions, producing named result columns."""
@@ -579,6 +540,9 @@ class Project(Operator):
         outputs = [(name, _Bound(expr)) for name, expr in self.outputs]
         for row in self.child.rows():
             yield {name: value(row) for name, value in outputs}
+
+    def describe(self) -> str:
+        return f"Project({', '.join(name for name, _e in self.outputs)})"
 
 
 class Sort(Operator):
@@ -599,6 +563,9 @@ class Sort(Operator):
                 key=lambda row: _unwrap(value(row)), reverse=descending
             )
         return iter(materialized)
+
+    def describe(self) -> str:
+        return f"Sort({len(self.keys)} key(s))"
 
 
 _AGGREGATES = {
@@ -667,6 +634,10 @@ class Aggregate(Operator):
                 out[name] = fn(vals) if vals or func == "count" else None
             yield out
 
+    def describe(self) -> str:
+        aggs = ", ".join(f"{f}({n})" for n, f, _a in self.aggregates)
+        return f"Aggregate(groups={len(self.groups)}, {aggs})"
+
 
 class Distinct(Operator):
     """Remove duplicate rows (SELECT DISTINCT)."""
@@ -702,6 +673,9 @@ class Limit(Operator):
                 return
             yield row
             count += 1
+
+    def describe(self) -> str:
+        return f"Limit({self.n})"
 
 
 class IndexFilteredProduct(Operator):
@@ -756,3 +730,9 @@ class IndexFilteredProduct(Operator):
                 merged = dict(lrow)
                 merged.update(right_rows[idx])
                 yield merged
+
+    def describe(self) -> str:
+        return (
+            f"IndexFilteredProduct({self.left_attr} ~ {self.right_attr}, "
+            f"slack={self.slack})"
+        )

@@ -329,31 +329,20 @@ def _make_scan(
 ) -> Operator:
     """Build the scan for one relation, honouring the backend switch.
 
-    A relation with exactly one moving-point attribute is scanned by
-    the scan operator that declares the current backend: a
-    :class:`~repro.db.executor.VectorScan` exposes the attribute
-    columnarly so a selection above it can run as one batch kernel; a
-    :class:`~repro.db.executor.ParallelScan` chunks those kernels over
-    the shared-memory pool; a :class:`~repro.db.executor.ShardedScan`
-    scatters them over hash-partitioned shards under a byte-budgeted
-    shard manager.  Everything else stays a plain :class:`SeqScan`
-    (VectorScan degrades to one when no batch path applies, so results
-    never change).  ``strict=False`` lets the scan quarantine corrupt
-    tuples instead of aborting.
+    On a columnar backend a relation with exactly one moving-point
+    attribute is scanned by a :class:`~repro.db.executor.VectorScan`
+    planned for that backend: it exposes the attribute as a column, so
+    the conjuncts of a selection above it that compile to a batch kernel
+    run relation-wide on the backend's operator-table column.
+    Everything else stays a plain :class:`SeqScan` (VectorScan degrades
+    to one when no batch path applies, so results never change).
+    ``strict=False`` lets the scan quarantine corrupt tuples instead of
+    aborting.
     """
     relation = db.relation(name)
-    from repro.db.executor import (
-        MmapScan, ParallelScan, ShardedScan, VectorScan,
-    )
-    from repro.vector.backends import get_backend
+    from repro.vector.backends import columnar, get_backend
 
-    current = get_backend()
-    scan_cls = next(
-        (c for c in (VectorScan, ParallelScan, ShardedScan)
-         if c.backend == current),
-        None,
-    )
-    if scan_cls is not None:
+    if columnar():
         from repro.storage.records import codec_for
 
         mpoint_attrs = [
@@ -362,37 +351,8 @@ def _make_scan(
             if codec_for(a.type_name).type_name == "mpoint"
         ]
         if len(mpoint_attrs) == 1:
-            if scan_cls is ShardedScan:
-                # Hash-partitioned scan: batch predicates scatter over
-                # the process-wide shard count under the process-wide
-                # memory budget (the CLI's --shards/--memory-budget).
-                from repro import shard as shardmod
-
-                return ShardedScan(
-                    relation, alias, attr=mpoint_attrs[0], strict=strict,
-                    shards=shardmod.get_shards(),
-                    memory_budget=shardmod.get_memory_budget(),
-                )
-            from repro.vector.store import get_store
-
-            store = get_store()
-            if store is not None:
-                # Persistent column store configured (--colstore): plan
-                # an MmapScan so the columns come from disk instead of a
-                # cold per-process rebuild.  Each relation attribute
-                # gets its own subdirectory (one manifest generation per
-                # source, so two relations never interleave).
-                import os
-
-                root = os.path.join(
-                    store.root, f"{relation.name}.{mpoint_attrs[0]}"
-                )
-                return MmapScan(
-                    relation, alias, attr=mpoint_attrs[0], strict=strict,
-                    store_root=root, backend=current,
-                )
-            return scan_cls(
-                relation, alias, attr=mpoint_attrs[0], strict=strict
+            return VectorScan(
+                relation, alias, mpoint_attrs[0], strict, get_backend()
             )
     return SeqScan(relation, alias, strict=strict)
 
@@ -532,80 +492,13 @@ def run_query(db: Database, sql: str, strict: bool = True) -> List[dict]:
 
 
 def explain(db: Database, sql: str) -> str:
-    """Render the physical plan of a query as an indented tree."""
+    """Render the physical plan of a query as an indented tree, one
+    :meth:`~repro.db.executor.Operator.describe` line per operator."""
     plan = plan_query(db, parse_query(sql))
     lines: List[str] = []
 
-    def describe(node) -> str:
-        from repro.db.executor import (
-            Aggregate,
-            CrossProduct,
-            HashJoin,
-            IndexFilteredProduct,
-            Limit,
-            MmapScan,
-            ParallelScan,
-            Project,
-            Select,
-            SeqScan,
-            ShardedScan,
-            Sort,
-            VectorScan,
-        )
-
-        if isinstance(node, ShardedScan):
-            budget = node.memory_budget
-            return (
-                f"ShardedScan({node.relation.name} AS {node.alias}, "
-                f"attr={node.attr}, shards={node.n_shards}, "
-                f"budget={'unbounded' if budget is None else budget})"
-            )
-        if isinstance(node, MmapScan):
-            return (
-                f"MmapScan({node.relation.name} AS {node.alias}, "
-                f"attr={node.attr}, store={node.store_root}, "
-                f"mode={node.backend})"
-            )
-        if isinstance(node, ParallelScan):
-            return (
-                f"ParallelScan({node.relation.name} AS {node.alias}, "
-                f"attr={node.attr}, workers={node.workers or 'auto'})"
-            )
-        if isinstance(node, VectorScan):
-            return (
-                f"VectorScan({node.relation.name} AS {node.alias}, "
-                f"attr={node.attr})"
-            )
-        if isinstance(node, SeqScan):
-            return f"SeqScan({node.relation.name} AS {node.alias})"
-        if isinstance(node, CrossProduct):
-            return "CrossProduct"
-        if isinstance(node, HashJoin):
-            return f"HashJoin({node.left_key!r} = {node.right_key!r})"
-        if isinstance(node, IndexFilteredProduct):
-            return (
-                f"IndexFilteredProduct({node.left_attr} ~ {node.right_attr}, "
-                f"slack={node.slack})"
-            )
-        if isinstance(node, Select):
-            batch = ", ".join(
-                f"{run.op}: {part!r}" for part, run in node.batch
-            )
-            rows = ", ".join(repr(part) for part in node.rest)
-            return f"Select(batch=[{batch}], rows=[{rows}])"
-        if isinstance(node, Project):
-            return f"Project({', '.join(n for n, _e in node.outputs)})"
-        if isinstance(node, Aggregate):
-            aggs = ", ".join(f"{f}({n})" for n, f, _a in node.aggregates)
-            return f"Aggregate(groups={len(node.groups)}, {aggs})"
-        if isinstance(node, Sort):
-            return f"Sort({len(node.keys)} key(s))"
-        if isinstance(node, Limit):
-            return f"Limit({node.n})"
-        return type(node).__name__
-
-    def walk(node, depth: int) -> None:
-        lines.append("  " * depth + describe(node))
+    def walk(node: Operator, depth: int) -> None:
+        lines.append("  " * depth + node.describe())
         for attr in ("child", "left", "right"):
             sub = getattr(node, attr, None)
             if sub is not None:

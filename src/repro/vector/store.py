@@ -155,8 +155,8 @@ class MmapSource:
 
     Carried on ``column.source`` so downstream layers can see (and
     re-open) the backing store: the parallel backend ships this to fork
-    workers instead of copying bytes into shared memory, and EXPLAIN
-    annotates the scan as ``MmapScan``.  ``manifest_crc`` pins the exact
+    workers instead of copying bytes into shared memory, and the column
+    cache pins the entry at cost zero.  ``manifest_crc`` pins the exact
     store generation — a rebuild changes the manifest, so stale worker
     attachments are detected rather than silently served.
     """
@@ -573,6 +573,26 @@ class ColumnStore:
 
     # -- the degrade path --------------------------------------------------
 
+    def persist(
+        self,
+        kind: str,
+        built,
+        fleet_version: Optional[int] = None,
+        n_objects: Optional[int] = None,
+    ):
+        """Save the freshly built column ``built`` (counted
+        ``colstore.rebuilds``) and re-open it from disk so the caller
+        gets a memmap-backed column with ``source`` set; if even the
+        re-open fails (disk gone), ``built`` itself is returned —
+        degraded, never wrong."""
+        if obs.enabled:
+            obs.add("colstore.rebuilds")
+        self.save(kind, built, fleet_version, n_objects=n_objects)
+        try:
+            return self._load(kind)[0]
+        except CorruptColumnError:
+            return built
+
     def rebuild(
         self,
         kind: str,
@@ -580,19 +600,9 @@ class ColumnStore:
         fleet_version: Optional[int] = None,
         **build_kwargs,
     ):
-        """Build ``kind`` from ``mappings`` (counted ``colstore.rebuilds``),
-        persist it, and re-open it from disk so the caller gets a
-        memmap-backed column with ``source`` set; if even the re-open
-        fails (disk gone), the freshly built in-memory column is
-        returned — degraded, never wrong."""
+        """Build ``kind`` from ``mappings`` and :meth:`persist` it."""
         built = column_class(kind).from_mappings(mappings, **build_kwargs)
-        if obs.enabled:
-            obs.add("colstore.rebuilds")
-        self.save(kind, built, fleet_version, n_objects=len(mappings))
-        try:
-            return self._load(kind)[0]
-        except CorruptColumnError:
-            return built
+        return self.persist(kind, built, fleet_version, len(mappings))
 
     def load_or_rebuild(
         self,

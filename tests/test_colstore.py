@@ -301,8 +301,10 @@ class TestLoadOrRebuild:
     def test_served_column_costs_one_manifest_read(self, tmp_path, monkeypatch):
         """Staleness is judged on the manifest entry the column was
         mapped from, not on a second read of the file — for the store's
-        own degrade path and for the SQL scan in front of it."""
-        from repro.db.executor import MmapScan
+        own degrade path and for the SQL scan in front of it, which
+        keeps the mapped column with the rows it read: the next scan of
+        the unchanged relation reads no manifest at all."""
+        from repro.db.executor import VectorScan
 
         wal = Wal()
         db = Database(wal=wal)
@@ -310,7 +312,8 @@ class TestLoadOrRebuild:
         mappings = make_mappings(6)
         for i, m in enumerate(mappings):
             rel.insert([f"s{i}", m])
-        root = os.fspath(tmp_path / "cols")
+        set_store(os.fspath(tmp_path))
+        root = os.fspath(tmp_path / "ships.track")
         db.checkpoint_columns(root, "ships", "track")
         reads = []
         real = ColumnStore._manifest
@@ -320,8 +323,10 @@ class TestLoadOrRebuild:
         obs.reset()
         ColumnStore(root).load_or_rebuild("upoint", mappings)
         assert len(reads) == 1
-        scan = MmapScan(rel, attr="track", store_root=root)
-        assert scan.column().source is not None
+        served = VectorScan(rel, attr="track").column()
+        assert served.source.root == root
+        assert len(reads) == 2
+        assert VectorScan(rel, attr="track").column() is served
         assert len(reads) == 2
         assert counters()["colstore.hits"] == 2
         assert counters().get("colstore.rebuilds", 0) == 0
@@ -480,17 +485,16 @@ class TestBackendParity:
         db = Database()
         db.create_relation("planes", [("id", "string"),
                                       ("flight", "mpoint")])
+        sql = "SELECT id FROM planes WHERE present(flight, 1)"
         set_backend("vector")
-        assert "MmapScan" not in explain(
-            db, "SELECT id FROM planes WHERE present(flight, 1)"
-        )
+        assert "store=" not in explain(db, sql)
         set_store(os.fspath(tmp_path))
-        plan = explain(db, "SELECT id FROM planes WHERE present(flight, 1)")
-        assert "MmapScan(planes" in plan
-        assert "planes.flight" in plan
+        root = os.path.join(os.fspath(tmp_path), "planes.flight")
+        scan = f"VectorScan(planes AS planes, attr=flight, store={root})"
+        assert scan in explain(db, sql)
         set_backend("parallel")
-        assert "mode=parallel" in explain(
-            db, "SELECT id FROM planes WHERE present(flight, 1)"
+        assert scan.replace(", store", ", backend=parallel, store") in explain(
+            db, sql
         )
 
     def test_fleet_helpers_serve_bit_identical_from_store(self, tmp_path):

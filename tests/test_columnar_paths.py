@@ -8,14 +8,15 @@ shape of the work by count rather than by timing:
   eager and ``add_lazy``, strict and quarantining, against
   ``query_naive``;
 * the SQL scans over the same relation held in memory and materialized
-  (some unit arrays inline, some in FLOB pages), on every scan class
-  including the mmap store, intact and with one tuple corrupted;
+  (some unit arrays inline, some in FLOB pages), on every planner
+  configuration including the mmap store, intact and with one tuple
+  corrupted;
 * ``UPointColumn.from_unit_arrays`` against ``from_mappings``, array by
   array, and its vectorised validation against the codec's;
 * late materialisation by count: which values are unpacked, how often a
   FLOB chain is read;
-* the two reproduced bugs: a quarantined tuple under ``MmapScan`` and
-  the EPSILON-wide band around a region's bounding box.
+* the two reproduced bugs: a quarantined tuple under a store-backed
+  scan and the EPSILON-wide band around a region's bounding box.
 """
 
 import math
@@ -311,9 +312,13 @@ def _rows(db, text, strict=True):
 
 
 class _scan_class:
-    """Plan the next statements on one of the five scan classes."""
+    """Plan the next statements under one of the five planner
+    configurations: the row loop, the three columnar backends over an
+    in-memory column, and ``vector`` over the column store (``mmap``)."""
 
     NAMES = ("scalar", "vector", "parallel", "sharded", "mmap")
+    #: The ones that plan a ``VectorScan``.
+    COLUMNAR = NAMES[1:]
 
     def __init__(self, name, tmp):
         self.name, self.tmp = name, tmp
@@ -650,17 +655,15 @@ class TestKeptScanState:
             if name == "scalar":  # the row loop: reads and unpacks it all
                 assert work() == first == (2, 2, 6)
                 return
-            # A sharded scan tiles the unpacked flights anew per
-            # statement; every other one never unpacks a flight here.
-            flights = 6 if name == "sharded" else 0
-            assert work() == (0, 0, flights)
-            assert work() == (0, 0, flights)
+            # No columnar configuration ever unpacks a flight here.
+            assert first[2] == 0
+            assert work() == (0, 0, 0)
+            assert work() == (0, 0, 0)
             rel.invalidate()
-            assert work()[:2] == (2, 2)
-            assert work() == (0, 0, flights)
+            assert work() == (2, 2, 0)
+            assert work() == (0, 0, 0)
 
-    # (A sharded scan's shard columns come and go in the same cache.)
-    @pytest.mark.parametrize("name", ["vector", "parallel", "mmap"])
+    @pytest.mark.parametrize("name", _scan_class.COLUMNAR)
     def test_kept_state_is_charged_to_the_column_cache(self, name, tmp_path):
         from repro.vector import cache
 
@@ -681,6 +684,56 @@ class TestKeptScanState:
                 db.query(self.Q1)
             assert c.get("colcache.invalidations") >= 1
             assert cache._CACHE.resident_bytes == held  # replaced, not added
+
+    @pytest.mark.parametrize("name", _scan_class.COLUMNAR)
+    def test_a_repeated_statement_adds_nothing_to_the_cache(
+        self, name, tmp_path
+    ):
+        """Regression: under ``sharded`` every statement tiled the
+        relation into fresh shard fleets and left their columns in the
+        process cache — dead entries charged against its budget."""
+        from repro import shard as shardmod
+        from repro.vector import cache
+
+        db, _rel, _pages = _planes(n=12, flob={1, 4})
+        shardmod.set_shards(4)
+        try:
+            with _scan_class(name, os.fspath(tmp_path)):
+                sizes = []
+                for _ in range(6):
+                    db.query("SELECT id FROM planes WHERE present(flight, 12.0)")
+                    sizes.append(
+                        (len(cache._CACHE), cache._CACHE.resident_bytes)
+                    )
+        finally:
+            shardmod.set_shards(1)
+        assert sizes[0][0] == 1 and sizes[1:] == sizes[:1] * 5
+
+    def test_a_store_backed_column_is_mapped_once_per_version(self, tmp_path):
+        """Regression: the store-backed column was re-validated and
+        re-mapped by every statement, beside the kept rows' cache hit."""
+        db, rel, _pages = _planes(n=6, flob={1, 4})
+
+        def colstore_counts():
+            with obs.capture() as c:
+                rows = db.query("SELECT id FROM planes WHERE present(flight, 12.0)")
+            assert [r["id"].value for r in rows] == ["F1"]
+            counted = c.snapshot()["counters"]
+            return {k: v for k, v in counted.items() if k.startswith("colstore.")}
+
+        with _scan_class("mmap", os.fspath(tmp_path)):
+            built = colstore_counts()
+            assert built["colstore.rebuilds"] == 1 and built["colstore.bytes_mapped"]
+            assert colstore_counts() == {}
+            rel.invalidate()  # same tuples: the stored generation is served
+            served = colstore_counts()
+            assert served["colstore.hits"] == served["colstore.validations"] == 1
+            assert served["colstore.bytes_mapped"] == built["colstore.bytes_mapped"]
+            assert "colstore.rebuilds" not in served
+            assert colstore_counts() == {}
+            rel.insert(["F6", 6, _track(6)])
+            assert colstore_counts()["colstore.rebuilds"] == 1
+            assert colstore_counts() == {}
 
     def test_a_damaged_relation_is_never_kept(self):
         db, rel, _pages = _planes(n=4, flob={1})

@@ -17,10 +17,13 @@ import pytest
 
 from repro import obs
 from repro.ranges.interval import Interval
+from repro.ops.interaction import mregion_atinstant
 from repro.ranges.rangeset import RangeSet
-from repro.temporal.mapping import MovingReal
+from repro.temporal.mapping import MovingReal, MovingRegion
 from repro.temporal.refinement import refinement_partition
 from repro.temporal.ureal import UReal
+from repro.temporal.uregion import URegion
+from repro.workloads.regions import regular_polygon
 
 
 def stepped_mreal(n: int, t0: float = 0.0) -> MovingReal:
@@ -32,6 +35,26 @@ def stepped_mreal(n: int, t0: float = 0.0) -> MovingReal:
         for k in range(n)
     ]
     return MovingReal(units, validate=False)
+
+
+def drifting_mregion(units: int, sides: int) -> MovingRegion:
+    """A moving region of ``units`` units, each a ``sides``-gon drifting
+    one step along a heading that turns every unit (so adjacent unit
+    functions differ, the mapping's minimality invariant)."""
+    out = []
+    cx = cy = 0.0
+    for k in range(units):
+        heading = (k % 4) * math.pi / 2.0 + 0.3
+        nx, ny = cx + math.cos(heading), cy + math.sin(heading)
+        out.append(
+            URegion.between_regions(
+                float(k), regular_polygon((cx, cy), 1.0, sides),
+                k + 1.0, regular_polygon((nx, ny), 1.0, sides),
+                validate="none",
+            ).with_interval(Interval(float(k), k + 1.0, True, k == units - 1))
+        )
+        cx, cy = nx, ny
+    return MovingRegion(out, validate=False)
 
 
 @pytest.fixture(autouse=True)
@@ -147,6 +170,36 @@ class TestSection51Probes:
         with obs.capture():
             counted = [m.unit_at(t) for t in ts]
         assert counted == plain
+
+    def test_a1_counter_probes_logarithmic(self):
+        """The whole Section-5.1 operation, ``atinstant`` on a moving
+        region: O(log n) probes to find the unit, then exactly ``r``
+        moving segments evaluated, whatever ``n`` is."""
+        probes = []
+        for n in (16, 256, 4096):
+            mr = drifting_mregion(units=n, sides=8)
+            t = mr.start_time() + 0.37 * (mr.end_time() - mr.start_time())
+            with obs.capture() as c:
+                region = mregion_atinstant(mr, t, structured=False)
+            assert region.area() > 0
+            assert c.get("atinstant.msegs_evaluated") == 8
+            probes.append(c.get("mapping.unit_at.probes"))
+            assert 1 <= probes[-1] <= math.ceil(math.log2(n)) + 2
+        # 256x more units may add only ~log2(256) = 8 probes.
+        assert probes[-1] - probes[0] <= 9
+
+    def test_a1_counter_result_size_linear(self):
+        """Evaluation counts grow exactly with r while lookup stays
+        O(log n)."""
+        for r in (16, 64, 256):
+            mr = drifting_mregion(units=4, sides=r)
+            with obs.capture() as c:
+                region = mregion_atinstant(
+                    mr, mr.start_time() + 1.7, structured=False
+                )
+            assert len(region.segments()) == r
+            assert c.get("atinstant.msegs_evaluated") == r
+            assert c.get("mapping.unit_at.probes") <= math.ceil(math.log2(4)) + 2
 
 
 class TestSection52Refinement:

@@ -292,6 +292,25 @@ class TestParallelEquivalence:
         assert obs.get("parallel.fallback") == 0
 
 
+def test_v5_smoke_parallel_equivalence(small_min_objects):
+    """2 workers, a fleet big enough to chunk: an instant and a window
+    scan answer exactly as the single-process kernels, chunked dispatch
+    engaged and nothing degraded."""
+    col = UPointColumn.from_mappings(make_fleet(400, seed=5))
+    rect, t, (t0, t1) = Rect(-800, -800, 800, 800), 40.0, (10.0, 60.0)
+    with obs.capture() as counted:
+        at = parallel_atinstant(col, t, workers=2)
+        window = parallel_window_intervals(col, rect, t0, t1, workers=2)
+    for got, want in zip(at, atinstant_batch(col, t)):
+        assert np.array_equal(got, want, equal_nan=True)
+    assert at[2].any()
+    for got, want in zip(window, window_intervals_batch(col, rect, t0, t1)):
+        assert np.array_equal(got, want)
+    assert len(window[0]) > 0
+    assert counted.get("parallel.chunks") >= 2
+    assert counted.get("parallel.fallback") == 0
+
+
 class TestFallbacks:
     def test_single_worker_falls_back(self, small_min_objects):
         col = UPointColumn.from_mappings(make_fleet(10))
@@ -443,15 +462,17 @@ class TestSqlWiring:
         from repro.db.sql import explain
 
         set_backend("parallel")
+        set_workers(2)  # the pool's business, not the plan's
         plan = explain(planes_db, SQL_QUERIES[0])
-        assert "ParallelScan(planes" in plan
-        assert "workers=auto" in plan
+        assert "VectorScan(planes AS planes, attr=flight, backend=parallel)" in plan
+        assert "workers" not in plan
         set_backend("vector")
-        assert "VectorScan(planes" in explain(planes_db, SQL_QUERIES[0])
+        plan = explain(planes_db, SQL_QUERIES[0])
+        assert "VectorScan(planes AS planes, attr=flight)" in plan
 
     def test_small_relation_falls_back_counted(self, planes_db):
-        # 3 rows is far below PARALLEL_MIN_OBJECTS: the ParallelScan
-        # plans, dispatch degrades to the in-process kernel, counted.
+        # 3 rows is far below PARALLEL_MIN_OBJECTS: the scan plans for
+        # the pool, dispatch degrades to the in-process kernel, counted.
         set_backend("parallel")
         set_workers(2)
         obs.reset()

@@ -574,11 +574,12 @@ class TestSqlWiring:
         set_backend("sharded")
         shardmod.set_shards(3)
         plan = explain(db, SQL_QUERIES[0])
-        assert "ShardedScan(planes" in plan
-        assert "shards=3" in plan
-        assert "budget=unbounded" in plan
+        assert "VectorScan(planes AS planes, attr=flight, backend=sharded)" in plan
+        # A relation is not partitioned: --shards / --memory-budget tile
+        # registered fleets, and the plan does not claim otherwise.
         shardmod.set_memory_budget(64 * 1024)
-        assert "budget=65536" in explain(db, SQL_QUERIES[0])
+        assert explain(db, SQL_QUERIES[0]) == plan
+        assert "shards" not in plan and "budget" not in plan
 
     def test_budgeted_scan_parity(self):
         db = planes_db()
@@ -742,3 +743,37 @@ def test_v10_smoke_shard_equivalence(monkeypatch):
     t = mappings[0].units[0].interval.s
     for g, w in zip(sharded_atinstant(manager, t), atinstant_batch(col, t)):
         assert g.tobytes() == w.tobytes()
+
+
+def test_v10_smoke_shard_bench(tmp_path):
+    """2 persisted shards under a budget a quarter of their column
+    bytes: nothing resident, then a cold scatter, a warm one and a sweep
+    that visits both tiles — every answer bit-identical to the unsharded
+    kernel, the budget never exceeded, and kept only by evicting."""
+    mappings = make_fleet(400, seed=2000)
+    fleet = ShardedFleet(mappings, 2)
+    root = os.fspath(tmp_path)
+    staging = ShardManager(fleet, root=root)
+    staging.persist(kinds=("upoint", "bbox"))
+    total = staging.total_column_bytes()
+    manager = ShardManager(fleet, root=root, budget=total // 4)
+    flat = UPointColumn.from_mappings(mappings)  # the unsharded oracle
+    windows = []
+    for s in (0, 1, 0, 1):  # one object's cube from each tile, twice
+        cube = mappings[int(fleet.globals_of(s)[0])].bounding_cube()
+        windows.append(
+            (Rect(cube.xmin, cube.ymin, cube.xmax, cube.ymax),
+             cube.tmin, cube.tmax)
+        )
+    with obs.capture() as counted:
+        manager.evict_all()
+        clear_cache()
+        for rect, t0, t1 in windows[:1] + windows:  # cold, warm, sweep
+            got = sharded_window_intervals(manager, rect, t0, t1)
+            want = window_intervals_batch(flat, rect, t0, t1)
+            assert len(want[0]) > 0
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+        high_water = counted.snapshot()["gauges"].get("shard.resident_bytes", 0.0)
+    assert 0 < high_water <= total // 4
+    assert counted.get("shard.evictions") >= 1
