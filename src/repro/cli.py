@@ -168,13 +168,12 @@ def cmd_snapshot(args: argparse.Namespace) -> int:
     """
     from repro.vector.cache import Fleet
     from repro.vector.fleet import fleet_atinstant, fleet_count_inside, get_backend
-    from repro.vector.store import get_store
     from repro.workloads.regions import regular_polygon
     from repro.workloads.trajectories import FlightGenerator
 
     gen = FlightGenerator(seed=args.seed)
-    # A versioned Fleet (not a bare list) so the column cache — and the
-    # persistent store behind --colstore — can serve repeated queries.
+    # A versioned Fleet (not a bare list) so the column cache can serve
+    # repeated queries.
     fleet = Fleet(gen.flight(legs=4) for _ in range(args.objects))
     t0 = min(m.deftime().minimum for m in fleet)
     t1 = max(m.deftime().maximum for m in fleet)
@@ -185,9 +184,6 @@ def cmd_snapshot(args: argparse.Namespace) -> int:
     xs = [p.x for p in defined]
     ys = [p.y for p in defined]
     print(f"backend: {get_backend()}")
-    store = get_store()
-    if store is not None:
-        print(f"colstore: {store.root}")
     print(f"fleet: {len(fleet)} objects over [{t0:g}, {t1:g}]")
     print(f"snapshot at t={t:g}: {len(defined)} defined, "
           f"{len(fleet) - len(defined)} ⊥")
@@ -391,15 +387,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "CLOCK-evicted to stay under it (default: unbounded)",
     )
     parser.add_argument(
-        "--colstore",
-        default=None,
-        metavar="DIR",
-        help="persistent column store directory (repro.vector.store): "
-        "fleet columns are memory-mapped from DIR instead of rebuilt "
-        "from scratch on every process start; missing or corrupt files "
-        "are rebuilt and re-persisted",
-    )
-    parser.add_argument(
         "--faults",
         default=None,
         metavar="SPEC",
@@ -557,10 +544,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         from repro import shard
 
         shard.set_memory_budget(args.memory_budget_bytes)
-    if args.colstore is not None:
-        from repro.vector.store import set_store
-
-        set_store(args.colstore)
     if not args.profile:
         return args.fn(args)
     from repro import obs

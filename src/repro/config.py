@@ -61,10 +61,8 @@ DEFAULT_WORKERS: int = 0
 PARALLEL_MIN_OBJECTS: int = 1024
 
 #: Byte budget of the fleet-identity column cache: the resident bytes of
-#: unpinned (heap-backed) cached columns are held at or under this by
-#: CLOCK eviction (:mod:`repro.residency`).  Memmap-pinned entries are
-#: exempt — their pages belong to the OS, and re-opening a store column
-#: costs validation, not memory.  High-water tracked as ``colcache.bytes``.
+#: cached columns are held at or under this by CLOCK eviction
+#: (:mod:`repro.residency`).  High-water tracked as ``colcache.bytes``.
 COLCACHE_BYTES: int = 256 * 1024 * 1024
 
 #: Default shard count of :mod:`repro.shard` spatially tiled fleets.

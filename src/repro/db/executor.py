@@ -8,7 +8,6 @@ selection, and a projection — all the Section-2 queries need.
 
 from __future__ import annotations
 
-import os
 import sys
 from typing import (
     Any,
@@ -113,12 +112,10 @@ class _Held:
     first statement that needs it — the attribute's column built from
     exactly these rows.  Rows and column are one cache entry, so a
     statement never pairs the rows of one version with the column of
-    another.  ``nbytes``/``source`` are what the column cache charges
-    and pins by: a column mapped from the column store weighs nothing
-    (the OS owns its pages), the rows always do."""
+    another.  ``nbytes`` is what the column cache charges: the rows,
+    and the column once it is built."""
 
     __slots__ = ("version", "rows", "n", "clean", "rows_bytes", "column")
-    source = None
 
     def __init__(self, version: int, rows: Dict[int, List[Any]], n: int,
                  rows_bytes: int):
@@ -130,9 +127,7 @@ class _Held:
     @property
     def nbytes(self) -> int:
         column = self.column
-        if column is None or column.source is not None:
-            return self.rows_bytes
-        return self.rows_bytes + column.nbytes
+        return self.rows_bytes + (0 if column is None else column.nbytes)
 
 
 class VectorScan(SeqScan):
@@ -165,11 +160,6 @@ class VectorScan(SeqScan):
     between statements and threads: its rows are never mutated, and its
     column is set once, from those rows.
 
-    Where the column's bytes live is decided in one place
-    (:meth:`_build_column`): with a column store configured
-    (:func:`repro.vector.store.set_store`) they are the mapped files
-    under ``<store root>/<relation>.<attr>``, served as stored or written
-    from the kept stored arrays; otherwise they are built in memory.
     ``backend`` names the operator-table column
     (:mod:`repro.vector.backends`) the batch predicates run on.
     """
@@ -183,16 +173,6 @@ class VectorScan(SeqScan):
         super().__init__(relation, alias, strict)
         self.attr = attr
         self.backend = backend
-        from repro.vector.store import get_store
-
-        store = get_store()
-        #: The attribute's column-store directory — one per (relation,
-        #: attribute), so two relations never interleave manifest
-        #: generations — or None when no store is configured.
-        self.store_root: Optional[str] = (
-            None if store is None or attr is None
-            else os.path.join(store.root, f"{relation.name}.{attr}")
-        )
         #: Attribute names the rows carry; ``None`` means all.  The
         #: planner starts a single-relation statement's scan from the
         #: empty set and every operator above adds what it names
@@ -344,9 +324,9 @@ class VectorScan(SeqScan):
         return self._mappings
 
     def _transcribe(self, held: _Held) -> Any:
-        """The column of ``held``'s rows, built in memory: the stored
-        unit arrays reinterpreted (nothing unpacked) for a materialized
-        relation, the live mappings otherwise."""
+        """The column of ``held``'s rows: the stored unit arrays
+        reinterpreted (nothing unpacked) for a materialized relation,
+        the live mappings otherwise."""
         from repro.vector.columns import UPointColumn
 
         if self.relation.store is None:
@@ -360,37 +340,13 @@ class VectorScan(SeqScan):
             n_objects=held.n,
         )
 
-    def _build_column(self, held: _Held) -> Any:
-        """The column of ``held``'s rows, from wherever its bytes live.
-
-        With a column store, a clean read is served the stored
-        generation when it has one lane per tuple (the cold-start
-        saving: nothing is built), else its transcription is persisted
-        and mapped back.  An unusable store directory degrades to the
-        in-memory column; a read that quarantined a tuple never reaches
-        the store — its column, like its rows, is this scan's alone.
-        """
-        if self.store_root is None or not held.clean:
-            return self._transcribe(held)
-        from repro.vector.store import ColumnStore
-
-        store = ColumnStore(self.store_root)
-        column = store.load_current("upoint", held.n)
-        if column is None:
-            column = self._transcribe(held)
-            try:
-                column = store.persist("upoint", column, n_objects=held.n)
-            except (OSError, StorageError):
-                pass  # degraded: the in-memory transcription
-        return column
-
     def column(self):
         """The attribute's unit column, built by the first statement to
         ask and kept with the rows it was built from."""
         held = self._state()
         column = held.column
         if column is None:
-            column = held.column = self._build_column(held)
+            column = held.column = self._transcribe(held)
             self._keep(held)
         return column
 
@@ -408,8 +364,6 @@ class VectorScan(SeqScan):
         text = f"VectorScan({self.relation.name} AS {self.alias}, attr={self.attr}"
         if self.backend != VectorScan.backend:
             text += f", backend={self.backend}"
-        if self.store_root is not None:
-            text += f", store={self.store_root}"
         return text + ")"
 
 

@@ -63,7 +63,7 @@ from repro.temporal.upoint import UPoint
 from repro.vector.cache import clear_cache, column_for_versioned
 from repro.vector.columns import UPointColumn
 from repro.vector.kernels import window_intervals_batch
-from repro.vector.store import ColumnStore, clear_store, set_store
+from repro.vector.store import ColumnStore
 
 __all__ = [
     "MatrixEntry",
@@ -493,47 +493,43 @@ def _group_commit(run: Run) -> str:
     no torn columns."""
     baseline = _tracks(run.seed, 4)
     wal = Wal()
-    with tempfile.TemporaryDirectory(prefix="faultmatrix_") as root:
-        try:
-            clear_cache()
-            set_store(root)
-            ex = FleetExecutor()
-            fleet = ex.register_fleet(FLEET, baseline)
-            column_for_versioned(fleet, "upoint")  # persist the baseline column
+    try:
+        clear_cache()
+        ex = FleetExecutor()
+        fleet = ex.register_fleet(FLEET, baseline)
+        column_for_versioned(fleet, "upoint")  # build the baseline column
+        commit(wal, ex, [
+            IngestRequest(FLEET, 0, (100.0, 0.0, 0.0, 101.5, 1.0, 1.0))
+        ])
+        column_for_versioned(fleet, "upoint")  # splice the ingest into it
+        with run.armed():
             commit(wal, ex, [
-                IngestRequest(FLEET, 0, (100.0, 0.0, 0.0, 101.5, 1.0, 1.0))
+                IngestRequest(FLEET, 1, (200.0, 5.0, 5.0, 201.5, 6.0, 6.0))
             ])
-            column_for_versioned(fleet, "upoint")  # extend the stored column
-            with run.armed():
-                commit(wal, ex, [
-                    IngestRequest(FLEET, 1, (200.0, 5.0, 5.0, 201.5, 6.0, 6.0))
-                ])
-            wal.crash()  # whatever was buffered dies with the process
-            # "Restart": drop every live object, rebind the store directory,
-            # rebuild the boot-time fleet, and replay the durable WAL prefix.
-            del ex, fleet
-            clear_cache()
-            set_store(root)
-            ex2 = FleetExecutor()
-            fleet2 = ex2.register_fleet(FLEET, baseline)
-            replayed = replay_ingest(wal, ex2)
-            counts = [len(m.units) for m in fleet2]
-            expected = [TRACK_UNITS] * len(baseline)
-            expected[0] += 1  # the first batch was durable before the crash
-            durable = run.row.failpoint == "server.ingest_crash"
-            if durable:
-                expected[1] += 1  # synced pre-apply: replay must resurrect it
-            if counts != expected:
-                raise ScenarioFailed(
-                    f"replayed unit counts {counts!r} != expected {expected!r}"
-                )
-            _, col = column_for_versioned(fleet2, "upoint")
-            _expect_column(col, list(fleet2),
-                           "post-recovery column differs from rebuild")
-        finally:
-            clear_store()
-            clear_cache()
-            wal.close()
+        wal.crash()  # whatever was buffered dies with the process
+        # "Restart": drop every live object, rebuild the boot-time
+        # fleet, and replay the durable WAL prefix.
+        del ex, fleet
+        clear_cache()
+        ex2 = FleetExecutor()
+        fleet2 = ex2.register_fleet(FLEET, baseline)
+        replayed = replay_ingest(wal, ex2)
+        counts = [len(m.units) for m in fleet2]
+        expected = [TRACK_UNITS] * len(baseline)
+        expected[0] += 1  # the first batch was durable before the crash
+        durable = run.row.failpoint == "server.ingest_crash"
+        if durable:
+            expected[1] += 1  # synced pre-apply: replay must resurrect it
+        if counts != expected:
+            raise ScenarioFailed(
+                f"replayed unit counts {counts!r} != expected {expected!r}"
+            )
+        _, col = column_for_versioned(fleet2, "upoint")
+        _expect_column(col, list(fleet2),
+                       "post-recovery column differs from rebuild")
+    finally:
+        clear_cache()
+        wal.close()
     detail = ("durable batch resurrected by replay" if durable
               else "unsynced batch absent after replay")
     return f"{replayed} unit(s) replayed; {detail}"

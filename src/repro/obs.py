@@ -183,8 +183,6 @@ COUNTER_NAMES: FrozenSet[str] = frozenset({
     "rtree.bulk_loaded",
     # incremental column maintenance (live ingest)
     "colcache.extended",
-    "colstore.extends",
-    "colstore.rewrites",
     # query service (repro.server)
     "server.sessions",
     "server.queries",

@@ -19,15 +19,16 @@ exactly this).
 Recovery is per shard: each shard directory has its own CRC'd manifest,
 so :meth:`verify_and_repair` rebuilds a corrupt shard alone
 (``shard.rebuilds``) while its siblings' files are untouched.  A store
-is stamped with the shard's *generation* — its version and a CRC of its
-membership — so files persisted for other members (another fleet, or
-this one under another placement) are rebuilt, never served.
+is stamped with its shard fleet's :attr:`~repro.vector.cache.Fleet.stamp`
+and served only to that fleet object at that version: files another
+fleet wrote — in an earlier process, under another placement, or a
+second fleet over an old root — are rebuilt and overwritten, never
+served.
 """
 
 from __future__ import annotations
 
 import os
-import zlib
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -77,8 +78,6 @@ class ShardManager:
         self._lock = dynlock.rlock("shard.manager")
         self._resident: Residency[int, _Resident] = Residency(on_evict=self._dropped)
         self._stores: Dict[int, ColumnStore] = {}
-        # shard -> (shard version, generation stamp at that version)
-        self._stamps: Dict[int, Tuple[int, int]] = {}
 
     # -- configuration ------------------------------------------------------
 
@@ -145,25 +144,6 @@ class ShardManager:
             col = self.column(s, "bbox")
         return col, col.keys_int64()
 
-    def _generation(self, s: int) -> int:
-        """The stamp a store of shard ``s`` must carry to be served: the
-        shard's version above a CRC32 of its membership and bound.
-
-        Version and object count alone cannot tell two same-sized shards
-        apart — and equal-count tiles are all the same size — so files
-        persisted for other members would be served as this shard's.
-        Members and bound change only with the version, so the sum is
-        taken once per version, not once per map.
-        """
-        fleet = self.fleet
-        version = fleet.shards[s].version
-        held = self._stamps.get(s)
-        if held is None or held[0] != version:
-            crc = zlib.crc32(fleet.globals_of(s).tobytes())
-            crc = zlib.crc32(repr(fleet.bounds(s)).encode(), crc)
-            held = self._stamps[s] = (version, (version << 32) | crc)
-        return held[1]
-
     def _map_column(self, s: int, kind: str) -> Tuple[Any, Any]:
         """``(version, column)`` for one shard, preferring its store.
         Caller holds the lock."""
@@ -171,9 +151,7 @@ class ShardManager:
         st = self._store(s)
         if st is not None:
             try:
-                col = st.load_or_rebuild(
-                    kind, shard, fleet_version=self._generation(s)
-                )
+                col = st.load_or_rebuild(kind, shard, fleet_version=shard.stamp)
                 return shard.version, col
             except (OSError, StorageError):
                 pass  # store unusable: degrade to the in-memory build
@@ -243,7 +221,6 @@ class ShardManager:
             st = self._store(s)
             assert st is not None
             shard = self.fleet.shards[s]
-            generation = self._generation(s)
             built: Dict[str, Any] = {}
             for kind in kinds:
                 # The boxes derive from the unit column when that is in
@@ -253,14 +230,14 @@ class ShardManager:
                     if kind == "bbox" and "upoint" in built else {}
                 )
                 built[kind] = st.load_or_rebuild(
-                    kind, shard, fleet_version=generation, **derive
+                    kind, shard, fleet_version=shard.stamp, **derive
                 )
 
     def verify_and_repair(self, kinds: Tuple[str, ...] = ("upoint",)) -> List[int]:
         """Verify every shard store's payload CRCs; rebuild corrupt ones.
 
-        A shard that fails deep verification, or whose store was built
-        for another generation of it (:meth:`_generation`), is rebuilt
+        A shard that fails deep verification, or whose store does not
+        carry its fleet's current stamp, is rebuilt
         *alone* from its shard fleet (``shard.rebuilds``) — sibling
         directories are never touched, let alone invalidated.  Returns
         the rebuilt shard ids.
@@ -271,19 +248,18 @@ class ShardManager:
                 st = self._store(s)
                 if st is None or not st.exists():
                     continue
-                generation = self._generation(s)
+                shard = self.fleet.shards[s]
                 try:
                     st.verify()
-                    if all(st.fleet_version(k) == generation for k in kinds):
+                    if all(st.fleet_version(k) == shard.stamp for k in kinds):
                         continue
                 except (CorruptColumnError, StorageError, OSError):
                     pass
-                shard = self.fleet.shards[s]
                 for kind in kinds:
                     st.save(
                         kind,
                         column_class(kind).from_mappings(shard),
-                        fleet_version=generation,
+                        fleet_version=shard.stamp,
                         n_objects=len(shard),
                     )
                 # The rebuilt files replace whatever the resident entry

@@ -31,13 +31,14 @@ a ``version`` keeps values under :meth:`ColumnCache.lookup` /
 from __future__ import annotations
 
 import operator
+import os
 import weakref
 from collections.abc import MutableSequence
 from typing import Any, Hashable, Iterable, List, Optional, Set, Tuple
 
 from repro import config, obs
 from repro.analysis import dynlock
-from repro.errors import InvalidValue, StorageError
+from repro.errors import InvalidValue
 from repro.residency import Residency
 from repro.vector.columns import KINDS, column_class
 
@@ -59,15 +60,23 @@ class Fleet(MutableSequence[Any]):
     structural mutations (deletions, mid-sequence inserts, slice
     assignment, :meth:`invalidate`) shift indices and poison the log
     back to a full rebuild.
+
+    The version restarts at 0 in every fleet, so outside the process it
+    says nothing; :attr:`stamp` is what a stored copy of a column is
+    signed with.
     """
 
     __slots__ = (
-        "_items", "_version", "_changes", "_floor", "_members", "__weakref__",
+        "_items", "_version", "_changes", "_floor", "_members", "_identity",
+        "__weakref__",
     )
 
     def __init__(self, items: Iterable[Any] = ()):
         self._items: List[Any] = list(items)
         self._version = 0
+        # 128 random bits: no other Fleet, in this or any process, draws
+        # the same ones.
+        self._identity = int.from_bytes(os.urandom(16), "big")
         # (version, members at that version), built on first ask.
         self._members: Optional[Tuple[int, Tuple[Any, ...]]] = None
         # (version, object index) per mutation; index -1 = structural.
@@ -78,6 +87,14 @@ class Fleet(MutableSequence[Any]):
     def version(self) -> int:
         """Monotonic mutation stamp; changes iff the fleet changed."""
         return self._version
+
+    @property
+    def stamp(self) -> int:
+        """This fleet object at this version, as one integer (identity
+        above a 64-bit version): what a column store is stamped with
+        (``fleet_version=``), so a stored generation is served only to
+        the object that wrote it, at the version it wrote it."""
+        return (self._identity << 64) | self._version
 
     def _record(self, idx: int) -> None:
         self._version += 1
@@ -171,12 +188,12 @@ class ColumnCache:
     could hold N huge columns while evicting small ones, so an entry
     costs its column's ``nbytes`` and the shared CLOCK policy
     (:mod:`repro.residency`) evicts until the total fits the budget
-    (``config.COLCACHE_BYTES`` unless overridden per instance).  Entries
-    whose column is memmap-backed (``column.source`` names its
-    :mod:`repro.vector.store`) are *pinned* at cost zero: nearly free to
-    keep resident (the OS owns the pages) but costly to re-open and
-    re-validate.  The unpinned high-water mark is tracked as the
-    ``colcache.bytes`` gauge.
+    (``config.COLCACHE_BYTES`` unless overridden per instance).  Every
+    entry is built in memory and charged; a column mapped from a
+    :mod:`repro.vector.store` never enters (the
+    :class:`~repro.shard.manager.ShardManager` that mapped it charges
+    it).  The high-water mark is tracked as the ``colcache.bytes``
+    gauge.
     """
 
     __slots__ = ("_budget", "_entries", "_lock")
@@ -186,7 +203,7 @@ class ColumnCache:
         # (id(owner), kind or slot) -> (version, weakref, column or value)
         self._entries: Residency[
             Tuple[int, Hashable], Tuple[int, Any, Any]
-        ] = Residency(is_pinned=lambda entry: entry[2].source is not None)
+        ] = Residency()
         # The query service reads columns from executor threads while
         # the ingest path mutates fleets; every cache operation that
         # touches the entry table runs under this lock.  Re-entrant
@@ -200,7 +217,7 @@ class ColumnCache:
 
     @property
     def resident_bytes(self) -> int:
-        """Current unpinned resident bytes (the budgeted quantity)."""
+        """Current resident bytes (the budgeted quantity)."""
         with self._lock:
             return self._entries.total
 
@@ -269,8 +286,8 @@ class ColumnCache:
             return None
 
     def keep(self, owner: Any, slot: Hashable, version: int, value: Any) -> None:
-        """Hold ``value`` (anything with ``nbytes`` and ``source``) for
-        ``owner`` under ``slot``, charged to the budget like a column.
+        """Hold ``value`` (anything with ``nbytes``) for ``owner`` under
+        ``slot``, charged to the budget like a column.
 
         ``version`` is ``owner.version`` as read *before* ``value`` was
         built.  Versions only rise and move after a change is visible,
@@ -299,7 +316,7 @@ class ColumnCache:
             # column when the fleet's changelog pins exactly which
             # ones they are — O(changed) instead of a full rebuild.
             new_version = fleet.version
-            spliced = self._try_extend(fleet, kind, version, column)
+            spliced = self._try_extend(fleet, version, column)
             if spliced is not None and fleet.version == new_version:
                 if obs.enabled:
                     obs.counters.add("colcache.extended")
@@ -311,7 +328,7 @@ class ColumnCache:
         if obs.enabled:
             obs.counters.add("colcache.misses")
         version = fleet.version
-        column = self._build(fleet, kind, version)
+        column = KINDS[kind].from_mappings(fleet)
         self._store_entry(key, version, weakref.ref(fleet), column)
         return version, column
 
@@ -321,57 +338,23 @@ class ColumnCache:
         """Insert or replace one entry, then fit the cache to its budget
         (a splice that grew the column pays like a fresh build); keeps
         the ``colcache.bytes`` high-water gauge.  Caller holds the lock."""
-        cost = 0 if column.source is not None else column.nbytes
-        self._entries.put(key, (version, ref, column), cost)
-        if cost:
-            obs.high_water("colcache.bytes", float(self._entries.total))
+        self._entries.put(key, (version, ref, column), column.nbytes)
+        obs.high_water("colcache.bytes", float(self._entries.total))
         budget = self._budget if self._budget is not None else config.COLCACHE_BYTES
         self._entries.fit(max(budget, 0))
 
     @staticmethod
-    def _try_extend(
-        fleet: Fleet, kind: str, old_version: int, column: Any
-    ) -> Optional[Any]:
-        """``column`` spliced forward to ``fleet.version`` (persisted, if
-        store-backed), or None when only a full rebuild is sound
-        (structural mutation, trimmed changelog, splice-incompatible)."""
+    def _try_extend(fleet: Fleet, old_version: int, column: Any) -> Optional[Any]:
+        """``column`` spliced forward to ``fleet.version``, or None when
+        only a full rebuild is sound (structural mutation, trimmed
+        changelog, splice-incompatible)."""
         changed = fleet.changes_since(old_version)
         if not changed:
             return None
-        items = fleet.members()
         try:
-            newcol = column.extended(items, changed)
+            return column.extended(fleet.members(), changed)
         except (InvalidValue, IndexError):
             return None
-        from repro.vector import store as storemod
-
-        st = storemod.store_for(fleet)
-        if st is not None and column.source is not None:
-            try:
-                return st.extend_or_save(
-                    kind, newcol, min(changed),
-                    fleet_version=fleet.version, n_objects=len(items),
-                )
-            except (OSError, StorageError):
-                pass  # store unusable: keep the in-memory splice
-        return newcol
-
-    @staticmethod
-    def _build(fleet: Fleet, kind: str, version: int) -> Any:
-        """Build one column: from the bound persistent store (memmap-
-        backed) when one is configured for this fleet, else in memory."""
-        from repro.vector import store as storemod
-
-        st = storemod.store_for(fleet)
-        if st is not None:
-            try:
-                return st.load_or_rebuild(kind, fleet, fleet_version=version)
-            except (OSError, StorageError):
-                # Store directory unusable (permissions, disk full):
-                # degrade to a plain in-memory build, never fail the
-                # query over a persistence problem.
-                pass
-        return KINDS[kind].from_mappings(fleet)
 
 
 #: Process-wide cache used by the fleet helpers and the query engine.

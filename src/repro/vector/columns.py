@@ -63,11 +63,10 @@ class Column:
     """What every column kind answers (the rows of :data:`KINDS`).
 
     A kind declares ``KIND``, ``FILES`` — the ordered ``(file name,
-    record dtype)`` pairs it persists as, the last one locating objects
-    (see ``rewrite_points``) — and ``ARRAYS``, the attribute names of its
-    payload arrays in constructor order; and implements ``from_mappings``,
-    ``records()`` / ``from_records(arrays)`` (one array per file),
-    ``from_arrays``, ``stored_nbytes(mappings)``, ``rewrite_points`` and
+    record dtype)`` pairs it persists as — and ``ARRAYS``, the attribute
+    names of its payload arrays in constructor order; and implements
+    ``from_mappings``, ``records()`` / ``from_records(arrays)`` (one
+    array per file), ``from_arrays``, ``stored_nbytes(mappings)`` and
     ``chunk(lo, hi)``.
     """
 
@@ -233,22 +232,6 @@ class UnitColumn(Column):
             [rec[name] for name in cls.UNIT_DTYPE.names],
         )
         return col
-
-    @staticmethod
-    def rewrite_points(offsets: np.ndarray, min_changed: int) -> List[int]:
-        """Per-file record index from which stored bytes change when every
-        object below ``min_changed`` kept its exact unit rows.
-
-        Objects are contiguous in fleet order, so the units file changes
-        from the first changed object's CSR offset and the offsets file
-        from entry ``min_changed + 1`` (the entries up to and including
-        ``min_changed`` are sums over unchanged objects).
-        """
-        old_n = len(offsets) - 1
-        return [
-            int(offsets[min(min_changed, old_n)]),
-            min(min_changed + 1, old_n + 1),
-        ]
 
     def chunk(self, lo: int, hi: int):
         """Object-range ``[lo, hi)`` slice, (nearly) zero-copy: the unit
@@ -656,13 +639,6 @@ class BBoxColumn(Column):
             setattr(col, name, rec[name])
         col.source = None
         return col
-
-    @staticmethod
-    def rewrite_points(rec: np.ndarray, min_changed: int) -> List[int]:
-        """Record index from which the stored file changes when every
-        object below ``min_changed`` is unchanged: the first record whose
-        key is a changed object (records are in ascending key order)."""
-        return [int(np.searchsorted(rec["key"], min_changed))]
 
     def chunk(self, lo: int, hi: int) -> "BBoxColumn":
         """Entry-range ``[lo, hi)`` slice (array views, keys kept)."""

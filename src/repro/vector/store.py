@@ -10,10 +10,18 @@ plus CSR ``offsets.bin`` files — the stacked root records), with a small
 header and a CRC-checked JSON manifest tying the files together.  What a
 kind is — builder, record layout, file names — is read from that table;
 nothing here names one.  Because the file payload is byte-identical to the
-numpy struct dtypes the batch kernels already consume, a warm process
-restart maps each file once (one descriptor: header ``pread``, ``fstat``,
-read-only ``mmap``, ``np.frombuffer``) instead of a full tuple-store
-rebuild — the cold-start rebuild this PR kills.
+numpy struct dtypes the batch kernels already consume, opening a stored
+column maps each file once (one descriptor: header ``pread``, ``fstat``,
+read-only ``mmap``, ``np.frombuffer``) and builds nothing.
+
+A store is a derived copy of its fleet's units, so it is served only to
+a caller that can show the copy is still theirs.  Two can: a
+:class:`~repro.shard.manager.ShardManager`, which stamps each shard
+directory with the shard fleet's :attr:`~repro.vector.cache.Fleet.stamp`
+(``fleet_version=`` — opaque here, compared for equality) and is served
+only what that same fleet object wrote at that same version; and
+``Database.checkpoint_columns`` / ``recover``, whose WAL record vouches
+for the manifest CRC across a restart.  Nothing else opens a store.
 
 File layout (all little-endian)::
 
@@ -51,7 +59,6 @@ import json
 import mmap
 import os
 import struct
-import weakref
 import zlib
 from typing import Any, Dict, Optional, Sequence, Tuple
 
@@ -65,9 +72,6 @@ __all__ = [
     "COLUMN_KINDS",
     "ColumnStore",
     "MmapSource",
-    "clear_store",
-    "get_store",
-    "set_store",
 ]
 
 #: Column-file header: magic, format version, reserved, record count.
@@ -90,11 +94,6 @@ def _dtype_hash(dtype: np.dtype) -> int:
     rejected before a mapped view can misinterpret it.
     """
     return zlib.crc32(str(dtype.descr).encode("utf-8"))
-
-
-def _file_entry(count: int, crc: int, dtype: np.dtype) -> dict:
-    """One file's manifest entry."""
-    return {"count": count, "crc32": crc, "dtype_crc32": _dtype_hash(dtype)}
 
 
 def _check_header(name: str, head: bytes, count: int) -> None:
@@ -155,10 +154,10 @@ class MmapSource:
 
     Carried on ``column.source`` so downstream layers can see (and
     re-open) the backing store: the parallel backend ships this to fork
-    workers instead of copying bytes into shared memory, and the column
-    cache pins the entry at cost zero.  ``manifest_crc`` pins the exact
-    store generation — a rebuild changes the manifest, so stale worker
-    attachments are detected rather than silently served.
+    workers instead of copying bytes into shared memory.
+    ``manifest_crc`` pins the exact store generation — a rebuild changes
+    the manifest, so stale worker attachments are detected rather than
+    silently served.
     """
 
     __slots__ = ("root", "kind", "manifest_crc")
@@ -255,38 +254,6 @@ class ColumnStore:
             os.fsync(fh.fileno())
         os.replace(tmp, self.path(name))
 
-    def _replace_records(self, name: str, dtype: np.dtype, rec: np.ndarray) -> dict:
-        """Write one column file whole; its manifest entry."""
-        body = rec.tobytes()
-        self._replace(name, HEADER.pack(MAGIC, FORMAT_VERSION, 0, len(rec)), body)
-        return _file_entry(len(rec), zlib.crc32(body), dtype)
-
-    def _commit(
-        self,
-        payload: dict,
-        kind: str,
-        files: Dict[str, dict],
-        fleet_version: Optional[int],
-        n_objects: Optional[int],
-    ) -> None:
-        """Point the manifest at the files just written for ``kind``."""
-        entry: Dict[str, object] = {"files": files}
-        if fleet_version is not None:
-            entry["fleet_version"] = int(fleet_version)
-        if n_objects is not None:
-            entry["n_objects"] = int(n_objects)
-        payload["format"] = FORMAT_VERSION
-        payload["columns"][kind] = entry
-        if faults.active:
-            faults.fail("colstore.manifest_crash")
-        body = json.dumps(payload, sort_keys=True).encode("utf-8")
-        self._replace(
-            MANIFEST_NAME,
-            json.dumps(
-                {"crc32": zlib.crc32(body), "payload": payload}, sort_keys=True
-            ).encode("utf-8"),
-        )
-
     def save(
         self,
         kind: str,
@@ -316,112 +283,31 @@ class ColumnStore:
         for (name, dtype), rec in zip(layout, arrays):
             if faults.active:
                 faults.fail("colstore.write_crash")
-            files[name] = self._replace_records(
-                name, dtype, np.ascontiguousarray(rec, dtype=dtype)
+            records = np.ascontiguousarray(rec, dtype=dtype).tobytes()
+            self._replace(
+                name, HEADER.pack(MAGIC, FORMAT_VERSION, 0, len(rec)), records
             )
-        self._commit(payload, kind, files, fleet_version, n_objects)
-
-    def extend_or_save(
-        self,
-        kind: str,
-        column,
-        min_changed: int,
-        fleet_version: Optional[int] = None,
-        n_objects: Optional[int] = None,
-    ):
-        """Grow the stored files in place so they describe ``column``.
-
-        ``column`` is the fleet's current (already spliced) column and
-        ``min_changed`` the lowest object index whose mapping changed
-        since the stored generation — everything below it is a verified
-        byte-identical file prefix, so only the tail from the per-file
-        rewrite point is written (payload CRCs updated incrementally
-        from the unchanged prefix, counted ``colstore.extends``).  When
-        the store holds no usable generation, the fleet shrank, or the
-        tail write fails, this degrades to a full :meth:`save` (counted
-        ``colstore.rewrites``).  Like :meth:`load_or_rebuild`, the
-        result is re-opened from disk so the caller gets a memmap-backed
-        column with ``source`` set, or ``column`` itself if even the
-        re-open fails.
-
-        Crash safety matches :meth:`save`: per-file writes first
-        (``colstore.write_crash`` between files, ``colstore.
-        manifest_crash`` before the manifest), CRC manifest last, so a
-        torn extension leaves a file whose size or header count
-        disagrees with the durable manifest and every reader rejects it
-        as :class:`CorruptColumnError` instead of serving torn records.
-
-        Mapping safety: live queries may still hold mapped views
-        of the *current* files (pinned snapshots), so stored bytes are
-        never mutated in place — a file is either purely appended to
-        (existing record range untouched; the old fixed-shape views
-        cannot see past their count) or rewritten whole to a temporary
-        and renamed over (the old views keep the old inode).
-        """
-        cls = column_class(kind)
-        try:
-            done = self._extend_files(cls, column.records(), min_changed)
-        except (CorruptColumnError, OSError, KeyError, TypeError, ValueError):
-            done = None
-        if done is None:
-            if obs.enabled:
-                obs.add("colstore.rewrites")
-            self.save(kind, column, fleet_version, n_objects=n_objects)
-        else:
-            if obs.enabled:
-                obs.add("colstore.extends")
-            payload, files = done
-            self._commit(payload, kind, files, fleet_version, n_objects)
-        try:
-            return self._load(kind)[0]
-        except CorruptColumnError:
-            return column
-
-    def _extend_files(
-        self, cls: type, arrays: Sequence[np.ndarray], min_changed: int
-    ) -> Optional[Tuple[dict, Dict[str, dict]]]:
-        """Tail-write every file of kind ``cls``; None ⇒ not extendable."""
-        payload = self.manifest()  # a copy: ``_commit`` writes into it
-        entry = payload["columns"].get(cls.KIND)
-        if entry is None:
-            return None
-        # The kind's last file locates objects; it alone says where each
-        # file's records start to differ (Column.rewrite_points).
-        name, dtype = cls.FILES[-1]
-        points = cls.rewrite_points(
-            self._open_file(name, dtype, entry["files"][name]), min_changed
+            files[name] = {
+                "count": len(rec),
+                "crc32": zlib.crc32(records),
+                "dtype_crc32": _dtype_hash(dtype),
+            }
+        entry: Dict[str, object] = {"files": files}
+        if fleet_version is not None:
+            entry["fleet_version"] = int(fleet_version)
+        if n_objects is not None:
+            entry["n_objects"] = int(n_objects)
+        payload["format"] = FORMAT_VERSION
+        payload["columns"][kind] = entry
+        if faults.active:
+            faults.fail("colstore.manifest_crash")
+        body = json.dumps(payload, sort_keys=True).encode("utf-8")
+        self._replace(
+            MANIFEST_NAME,
+            json.dumps(
+                {"crc32": zlib.crc32(body), "payload": payload}, sort_keys=True
+            ).encode("utf-8"),
         )
-        files: Dict[str, dict] = {}
-        for (name, dtype), rec, k in zip(cls.FILES, arrays, points):
-            finfo = entry["files"][name]
-            old_count, old_crc = int(finfo["count"]), int(finfo["crc32"])
-            if int(finfo["dtype_crc32"]) != _dtype_hash(dtype):
-                return None
-            rec = np.ascontiguousarray(rec, dtype=dtype)
-            if len(rec) < old_count or k > old_count:
-                return None  # shrunk or inconsistent: full save instead
-            if faults.active:
-                faults.fail("colstore.write_crash")
-            if k == old_count:
-                # Pure append: grow the file past the record range any
-                # live memmap view covers, then bump the header count.
-                tail = rec[k:].tobytes()
-                # modlint: disable=MOD009 deliberate in-place append: only bytes past every pinned view's record range are written, readers are gated by the header count + manifest CRC (fsynced below), and a rename here would orphan live memmaps
-                with open(self.path(name), "r+b") as fh:
-                    fh.seek(HEADER.size + k * dtype.itemsize)
-                    fh.write(tail)
-                    fh.truncate(HEADER.size + len(rec) * dtype.itemsize)
-                    fh.seek(0)
-                    fh.write(HEADER.pack(MAGIC, FORMAT_VERSION, 0, len(rec)))
-                    fh.flush()
-                    os.fsync(fh.fileno())
-                files[name] = _file_entry(
-                    len(rec), zlib.crc32(tail, old_crc), dtype
-                )
-            else:
-                # Records before old_count changed: whole-file rewrite.
-                files[name] = self._replace_records(name, dtype, rec)
-        return payload, files
 
     # -- reading ----------------------------------------------------------
 
@@ -573,26 +459,6 @@ class ColumnStore:
 
     # -- the degrade path --------------------------------------------------
 
-    def persist(
-        self,
-        kind: str,
-        built,
-        fleet_version: Optional[int] = None,
-        n_objects: Optional[int] = None,
-    ):
-        """Save the freshly built column ``built`` (counted
-        ``colstore.rebuilds``) and re-open it from disk so the caller
-        gets a memmap-backed column with ``source`` set; if even the
-        re-open fails (disk gone), ``built`` itself is returned —
-        degraded, never wrong."""
-        if obs.enabled:
-            obs.add("colstore.rebuilds")
-        self.save(kind, built, fleet_version, n_objects=n_objects)
-        try:
-            return self._load(kind)[0]
-        except CorruptColumnError:
-            return built
-
     def rebuild(
         self,
         kind: str,
@@ -600,9 +466,19 @@ class ColumnStore:
         fleet_version: Optional[int] = None,
         **build_kwargs,
     ):
-        """Build ``kind`` from ``mappings`` and :meth:`persist` it."""
+        """Build ``kind`` from ``mappings``, save it (counted
+        ``colstore.rebuilds``) and re-open it from disk so the caller
+        gets a memmap-backed column with ``source`` set; if even the
+        re-open fails (disk gone), the built column itself is returned —
+        degraded, never wrong."""
         built = column_class(kind).from_mappings(mappings, **build_kwargs)
-        return self.persist(kind, built, fleet_version, len(mappings))
+        if obs.enabled:
+            obs.add("colstore.rebuilds")
+        self.save(kind, built, fleet_version, n_objects=len(mappings))
+        try:
+            return self._load(kind)[0]
+        except CorruptColumnError:
+            return built
 
     def load_or_rebuild(
         self,
@@ -618,54 +494,3 @@ class ColumnStore:
         if col is None:
             col = self.rebuild(kind, mappings, fleet_version, **build_kwargs)
         return col
-
-
-# ---------------------------------------------------------------------------
-# Process-wide active store (set by the CLI's --colstore flag)
-# ---------------------------------------------------------------------------
-
-_ACTIVE: Optional[str] = None
-#: The one fleet the active store serves.  Column files are keyed by
-#: kind only, so two different fleets sharing a store directory would
-#: overwrite each other's generations; the first fleet to build through
-#: the store claims it (weakly — a collected fleet frees the claim).
-_BOUND: Optional["weakref.ref"] = None
-
-
-def set_store(root: Optional[str]) -> None:
-    """Select the process-wide column store directory (None disables)."""
-    global _ACTIVE, _BOUND
-    _ACTIVE = os.fspath(root) if root is not None else None
-    _BOUND = None
-
-
-def get_store() -> Optional[ColumnStore]:
-    """The active :class:`ColumnStore`, or None when not configured."""
-    if _ACTIVE is None:
-        return None
-    return ColumnStore(_ACTIVE)
-
-
-def store_for(fleet) -> Optional[ColumnStore]:
-    """The active store, iff it serves ``fleet``.
-
-    The first weak-referenceable fleet to ask claims the store; other
-    fleets get None and build in memory, so a shared directory can never
-    interleave two fleets' generations.
-    """
-    global _BOUND
-    store = get_store()
-    if store is None:
-        return None
-    try:
-        if _BOUND is None or _BOUND() is None:
-            _BOUND = weakref.ref(fleet)
-            return store
-    except TypeError:
-        return None  # not weak-referenceable: cannot track its claim
-    return store if _BOUND() is fleet else None
-
-
-def clear_store() -> None:
-    """Forget the active store (test teardown)."""
-    set_store(None)

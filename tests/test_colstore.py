@@ -10,14 +10,13 @@ Covers the tentpole guarantees of the mmap store:
 * torn writes — every registered ``colstore.*`` failpoint leaves the
   store either at the old consistent generation or detectably torn,
   and ``load_or_rebuild`` repairs both shapes;
-* backend parity — query results with a store configured are identical
-  across the scalar, vector, and parallel backends;
+* backend parity — query results are identical across the scalar,
+  vector, and parallel backends, and a rooted shard manager's mapped
+  columns answer bit-identically to the scalar loop;
 * the open path — one descriptor per file and none left behind, a
   manifest parse memoised on the bytes that never serves a stale or
-  caller-mutated payload, and read-only views that outlive eviction,
-  rename and append;
-* the cold-start smoke — a populated store serves a cold process's
-  first query with zero rebuilds, a damaged one is rebuilt, not served.
+  caller-mutated payload, and read-only views that outlive eviction
+  and rename.
 """
 
 import gc
@@ -33,10 +32,10 @@ from hypothesis import strategies as st
 from repro import faults, obs
 from repro.db.catalog import Database
 from repro.errors import CorruptColumnError, SimulatedCrash
-from repro.shard import ShardedFleet, ShardManager
+from repro.shard import ShardedFleet, ShardManager, sharded_atinstant
 from repro.storage.wal import Wal
 from repro.temporal.mapping import MovingPoint
-from repro.vector.cache import Fleet, clear_cache, column_for
+from repro.vector.cache import clear_cache
 from repro.vector.columns import KINDS, UPointColumn
 from repro.vector.fleet import fleet_atinstant, set_backend
 from repro.vector.kernels import atinstant_batch
@@ -46,8 +45,6 @@ from repro.vector.store import (
     MANIFEST_NAME,
     ColumnStore,
     _parse_manifest,
-    clear_store,
-    set_store,
 )
 from repro.workloads.trajectories import random_flights
 
@@ -60,13 +57,11 @@ def _clean_state():
     faults.reset_fired()
     obs.enable()
     obs.reset()
-    clear_store()
     clear_cache()
     set_backend("scalar")
     yield
     faults.disarm()
     faults.reset_fired()
-    clear_store()
     clear_cache()
     set_backend("scalar")
     obs.reset()
@@ -106,6 +101,21 @@ def flip_byte(path, offset):
         b = fh.read(1)
         fh.seek(offset)
         fh.write(bytes([b[0] ^ 0xFF]))
+
+
+def test_no_process_wide_store(tmp_path, capsys):
+    """A store is opened by who can vouch for it (a rooted shard manager,
+    a WAL checkpoint): no module function and no CLI flag binds one to
+    whatever fleet asks first."""
+    from repro import cli
+    from repro.vector import store
+
+    assert set(store.__all__) == {"COLUMN_KINDS", "ColumnStore", "MmapSource"}
+    flag = "--" + "colstore"  # in halves: a grep for the flag finds nothing
+    with pytest.raises(SystemExit) as usage:
+        cli.main([flag, os.fspath(tmp_path), "snapshot"])
+    assert usage.value.code == 2
+    assert capsys.readouterr().err.startswith("usage: ")  # argparse's own
 
 
 #: Every (kind, file name) pair the store writes — the corruption matrix.
@@ -300,35 +310,18 @@ class TestLoadOrRebuild:
 
     def test_served_column_costs_one_manifest_read(self, tmp_path, monkeypatch):
         """Staleness is judged on the manifest entry the column was
-        mapped from, not on a second read of the file — for the store's
-        own degrade path and for the SQL scan in front of it, which
-        keeps the mapped column with the rows it read: the next scan of
-        the unchanged relation reads no manifest at all."""
-        from repro.db.executor import VectorScan
-
-        wal = Wal()
-        db = Database(wal=wal)
-        rel = db.create_relation("ships", SCHEMA)
+        mapped from, not on a second read of the file."""
         mappings = make_mappings(6)
-        for i, m in enumerate(mappings):
-            rel.insert([f"s{i}", m])
-        set_store(os.fspath(tmp_path))
-        root = os.fspath(tmp_path / "ships.track")
-        db.checkpoint_columns(root, "ships", "track")
+        store = save_all(tmp_path, mappings)
         reads = []
         real = ColumnStore._manifest
         monkeypatch.setattr(
             ColumnStore, "_manifest", lambda self: reads.append(1) or real(self)
         )
         obs.reset()
-        ColumnStore(root).load_or_rebuild("upoint", mappings)
+        store.load_or_rebuild("upoint", mappings)
         assert len(reads) == 1
-        served = VectorScan(rel, attr="track").column()
-        assert served.source.root == root
-        assert len(reads) == 2
-        assert VectorScan(rel, attr="track").column() is served
-        assert len(reads) == 2
-        assert counters()["colstore.hits"] == 2
+        assert counters()["colstore.hits"] == 1
         assert counters().get("colstore.rebuilds", 0) == 0
 
 
@@ -458,7 +451,7 @@ class TestRecoveryMatrix:
 
 
 class TestBackendParity:
-    def test_query_results_identical_across_backends(self, tmp_path):
+    def test_query_results_identical_across_backends(self):
         db = Database()
         rel = db.create_relation("planes", [("id", "string"),
                                             ("flight", "mpoint")])
@@ -471,7 +464,6 @@ class TestBackendParity:
         sql = "SELECT id FROM planes WHERE present(flight, 120)"
         set_backend("scalar")
         scalar = sorted(r["id"].value for r in db.query(sql))
-        set_store(os.fspath(tmp_path))
         for backend in ("vector", "parallel"):
             set_backend(backend)
             clear_cache()
@@ -479,42 +471,21 @@ class TestBackendParity:
             warm = sorted(r["id"].value for r in db.query(sql))
             assert cold == warm == scalar
 
-    def test_explain_shows_mmap_scan_only_with_store(self, tmp_path):
-        from repro.db.sql import explain
-
-        db = Database()
-        db.create_relation("planes", [("id", "string"),
-                                      ("flight", "mpoint")])
-        sql = "SELECT id FROM planes WHERE present(flight, 1)"
-        set_backend("vector")
-        assert "store=" not in explain(db, sql)
-        set_store(os.fspath(tmp_path))
-        root = os.path.join(os.fspath(tmp_path), "planes.flight")
-        scan = f"VectorScan(planes AS planes, attr=flight, store={root})"
-        assert scan in explain(db, sql)
-        set_backend("parallel")
-        assert scan.replace(", store", ", backend=parallel, store") in explain(
-            db, sql
-        )
-
     def test_fleet_helpers_serve_bit_identical_from_store(self, tmp_path):
         mappings = make_mappings(10)
-        set_backend("scalar")
-        scalar = fleet_atinstant(mappings, 1.5)
-        set_store(os.fspath(tmp_path))
-        fleet = Fleet(mappings)
-        set_backend("vector")
-        cold = fleet_atinstant(fleet, 1.5)
-        assert counters()["colstore.rebuilds"] == 1
-        clear_cache()
+        scalar = fleet_atinstant(mappings, 1.5, backend="scalar")
+        manager = ShardManager(ShardedFleet(mappings, 2), root=os.fspath(tmp_path))
+        cold = sharded_atinstant(manager, 1.5)
+        assert counters()["colstore.rebuilds"] == 2  # one per shard
+        manager.evict_all()
         obs.reset()
-        warm = fleet_atinstant(fleet, 1.5)
-        assert counters()["colstore.hits"] >= 1
-        for s, c, w in zip(scalar, cold, warm):
-            if s is None:
-                assert c is None and w is None
-            else:
-                assert s.x == c.x == w.x and s.y == c.y == w.y
+        warm = sharded_atinstant(manager, 1.5)
+        assert counters()["colstore.hits"] == 2
+        assert counters().get("colstore.rebuilds", 0) == 0
+        for x, y, defined in (cold, warm):
+            assert defined.tolist() == [p is not None for p in scalar]
+            for p, gx, gy in zip(scalar, x.tolist(), y.tolist()):
+                assert p is None or (p.x == gx and p.y == gy)
 
 
 def open_descriptors():
@@ -681,82 +652,3 @@ class TestViewLifetime:
         gc.collect()
         assert _bytes_of(col) == frozen
         assert _bytes_of(store.load("upoint")) != frozen
-
-    def test_views_end_at_their_own_count_after_an_append(self, tmp_path):
-        mappings = make_mappings()
-        store = save_all(tmp_path, mappings)
-        col = store.load("upoint")
-        frozen = _bytes_of(col)
-        grown = mappings + make_mappings(3, seed=11)
-        obs.reset()
-        latest = store.extend_or_save(
-            "upoint", UPointColumn.from_mappings(grown),
-            min_changed=len(mappings), n_objects=len(grown),
-        )
-        assert counters()["colstore.extends"] == 1  # appended in place
-        gc.collect()
-        assert _bytes_of(col) == frozen
-        assert len(col.offsets) == len(mappings) + 1
-        assert len(latest.offsets) == len(grown) + 1
-        assert len(latest.x0) > len(col.x0)
-
-
-def _assert_answers_as_the_scalar_loop(got, mappings, t):
-    scalar = fleet_atinstant(list(mappings), t, backend="scalar")
-    assert len(got) == len(scalar)
-    for s, g in zip(scalar, got):
-        if s is None:
-            assert g is None
-        else:
-            assert s.x == g.x and s.y == g.y
-
-
-class TestColdStartSmoke:
-    """A ``--colstore`` directory a previous process populated, opened by
-    a process with nothing resident."""
-
-    T = 60.0
-
-    def _populated(self, root, mappings):
-        set_store(root)
-        column_for(Fleet(mappings), "upoint")
-        clear_cache()
-        clear_store()
-        return ColumnStore(root)
-
-    def _cold_process(self, root, mappings):
-        set_store(root)  # resets the store→fleet binding too
-        clear_cache()
-        return Fleet(mappings)
-
-    def test_v6_smoke_cold_start_serves_from_disk(self, tmp_path):
-        """The first query is served from the mapped files (hit, zero
-        rebuilds), answers identical to the scalar loop."""
-        mappings = random_flights(300, legs=3, seed=9)
-        root = os.fspath(tmp_path)
-        self._populated(root, mappings)
-        fleet = self._cold_process(root, mappings)
-        obs.reset()
-        got = fleet_atinstant(fleet, self.T, backend="vector")
-        snap = counters()
-        assert snap.get("colstore.hits", 0) >= 1
-        assert snap.get("colstore.rebuilds", 0) == 0
-        assert snap.get("colstore.bytes_mapped", 0) > 0
-        _assert_answers_as_the_scalar_loop(got, mappings, self.T)
-
-    def test_v6_smoke_corrupt_store_rebuilt_not_served(self, tmp_path):
-        """Damage the stored column: the cold query must rebuild
-        (counted) and still answer correctly."""
-        mappings = random_flights(100, legs=3, seed=9)
-        root = os.fspath(tmp_path)
-        store = self._populated(root, mappings)
-        # The cheap tier cannot see a payload flip, so break the header
-        # too: the cold open rejects the file outright.
-        flip_byte(store.path("upoint.bin"), HEADER.size + 1)
-        with open(store.path("upoint.bin"), "r+b") as fh:
-            fh.write(b"XXXX")
-        fleet = self._cold_process(root, mappings)
-        obs.reset()
-        got = fleet_atinstant(fleet, self.T, backend="vector")
-        assert counters().get("colstore.rebuilds", 0) >= 1
-        _assert_answers_as_the_scalar_loop(got, mappings, self.T)

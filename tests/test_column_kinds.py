@@ -9,14 +9,12 @@ a byte count — failing loudly or answering.
 
 import mmap
 import os
-import shutil
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import obs
 from repro.errors import InvalidValue
 from repro.ops.distance import mpoint_static_distance
 from repro.parallel import shmcol
@@ -275,19 +273,6 @@ class TestPinnedLayouts:
             with open(os.path.join(PARENT_STORE, name), "rb") as a, \
                     open(fresh.path(name), "rb") as b:
                 assert a.read() == b.read(), name
-
-        # An in-place extension of the parent's files equals a rebuild.
-        grown = os.fspath(tmp_path / "grown")
-        shutil.copytree(PARENT_STORE, grown)
-        longer = DARRAY_FLEET + [DARRAY_FLEET[0]]
-        with obs.capture() as counters:
-            col = ColumnStore(grown).extend_or_save(
-                "upoint", UPointColumn.from_mappings(longer), 4,
-                fleet_version=8, n_objects=5,
-            )
-            assert counters.get("colstore.extends") == 1
-        same_arrays(col, UPointColumn.from_mappings(longer))
-        ColumnStore(grown).verify()
 
 
 def _bases(a):

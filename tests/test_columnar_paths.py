@@ -9,22 +9,20 @@ shape of the work by count rather than by timing:
   ``query_naive``;
 * the SQL scans over the same relation held in memory and materialized
   (some unit arrays inline, some in FLOB pages), on every planner
-  configuration including the mmap store, intact and with one tuple
-  corrupted;
+  configuration, intact and with one tuple corrupted;
 * ``UPointColumn.from_unit_arrays`` against ``from_mappings``, array by
   array, and its vectorised validation against the codec's;
 * late materialisation by count: which values are unpacked, how often a
   FLOB chain is read;
-* the two reproduced bugs: a quarantined tuple under a store-backed
-  scan and the EPSILON-wide band around a region's bounding box.
+* the two reproduced bugs: a quarantined tuple under a column with one
+  lane per tuple and the EPSILON-wide band around a region's bounding box.
 """
 
 import math
-import os
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro import obs
@@ -47,7 +45,6 @@ from repro.vector.cache import clear_cache
 from repro.vector.columns import UPointColumn
 from repro.vector.fleet import fleet_count_inside, set_backend
 from repro.vector.kernels import inside_prefilter
-from repro.vector.store import clear_store, set_store
 
 BACKENDS = ("scalar", "vector", "parallel", "sharded")
 COLUMN_FIELDS = (
@@ -59,11 +56,9 @@ COLUMN_FIELDS = (
 def _clean_state():
     obs.enable()
     obs.reset()
-    clear_store()
     clear_cache()
     set_backend("scalar")
     yield
-    clear_store()
     clear_cache()
     set_backend("scalar")
     obs.reset()
@@ -312,27 +307,20 @@ def _rows(db, text, strict=True):
 
 
 class _scan_class:
-    """Plan the next statements under one of the five planner
-    configurations: the row loop, the three columnar backends over an
-    in-memory column, and ``vector`` over the column store (``mmap``)."""
+    """Plan the next statements under one of the four planner
+    configurations: the row loop and the three columnar backends."""
 
-    NAMES = ("scalar", "vector", "parallel", "sharded", "mmap")
+    NAMES = ("scalar", "vector", "parallel", "sharded")
     #: The ones that plan a ``VectorScan``.
     COLUMNAR = NAMES[1:]
 
-    def __init__(self, name, tmp):
-        self.name, self.tmp = name, tmp
+    def __init__(self, name):
+        self.name = name
 
     def __enter__(self):
-        if self.name == "mmap":
-            os.makedirs(self.tmp, exist_ok=True)
-            set_store(self.tmp)
-            set_backend("vector")
-        else:
-            set_backend(self.name)
+        set_backend(self.name)
 
     def __exit__(self, *exc):
-        clear_store()
         set_backend("scalar")
 
 
@@ -345,19 +333,15 @@ def _column_of(arrays):
 
 class TestSqlDifferential:
     @given(fw=fleet_and_window())
-    @settings(
-        max_examples=30, deadline=None,
-        suppress_health_check=[HealthCheck.function_scoped_fixture],
-    )
-    def test_one_answer_in_memory_and_materialized(self, fw, tmp_path_factory):
+    @settings(max_examples=30, deadline=None)
+    def test_one_answer_in_memory_and_materialized(self, fw):
         mappings, rect, t0, t1 = fw
         mem, mat = _databases(mappings)
-        tmp = tmp_path_factory.mktemp("colstore")
         for text in _statements(rect, t0, t1):
             want = _rows(mem, text)
             for name in _scan_class.NAMES:
-                for k, db in enumerate((mem, mat)):
-                    with _scan_class(name, os.fspath(tmp / f"{name}{k}")):
+                for db in (mem, mat):
+                    with _scan_class(name):
                         assert _rows(db, text) == want, (name, text)
 
     @given(mappings=fleets(min_size=0, max_size=10))
@@ -469,13 +453,13 @@ class TestCorruptTuple:
 
     @pytest.mark.parametrize("victim", [0, 1, 3])
     @pytest.mark.parametrize("damage", ["truncate", "flip"])
-    def test_same_error_and_same_rows(self, tmp_path, victim, damage):
+    def test_same_error_and_same_rows(self, victim, damage):
         flob = {1, 3} if damage == "truncate" else {victim}
         db, rel, pages = _planes(flob=flob)
-        # One intact query per scan class first: the mmap store
-        # persists its column before the damage.
+        # One intact query per scan class first: what it keeps of the
+        # relation predates the damage.
         for name in _scan_class.NAMES:
-            with _scan_class(name, os.fspath(tmp_path / name)):
+            with _scan_class(name):
                 db.query(self.QUERIES[0])
         if damage == "truncate":
             _truncate(rel, victim)
@@ -488,7 +472,7 @@ class TestCorruptTuple:
         ]
         errors = set()
         for name in _scan_class.NAMES:
-            with _scan_class(name, os.fspath(tmp_path / name)):
+            with _scan_class(name):
                 for text, expect in zip(self.QUERIES, want):
                     with pytest.raises(StorageError) as caught:
                         db.query(text)
@@ -500,12 +484,11 @@ class TestCorruptTuple:
         assert len(errors) == 1
 
     @pytest.mark.parametrize("victim", [0, 2, 3])
-    def test_mmap_scan_mask_is_indexed_by_tuple_id(self, tmp_path, victim):
-        """Regression: the persisted column has one lane per tuple, the
-        scanned rows one fewer after a quarantine — zipping them shifted
-        every later row under the wrong lane (``['F3']`` for t=22)."""
+    def test_mmap_scan_mask_is_indexed_by_tuple_id(self, victim):
+        """Regression: the column has one lane per tuple, the scanned
+        rows one fewer after a quarantine — zipping them shifted every
+        later row under the wrong lane (``['F3']`` for t=22)."""
         db, rel, _pages = _planes()
-        set_store(os.fspath(tmp_path))
         set_backend("vector")
         q = "SELECT id FROM planes WHERE present(flight, {t!r})"
         assert [r["id"].value for r in db.query(q.format(t=22.0))] == ["F2"]
@@ -613,7 +596,7 @@ class TestKeptScanState:
     )
 
     @pytest.mark.parametrize("name", _scan_class.NAMES)
-    def test_a_statement_after_insert_sees_the_new_tuple(self, name, tmp_path):
+    def test_a_statement_after_insert_sees_the_new_tuple(self, name):
         db, rel, _pages = _planes(n=4, flob={1})
 
         def answers():
@@ -626,14 +609,14 @@ class TestKeptScanState:
                 )
             ]
 
-        with _scan_class(name, os.fspath(tmp_path)):
+        with _scan_class(name):
             assert answers() == [[], ["F3"], ["F1"]]
             rel.insert(["F4", 4, _track(4, legs=8)])
             assert answers() == [["F4"], ["F3", "F4"], ["F1"]]
 
     @pytest.mark.parametrize("name", _scan_class.NAMES)
     def test_second_statement_reads_nothing_until_invalidated(
-        self, name, tmp_path, unpacked
+        self, name, unpacked
     ):
         db, rel, _pages = _planes(n=6, flob={1, 4})
 
@@ -649,7 +632,7 @@ class TestKeptScanState:
                 c.get("storage.flob_reads"), len(unpacked),
             )
 
-        with _scan_class(name, os.fspath(tmp_path)):
+        with _scan_class(name):
             first = work()
             assert first[:2] == (2, 2)
             if name == "scalar":  # the row loop: reads and unpacks it all
@@ -664,11 +647,11 @@ class TestKeptScanState:
             assert work() == (0, 0, 0)
 
     @pytest.mark.parametrize("name", _scan_class.COLUMNAR)
-    def test_kept_state_is_charged_to_the_column_cache(self, name, tmp_path):
+    def test_kept_state_is_charged_to_the_column_cache(self, name):
         from repro.vector import cache
 
         db, rel, _pages = _planes(n=6, flob={1, 4})
-        with _scan_class(name, os.fspath(tmp_path)):
+        with _scan_class(name):
             assert cache._CACHE.resident_bytes == 0
             with obs.capture() as c:
                 db.query(self.Q1)
@@ -686,9 +669,7 @@ class TestKeptScanState:
             assert cache._CACHE.resident_bytes == held  # replaced, not added
 
     @pytest.mark.parametrize("name", _scan_class.COLUMNAR)
-    def test_a_repeated_statement_adds_nothing_to_the_cache(
-        self, name, tmp_path
-    ):
+    def test_a_repeated_statement_adds_nothing_to_the_cache(self, name):
         """Regression: under ``sharded`` every statement tiled the
         relation into fresh shard fleets and left their columns in the
         process cache — dead entries charged against its budget."""
@@ -698,7 +679,7 @@ class TestKeptScanState:
         db, _rel, _pages = _planes(n=12, flob={1, 4})
         shardmod.set_shards(4)
         try:
-            with _scan_class(name, os.fspath(tmp_path)):
+            with _scan_class(name):
                 sizes = []
                 for _ in range(6):
                     db.query("SELECT id FROM planes WHERE present(flight, 12.0)")
@@ -708,32 +689,6 @@ class TestKeptScanState:
         finally:
             shardmod.set_shards(1)
         assert sizes[0][0] == 1 and sizes[1:] == sizes[:1] * 5
-
-    def test_a_store_backed_column_is_mapped_once_per_version(self, tmp_path):
-        """Regression: the store-backed column was re-validated and
-        re-mapped by every statement, beside the kept rows' cache hit."""
-        db, rel, _pages = _planes(n=6, flob={1, 4})
-
-        def colstore_counts():
-            with obs.capture() as c:
-                rows = db.query("SELECT id FROM planes WHERE present(flight, 12.0)")
-            assert [r["id"].value for r in rows] == ["F1"]
-            counted = c.snapshot()["counters"]
-            return {k: v for k, v in counted.items() if k.startswith("colstore.")}
-
-        with _scan_class("mmap", os.fspath(tmp_path)):
-            built = colstore_counts()
-            assert built["colstore.rebuilds"] == 1 and built["colstore.bytes_mapped"]
-            assert colstore_counts() == {}
-            rel.invalidate()  # same tuples: the stored generation is served
-            served = colstore_counts()
-            assert served["colstore.hits"] == served["colstore.validations"] == 1
-            assert served["colstore.bytes_mapped"] == built["colstore.bytes_mapped"]
-            assert "colstore.rebuilds" not in served
-            assert colstore_counts() == {}
-            rel.insert(["F6", 6, _track(6)])
-            assert colstore_counts()["colstore.rebuilds"] == 1
-            assert colstore_counts() == {}
 
     def test_a_damaged_relation_is_never_kept(self):
         db, rel, _pages = _planes(n=4, flob={1})

@@ -498,20 +498,18 @@ class TestAttachTableKeyedByKind:
     @pytest.fixture
     def store_columns(self, tmp_path):
         from repro.parallel import pool
-        from repro.vector.store import clear_store, set_store
+        from repro.vector.store import ColumnStore
 
-        set_store(str(tmp_path))
-        fleet = Fleet(make_fleet(30))
+        store = ColumnStore(str(tmp_path))
+        fleet = make_fleet(30)
         for kind in ("upoint", "bbox"):  # persist both kinds, then reopen
-            column_for(fleet, kind)      # them from one manifest generation
-        clear_cache()
-        up, bb = column_for(fleet, "upoint"), column_for(fleet, "bbox")
+            store.rebuild(kind, fleet)   # them from one manifest generation
+        up, bb = store.load("upoint"), store.load("bbox")
         assert up.source.manifest_crc == bb.source.manifest_crc
         pool._ATTACHED.clear()
         yield up, bb
         pool._ATTACHED.clear()
         pool.shutdown()
-        clear_store()
 
     def test_run_task_in_process_on_both_descriptors(self, store_columns):
         from repro.parallel import pool, shmcol

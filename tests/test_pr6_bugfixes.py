@@ -30,7 +30,6 @@ from repro.vector.cache import (
 )
 from repro.vector.columns import UPointColumn
 from repro.vector.fleet import fleet_atinstant, set_backend
-from repro.vector.store import clear_store
 from repro.workloads.trajectories import random_flights
 
 
@@ -41,13 +40,11 @@ def _clean_state():
     obs.enable()
     obs.reset()
     clear_cache()
-    clear_store()
     set_backend("scalar")
     yield
     faults.disarm()
     faults.reset_fired()
     clear_cache()
-    clear_store()
     set_backend("scalar")
     shmcol.release_all()
     obs.reset()

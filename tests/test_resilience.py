@@ -48,7 +48,6 @@ from repro.temporal.mapping import MovingPoint
 from repro.temporal.upoint import UPoint
 from repro.vector.cache import clear_cache
 from repro.vector.columns import UPointColumn
-from repro.vector.store import clear_store
 from repro.workloads.trajectories import FlightGenerator
 
 
@@ -56,12 +55,10 @@ from repro.workloads.trajectories import FlightGenerator
 def _clean_slate():
     faults.disarm()
     faults.reset_fired()
-    clear_store()
     clear_cache()
     yield
     faults.disarm()
     faults.reset_fired()
-    clear_store()
     clear_cache()
     pool.shutdown()
     shmcol.release_all()

@@ -4,8 +4,8 @@ Covers the PR-7 subsystem end to end: line-protocol parsing, the
 executor's snapshot-isolated reads (a query pinned before an ingest
 batch answers bit-identically to the pre-ingest state), the
 append-only column extension path (``Mapping.appended``,
-``Fleet.changes_since``, ``UnitColumn.extended``, the cache splice, the
-store's ``extend_or_save``), WAL group commit + recovery replay, the
+``Fleet.changes_since``, ``UnitColumn.extended``, the cache splice),
+WAL group commit + recovery replay, the
 two new crash-matrix failpoints, and the live wire behaviour of the
 asyncio session layer (including the ColumnCache concurrent-access
 regression: two sessions, one mutating ingest).
@@ -63,7 +63,6 @@ from repro.temporal.mapping import MovingPoint
 from repro.temporal.upoint import UPoint
 from repro.vector.cache import Fleet, clear_cache, column_for_versioned
 from repro.vector.columns import KINDS, BBoxColumn, UPointColumn
-from repro.vector.store import ColumnStore, clear_store, set_store
 from repro.workloads.trajectories import FlightGenerator
 
 
@@ -71,12 +70,10 @@ from repro.workloads.trajectories import FlightGenerator
 def _clean_slate():
     faults.disarm()
     faults.reset_fired()
-    clear_store()
     clear_cache()
     yield
     faults.disarm()
     faults.reset_fired()
-    clear_store()
     clear_cache()
 
 
@@ -375,67 +372,6 @@ class TestColumnExtended:
         ref = UPointColumn.from_mappings(list(fleet))
         assert np.array_equal(after.offsets, ref.offsets)
         assert np.array_equal(after.x0, ref.x0)
-
-
-class TestStoreExtension:
-    def test_tail_extension_appends_in_place(self, tmp_path):
-        mappings = _mappings(4)
-        store = ColumnStore(tmp_path)
-        col = UPointColumn.from_mappings(mappings)
-        store.save("upoint", col, n_objects=len(mappings))
-        new = list(mappings)
-        new[3] = new[3].appended(_unit(1e6, 0, 0, 1e6 + 5, 1, 1))
-        obs.reset()
-        obs.enable()
-        try:
-            out = store.extend_or_save(
-                "upoint", UPointColumn.from_mappings(new), min_changed=3,
-                n_objects=len(new),
-            )
-            counters = obs.snapshot()["counters"]
-        finally:
-            obs.disable()
-        assert counters.get("colstore.extends") == 1
-        assert "colstore.rewrites" not in counters
-        ref = UPointColumn.from_mappings(new)
-        assert np.array_equal(np.asarray(out.x0), ref.x0)
-        store.verify("upoint")
-        # A reopened process reads the extended bytes.
-        assert np.array_equal(
-            np.asarray(ColumnStore(tmp_path).load("upoint").x0), ref.x0
-        )
-
-    def test_missing_kind_falls_back_to_full_save(self, tmp_path):
-        mappings = _mappings(3)
-        store = ColumnStore(tmp_path)
-        obs.reset()
-        obs.enable()
-        try:
-            store.extend_or_save(
-                "upoint", UPointColumn.from_mappings(mappings),
-                min_changed=0, n_objects=len(mappings),
-            )
-            counters = obs.snapshot()["counters"]
-        finally:
-            obs.disable()
-        assert counters.get("colstore.rewrites") == 1
-        store.verify("upoint")
-
-    def test_pinned_memmap_views_survive_extension(self, tmp_path):
-        mappings = _mappings(4)
-        set_store(tmp_path)
-        fleet = Fleet(mappings)
-        _, pinned = column_for_versioned(fleet, "upoint")
-        assert pinned.source is not None  # actually memory-mapped
-        frozen = np.array(pinned.x0)
-        # Tail ingest (pure append) and mid-fleet ingest (rename path).
-        fleet[3] = fleet[3].appended(_unit(1e6, 0, 0, 1e6 + 5, 1, 1))
-        column_for_versioned(fleet, "upoint")
-        fleet[1] = fleet[1].appended(_unit(2e6, 0, 0, 2e6 + 5, 1, 1))
-        _, latest = column_for_versioned(fleet, "upoint")
-        assert np.array_equal(np.array(pinned.x0), frozen)
-        ref = UPointColumn.from_mappings(list(fleet))
-        assert np.array_equal(np.asarray(latest.x0), ref.x0)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,6 @@ budget enforced by CLOCK eviction and recovery scoped to single shards.
 """
 
 import os
-import types
 
 import numpy as np
 import pytest
@@ -31,7 +30,6 @@ from repro.vector.cache import ColumnCache, Fleet, clear_cache
 from repro.vector.columns import UPointColumn
 from repro.vector.fleet import set_backend
 from repro.vector.kernels import atinstant_batch, window_intervals_batch
-from repro.vector.store import set_store
 from repro.workloads.trajectories import random_flights
 
 
@@ -47,7 +45,6 @@ def _clean_state():
     shardmod.set_shards(1)
     shardmod.set_memory_budget(None)
     clear_cache()
-    set_store(None)
 
 
 def make_fleet(n=60, seed=11):
@@ -176,15 +173,6 @@ class TestColumnCacheBudget:
         finally:
             obs.disable()
         assert gauge >= col.nbytes
-
-    def test_pinned_store_columns_exempt(self, tmp_path):
-        set_store(os.fspath(tmp_path))
-        cache = ColumnCache(budget=1)
-        fleet = Fleet(make_fleet(10))
-        col = cache.get(fleet, "upoint")
-        assert col.source is not None  # memmap-backed: pinned
-        assert cache.resident_bytes == 0
-        assert len(cache) == 1  # survives a one-byte budget
 
     def test_drop_fleet_releases_bytes(self):
         cache = ColumnCache()
@@ -363,33 +351,6 @@ class TestShardManager:
         assert manager.verify_and_repair(("upoint", "bbox")) == []
         cube = second[0].bounding_cube()
         assert sharded_bbox_filter(manager, cube) == [0]
-
-    def test_generation_is_summed_once_per_version(self, tmp_path, monkeypatch):
-        """Budgeted reads re-map a shard over and over; its stamp is a
-        sum over the membership, taken when the shard's version moves
-        and not per map — and a write to the shard does move it."""
-        from repro.shard import manager as managermod
-
-        fleet = ShardedFleet(make_fleet(30), 3)
-        manager = ShardManager(fleet, root=os.fspath(tmp_path), budget=1)
-        manager.persist()
-        sums = []
-        crc32 = managermod.zlib.crc32
-        counting = types.SimpleNamespace(
-            crc32=lambda *a: sums.append(1) or crc32(*a)
-        )
-        # The manager's own sums only: the store's CRCs go on as before.
-        monkeypatch.setattr(managermod, "zlib", counting)
-        stamp = manager._generation(0)
-        for _ in range(3):
-            manager.column(0, "upoint")
-            manager.column(1, "upoint")  # budget 1: shard 0 is evicted
-        assert sums == []
-        fleet[fleet.globals_of(0)[0]] = make_fleet(1, seed=99)[0]
-        with obs.capture() as counters:
-            manager.column(0, "upoint")
-            assert counters.get("colstore.rebuilds") == 1
-        assert sums and manager._generation(0) != stamp
 
     def test_total_column_bytes_is_arithmetic(self, tmp_path):
         """The bbox total equals the persisted records' bytes, and asking

@@ -10,14 +10,17 @@ same closedness flags.  Further properties keep the identity alive
 under concurrent ingest (appends and in-place replacements between
 queries), which is exactly the server's life, for every partitioned row
 of the operator table, with and without a budget, while the
-``shard.evict_during_query`` failpoint evicts mid-scatter.
+``shard.evict_during_query`` failpoint evicts mid-scatter — and when the
+root the manager persists under already holds another fleet's files.
 """
 
+import tempfile
+
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro import faults
+from repro import faults, obs
 from repro.shard import (
     ShardManager,
     ShardedFleet,
@@ -248,6 +251,96 @@ def test_every_partitioned_operation_identical_after_writes(
                 _assert_bit_identical(got, want)
     finally:
         faults.reset_fired()
+
+
+# ---------------------------------------------------------------------------
+# A second fleet over a first fleet's root
+# ---------------------------------------------------------------------------
+
+short = st.floats(min_value=1e-3, max_value=0.5, allow_nan=False)
+
+
+@st.composite
+def continuations(draw, max_size=4):
+    """Ingest as the server applies it: ``(k, gap, length)`` gives member
+    ``k`` modulo the fleet's length one more unit, ``gap`` after its last
+    and ``length`` long, standing where the last one ended — the tile's
+    bound seldom grows, so nothing but the store's stamp can tell that
+    the tile was written."""
+    return draw(st.lists(
+        st.tuples(st.integers(min_value=0, max_value=50), short, short),
+        max_size=max_size,
+    ))
+
+
+def _continue(fleet, live, ingest):
+    """Apply ``ingest`` to ``fleet`` and its mirror ``live``; the
+    midpoints of the units it added."""
+    inside = []
+    for k, gap, length in ingest:
+        k %= len(live)
+        units = live[k].units
+        t = units[-1].interval.e + gap if units else 0.0
+        p = units[-1].end_point() if units else (0.0, 0.0)
+        fleet[k] = live[k] = live[k].appended(
+            UPoint.between(t, p, t + length, p)
+        )
+        inside.append((t + length / 2, p))
+    return inside
+
+
+_STILL = MovingPoint([UPoint.between(0.0, (0.0, 0.0), 10.0, (0.0, 0.0))])
+_LATEST = MovingPoint([UPoint.between(0.0, (1.0, 1.0), 20.0, (1.0, 1.0))])
+
+
+@given(
+    mappings=fleets(),
+    n_shards=st.integers(min_value=1, max_value=4),
+    first=continuations(),
+    second=continuations(),
+    data=st.data(),
+)
+@example(  # one tile, version 1 twice, the bound held by a third member
+    mappings=[_STILL, _STILL, _LATEST], n_shards=1,
+    first=[(0, 1e-3, 1e-3)], second=[(1, 1e-3, 1e-3)], data=None,
+)
+@settings(max_examples=40, deadline=None)
+def test_a_second_fleet_over_the_same_root_is_served_nothing(
+    mappings, n_shards, first, second, data
+):
+    """Persist, ingest, read; then a *new* fleet of the same mappings and
+    a new manager over the same root, other ingest, read.  Every version,
+    member list and (mostly) bound of the second fleet equals one the
+    first fleet stored under, and none of those files is its own: each
+    shard's first touch rebuilds, and the answers are the unsharded
+    kernels' over the second fleet's members."""
+    kinds = ("upoint", "bbox")
+    with tempfile.TemporaryDirectory() as root:
+        fleet = ShardedFleet(mappings, n_shards)
+        manager = ShardManager(fleet, root=root)
+        manager.persist(kinds)
+        _continue(fleet, list(mappings), first)
+        sharded_atinstant(manager, 0.0)
+
+        fleet = ShardedFleet(mappings, n_shards)
+        manager = ShardManager(fleet, root=root)
+        live = list(mappings)
+        inside = _continue(fleet, live, second) or [(0.0, (0.0, 0.0))]
+        t, (x, y) = inside[-1] if data is None else data.draw(
+            st.sampled_from(inside)
+        )
+        column = UPointColumn.from_mappings(live)
+        with obs.capture() as counters:
+            got = sharded_atinstant(manager, t)
+        _assert_bit_identical(got, atinstant_batch(column, t))
+        touched = sum(1 for shard in fleet.shards if len(shard))
+        assert counters.get("colstore.rebuilds") == touched
+        assert counters.get("colstore.hits") == 0
+        rect = Rect(x - 1.0, y - 1.0, x + 1.0, y + 1.0)
+        _assert_bit_identical(
+            sharded_window_intervals(manager, rect, t - 1.0, t + 1.0),
+            window_intervals_batch(column, rect, t - 1.0, t + 1.0),
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -38,17 +38,14 @@ from repro.server.session import serve_in_thread
 from repro.temporal.mapping import MovingPoint
 from repro.temporal.upoint import UPoint
 from repro.vector.cache import clear_cache
-from repro.vector.store import clear_store
 from tests.test_columnar_paths import coord, fleets, instant
 from tests.test_server import _in_pieces, _snapshot_line, _stub_server
 
 
 @pytest.fixture(autouse=True)
 def _clean_slate():
-    clear_store()
     clear_cache()
     yield
-    clear_store()
     clear_cache()
 
 
