@@ -60,6 +60,7 @@ returns.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, List, Optional, Sequence, Tuple
 
@@ -163,14 +164,20 @@ def _split_attrs(rest: str) -> Tuple[Optional[float], str, str, str]:
 
 
 def _floats(parts: List[str], what: str) -> List[float]:
+    """The finite numbers ``parts`` spell: an instant, a window or a unit
+    with ``nan`` / ``inf`` in it is refused here, before admission and
+    before the WAL."""
     out: List[float] = []
     for p in parts:
         try:
-            out.append(float(p))
+            value = float(p)
         except ValueError:
             raise ProtocolError(
                 f"{what}: expected a number, got {p!r}"
             ) from None
+        if not math.isfinite(value):
+            raise ProtocolError(f"{what}: expected a finite number, got {p!r}")
+        out.append(value)
     return out
 
 

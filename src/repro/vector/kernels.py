@@ -3,9 +3,10 @@
 Each kernel evaluates *all* objects of a column per call, replacing the
 scalar one-object-at-a-time loops of :mod:`repro.temporal` /
 :mod:`repro.ops` on fleet-scale workloads.  The kernels are exact
-transcriptions of the scalar reference algorithms — same binary-search
-semantics as ``Mapping.unit_at``, same closedness handling as
-``Interval.contains``, same eps-shifted half-open rule as
+transcriptions of the scalar reference algorithms — the bisect-right
+unit of ``Mapping.unit_at`` (found for every object by one fixed-step
+binary lifting, then one containment test), the closedness handling of
+``Interval.contains``, the eps-shifted half-open rule of
 ``crossings_above`` — so their results are asserted equivalent unit for
 unit (see ``tests/test_vector_properties.py``).
 
@@ -38,67 +39,68 @@ def _record_rows(kernel: str, rows: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Unit location: simultaneous per-object binary search
+# Unit location: per-object binary search as fixed-step binary lifting
 # ---------------------------------------------------------------------------
 
 
 def locate_units(col: UnitColumn, t: float) -> Tuple[np.ndarray, np.ndarray]:
     """Find, for every object at once, the unit whose interval contains ``t``.
 
-    Vectorized transcription of ``Mapping.unit_at``: a bisect-right over
-    each object's (sorted) unit start times, run simultaneously for all
-    objects — each halving pass is one numpy sweep, so the pass count is
-    O(log max-units) while the per-object work is the same O(log n)
-    probe sequence the Section-5.1 claim counts.  As in the scalar code,
-    the containing unit is among the last *two* units starting at or
-    before ``t``, and containment honours the closedness flags.
+    Vectorized transcription of ``Mapping.unit_at``: the bisect-right
+    over each object's (sorted) unit start times, run for all objects
+    as binary lifting.  Every object's cursor starts before its first
+    unit and tries steps of ``2**(k-1)``, …, 2, 1 units, where ``k`` is
+    the bit length of the longest object's unit count; a step is taken
+    when the unit it lands on (clamped to the object's last unit) starts
+    at or before ``t``.  That is ``k`` numpy sweeps per call whatever
+    the data — O(log max-units), with no test for whether any lane is
+    still moving — and per object the O(log n) probe sequence of the
+    Section-5.1 claim.
+
+    The cursor ends on the last unit starting at or before ``t``, and
+    containment — closedness flags honoured — is tested there only.  As
+    in the scalar code the unit before it may hold ``t`` instead, but
+    units are sorted and disjoint, so only when ``t`` is the cursor
+    unit's (open) start and the earlier unit's end: that second test
+    runs on the lanes where ``t`` equals the cursor unit's start.
 
     Returns ``(unit_index, defined)``; ``unit_index`` is meaningful only
     where ``defined`` is True.
     """
     t = float(t)
     n = col.n_objects
-    lo = col.offsets[:-1].copy()
-    if col.n_units == 0:
-        _record_rows("locate_units", n)
-        return np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.bool_)
-    hi = col.offsets[1:].copy()
-    starts = col.starts
-    passes = 0
-    while True:
-        active = lo < hi
-        if not active.any():
-            break
-        passes += 1
-        mid = (lo + hi) >> 1
-        mid_safe = np.where(active, mid, 0)
-        go_right = active & (starts[mid_safe] <= t)
-        hi = np.where(active & ~go_right, mid, hi)
-        lo = np.where(go_right, mid + 1, lo)
-
-    base = col.offsets[:-1]
-
-    def contained(idx: np.ndarray) -> np.ndarray:
-        valid = idx >= base
-        j = np.maximum(idx, 0)
-        s, e = starts[j], col.ends[j]
-        return (
-            valid
-            & (t >= s)
-            & (t <= e)
-            & ((t != s) | col.lc[j])
-            & ((t != e) | col.rc[j])
-        )
-
-    idx1, idx2 = lo - 1, lo - 2
-    hit1 = contained(idx1)
-    hit2 = contained(idx2)
-    unit = np.where(hit1, np.maximum(idx1, 0), np.maximum(idx2, 0))
-    defined = hit1 | hit2
     _record_rows("locate_units", n)
+    if col.n_units == 0:
+        return np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.bool_)
+    offsets, starts, ends = col.offsets, col.starts, col.ends
+    base = offsets[:-1]
+    last = offsets[1:] - 1
+    passes = int(np.diff(offsets).max()).bit_length()
+    # ``at`` is each object's last unit starting at or before t; base - 1
+    # (the previous object's last unit, or -1) while there is none.
+    at = base - 1
+    for k in reversed(range(passes)):
+        probe = at + (1 << k)
+        np.minimum(probe, last, out=probe)
+        at = np.where(starts[probe] <= t, probe, at)
+
+    def holds(j: np.ndarray, s: np.ndarray) -> np.ndarray:
+        """``t`` in units ``j``, which start at ``s <= t``."""
+        e = ends[j]
+        return (t <= e) & ((t != s) | col.lc[j]) & ((t != e) | col.rc[j])
+
+    s = starts[at]
+    defined = (at >= base) & holds(at, s)
+    unit = at - ~defined  # the unit before the cursor's where that misses
+    second = np.flatnonzero(s == t)
+    if second.size:
+        second = second[~defined[second] & (at[second] > base[second])]
+        j = unit[second]
+        defined[second] = holds(j, starts[j])
+    np.maximum(unit, 0, out=unit)
     if obs.enabled:
         obs.counters.add("vector.locate_units.passes", passes)
-    return unit.astype(np.int64), defined
+    return unit, defined
 
 
 # ---------------------------------------------------------------------------

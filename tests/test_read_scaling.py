@@ -21,7 +21,8 @@ from repro.temporal.mapping import MovingPoint, MovingReal
 from repro.temporal.upoint import UPoint
 from repro.temporal.ureal import UReal
 from repro.vector.cache import Fleet, clear_cache
-from repro.vector.columns import KINDS
+from repro.vector.columns import KINDS, UPointColumn
+from repro.vector.kernels import atinstant_batch
 from tests.linecount import lines_executed
 
 SIZES = (1_000, 8_000)
@@ -131,6 +132,17 @@ class TestSnapshotRows:
             return lines
 
         same_at_both_sizes(measure)
+
+
+def test_atinstant_batch():
+    """The kernel a read runs: a fixed number of sweeps, none per object."""
+    def measure(n):
+        col = UPointColumn.from_mappings(points(n))
+        count, (xs, _ys, defined) = lines_executed(atinstant_batch, col, T)
+        assert len(xs) == n and defined.all()
+        return count
+
+    same_at_both_sizes(measure)
 
 
 @pytest.mark.parametrize("kind", sorted(KINDS))

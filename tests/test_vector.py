@@ -165,6 +165,92 @@ class TestKernels:
             assert bool(got) == point_in_segset(p, segs)
 
 
+def zigzags(units, n=3):
+    """``n`` members of exactly ``units`` units each (``units`` + 1
+    zig-zag waypoints, so no two neighbours merge), staggered in time."""
+    return [
+        MovingPoint.from_waypoints([
+            (i * 0.5 + k, (float(k % 2), float(i))) for k in range(units + 1)
+        ])
+        for i in range(n)
+    ]
+
+
+class _Reads(np.ndarray):
+    """A unit array that counts the elements every read of it touches —
+    through an index, as a ufunc operand, or as a numpy function's
+    argument — and hands plain arrays on."""
+
+    elements = 0
+
+    @staticmethod
+    def _plain(x):
+        if isinstance(x, _Reads):
+            _Reads.elements += x.size
+            return x.view(np.ndarray)
+        return x
+
+    def __getitem__(self, key):
+        out = self.view(np.ndarray)[key]
+        _Reads.elements += np.size(out)
+        return out
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        return getattr(ufunc, method)(*map(self._plain, inputs), **kwargs)
+
+    def __array_function__(self, func, types, args, kwargs):
+        return func(*map(self._plain, args), **kwargs)
+
+
+def _passes_of(col, t):
+    obs.enable()
+    try:
+        with obs.capture() as counted:
+            located = locate_units(col, t)
+    finally:
+        obs.disable()
+    return counted.get("vector.locate_units.passes"), located
+
+
+class TestLocateUnitsCost:
+    """The unit search costs log-many sweeps per call and log-many unit
+    reads per object — counted, not timed."""
+
+    @pytest.mark.parametrize("units", [1, 4, 5, 64, 1000])
+    def test_passes_are_the_bit_length_of_the_longest_history(self, units):
+        fleet = zigzags(units) + [MovingPoint([]), *zigzags(1, n=1)]
+        col = UPointColumn.from_mappings(fleet)
+        # Before every history, inside a unit, on a shared boundary, at
+        # the end of the longest.
+        for t in (-1.0, units / 2.0 + 0.25, float(units // 2), float(units)):
+            passes, (unit, defined) = _passes_of(col, t)
+            assert passes == units.bit_length()
+            for i, m in enumerate(fleet):
+                scalar = m.unit_at(t)
+                assert bool(defined[i]) == (scalar is not None), (i, t)
+                if scalar is not None:
+                    assert m.units[int(unit[i]) - col.units_of(i).start] is scalar
+
+    def test_reads_are_logarithmic_in_the_history(self):
+        """What an O(units) search — a count of the starts ≤ t, a
+        containment mask over every unit — cannot pass: at 1 000 units
+        per object the kernel sweeps ≤ 11 times and reads at most a
+        few units per sweep per object, not 1 000."""
+        col = UPointColumn.from_mappings(zigzags(1000, n=4))
+        for name in ("starts", "ends", "lc", "rc"):
+            setattr(col, name, getattr(col, name).view(_Reads))
+        for t in (0.0, 1.0, 500.25, 999.5, 2000.0):
+            _Reads.elements = 0
+            passes, (_unit, defined) = _passes_of(col, t)
+            assert passes <= 11
+            assert 0 < _Reads.elements <= col.n_objects * (passes + 8), t
+            assert defined.any() == (t < 1001.0)
+        # The count sees a whole-array read: one O(units) sweep is 4 000.
+        _Reads.elements = 0
+        assert np.count_nonzero(col.starts <= 3.0) == 4 + 3 + 3 + 2
+        assert _Reads.elements == col.n_units
+
+
 class TestFleet:
     def test_backend_switch(self):
         assert get_backend() == "scalar"

@@ -21,8 +21,10 @@ from repro.ranges.interval import Interval
 from repro.spatial.bbox import Cube, Rect
 from repro.spatial.region import Region
 from repro.temporal.mapping import MovingPoint, MovingReal
+from repro.temporal.mseg import MPoint
 from repro.temporal.upoint import UPoint
 from repro.temporal.ureal import UReal
+from repro.vector.backends import on_column
 from repro.vector.columns import BBoxColumn, UPointColumn, URealColumn
 from repro.vector.kernels import (
     atinstant_batch,
@@ -170,6 +172,141 @@ class TestAtinstantEquivalence:
     @settings(max_examples=60, deadline=None)
     def test_column_round_trip(self, fleet):
         assert UPointColumn.from_mappings(fleet).to_mappings() == fleet
+
+
+# ---------------------------------------------------------------------------
+# The unit search on the boundaries it special-cases
+# ---------------------------------------------------------------------------
+
+step = st.sampled_from([0.125, 0.5, 1.0, 2.5, 7.0])
+
+
+@st.composite
+def touching_intervals(draw, max_units=64):
+    """Sorted, disjoint intervals in the shapes the unit search must get
+    right: neighbours that share a boundary under every legal closedness
+    pair (``)[``, ``](``, ``)(``), degenerate instants ``[a, a]`` beside
+    open neighbours, strict gaps, and up to 64 of them — seven lifting
+    passes.  Every interval is legal as drawn; nothing is filtered."""
+    out = []
+    t = draw(st.sampled_from([-60.0, -0.5, 0.0, 3.0]))
+    for _ in range(draw(st.integers(min_value=0, max_value=max_units))):
+        touch = bool(out) and draw(st.booleans())
+        if not touch:
+            t += draw(step)
+        # A closed end may share its instant with an open one only.
+        shut = touch and out[-1].rc
+        if not shut and draw(st.integers(min_value=0, max_value=3)) == 0:
+            out.append(Interval(t, t))  # a degenerate instant
+            continue
+        s = t
+        t += draw(step)
+        out.append(
+            Interval(s, t, draw(st.booleans()) and not shut, draw(st.booleans()))
+        )
+    return out
+
+
+def _offset(k, draw):
+    """A constant term unit ``k``'s neighbours cannot share, so adjacent
+    units never carry the same function (the canonical-form rule)."""
+    return 3.0 * k + draw(st.sampled_from([0.0, 0.25, 1.5]))
+
+
+@st.composite
+def touching_points(draw):
+    return MovingPoint([
+        UPoint(iv, MPoint(_offset(k, draw), draw(coef), draw(coord), draw(coef)))
+        for k, iv in enumerate(draw(touching_intervals()))
+    ])
+
+
+@st.composite
+def touching_reals(draw):
+    return MovingReal([
+        UReal(iv, draw(coef), draw(coef), _offset(k, draw))
+        for k, iv in enumerate(draw(touching_intervals()))
+    ])
+
+
+def every_boundary(draw, fleet):
+    """Each boundary instant of one drawn member, the midpoint of each
+    of its units and gaps, and two instants off its history."""
+    units = [] if not fleet else fleet[draw(st.integers(0, len(fleet) - 1))].units
+    edges = sorted({v for u in units for v in (u.interval.s, u.interval.e)})
+    mids = [(a + b) / 2.0 for a, b in zip(edges, edges[1:])]
+    lo, hi = (edges[0], edges[-1]) if edges else (0.0, 0.0)
+    return edges + mids + [lo - 1.0, hi + 1.0]
+
+
+@st.composite
+def touching_fleets_with_instants(draw, members=touching_points):
+    fleet = draw(st.lists(members(), min_size=1, max_size=5))
+    return fleet, every_boundary(draw, fleet)
+
+
+class TestTouchingBoundaries:
+    """The kernels against ``unit_at`` / ``value_at`` where the unit
+    search has to choose between two neighbours: at every boundary of
+    touching, degenerate and gapped units, over histories of up to 64."""
+
+    @given(touching_fleets_with_instants())
+    @settings(max_examples=80, deadline=None)
+    def test_locate_atinstant_and_present(self, fleet_and_ts):
+        fleet, instants = fleet_and_ts
+        col = UPointColumn.from_mappings(fleet)
+        for t in instants:
+            unit, defined = locate_units(col, t)
+            xs, ys, at_defined = atinstant_batch(col, t)
+            present = on_column("present", col, (t,), "vector")
+            assert np.array_equal(at_defined, defined)
+            assert np.array_equal(present, defined)
+            for i, m in enumerate(fleet):
+                scalar = m.unit_at(t)
+                assert bool(defined[i]) == (scalar is not None), (i, t)
+                if scalar is None:
+                    assert np.isnan(xs[i]) and np.isnan(ys[i])
+                    continue
+                j = int(unit[i])
+                assert col.units_of(i).start <= j < col.units_of(i).stop
+                got = Interval(
+                    float(col.starts[j]), float(col.ends[j]),
+                    bool(col.lc[j]), bool(col.rc[j]),
+                )
+                assert got == scalar.interval, (i, t)
+                p = m.value_at(t)
+                assert xs[i] == p.x and ys[i] == p.y, (i, t)
+
+    @given(touching_fleets_with_instants(touching_reals))
+    @settings(max_examples=60, deadline=None)
+    def test_ureal_atinstant(self, fleet_and_ts):
+        fleet, instants = fleet_and_ts
+        col = URealColumn.from_mappings(fleet)
+        for t in instants:
+            vs, defined = ureal_atinstant_batch(col, t)
+            for i, m in enumerate(fleet):
+                v = m.value_at(t)
+                assert bool(defined[i]) == (v is not None), (i, t)
+                if v is None:
+                    assert np.isnan(vs[i])
+                else:
+                    assert vs[i] == v.value, (i, t)
+
+    @given(touching_fleets_with_instants())
+    @settings(max_examples=40, deadline=None)
+    def test_strided_record_views_answer_alike(self, fleet_and_ts):
+        """A column over record arrays — strided, as a memory-mapped
+        one is — answers exactly like the contiguous one."""
+        fleet, instants = fleet_and_ts
+        col = UPointColumn.from_mappings(fleet)
+        strided = UPointColumn.from_records(col.records())
+        assert not strided.starts.flags.c_contiguous or col.n_units < 2
+        for t in instants:
+            for got, want in zip(
+                (*locate_units(strided, t), *atinstant_batch(strided, t)),
+                (*locate_units(col, t), *atinstant_batch(col, t)),
+            ):
+                assert got.tobytes() == want.tobytes(), t
 
 
 @st.composite

@@ -5,7 +5,9 @@
   and a table equal bit for bit to the executor's arrays; the edge
   sizes (empty, all-⊥, exactly one block, one block plus a row) pinned;
 * ``parse_request``: the ``FORMAT`` attribute's grammar, and a fuzz
-  asserting *``Request`` or ``ProtocolError``, nothing else*;
+  asserting *``Request`` or ``ProtocolError``, nothing else*; only
+  finite numbers in a SNAPSHOT or an INGEST, and a refused INGEST
+  leaves the fleet and the WAL as they were;
 * the client against a stub listener: a torn table is
   ``ConnectionLost``, a lying header a ``ProtocolError``, and after any
   of them — or a timeout — the next request is answered on a fresh
@@ -15,6 +17,7 @@
 """
 
 import contextlib
+import math
 import socket
 import time
 
@@ -31,10 +34,12 @@ from repro.server.client import (
     ClientTimeout,
     ConnectionLost,
     ServerClient,
+    ServerError,
 )
 from repro.server.executor import FleetExecutor
 from repro.server.protocol import BLOCK_ROWS, ROW_DTYPE, Request, parse_request
 from repro.server.session import serve_in_thread
+from repro.storage.wal import Wal
 from repro.temporal.mapping import MovingPoint
 from repro.temporal.upoint import UPoint
 from repro.vector.cache import clear_cache
@@ -246,6 +251,112 @@ class TestFormatAttribute:
             req.format == "bin" and req.command == "SNAPSHOT"
         )
         assert not req.seq or req.command == "INGEST"
+        if req.command == "SNAPSHOT":
+            assert all(map(math.isfinite, (req.t, *(req.window or ()))))
+        if req.command == "INGEST":
+            assert all(map(math.isfinite, req.unit))
+
+
+# ---------------------------------------------------------------------------
+# the wire takes only finite numbers
+# ---------------------------------------------------------------------------
+
+_NON_FINITE = ["nan", "inf", "-inf", "NaN", "+Infinity", "1e999", "-1e999"]
+_INGEST = ["f", "0", "10", "10", "10", "20", "20", "20"]
+_SNAPSHOT = ["f", "2.5", "0", "0", "9", "9"]
+
+
+def _with(parts, at, value):
+    return " ".join(parts[:at] + [value] + parts[at + 1:])
+
+
+class TestFiniteNumbers:
+    @pytest.mark.parametrize("bad", _NON_FINITE)
+    @pytest.mark.parametrize("at, field", list(enumerate(
+        ["t0", "x0", "y0", "t1", "x1", "y1"], start=2,
+    )))
+    def test_ingest_unit(self, at, field, bad):
+        with pytest.raises(ProtocolError, match="finite"):
+            parse_request("INGEST " + _with(_INGEST, at, bad))
+
+    @pytest.mark.parametrize("bad", _NON_FINITE)
+    @pytest.mark.parametrize("at, field", list(enumerate(
+        ["t", "xmin", "ymin", "xmax", "ymax"], start=1,
+    )))
+    def test_snapshot_instant_and_window(self, at, field, bad):
+        with pytest.raises(ProtocolError, match="finite"):
+            parse_request("SNAPSHOT " + _with(_SNAPSHOT, at, bad))
+        if field == "t":
+            with pytest.raises(ProtocolError, match="finite"):
+                parse_request(f"SNAPSHOT FORMAT=bin f {bad}")
+
+    _number = st.one_of(
+        st.floats().map(repr), st.sampled_from(_NON_FINITE),
+        st.integers(min_value=-9, max_value=9).map(str),
+    )
+
+    @given(
+        head=st.sampled_from(["SNAPSHOT f", "SNAPSHOT FORMAT=bin f",
+                              "INGEST f 3", "INGEST SEQ=a:1 f 0"]),
+        numbers=st.lists(_number, min_size=6, max_size=6),
+        windowed=st.booleans(),
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_fuzz_accepted_numbers_are_finite(self, head, numbers, windowed):
+        """The fuzz above, aimed at the numeric positions: argument
+        counts are right, so most lines parse unless a number is not."""
+        if head.startswith("SNAPSHOT"):
+            numbers = numbers[:5] if windowed else numbers[:1]
+        try:
+            req = parse_request(" ".join([head, *numbers]))
+        except ProtocolError:
+            return
+        values = req.unit if req.command == "INGEST" else (
+            req.t, *(req.window or ())
+        )
+        assert len(values) == len(numbers) and all(map(math.isfinite, values))
+
+    def test_finite_extremes_still_parse(self):
+        big = repr(1.7976931348623157e308)
+        req = parse_request(f"INGEST f 0 -{big} 5e-324 -0.0 {big} 1 1")
+        assert req.unit == (-1.7976931348623157e308, 5e-324, -0.0,
+                            1.7976931348623157e308, 1.0, 1.0)
+        assert parse_request(f"SNAPSHOT f {big} -{big} -1 {big} 1").window == (
+            -1.7976931348623157e308, -1.0, 1.7976931348623157e308, 1.0
+        )
+
+    @pytest.mark.parametrize("bad", ["inf", "nan"])
+    def test_rejected_ingest_touches_neither_fleet_nor_wal(self, tmp_path, bad):
+        """``INGEST f 0 10 10 10 inf 20 20`` used to be acknowledged and
+        made durable, its unit pinned at (10, 10) forever."""
+        ex = FleetExecutor()
+        ex.register_fleet("f", [MovingPoint([
+            UPoint.between(0.0, (0.0, 0.0), 5.0, (10.0, 10.0))
+        ])])
+        wal = Wal(tmp_path / "ingest.wal")
+        run = serve_in_thread(ex, wal=wal)
+        try:
+            with ServerClient("127.0.0.1", run.port) as c:
+                def state():
+                    units = c.stats().stat("fleet.f.units")
+                    return units, (tmp_path / "ingest.wal").stat().st_size
+
+                before = state()
+                with pytest.raises(ServerError) as caught:
+                    c.request(f"INGEST f 0 10 10 10 {bad} 20 20")
+                assert caught.value.remote_type == "ProtocolError"
+                assert state() == before
+                assert c.snapshot("f", 1e6).rows == []
+                # The same unit with a finite end lands and is logged.
+                c.request("INGEST f 0 10 10 10 30 20 20")
+                units, size = state()
+                assert int(units) == int(before[0]) + 1 and size > before[1]
+                assert c.snapshot("f", 30.0).rows == [
+                    {"obj": "0", "x": "20.0", "y": "20.0"}
+                ]
+        finally:
+            run.stop()
+            wal.close()
 
 
 # ---------------------------------------------------------------------------
