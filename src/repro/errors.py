@@ -66,7 +66,7 @@ class CorruptColumnError(StorageError):
     in-memory struct layout, or a full-CRC verification pass finds the
     payload bytes corrupted.  The store never serves bytes from a file
     that failed validation; callers degrade to rebuilding the column
-    from the tuple store (counted under ``colstore.rebuilds``).
+    from the fleet's mappings (counted under ``colstore.rebuilds``).
     """
 
 

@@ -60,7 +60,7 @@ from repro.storage.tuplestore import TupleStore
 from repro.storage.wal import Wal
 from repro.temporal.mapping import MovingPoint
 from repro.temporal.upoint import UPoint
-from repro.vector.cache import clear_cache, column_for_versioned
+from repro.vector.cache import Fleet, clear_cache, column_for_versioned
 from repro.vector.columns import UPointColumn
 from repro.vector.kernels import window_intervals_batch
 from repro.vector.store import ColumnStore
@@ -435,11 +435,12 @@ def _colstore_save(run: Run) -> str:
     and ``load_or_rebuild`` must repair to the new fleet."""
     grown = _tracks(run.seed, 5)
     old = grown[:4]
+    old_stamp, grown_stamp = Fleet(old).stamp, Fleet(grown).stamp
     with tempfile.TemporaryDirectory(prefix="faultmatrix_") as root:
         store = ColumnStore(root)
-        store.save("upoint", UPointColumn.from_mappings(old), n_objects=len(old))
+        store.save("upoint", UPointColumn.from_mappings(old), old_stamp)
         with run.armed():
-            store.save("upoint", UPointColumn.from_mappings(grown), n_objects=len(grown))
+            store.save("upoint", UPointColumn.from_mappings(grown), grown_stamp)
         # Atomicity: either the old generation still verifies and reads
         # back byte-identical, or the damage is typed — never silent.
         try:
@@ -448,7 +449,7 @@ def _colstore_save(run: Run) -> str:
                            "torn save served as clean bytes")
         except StorageError:
             pass  # detected — acceptable outcome
-        repaired = store.load_or_rebuild("upoint", grown)
+        repaired = store.load_or_rebuild("upoint", grown, grown_stamp)
         _expect_column(repaired, grown, "rebuild did not repair to the new fleet")
         store.verify("upoint")
     return "old generation safe; rebuild repaired store"

@@ -256,12 +256,7 @@ class ShardManager:
                 except (CorruptColumnError, StorageError, OSError):
                     pass
                 for kind in kinds:
-                    st.save(
-                        kind,
-                        column_class(kind).from_mappings(shard),
-                        fleet_version=shard.stamp,
-                        n_objects=len(shard),
-                    )
+                    st.save(kind, column_class(kind).from_mappings(shard), shard.stamp)
                 # The rebuilt files replace whatever the resident entry
                 # was mapped over; drop it so the next map is clean.
                 self._resident.evict(s)

@@ -57,10 +57,9 @@ TUPLE = 3       # logical tuple-directory append (payload: tuple bytes)
 COMMIT = 4      # transaction end; replay applies BEGIN..COMMIT atomically
 CHECKPOINT = 5  # consistent snapshot (payload: store-specific state)
 CATALOG = 6     # catalog operation (payload: JSON document)
-COLSTORE = 7    # column-store checkpoint: ties column files at a store
-                # directory (and their manifest CRC) to this log position,
-                # so recovery knows which persisted columns to validate
-                # against which relation (payload: JSON document)
+COLSTORE = 7    # reserved: relation column checkpoints written by earlier
+                # versions, skipped on replay; still a known type, so such
+                # a log is not cut short at its first one
 INGEST = 8      # one unit appended to a live fleet; scope "fleet:<name>",
                 # payload a JSON document naming the object and the unit's
                 # interval endpoints — replay re-appends the slice

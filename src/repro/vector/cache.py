@@ -180,6 +180,32 @@ class Fleet(MutableSequence[Any]):
     def __repr__(self) -> str:
         return f"Fleet({len(self._items)} objects, version={self._version})"
 
+    # Slots copy shallowly: without these a copy would share the list and
+    # changelog with its original, and a pickled twin would carry the
+    # original's identity — two diverging fleets showing one stamp.
+
+    def __reduce__(self) -> Tuple[Any, ...]:
+        return _clone, (
+            type(self), self._items, self._version, self._changes, self._floor
+        )
+
+    def __copy__(self) -> "Fleet":
+        return _clone(*self.__reduce__()[1])
+
+
+def _clone(
+    cls: type, items: List[Any], version: int, changes: List[Tuple[int, int]],
+    floor: int,
+) -> Fleet:
+    """A fleet with ``items`` at ``version`` under a list, changelog and
+    identity of its own (what copying or unpickling a fleet builds)."""
+    twin = cls.__new__(cls)
+    Fleet.__init__(twin, items)
+    twin._version = version
+    twin._changes = list(changes)
+    twin._floor = floor
+    return twin
+
 
 class ColumnCache:
     """Byte-budgeted cache of built columns keyed by fleet identity.

@@ -14,14 +14,13 @@ numpy struct dtypes the batch kernels already consume, opening a stored
 column maps each file once (one descriptor: header ``pread``, ``fstat``,
 read-only ``mmap``, ``np.frombuffer``) and builds nothing.
 
-A store is a derived copy of its fleet's units, so it is served only to
-a caller that can show the copy is still theirs.  Two can: a
-:class:`~repro.shard.manager.ShardManager`, which stamps each shard
-directory with the shard fleet's :attr:`~repro.vector.cache.Fleet.stamp`
-(``fleet_version=`` — opaque here, compared for equality) and is served
-only what that same fleet object wrote at that same version; and
-``Database.checkpoint_columns`` / ``recover``, whose WAL record vouches
-for the manifest CRC across a restart.  Nothing else opens a store.
+A store is a derived copy of its fleet's units, so a column is served
+only to the fleet that wrote it: its manifest entry carries the
+writer's :attr:`~repro.vector.cache.Fleet.stamp` (``fleet_version=`` —
+opaque here, compared for equality), and :meth:`ColumnStore.load_current`
+answers only a caller showing that same stamp, the same fleet object at
+the same version.  A :class:`~repro.shard.manager.ShardManager` is the
+owner that opens stores this way.
 
 File layout (all little-endian)::
 
@@ -29,8 +28,8 @@ File layout (all little-endian)::
     header = magic b"MODC" | u16 format version | u16 reserved | i64 count
 
 The 16-byte header keeps the payload 8-byte aligned for mapped views.
-The manifest (``manifest.json``) records the format version, the fleet
-version each column was built from, and per-file record counts, CRCs,
+The manifest (``manifest.json``) records the format version, the stamp
+each column was written under, and per-file record counts, CRCs,
 and dtype hashes; the manifest itself carries a CRC over its payload so
 a torn manifest write is detected, not misread.
 
@@ -40,8 +39,8 @@ Validation is two-tier, mirroring the page-checksum design of PR 4:
   magic/version, count and dtype-hash agreement, file size) — enough to
   reject torn writes and stale layouts without touching the payload;
 * :meth:`ColumnStore.verify` additionally CRCs the full payload bytes,
-  the check ``Database.recover`` runs so a bit-flipped file is
-  rebuilt instead of served.
+  the check ``ShardManager.verify_and_repair`` and the fault matrix run
+  so a bit-flipped file is rebuilt instead of served.
 
 Any failure raises the typed :class:`~repro.errors.CorruptColumnError`;
 the store never serves bytes that failed validation.  Callers degrade
@@ -69,7 +68,6 @@ from repro.errors import CorruptColumnError, InvalidValue
 from repro.vector.columns import KINDS, column_class
 
 __all__ = [
-    "COLUMN_KINDS",
     "ColumnStore",
     "MmapSource",
 ]
@@ -81,8 +79,6 @@ MAGIC = b"MODC"
 FORMAT_VERSION = 1
 
 MANIFEST_NAME = "manifest.json"
-
-COLUMN_KINDS: Tuple[str, ...] = tuple(sorted(KINDS))
 
 
 @functools.lru_cache(maxsize=None)
@@ -192,15 +188,6 @@ class ColumnStore:
         """True when the store directory holds a manifest."""
         return os.path.exists(self.path(MANIFEST_NAME))
 
-    def has(self, kind: str) -> bool:
-        """True when the manifest lists column ``kind`` (manifest must
-        be readable; a corrupt manifest reads as "nothing stored")."""
-        try:
-            payload, _crc = self._manifest()
-        except CorruptColumnError:
-            return False
-        return kind in payload["columns"]
-
     # -- manifest ---------------------------------------------------------
 
     def _manifest(self) -> Tuple[dict, int]:
@@ -255,11 +242,7 @@ class ColumnStore:
         os.replace(tmp, self.path(name))
 
     def save(
-        self,
-        kind: str,
-        column,
-        fleet_version: Optional[int] = None,
-        n_objects: Optional[int] = None,
+        self, kind: str, column, fleet_version: Optional[int] = None
     ) -> None:
         """Persist one column kind, then atomically update the manifest.
 
@@ -295,8 +278,6 @@ class ColumnStore:
         entry: Dict[str, object] = {"files": files}
         if fleet_version is not None:
             entry["fleet_version"] = int(fleet_version)
-        if n_objects is not None:
-            entry["n_objects"] = int(n_objects)
         payload["format"] = FORMAT_VERSION
         payload["columns"][kind] = entry
         if faults.active:
@@ -397,33 +378,26 @@ class ColumnStore:
             obs.add("colstore.hits")
         return col
 
-    def load_current(
-        self, kind: str, n_objects: int, fleet_version: Optional[int] = None
-    ):
+    def load_current(self, kind: str, fleet_version: int):
         """The stored ``kind`` column (counted ``colstore.hits``), or None
         when it is missing, corrupt or stale.
 
-        Staleness: when ``fleet_version`` is given and differs from the
-        version recorded in the manifest, or the stored object count
-        disagrees with ``n_objects`` (a store directory re-pointed at a
-        different workload), the stored bytes describe another fleet.
+        Stale: the manifest does not record ``fleet_version`` for it —
+        the bytes were written by another fleet, or by this one at
+        another version.
         """
         try:
             col, entry = self._load(kind)
         except CorruptColumnError:
             return None
-        stored_v = entry.get("fleet_version")
-        stored_n = entry.get("n_objects")
-        if (fleet_version is not None and stored_v != fleet_version) or (
-            stored_n is not None and stored_n != n_objects
-        ):
+        if entry.get("fleet_version") != fleet_version:
             return None
         if obs.enabled:
             obs.add("colstore.hits")
         return col
 
     def verify(self, kind: Optional[str] = None) -> None:
-        """Full-CRC verification of stored columns (the recovery tier).
+        """Full-CRC verification of stored columns (the repair tier).
 
         Checks everything :meth:`load` checks plus a CRC over each
         file's payload bytes, so bit flips inside the record payload are
@@ -460,37 +434,29 @@ class ColumnStore:
     # -- the degrade path --------------------------------------------------
 
     def rebuild(
-        self,
-        kind: str,
-        mappings: Sequence,
-        fleet_version: Optional[int] = None,
-        **build_kwargs,
+        self, kind: str, mappings: Sequence, fleet_version: int, **build_kwargs
     ):
-        """Build ``kind`` from ``mappings``, save it (counted
-        ``colstore.rebuilds``) and re-open it from disk so the caller
-        gets a memmap-backed column with ``source`` set; if even the
-        re-open fails (disk gone), the built column itself is returned —
-        degraded, never wrong."""
+        """Build ``kind`` from ``mappings``, save it under
+        ``fleet_version`` (counted ``colstore.rebuilds``) and re-open it
+        from disk so the caller gets a memmap-backed column with
+        ``source`` set; if even the re-open fails (disk gone), the built
+        column itself is returned — degraded, never wrong."""
         built = column_class(kind).from_mappings(mappings, **build_kwargs)
         if obs.enabled:
             obs.add("colstore.rebuilds")
-        self.save(kind, built, fleet_version, n_objects=len(mappings))
+        self.save(kind, built, fleet_version)
         try:
             return self._load(kind)[0]
         except CorruptColumnError:
             return built
 
     def load_or_rebuild(
-        self,
-        kind: str,
-        mappings: Sequence,
-        fleet_version: Optional[int] = None,
-        **build_kwargs,
+        self, kind: str, mappings: Sequence, fleet_version: int, **build_kwargs
     ):
         """Serve ``kind`` from disk (:meth:`load_current`), rebuilding
         from ``mappings`` (:meth:`rebuild`) if the stored column is
         missing, corrupt, or stale."""
-        col = self.load_current(kind, len(mappings), fleet_version)
+        col = self.load_current(kind, fleet_version)
         if col is None:
             col = self.rebuild(kind, mappings, fleet_version, **build_kwargs)
         return col

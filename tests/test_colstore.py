@@ -5,8 +5,10 @@ Covers the tentpole guarantees of the mmap store:
 * round-trip fidelity — the file payload is byte-identical to the
   in-memory column records (a hypothesis property pins the format);
 * the corruption matrix — a bit flip in any column file or the
-  manifest is detected, and WAL recovery *rebuilds* the store from the
-  recovered relation rather than serving the flipped bytes;
+  manifest is detected, and ``load_or_rebuild`` rebuilds rather than
+  serving the flipped bytes;
+* one staleness rule — a column is served only under the stamp of the
+  fleet that wrote it;
 * torn writes — every registered ``colstore.*`` failpoint leaves the
   store either at the old consistent generation or detectably torn,
   and ``load_or_rebuild`` repairs both shapes;
@@ -33,22 +35,13 @@ from repro import faults, obs
 from repro.db.catalog import Database
 from repro.errors import CorruptColumnError, SimulatedCrash
 from repro.shard import ShardedFleet, ShardManager, sharded_atinstant
-from repro.storage.wal import Wal
 from repro.temporal.mapping import MovingPoint
-from repro.vector.cache import clear_cache
+from repro.vector.cache import Fleet, clear_cache
 from repro.vector.columns import KINDS, UPointColumn
 from repro.vector.fleet import fleet_atinstant, set_backend
 from repro.vector.kernels import atinstant_batch
-from repro.vector.store import (
-    COLUMN_KINDS,
-    HEADER,
-    MANIFEST_NAME,
-    ColumnStore,
-    _parse_manifest,
-)
+from repro.vector.store import HEADER, MANIFEST_NAME, ColumnStore, _parse_manifest
 from repro.workloads.trajectories import random_flights
-
-SCHEMA = [("name", "string"), ("track", "mpoint")]
 
 
 @pytest.fixture(autouse=True)
@@ -87,11 +80,11 @@ def mappings_for(kind, mappings):
     return mappings
 
 
-def save_all(root, mappings):
+def save_all(root, mappings, stamp=None):
     store = ColumnStore(os.fspath(root))
-    for kind in COLUMN_KINDS:
+    for kind in KINDS:
         src = mappings_for(kind, mappings)
-        store.save(kind, KINDS[kind].from_mappings(src), n_objects=len(src))
+        store.save(kind, KINDS[kind].from_mappings(src), stamp)
     return store
 
 
@@ -104,13 +97,13 @@ def flip_byte(path, offset):
 
 
 def test_no_process_wide_store(tmp_path, capsys):
-    """A store is opened by who can vouch for it (a rooted shard manager,
-    a WAL checkpoint): no module function and no CLI flag binds one to
+    """A store is opened by the fleet whose stamp it carries (a rooted
+    shard manager): no module function and no CLI flag binds one to
     whatever fleet asks first."""
     from repro import cli
     from repro.vector import store
 
-    assert set(store.__all__) == {"COLUMN_KINDS", "ColumnStore", "MmapSource"}
+    assert set(store.__all__) == {"ColumnStore", "MmapSource"}
     flag = "--" + "colstore"  # in halves: a grep for the flag finds nothing
     with pytest.raises(SystemExit) as usage:
         cli.main([flag, os.fspath(tmp_path), "snapshot"])
@@ -121,13 +114,13 @@ def test_no_process_wide_store(tmp_path, capsys):
 #: Every (kind, file name) pair the store writes — the corruption matrix.
 ALL_FILES = [
     (kind, name)
-    for kind in COLUMN_KINDS
+    for kind in KINDS
     for name, _dtype in KINDS[kind].FILES
 ]
 
 
 class TestRoundTrip:
-    @pytest.mark.parametrize("kind", COLUMN_KINDS)
+    @pytest.mark.parametrize("kind", KINDS)
     def test_file_payload_is_in_memory_bytes(self, tmp_path, kind):
         mappings = make_mappings()
         store = save_all(tmp_path, mappings)
@@ -140,7 +133,7 @@ class TestRoundTrip:
                 rec, dtype=dtype
             ).tobytes()
 
-    @pytest.mark.parametrize("kind", COLUMN_KINDS)
+    @pytest.mark.parametrize("kind", KINDS)
     def test_loaded_column_arrays_bit_identical(self, tmp_path, kind):
         mappings = make_mappings()
         store = save_all(tmp_path, mappings)
@@ -185,7 +178,7 @@ class TestRoundTrip:
 
     def _assert_round_trip(self, root, mappings):
         store = ColumnStore(os.fspath(root))
-        for kind in COLUMN_KINDS:
+        for kind in KINDS:
             built = KINDS[kind].from_mappings(mappings_for(kind, mappings))
             store.save(kind, built)
             loaded = store.load(kind)
@@ -199,7 +192,7 @@ class TestRoundTrip:
 
     def test_empty_store_round_trip(self, tmp_path):
         store = save_all(tmp_path, [])
-        for kind in COLUMN_KINDS:
+        for kind in KINDS:
             col = store.load(kind)
             assert len(getattr(col, "offsets", [0])) >= 0
         store.verify()
@@ -245,7 +238,6 @@ class TestValidation:
             store.manifest()
         with pytest.raises(CorruptColumnError):
             store.load("upoint")
-        assert not store.has("upoint")
 
     def test_dtype_hash_mismatch_rejected(self, tmp_path):
         """A manifest claiming a different record layout must be
@@ -274,36 +266,38 @@ class TestLoadOrRebuild:
         store = save_all(tmp_path, mappings)
         flip_byte(store.path("upoint.bin"), 0)
         obs.reset()
-        col = store.load_or_rebuild("upoint", mappings)
+        col = store.load_or_rebuild("upoint", mappings, Fleet(mappings).stamp)
         assert counters()["colstore.rebuilds"] == 1
         assert col.source is not None
         store.verify("upoint")
 
-    def test_object_count_mismatch_is_stale(self, tmp_path):
-        """A store directory re-pointed at a different workload must
-        rebuild, not serve the other workload's columns."""
-        store = save_all(tmp_path, make_mappings(12))
-        other = make_mappings(5, seed=99)
+    def test_another_fleets_store_is_rebuilt_not_served(self, tmp_path):
+        """A store written under another fleet's stamp is rebuilt, not
+        served — even when that fleet has as many objects as this one."""
+        mine = Fleet(make_mappings(12))
+        other = Fleet(make_mappings(12, seed=99))
+        store = save_all(tmp_path, mine, mine.stamp)
         obs.reset()
-        col = store.load_or_rebuild("upoint", other)
+        col = store.load_or_rebuild("upoint", other, other.stamp)
         assert counters()["colstore.rebuilds"] == 1
-        assert len(col.offsets) == len(other) + 1
+        assert _bytes_of(col) == _bytes_of(UPointColumn.from_mappings(other))
+        assert store.fleet_version("upoint") == other.stamp
 
     def test_fleet_version_mismatch_is_stale(self, tmp_path):
         mappings = make_mappings()
         store = ColumnStore(os.fspath(tmp_path))
         store.save(kind="upoint", column=UPointColumn.from_mappings(mappings),
-                   fleet_version=3, n_objects=len(mappings))
+                   fleet_version=3)
         obs.reset()
         store.load_or_rebuild("upoint", mappings, fleet_version=4)
         assert counters()["colstore.rebuilds"] == 1
         assert store.fleet_version("upoint") == 4
 
     def test_clean_store_served_without_rebuild(self, tmp_path):
-        mappings = make_mappings()
-        store = save_all(tmp_path, mappings)
+        mappings = Fleet(make_mappings())
+        store = save_all(tmp_path, mappings, mappings.stamp)
         obs.reset()
-        store.load_or_rebuild("upoint", mappings)
+        store.load_or_rebuild("upoint", mappings, mappings.stamp)
         c = counters()
         assert c.get("colstore.rebuilds", 0) == 0
         assert c["colstore.hits"] == 1
@@ -311,15 +305,15 @@ class TestLoadOrRebuild:
     def test_served_column_costs_one_manifest_read(self, tmp_path, monkeypatch):
         """Staleness is judged on the manifest entry the column was
         mapped from, not on a second read of the file."""
-        mappings = make_mappings(6)
-        store = save_all(tmp_path, mappings)
+        mappings = Fleet(make_mappings(6))
+        store = save_all(tmp_path, mappings, mappings.stamp)
         reads = []
         real = ColumnStore._manifest
         monkeypatch.setattr(
             ColumnStore, "_manifest", lambda self: reads.append(1) or real(self)
         )
         obs.reset()
-        store.load_or_rebuild("upoint", mappings)
+        store.load_or_rebuild("upoint", mappings, mappings.stamp)
         assert len(reads) == 1
         assert counters()["colstore.hits"] == 1
         assert counters().get("colstore.rebuilds", 0) == 0
@@ -342,12 +336,11 @@ class TestTornWrites:
         mappings = make_mappings()
         store = save_all(tmp_path, mappings)
         before = store.manifest()
-        grown = mappings + make_mappings(3, seed=11)
+        grown = Fleet(mappings + make_mappings(3, seed=11))
         faults.arm(failpoint, policy)
         with pytest.raises(SimulatedCrash):
             store.save(
-                "upoint", UPointColumn.from_mappings(mappings=grown),
-                n_objects=len(grown),
+                "upoint", UPointColumn.from_mappings(mappings=grown), grown.stamp
             )
         faults.disarm()
         # The manifest still describes the *old* generation: either it
@@ -362,92 +355,9 @@ class TestTornWrites:
             assert store.manifest() == before
         # And the degrade path repairs whichever shape resulted.
         obs.reset()
-        col = store.load_or_rebuild("upoint", grown)
+        col = store.load_or_rebuild("upoint", grown, grown.stamp)
         assert len(col.offsets) == len(grown) + 1
         store.verify("upoint")
-
-    @pytest.mark.parametrize("failpoint,policy", TORN_CASES)
-    def test_recovery_rebuilds_after_torn_checkpoint(
-        self, tmp_path, failpoint, policy
-    ):
-        """WAL + colstore: a crash during a re-checkpoint leaves the
-        COLSTORE record pointing at a generation that no longer
-        verifies; recovery must rebuild it from the recovered rows."""
-        wal = Wal()
-        db = Database(wal=wal)
-        rel = db.create_relation(
-            "ships", SCHEMA, materialized=True, inline_threshold=64
-        )
-        for i, m in enumerate(make_mappings(6)):
-            rel.insert([f"s{i}", m])
-        root = os.fspath(tmp_path / "cols")
-        db.checkpoint_columns(root, "ships", "track")
-        # Second checkpoint tears: column files may be half-replaced
-        # relative to the manifest the WAL checkpoint record pins.
-        faults.arm(failpoint, policy)
-        with pytest.raises(SimulatedCrash):
-            db.checkpoint_columns(root, "ships", "track")
-        faults.disarm()
-        wal.crash()
-        obs.reset()
-        recovered = Database.recover(wal)
-        store = ColumnStore(root)
-        store.verify()  # whatever recovery left must validate in full
-        col = store.load("upoint")
-        assert len(col.offsets) == len(recovered.relation("ships")) + 1
-
-
-class TestRecoveryMatrix:
-    def _checkpointed_db(self, tmp_path, n=6):
-        wal = Wal()
-        db = Database(wal=wal)
-        rel = db.create_relation(
-            "ships", SCHEMA, materialized=True, inline_threshold=64
-        )
-        for i, m in enumerate(make_mappings(n)):
-            rel.insert([f"s{i}", m])
-        root = os.fspath(tmp_path / "cols")
-        db.checkpoint_columns(root, "ships", "track")
-        return wal, db, ColumnStore(root)
-
-    def test_intact_store_not_rebuilt(self, tmp_path):
-        wal, _db, store = self._checkpointed_db(tmp_path)
-        wal.crash()
-        obs.reset()
-        Database.recover(wal)
-        assert counters().get("colstore.rebuilds", 0) == 0
-        store.verify()
-
-    @pytest.mark.parametrize(
-        "name", sorted({n for _k, n in ALL_FILES if n != "ureal.bin"
-                        and n != "ureal_offsets.bin"}) + [MANIFEST_NAME]
-    )
-    def test_bitflipped_file_rebuilt_on_recovery(self, tmp_path, name):
-        """Flip one byte in each checkpointed file (and the manifest):
-        recovery must detect it and rebuild, counted per kind."""
-        wal, _db, store = self._checkpointed_db(tmp_path)
-        offset = 4 if name == MANIFEST_NAME else HEADER.size + 1
-        flip_byte(store.path(name), offset)
-        wal.crash()
-        obs.reset()
-        recovered = Database.recover(wal)
-        assert counters()["colstore.rebuilds"] >= 1
-        store.verify()  # rebuilt generation is fully valid again
-        col = store.load("upoint")
-        assert len(col.offsets) == len(recovered.relation("ships")) + 1
-
-    def test_missing_store_directory_degrades(self, tmp_path):
-        import shutil
-
-        wal, _db, store = self._checkpointed_db(tmp_path)
-        shutil.rmtree(store.root)
-        wal.crash()
-        recovered = Database.recover(wal)  # must not raise
-        # Rebuild from the recovered relation re-created the directory.
-        assert ColumnStore(store.root).exists() or not os.path.exists(
-            store.root
-        )
-        assert len(recovered.relation("ships")) == 6
 
 
 class TestBackendParity:
@@ -542,7 +452,7 @@ class TestDescriptors:
         store = save_all(tmp_path, make_mappings())
         before = open_descriptors()
         for _ in range(200):
-            for kind in COLUMN_KINDS:
+            for kind in KINDS:
                 store.load(kind)
         assert open_descriptors() == before
 
@@ -578,11 +488,11 @@ class TestManifestMemo:
         mine["columns"]["upoint"]["files"]["upoint.bin"]["count"] = 0
         del mine["columns"]["bbox"]
         again = store.manifest()
-        assert again["format"] == 1 and set(again["columns"]) == set(COLUMN_KINDS)
+        assert again["format"] == 1 and set(again["columns"]) == set(KINDS)
         assert again["columns"]["upoint"]["files"]["upoint.bin"]["count"] > 0
         col = store.load("upoint")
         assert len(col.x0) > 0 and col.source.manifest_crc == crc
-        assert store.has("bbox")
+        assert "bbox" in store.manifest()["columns"]
 
     def test_save_between_loads_is_seen(self, tmp_path):
         mappings = make_mappings()
@@ -593,7 +503,7 @@ class TestManifestMemo:
         second = store.load("upoint")
         assert second.source.manifest_crc == store.manifest_crc()
         assert second.source.manifest_crc != first.source.manifest_crc
-        assert store.has("bbox")
+        assert "bbox" in store.manifest()["columns"]
         grown = mappings + make_mappings(3, seed=11)
         store.save("upoint", UPointColumn.from_mappings(grown), fleet_version=2)
         assert store.fleet_version("upoint") == 2
@@ -622,7 +532,7 @@ def _bytes_of(column):
 class TestViewLifetime:
     def test_loaded_arrays_are_read_only(self, tmp_path):
         store = save_all(tmp_path, make_mappings())
-        for kind in COLUMN_KINDS:
+        for kind in KINDS:
             col = store.load(kind)
             for a in col.arrays():
                 assert not a.flags.writeable

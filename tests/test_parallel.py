@@ -501,9 +501,9 @@ class TestAttachTableKeyedByKind:
         from repro.vector.store import ColumnStore
 
         store = ColumnStore(str(tmp_path))
-        fleet = make_fleet(30)
+        fleet = Fleet(make_fleet(30))
         for kind in ("upoint", "bbox"):  # persist both kinds, then reopen
-            store.rebuild(kind, fleet)   # them from one manifest generation
+            store.rebuild(kind, fleet, fleet.stamp)  # from one generation
         up, bb = store.load("upoint"), store.load("bbox")
         assert up.source.manifest_crc == bb.source.manifest_crc
         pool._ATTACHED.clear()

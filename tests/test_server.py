@@ -278,6 +278,31 @@ class TestFleetMembers:
         twin[1] = "B"
         assert twin.members() == tuple(twin) == ("a", "B", "c")
 
+    def test_a_copy_leaves_the_original_alone(self):
+        fleet = Fleet(["a", "b", "c"])
+        fleet[2] = "C"
+        twin = copy.copy(fleet)
+        twin[0] = "X"
+        twin.append("d")
+        assert list(fleet) == ["a", "b", "C"] and fleet.version == 1
+        assert fleet.changes_since(0) == {2}
+        assert list(twin) == ["X", "b", "C", "d"] and twin.version == 3
+        assert twin.changes_since(0) == {0, 2, 3}
+
+    @pytest.mark.parametrize(
+        "clone", [copy.copy, lambda f: pickle.loads(pickle.dumps(f))],
+        ids=["copy", "pickle"],
+    )
+    def test_a_clone_has_its_own_stamp(self, clone):
+        """A stored column is served to whoever shows its stamp: a clone
+        that diverges at the same version must not show the original's."""
+        fleet = Fleet(["a", "b"])
+        twin = clone(fleet)
+        fleet[0] = "P"
+        twin[1] = "Q"
+        assert fleet.version == twin.version == 1
+        assert fleet.stamp != twin.stamp
+
     def test_sharded_members_follow_global_order(self):
         mappings = _mappings(23)
         fleet = ShardedFleet(mappings, 4)

@@ -1,5 +1,8 @@
 """WAL semantics and crash recovery of the tuple store and catalog."""
 
+import os
+import shutil
+
 import pytest
 
 from repro import faults, obs
@@ -293,3 +296,36 @@ class TestDatabaseRecovery:
             db.query("SELECT name FROM ships")
         rows = db.query("SELECT name FROM ships", strict=False)
         assert [r["name"].value for r in rows] == ["good"]
+
+
+PARENT_WAL = os.path.join(os.path.dirname(__file__), "data", "wal_colstore_parent")
+
+
+def parent_track(i: int) -> MovingPoint:
+    return MovingPoint.from_waypoints(
+        [(0.0, (float(i), 0.0)), (10.0, (float(i), 5.0)), (20.0, (i + 1.0, 5.0))]
+    )
+
+
+def test_replay_crosses_a_colstore_record(tmp_path, monkeypatch):
+    """``data/wal_colstore_parent/wal.log`` was written by a version that
+    still checkpointed relation columns: relation ``ships`` created,
+    ``s0``–``s3`` inserted, a column checkpoint to the relative root
+    ``cols`` logged as a COLSTORE record, then ``s4``–``s6`` inserted.
+    Replay skips the record, keeps every tuple committed after it and
+    writes no column store."""
+    shutil.copytree(PARENT_WAL, tmp_path, dirs_exist_ok=True)
+    monkeypatch.chdir(tmp_path)
+    obs.enable()
+    obs.reset()
+    try:
+        with Wal("wal.log") as wal:
+            assert walmod.COLSTORE in {r.rec_type for r in wal.records()}
+            rows = Database.recover(wal).relation("ships").rows()
+        assert obs.snapshot()["counters"].get("wal.truncated_tails", 0) == 0
+    finally:
+        obs.reset()
+        obs.disable()
+    assert [r["name"].value for r in rows] == [f"s{i}" for i in range(7)]
+    assert [r["track"] for r in rows] == [parent_track(i) for i in range(7)]
+    assert not os.path.exists("cols")
