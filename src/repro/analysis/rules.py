@@ -716,10 +716,10 @@ class BackendDispatch(Rule):
     """MOD005: one module compares backend names; there, dispatch is
     resolved, two-armed, and falls back counted.
 
-    * the backend literals ``"vector"`` / ``"parallel"`` /
-      ``"sharded"`` may be *compared* (``==``, ``!=``, ``in``) only
-      inside the operator table, :mod:`repro.vector.backends`; every
-      other module passes names through and lets the table decide;
+    * the backend literals ``"vector"`` / ``"parallel"`` may be
+      *compared* (``==``, ``!=``, ``in``) only inside the operator
+      table, :mod:`repro.vector.backends`; every other module passes
+      names through and lets the table decide;
     * inside the table, comparisons go through ``resolve``/
       ``get_backend`` — directly, or via a local variable assigned from
       a resolver in the same function (never a raw parameter — a raw
@@ -745,7 +745,7 @@ class BackendDispatch(Rule):
     name = "backend-dispatch"
 
     _TABLE = "repro/vector/backends.py"
-    _BATCH_LITERALS = {"vector", "parallel", "sharded"}
+    _BATCH_LITERALS = {"vector", "parallel"}
     #: Table predicates whose if-arms are batched paths too.
     _PREDICATES = {"columnar", "pooled"}
     _COUNTERS = ("count_fallback", "_mmap_fallback")

@@ -353,13 +353,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--backend",
-        choices=["scalar", "vector", "parallel", "sharded"],
+        choices=["scalar", "vector", "parallel"],
         default=None,
         help="evaluation backend for fleet-level operations: scalar "
-        "reference loops, columnar numpy kernels (repro.vector), "
+        "reference loops, columnar numpy kernels (repro.vector), or "
         "those kernels chunked over a shared-memory process pool "
-        "(repro.parallel), or spatially tiled shards with "
-        "scatter-gather execution (repro.shard)",
+        "(repro.parallel)",
     )
     parser.add_argument(
         "--workers",
@@ -496,15 +495,15 @@ def main(argv: Optional[List[str]] = None) -> int:
             return 2
     args.memory_budget_bytes = memory_budget
     if args.workers is not None:
-        from repro.vector.backends import POOLED_BACKENDS
+        from repro.vector.backends import pooled
 
         # Pre-dispatch flag validation: None (no --backend) must warn
         # too, so the raw argparse value is exactly what to inspect.
-        if args.backend not in POOLED_BACKENDS:
+        if args.backend is None or not pooled(args.backend):
             print(
                 "repro: warning: --workers only affects --backend "
-                f"{' and --backend '.join(POOLED_BACKENDS)}; the "
-                f"{args.backend or 'default'} backend ignores it",
+                f"parallel; the {args.backend or 'default'} backend "
+                "ignores it",
                 file=sys.stderr,
             )
 

@@ -40,12 +40,11 @@ BUFFER_RETRY_BASE_DELAY: float = 0.0005
 
 #: Default evaluation backend for fleet-level operations: ``"scalar"``
 #: (per-object reference loops), ``"vector"`` (columnar numpy kernels,
-#: :mod:`repro.vector`), ``"parallel"`` (those kernels chunked over a
+#: :mod:`repro.vector`) or ``"parallel"`` (those kernels chunked over a
 #: process pool whose workers map store-backed columns from their files
-#: and attach the rest through shared memory, :mod:`repro.parallel`) or
-#: ``"sharded"`` (scattered over the budgeted shards of a
-#: spatially tiled fleet, :mod:`repro.shard`).  Flip at runtime with
-#: ``repro.vector.set_backend`` or the CLI's ``--backend`` flag.
+#: and attach the rest through shared memory, :mod:`repro.parallel`).
+#: A sharded fleet (:mod:`repro.shard`) runs under any of them.  Flip at
+#: runtime with ``repro.vector.set_backend`` or the CLI's ``--backend``.
 DEFAULT_BACKEND: str = "scalar"
 
 #: Default worker count of the ``parallel`` backend's process pool.

@@ -564,8 +564,7 @@ def compile_batch_predicate(
 
             # The window kernel returns exactly the nonempty clipped
             # intervals, so an object passes iff it owns at least one
-            # returned run.  (A sharded scan prunes whole shards by
-            # their bounds before any column is mapped.)
+            # returned run.
             mask = np.zeros(scan.n_tuples, dtype=np.bool_)
             rect = Rect(xmin, ymin, xmax, ymax)
             mask[scan.batch("window_intervals", rect, t0, t1)[0]] = True

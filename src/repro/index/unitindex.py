@@ -10,7 +10,7 @@ with the owning object's key.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Hashable, Iterable, List, Optional, Set, Tuple, Union
+from typing import Hashable, Iterable, List, Set, Tuple, Union
 
 from repro.base.instant import Instant, as_time
 from repro.spatial.bbox import Cube, Rect
@@ -21,20 +21,13 @@ from repro.temporal.uregion import URegion
 
 
 class MovingObjectIndex:
-    """A per-unit spatio-temporal index over moving points/regions.
-
-    Filtering can run through either path: the R-tree descent
-    (``scalar``) or a columnar sweep over the same per-unit cubes (every
-    columnar backend, :class:`~repro.vector.columns.BBoxColumn`).  Both see
-    identical cube sets, so their candidate sets are identical; the
-    column is rebuilt lazily after every ``add``.
-    """
+    """A per-unit spatio-temporal index over moving points/regions: every
+    candidate query is one descent of the R-tree of unit cubes."""
 
     def __init__(self, max_entries: int = 8):
         self._tree = RTree3D(max_entries)
         self._count = 0
         self._entries: List[Tuple[Hashable, Cube]] = []
-        self._column: Optional[Any] = None
 
     def __len__(self) -> int:
         """Number of indexed objects (not units)."""
@@ -53,7 +46,6 @@ class MovingObjectIndex:
             self._tree.insert(cube, key)
             self._entries.append((key, cube))
         self._count += 1
-        self._column = None  # stale: rebuilt on the next vector query
 
     def bulk_load(
         self,
@@ -79,26 +71,11 @@ class MovingObjectIndex:
             self._tree.max_entries,
         )
         self._count += added
-        self._column = None  # stale: rebuilt on the next vector query
-
-    def _unit_column(self):
-        """The per-unit cube column (lazily built, invalidated by ``add``)."""
-        if self._column is None:
-            from repro.vector.columns import BBoxColumn
-
-            self._column = BBoxColumn.from_cubes(self._entries)
-        return self._column
 
     # -- queries -----------------------------------------------------------
 
-    def candidates_in_cube(
-        self, cube: Cube, backend: Optional[str] = None
-    ) -> Set[Hashable]:
+    def candidates_in_cube(self, cube: Cube) -> Set[Hashable]:
         """Keys of objects with at least one unit cube intersecting ``cube``."""
-        from repro.vector.backends import columnar
-
-        if columnar(backend):
-            return set(self._unit_column().candidates(cube))
         return set(self._tree.search(cube))
 
     def candidates_at(self, rect: Rect, t: Union[Instant, float]) -> Set[Hashable]:

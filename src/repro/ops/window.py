@@ -216,9 +216,7 @@ class WindowQueryEngine:
             rect.xmin - EPSILON, rect.ymin - EPSILON, t0,
             rect.xmax + EPSILON, rect.ymax + EPSILON, t1,
         )
-        for key in sorted(
-            self._index.candidates_in_cube(cube, backend="scalar"), key=str
-        ):
+        for key in sorted(self._index.candidates_in_cube(cube), key=str):
             if strict:
                 mp = self._resolve(key)
             else:

@@ -43,6 +43,7 @@ from repro.deadline import Deadline
 from repro.db.catalog import Database
 from repro.db.script import StatementResult, run_script
 from repro.errors import InvalidValue, QueryError, StorageError
+from repro.shard.exec import all_shards
 from repro.shard.fleet import ShardedFleet
 from repro.shard.manager import ShardManager
 from repro.temporal.mapping import MovingPoint
@@ -70,12 +71,11 @@ class Snapshot:
     one coordinate, leaving the pins of every sibling shard valid.
     """
 
-    __slots__ = ("version", "items", "_columns")
+    __slots__ = ("version", "items")
 
     def __init__(self, fleet: Any):
         self.version = fleet.version
         self.items: Tuple[Any, ...] = fleet.members()
-        self._columns: Dict[str, Any] = {}
 
     def __len__(self) -> int:
         return len(self.items)
@@ -215,21 +215,15 @@ class FleetExecutor:
         and a build that interleaved with an ingest apply could pair the
         pinned stamp with post-ingest bytes.
         """
-        if kind in snap._columns:
-            return snap._columns[kind]
-        col: Optional[Any] = None
         try:
-            version, candidate = column_for_versioned(fleet, kind)
+            version, col = column_for_versioned(fleet, kind)
             if version == snap.version:
-                col = candidate
-            else:
-                # The fleet moved on past the pin: build from the pinned
-                # members themselves (immutable, so always consistent).
-                col = KINDS[kind].from_mappings(snap.items)
+                return col
+            # The fleet moved on past the pin: build from the pinned
+            # members themselves (immutable, so always consistent).
+            return KINDS[kind].from_mappings(snap.items)
         except (InvalidValue, StorageError):
-            col = None
-        snap._columns[kind] = col
-        return col
+            return None
 
     def snapshot_rows(
         self,
@@ -286,27 +280,20 @@ class FleetExecutor:
     def _pinned_shard_columns(
         self, manager: ShardManager, snap: Snapshot
     ) -> Optional[List[Tuple[Any, Any]]]:
-        """Per-shard ``(global ids, column)`` pairs pinned at ``snap``'s
-        shard version vector, or None when only the scalar path can
-        evaluate the pinned members.
+        """The shard executor's ``(global ids, column)`` parts pinned at
+        ``snap``'s shard version vector, or None when only the scalar
+        path can evaluate the pinned members.
 
         Must run under the lock for the same reason as
         :meth:`_pinned_column`; the lock also freezes the shard version
         vector, so every mapped column matches its pin coordinate.
         """
-        out: List[Tuple[Any, Any]] = []
-        fleet = manager.fleet
-        for s in range(fleet.n_shards):
-            if len(fleet.shards[s]) == 0:
-                continue
-            try:
-                scol = manager.column(s, "upoint")
-            except (InvalidValue, StorageError):
-                return None
-            if fleet.shards[s].version != snap.version[s]:
-                return None  # cannot serve the pin from live columns
-            out.append((fleet.globals_of(s), scol))
-        return out
+        if manager.fleet.version != snap.version:
+            return None  # cannot serve the pin from live columns
+        try:
+            return list(all_shards(manager))
+        except (InvalidValue, StorageError):
+            return None
 
     # -- SQL --------------------------------------------------------------
 

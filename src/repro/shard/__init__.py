@@ -10,7 +10,9 @@ a :class:`ShardManager` gives each shard its own column-store directory
 and column set under a byte-budgeted CLOCK residency policy; and
 :mod:`repro.shard.exec` partitions each operator table row
 (:mod:`repro.vector.backends`) across the shards, whose outputs gather
-bit-identical to the unsharded kernel's.
+bit-identical to the unsharded kernel's.  A sharded fleet is an operand,
+not a backend: its scatter runs under whichever columnar backend is
+asked for.
 
 Process-wide defaults (the CLI's ``--shards`` / ``--memory-budget``
 flags land here): ``set_shards`` picks how many shards newly registered

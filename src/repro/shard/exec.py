@@ -59,8 +59,8 @@ def _evict_failpoint(manager: ShardManager) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _all_shards(manager: ShardManager, *_args: Any) -> Iterator[Part]:
-    """Every non-empty shard's unit column."""
+def all_shards(manager: ShardManager, *_args: Any) -> Iterator[Part]:
+    """Every non-empty shard's unit column (also the server's pin)."""
     fleet = manager.fleet
     for s in range(fleet.n_shards):
         if len(fleet.shards[s]) == 0:
@@ -73,8 +73,8 @@ def _bbox_shards(manager: ShardManager, cube: Cube) -> Iterator[Part]:
     """The bbox columns of the shards whose bounds survive ``cube``,
     each entry mapped to its object's global id."""
     for s in manager.prune(cube):
-        col, keys = manager.bbox_keys(s)
-        yield manager.fleet.globals_of(s)[keys], col
+        col = manager.column(s, "bbox")
+        yield manager.fleet.globals_of(s)[col.keys], col
         _evict_failpoint(manager)
 
 
@@ -92,8 +92,8 @@ def _window_shards(
         cube.xmax + EPSILON, cube.ymax + EPSILON, cube.tmax + EPSILON,
     )
     for s in manager.prune(pad):
-        bbox, keys = manager.bbox_keys(s)
-        cand = keys[bbox.overlap_mask(pad)]
+        bbox = manager.column(s, "bbox")
+        cand = bbox.keys[bbox.overlap_mask(pad)]
         _evict_failpoint(manager)
         if cand.size == 0:
             continue
@@ -119,11 +119,11 @@ def sharded(
     manager: ShardManager,
     args: Tuple[Any, ...],
     workers: Optional[int] = None,
-    backend: Optional[str] = "sharded",
+    backend: Optional[str] = "vector",
 ) -> Any:
     """Table operation ``op`` scattered over ``manager``'s shards,
     answered as arrays in global lanes."""
-    parts = _PARTITIONERS.get(op, _all_shards)(manager, *args)
+    parts = _PARTITIONERS.get(op, all_shards)(manager, *args)
     return evaluate(
         op, manager.fleet, args, backend, workers, parts=parts, arrays=True
     )
@@ -158,7 +158,7 @@ def sharded_atinstant(
     manager: ShardManager,
     t: float,
     workers: Optional[int] = None,
-    backend: Optional[str] = "sharded",
+    backend: Optional[str] = "vector",
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``atinstant`` over every shard, gathered into global lanes.
 
@@ -174,7 +174,7 @@ def sharded_window_intervals(
     t0: float,
     t1: float,
     workers: Optional[int] = None,
-    backend: Optional[str] = "sharded",
+    backend: Optional[str] = "vector",
 ) -> IntervalRows:
     """Window-clipped in-rect intervals, scattered and gathered.
 
@@ -191,7 +191,7 @@ def sharded_count_inside(
     region: Region,
     t: float,
     workers: Optional[int] = None,
-    backend: Optional[str] = "sharded",
+    backend: Optional[str] = "vector",
 ) -> int:
     """Snapshot count inside ``region`` at ``t`` (each object lives in
     exactly one shard, so the member lanes never collide)."""
@@ -203,7 +203,7 @@ def sharded_bbox_filter(
     manager: ShardManager,
     cube: Cube,
     workers: Optional[int] = None,
-    backend: Optional[str] = "sharded",
+    backend: Optional[str] = "vector",
 ) -> List[int]:
     """Global ids of objects whose bounding cube intersects ``cube``,
     ascending — the unsharded ``fleet_bbox_filter`` order."""

@@ -95,7 +95,7 @@ def _member_cubes(members: List[Any]) -> Tuple[np.ndarray, np.ndarray, List[int]
             cubes = [(k, _cube_of(m)) for k, m in enumerate(chunk)]
             unsliced += [base + k for k, c in cubes if c is False]
             col = BBoxColumn.from_cubes([(k, c) for k, c in cubes if c])
-        gids.append(col.keys_int64() + base)
+        gids.append(col.keys + base)
         boxes.append(np.column_stack(
             [col.xmin, col.ymin, col.tmin, col.xmax, col.ymax, col.tmax]
         ))

@@ -133,17 +133,6 @@ class ShardManager:
             self._charge(s, res)
             return col
 
-    def bbox_keys(self, s: int) -> Tuple[Any, np.ndarray]:
-        """``(bbox column, int64 key array)`` for shard ``s``.
-
-        The array rides the column itself (:meth:`BBoxColumn.keys_int64`
-        is a zero-copy record view for store-backed columns), so a cold
-        scatter never pays an O(objects) key conversion.
-        """
-        with self._lock:
-            col = self.column(s, "bbox")
-        return col, col.keys_int64()
-
     def _map_column(self, s: int, kind: str) -> Tuple[Any, Any]:
         """``(version, column)`` for one shard, preferring its store.
         Caller holds the lock."""

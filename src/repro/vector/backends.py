@@ -2,9 +2,11 @@
 
 This module owns the decision "which code evaluates operation *op* on
 backend *b*, and what it degrades to" — the only place in ``repro``
-that compares a value against the backend names ``"vector"``,
-``"parallel"`` or ``"sharded"`` (lint rule MOD005); every other module
-passes names through.  DESIGN.md ("Physical operator table") has the
+that compares a value against the backend names ``"vector"`` or
+``"parallel"`` (lint rule MOD005); every other module passes names
+through.  A backend names a column of the table and nothing else; a
+sharded fleet is an *operand*, scattered the same way under any
+columnar backend.  DESIGN.md ("Physical operator table") has the
 operation × backend grid.
 
 * :data:`OPERATIONS` — one :class:`Operation` per fleet operation: the
@@ -17,10 +19,10 @@ operation × backend grid.
   chunks (:func:`repro.parallel.exec.pool_chunks`), the shard executor
   with ``(global ids, shard column)`` parts (:mod:`repro.shard.exec`);
   in-process evaluation is the one-part case.
-* :func:`evaluate` — the ladder sharded → parallel → vector → scalar,
-  every rung taken counted by :func:`count_fallback`.
-  ``backend="sharded"`` over a plain (unpartitioned) fleet is the
-  ``vector`` column — partitioning it per call would only add copies.
+* :func:`evaluate` — the ladder parallel → vector → scalar, every rung
+  taken counted by :func:`count_fallback`.  The pool rung runs if and
+  only if the backend resolves to ``parallel`` (:func:`pooled`),
+  whatever the operand.
 """
 
 from __future__ import annotations
@@ -57,11 +59,7 @@ from repro.vector.kernels import (
     window_intervals_batch,
 )
 
-BACKENDS = ("scalar", "vector", "parallel", "sharded")
-
-#: Backends that reach the fork pool given the operand for it: the ones
-#: ``workers=`` (the CLI's ``--workers``) affects.
-POOLED_BACKENDS = ("parallel", "sharded")
+BACKENDS = ("scalar", "vector", "parallel")
 
 #: The process-wide default (the CLI's ``--backend`` flag ends up here).
 _backend: str = config.DEFAULT_BACKEND
@@ -95,13 +93,14 @@ def columnar(backend: Optional[str] = None) -> bool:
     return resolve(backend) != "scalar"
 
 
-def pooled(backend: Optional[str] = None, sharded: bool = False) -> bool:
-    """Whether evaluation goes through the fork-pool rung: always for a
-    sharded operand (its scatter runs every shard column through it),
-    for a plain fleet only under ``parallel``."""
-    return sharded or resolve(backend) == "parallel"
+def pooled(backend: Optional[str] = None) -> bool:
+    """Whether evaluation goes through the fork-pool rung (the one
+    backend ``workers=`` affects)."""
+    return resolve(backend) == "parallel"
 
 
+#: Rung left behind → counter family; a sharded operand's failed
+#: scatter is the ``"sharded"`` stage.
 _FALLBACK_FAMILY = {
     "sharded": "shard.fallback",
     "parallel": "parallel.fallback",
@@ -380,14 +379,13 @@ def gather(
     args: Tuple[Any, ...],
     backend: Optional[str] = "vector",
     workers: Optional[int] = None,
-    sharded: bool = False,
 ) -> Any:
     """``op`` over ``(ids, column)`` parts, merged into ``n`` global
     lanes; every column goes through the pool rung first where the
     backend is :func:`pooled`."""
     entry = OPERATIONS[op]
     n_workers = None
-    if pooled(backend, sharded):
+    if pooled(backend):
         from repro.parallel.pool import effective_workers
 
         n_workers = effective_workers(workers)
@@ -436,11 +434,9 @@ def evaluate(
                 col = revalidate(fleet, entry.kind, version, col)
                 whole: Ids = slice(0, len(fleet))
                 if entry.kind == "bbox":
-                    whole = col.keys_int64()  # entries skip empty members
+                    whole = col.keys  # entries skip empty members
                 parts = [(whole, col)]
-            merged = gather(
-                op, len(fleet), parts, args, backend, workers, sharded
-            )
+            merged = gather(op, len(fleet), parts, args, backend, workers)
         except (InvalidValue, StorageError):
             if sharded:
                 count_fallback("sharded", "column")

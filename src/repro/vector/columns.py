@@ -94,7 +94,7 @@ class Column:
     def nbytes(self) -> int:
         """Resident bytes: the sum of the payload arrays (the unit of
         account of the column cache's and the shard manager's budgets).
-        Key lists and sources are bookkeeping, not payload."""
+        Keys and sources are bookkeeping, not payload."""
         return sum(int(a.nbytes) for a in self.arrays())
 
 
@@ -436,12 +436,11 @@ class URealColumn(UnitColumn):
 
 
 class BBoxColumn(Column):
-    """Columnar bounding cubes: one ``(x, y, t)`` box per entry.
+    """Columnar bounding cubes: one ``(x, y, t)`` box per object.
 
-    Entries carry opaque ``keys`` (object identities).  Built either one
-    cube per *object* (whole-trajectory boxes, the coarse filter) or one
-    cube per *unit* (the tight per-slice boxes the Section-4.2 unit
-    records store, exactly what the R-tree indexes).
+    ``keys`` is the int64 array of the fleet positions the boxes belong
+    to, ascending as the builders emit them; an object without units
+    has no bounding cube and no entry.
     """
 
     KIND = "bbox"
@@ -463,47 +462,18 @@ class BBoxColumn(Column):
     #: Names of :meth:`arrays`: the cube coordinates (keys are identity,
     #: not payload — a column rebuilt from its arrays is keyed by position).
     ARRAYS = RECORD_DTYPE.names[1:]
-    __slots__ = ("_keys", "_keys_i64", *ARRAYS)
+    __slots__ = ("keys", *ARRAYS)
 
     def __init__(self, keys, *coords):
-        self._keys: Optional[List[object]] = list(keys)
-        self._keys_i64: Optional[np.ndarray] = None
+        self.keys = np.ascontiguousarray(keys, dtype=np.int64)
         for name, a in zip(self.ARRAYS, coords, strict=True):
             setattr(self, name, np.ascontiguousarray(a, dtype=np.float64))
         self.source = None
-        if len(self._keys) != len(self.xmin):
+        if len(self.keys) != len(self.xmin):
             raise InvalidValue("BBoxColumn keys and coordinates disagree in length")
 
-    @property
-    def keys(self) -> List[object]:
-        """Entry keys as a list (materialized lazily for record-backed
-        columns, where only the int64 array exists until asked for)."""
-        if self._keys is None:
-            assert self._keys_i64 is not None
-            self._keys = self._keys_i64.tolist()
-        return self._keys
-
-    def keys_int64(self) -> np.ndarray:
-        """Entry keys as an int64 array, cached on the column.
-
-        For record-backed columns this is a zero-copy view of the
-        persisted records — O(1), the fast path shard pruning relies on.
-        Raises :class:`InvalidValue` for columns with non-integer keys.
-        """
-        if self._keys_i64 is None:
-            assert self._keys is not None
-            try:
-                self._keys_i64 = np.asarray(
-                    [int(k) for k in self._keys], dtype=np.int64
-                )
-            except (TypeError, ValueError) as exc:
-                raise InvalidValue(
-                    "BBoxColumn with non-integer keys has no int64 view"
-                ) from exc
-        return self._keys_i64
-
     @classmethod
-    def from_cubes(cls, entries: Sequence[Tuple[object, Cube]]) -> "BBoxColumn":
+    def from_cubes(cls, entries: Sequence[Tuple[int, Cube]]) -> "BBoxColumn":
         """Build from ``(key, cube)`` pairs."""
         cubes = [c for _k, c in entries]
         return cls(
@@ -515,89 +485,69 @@ class BBoxColumn(Column):
     def from_mappings(
         cls,
         mappings: Sequence[Union[MovingPoint, Mapping]],
-        keys: Optional[Sequence[object]] = None,
-        per_unit: bool = False,
         upoint: Optional[UPointColumn] = None,
     ) -> "BBoxColumn":
-        """One box per object (default) or per unit (``per_unit=True``).
+        """One box per member that has units, keyed by its position.
 
         Empty mappings contribute no entry (they have no bounding cube);
         their keys simply never appear in filter results, matching the
-        scalar path, which skips empty operands.
-
-        Per-object boxes of moving points come from their unit column
-        (:meth:`from_upoint`) — ``upoint`` when the caller already holds
-        it, one transcription otherwise — instead of one
-        ``bounding_cube()`` walk per object.
+        scalar path, which skips empty operands.  Moving points' boxes
+        come from their unit column (:meth:`from_upoint`) — ``upoint``
+        when the caller already holds it, one transcription otherwise —
+        instead of one ``bounding_cube()`` walk per object.
 
         Raises :class:`InvalidValue` for members that are not sliced
         mappings, like the other column builders, so backend dispatchers
         can route mixed fleets through the counted scalar fallback.
         """
-        if not per_unit:
-            if upoint is None and all(
-                isinstance(m, MovingPoint) for m in mappings
-            ):
-                upoint = UPointColumn.from_mappings(mappings)
-            if upoint is not None:
-                return cls.from_upoint(upoint, keys)
-        if keys is None:
-            keys = list(range(len(mappings)))
-        entries: List[Tuple[object, Cube]] = []
-        for key, m in zip(keys, mappings):
+        if upoint is None and all(isinstance(m, MovingPoint) for m in mappings):
+            upoint = UPointColumn.from_mappings(mappings)
+        if upoint is not None:
+            return cls.from_upoint(upoint)
+        entries: List[Tuple[int, Cube]] = []
+        for key, m in enumerate(mappings):
             if not isinstance(m, Mapping) or not hasattr(m, "bounding_cube"):
                 raise InvalidValue(
                     f"BBoxColumn holds mappings with bounding cubes, "
                     f"got {type(m).__name__}"
                 )
-            if not m.units:
-                continue
-            if per_unit:
-                for u in m.units:
-                    entries.append((key, u.bounding_cube()))
-            else:
+            if m.units:
                 entries.append((key, m.bounding_cube()))
         return cls.from_cubes(entries)
 
     @classmethod
-    def from_upoint(
-        cls, col: UPointColumn, keys: Optional[Sequence[object]] = None
-    ) -> "BBoxColumn":
+    def from_upoint(cls, col: UPointColumn) -> "BBoxColumn":
         """One box per object of ``col`` that has units, from its arrays.
 
         Each unit's end points are ``x0 + x1·s`` and ``x0 + x1·e`` — the
         two correctly rounded operations ``MPoint.at`` performs — and an
         object's box is the min/max over its CSR segment, so every field
         equals ``Mapping.bounding_cube()``'s.  Objects without units
-        contribute no entry, as in :meth:`from_mappings`; ``keys[i]`` is
-        object ``i``'s key (default: its position).
+        contribute no entry, as in :meth:`from_mappings`.
         """
         lanes = np.flatnonzero(np.diff(col.offsets))
         if lanes.size == 0:
-            return cls([], *([np.empty(0)] * 6))
+            return cls(lanes, *([np.empty(0)] * 6))
         # Empty objects own no unit rows, so the segment starts of the
         # non-empty ones are consecutive cuts of the unit arrays.
         cuts = col.offsets[lanes]
         xa, xb = col.x0 + col.x1 * col.starts, col.x0 + col.x1 * col.ends
         ya, yb = col.y0 + col.y1 * col.starts, col.y0 + col.y1 * col.ends
         lo, hi = np.minimum.reduceat, np.maximum.reduceat
-        out = cls(
-            lanes.tolist() if keys is None else [keys[i] for i in lanes],
+        return cls(
+            lanes,
             lo(np.minimum(xa, xb), cuts), lo(np.minimum(ya, yb), cuts),
             lo(col.starts, cuts),
             hi(np.maximum(xa, xb), cuts), hi(np.maximum(ya, yb), cuts),
             hi(col.ends, cuts),
         )
-        if keys is None:
-            out._keys_i64 = lanes
-        return out
 
     # -- the column-kind protocol (see Column) ------------------------------
 
     @classmethod
     def from_arrays(cls, arrays: Sequence[np.ndarray]) -> "BBoxColumn":
         """Inverse of :meth:`arrays`, keyed by entry position."""
-        return cls(range(len(arrays[0])), *arrays)
+        return cls(np.arange(len(arrays[0])), *arrays)
 
     @classmethod
     def stored_nbytes(cls, mappings: Sequence[Mapping]) -> int:
@@ -606,35 +556,21 @@ class BBoxColumn(Column):
         return sum(1 for m in mappings if m.units) * cls.RECORD_DTYPE.itemsize
 
     def records(self) -> List[np.ndarray]:
-        """The persistent form, one array per entry of ``FILES``.
-
-        Only integer keys (the fleet positions the default builders
-        assign) can be persisted; columns with opaque keys stay
-        in-memory only.
-        """
+        """The persistent form, one array per entry of ``FILES``."""
         rec = np.empty(len(self), dtype=self.RECORD_DTYPE)
-        try:
-            rec["key"] = self.keys_int64()
-        except InvalidValue as exc:
-            raise InvalidValue(
-                "BBoxColumn with non-integer keys cannot be persisted"
-            ) from exc
+        rec["key"] = self.keys
         for name in self.ARRAYS:
             rec[name] = getattr(self, name)
         return [rec]
 
     @classmethod
     def from_records(cls, arrays: Sequence[np.ndarray]) -> "BBoxColumn":
-        """Zero-copy view over :meth:`records`-shaped arrays (e.g. a memmap).
-
-        Every field — keys included — stays a strided view of the
-        records; the Python key *list* materializes only if :attr:`keys`
-        is actually read, so a cold mmap load costs O(1), not O(entries).
-        """
+        """Zero-copy view over :meth:`records`-shaped arrays (e.g. a memmap):
+        every field, keys included, stays a strided view of the records,
+        so a cold mmap load costs O(1), not O(entries)."""
         (rec,) = arrays
         col = object.__new__(cls)
-        col._keys = None
-        col._keys_i64 = rec["key"]
+        col.keys = rec["key"]
         for name in cls.ARRAYS:
             setattr(col, name, rec[name])
         col.source = None
@@ -650,28 +586,19 @@ class BBoxColumn(Column):
     def extended(
         self, mappings: Sequence[Mapping], changed: Sequence[int]
     ) -> "BBoxColumn":
-        """Splice an updated fleet into a new per-object bbox column.
+        """Splice an updated fleet into a new bbox column.
 
-        Mirror of :meth:`UnitColumn.extended` for the default
-        ``from_mappings(mappings)`` build (one box per object, keys =
-        fleet positions, empty mappings skipped): only changed objects
-        have their bounding cubes recomputed; everything else is merged
-        back in key order.  Python work is O(changed); what grows with
-        the column is array work only (a ``diff`` and a keep mask over
-        the keys, one ``insert`` per coordinate).  Raises
-        :class:`InvalidValue` for columns
-        whose keys are not the ascending integer positions the default
-        builder assigns (per-unit or custom-keyed columns), or when
-        ``changed`` is inconsistent with the fleet — callers degrade to
-        a full rebuild.
+        Mirror of :meth:`UnitColumn.extended` for ``from_mappings``:
+        only changed objects have their bounding cubes recomputed;
+        everything else is merged back in key order.  Python work is
+        O(changed); what grows with the column is array work only (a
+        ``diff`` and a keep mask over the keys, one ``insert`` per
+        coordinate).  Raises :class:`InvalidValue` for a column whose
+        keys do not ascend, or when ``changed`` is inconsistent with the
+        fleet — callers degrade to a full rebuild.
         """
         n_new = len(mappings)
-        try:
-            old_keys = self.keys_int64()
-        except InvalidValue as exc:
-            raise InvalidValue(
-                "BBoxColumn with non-integer keys cannot be extended"
-            ) from exc
+        old_keys = self.keys
         if np.any(np.diff(old_keys) <= 0):
             raise InvalidValue(
                 "BBoxColumn extension needs ascending unique keys "
@@ -680,11 +607,10 @@ class BBoxColumn(Column):
         changed_sorted = _sorted_changes(changed, n_new)
         if old_keys.size and old_keys[-1] >= n_new:
             raise InvalidValue("column extension cannot shrink the fleet")
-        changed_list = changed_sorted.tolist()
         sub = BBoxColumn.from_mappings(
-            [mappings[i] for i in changed_list], keys=changed_list
+            [mappings[i] for i in changed_sorted.tolist()]
         )
-        sub_keys = sub.keys_int64()
+        sub_keys = changed_sorted[sub.keys]
         # Entries of changed objects go: where each changed index sits
         # among the (ascending) keys, if it is there at all.
         at_old = np.searchsorted(old_keys, changed_sorted)
@@ -696,16 +622,13 @@ class BBoxColumn(Column):
         # Both sides ascend and share no key: inserting each new entry
         # before the first kept key above it is the merge in key order.
         at = np.searchsorted(kept_keys, sub_keys)
-        merged_keys = np.insert(kept_keys, at, sub_keys)
-        out = BBoxColumn(
-            merged_keys.tolist(),
+        return BBoxColumn(
+            np.insert(kept_keys, at, sub_keys),
             *(
                 np.insert(old[keep], at, new)
                 for old, new in zip(self.arrays(), sub.arrays())
             ),
         )
-        out._keys_i64 = merged_keys
-        return out
 
     def overlap_mask(self, cube: Cube) -> np.ndarray:
         """Boolean mask of entries whose box intersects ``cube``.
@@ -715,17 +638,6 @@ class BBoxColumn(Column):
         from repro.vector.kernels import bbox_filter_batch
 
         return bbox_filter_batch(self, cube)
-
-    def candidates(self, cube: Cube) -> List[object]:
-        """Keys of entries whose box intersects ``cube`` (with duplicates
-        collapsed, preserving first-seen order)."""
-        seen = set()
-        out: List[object] = []
-        for key, hit in zip(self.keys, self.overlap_mask(cube)):
-            if hit and key not in seen:
-                seen.add(key)
-                out.append(key)
-        return out
 
 
 #: The column kinds: everything outside this module that needs a kind's

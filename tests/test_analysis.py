@@ -397,7 +397,7 @@ class TestMOD005BackendDispatch:
         out = lint_snippets(tmp_path, {
             "src/repro/ops/snippet.py": """
                 def f(fleet, backend=None):
-                    if resolve(backend) == "sharded":
+                    if resolve(backend) == "parallel":
                         return 1
                     return 2
             """,
@@ -409,7 +409,7 @@ class TestMOD005BackendDispatch:
         out = lint_snippets(tmp_path, {
             "src/repro/snippet.py": """
                 def f(args):
-                    return args.backend not in ("parallel", "sharded")
+                    return args.backend not in ("vector", "parallel")
             """,
         }, select={"MOD005"})
         assert codes(out) == ["MOD005"]

@@ -186,30 +186,29 @@ def test_the_table_has_every_operation():
 
 @pytest.mark.parametrize("op,backend,operand", list(cells()))
 def test_cell_matches_scalar_reference(op, backend, operand):
-    """(a) ⊥/gap lanes and open/closed ends: bit-identical, and the
-    only rung ever left is the pool's (17 objects cannot pay for it)."""
+    """(a) ⊥/gap lanes and open/closed ends: bit-identical; the only
+    rung ever left is the pool's (17 objects cannot pay for it), and
+    only where the backend is ``parallel``, whatever the operand."""
     fleet = make_fleet(op, heterogeneous=False)
     for args in ARGS[op]:
         got, counted = run_cell(op, backend, operand, fleet, args)
         assert_identical(got, reference(op, fleet, args, backend))
-        pooled = OPERATIONS[op].chunked and backends.pooled(
-            backend, sharded=operand == "shards"
-        ) and backends.columnar(backend)
         moved = {f: counted.get(f, 0) for f in FAMILIES}
-        if pooled and operand == "fleet":
-            assert moved == {**dict.fromkeys(FAMILIES, 0), "parallel.fallback": 1}
-            assert counted["parallel.fallback.small_fleet"] == 1
-        elif pooled:
-            # One pool rung per shard column the scatter ran.
+        if OPERATIONS[op].chunked and backends.pooled(backend):
+            # One pool rung per column the cell ran: the whole fleet's,
+            # or each shard's.
             assert moved["parallel.fallback"] >= 1
+            if operand == "fleet":
+                assert moved["parallel.fallback"] == 1
             assert moved["parallel.fallback"] == counted[
                 "parallel.fallback.small_fleet"
             ]
-            assert moved["vector.fallback_to_scalar"] == 0
-            assert moved["shard.fallback"] == 0
-            assert counted["shard.scatters"] == 1
+            moved.pop("parallel.fallback")
         else:
-            assert moved == dict.fromkeys(FAMILIES, 0)
+            assert not any(name.startswith("parallel.") for name in counted)
+        assert moved == dict.fromkeys(moved, 0)
+        if operand == "shards" and backends.columnar(backend):
+            assert counted["shard.scatters"] == 1
 
 
 @pytest.mark.parametrize("op,backend,operand", list(cells()))
@@ -247,9 +246,8 @@ def test_pooled_cells_through_real_chunks(op, operand, monkeypatch):
     back bit-identical, and no rung is left."""
     monkeypatch.setattr(config, "PARALLEL_MIN_OBJECTS", 2)
     fleet = make_fleet(op, heterogeneous=False, n=23)
-    backend = "parallel" if operand == "fleet" else "sharded"
     for args in ARGS[op][:2]:
-        got, counted = run_cell(op, backend, operand, fleet, args)
-        assert_identical(got, reference(op, fleet, args, backend))
+        got, counted = run_cell(op, "parallel", operand, fleet, args)
+        assert_identical(got, reference(op, fleet, args, "parallel"))
         assert counted["parallel.chunks"] >= 2
         assert not any("fallback" in name for name in counted)

@@ -4,7 +4,7 @@ One property per rewritten path, each asserting *one answer* across the
 backends a query can take, and — where a counter exists — asserting the
 shape of the work by count rather than by timing:
 
-* ``WindowQueryEngine.query`` on scalar / vector / parallel / sharded,
+* ``WindowQueryEngine.query`` on scalar / vector / parallel,
   eager and ``add_lazy``, strict and quarantining, against
   ``query_naive``;
 * the SQL scans over the same relation held in memory and materialized
@@ -46,7 +46,7 @@ from repro.vector.columns import UPointColumn
 from repro.vector.fleet import fleet_count_inside, set_backend
 from repro.vector.kernels import inside_prefilter
 
-BACKENDS = ("scalar", "vector", "parallel", "sharded")
+BACKENDS = ("scalar", "vector", "parallel")
 COLUMN_FIELDS = (
     "offsets", "starts", "ends", "lc", "rc", "x0", "x1", "y0", "y1",
 )
@@ -307,10 +307,10 @@ def _rows(db, text, strict=True):
 
 
 class _scan_class:
-    """Plan the next statements under one of the four planner
-    configurations: the row loop and the three columnar backends."""
+    """Plan the next statements under one of the three planner
+    configurations: the row loop and the two columnar backends."""
 
-    NAMES = ("scalar", "vector", "parallel", "sharded")
+    NAMES = ("scalar", "vector", "parallel")
     #: The ones that plan a ``VectorScan``.
     COLUMNAR = NAMES[1:]
 
@@ -670,7 +670,7 @@ class TestKeptScanState:
 
     @pytest.mark.parametrize("name", _scan_class.COLUMNAR)
     def test_a_repeated_statement_adds_nothing_to_the_cache(self, name):
-        """Regression: under ``sharded`` every statement tiled the
+        """Regression: with shards set, every statement once tiled the
         relation into fresh shard fleets and left their columns in the
         process cache — dead entries charged against its budget."""
         from repro import shard as shardmod

@@ -2,10 +2,12 @@
 
 import pytest
 
+from repro import config
 from repro.cli import main as cli_main
 from repro.db import Database
 from repro.db.script import execute_statement, run_script, split_statements
 from repro.errors import CatalogError, QueryError
+from repro.vector.backends import BACKENDS
 
 
 SCRIPT = """
@@ -121,25 +123,35 @@ class TestCli:
 
 class TestCliWorkersFlag:
     def teardown_method(self):
-        from repro.parallel import set_workers
+        from repro.parallel import pool, set_workers
         from repro.vector.fleet import set_backend
 
         set_backend("scalar")
         set_workers(None)
+        pool.shutdown()
 
-    def test_warning_names_every_backend_it_affects(self, capsys):
-        argv = ["--workers", "2", "snapshot", "--objects", "4"]
-        assert cli_main(["--backend", "vector", *argv]) == 0
-        err = capsys.readouterr().err
-        assert "--workers only affects --backend parallel" in err
-        assert "--backend sharded" in err
-        assert "the vector backend ignores it" in err
-
-    @pytest.mark.parametrize("backend", ["parallel", "sharded"])
-    def test_silent_on_the_backends_it_affects(self, backend, capsys):
-        argv = ["--workers", "2", "snapshot", "--objects", "4"]
-        assert cli_main(["--backend", backend, *argv]) == 0
-        assert "warning" not in capsys.readouterr().err
+    @pytest.mark.parametrize("backend", [*BACKENDS, None])
+    def test_warns_exactly_when_the_pool_stays_idle(
+        self, backend, capsys, monkeypatch
+    ):
+        """The warning follows the pool's one rule: silent exactly when
+        the profiled snapshot ran pool chunks.  No ``--backend`` is not
+        pooled, whatever the process default."""
+        monkeypatch.setattr(config, "PARALLEL_MIN_OBJECTS", 2)
+        flags = [] if backend is None else ["--backend", backend]
+        argv = ["--profile", *flags, "--workers", "2",
+                "snapshot", "--objects", "16"]
+        assert cli_main(argv) == 0
+        out, err = capsys.readouterr()
+        chunks = sum(
+            int(line.split()[-1]) for line in out.splitlines()
+            if line.startswith("parallel.chunks")
+        )
+        assert (chunks > 0) == (backend == "parallel")
+        warned = "repro: warning: --workers only affects --backend parallel"
+        assert (warned in err) == (chunks == 0)
+        if chunks == 0:
+            assert f"the {backend or 'default'} backend ignores it" in err
 
 
 class TestCliFaults:

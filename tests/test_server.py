@@ -366,12 +366,7 @@ class TestColumnExtended:
             (upoint, more, {4}, "appended object 5 missing from the change set"),
             (bbox, mappings[:3], set(), "column extension cannot shrink the fleet"),
             (bbox, mappings, {4}, "changed object index out of range"),
-            (BBoxColumn.from_cubes([("a", cubes[0][1])]), mappings, {0},
-             "BBoxColumn with non-integer keys cannot be extended"),
             (BBoxColumn.from_cubes(cubes[::-1]), mappings, {0},
-             "BBoxColumn extension needs ascending unique keys "
-             "(the default per-object build)"),
-            (BBoxColumn.from_mappings(mappings, per_unit=True), mappings, {0},
              "BBoxColumn extension needs ascending unique keys "
              "(the default per-object build)"),
         ]

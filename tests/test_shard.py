@@ -1,9 +1,10 @@
 """Sharded fleets: partitioning, residency budget, scatter-gather, wiring.
 
-Everything here asserts *equivalence first*: the sharded backend must
-return bit-identical results to the unsharded vector kernels on every
-path (exec entry points, SQL scans, server snapshots), with the memory
-budget enforced by CLOCK eviction and recovery scoped to single shards.
+Everything here asserts *equivalence first*: a sharded fleet must
+answer bit-identical to the unsharded vector kernels on every path
+(exec entry points, server snapshots; SQL scans ignore the shard
+settings), with the memory budget enforced by CLOCK eviction and
+recovery scoped to single shards.
 """
 
 import os
@@ -518,39 +519,39 @@ SQL_QUERIES = [
 
 
 class TestSqlWiring:
+    """SQL has no sharded form: ``--shards`` / ``--memory-budget`` tile
+    registered fleets, and a relation scan answers and plans alike."""
+
     @pytest.mark.parametrize("sql", SQL_QUERIES)
-    def test_sharded_backend_parity(self, sql):
+    def test_shard_settings_leave_sql_parity(self, sql):
         db = planes_db()
         set_backend("scalar")
         scalar = sorted(r["id"].value for r in db.query(sql))
-        set_backend("sharded")
+        set_backend("vector")
         shardmod.set_shards(2)
-        sharded = sorted(r["id"].value for r in db.query(sql))
-        assert sharded == scalar
+        vector = sorted(r["id"].value for r in db.query(sql))
+        assert vector == scalar
 
-    def test_explain_shows_sharded_scan(self):
+    def test_explain_ignores_shard_settings(self):
         from repro.db.sql import explain
 
         db = planes_db()
-        set_backend("sharded")
-        shardmod.set_shards(3)
+        set_backend("vector")
         plan = explain(db, SQL_QUERIES[0])
-        assert "VectorScan(planes AS planes, attr=flight, backend=sharded)" in plan
-        # A relation is not partitioned: --shards / --memory-budget tile
-        # registered fleets, and the plan does not claim otherwise.
+        assert "VectorScan(planes AS planes, attr=flight)" in plan
+        shardmod.set_shards(3)
         shardmod.set_memory_budget(64 * 1024)
         assert explain(db, SQL_QUERIES[0]) == plan
-        assert "shards" not in plan and "budget" not in plan
 
     def test_budgeted_scan_parity(self):
         db = planes_db()
         set_backend("scalar")
         scalar = sorted(r["id"].value for r in db.query(SQL_QUERIES[1]))
-        set_backend("sharded")
+        set_backend("vector")
         shardmod.set_shards(2)
         shardmod.set_memory_budget(1)
-        sharded = sorted(r["id"].value for r in db.query(SQL_QUERIES[1]))
-        assert sharded == scalar
+        vector = sorted(r["id"].value for r in db.query(SQL_QUERIES[1]))
+        assert vector == scalar
 
 
 # ---------------------------------------------------------------------------
@@ -674,7 +675,7 @@ class TestCliFlags:
 
         assert (
             cli_main(
-                ["--backend", "sharded", "--shards", "2",
+                ["--backend", "vector", "--shards", "2",
                  "--memory-budget", "1k", "snapshot", "--objects", "16"]
             )
             == 0
@@ -689,7 +690,8 @@ class TestCliFlags:
 
 
 def test_v10_smoke_shard_equivalence(monkeypatch):
-    """2 shards, tiny budget: window + instant results bit-identical."""
+    """2 shards, tiny budget, pool engaged: window + instant results
+    bit-identical."""
     monkeypatch.setattr(config, "PARALLEL_MIN_OBJECTS", 2)
     mappings = make_fleet(24, seed=5)
     manager = ShardManager(ShardedFleet(mappings, 2), budget=1)
@@ -697,12 +699,15 @@ def test_v10_smoke_shard_equivalence(monkeypatch):
     cube = mappings[1].bounding_cube()
     rect = Rect(cube.xmin, cube.ymin, cube.xmax, cube.ymax)
     want = window_intervals_batch(col, rect, cube.tmin, cube.tmax)
-    got = sharded_window_intervals(manager, rect, cube.tmin, cube.tmax)
+    got = sharded_window_intervals(
+        manager, rect, cube.tmin, cube.tmax, backend="parallel"
+    )
     assert len(want[0]) > 0
     for g, w in zip(got, want):
         assert g.tobytes() == w.tobytes()
     t = mappings[0].units[0].interval.s
-    for g, w in zip(sharded_atinstant(manager, t), atinstant_batch(col, t)):
+    got = sharded_atinstant(manager, t, backend="parallel")
+    for g, w in zip(got, atinstant_batch(col, t)):
         assert g.tobytes() == w.tobytes()
 
 

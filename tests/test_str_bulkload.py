@@ -186,10 +186,6 @@ class TestUnitIndexBoundaries:
             assert idx.unit_entries == 2
             everywhere = Rect(-1, -1, 6, 6)
             assert idx.candidates_at(everywhere, 5.0) == {"m"}, (lc, rc)
-            # Both backends see identical cube sets.
-            cube = Cube(-1, -1, 5.0, 6, 6, 5.0)
-            assert idx.candidates_in_cube(cube, backend="scalar") == \
-                idx.candidates_in_cube(cube, backend="vector")
 
     def test_bulk_load_matches_add(self):
         flights = {

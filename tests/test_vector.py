@@ -76,11 +76,6 @@ class TestColumns:
         assert len(col) == 3  # the empty mapping contributes no box
         assert 2 not in col.keys
 
-    def test_bbox_per_unit(self):
-        fleet = make_fleet()
-        col = BBoxColumn.from_mappings(fleet, per_unit=True)
-        assert len(col) == sum(len(m.units) for m in fleet)
-
 
 class TestKernels:
     @pytest.mark.parametrize(
@@ -412,10 +407,7 @@ class TestDbWiring:
 
 
 class TestWindowEngine:
-    # "sharded" over an unpartitioned collection is the vector column:
-    # it used to fall through to the scalar R-tree descent, uncounted.
-    @pytest.mark.parametrize("columnar", ["vector", "sharded"])
-    def test_backend_parity(self, columnar):
+    def test_backend_parity(self):
         import random
 
         rng = random.Random(11)
@@ -431,24 +423,16 @@ class TestWindowEngine:
             rect = Rect(x0, y0, x0 + rng.uniform(1, 40), y0 + rng.uniform(1, 40))
             t0 = rng.uniform(0, 20)
             t1 = t0 + rng.uniform(0, 15)
-            cube = Cube.from_rect(rect, t0, t1)
             scalar = eng.query(rect, t0, t1, backend="scalar")
             with obs.capture() as c:
-                batched = eng.query(rect, t0, t1, backend=columnar)
-                candidates = eng._index.candidates_in_cube(
-                    cube, backend=columnar
-                )
+                batched = eng.query(rect, t0, t1, backend="vector")
             counted = c.snapshot()["counters"]
-            # The query is one window_intervals sweep; the cube sweep
-            # counted here is the direct candidates_in_cube call.
-            assert counted["vector.bbox_filter.calls"] == 1
+            # The query is one window_intervals sweep, no tree descent.
+            assert counted["vector.window_intervals_batch.calls"] == 1
             assert "rtree.nodes_visited" not in counted
             assert not any("fallback" in name for name in counted)
             naive = eng.query_naive(rect, t0, t1)
             assert scalar == batched == naive
-            assert candidates == eng._index.candidates_in_cube(
-                cube, backend="scalar"
-            )
 
 
 class TestCli:

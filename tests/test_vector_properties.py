@@ -376,22 +376,8 @@ class TestBBoxFromUnitColumn:
             fleet.insert(at[hole], MovingPoint([]))
         col = BBoxColumn.from_upoint(UPointColumn.from_mappings(fleet))
         want = [(i, m.bounding_cube()) for i, m in enumerate(fleet) if m.units]
-        assert col.keys == [i for i, _c in want]
-        assert np.array_equal(col.keys_int64(), [i for i, _c in want])
-        for f in BOX_FIELDS:
-            assert np.array_equal(getattr(col, f), [getattr(c, f) for _i, c in want])
-        # The default builder takes the same route, custom keys ride along.
-        names = [f"o{i}" for i in range(len(fleet))]
-        named = BBoxColumn.from_mappings(fleet, keys=names)
-        assert named.keys == [names[i] for i, _c in want]
-        assert np.array_equal(named.xmin, col.xmin)
-
-    @given(st.lists(boxed_points(), min_size=1, max_size=6))
-    @settings(max_examples=60, deadline=None)
-    def test_per_unit_boxes_untouched(self, fleet):
-        col = BBoxColumn.from_mappings(fleet, per_unit=True)
-        want = [(i, u.bounding_cube()) for i, m in enumerate(fleet) for u in m.units]
-        assert col.keys == [i for i, _c in want]
+        assert col.keys.dtype == np.int64
+        assert col.keys.tolist() == [i for i, _c in want]
         for f in BOX_FIELDS:
             assert np.array_equal(getattr(col, f), [getattr(c, f) for _i, c in want])
 
@@ -716,7 +702,7 @@ class TestLengthPredicate:
         want = [i for i, n in enumerate(lengths) if compare(n, float(_lit(c)))]
         obs.enable()
         try:
-            for backend in ("scalar", "vector", "parallel", "sharded"):
+            for backend in ("scalar", "vector", "parallel"):
                 set_backend(backend)
                 for db in (mem, mat):
                     with obs.capture() as counted:
