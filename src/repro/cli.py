@@ -327,19 +327,6 @@ def cmd_info(_args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_bytes(spec: str) -> int:
-    """A positive byte count, accepting k/m/g binary suffixes."""
-    text = spec.strip().lower()
-    mult = 1
-    if text and text[-1] in "kmg":
-        mult = {"k": 1024, "m": 1024 ** 2, "g": 1024 ** 3}[text[-1]]
-        text = text[:-1]
-    value = int(text) * mult
-    if value < 1:
-        raise ValueError(spec)
-    return value
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = argparse.ArgumentParser(
@@ -367,23 +354,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         metavar="N",
         help="process-pool size for the parallel backend (N >= 1; the "
         "per-core default comes from repro.config.DEFAULT_WORKERS)",
-    )
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        metavar="N",
-        help="pack fleets into N equal-count spatial tiles of their "
-        "objects' bounding cubes (N >= 1; 1 keeps fleets unsharded, the "
-        "default); each shard owns its own columns and store directory",
-    )
-    parser.add_argument(
-        "--memory-budget",
-        default=None,
-        metavar="BYTES",
-        help="resident-byte budget for sharded column residency, with "
-        "an optional k/m/g suffix (e.g. 64m); cold shards are "
-        "CLOCK-evicted to stay under it (default: unbounded)",
     )
     parser.add_argument(
         "--faults",
@@ -476,24 +446,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.shards is not None and args.shards < 1:
-        print(
-            f"repro: InvalidValue: --shards must be >= 1, got {args.shards}",
-            file=sys.stderr,
-        )
-        return 2
-    memory_budget = None
-    if args.memory_budget is not None:
-        try:
-            memory_budget = _parse_bytes(args.memory_budget)
-        except ValueError:
-            print(
-                "repro: InvalidValue: --memory-budget must be a positive "
-                f"byte count (k/m/g suffix ok), got {args.memory_budget!r}",
-                file=sys.stderr,
-            )
-            return 2
-    args.memory_budget_bytes = memory_budget
     if args.workers is not None:
         from repro.vector.backends import pooled
 
@@ -535,14 +487,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         from repro.parallel import set_workers
 
         set_workers(args.workers)
-    if args.shards is not None:
-        from repro import shard
-
-        shard.set_shards(args.shards)
-    if getattr(args, "memory_budget_bytes", None) is not None:
-        from repro import shard
-
-        shard.set_memory_budget(args.memory_budget_bytes)
     if not args.profile:
         return args.fn(args)
     from repro import obs

@@ -64,17 +64,6 @@ PARALLEL_MIN_OBJECTS: int = 1024
 #: (:mod:`repro.residency`).  High-water tracked as ``colcache.bytes``.
 COLCACHE_BYTES: int = 256 * 1024 * 1024
 
-#: Default shard count of :mod:`repro.shard` spatially tiled fleets.
-#: ``1`` means unsharded (every existing path unchanged); the CLI's
-#: ``--shards`` flag and ``repro.shard.set_shards`` raise it.
-DEFAULT_SHARDS: int = 1
-
-#: Byte budget of a :class:`repro.shard.ShardManager`'s resident column
-#: set (``--memory-budget``).  ``None`` means unbounded: shards stay
-#: mapped once touched.  With a budget, cold shards are CLOCK-evicted
-#: until the mapped bytes fit (high-water: ``shard.resident_bytes``).
-SHARD_MEMORY_BUDGET: "int | None" = None
-
 
 def feq(a: float, b: float, eps: float = EPSILON) -> bool:
     """Return True if ``a`` and ``b`` are equal within tolerance."""

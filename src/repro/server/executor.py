@@ -19,14 +19,6 @@ fleet no matter how far the live fleet moves on.  Columns are pinned by
 version: a cached column whose stamp equals the pin is served as-is;
 otherwise the column is rebuilt from the pinned members, never from the
 moved-on fleet.
-
-Sharded fleets (``register_fleet(..., shards=N)`` or the process-wide
-``--shards`` default) pin a shard *vector* of versions: the snapshot's
-``version`` is the tuple of per-shard stamps, and an ingest bumps only
-the one shard it routes to — so a pinned read over a 16-shard fleet
-stays column-served on 15 shards while the 16th rebuilds.  Each sharded
-fleet's columns live under a byte-budgeted
-:class:`~repro.shard.manager.ShardManager` held in ``_shards``.
 """
 
 from __future__ import annotations
@@ -43,9 +35,6 @@ from repro.deadline import Deadline
 from repro.db.catalog import Database
 from repro.db.script import StatementResult, run_script
 from repro.errors import InvalidValue, QueryError, StorageError
-from repro.shard.exec import all_shards
-from repro.shard.fleet import ShardedFleet
-from repro.shard.manager import ShardManager
 from repro.temporal.mapping import MovingPoint
 from repro.temporal.upoint import UPoint
 from repro.vector import backends
@@ -64,16 +53,11 @@ _DEDUP_CAPACITY = 65536
 
 
 class Snapshot:
-    """An immutable read view of one fleet, pinned at a version stamp.
-
-    For a :class:`~repro.shard.fleet.ShardedFleet` the stamp is the
-    shard *vector* of versions — ingest into one shard moves exactly
-    one coordinate, leaving the pins of every sibling shard valid.
-    """
+    """An immutable read view of one fleet, pinned at a version stamp."""
 
     __slots__ = ("version", "items")
 
-    def __init__(self, fleet: Any):
+    def __init__(self, fleet: Fleet):
         self.version = fleet.version
         self.items: Tuple[Any, ...] = fleet.members()
 
@@ -130,8 +114,7 @@ class FleetExecutor:
     def __init__(self, db: Optional[Database] = None):
         self._lock = dynlock.rlock("server.executor")
         self._lat_lock = dynlock.rlock("server.executor.latency")
-        self._fleets: Dict[str, Any] = {}
-        self._shards: Dict[str, ShardManager] = {}
+        self._fleets: Dict[str, Fleet] = {}
         # Units per fleet, kept incrementally so STATS is O(fleets).
         self._unit_counts: Dict[str, int] = {}
         self._db = db if db is not None else Database("server")
@@ -152,49 +135,31 @@ class FleetExecutor:
         name: str,
         mappings: Sequence[MovingPoint],
         index: bool = True,
-        shards: Optional[int] = None,
-    ) -> Any:
+    ) -> Fleet:
         """Adopt ``mappings`` as the live fleet ``name``.
 
         Re-registering a name replaces the fleet.  ``index`` is accepted
         and ignored: the executor keeps no spatial index (a window is a
         mask on the kernel's output, see DESIGN.md).
-
-        ``shards`` > 1 partitions the fleet (defaulting to the
-        process-wide ``repro.shard.get_shards()``, itself 1 unless the
-        CLI's ``--shards`` raised it): columns then live under a
-        :class:`ShardManager` with the process-wide memory budget.
         """
-        from repro import shard as shardmod
-
-        n_shards = shardmod.get_shards() if shards is None else int(shards)
-        fleet: Any = (
-            ShardedFleet(mappings, n_shards) if n_shards > 1
-            else Fleet(mappings)
-        )
+        fleet = Fleet(mappings)
         units = sum(len(m.units) for m in fleet.members())
         with self._lock:
             self._fleets[name] = fleet
             self._unit_counts[name] = units
-            if isinstance(fleet, ShardedFleet):
-                self._shards[name] = ShardManager(
-                    fleet, budget=shardmod.get_memory_budget()
-                )
-            else:
-                self._shards.pop(name, None)
         return fleet
 
     def fleet_names(self) -> List[str]:
         with self._lock:
             return sorted(self._fleets)
 
-    def _fleet(self, name: str) -> Any:
+    def _fleet(self, name: str) -> Fleet:
         fleet = self._fleets.get(name)
         if fleet is None:
             raise QueryError(f"no fleet named {name!r}")
         return fleet
 
-    def fleet(self, name: str) -> Any:
+    def fleet(self, name: str) -> Fleet:
         with self._lock:
             return self._fleet(name)
 
@@ -250,18 +215,13 @@ class FleetExecutor:
         with self._lock:
             fleet = self._fleet(name)
             snap = Snapshot(fleet)
-            manager = self._shards.get(name)
-            if manager is not None:
-                parts = self._pinned_shard_columns(manager, snap)
-            else:
-                col = self._pinned_column(fleet, snap, "upoint")
-                parts = None if col is None else [(slice(0, len(snap)), col)]
-        # The ``atinstant`` table entry over the pinned parts (per-shard
-        # columns merge through their global-id arrays); its scalar
-        # reference loop when no column can describe the pin.
-        if parts is not None:
-            xs, ys, defined = backends.gather(
-                "atinstant", len(snap), parts, (t,)
+            col = self._pinned_column(fleet, snap, "upoint")
+        # The ``atinstant`` table entry over the pinned column, in
+        # process; its scalar reference loop when no column can describe
+        # the pin.
+        if col is not None:
+            xs, ys, defined = backends.on_column(
+                "atinstant", col, (t,), backend="vector"
             )
         else:
             xs, ys, defined = backends.evaluate(
@@ -276,24 +236,6 @@ class FleetExecutor:
             )
         ids = np.flatnonzero(defined)
         return snap, SnapshotRows(ids, xs[ids], ys[ids])
-
-    def _pinned_shard_columns(
-        self, manager: ShardManager, snap: Snapshot
-    ) -> Optional[List[Tuple[Any, Any]]]:
-        """The shard executor's ``(global ids, column)`` parts pinned at
-        ``snap``'s shard version vector, or None when only the scalar
-        path can evaluate the pinned members.
-
-        Must run under the lock for the same reason as
-        :meth:`_pinned_column`; the lock also freezes the shard version
-        vector, so every mapped column matches its pin coordinate.
-        """
-        if manager.fleet.version != snap.version:
-            return None  # cannot serve the pin from live columns
-        try:
-            return list(all_shards(manager))
-        except (InvalidValue, StorageError):
-            return None
 
     # -- SQL --------------------------------------------------------------
 
@@ -331,8 +273,10 @@ class FleetExecutor:
         Each element of ``requests`` is an
         :class:`repro.server.ingest.IngestRequest`; the result list
         carries, positionally, the appended object's new unit count or
-        the :class:`InvalidValue` that rejected it (a rejection is
-        deterministic, so recovery replay re-derives it).  The
+        the error that rejected it — :class:`QueryError` for an unknown
+        fleet, :class:`InvalidValue` for a bad object index or unit (a
+        rejection is deterministic, so recovery replay re-derives it
+        instead of failing on a record the live path refused).  The
         ``server.ingest_crash`` failpoint fires *inside* the apply loop
         — after the WAL barrier — so the crash matrix can prove that
         recovery resurrects a durable batch the process died applying.
@@ -344,7 +288,7 @@ class FleetExecutor:
                     faults.fail("server.ingest_crash")
                 try:
                     out.append(self._apply_one(req))
-                except InvalidValue as exc:
+                except (InvalidValue, QueryError) as exc:
                     out.append(exc)
         return out
 
@@ -370,9 +314,9 @@ class FleetExecutor:
         fleet = self._fleet(req.fleet)
         t0, x0, y0, t1, x1, y1 = req.unit
         obj = req.obj
-        if obj > len(fleet):
+        if not 0 <= obj <= len(fleet):
             raise InvalidValue(
-                f"object index {obj} past the end of fleet "
+                f"object index {obj} outside fleet "
                 f"{req.fleet!r} ({len(fleet)} objects)"
             )
         prior = fleet[obj] if obj < len(fleet) else None
@@ -432,14 +376,7 @@ class FleetExecutor:
                 fleet = self._fleets[name]
                 out[f"fleet.{name}.objects"] = len(fleet)
                 out[f"fleet.{name}.units"] = self._unit_counts[name]
-                version = fleet.version
-                if isinstance(version, tuple):
-                    # Sharded: report the vector's sum (one ingest still
-                    # moves it by exactly one) plus the shard count.
-                    out[f"fleet.{name}.version"] = sum(version)
-                    out[f"fleet.{name}.shards"] = fleet.n_shards
-                else:
-                    out[f"fleet.{name}.version"] = version
+                out[f"fleet.{name}.version"] = fleet.version
         p50, p99 = self.latency_percentiles()
         out["query_p50_ms"] = round(p50, 3)
         out["query_p99_ms"] = round(p99, 3)
@@ -447,7 +384,6 @@ class FleetExecutor:
             counts = obs.snapshot()["counters"]
             for key in sorted(counts):
                 if key.startswith(("server.", "ingest.", "colcache.",
-                                   "colstore.", "wal.", "parallel.",
-                                   "shard.")):
+                                   "wal.", "parallel.")):
                     out[key] = counts[key]
         return out

@@ -88,7 +88,7 @@ def commit(
     """Durably commit and apply one ingest batch; the synchronous core.
 
     Returns one result per request, positionally: the object's new unit
-    count, or the :class:`~repro.errors.InvalidValue` that rejected it.
+    count, or the error that rejected it (see ``apply_units``).
     With a WAL, the whole batch becomes durable under a single fsync
     before any of it is applied; without one the server is memory-only
     and the batch applies directly.

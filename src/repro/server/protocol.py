@@ -304,7 +304,7 @@ def _records(ids: Any, xs: Any, ys: Any) -> bytes:
 
 
 def frame_snapshot(
-    version: object,
+    version: int,
     objects: int,
     ids: Any,
     xs: Any,
@@ -320,15 +320,11 @@ def frame_snapshot(
     Python floats, so ``repr`` is the float's own, never
     ``np.float64(...)``); as ``bin`` the header gains ``format=bin
     bytes=B`` and the rows are one table, an ``<u8`` count and
-    ``ROW_DTYPE`` records, with no per-row Python at all.  A shard
-    version *vector* is written comma-joined, without the spaces that
-    would split the header's ``key=value`` fields.  ``deadline.check()``
-    runs once per block, so an abandoned request stops rendering; every
-    block exists before the first is written, so a reply is whole or an
-    ``ERR`` line, never a torn table.
+    ``ROW_DTYPE`` records, with no per-row Python at all.
+    ``deadline.check()`` runs once per block, so an abandoned request
+    stops rendering; every block exists before the first is written, so
+    a reply is whole or an ``ERR`` line, never a torn table.
     """
-    if isinstance(version, tuple):
-        version = ",".join(map(str, version))
     n = len(ids)
     if fmt == "bin":
         render = _records

@@ -59,8 +59,8 @@ def _evict_failpoint(manager: ShardManager) -> None:
 # ---------------------------------------------------------------------------
 
 
-def all_shards(manager: ShardManager, *_args: Any) -> Iterator[Part]:
-    """Every non-empty shard's unit column (also the server's pin)."""
+def _all_shards(manager: ShardManager, *_args: Any) -> Iterator[Part]:
+    """Every non-empty shard's unit column."""
     fleet = manager.fleet
     for s in range(fleet.n_shards):
         if len(fleet.shards[s]) == 0:
@@ -123,7 +123,7 @@ def sharded(
 ) -> Any:
     """Table operation ``op`` scattered over ``manager``'s shards,
     answered as arrays in global lanes."""
-    parts = _PARTITIONERS.get(op, all_shards)(manager, *args)
+    parts = _PARTITIONERS.get(op, _all_shards)(manager, *args)
     return evaluate(
         op, manager.fleet, args, backend, workers, parts=parts, arrays=True
     )

@@ -149,7 +149,7 @@ class ShardedFleet:
 
     __slots__ = (
         "n_shards", "shards", "_locate", "_globals", "_garr", "_bounds",
-        "_poisoned", "_members", "__weakref__",
+        "_poisoned", "__weakref__",
     )
 
     def __init__(self, mappings: Iterable[Any] = (), n_shards: int = 2):
@@ -200,8 +200,6 @@ class ShardedFleet:
                     *rows[:, :3].min(axis=0).tolist(),
                     *rows[:, 3:].max(axis=0).tolist(),
                 )
-        # (version vector, members in global order at it), on first ask.
-        self._members: Optional[Tuple[Tuple[int, ...], Tuple[Any, ...]]] = None
         if obs.enabled and members:
             obs.counters.add("shard.ingest_routed", len(members))
 
@@ -223,26 +221,6 @@ class ShardedFleet:
         place; the fleet cannot observe which one)."""
         for f in self.shards:
             f.invalidate()
-
-    def members(self) -> Tuple[Any, ...]:
-        """The current members in global order as an immutable tuple,
-        shared until the version *vector* next moves — the contract of
-        :meth:`repro.vector.cache.Fleet.members`, under the same lock.
-
-        Rebuilt by scattering each shard's own ``members()`` through its
-        global ids (array assignments, no per-member Python).
-        """
-        version = self.version
-        held = self._members
-        if held is None or held[0] != version:
-            out = np.empty(len(self._locate), dtype=object)
-            for s, shard in enumerate(self.shards):
-                part = shard.members()
-                out[self.globals_of(s)] = np.fromiter(
-                    part, dtype=object, count=len(part)
-                )
-            held = self._members = (version, tuple(out.tolist()))
-        return held[1]
 
     # -- sequence protocol (global order) -----------------------------------
 

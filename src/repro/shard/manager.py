@@ -33,7 +33,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro import config, obs
+from repro import obs
 from repro.analysis import dynlock
 from repro.errors import CorruptColumnError, StorageError
 from repro.residency import Residency
@@ -60,10 +60,9 @@ class ShardManager:
 
     ``root`` selects persistent per-shard column stores (None keeps
     everything in memory through the process column cache).  ``budget``
-    bounds the resident bytes (None falls back to the process-wide
-    ``repro.shard.get_memory_budget()``, itself defaulting to
-    ``config.SHARD_MEMORY_BUDGET``); the high-water mark of the mapped
-    bytes is the ``shard.resident_bytes`` gauge.
+    bounds the resident bytes (None: unbounded, shards stay mapped once
+    touched); the high-water mark of the mapped bytes is the
+    ``shard.resident_bytes`` gauge.
     """
 
     def __init__(
@@ -80,13 +79,6 @@ class ShardManager:
         self._stores: Dict[int, ColumnStore] = {}
 
     # -- configuration ------------------------------------------------------
-
-    def _effective_budget(self) -> Optional[int]:
-        if self._budget is not None:
-            return self._budget
-        from repro import shard as shardmod
-
-        return shardmod.get_memory_budget()
 
     def _store(self, s: int) -> Optional[ColumnStore]:
         if self.root is None:
@@ -150,9 +142,8 @@ class ShardManager:
         """Enter shard ``s`` at its current cost, then CLOCK-evict until
         the resident bytes fit the budget.  Caller holds the lock."""
         self._resident.put(s, res, res.nbytes)
-        budget = self._effective_budget()
-        if budget is not None:
-            self._resident.fit(budget)
+        if self._budget is not None:
+            self._resident.fit(self._budget)
         obs.high_water("shard.resident_bytes", float(self._resident.total))
 
     def _dropped(self, s: int, res: _Resident) -> None:

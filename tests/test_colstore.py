@@ -99,16 +99,24 @@ def flip_byte(path, offset):
 def test_no_process_wide_store(tmp_path, capsys):
     """A store is opened by the fleet whose stamp it carries (a rooted
     shard manager): no module function and no CLI flag binds one to
-    whatever fleet asks first."""
-    from repro import cli
+    whatever fleet asks first.  Nor does a flag set a process-wide
+    shard count or shard memory budget: a manager takes its budget as an
+    argument, and the server holds plain fleets only."""
+    from repro import cli, shard
     from repro.vector import store
 
     assert set(store.__all__) == {"ColumnStore", "MmapSource"}
-    flag = "--" + "colstore"  # in halves: a grep for the flag finds nothing
-    with pytest.raises(SystemExit) as usage:
-        cli.main([flag, os.fspath(tmp_path), "snapshot"])
-    assert usage.value.code == 2
-    assert capsys.readouterr().err.startswith("usage: ")  # argparse's own
+    assert not any(name.startswith(("set_", "get_")) for name in shard.__all__)
+    # In halves: a grep for the flags finds nothing.
+    for argv in (
+        ["--" + "colstore", os.fspath(tmp_path), "snapshot"],
+        ["--" + "shards", "2", "info"],
+        ["--" + "memory-budget", "1k", "info"],
+    ):
+        with pytest.raises(SystemExit) as usage:
+            cli.main(argv)
+        assert usage.value.code == 2, argv
+        assert capsys.readouterr().err.startswith("usage: ")  # argparse's own
 
 
 #: Every (kind, file name) pair the store writes — the corruption matrix.

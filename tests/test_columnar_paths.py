@@ -670,24 +670,17 @@ class TestKeptScanState:
 
     @pytest.mark.parametrize("name", _scan_class.COLUMNAR)
     def test_a_repeated_statement_adds_nothing_to_the_cache(self, name):
-        """Regression: with shards set, every statement once tiled the
-        relation into fresh shard fleets and left their columns in the
-        process cache — dead entries charged against its budget."""
-        from repro import shard as shardmod
+        """Regression: every statement once tiled the relation into fresh
+        shard fleets and left their columns in the process cache — dead
+        entries charged against its budget."""
         from repro.vector import cache
 
         db, _rel, _pages = _planes(n=12, flob={1, 4})
-        shardmod.set_shards(4)
-        try:
-            with _scan_class(name):
-                sizes = []
-                for _ in range(6):
-                    db.query("SELECT id FROM planes WHERE present(flight, 12.0)")
-                    sizes.append(
-                        (len(cache._CACHE), cache._CACHE.resident_bytes)
-                    )
-        finally:
-            shardmod.set_shards(1)
+        with _scan_class(name):
+            sizes = []
+            for _ in range(6):
+                db.query("SELECT id FROM planes WHERE present(flight, 12.0)")
+                sizes.append((len(cache._CACHE), cache._CACHE.resident_bytes))
         assert sizes[0][0] == 1 and sizes[1:] == sizes[:1] * 5
 
     def test_a_damaged_relation_is_never_kept(self):

@@ -16,7 +16,6 @@ import pytest
 from repro.ranges.interval import Interval
 from repro.server.executor import FleetExecutor, Snapshot
 from repro.server.ingest import IngestRequest
-from repro.shard import ShardedFleet
 from repro.temporal.mapping import MovingPoint, MovingReal
 from repro.temporal.upoint import UPoint
 from repro.temporal.ureal import UReal
@@ -72,11 +71,9 @@ def same_at_both_sizes(measure):
 
 
 class TestPin:
-    @pytest.mark.parametrize("build", [Fleet, lambda ms: ShardedFleet(ms, 4)],
-                             ids=["fleet", "sharded"])
-    def test_snapshot_of_a_container(self, build):
+    def test_snapshot_of_a_container(self):
         def measure(n):
-            fleet = build(points(n))
+            fleet = Fleet(points(n))
             cold, snap = lines_executed(Snapshot, fleet)
             assert len(snap) == n
             # After a write the tuple is rebuilt — still not in Python.
@@ -88,11 +85,10 @@ class TestPin:
 
         same_at_both_sizes(measure)
 
-    @pytest.mark.parametrize("shards", [1, 4])
-    def test_executor_snapshot(self, shards):
+    def test_executor_snapshot(self):
         def measure(n):
             ex = FleetExecutor()
-            ex.register_fleet("f", points(n), shards=shards)
+            ex.register_fleet("f", points(n))
             count, snap = lines_executed(ex.snapshot, "f")
             assert len(snap) == n
             return count

@@ -56,7 +56,6 @@ from repro.server.protocol import (
     row_line,
 )
 from repro.server.session import serve_in_thread
-from repro.shard import ShardedFleet
 from repro.storage import wal as walmod
 from repro.storage.wal import Wal, WalRecord
 from repro.temporal.mapping import MovingPoint
@@ -303,23 +302,6 @@ class TestFleetMembers:
         assert fleet.version == twin.version == 1
         assert fleet.stamp != twin.stamp
 
-    def test_sharded_members_follow_global_order(self):
-        mappings = _mappings(23)
-        fleet = ShardedFleet(mappings, 4)
-        held = fleet.members()
-        assert held == tuple(fleet) == tuple(mappings)
-        assert fleet.members() is held
-        grown = fleet[7].appended(_unit(1e6, 0, 0, 1e6 + 1, 1, 1))
-        fleet[7] = grown
-        extra = _mappings(1, seed=9)[0]
-        fleet.append(extra)
-        moved = fleet.members()
-        assert moved == tuple(fleet) and fleet.members() is moved
-        assert moved[7] is grown and moved[23] is extra
-        assert held == tuple(mappings)
-        fleet.invalidate()
-        assert fleet.members() == moved and fleet.members() is not moved
-        assert ShardedFleet([], 3).members() == ()
 
 
 class TestColumnExtended:
@@ -429,11 +411,10 @@ class TestExecutorIsolation:
         _, rows_after = ex.snapshot_rows("fleet", t_future)
         assert sorted(i for i, _, _ in rows_after) == [0, 2]
 
-    @pytest.mark.parametrize("shards", [1, 3])
-    def test_pins_share_members_until_the_fleet_moves(self, shards):
+    def test_pins_share_members_until_the_fleet_moves(self):
         ex = FleetExecutor()
         mappings = _mappings(9)
-        fleet = ex.register_fleet("fleet", mappings, shards=shards)
+        fleet = ex.register_fleet("fleet", mappings)
         first, second = ex.snapshot("fleet"), ex.snapshot("fleet")
         assert first.items is second.items
         assert first.items is ex.snapshot_rows("fleet", 60.0)[0].items
@@ -561,6 +542,72 @@ class TestIngestDurability:
         assert [len(m.units) for m in fleet2] == \
                [len(m.units) + (1 if i == 1 else 0)
                 for i, m in enumerate(baseline)]
+
+    #: Good, unknown fleet, good, negative object index.
+    _MIXED = [
+        IngestRequest("fleet", 0, (1e6, 0, 0, 1e6 + 5, 1, 1)),
+        IngestRequest("nope", 0, (1e6, 0, 0, 1e6 + 5, 1, 1)),
+        IngestRequest("fleet", 1, (1e6, 0, 0, 1e6 + 5, 1, 1)),
+        IngestRequest("fleet", -1, (1e6, 0, 0, 1e6 + 5, 1, 1)),
+    ]
+
+    def test_unknown_fleet_and_negative_index_are_per_request(self):
+        """Neither escapes the batch: each is answered in its slot, and
+        the good units on either side land (``-1`` once grew the last
+        object)."""
+        baseline = _mappings(3)
+        ex = FleetExecutor()
+        fleet = ex.register_fleet("fleet", baseline)
+        results = ex.apply_units(self._MIXED)
+        assert results[0] == len(baseline[0].units) + 1
+        assert isinstance(results[1], QueryError)
+        assert results[2] == len(baseline[1].units) + 1
+        assert isinstance(results[3], InvalidValue)
+        assert [len(m.units) for m in fleet] == [
+            len(m.units) + (i < 2) for i, m in enumerate(baseline)
+        ]
+
+    def test_replay_rederives_the_rejections(self):
+        baseline = _mappings(3)
+        ex = FleetExecutor()
+        ex.register_fleet("fleet", baseline)
+        wal = Wal()
+        commit(wal, ex, self._MIXED)
+        fresh = FleetExecutor()
+        fresh.register_fleet("fleet", baseline)
+        assert replay_ingest(wal, fresh) == 2
+        assert fresh.stats()["fleet.fleet.units"] == \
+            ex.stats()["fleet.fleet.units"]
+
+    def test_server_restarts_on_a_wal_holding_a_rejected_ingest(self, tmp_path):
+        """One INGEST for an unknown fleet used to make every restart
+        on the WAL raise, leaving the acknowledged unit after it
+        unreachable."""
+        path = os.fspath(tmp_path / "serve.wal")
+        baseline = _mappings(8)
+        booted = sum(len(m.units) for m in baseline)
+
+        def boot():
+            ex = FleetExecutor()
+            ex.register_fleet("fleet", baseline)
+            return ex
+
+        wal = Wal(path)
+        run = serve_in_thread(boot(), wal=wal)
+        try:
+            with ServerClient("127.0.0.1", run.port) as c:
+                unit = (1e6, 0.0, 0.0, 1.00001e6, 5.0, 5.0)
+                with pytest.raises(ServerError) as exc_info:
+                    c.ingest("nope", 0, unit)
+                assert exc_info.value.remote_type == "QueryError"
+                assert c.ingest("fleet", 0, unit) == len(baseline[0].units) + 1
+        finally:
+            run.stop()
+            wal.close()
+        restarted = boot()
+        with Wal(path) as reopened:
+            assert replay_ingest(reopened, restarted) == 1
+        assert restarted.stats()["fleet.fleet.units"] == booted + 1
 
     def test_group_committer_batches_concurrent_submits(self):
         ex = FleetExecutor()
@@ -771,30 +818,6 @@ class TestWire:
             assert len(after.rows) == 1
 
 
-    def test_sharded_version_vector_round_trips(self):
-        """The shard version vector survives the header's space-split
-        (it used to be written ``(13, 12, 13, 12)`` and parse as
-        ``'(13,'``), and one INGEST moves exactly one coordinate."""
-        ex = FleetExecutor()
-        ex.register_fleet("f", _mappings(50), shards=4)
-        run = serve_in_thread(ex)
-        try:
-            with ServerClient("127.0.0.1", run.port) as c:
-                before = c.snapshot("f", 10.0)
-                assert set(before.fields) == {"version", "objects", "rows"}
-                assert before.fields["objects"] == "50"
-                assert before.fields["rows"] == str(len(before.rows))
-                vec = tuple(int(v) for v in before.fields["version"].split(","))
-                assert vec == ex.fleet("f").version
-                c.ingest("f", 7, (1e6, 0.0, 0.0, 1e6 + 10, 1.0, 1.0))
-                after = c.snapshot("f", 10.0)
-                vec2 = tuple(int(v) for v in after.fields["version"].split(","))
-                assert vec2 == ex.fleet("f").version
-                moved = [s for s in range(4) if vec[s] != vec2[s]]
-                assert moved == [ex.fleet("f").shard_of(7)]
-        finally:
-            run.stop()
-
 
 # ---------------------------------------------------------------------------
 # wire ≡ scalar, byte for byte
@@ -847,7 +870,7 @@ def _moving_point(draw):
 
 @st.composite
 def _wire_case(draw):
-    """``(mappings, t, window or None, shards)``: ``t`` mostly on a unit
+    """``(mappings, t, window or None)``: ``t`` mostly on a unit
     boundary or inside a unit, the window mostly with an edge lying
     exactly on a served position."""
     mappings = draw(st.lists(_moving_point(), min_size=1, max_size=8))
@@ -873,13 +896,12 @@ def _wire_case(draw):
             (x, y, x + w, y + h) if draw(st.booleans())
             else (x - w, y - h, x, y)
         )
-    return mappings, t, window, draw(st.sampled_from([1, 1, 3, 4]))
+    return mappings, t, window
 
 
 def _parent_reply(version, mappings, t, window):
     """The reply as the parent commit framed it: scalar ``value_at``,
-    the closed window test, one ``row_line`` per row.  (A shard vector
-    is comma-joined: the parent's rendering of it was the bug.)"""
+    the closed window test, one ``row_line`` per row."""
     rows = []
     for i, m in enumerate(mappings):
         p = m.value_at(t)
@@ -890,8 +912,6 @@ def _parent_reply(version, mappings, t, window):
         ):
             continue
         rows.append(row_line(obj=i, x=repr(p.x), y=repr(p.y)))
-    if isinstance(version, tuple):
-        version = ",".join(str(v) for v in version)
     head = ok_line(version=version, objects=len(mappings), rows=len(rows))
     return ("\n".join([head, *rows, END]) + "\n").encode("utf-8")
 
@@ -945,9 +965,9 @@ class TestWireMatchesScalar:
         @settings(max_examples=200, deadline=None,
                   suppress_health_check=[HealthCheck.too_slow])
         def check(case):
-            mappings, t, window, shards = case
+            mappings, t, window = case
             name = next(names)
-            fleet = ex.register_fleet(name, mappings, shards=shards)
+            fleet = ex.register_fleet(name, mappings)
             got = _raw_reply(stream, _snapshot_line(name, t, window))
             assert b"np." not in got
             assert got == _parent_reply(fleet.version, mappings, t, window)
@@ -1199,20 +1219,19 @@ _ingest_script = st.lists(
 
 
 class TestUnitCount:
-    @given(script=_ingest_script, shards=st.sampled_from([1, 3]),
-           batch=st.integers(min_value=1, max_value=4))
+    @given(script=_ingest_script, batch=st.integers(min_value=1, max_value=4))
     @settings(max_examples=60, deadline=None, suppress_health_check=[
         HealthCheck.function_scoped_fixture, HealthCheck.too_slow,
     ])
     def test_count_equals_walked_sum_through_dedup_reject_replay(
-        self, script, shards, batch
+        self, script, batch
     ):
         baseline = _mappings(6)
         first = baseline[0].units[0].interval
 
         def boot():
             ex = FleetExecutor()
-            ex.register_fleet("fleet", baseline, shards=shards)
+            ex.register_fleet("fleet", baseline)
             return ex
 
         def served_units(ex):

@@ -1,9 +1,8 @@
-"""Sharded fleets: partitioning, residency budget, scatter-gather, wiring.
+"""Sharded fleets: partitioning, residency budget, scatter-gather.
 
 Everything here asserts *equivalence first*: a sharded fleet must
-answer bit-identical to the unsharded vector kernels on every path
-(exec entry points, server snapshots; SQL scans ignore the shard
-settings), with the memory budget enforced by CLOCK eviction and
+answer bit-identical to the unsharded vector kernels on every exec
+entry point, with the memory budget enforced by CLOCK eviction and
 recovery scoped to single shards.
 """
 
@@ -13,10 +12,7 @@ import numpy as np
 import pytest
 
 from repro import config, obs
-from repro import shard as shardmod
-from repro.db import Database
 from repro.errors import InvalidValue
-from repro.server.executor import FleetExecutor
 from repro.shard import (
     ShardManager,
     ShardedFleet,
@@ -36,15 +32,11 @@ from repro.workloads.trajectories import random_flights
 
 @pytest.fixture(autouse=True)
 def _clean_state():
-    """Scalar default, unsharded default, no budget, empty caches."""
+    """Scalar default, empty caches."""
     set_backend("scalar")
-    shardmod.set_shards(1)
-    shardmod.set_memory_budget(None)
     clear_cache()
     yield
     set_backend("scalar")
-    shardmod.set_shards(1)
-    shardmod.set_memory_budget(None)
     clear_cache()
 
 
@@ -231,14 +223,6 @@ class TestShardManager:
             obs.disable()
         assert hits == 1
         assert maps == 2
-
-    def test_process_budget_fallback(self):
-        fleet = ShardedFleet(make_fleet(40), 4)
-        manager = ShardManager(fleet)  # no explicit budget
-        shardmod.set_memory_budget(1)
-        for s in range(4):
-            manager.column(s, "upoint")
-        assert len(manager.resident_shards()) <= 1
 
     def test_prune_rules_out_disjoint_shards(self):
         fleet = ShardedFleet(make_fleet(40), 4)
@@ -482,206 +466,6 @@ class TestScatterGatherEquivalence:
         finally:
             obs.disable()
         assert obs.get("shard.scatters") == 1
-
-
-# ---------------------------------------------------------------------------
-# SQL planner wiring
-# ---------------------------------------------------------------------------
-
-
-def planes_db():
-    db = Database()
-    planes = db.create_relation(
-        "planes",
-        [("airline", "string"), ("id", "string"), ("flight", "mpoint")],
-    )
-    planes.insert(
-        ["L", "LH1",
-         MovingPoint.from_waypoints([(0, (0, 0)), (100, (6000, 0))])]
-    )
-    planes.insert(
-        ["L", "LH2",
-         MovingPoint.from_waypoints([(0, (0, 10)), (100, (3000, 10))])]
-    )
-    planes.insert(
-        ["A", "AF1",
-         MovingPoint.from_waypoints([(50, (0, 0.2)), (150, (6000, 0.2))])]
-    )
-    return db
-
-
-SQL_QUERIES = [
-    "SELECT id FROM planes WHERE present(flight, 120)",
-    "SELECT id FROM planes WHERE passes_window(flight, 0, 0, 100, 100, 0, 10)",
-    "SELECT id FROM planes WHERE passes_window(flight, 0, 0, 100, 100, 0, 10) "
-    "AND present(flight, 5)",
-]
-
-
-class TestSqlWiring:
-    """SQL has no sharded form: ``--shards`` / ``--memory-budget`` tile
-    registered fleets, and a relation scan answers and plans alike."""
-
-    @pytest.mark.parametrize("sql", SQL_QUERIES)
-    def test_shard_settings_leave_sql_parity(self, sql):
-        db = planes_db()
-        set_backend("scalar")
-        scalar = sorted(r["id"].value for r in db.query(sql))
-        set_backend("vector")
-        shardmod.set_shards(2)
-        vector = sorted(r["id"].value for r in db.query(sql))
-        assert vector == scalar
-
-    def test_explain_ignores_shard_settings(self):
-        from repro.db.sql import explain
-
-        db = planes_db()
-        set_backend("vector")
-        plan = explain(db, SQL_QUERIES[0])
-        assert "VectorScan(planes AS planes, attr=flight)" in plan
-        shardmod.set_shards(3)
-        shardmod.set_memory_budget(64 * 1024)
-        assert explain(db, SQL_QUERIES[0]) == plan
-
-    def test_budgeted_scan_parity(self):
-        db = planes_db()
-        set_backend("scalar")
-        scalar = sorted(r["id"].value for r in db.query(SQL_QUERIES[1]))
-        set_backend("vector")
-        shardmod.set_shards(2)
-        shardmod.set_memory_budget(1)
-        vector = sorted(r["id"].value for r in db.query(SQL_QUERIES[1]))
-        assert vector == scalar
-
-
-# ---------------------------------------------------------------------------
-# Server wiring
-# ---------------------------------------------------------------------------
-
-
-class _Req:
-    def __init__(self, fleet, obj, unit, seq=""):
-        self.fleet = fleet
-        self.obj = obj
-        self.unit = unit
-        self.seq = seq
-
-
-class TestServerWiring:
-    def test_snapshot_parity_with_unsharded(self):
-        mappings = make_fleet(50)
-        plain = FleetExecutor()
-        plain.register_fleet("f", mappings)
-        sharded = FleetExecutor()
-        fleet = sharded.register_fleet("f", mappings, shards=3)
-        assert isinstance(fleet, ShardedFleet)
-        t = mappings[0].units[0].interval.s
-        _, want = plain.snapshot_rows("f", t)
-        _, got = sharded.snapshot_rows("f", t)
-        assert got == want
-        window = (0.0, 0.0, 5000.0, 5000.0)
-        _, want = plain.snapshot_rows("f", t, window=window)
-        _, got = sharded.snapshot_rows("f", t, window=window)
-        assert got == want
-
-    def test_ingest_touches_exactly_one_shard(self):
-        ex = FleetExecutor()
-        ex.register_fleet("f", make_fleet(20), shards=4)
-        v0 = ex.fleet("f").version
-        out = ex.apply_units(
-            [_Req("f", 20, (0.0, 1.0, 1.0, 2.0, 3.0, 3.0))]
-        )
-        assert out == [1]
-        v1 = ex.fleet("f").version
-        changed = [s for s in range(4) if v0[s] != v1[s]]
-        assert changed == [ex.fleet("f").shard_of(20)]
-        # The new object is served by the next snapshot.
-        _, rows = ex.snapshot_rows("f", 1.0)
-        assert any(r[0] == 20 for r in rows)
-
-    def test_snapshot_isolation_across_ingest(self):
-        mappings = make_fleet(20)
-        ex = FleetExecutor()
-        ex.register_fleet("f", mappings, shards=3)
-        t = mappings[0].units[0].interval.s
-        snap, before = ex.snapshot_rows("f", t)
-        ex.apply_units([_Req("f", 20, (t, 9.0, 9.0, t + 1.0, 9.0, 9.0))])
-        _, after_pin = ex.snapshot_rows("f", t)
-        # The live fleet sees the ingest; the earlier rows are untouched
-        # (they were assembled from columns pinned at snap's vector).
-        assert any(r[0] == 20 for r in after_pin)
-        assert not any(r[0] == 20 for r in before)
-
-    def test_budgeted_server_snapshot(self):
-        mappings = make_fleet(30)
-        shardmod.set_memory_budget(1)
-        ex = FleetExecutor()
-        ex.register_fleet("f", mappings, shards=4)
-        plain = FleetExecutor()
-        plain.register_fleet("f", mappings)
-        t = mappings[0].units[0].interval.s
-        _, want = plain.snapshot_rows("f", t)
-        _, got = ex.snapshot_rows("f", t)
-        assert got == want
-
-    def test_stats_reports_shards(self):
-        ex = FleetExecutor()
-        ex.register_fleet("f", make_fleet(10), shards=2)
-        stats = ex.stats()
-        assert stats["fleet.f.shards"] == 2
-        assert stats["fleet.f.objects"] == 10
-        v0 = stats["fleet.f.version"]
-        ex.apply_units([_Req("f", 10, (0.0, 0.0, 0.0, 1.0, 1.0, 1.0))])
-        assert ex.stats()["fleet.f.version"] == v0 + 1
-
-    def test_process_default_shards(self):
-        shardmod.set_shards(3)
-        ex = FleetExecutor()
-        fleet = ex.register_fleet("f", make_fleet(10))
-        assert isinstance(fleet, ShardedFleet)
-        assert fleet.n_shards == 3
-
-
-# ---------------------------------------------------------------------------
-# CLI flags
-# ---------------------------------------------------------------------------
-
-
-class TestCliFlags:
-    def test_shards_validation(self, capsys):
-        from repro.cli import main as cli_main
-
-        assert cli_main(["--shards", "0", "info"]) == 2
-        assert "--shards" in capsys.readouterr().err
-
-    def test_memory_budget_validation(self, capsys):
-        from repro.cli import main as cli_main
-
-        assert cli_main(["--memory-budget", "64x", "info"]) == 2
-        assert "--memory-budget" in capsys.readouterr().err
-
-    def test_parse_bytes_suffixes(self):
-        from repro.cli import _parse_bytes
-
-        assert _parse_bytes("512") == 512
-        assert _parse_bytes("2k") == 2048
-        assert _parse_bytes("64M") == 64 * 1024 ** 2
-        assert _parse_bytes("1g") == 1024 ** 3
-        with pytest.raises(ValueError):
-            _parse_bytes("0")
-
-    def test_flags_arm_process_defaults(self):
-        from repro.cli import main as cli_main
-
-        assert (
-            cli_main(
-                ["--backend", "vector", "--shards", "2",
-                 "--memory-budget", "1k", "snapshot", "--objects", "16"]
-            )
-            == 0
-        )
-        assert shardmod.get_shards() == 2
-        assert shardmod.get_memory_budget() == 1024
 
 
 # ---------------------------------------------------------------------------

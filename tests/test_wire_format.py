@@ -1,7 +1,7 @@
 """The binary SNAPSHOT frame (``FORMAT=bin``) and the client around it.
 
-* bin ≡ text: one property over generated fleets × instants × windows ×
-  {plain, sharded} through a live server — equal fields, equal rows,
+* bin ≡ text: one property over generated fleets × instants × windows
+  through a live server — equal fields, equal rows,
   and a table equal bit for bit to the executor's arrays; the edge
   sizes (empty, all-⊥, exactly one block, one block plus a row) pinned;
 * ``parse_request``: the ``FORMAT`` attribute's grammar, and a fuzz
@@ -104,17 +104,16 @@ class TestBinaryMatchesText:
         @given(
             mappings=fleets(), t=instant,
             corners=st.none() | st.tuples(coord, coord, coord, coord),
-            shards=st.sampled_from([1, 4]),
         )
         @settings(max_examples=60, deadline=None,
                   suppress_health_check=[HealthCheck.too_slow])
-        def check(mappings, t, corners, shards):
+        def check(mappings, t, corners):
             window = None
             if corners is not None:
                 (x0, x1), (y0, y1) = sorted(corners[:2]), sorted(corners[2:])
                 window = (x0, y0, x1, y1)
             name = next(names)
-            ex.register_fleet(name, mappings, shards=shards)
+            ex.register_fleet(name, mappings)
             _assert_same_reply(client, ex, name, t, window)
 
         try:
