@@ -1,7 +1,6 @@
 #!/usr/bin/env bash
 # Tier-1 verification: the full test suite (which holds every smoke that
-# used to run from benchmarks/bench_*.py: the Section-5.1 counter claims,
-# the parallel and the sharded equivalence), then the gates around it.
+# used to run from benchmarks/bench_*.py), then the gates around it.
 #
 # Usage: scripts/check.sh  (from the repository root)
 set -euo pipefail

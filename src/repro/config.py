@@ -43,8 +43,9 @@ BUFFER_RETRY_BASE_DELAY: float = 0.0005
 #: :mod:`repro.vector`) or ``"parallel"`` (those kernels chunked over a
 #: process pool whose workers map store-backed columns from their files
 #: and attach the rest through shared memory, :mod:`repro.parallel`).
-#: A sharded fleet (:mod:`repro.shard`) runs under any of them.  Flip at
-#: runtime with ``repro.vector.set_backend`` or the CLI's ``--backend``.
+#: A sharded fleet (:mod:`repro.shard`) ignores it and scatters on
+#: ``vector``.  Flip at runtime with ``repro.vector.set_backend`` or the
+#: CLI's ``--backend``.
 DEFAULT_BACKEND: str = "scalar"
 
 #: Default worker count of the ``parallel`` backend's process pool.

@@ -13,7 +13,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.base.instant import Instant
 from repro.base.values import BaseValue
-from repro.errors import QueryError
+from repro.errors import InvalidValue, QueryError
 from repro.ranges.intime import Intime
 from repro.ranges.rangeset import RangeSet
 from repro.spatial.line import Line
@@ -564,10 +564,17 @@ def compile_batch_predicate(
 
             # The window kernel returns exactly the nonempty clipped
             # intervals, so an object passes iff it owns at least one
-            # returned run.
+            # returned run.  A malformed window is answered as
+            # Call.eval answers it on the scalar path; what building the
+            # column raises is the stored values' error, not the call's.
             mask = np.zeros(scan.n_tuples, dtype=np.bool_)
-            rect = Rect(xmin, ymin, xmax, ymax)
-            mask[scan.batch("window_intervals", rect, t0, t1)[0]] = True
+            scan.column()
+            try:
+                rect = Rect(xmin, ymin, xmax, ymax)
+                owners = scan.batch("window_intervals", rect, t0, t1)[0]
+            except InvalidValue as exc:
+                raise QueryError(f"error evaluating {expr.func}: {exc}") from exc
+            mask[owners] = True
             return mask
 
         return BatchPredicate("window_intervals", run_window)

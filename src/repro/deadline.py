@@ -23,6 +23,7 @@ same thread; nothing awaits while a deadline is active.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from typing import Optional
@@ -45,6 +46,10 @@ class Deadline:
     def after(cls, budget_ms: float) -> "Deadline":
         """A deadline ``budget_ms`` milliseconds from now."""
         budget_ms = float(budget_ms)
+        if not math.isfinite(budget_ms):
+            raise InvalidValue(
+                f"deadline budget must be a finite number of ms, got {budget_ms!r}"
+            )
         if budget_ms <= 0:
             raise InvalidValue(
                 f"deadline budget must be > 0 ms, got {budget_ms!r}"

@@ -37,7 +37,7 @@ The CLI exposes the same data via ``python -m repro --profile <cmd>``.
 from __future__ import annotations
 
 import time
-from typing import Dict, FrozenSet, Iterator, Optional, Tuple
+from typing import Dict, FrozenSet, Optional, Tuple
 
 from repro.config import OBS_ENABLED
 
@@ -207,7 +207,6 @@ COUNTER_NAMES: FrozenSet[str] = frozenset({
     "shard.evictions",
     "shard.pruned",
     "shard.rebuilds",
-    "shard.ingest_routed",
     # sharded degradation (via count_fallback("sharded", reason))
     "shard.fallback",
     "shard.fallback.column",
@@ -422,11 +421,3 @@ class capture:
     def __exit__(self, *exc) -> None:
         if not self._prev:
             disable()
-
-
-def iter_counters() -> Iterator[Tuple[str, int]]:
-    """Iterate ``(name, value)`` over all counters, sorted by name."""
-    snap = counters.snapshot()["counters"]
-    assert isinstance(snap, dict)
-    for name in sorted(snap):
-        yield name, snap[name]

@@ -149,6 +149,10 @@ def _split_attrs(rest: str) -> Tuple[Optional[float], str, str, str]:
                 raise ProtocolError(
                     f"DEADLINE: expected milliseconds, got {value!r}"
                 ) from None
+            if not math.isfinite(deadline_ms):
+                raise ProtocolError(
+                    f"DEADLINE: expected a finite number, got {value!r}"
+                )
             if deadline_ms <= 0:
                 raise ProtocolError("DEADLINE must be > 0 milliseconds")
         elif key == "SEQ":

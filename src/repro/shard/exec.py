@@ -1,29 +1,30 @@
 """The shard executor's side of the operator table.
 
-Each ``sharded_*`` entry point binds one row of the physical operator
-table (:mod:`repro.vector.backends`) over a
-:class:`~repro.shard.manager.ShardManager`.  What this module owns is
-the *partitioning*: lazy generators of ``(global ids, shard column)``
-parts that :func:`repro.vector.backends.scatter_gather` consumes one at
-a time — so a memory budget below the working set holds — and merges
-back into the exact arrays the unsharded kernel would have produced:
+:func:`sharded` runs one row of the physical operator table
+(:mod:`repro.vector.backends`) over a
+:class:`~repro.shard.manager.ShardManager`, in process on the
+``vector`` kernels; :func:`sharded_window_intervals` binds the window
+row.  What this module owns is the *partitioning*: lazy generators of
+``(global ids, shard column)`` parts that
+:func:`repro.vector.backends.scatter_gather` consumes one at a time — so
+a memory budget below the working set holds — and merges back into the
+exact arrays the unsharded kernel would have produced:
 
 * Outputs come back in *local* lanes; the table's merge places them
   through the shard's global-id array.  Every object lives in exactly
   one shard and that array is strictly ascending (the two invariants
-  :class:`~repro.shard.fleet.ShardedFleet` keeps however it places
-  objects), which restores the unsharded order exactly — bit for bit
-  (NaN ⊥ lanes, open/closed flags, float payloads), pinned by the
-  hypothesis properties in ``tests/test_shard_properties.py``.
+  of :class:`~repro.shard.fleet.ShardedFleet`'s tiling), which restores
+  the unsharded order exactly — bit for bit (NaN ⊥ lanes, open/closed
+  flags, float payloads), pinned by the hypothesis properties in
+  ``tests/test_shard_properties.py``.
 * Window scatters prune twice before touching unit data: shard-level
   bounding cubes first (:meth:`ShardManager.prune` — no column mapped
   at all; the shards are spatial tiles, so a selective window keeps the
   one or two it overlaps), then the shard's bbox column selects
   candidate objects whose units are gathered into a compact sub-column
-  for the kernel.  Both
-  filters test against the query cube widened by ``EPSILON`` — the
-  window kernel's slab tolerance — so dropped objects are exactly
-  those the full kernel would emit no rows for.
+  for the kernel.  Both filters test against the query cube widened by
+  ``EPSILON`` — the window kernel's slab tolerance — so dropped objects
+  are exactly those the full kernel would emit no rows for.
 
 The ``shard.evict_during_query`` failpoint fires between per-shard
 kernel runs, so the chaos matrix can evict every resident shard
@@ -33,7 +34,7 @@ mid-scatter and assert the gathered result is still bit-identical
 
 from __future__ import annotations
 
-from typing import Any, Iterator, List, Optional, Tuple
+from typing import Any, Iterator, Tuple
 
 import numpy as np
 
@@ -41,7 +42,6 @@ from repro import faults
 from repro.config import EPSILON
 from repro.shard.manager import ShardManager
 from repro.spatial.bbox import Cube, Rect
-from repro.spatial.region import Region
 from repro.vector.backends import IntervalRows, evaluate
 from repro.vector.columns import UnitColumn
 
@@ -114,19 +114,12 @@ _PARTITIONERS = {
 }
 
 
-def sharded(
-    op: str,
-    manager: ShardManager,
-    args: Tuple[Any, ...],
-    workers: Optional[int] = None,
-    backend: Optional[str] = "vector",
-) -> Any:
-    """Table operation ``op`` scattered over ``manager``'s shards,
-    answered as arrays in global lanes."""
+def sharded(op: str, manager: ShardManager, args: Tuple[Any, ...]) -> Any:
+    """Table operation ``op`` scattered over ``manager``'s shards in
+    process on the ``vector`` kernels (the scalar loop is the counted
+    fallback), answered as arrays in global lanes."""
     parts = _PARTITIONERS.get(op, _all_shards)(manager, *args)
-    return evaluate(
-        op, manager.fleet, args, backend, workers, parts=parts, arrays=True
-    )
+    return evaluate(op, manager.fleet, args, "vector", parts=parts, arrays=True)
 
 
 def _gather_candidates(col: UnitColumn, cand: np.ndarray) -> UnitColumn:
@@ -150,31 +143,12 @@ def _gather_candidates(col: UnitColumn, cand: np.ndarray) -> UnitColumn:
 
 
 # ---------------------------------------------------------------------------
-# The table's rows over a shard manager
+# The window row over a shard manager
 # ---------------------------------------------------------------------------
 
 
-def sharded_atinstant(
-    manager: ShardManager,
-    t: float,
-    workers: Optional[int] = None,
-    backend: Optional[str] = "vector",
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``atinstant`` over every shard, gathered into global lanes.
-
-    Returns ``(x, y, defined)`` indexed by global object id — NaN in ⊥
-    lanes, exactly as ``atinstant_batch`` over the unsharded column.
-    """
-    return sharded("atinstant", manager, (t,), workers, backend)
-
-
 def sharded_window_intervals(
-    manager: ShardManager,
-    rect: Rect,
-    t0: float,
-    t1: float,
-    workers: Optional[int] = None,
-    backend: Optional[str] = "vector",
+    manager: ShardManager, rect: Rect, t0: float, t1: float
 ) -> IntervalRows:
     """Window-clipped in-rect intervals, scattered and gathered.
 
@@ -183,29 +157,4 @@ def sharded_window_intervals(
     drop objects that produce no rows, and the gather is a stable
     permutation back to global owner order.
     """
-    return sharded("window_intervals", manager, (rect, t0, t1), workers, backend)
-
-
-def sharded_count_inside(
-    manager: ShardManager,
-    region: Region,
-    t: float,
-    workers: Optional[int] = None,
-    backend: Optional[str] = "vector",
-) -> int:
-    """Snapshot count inside ``region`` at ``t`` (each object lives in
-    exactly one shard, so the member lanes never collide)."""
-    mask = sharded("count_inside", manager, (t, region), workers, backend)
-    return int(np.count_nonzero(mask))
-
-
-def sharded_bbox_filter(
-    manager: ShardManager,
-    cube: Cube,
-    workers: Optional[int] = None,
-    backend: Optional[str] = "vector",
-) -> List[int]:
-    """Global ids of objects whose bounding cube intersects ``cube``,
-    ascending — the unsharded ``fleet_bbox_filter`` order."""
-    mask = sharded("bbox_filter", manager, (cube,), workers, backend)
-    return np.flatnonzero(mask).tolist()
+    return sharded("window_intervals", manager, (rect, t0, t1))

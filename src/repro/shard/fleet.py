@@ -4,16 +4,17 @@ The paper's sliced representation keeps one *root record* per moving
 object and an array of fixed-size unit records per slice; nothing in
 that layout requires all root records to live in one array.  A
 :class:`ShardedFleet` partitions them into ``n_shards`` independent
-:class:`repro.vector.cache.Fleet` sequences — each with its own version
-stamp, its own columns, and (under a
+:class:`repro.vector.cache.Fleet` sequences — each with its own stamp,
+its own columns, and (under a
 :class:`repro.shard.manager.ShardManager`) its own column-store
 directory — while still presenting the global fleet as one sequence in
-insertion order.
+the order it was built from.  The tiling is decided once, at
+construction; a sharded fleet has no write path.
 
 **Placement.**  Section 4.2 gives every unit a bounding cube so that a
 query can discard what it cannot touch before reading it; a shard whose
 members share a region of space gives the same test a whole shard to
-discard.  Bulk construction therefore computes every member's bounding
+discard.  Construction therefore computes every member's bounding
 cube from its unit column (:meth:`BBoxColumn.from_upoint`) and packs the
 members into exactly ``n_shards`` *tiles of equal count* by recursive
 bisection on cube centres: ``k`` tiles split ``⌊k/2⌋ + ⌈k/2⌉``, the
@@ -22,9 +23,7 @@ the one whose centre spread is largest *relative to the members' mean
 extent on it* (how many members fit side by side, at most all of them)
 — an axis on which members are as wide as the fleet (time, for
 short-lived objects that all start together) separates nothing and is
-never cut.  An object appended later joins the shard whose bound
-needs the least enlargement (the R-tree's ChooseLeaf rule), ties to the
-smaller shard, then the lower index.
+never cut.
 
 Placement is *object-granular* — an object's units never span shards —
 because the window kernel merges adjacent in-rect runs within an object
@@ -32,35 +31,29 @@ and the gather requires each owner in one part; for fleets of
 world-spanning objects the tile bounds merely overlap and pruning
 degrades, the answers stay exact.
 
-Two invariants make scatter-gather exact rather than approximate:
-
-* **Stable global ids, ascending per shard.**  An object's global id is
-  its append position, forever, and it lives in exactly one shard;
-  ``globals_of(s)`` maps a shard's local positions back to *strictly
-  ascending* global ids (bulk members are placed shard by shard in id
-  order, appends receive increasing ids) — so per-shard kernel output,
-  owner columns rebased through ``globals_of``, concatenated in shard
-  order and stably sorted by owner, is *identical* to the unsharded
-  kernel's output (see :mod:`repro.shard.exec`).
-* **Single-shard writes.**  ``append``/``__setitem__`` route to exactly
-  one shard (counted: ``shard.ingest_routed``) and bump exactly one
-  shard version, so the version *vector* (:attr:`version`) moves in one
-  coordinate per ingest — the unit of snapshot isolation in the server.
+Scatter-gather is exact rather than approximate because of **stable
+global ids, ascending per shard**: an object's global id is its position
+in the member list, and it lives in exactly one shard;
+``globals_of(s)`` maps a shard's local positions back to *strictly
+ascending* global ids (members are placed shard by shard in id order)
+— so per-shard kernel output, owner columns rebased through
+``globals_of``, concatenated in shard order and stably sorted by owner,
+is *identical* to the unsharded kernel's output (see
+:mod:`repro.shard.exec`).
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro import obs
 from repro.errors import InvalidValue
 from repro.spatial.bbox import Cube
 from repro.vector.cache import Fleet
 from repro.vector.columns import BBoxColumn
 
-#: Members whose cubes are computed per step of bulk construction: the
+#: Members whose cubes are computed per step of construction: the
 #: transcription's transient row list stays a few MB instead of growing
 #: with the fleet.
 _CUBE_CHUNK = 8192
@@ -76,7 +69,7 @@ def _cube_of(value: Any) -> Any:
         return False
 
 
-def _member_cubes(members: List[Any]) -> Tuple[np.ndarray, np.ndarray, List[int]]:
+def _member_cubes(members: Sequence[Any]) -> Tuple[np.ndarray, np.ndarray, List[int]]:
     """``(gids, boxes, unsliced)`` of a member list.
 
     ``boxes[k]`` is the bounding cube ``(xmin, ymin, tmin, xmax, ymax,
@@ -138,25 +131,21 @@ def _tile(boxes: np.ndarray, k: int) -> np.ndarray:
 class ShardedFleet:
     """A fleet of moving objects partitioned into spatial shard fleets.
 
-    Sequence-like in *global* order (``len``/``[]``/iteration match the
-    equivalent unsharded fleet member for member), with all storage held
-    by the per-shard :class:`Fleet` instances in :attr:`shards`.  Shard
-    membership is decided once — by tiling at construction, by least
-    bound enlargement on ``append`` — and never rebalanced, so a
-    mapping's shard (and its position within it) is stable for the
+    Sequence-like in *global* order (``len``/``[]``/iteration are the
+    member list the fleet was built from), with the columns built from
+    the per-shard :class:`Fleet` instances in :attr:`shards`.  Shard
+    membership is decided once, by tiling at construction, so a
+    mapping's shard (and its position within it) is fixed for the
     fleet's lifetime.
     """
 
-    __slots__ = (
-        "n_shards", "shards", "_locate", "_globals", "_garr", "_bounds",
-        "_poisoned", "__weakref__",
-    )
+    __slots__ = ("n_shards", "shards", "_members", "_globals", "_bounds", "__weakref__")
 
     def __init__(self, mappings: Iterable[Any] = (), n_shards: int = 2):
         if n_shards < 1:
             raise InvalidValue(f"shard count must be >= 1, got {n_shards}")
         self.n_shards = n_shards
-        members = list(mappings)
+        members = self._members = tuple(mappings)
         gids, boxes, unsliced = _member_cubes(members)
         assign = np.full(len(members), -1, dtype=np.int64)
         assign[gids] = _tile(boxes, n_shards)
@@ -167,140 +156,54 @@ class ShardedFleet:
             assign[gid] = s = int(np.argmin(counts))
             counts[s] += 1
         order = np.argsort(assign, kind="stable")
-        ends = np.cumsum(counts)
         # shard -> ascending global ids of its members
-        self._garr: List[Optional[np.ndarray]] = [
-            order[end - n:end] for n, end in zip(counts, ends)
-        ]
-        self._globals: List[List[int]] = [g.tolist() for g in self._garr]
-        self.shards: List[Fleet] = [
-            Fleet(members[g] for g in gl) for gl in self._globals
-        ]
-        # global id -> (shard, local position)
-        self._locate: List[Tuple[int, int]] = [(0, 0)] * len(members)
-        for s, gl in enumerate(self._globals):
-            for j, g in enumerate(gl):
-                self._locate[g] = (s, j)
-        # Sticky: a member without a bounding cube makes its shard
-        # un-prunable for good (later bounded appends must not revive
-        # a bound that excludes the unbounded member).
-        self._poisoned: List[bool] = [False] * n_shards
-        for gid in unsliced:
-            self._poisoned[assign[gid]] = True
-        # shard -> union of member bounding cubes (None until the first
-        # bounded member arrives); a conservative superset, grown on
-        # every write, consulted by ShardManager.prune *before* any
+        self._globals: Tuple[np.ndarray, ...] = tuple(
+            order[end - n:end] for n, end in zip(counts, np.cumsum(counts))
+        )
+        self.shards: Tuple[Fleet, ...] = tuple(
+            Fleet(members[g] for g in ids.tolist()) for ids in self._globals
+        )
+        # A member without a bounding cube makes its shard un-prunable:
+        # a bound that excludes it would prune rows it should produce.
+        poisoned = {int(assign[gid]) for gid in unsliced}
+        # shard -> union of member bounding cubes (None: empty or
+        # poisoned), consulted by ShardManager.prune *before* any
         # column of the shard is mapped.
-        self._bounds: List[Optional[Cube]] = [None] * n_shards
         tiles = assign[gids]
+        bounds: List[Optional[Cube]] = []
         for s in range(n_shards):
             rows = boxes[tiles == s]
-            if len(rows) and not self._poisoned[s]:
-                self._bounds[s] = Cube(
+            bounds.append(
+                Cube(
                     *rows[:, :3].min(axis=0).tolist(),
                     *rows[:, 3:].max(axis=0).tolist(),
                 )
-        if obs.enabled and members:
-            obs.counters.add("shard.ingest_routed", len(members))
-
-    # -- versioning ---------------------------------------------------------
-
-    @property
-    def version(self) -> Tuple[int, ...]:
-        """The shard *vector* of version stamps.
-
-        Equality of vectors means "nothing anywhere changed", exactly as
-        an unsharded fleet's scalar stamp — but an ingest moves only its
-        own shard's coordinate, so snapshots over sibling shards stay
-        valid.
-        """
-        return tuple(f.version for f in self.shards)
-
-    def invalidate(self) -> None:
-        """Declare every shard's cached columns stale (member mutated in
-        place; the fleet cannot observe which one)."""
-        for f in self.shards:
-            f.invalidate()
+                if len(rows) and s not in poisoned else None
+            )
+        self._bounds = tuple(bounds)
 
     # -- sequence protocol (global order) -----------------------------------
 
     def __len__(self) -> int:
-        return len(self._locate)
+        return len(self._members)
 
     def __getitem__(self, i: int) -> Any:
-        s, j = self._locate[i]
-        return self.shards[s][j]
-
-    def __setitem__(self, i: int, value: Any) -> None:
-        s, j = self._locate[i]
-        self.shards[s][j] = value
-        self._grow_bounds(s, _cube_of(value))
-        if obs.enabled:
-            obs.counters.add("shard.ingest_routed")
-
-    def append(self, value: Any) -> None:
-        gid = len(self._locate)
-        cube = _cube_of(value)
-
-        def cost(s: int) -> Tuple[float, int, int]:
-            # ChooseLeaf: least enlargement of the bound, then fewer
-            # members, then lower index.  A shard without a bound, like
-            # a member without a cube, has nothing to enlarge.
-            bound = self._bounds[s]
-            grow = bound.enlargement(cube) if bound and cube else 0.0
-            return grow, len(self.shards[s]), s
-
-        s = min(range(self.n_shards), key=cost)
-        shard = self.shards[s]
-        shard.append(value)
-        self._locate.append((s, len(shard) - 1))
-        self._globals[s].append(gid)
-        self._grow_bounds(s, cube)
-        if obs.enabled:
-            obs.counters.add("shard.ingest_routed")
+        return self._members[i]
 
     def __iter__(self) -> Iterator[Any]:
-        for s, j in self._locate:
-            yield self.shards[s][j]
+        return iter(self._members)
 
     def __repr__(self) -> str:
-        return (
-            f"ShardedFleet({len(self)} objects over {self.n_shards} shards, "
-            f"version={self.version})"
-        )
+        return f"ShardedFleet({len(self)} objects over {self.n_shards} shards)"
 
     # -- shard views --------------------------------------------------------
 
     def globals_of(self, s: int) -> np.ndarray:
         """Ascending global ids of shard ``s``'s members (int64)."""
-        arr = self._garr[s]
-        gids = self._globals[s]
-        if arr is None:
-            arr = np.asarray(gids, dtype=np.int64)
-            self._garr[s] = arr
-        elif len(arr) != len(gids):
-            # Ids only ever append, so extend the cached array with the
-            # tail instead of reconverting the whole shard.
-            tail = np.asarray(gids[len(arr):], dtype=np.int64)
-            arr = np.concatenate([arr, tail])
-            self._garr[s] = arr
-        return arr
+        return self._globals[s]
 
     def bounds(self, s: int) -> Optional[Cube]:
         """Conservative bounding cube of shard ``s`` (None: unknown —
         the shard is empty or holds members without bounding cubes and
         must never be pruned)."""
         return self._bounds[s]
-
-    def shard_of(self, gid: int) -> int:
-        """The shard holding global object id ``gid``."""
-        return self._locate[gid][0]
-
-    def _grow_bounds(self, s: int, cube: Any) -> None:
-        if cube is False:
-            # The shard becomes un-prunable for good.
-            self._poisoned[s] = True
-            self._bounds[s] = None
-        elif cube is not None and not self._poisoned[s]:
-            current = self._bounds[s]
-            self._bounds[s] = cube if current is None else current.union(cube)

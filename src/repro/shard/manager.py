@@ -10,11 +10,11 @@ which for a fleet of spatial tiles is the few tiles the window overlaps
 Eviction is the shared CLOCK policy (:mod:`repro.residency`): a resident
 shard costs its mapped column bytes, and whenever that cost is charged
 or grows the table is fitted back to the budget, cold shards first.
-Eviction drops *references* — the manager's and the process column
-cache's — never bytes under a live reader: columns are immutable, so a
-scatter that obtained a column before the eviction keeps reading
-consistent data (the ``shard.evict_during_query`` chaos scenario pins
-exactly this).
+The manager is a shard column's only owner — nothing it maps or builds
+enters the process column cache.  Eviction drops its *reference*, never
+bytes under a live reader: columns are immutable, so a scatter that
+obtained a column before the eviction keeps reading consistent data
+(the ``shard.evict_during_query`` chaos scenario pins exactly this).
 
 Recovery is per shard: each shard directory has its own CRC'd manifest,
 so :meth:`verify_and_repair` rebuilds a corrupt shard alone
@@ -39,7 +39,6 @@ from repro.errors import CorruptColumnError, StorageError
 from repro.residency import Residency
 from repro.shard.fleet import ShardedFleet
 from repro.spatial.bbox import Cube
-from repro.vector.cache import column_for_versioned, evict_columns
 from repro.vector.columns import column_class
 from repro.vector.store import ColumnStore
 
@@ -50,19 +49,17 @@ class _Resident:
     __slots__ = ("columns", "nbytes")
 
     def __init__(self) -> None:
-        # kind -> (version vector entry, column)
-        self.columns: Dict[str, Tuple[Any, Any]] = {}
+        self.columns: Dict[str, Any] = {}
         self.nbytes = 0
 
 
 class ShardManager:
     """Residency, pruning, and recovery for one sharded fleet.
 
-    ``root`` selects persistent per-shard column stores (None keeps
-    everything in memory through the process column cache).  ``budget``
-    bounds the resident bytes (None: unbounded, shards stay mapped once
-    touched); the high-water mark of the mapped bytes is the
-    ``shard.resident_bytes`` gauge.
+    ``root`` selects persistent per-shard column stores (None builds
+    every column in memory).  ``budget`` bounds the resident bytes
+    (None: unbounded, shards stay mapped once touched); the high-water
+    mark of the mapped bytes is the ``shard.resident_bytes`` gauge.
     """
 
     def __init__(
@@ -108,35 +105,30 @@ class ShardManager:
         charge its bytes, and evict cold shards until the budget fits.
         """
         with self._lock:
-            shard = self.fleet.shards[s]
             res = self._resident.get(s) or _Resident()
-            held = res.columns.get(kind)
-            if held is not None and held[0] == shard.version:
+            col = res.columns.get(kind)
+            if col is not None:
                 if obs.enabled:
                     obs.counters.add("shard.hits")
-                return held[1]
-            version, col = self._map_column(s, kind)
-            if held is not None:
-                res.nbytes -= held[1].nbytes
-            res.columns[kind] = (version, col)
+                return col
+            col = res.columns[kind] = self._map_column(s, kind)
             res.nbytes += col.nbytes
             if obs.enabled:
                 obs.counters.add("shard.maps")
             self._charge(s, res)
             return col
 
-    def _map_column(self, s: int, kind: str) -> Tuple[Any, Any]:
-        """``(version, column)`` for one shard, preferring its store.
-        Caller holds the lock."""
+    def _map_column(self, s: int, kind: str) -> Any:
+        """One shard's ``kind`` column, preferring its store.  Caller
+        holds the lock."""
         shard = self.fleet.shards[s]
         st = self._store(s)
         if st is not None:
             try:
-                col = st.load_or_rebuild(kind, shard, fleet_version=shard.stamp)
-                return shard.version, col
+                return st.load_or_rebuild(kind, shard, fleet_version=shard.stamp)
             except (OSError, StorageError):
                 pass  # store unusable: degrade to the in-memory build
-        return column_for_versioned(shard, kind)
+        return column_class(kind).from_mappings(shard)
 
     def _charge(self, s: int, res: _Resident) -> None:
         """Enter shard ``s`` at its current cost, then CLOCK-evict until
@@ -147,9 +139,7 @@ class ShardManager:
         obs.high_water("shard.resident_bytes", float(self._resident.total))
 
     def _dropped(self, s: int, res: _Resident) -> None:
-        """Shard ``s`` left residency: drop it from the process column
-        cache too, so its bytes actually leave."""
-        evict_columns(self.fleet.shards[s])
+        """Shard ``s`` left residency (counted)."""
         if obs.enabled:
             obs.counters.add("shard.evictions")
 

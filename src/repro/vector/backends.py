@@ -5,9 +5,8 @@ backend *b*, and what it degrades to" — the only place in ``repro``
 that compares a value against the backend names ``"vector"`` or
 ``"parallel"`` (lint rule MOD005); every other module passes names
 through.  A backend names a column of the table and nothing else; a
-sharded fleet is an *operand*, scattered the same way under any
-columnar backend.  DESIGN.md ("Physical operator table") has the
-operation × backend grid.
+sharded fleet is an *operand*, scattered in process on ``vector``.
+DESIGN.md ("Physical operator table") has the operation × backend grid.
 
 * :data:`OPERATIONS` — one :class:`Operation` per fleet operation: the
   column kind it reads, the batch kernel that evaluates one *part* (a
@@ -21,8 +20,7 @@ operation × backend grid.
   in-process evaluation is the one-part case.
 * :func:`evaluate` — the ladder parallel → vector → scalar, every rung
   taken counted by :func:`count_fallback`.  The pool rung runs if and
-  only if the backend resolves to ``parallel`` (:func:`pooled`),
-  whatever the operand.
+  only if the backend resolves to ``parallel`` (:func:`pooled`).
 """
 
 from __future__ import annotations

@@ -255,9 +255,8 @@ class ColumnCache:
         """Forget everything held for ``fleet`` (a fleet's columns of
         all kinds, a relation's scan state).
 
-        Used by the shard manager when it evicts a shard and by the
-        catalog when a relation is dropped: dropping only their own
-        reference would leave the bytes resident here.
+        Used by the catalog when a relation is dropped: dropping only
+        its own reference would leave the bytes resident here.
         """
         with self._lock:
             for key in [key for key in self._entries if key[0] == id(fleet)]:
@@ -452,8 +451,7 @@ def clear_cache() -> None:
 def evict_columns(fleet: Any) -> None:
     """Drop what the process cache holds for one fleet or relation.
 
-    The shard manager calls this when it evicts a shard and the catalog
-    when it drops a relation, so the bytes actually leave the process
-    instead of lingering here.
+    The catalog calls this when it drops a relation, so the bytes
+    actually leave the process instead of lingering here.
     """
     _CACHE.drop_fleet(fleet)

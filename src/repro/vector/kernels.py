@@ -393,11 +393,14 @@ def window_intervals_batch(
 
     Returns ``(owner, s, e, lc, rc)`` — one row per surviving interval,
     ``owner`` being the object's index in the column, grouped by object
-    in ascending time order.
+    in ascending time order.  A window with ``t0 > t1`` raises
+    :class:`InvalidValue`, as its ``Interval`` would.
     """
+    t0, t1 = float(t0), float(t1)
+    if t0 > t1:
+        raise InvalidValue(f"interval start {t0!r} exceeds end {t1!r}")
     a, b, lc, rc, ok = window_times_batch(col, rect)
     _record_rows("window_intervals_batch", col.n_units)
-    t0, t1 = float(t0), float(t1)
     empty = np.empty(0)
     idx = np.flatnonzero(ok)
     if idx.size == 0:

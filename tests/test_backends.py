@@ -5,7 +5,9 @@ added later is covered — or fails here — without anyone remembering to
 extend a per-backend test file: every (operation, backend, operand)
 cell is bit-identical to the row's scalar reference loop, and every
 rung of the ladder taken is counted exactly once, in exactly one
-``*.fallback`` family.
+``*.fallback`` family.  A sharded fleet takes no backend: its cells set
+the process default to theirs and must scatter in process on
+``vector`` all the same.
 """
 
 import numpy as np
@@ -15,8 +17,7 @@ from repro import config, obs
 from repro.config import EPSILON
 from repro.parallel import pool, shmcol
 from repro.ranges.interval import Interval
-from repro.shard import ShardManager, ShardedFleet
-from repro.shard.exec import sharded
+from repro.shard import ShardManager, ShardedFleet, sharded
 from repro.spatial.bbox import Cube, Rect
 from repro.temporal.mapping import MovingPoint, MovingReal
 from repro.temporal.upoint import UPoint
@@ -122,11 +123,13 @@ def make_fleet(op, heterogeneous, n=17):
 
 
 def run_cell(op, backend, operand, fleet, args, workers=2):
-    """One table cell, answered as arrays, plus the counters it moved."""
+    """One table cell, answered as arrays, plus the counters it moved.
+    A shards cell runs under ``backend`` as the process default."""
     with obs.capture() as c:
         if operand == "shards":
             manager = ShardManager(ShardedFleet(fleet, N_SHARDS))
-            got = sharded(op, manager, args, workers, backend)
+            backends.set_backend(backend)
+            got = sharded(op, manager, args)
         else:
             got = evaluate(op, fleet, args, backend, workers, arrays=True)
     return got, c.snapshot()["counters"]
@@ -164,6 +167,12 @@ def assert_identical(got, want):
         assert np.array_equal(g, w, equal_nan=g.dtype.kind == "f")
 
 
+def evaluated_on(backend, operand):
+    """The backend a cell's answer comes from: a sharded fleet's is
+    always ``vector``."""
+    return "vector" if operand == "shards" else backend
+
+
 def cells():
     for op, entry in OPERATIONS.items():
         for backend in BACKENDS:
@@ -188,26 +197,21 @@ def test_the_table_has_every_operation():
 def test_cell_matches_scalar_reference(op, backend, operand):
     """(a) ⊥/gap lanes and open/closed ends: bit-identical; the only
     rung ever left is the pool's (17 objects cannot pay for it), and
-    only where the backend is ``parallel``, whatever the operand."""
+    only where a plain fleet's backend is ``parallel``."""
     fleet = make_fleet(op, heterogeneous=False)
+    on = evaluated_on(backend, operand)
     for args in ARGS[op]:
         got, counted = run_cell(op, backend, operand, fleet, args)
-        assert_identical(got, reference(op, fleet, args, backend))
+        assert_identical(got, reference(op, fleet, args, on))
         moved = {f: counted.get(f, 0) for f in FAMILIES}
-        if OPERATIONS[op].chunked and backends.pooled(backend):
-            # One pool rung per column the cell ran: the whole fleet's,
-            # or each shard's.
-            assert moved["parallel.fallback"] >= 1
-            if operand == "fleet":
-                assert moved["parallel.fallback"] == 1
-            assert moved["parallel.fallback"] == counted[
-                "parallel.fallback.small_fleet"
-            ]
+        if OPERATIONS[op].chunked and backends.pooled(on):
+            assert moved["parallel.fallback"] == 1
+            assert counted["parallel.fallback.small_fleet"] == 1
             moved.pop("parallel.fallback")
         else:
             assert not any(name.startswith("parallel.") for name in counted)
         assert moved == dict.fromkeys(moved, 0)
-        if operand == "shards" and backends.columnar(backend):
+        if operand == "shards":
             assert counted["shard.scatters"] == 1
 
 
@@ -221,7 +225,7 @@ def test_cell_degrades_counted_when_no_column_can_be_built(op, backend, operand)
     assert_identical(got, reference(op, fleet, args))
     moved = {f: counted.get(f, 0) for f in FAMILIES}
     want = dict.fromkeys(FAMILIES, 0)
-    if backends.columnar(backend):
+    if backends.columnar(evaluated_on(backend, operand)):
         if operand == "shards":
             want["shard.fallback"] = 1
             assert counted["shard.fallback.column"] == 1
@@ -230,10 +234,6 @@ def test_cell_degrades_counted_when_no_column_can_be_built(op, backend, operand)
             want["vector.fallback_to_scalar"] = 1
             reason = f"vector.fallback_to_scalar.{OPERATIONS[op].kind}_column"
             assert counted[reason] == 1
-    # A shard column built before the foreign member's shard was reached
-    # has been through the pool rung already; nothing else may move.
-    moved.pop("parallel.fallback")
-    want.pop("parallel.fallback")
     assert moved == want
 
 
@@ -242,12 +242,16 @@ def test_cell_degrades_counted_when_no_column_can_be_built(op, backend, operand)
 )
 @pytest.mark.parametrize("operand", OPERANDS)
 def test_pooled_cells_through_real_chunks(op, operand, monkeypatch):
-    """The same cells with the pool actually engaged: chunk outputs merge
-    back bit-identical, and no rung is left."""
+    """The same cells where the pool can pay: a plain fleet's chunk
+    outputs merge back bit-identical; a sharded fleet never reaches the
+    pool.  No rung is left."""
     monkeypatch.setattr(config, "PARALLEL_MIN_OBJECTS", 2)
     fleet = make_fleet(op, heterogeneous=False, n=23)
     for args in ARGS[op][:2]:
         got, counted = run_cell(op, "parallel", operand, fleet, args)
         assert_identical(got, reference(op, fleet, args, "parallel"))
-        assert counted["parallel.chunks"] >= 2
+        if operand == "shards":
+            assert not any(name.startswith("parallel.") for name in counted)
+        else:
+            assert counted["parallel.chunks"] >= 2
         assert not any("fallback" in name for name in counted)

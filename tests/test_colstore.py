@@ -34,7 +34,7 @@ from hypothesis import strategies as st
 from repro import faults, obs
 from repro.db.catalog import Database
 from repro.errors import CorruptColumnError, SimulatedCrash
-from repro.shard import ShardedFleet, ShardManager, sharded_atinstant
+from repro.shard import ShardedFleet, ShardManager, sharded
 from repro.temporal.mapping import MovingPoint
 from repro.vector.cache import Fleet, clear_cache
 from repro.vector.columns import KINDS, UPointColumn
@@ -393,11 +393,11 @@ class TestBackendParity:
         mappings = make_mappings(10)
         scalar = fleet_atinstant(mappings, 1.5, backend="scalar")
         manager = ShardManager(ShardedFleet(mappings, 2), root=os.fspath(tmp_path))
-        cold = sharded_atinstant(manager, 1.5)
+        cold = sharded("atinstant", manager, (1.5,))
         assert counters()["colstore.rebuilds"] == 2  # one per shard
         manager.evict_all()
         obs.reset()
-        warm = sharded_atinstant(manager, 1.5)
+        warm = sharded("atinstant", manager, (1.5,))
         assert counters()["colstore.hits"] == 2
         assert counters().get("colstore.rebuilds", 0) == 0
         for x, y, defined in (cold, warm):

@@ -22,13 +22,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro import obs
 from repro.config import EPSILON
 from repro.db.catalog import Database
-from repro.errors import InvalidValue, StorageError
+from repro.errors import InvalidValue, ReproError, StorageError
 from repro.geometry.plumbline import point_in_segset
 from repro.ops.window import WindowQueryEngine
 from repro.ranges.interval import Interval
@@ -272,10 +272,11 @@ def _lit(value):
     return format(value, ".20f")
 
 
-def _statements(rect, t0, t1):
+def _statements(bounds, t0, t1):
+    """``bounds`` is ``(xmin, ymin, xmax, ymax)``, malformed or not."""
     present = f"present(flight, {_lit(t0)})"
     window = "passes_window(flight, " + ", ".join(
-        _lit(v) for v in (rect.xmin, rect.ymin, rect.xmax, rect.ymax, t0, t1)
+        _lit(v) for v in (*bounds, t0, t1)
     ) + ")"
     return [
         f"SELECT id FROM planes WHERE {present}",
@@ -306,6 +307,14 @@ def _rows(db, text, strict=True):
     ]
 
 
+def _outcome(db, text):
+    """The rows a statement answers, or the type of error it raises."""
+    try:
+        return _rows(db, text)
+    except ReproError as exc:
+        return type(exc)
+
+
 class _scan_class:
     """Plan the next statements under one of the three planner
     configurations: the row loop and the two columnar backends."""
@@ -331,18 +340,33 @@ def _column_of(arrays):
     )
 
 
+#: Five planes present throughout ``[0, 100]``, so every row reaches
+#: the window call.
+_STAYING = [
+    MovingPoint.from_waypoints([(0.0, (i, i)), (100.0, (i + 1.0, i))])
+    for i in range(5)
+]
+
+
 class TestSqlDifferential:
-    @given(fw=fleet_and_window())
+    @given(fw=fleet_and_window().map(
+        lambda fw: (fw[0], (fw[1].xmin, fw[1].ymin, fw[1].xmax, fw[1].ymax),
+                    *fw[2:])
+    ))
+    @example(fw=(_STAYING, (0.0, 0.0, 1e6, 1e6), 50.0, 10.0))  # t0 > t1
+    @example(fw=(_STAYING, (1e6, 0.0, 0.0, 1e6), 10.0, 50.0))  # xmin > xmax
     @settings(max_examples=30, deadline=None)
     def test_one_answer_in_memory_and_materialized(self, fw):
-        mappings, rect, t0, t1 = fw
+        """Every scan class answers the same rows, or raises the same
+        error type — a malformed window included."""
+        mappings, bounds, t0, t1 = fw
         mem, mat = _databases(mappings)
-        for text in _statements(rect, t0, t1):
-            want = _rows(mem, text)
+        for text in _statements(bounds, t0, t1):
+            want = _outcome(mem, text)
             for name in _scan_class.NAMES:
                 for db in (mem, mat):
                     with _scan_class(name):
-                        assert _rows(db, text) == want, (name, text)
+                        assert _outcome(db, text) == want, (name, text)
 
     @given(mappings=fleets(min_size=0, max_size=10))
     @settings(max_examples=80, deadline=None)

@@ -98,6 +98,11 @@ class TestDeadline:
         with pytest.raises(InvalidValue):
             Deadline.after(-5.0)
 
+    @pytest.mark.parametrize("budget", [float("nan"), float("inf")])
+    def test_rejects_non_finite_budget(self, budget):
+        with pytest.raises(InvalidValue, match="finite"):
+            Deadline.after(budget)
+
     def test_expired_deadline_checks_typed(self):
         dl = Deadline(time.monotonic() - 1.0, 1.0)
         assert dl.expired()
@@ -195,6 +200,9 @@ class TestProtocolAttributes:
             parse_request("QUERY DEADLINE=abc SELECT 1;")
         with pytest.raises(ProtocolError, match="> 0"):
             parse_request("QUERY DEADLINE=0 SELECT 1;")
+        for value in ("nan", "inf", "1e400", "-inf"):
+            with pytest.raises(ProtocolError, match="expected a finite number"):
+                parse_request(f"SNAPSHOT DEADLINE={value} fleet 5")
         with pytest.raises(ProtocolError, match="non-empty"):
             parse_request("INGEST SEQ= fleet 0 0 0 0 1 1 1")
 
@@ -341,6 +349,17 @@ class TestWireResilience:
                 # the session survives the timeout
                 assert len(c.snapshot("fleet", 60.0).rows) == 4
             assert obs.get("server.timeouts") >= 1
+
+    def test_non_finite_deadline_is_a_protocol_error_not_a_timeout(self, server):
+        with obs.capture():
+            with ServerClient(
+                "127.0.0.1", server.port, max_retries=0
+            ) as c:
+                for value in ("nan", "inf"):
+                    with pytest.raises(ServerError) as exc_info:
+                        c.request(f"SNAPSHOT DEADLINE={value} fleet 5")
+                    assert exc_info.value.remote_type == "ProtocolError"
+            assert obs.get("server.timeouts") == 0
 
     def test_generous_deadline_answers_normally(self, server):
         with ServerClient("127.0.0.1", server.port) as c:

@@ -11,16 +11,9 @@ import os
 import numpy as np
 import pytest
 
-from repro import config, obs
+from repro import obs
 from repro.errors import InvalidValue
-from repro.shard import (
-    ShardManager,
-    ShardedFleet,
-    sharded_atinstant,
-    sharded_bbox_filter,
-    sharded_count_inside,
-    sharded_window_intervals,
-)
+from repro.shard import ShardManager, ShardedFleet, sharded, sharded_window_intervals
 from repro.spatial.bbox import Cube, Rect
 from repro.temporal.mapping import MovingPoint
 from repro.vector.cache import ColumnCache, Fleet, clear_cache
@@ -44,18 +37,21 @@ def make_fleet(n=60, seed=11):
     return random_flights(n, seed=seed)
 
 
+def scatter_atinstant(manager, t):
+    return sharded("atinstant", manager, (t,))
+
+
+def scatter_bbox_filter(manager, cube):
+    """Ascending global ids — the unsharded ``fleet_bbox_filter`` order."""
+    return np.flatnonzero(sharded("bbox_filter", manager, (cube,))).tolist()
+
+
 # ---------------------------------------------------------------------------
 # Spatial tiling
 # ---------------------------------------------------------------------------
 
 
 class TestTiling:
-    def test_shard_of_answers_from_placement(self):
-        fleet = ShardedFleet(make_fleet(40), 3)
-        for s in range(3):
-            for gid in fleet.globals_of(s):
-                assert fleet.shard_of(int(gid)) == s
-
     def test_tiles_are_equal_count(self):
         for n_shards in (1, 2, 3, 7):
             fleet = ShardedFleet(make_fleet(50), n_shards)
@@ -87,33 +83,14 @@ class TestShardedFleet:
             seen.extend(int(g) for g in gids)
         assert sorted(seen) == list(range(40))
 
-    def test_append_bumps_exactly_one_coordinate(self):
-        mappings = make_fleet(30)
-        fleet = ShardedFleet(mappings[:29], 4)
-        v0 = fleet.version
-        fleet.append(mappings[29])
-        v1 = fleet.version
-        changed = [s for s in range(4) if v0[s] != v1[s]]
-        assert changed == [fleet.shard_of(29)]
-
-    def test_setitem_bumps_exactly_one_coordinate(self):
-        mappings = make_fleet(30)
-        fleet = ShardedFleet(mappings, 4)
-        v0 = fleet.version
-        fleet[7] = mappings[8]
-        v1 = fleet.version
-        changed = [s for s in range(4) if v0[s] != v1[s]]
-        assert changed == [fleet.shard_of(7)]
-        assert fleet[7] is mappings[8]
-
-    def test_ingest_routed_counted(self):
-        obs.reset()
-        obs.enable()
-        try:
-            ShardedFleet(make_fleet(10), 2)
-        finally:
-            obs.disable()
-        assert obs.get("shard.ingest_routed") == 10
+    def test_has_no_write_path(self):
+        mappings = make_fleet(10)
+        fleet = ShardedFleet(mappings, 2)
+        public = {name for name in dir(fleet) if not name.startswith("_")}
+        assert public == {"n_shards", "shards", "globals_of", "bounds"}
+        with pytest.raises(TypeError):
+            fleet[0] = mappings[1]
+        assert fleet[0] is mappings[0]
 
     def test_bounds_union_and_poison(self):
         mappings = make_fleet(20)
@@ -122,11 +99,8 @@ class TestShardedFleet:
             bound = fleet.bounds(s)
             for j, gid in enumerate(fleet.globals_of(s)):
                 assert bound.union(mappings[gid].bounding_cube()) == bound
-        # A member with no bounding cube poisons its shard for good.
-        fleet2 = ShardedFleet([], 1)
-        fleet2.append(object())
-        fleet2.append(mappings[0])
-        assert fleet2.bounds(0) is None
+        # A member with no bounding cube poisons its shard.
+        assert ShardedFleet([object(), mappings[0]], 1).bounds(0) is None
 
 
 # ---------------------------------------------------------------------------
@@ -205,24 +179,23 @@ class TestShardManager:
         assert manager.resident_shards() == [0, 1, 2, 3]
 
     def test_hits_counted_and_version_checked(self):
-        mappings = make_fleet(40)
-        fleet = ShardedFleet(mappings, 2)
-        manager = ShardManager(fleet)
-        obs.reset()
-        obs.enable()
-        try:
-            manager.column(0, "upoint")
-            manager.column(0, "upoint")
-            hits = obs.get("shard.hits")
-            # An ingest into shard 0 must invalidate its column.
-            gid = int(fleet.globals_of(0)[0])
-            fleet[gid] = mappings[gid]
-            manager.column(0, "upoint")
-            maps = obs.get("shard.maps")
-        finally:
-            obs.disable()
-        assert hits == 1
-        assert maps == 2
+        manager = ShardManager(ShardedFleet(make_fleet(40), 2))
+        with obs.capture() as counters:
+            first = manager.column(0, "upoint")
+            assert manager.column(0, "upoint") is first
+        assert counters.get("shard.hits") == 1
+        assert counters.get("shard.maps") == 1
+
+    def test_root_less_columns_stay_out_of_the_process_cache(self):
+        """The manager's CLOCK is a shard column's only owner."""
+        from repro.vector import cache as cachemod
+
+        manager = ShardManager(ShardedFleet(make_fleet(40), 4))
+        for s in range(4):
+            for kind in ("upoint", "bbox"):
+                manager.column(s, kind)
+        assert manager.resident_shards() == [0, 1, 2, 3]
+        assert len(cachemod._CACHE) == 0
 
     def test_prune_rules_out_disjoint_shards(self):
         fleet = ShardedFleet(make_fleet(40), 4)
@@ -326,7 +299,7 @@ class TestShardManager:
         ShardManager(ShardedFleet(first, 2), root=root).persist(("upoint", "bbox"))
         manager = ShardManager(ShardedFleet(second, 2), root=root)
         with obs.capture() as counters:
-            x, _y, defined = sharded_atinstant(manager, 0.0)
+            x, _y, defined = scatter_atinstant(manager, 0.0)
             rebuilds = counters.get("colstore.rebuilds")
         assert defined.all()
         assert x.tolist() == [m.value_at(0.0).x for m in second]
@@ -335,7 +308,7 @@ class TestShardManager:
         assert manager.verify_and_repair(("upoint", "bbox")) == [0, 1]
         assert manager.verify_and_repair(("upoint", "bbox")) == []
         cube = second[0].bounding_cube()
-        assert sharded_bbox_filter(manager, cube) == [0]
+        assert scatter_bbox_filter(manager, cube) == [0]
 
     def test_total_column_bytes_is_arithmetic(self, tmp_path):
         """The bbox total equals the persisted records' bytes, and asking
@@ -397,7 +370,7 @@ class TestScatterGatherEquivalence:
         col = UPointColumn.from_mappings(mappings)
         t = mappings[0].units[0].interval.s
         want = atinstant_batch(col, t)
-        got = sharded_atinstant(manager, t)
+        got = scatter_atinstant(manager, t)
         for g, w in zip(got, want):
             assert g.tobytes() == w.tobytes()
 
@@ -413,12 +386,13 @@ class TestScatterGatherEquivalence:
             if m.value_at(t) is not None
             and region.contains_point(m.value_at(t).vec)
         )
-        assert sharded_count_inside(manager, region, t) == want
+        got = sharded("count_inside", manager, (t, region))
+        assert int(np.count_nonzero(got)) == want
 
     def test_bbox_filter_ascending_globals(self):
         mappings, manager = _manager()
         cube = mappings[7].bounding_cube()
-        got = sharded_bbox_filter(manager, cube)
+        got = scatter_bbox_filter(manager, cube)
         want = [
             i
             for i, m in enumerate(mappings)
@@ -443,26 +417,23 @@ class TestScatterGatherEquivalence:
         manager = ShardManager(ShardedFleet([], 3))
         got = sharded_window_intervals(manager, Rect(0, 0, 1, 1), 0.0, 1.0)
         assert all(len(g) == 0 for g in got)
-        x, y, defined = sharded_atinstant(manager, 0.0)
+        x, y, defined = scatter_atinstant(manager, 0.0)
         assert len(x) == len(y) == len(defined) == 0
 
-    def test_scalar_backend_falls_through(self):
-        mappings, manager = _manager(n=20, shards=2)
-        cube = mappings[3].bounding_cube()
-        rect = Rect(cube.xmin, cube.ymin, cube.xmax, cube.ymax)
-        want = sharded_window_intervals(manager, rect, cube.tmin, cube.tmax)
-        got = sharded_window_intervals(
-            manager, rect, cube.tmin, cube.tmax, backend="scalar"
-        )
-        for g, w in zip(got, want):
-            assert np.array_equal(g, w)
+    def test_takes_no_backend_or_workers(self):
+        _mappings, manager = _manager(n=20, shards=2)
+        rect = Rect(0, 0, 1, 1)
+        with pytest.raises(TypeError):
+            sharded_window_intervals(manager, rect, 0.0, 1.0, backend="parallel")
+        with pytest.raises(TypeError):
+            sharded_window_intervals(manager, rect, 0.0, 1.0, workers=2)
 
     def test_scatters_counted(self):
         mappings, manager = _manager(n=20, shards=2)
         obs.reset()
         obs.enable()
         try:
-            sharded_atinstant(manager, mappings[0].units[0].interval.s)
+            scatter_atinstant(manager, mappings[0].units[0].interval.s)
         finally:
             obs.disable()
         assert obs.get("shard.scatters") == 1
@@ -473,24 +444,20 @@ class TestScatterGatherEquivalence:
 # ---------------------------------------------------------------------------
 
 
-def test_v10_smoke_shard_equivalence(monkeypatch):
-    """2 shards, tiny budget, pool engaged: window + instant results
-    bit-identical."""
-    monkeypatch.setattr(config, "PARALLEL_MIN_OBJECTS", 2)
+def test_v10_smoke_shard_equivalence():
+    """2 shards, tiny budget: window + instant results bit-identical."""
     mappings = make_fleet(24, seed=5)
     manager = ShardManager(ShardedFleet(mappings, 2), budget=1)
     col = UPointColumn.from_mappings(mappings)
     cube = mappings[1].bounding_cube()
     rect = Rect(cube.xmin, cube.ymin, cube.xmax, cube.ymax)
     want = window_intervals_batch(col, rect, cube.tmin, cube.tmax)
-    got = sharded_window_intervals(
-        manager, rect, cube.tmin, cube.tmax, backend="parallel"
-    )
+    got = sharded_window_intervals(manager, rect, cube.tmin, cube.tmax)
     assert len(want[0]) > 0
     for g, w in zip(got, want):
         assert g.tobytes() == w.tobytes()
     t = mappings[0].units[0].interval.s
-    got = sharded_atinstant(manager, t, backend="parallel")
+    got = scatter_atinstant(manager, t)
     for g, w in zip(got, atinstant_batch(col, t)):
         assert g.tobytes() == w.tobytes()
 

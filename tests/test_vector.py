@@ -30,6 +30,7 @@ from repro.vector.kernels import (
     inside_prefilter,
     locate_units,
     ureal_atinstant_batch,
+    window_intervals_batch,
 )
 from repro.workloads.regions import regular_polygon
 
@@ -130,6 +131,13 @@ class TestKernels:
         )
         with pytest.raises(InvalidValue):
             ureal_atinstant_batch(col, 0.5)
+
+    def test_reversed_window_raises_like_its_interval(self):
+        col = UPointColumn.from_mappings(make_fleet())
+        with pytest.raises(InvalidValue, match="interval start 5.0 exceeds end 2.0"):
+            window_intervals_batch(col, Rect(-100, -100, 100, 100), 5.0, 2.0)
+        with pytest.raises(InvalidValue, match="exceeds end"):
+            Interval(5.0, 2.0)
 
     def test_bbox_filter_matches_intersects(self):
         fleet = make_fleet()

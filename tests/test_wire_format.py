@@ -23,7 +23,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro import obs
@@ -224,7 +224,8 @@ class TestFormatAttribute:
         st.sampled_from([
             "QUERY", "EXPLAIN", "INGEST", "SNAPSHOT", "STATS", "CLOSE",
             "snapshot", "FORMAT=bin", "FORMAT=", "format=TEXT", "FORMAT=xml",
-            "DEADLINE=5", "DEADLINE=nan", "DEADLINE=-1", "DEADLINE=",
+            "DEADLINE=5", "DEADLINE=nan", "DEADLINE=inf", "DEADLINE=1e400",
+            "DEADLINE=-1", "DEADLINE=",
             "SEQ=a:1", "SEQ=", "f", "=", "1e999", "-0.0", "nan", "inf",
             "1_0", "٣", "9" * 5000,
         ]),
@@ -238,6 +239,8 @@ class TestFormatAttribute:
         st.lists(_token, max_size=10).map(" ".join),
         st.lists(_token, max_size=10).map("\t \n".join),
     ))
+    @example(line="SNAPSHOT DEADLINE=nan f 5")
+    @example(line="QUERY DEADLINE=1e400 SELECT 1;")
     @settings(max_examples=1500, deadline=None)
     def test_fuzz_request_or_protocol_error(self, line):
         try:
@@ -250,6 +253,7 @@ class TestFormatAttribute:
             req.format == "bin" and req.command == "SNAPSHOT"
         )
         assert not req.seq or req.command == "INGEST"
+        assert req.deadline_ms is None or math.isfinite(req.deadline_ms)
         if req.command == "SNAPSHOT":
             assert all(map(math.isfinite, (req.t, *(req.window or ()))))
         if req.command == "INGEST":
