@@ -58,7 +58,7 @@ from repro.errors import QueryError
 _TOKEN_RE = re.compile(
     r"""
     (?P<ws>\s+)
-  | (?P<number>\d+\.\d*|\.\d+|\d+)
+  | (?P<number>-?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?)
   | (?P<string>'(?:[^'])*'|"(?:[^"])*"|``(?:[^`])*''|`(?:[^`])*`)
   | (?P<name>[A-Za-z_][A-Za-z_0-9]*)
   | (?P<op><=|>=|<>|!=|=|<|>)
@@ -265,7 +265,8 @@ class _Parser:
         if tok.kind == "number":
             self.advance()
             text = tok.text
-            return Literal(float(text) if "." in text else int(text))
+            exact = text.lstrip("-").isdigit()
+            return Literal(int(text) if exact else float(text))
         if tok.kind == "string":
             self.advance()
             text = tok.text

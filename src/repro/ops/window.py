@@ -185,10 +185,11 @@ class WindowQueryEngine:
         exact time sets of their presence (restricted to the window).
 
         On every columnar backend filter *and* refinement are one
-        ``window_intervals`` sweep over the collection column (chunked
-        over ``workers`` pool processes where the backend has a pool),
-        the answer assembled straight from the kernel's canonical
-        interval runs; ``scalar`` is the reference: R-tree descent, then
+        ``window_intervals`` sweep over the units of the collection
+        column whose time interval meets ``[t0, t1]`` (chunked over
+        ``workers`` pool processes where the backend has a pool), the
+        answer assembled straight from the kernel's canonical interval
+        runs; ``scalar`` is the reference: R-tree descent, then
         the exact per-unit refinement of each candidate — same results.
         ``strict=False`` quarantines objects whose storage
         representation fails to load (skipped, counted under

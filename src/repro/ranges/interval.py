@@ -53,7 +53,7 @@ class Interval(Generic[T]):
     rc: bool = True
 
     def __post_init__(self):
-        if self.s > self.e:
+        if not self.s <= self.e:  # also refuses a NaN bound
             raise InvalidValue(f"interval start {self.s!r} exceeds end {self.e!r}")
         if self.s == self.e and not (self.lc and self.rc):
             raise InvalidValue("a degenerate interval must be closed on both sides")

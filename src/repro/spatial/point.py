@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import math
-from typing import Any, Optional, Tuple
+from collections import deque
+from itertools import repeat
+from typing import List, Optional, Sequence
 
 from repro.errors import InvalidValue, TypeMismatch, UndefinedValue
 from repro.geometry.primitives import Vec, dist, point_cmp
@@ -38,13 +40,15 @@ class Point:
         return cls(v[0], v[1])
 
     @classmethod
-    def of_finite(cls, xy: Vec) -> "Point":
-        """Wrap a pair of Python floats the caller has already checked
-        to be finite — for bulk builders that validate a whole
-        coordinate array at once instead of once per point."""
-        p = _new(cls)
-        _set_xy(p, xy)
-        return p
+    def many(cls, xs: Sequence[float], ys: Sequence[float]) -> List["Point"]:
+        """``[Point(x, y) for x, y in zip(xs, ys)]`` for Python floats the
+        caller has already checked to be finite — a bulk constructor that
+        validates a whole coordinate array at once.  Two passes in C:
+        allocate the points, then fill their slot; no Python frame runs
+        per point."""
+        points = list(map(_new, repeat(cls, len(xs))))
+        deque(map(_set_xy, points, zip(xs, ys)), maxlen=0)
+        return points
 
     def __setattr__(self, name, value):
         raise AttributeError("Point values are immutable")

@@ -16,8 +16,9 @@ DESIGN.md ("Physical operator table") has the operation × backend grid.
 * :func:`scatter_gather` — split → run → merge over ``(ids, piece)``
   parts.  The fork pool instantiates it with unit-balanced object
   chunks (:func:`repro.parallel.exec.pool_chunks`), the shard executor
-  with ``(global ids, shard column)`` parts (:mod:`repro.shard.exec`);
-  in-process evaluation is the one-part case.
+  with ``(global ids, shard column)`` parts (:mod:`repro.shard.exec`).
+  In-process evaluation over one whole column (:func:`on_column`) has
+  nothing to merge and returns the kernel's own arrays.
 * :func:`evaluate` — the ladder parallel → vector → scalar, every rung
   taken counted by :func:`count_fallback`.  The pool rung runs if and
   only if the backend resolves to ``parallel`` (:func:`pooled`).
@@ -37,6 +38,7 @@ from typing import (
     Sequence,
     Tuple,
     Union,
+    cast,
 )
 
 import numpy as np
@@ -243,9 +245,7 @@ def _points(lanes: Tuple[np.ndarray, np.ndarray, np.ndarray]) -> List[Optional[P
     xs, ys, defined = lanes
     if not (np.isfinite(xs[defined]).all() and np.isfinite(ys[defined]).all()):
         raise InvalidValue("point coordinates must be finite")
-    out: List[Optional[Point]] = list(
-        map(Point.of_finite, zip(xs.tolist(), ys.tolist()))
-    )
+    out = cast(List[Optional[Point]], Point.many(xs.tolist(), ys.tolist()))
     for i in np.flatnonzero(~defined).tolist():
         out[i] = None
     return out
@@ -370,6 +370,16 @@ def _column(
     return entry.kernel(col, *args)
 
 
+def _workers(backend: Optional[str], workers: Optional[int]) -> Optional[int]:
+    """The pool's worker count where ``backend`` is :func:`pooled`;
+    ``None`` runs in process."""
+    if not pooled(backend):
+        return None
+    from repro.parallel.pool import effective_workers
+
+    return effective_workers(workers)
+
+
 def gather(
     op: str,
     n: int,
@@ -382,11 +392,7 @@ def gather(
     lanes; every column goes through the pool rung first where the
     backend is :func:`pooled`."""
     entry = OPERATIONS[op]
-    n_workers = None
-    if pooled(backend):
-        from repro.parallel.pool import effective_workers
-
-        n_workers = effective_workers(workers)
+    n_workers = _workers(backend, workers)
     run = partial(map, lambda col: _column(entry, col, args, n_workers))
     return scatter_gather(n, parts, run, entry.merge)
 
@@ -398,9 +404,10 @@ def on_column(
     backend: Optional[str] = None,
     workers: Optional[int] = None,
 ) -> Any:
-    """``op`` over one already-built column, in that column's own lanes."""
-    whole = [(slice(0, len(col)), col)]
-    return gather(op, len(col), whole, args, backend, workers)
+    """``op`` over one already-built column, in that column's own lanes:
+    the kernel's own arrays, with nothing to merge (the pool rung merges
+    its chunks itself)."""
+    return _column(OPERATIONS[op], col, args, _workers(backend, workers))
 
 
 def evaluate(
@@ -416,25 +423,29 @@ def evaluate(
 
     A plain fleet acquires its ``kind`` column (``column_for_versioned``
     + ``revalidate``: cached for versioned fleets, transcribed per call
-    for plain sequences) and is the one-part case; a sharded operand
-    passes ``parts`` — its lazy ``(global ids, shard column)``
-    scatter.  ``InvalidValue``/``StorageError`` on a columnar rung
-    degrade, counted, to the scalar reference loop.  ``arrays`` asks
-    for the arrays the columnar rungs merge even where the reference
-    answer has another form.
+    for plain sequences) and runs :func:`on_column` over it — except
+    ``bbox``, whose entries skip empty members and are merged through
+    their keys; a sharded operand passes ``parts`` — its lazy ``(global
+    ids, shard column)`` scatter.  ``InvalidValue``/``StorageError`` on
+    a columnar rung degrade, counted, to the scalar reference loop.
+    ``arrays`` asks for the arrays the columnar rungs compute even where
+    the reference answer has another form.
     """
     entry = OPERATIONS[op]
     sharded = parts is not None
     if columnar(backend):
         try:
-            if not sharded:
+            if parts is not None:
+                merged = gather(op, len(fleet), parts, args, backend, workers)
+            else:
                 version, col = column_for_versioned(fleet, entry.kind)
                 col = revalidate(fleet, entry.kind, version, col)
-                whole: Ids = slice(0, len(fleet))
                 if entry.kind == "bbox":
-                    whole = col.keys  # entries skip empty members
-                parts = [(whole, col)]
-            merged = gather(op, len(fleet), parts, args, backend, workers)
+                    merged = gather(
+                        op, len(fleet), [(col.keys, col)], args, backend, workers
+                    )
+                else:
+                    merged = on_column(op, col, args, backend, workers)
         except (InvalidValue, StorageError):
             if sharded:
                 count_fallback("sharded", "column")

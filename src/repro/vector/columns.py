@@ -383,8 +383,8 @@ class UPointColumn(UnitColumn):
         ``arrays[k]`` holds the units of object ``lanes[k]`` (ascending)
         out of ``n_objects``; an object without an array has no units.  Field for field equal to
         :meth:`from_mappings` over the unpacked values, and what their
-        constructors reject (``s > e``, a degenerate interval not closed
-        on both sides, non-finite coefficients) is the same
+        constructors reject (``s > e`` or a NaN bound, a degenerate
+        interval not closed on both sides, non-finite coefficients) is the same
         :class:`InvalidValue` here, checked on the whole column at once.
         """
         lens = np.fromiter((len(a) for a in arrays), np.int64, len(arrays))
@@ -396,7 +396,7 @@ class UPointColumn(UnitColumn):
         for flag in ("lc", "rc"):  # struct's "?" reads any nonzero byte as True
             rec[flag] = rec[flag].view(np.uint8) != 0
         s, e = rec["s"], rec["e"]
-        if np.any(s > e):
+        if not np.all(s <= e):
             raise InvalidValue("stored unit interval start exceeds its end")
         if np.any((s == e) & ~(rec["lc"] & rec["rc"])):
             raise InvalidValue("a degenerate interval must be closed on both sides")

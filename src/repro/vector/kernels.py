@@ -344,7 +344,16 @@ def window_times_batch(
     Returns ``(a, b, lc, rc, ok)`` aligned with the column's unit
     arrays; lanes are meaningful only where ``ok`` is True.
     """
-    s, e = col.starts, col.ends
+    return _window_spans(col, rect, slice(None))
+
+
+def _window_spans(
+    col: UPointColumn, rect: Rect, lanes: Union[slice, np.ndarray]
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`window_times_batch` over the units ``lanes`` selects (every
+    unit for ``slice(None)``, which gathers nothing), aligned with
+    ``lanes``."""
+    s, e = col.starts[lanes], col.ends[lanes]
 
     def axis(
         c0: np.ndarray, c1: np.ndarray, lo: float, hi: float
@@ -362,15 +371,15 @@ def window_times_batch(
         ok = np.where(const, const_ok, ok)
         return a, b, ok
 
-    xa, xb, xok = axis(col.x0, col.x1, rect.xmin, rect.xmax)
-    ya, yb, yok = axis(col.y0, col.y1, rect.ymin, rect.ymax)
+    xa, xb, xok = axis(col.x0[lanes], col.x1[lanes], rect.xmin, rect.xmax)
+    ya, yb, yok = axis(col.y0[lanes], col.y1[lanes], rect.ymin, rect.ymax)
     a = np.maximum(xa, ya)
     b = np.minimum(xb, yb)
     ok = xok & yok & (a <= b)
-    lc = np.where(np.abs(a - s) <= EPSILON, col.lc, True)
-    rc = np.where(np.abs(b - e) <= EPSILON, col.rc, True)
+    lc = np.where(np.abs(a - s) <= EPSILON, col.lc[lanes], True)
+    rc = np.where(np.abs(b - e) <= EPSILON, col.rc[lanes], True)
     ok &= ~((a == b) & ~(lc & rc))
-    _record_rows("window_times_batch", col.n_units)
+    _record_rows("window_times_batch", len(s))
     return a, b, lc, rc, ok
 
 
@@ -391,28 +400,45 @@ def window_intervals_batch(
     spans arrive in validated unit order, the resulting runs are already
     in canonical ``RangeSet`` order, pairwise disjoint and non-adjacent.
 
+    Only the units whose interval meets ``[t0, t1]`` are refined — the
+    sliced representation's time order at fleet scale.  A unit's span
+    lies inside its interval and an object's units are sorted and
+    disjoint, so the units left out are a prefix and a suffix of each
+    object whose spans lie wholly before ``t0`` or after ``t1``: they
+    can only extend a run's end that the clip moves to the window's
+    (closed) bound anyway, and the rows are those of the whole-column
+    sweep, bit for bit.  When at least half the units meet the window,
+    the sweep reads the column arrays as they are, which is cheaper
+    than gathering them.
+
     Returns ``(owner, s, e, lc, rc)`` — one row per surviving interval,
     ``owner`` being the object's index in the column, grouped by object
-    in ascending time order.  A window with ``t0 > t1`` raises
-    :class:`InvalidValue`, as its ``Interval`` would.
+    in ascending time order.  A window whose bounds are not ordered
+    (``t0 > t1``, or either one NaN) raises :class:`InvalidValue`, as
+    its ``Interval`` would.
     """
     t0, t1 = float(t0), float(t1)
-    if t0 > t1:
+    if not t0 <= t1:
         raise InvalidValue(f"interval start {t0!r} exceeds end {t1!r}")
-    a, b, lc, rc, ok = window_times_batch(col, rect)
     _record_rows("window_intervals_batch", col.n_units)
-    empty = np.empty(0)
-    idx = np.flatnonzero(ok)
-    if idx.size == 0:
+    meets = (col.ends >= t0) & (col.starts <= t1)
+    lanes: Union[slice, np.ndarray] = slice(None)
+    if 2 * np.count_nonzero(meets) < col.n_units:  # else gathering costs more
+        lanes = np.flatnonzero(meets)
+    a, b, lc, rc, ok = _window_spans(col, rect, lanes)
+    hit = np.flatnonzero(ok)
+    if hit.size == 0:
+        empty = np.empty(0)
         return (
             np.empty(0, dtype=np.int64), empty, empty.copy(),
             np.empty(0, dtype=np.bool_), np.empty(0, dtype=np.bool_),
         )
+    idx = lanes[hit] if isinstance(lanes, np.ndarray) else hit
     owner = (np.searchsorted(col.offsets, idx, side="right") - 1).astype(np.int64)
-    av, bv, lv, rv = a[idx], b[idx], lc[idx], rc[idx]
+    av, bv, lv, rv = a[hit], b[hit], lc[hit], rc[hit]
     link = (bv[:-1] == av[1:]) & (rv[:-1] | lv[1:]) & (owner[:-1] == owner[1:])
     starts = np.flatnonzero(np.concatenate(([True], ~link)))
-    ends = np.concatenate((starts[1:] - 1, [len(idx) - 1]))
+    ends = np.concatenate((starts[1:] - 1, [len(hit) - 1]))
     run_s, run_e = av[starts], bv[ends]
     run_lc, run_rc = lv[starts], rv[ends]
     run_owner = owner[starts]

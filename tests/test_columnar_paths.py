@@ -73,7 +73,7 @@ def _clean_state():
 # stands exactly still or moves at 1/64 per time unit or faster.  (A
 # velocity within EPSILON of zero is refined, by scalar and kernel alike,
 # at its t = 0 position — ROADMAP records that; no filter can be a
-# superset of it.)  All positive: the SQL tokenizer has no sign.
+# superset of it.)
 coord = st.integers(min_value=8, max_value=960).map(lambda k: k / 8.0)
 span = st.integers(min_value=1, max_value=64).map(lambda k: k / 8.0)
 instant = st.integers(min_value=0, max_value=640).map(lambda k: k / 8.0)
@@ -267,9 +267,8 @@ def _databases(mappings):
 
 
 def _lit(value):
-    """A float as the SQL tokenizer reads numbers (no exponent), with
-    digits enough to parse back to the same double."""
-    return format(value, ".20f")
+    """A float as SQL spells it: ``repr`` parses back to the same double."""
+    return repr(value)
 
 
 def _statements(bounds, t0, t1):
@@ -390,6 +389,7 @@ class TestSqlDifferential:
         "record",
         [
             (2.0, 1.0, True, True, 0.0, 0.0, 0.0, 0.0),   # s > e
+            (math.nan, 1.0, True, True, 0.0, 0.0, 0.0, 0.0),  # NaN bound
             (1.0, 1.0, True, False, 0.0, 0.0, 0.0, 0.0),  # degenerate, half-open
             (0.0, 1.0, True, True, math.inf, 0.0, 0.0, 0.0),
             (0.0, 1.0, True, True, 0.0, 0.0, math.nan, 0.0),

@@ -1,6 +1,8 @@
 """Tests for the mini-DBMS: schemas, relations, catalog, SQL."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.base.values import IntVal, RealVal, StringVal
 from repro.db import Database, Schema
@@ -122,6 +124,21 @@ class TestParser:
         q = parse_query("SELECT a FROM t WHERE a = 'x'")
         assert isinstance(q.where, Compare)
         assert q.where.right == Literal("x")
+
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    def test_any_finite_float_repr_is_a_literal(self, x):
+        """Negative and exponent spellings included: ``-5``, ``1e+16``."""
+        q = parse_query(f"SELECT a FROM t WHERE a = {x!r}")
+        assert q.where.right == Literal(x)
+        assert repr(q.where.right.value) == repr(x)
+
+    @pytest.mark.parametrize(
+        "text, value", [("-5", -5), ("1e2", 100.0), ("-2.5E-3", -0.0025)]
+    )
+    def test_number_spellings(self, text, value):
+        q = parse_query(f"SELECT a FROM t WHERE a = {text}")
+        assert q.where.right == Literal(value)
+        assert type(q.where.right.value) is type(value)
 
     def test_paper_quoting_style(self):
         # The paper writes ``Lufthansa''.

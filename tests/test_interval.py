@@ -1,5 +1,7 @@
 """Tests for intervals (Section 3.2.3): the disjoint/adjacent predicates."""
 
+import math
+
 import pytest
 
 from repro.errors import InvalidValue
@@ -23,6 +25,17 @@ class TestConstruction:
     def test_start_must_not_exceed_end(self):
         with pytest.raises(InvalidValue):
             Interval(2.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "s, e", [(math.nan, 1.0), (0.0, math.nan), (math.nan, math.nan)]
+    )
+    def test_nan_bound_is_refused(self, s, e):
+        with pytest.raises(InvalidValue):
+            Interval(s, e)
+
+    def test_infinite_bounds_are_legal(self):
+        iv = Interval(-math.inf, math.inf)
+        assert iv.contains(0.0) and iv.contains(-1e308)
 
     def test_is_degenerate(self):
         assert interval_at(1.0).is_degenerate

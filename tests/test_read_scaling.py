@@ -16,11 +16,13 @@ import pytest
 from repro.ranges.interval import Interval
 from repro.server.executor import FleetExecutor, Snapshot
 from repro.server.ingest import IngestRequest
+from repro.spatial.point import Point
 from repro.temporal.mapping import MovingPoint, MovingReal
 from repro.temporal.upoint import UPoint
 from repro.temporal.ureal import UReal
 from repro.vector.cache import Fleet, clear_cache
 from repro.vector.columns import KINDS, UPointColumn
+from repro.vector.fleet import fleet_atinstant
 from repro.vector.kernels import atinstant_batch
 from tests.linecount import lines_executed
 
@@ -136,6 +138,21 @@ def test_atinstant_batch():
         col = UPointColumn.from_mappings(points(n))
         count, (xs, _ys, defined) = lines_executed(atinstant_batch, col, T)
         assert len(xs) == n and defined.all()
+        return count
+
+    same_at_both_sizes(measure)
+
+
+def test_fleet_atinstant_builds_its_points_in_c():
+    """``fleet_atinstant``'s answer is one ``Point`` per member, built
+    without a Python frame per point — and it is the scalar answer."""
+    def measure(n):
+        fleet = Fleet(points(n))
+        fleet_atinstant(fleet, T, backend="vector")  # builds the column
+        count, got = lines_executed(fleet_atinstant, fleet, T, backend="vector")
+        want = fleet_atinstant(fleet, T, backend="scalar")
+        assert len(got) == n and all(type(p) is Point for p in got)
+        assert got == want
         return count
 
     same_at_both_sizes(measure)

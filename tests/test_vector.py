@@ -1,5 +1,7 @@
 """Unit tests for the columnar vector backend (repro.vector)."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -138,6 +140,26 @@ class TestKernels:
             window_intervals_batch(col, Rect(-100, -100, 100, 100), 5.0, 2.0)
         with pytest.raises(InvalidValue, match="exceeds end"):
             Interval(5.0, 2.0)
+
+    @pytest.mark.parametrize("t0, t1", [(math.nan, 1.0), (0.0, math.nan)])
+    def test_nan_window_bound_raises_like_its_interval(self, t0, t1):
+        """A NaN bound is no window: ``t0 > t1`` is False for it, and it
+        used to answer every object whose span reaches ``t1``."""
+        col = UPointColumn.from_mappings(make_fleet())
+        with pytest.raises(InvalidValue, match="exceeds end"):
+            window_intervals_batch(col, Rect(-100, -100, 100, 100), t0, t1)
+        with pytest.raises(InvalidValue, match="exceeds end"):
+            Interval(t0, t1)
+
+    def test_infinite_window_bounds_stay_legal(self):
+        col = UPointColumn.from_mappings(make_fleet())
+        rect = Rect(-100, -100, 100, 100)
+        owner, s, e, _lc, _rc = window_intervals_batch(
+            col, rect, -math.inf, math.inf
+        )
+        bounded = window_intervals_batch(col, rect, -1e9, 1e9)
+        assert owner.size and np.array_equal(owner, bounded[0])
+        assert np.array_equal(s, bounded[1]) and np.array_equal(e, bounded[2])
 
     def test_bbox_filter_matches_intersects(self):
         fleet = make_fleet()
@@ -376,6 +398,19 @@ class TestDbWiring:
         vector = sorted(r["id"].value for r in planes_db.query(sql))
         assert scalar == vector
 
+    def test_negative_and_exponent_literals(self, planes_db):
+        """A window with negative corners, spelled the way ``repr`` spells
+        floats, answers alike on both backends."""
+        sql = (
+            "SELECT id FROM planes WHERE "
+            "passes_window(flight, -1e2, -5, 100, 1E2, 0, 1.0e1)"
+        )
+        for backend in ("scalar", "vector"):
+            set_backend(backend)
+            assert sorted(r["id"].value for r in planes_db.query(sql)) == [
+                "LH1", "LH2",
+            ], backend
+
     def test_batch_select_counts(self, planes_db):
         set_backend("vector")
         obs.reset()
@@ -441,6 +476,21 @@ class TestWindowEngine:
             assert not any("fallback" in name for name in counted)
             naive = eng.query_naive(rect, t0, t1)
             assert scalar == batched == naive
+
+    @pytest.mark.parametrize("backend", ["scalar", "vector", "parallel"])
+    def test_nan_window_bound_raises_on_every_backend(self, backend):
+        """The columnar row used to answer all five flights for a NaN
+        ``t0`` and the scalar loop none; now both refuse the window."""
+        from repro.workloads.trajectories import FlightGenerator
+
+        flights = FlightGenerator(seed=3)
+        eng = WindowQueryEngine()
+        for i in range(5):
+            eng.add(i, flights.flight())
+        world = Rect(-1e9, -1e9, 1e9, 1e9)
+        with pytest.raises(InvalidValue):
+            eng.query(world, math.nan, 1.0, backend=backend)
+        assert len(eng.query(world, -math.inf, math.inf, backend=backend)) == 5
 
 
 class TestCli:

@@ -537,6 +537,156 @@ class TestWindowEquivalence:
 
 
 # ---------------------------------------------------------------------------
+# The window row refines only the units that meet its time window
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def histories(draw, max_units=8):
+    """A moving point whose consecutive units are separated by a gap or
+    *adjacent* — sharing the instant and the position, at most one side
+    closed — so that the window row has runs to link across units."""
+    n = draw(st.integers(min_value=0, max_value=max_units))
+    t = draw(st.floats(min_value=-50.0, max_value=50.0, allow_nan=False))
+    duration = st.floats(min_value=0.1, max_value=10.0, allow_nan=False)
+    units = []
+    for _ in range(n):
+        adjacent = bool(units) and draw(st.booleans())
+        if adjacent:
+            prev = units[-1]
+            p0 = prev.vec_at(prev.interval.e)
+            lc = draw(st.booleans()) and not prev.interval.rc
+        else:
+            t += draw(duration)
+            p0 = (draw(coord), draw(coord))
+            lc = draw(st.booleans())
+        s = t
+        t += draw(duration)
+        p1 = p0 if draw(st.booleans()) else (draw(coord), draw(coord))
+        units.append(UPoint.between(s, p0, t, p1, lc=lc, rc=draw(st.booleans())))
+    return MovingPoint.normalized(units)
+
+
+@st.composite
+def boundary_windows(draw, fleet):
+    """``[t0, t1]`` with each bound drawn from the fleet's own unit
+    starts and ends (or anywhere), degenerate ``[t, t]`` windows
+    included: narrow windows fall on the pruned side of the ½ rule,
+    broad ones on the whole-column side."""
+    bounds = sorted(
+        {b for m in fleet for u in m.units for b in (u.interval.s, u.interval.e)}
+    )
+    anywhere = st.floats(min_value=-80.0, max_value=150.0, allow_nan=False)
+
+    def pick():
+        if bounds and draw(st.integers(0, 3)):
+            return draw(st.sampled_from(bounds))
+        return draw(anywhere)
+
+    t0 = pick()
+    t1 = t0 if draw(st.integers(0, 4)) == 0 else pick()
+    return min(t0, t1), max(t0, t1)
+
+
+def whole_column_rows(col, rect, t0, t1):
+    """The window row over *every* unit: :func:`window_times_batch`,
+    merged into runs and clipped — the kernel's arithmetic before it
+    pruned by time, kept here as the byte-identity reference."""
+    a, b, lc, rc, ok = window_times_batch(col, rect)
+    idx = np.flatnonzero(ok)
+    if idx.size == 0:
+        empty = np.empty(0)
+        flags = np.empty(0, dtype=np.bool_)
+        return np.empty(0, dtype=np.int64), empty, empty, flags, flags
+    owner = (np.searchsorted(col.offsets, idx, side="right") - 1).astype(np.int64)
+    av, bv, lv, rv = a[idx], b[idx], lc[idx], rc[idx]
+    link = (bv[:-1] == av[1:]) & (rv[:-1] | lv[1:]) & (owner[:-1] == owner[1:])
+    first = np.flatnonzero(np.concatenate(([True], ~link)))
+    last = np.concatenate((first[1:] - 1, [len(idx) - 1]))
+    run_s, run_e = av[first], bv[last]
+    run_lc, run_rc = lv[first], rv[last]
+    keep = ~(
+        (run_e < t0) | ((run_e == t0) & ~run_rc)
+        | (t1 < run_s) | ((t1 == run_s) & ~run_lc)
+    )
+    cs, ce = np.maximum(run_s, t0), np.minimum(run_e, t1)
+    point = cs == ce
+    clc = np.where(run_s >= t0, run_lc, True) | point
+    crc = np.where(run_e <= t1, run_rc, True) | point
+    return owner[first][keep], cs[keep], ce[keep], clc[keep], crc[keep]
+
+
+def units_refined(col, rect, t0, t1):
+    """``(rows, vector.window_times_batch.rows)`` of one window row."""
+    from repro import obs
+
+    obs.enable()
+    try:
+        with obs.capture() as c:
+            rows = window_intervals_batch(col, rect, t0, t1)
+    finally:
+        obs.disable()
+    return rows, c.get("vector.window_times_batch.rows")
+
+
+def assert_same_bytes(got, want):
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+
+class TestWindowTimePrune:
+    @given(
+        data=st.data(),
+        fleet=st.lists(histories(), min_size=1, max_size=6),
+        rect=st.one_of(rects(), st.just(Rect(-100.0, -100.0, 100.0, 100.0))),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_rows_are_the_whole_column_rows(self, data, fleet, rect):
+        t0, t1 = data.draw(boundary_windows(fleet))
+        col = UPointColumn.from_mappings(fleet)
+        got, refined = units_refined(col, rect, t0, t1)
+        assert_same_bytes(got, whole_column_rows(col, rect, t0, t1))
+        meet = int(np.count_nonzero((col.ends >= t0) & (col.starts <= t1)))
+        # The ½ rule: a broad window reads the column as it is.
+        assert refined == (meet if 2 * meet < col.n_units else col.n_units)
+
+    @staticmethod
+    def staggered(n):
+        """Object ``i`` zigzags through four adjacent 10-s units from
+        ``i % 50``."""
+        return UPointColumn.from_mappings([
+            MovingPoint.from_waypoints([
+                (i % 50 + 10.0 * k, (float(k), float(i % 7 + k % 2)))
+                for k in range(5)
+            ])
+            for i in range(n)
+        ])
+
+    @pytest.mark.parametrize("n", [1_000, 20_000])
+    def test_a_narrow_window_refines_only_the_units_meeting_it(self, n):
+        col = self.staggered(n)
+        rect = Rect(0.0, 0.0, 3.0, 3.0)
+        for t0, t1 in ((30.0, 30.0), (20.0, 25.5), (0.0, 12.0)):
+            meet = int(np.count_nonzero((col.ends >= t0) & (col.starts <= t1)))
+            assert 0 < 2 * meet < col.n_units
+            got, refined = units_refined(col, rect, t0, t1)
+            assert refined == meet
+            assert len(got[0]) > 0
+            assert_same_bytes(got, whole_column_rows(col, rect, t0, t1))
+
+    def test_a_broad_window_reads_the_whole_column(self):
+        col = self.staggered(1_000)
+        assert col.n_units == 4_000
+        rect = Rect(0.0, 0.0, 3.0, 3.0)
+        t0, t1 = 10.0, 60.0
+        meet = int(np.count_nonzero((col.ends >= t0) & (col.starts <= t1)))
+        assert col.n_units > meet >= col.n_units / 2
+        got, refined = units_refined(col, rect, t0, t1)
+        assert refined == col.n_units
+        assert_same_bytes(got, whole_column_rows(col, rect, t0, t1))
+
+
+# ---------------------------------------------------------------------------
 # path_length: an upper bound everywhere, the length itself where certified
 # ---------------------------------------------------------------------------
 
@@ -656,8 +806,8 @@ class TestPathLength:
 
 
 def _lit(value):
-    """A float as the SQL tokenizer reads numbers (no sign, no exponent)."""
-    return format(value, ".20f")
+    """A float as SQL spells it: ``repr`` parses back to the same double."""
+    return repr(value)
 
 
 class TestLengthPredicate:
