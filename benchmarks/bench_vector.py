@@ -9,16 +9,25 @@ per-object scalar loop, while returning the same answers bit for bit.
 Runs as pytest (equivalence + speedup asserted together); the timings
 that are tracked over time are ``kernels.*`` / ``fleet.*`` of
 ``benchmarks/e2e/run.py --workload api_scan_warm``.
+
+Run as a script, it prints the batch kernels' per-call cost — report
+only, nothing asserted — so one command gives a before/after of a
+kernel change::
+
+    PYTHONPATH=src python benchmarks/bench_vector.py
 """
 
 import random
+import statistics
 import time
 
-from repro.spatial.bbox import Cube
+import numpy as np
+
+from repro.spatial.bbox import Cube, Rect
 from repro.temporal.mapping import MovingPoint
 from repro.vector.cache import Fleet, clear_cache, column_for
 from repro.vector.columns import BBoxColumn, UPointColumn
-from repro.vector.kernels import atinstant_batch, bbox_filter_batch
+from repro.vector.kernels import atinstant_batch, bbox_filter_batch, window_times_batch
 
 FLEET_SIZE = 10_000
 LEGS = 4
@@ -131,6 +140,77 @@ def measure_bbox_filter(fleet, cube: Cube) -> dict:
     }
 
 
+def waypoint_column(
+    count: int, legs: int = LEGS, world: float = 1000.0, reach: float = 200.0,
+    seed: int = 2000,
+) -> UPointColumn:
+    """The column ``MovingPoint.from_waypoints`` gives ``count`` random
+    tracks of ``legs`` legs — each leg 5–30 s long, moving up to
+    ``reach`` per axis from a start anywhere in a ``world`` square —
+    built from arrays, so 100k objects cost no Python per unit."""
+    rng = np.random.default_rng(seed)
+    t = np.cumsum(
+        np.column_stack([rng.uniform(0.0, 50.0, count),
+                         rng.uniform(5.0, 30.0, (count, legs))]), axis=1)
+    x, y = (
+        np.cumsum(np.column_stack([rng.uniform(0.0, world, count),
+                                   rng.uniform(-reach, reach, (count, legs))]), axis=1)
+        for _ in "xy"
+    )
+    s, e = t[:, :-1].ravel(), t[:, 1:].ravel()
+    vx = ((x[:, 1:] - x[:, :-1]) / (t[:, 1:] - t[:, :-1])).ravel()
+    vy = ((y[:, 1:] - y[:, :-1]) / (t[:, 1:] - t[:, :-1])).ravel()
+    first = np.zeros((count, legs), dtype=np.bool_)
+    first[:, 0] = True  # [t0, t1], then (tk, tk+1] — the waypoint track
+    return UPointColumn(
+        np.arange(count + 1, dtype=np.int64) * legs,
+        s, e, first.ravel(), np.ones(count * legs, dtype=np.bool_),
+        x[:, :-1].ravel() - vx * s, vx, y[:, :-1].ravel() - vy * s, vy,
+    )
+
+
+def _median_us(fn, args, rounds: int = 7) -> float:
+    """Median over ``rounds`` of the mean µs of one ``fn(*a)`` per ``a``."""
+    per_call = []
+    for _ in range(rounds):
+        tic = time.perf_counter()
+        for a in args:
+            fn(*a)
+        per_call.append((time.perf_counter() - tic) / len(args) * 1e6)
+    return statistics.median(per_call)
+
+
+def kernel_report(scale: float = 1.0) -> dict:
+    """Median µs per call of the batch kernels at fleet scale.
+
+    - ``atinstant_batch`` over 10k flights, at 1 102 instants: 800 unit
+      starts and ends (the boundary lanes), 300 anywhere, and ±inf;
+    - ``window_times_batch`` over the whole column for 50 500×500
+      rectangles, at 20k flights and at 100k local legs (moves of at
+      most 50 per axis per leg in a 10k world).
+
+    ``scale`` shrinks every fleet (a smoke run); nothing is asserted.
+    """
+    rng = np.random.default_rng(7)
+    report = {}
+    col = waypoint_column(max(1, int(10_000 * scale)))
+    bounds = np.concatenate([col.starts, col.ends])
+    ts = [*rng.choice(bounds, 800), *rng.uniform(0.0, float(col.ends.max()), 300),
+          -np.inf, np.inf]
+    report["atinstant_batch 10k flights"] = _median_us(
+        atinstant_batch, [(col, float(t)) for t in ts])
+    for name, col in (
+        ("window_times_batch 20k flights", waypoint_column(max(1, int(20_000 * scale)))),
+        ("window_times_batch 100k local legs", waypoint_column(
+            max(1, int(100_000 * scale)), world=10_000.0, reach=50.0)),
+    ):
+        px = col.x0 + col.x1 * col.starts
+        lo, hi = float(px.min()), float(px.max())
+        corners = rng.uniform(lo, hi, (50, 2))
+        rects = [(col, Rect(x, y, x + 500.0, y + 500.0)) for x, y in corners]
+        report[name] = _median_us(window_times_batch, rects, rounds=5)
+    return report
+
 
 # -- pytest entry points ------------------------------------------------------
 
@@ -159,3 +239,15 @@ def test_v1_colcache_warm_beats_cold():
     stats = measure_atinstant(fleet, 60.0)
     assert stats["mismatches"] == 0
     assert stats["warm_speedup"] >= 5.0, stats
+
+
+def test_v1_kernel_report_runs():
+    """The report runs end to end (at a hundredth of its size); its
+    numbers are for reading, not asserting."""
+    report = kernel_report(scale=0.01)
+    assert len(report) == 3 and all(us > 0 for us in report.values())
+
+
+if __name__ == "__main__":
+    for kernel, us in kernel_report().items():
+        print(f"{kernel:40s} {us:10.1f} us")

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from typing import Any, Optional, Union
 
-from repro.errors import TypeMismatch, UndefinedValue
+from repro.errors import InvalidValue, TypeMismatch, UndefinedValue
 
 #: Sentinel for the undefined instant.
 UNDEFINED = None
@@ -101,9 +101,17 @@ def _as_instant(x: Union[Instant, int, float]) -> Instant:
 
 
 def as_time(x: Union[Instant, int, float]) -> float:
-    """Return the raw float time coordinate of ``x``."""
+    """Return the raw float time coordinate of ``x``.
+
+    ``±inf`` are times (before and after every unit); NaN is none —
+    every comparison with it is False, so it would fall inside any
+    interval — and raises :class:`InvalidValue`.
+    """
     if isinstance(x, Instant):
         return x.value
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         raise TypeMismatch(f"not a time value: {x!r}")
-    return float(x)
+    t = float(x)
+    if math.isnan(t):
+        raise InvalidValue("time must not be NaN")
+    return t

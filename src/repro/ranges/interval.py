@@ -67,7 +67,7 @@ class Interval(Generic[T]):
 
     def contains(self, v: T) -> bool:
         """True iff the domain value ``v`` belongs to this interval."""
-        if v < self.s or v > self.e:
+        if not self.s <= v <= self.e:  # also refuses NaN
             return False
         if v == self.s and not self.lc:
             return False

@@ -110,7 +110,7 @@ class UnitColumn(Column):
     arrays around is written once here, driven by the dtype's field names.
     """
 
-    __slots__ = ("offsets", "starts", "ends", "lc", "rc")
+    __slots__ = ("offsets", "starts", "ends", "lc", "rc", "_depth")
 
     #: numpy layout of one unit record, byte-identical to ``UNIT_FORMAT``.
     UNIT_DTYPE: np.dtype
@@ -145,6 +145,7 @@ class UnitColumn(Column):
         for attr, a in zip(self.FIELDS, fields):
             setattr(self, attr, a)
         self.source = None
+        self._depth: Optional[int] = None
 
     @property
     def n_objects(self) -> int:
@@ -155,6 +156,17 @@ class UnitColumn(Column):
     def n_units(self) -> int:
         """Total number of units across all objects."""
         return len(self.starts)
+
+    @property
+    def depth(self) -> int:
+        """Bit length of the longest object's unit count: the sweeps of
+        the binary-lifting unit search (:func:`repro.vector.kernels.
+        locate_units`).  Read off the offsets on first use and kept — a
+        column's arrays never change after construction."""
+        if self._depth is None:
+            longest = int(np.diff(self.offsets).max()) if self.n_objects else 0
+            self._depth = longest.bit_length()
+        return self._depth
 
     def units_of(self, i: int) -> slice:
         """The slice of the unit arrays belonging to object ``i``."""

@@ -53,6 +53,12 @@ class TestMembership:
         assert not iv.contains(1.0) and not iv.contains(2.0)
         assert iv.contains(1.5)
 
+    def test_contains_refuses_nan(self):
+        """Every comparison with NaN is False, so a test written as
+        ``v < s or v > e`` let it into every interval."""
+        for iv in (closed(1.0, 2.0), interval_at(1.0), Interval(-math.inf, math.inf)):
+            assert iv.contains(math.nan) is False
+
     def test_contains_open_part(self):
         iv = closed(1.0, 3.0)
         assert iv.contains_open(2.0)
