@@ -96,6 +96,21 @@ def fzero(a: float, eps: float = EPSILON) -> bool:
     return abs(a) <= eps
 
 
+def fstationary(velocity, duration, eps: float = EPSILON):
+    """Return True if a coordinate moving at ``velocity`` for ``duration``
+    stays put within tolerance: its displacement ``|velocity|·duration``
+    is at most ``eps``.
+
+    The tolerance is on the position, the quantity a spatial predicate
+    is about, not on the coefficient: a velocity within ``eps`` of zero
+    still carries a point far over a long unit (``5e-10`` per second is
+    0.005 over ``1e7`` s).  A zero velocity is stationary for any
+    duration, an unbounded one included.  Elementwise on arrays, so the
+    scalar window refinement and its batch kernel share this one rule.
+    """
+    return (velocity == 0) | (abs(velocity) * duration <= eps)
+
+
 def fsign(a: float, eps: float = EPSILON) -> int:
     """Return the sign of ``a`` under tolerance: -1, 0, or +1."""
     if a > eps:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Callable, Dict, Hashable, Iterable, List, Optional, Tuple
 
 from repro import obs
-from repro.config import EPSILON, feq, fle, fzero
+from repro.config import EPSILON, feq, fle, fstationary
 from repro.errors import InvalidValue, StorageError
 from repro.index.unitindex import MovingObjectIndex
 from repro.ranges.interval import Interval
@@ -27,9 +27,15 @@ from repro.vector.columns import UPointColumn
 
 
 def _linear_within(c0: float, c1: float, lo: float, hi: float, t0: float, t1: float):
-    """Times in [t0, t1] where ``lo <= c0 + c1·t <= hi`` (None = never)."""
-    if fzero(c1):
-        return (t0, t1) if fle(lo, c0) and fle(c0, hi) else None
+    """Times in [t0, t1] where ``lo <= c0 + c1·t <= hi`` (None = never).
+
+    A coordinate that is stationary over [t0, t1] (``fstationary``: it
+    moves by at most EPSILON) is inside throughout or never, by the
+    eps-test of its position at ``t0``.
+    """
+    if fstationary(c1, t1 - t0):
+        p = c0 + c1 * t0 if c1 else c0  # c0 when motionless, whatever t0
+        return (t0, t1) if fle(lo, p) and fle(p, hi) else None
     ta = (lo - c0) / c1
     tb = (hi - c0) / c1
     if ta > tb:  # modlint: disable=MOD001 root ordering swap, not a tolerance decision
