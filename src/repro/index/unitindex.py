@@ -10,7 +10,7 @@ with the owning object's key.
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, List, Set, Tuple, Union
+from typing import Hashable, Set, Union
 
 from repro.base.instant import Instant, as_time
 from repro.spatial.bbox import Cube, Rect
@@ -27,7 +27,6 @@ class MovingObjectIndex:
     def __init__(self, max_entries: int = 8):
         self._tree = RTree3D(max_entries)
         self._count = 0
-        self._entries: List[Tuple[Hashable, Cube]] = []
 
     def __len__(self) -> int:
         """Number of indexed objects (not units)."""
@@ -42,35 +41,8 @@ class MovingObjectIndex:
         """Index every unit of ``moving`` under ``key``."""
         for u in moving.units:
             assert isinstance(u, (UPoint, URegion))
-            cube = u.bounding_cube()
-            self._tree.insert(cube, key)
-            self._entries.append((key, cube))
+            self._tree.insert(u.bounding_cube(), key)
         self._count += 1
-
-    def bulk_load(
-        self,
-        items: Iterable[Tuple[Hashable, Union[MovingPoint, MovingRegion]]],
-    ) -> None:
-        """Index many objects at once via one STR-packed tree build.
-
-        Collects every unit cube of every object and rebuilds the R-tree
-        with :meth:`RTree3D.bulk_load` over the existing *and* new
-        entries — the candidate sets afterwards are exactly those of
-        per-object :meth:`add` calls, at a fraction of the build cost.
-        Later incremental :meth:`add` calls keep working on the packed
-        tree.
-        """
-        added = 0
-        for key, moving in items:
-            for u in moving.units:
-                assert isinstance(u, (UPoint, URegion))
-                self._entries.append((key, u.bounding_cube()))
-            added += 1
-        self._tree = RTree3D.bulk_load(
-            ((cube, key) for key, cube in self._entries),
-            self._tree.max_entries,
-        )
-        self._count += added
 
     # -- queries -----------------------------------------------------------
 

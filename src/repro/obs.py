@@ -152,7 +152,6 @@ COUNTER_NAMES: FrozenSet[str] = frozenset({
     "vector.fallback_to_scalar.ureal_column",
     "vector.fallback_to_scalar.bbox_column",
     "vector.fallback_to_scalar.predicate",
-    "vector.fallback_to_scalar.window_column",
     # columnar cache (repro.vector.cache)
     "colcache.hits",
     "colcache.misses",

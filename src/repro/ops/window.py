@@ -1,29 +1,33 @@
 """Spatio-temporal window queries: filter and refine.
 
 "Find all objects inside rectangle W during [t0, t1]" is the classic
-moving objects query.  The scalar filter step uses the per-unit 3-D
-R-tree (:mod:`repro.index`); the refinement step here is *exact*: a linearly
-moving point lies inside an axis-aligned rectangle exactly when four
-linear inequalities hold, so the time set is an intersection of
-intervals computed in closed form per unit — no sampling.
+moving objects query.  The filter is the time prune of the operator
+table's ``window_intervals`` row (:mod:`repro.vector.backends`): only
+units whose interval meets the window are refined.  The refinement
+step here is *exact*: a linearly moving point lies inside an
+axis-aligned rectangle exactly when four linear inequalities hold, so
+the time set is an intersection of intervals computed in closed form
+per unit — no sampling.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Hashable, Iterable, List, Optional, Tuple
+from typing import (
+    Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple,
+)
+
+import numpy as np
 
 from repro import obs
-from repro.config import EPSILON, feq, fle, fstationary
+from repro.config import feq, fle, fstationary
 from repro.errors import InvalidValue, StorageError
-from repro.index.unitindex import MovingObjectIndex
 from repro.ranges.interval import Interval
 from repro.ranges.rangeset import RangeSet
-from repro.spatial.bbox import Cube, Rect
+from repro.spatial.bbox import Rect
 from repro.temporal.mapping import MovingPoint
 from repro.temporal.upoint import UPoint
 from repro.vector import backends
-from repro.vector.cache import Fleet, column_for
-from repro.vector.columns import UPointColumn
+from repro.vector.cache import Fleet
 
 
 def _linear_within(c0: float, c1: float, lo: float, hi: float, t0: float, t1: float):
@@ -92,91 +96,118 @@ def mpoint_within_rect_times(mp: MovingPoint, rect: Rect) -> RangeSet[float]:
     return RangeSet.normalized(out)
 
 
+def group_intervals(
+    owners: np.ndarray,
+    s: np.ndarray,
+    e: np.ndarray,
+    lc: np.ndarray,
+    rc: np.ndarray,
+    keys: Sequence[Hashable],
+) -> List[Tuple[Hashable, RangeSet[float]]]:
+    """Assemble kernel interval rows into ``(key, RangeSet)`` results.
+
+    Rows arrive grouped by owner in canonical time order (see
+    ``window_intervals_batch``), so each owner's slice already satisfies
+    the ``RangeSet`` ordering/disjointness invariants and goes straight
+    through the validating constructor.
+    """
+    out: List[Tuple[Hashable, RangeSet[float]]] = []
+    if len(owners) == 0:
+        return out
+    split_at = np.flatnonzero(owners[1:] != owners[:-1]) + 1
+    starts = np.concatenate(([0], split_at))
+    ends = np.concatenate((split_at, [len(owners)]))
+    for a, b in zip(starts, ends):
+        ivs = [
+            Interval(float(s[j]), float(e[j]), bool(lc[j]), bool(rc[j]))
+            for j in range(a, b)
+        ]
+        out.append((keys[int(owners[a])], RangeSet(ivs)))
+    return out
+
+
 class WindowQueryEngine:
-    """Filter-and-refine window queries over a collection of moving points."""
+    """Window queries by object key over one collection of moving points.
+
+    A keyed view: eagerly registered objects form one versioned
+    :class:`Fleet` (so its column is cached across queries), lazily
+    registered ones are loaders read per query; filter and refinement
+    are the operator table's ``window_intervals`` row on every backend.
+    A key is registered once.
+    """
 
     def __init__(self) -> None:
-        self._index = MovingObjectIndex()
+        # Insertion-ordered, so the keys stay index-aligned with the fleet.
         self._objects: Dict[Hashable, MovingPoint] = {}
-        self._loaders: Dict[Hashable, Callable[[], MovingPoint]] = {}
-        # Eagerly registered objects double as a versioned Fleet so the
-        # parallel backend's whole-collection column is cache-reusable
-        # across queries (keys list kept index-aligned with the fleet).
         self._fleet = Fleet()
-        self._keys: List[Hashable] = []
+        self._loaders: Dict[Hashable, Callable[[], MovingPoint]] = {}
+
+    def _check_new(self, keys: Iterable[Hashable]) -> None:
+        """Refuse a key that is already registered (eager or lazy) or
+        repeats within ``keys``, before anything is registered."""
+        seen: Set[Hashable] = set()
+        for key in keys:
+            if key in self._objects or key in self._loaders or key in seen:
+                raise InvalidValue(f"key {key!r} is already registered")
+            seen.add(key)
 
     def add(self, key: Hashable, mp: MovingPoint) -> None:
         """Register a moving point under ``key``."""
-        self._index.add(key, mp)
-        self._objects[key] = mp
-        self._fleet.append(mp)
-        self._keys.append(key)
+        self.add_fleet([(key, mp)])
 
     def add_fleet(
         self, items: Iterable[Tuple[Hashable, MovingPoint]]
     ) -> None:
-        """Register many moving points at once.
-
-        The index is built with one STR bulk-load pass
-        (:meth:`MovingObjectIndex.bulk_load`) instead of per-object
-        inserts — same query answers, packed nodes, a fraction of the
-        build time.
-        """
+        """Register many moving points at once: all of ``items`` or,
+        when one of their keys is taken, none."""
         pairs = list(items)
-        self._index.bulk_load(pairs)
+        self._check_new(key for key, _ in pairs)
         for key, mp in pairs:
             self._objects[key] = mp
-            self._fleet.append(mp)
-            self._keys.append(key)
+        self._fleet.extend(mp for _, mp in pairs)
 
     def add_lazy(self, key: Hashable, loader: Callable[[], MovingPoint]) -> None:
         """Register a storage-resident moving point under ``key``.
 
-        ``loader`` fetches the value from storage; it is called once now
-        to index the bounding cubes and again at refinement time, so a
-        value that rots on disk between indexing and querying surfaces
-        as a :class:`StorageError` the query can quarantine.
+        ``loader`` fetches the value from storage; it is called once now,
+        so a broken loader fails at registration, and again by every
+        query, so a value that rots on disk afterwards surfaces as a
+        :class:`StorageError` the query can quarantine.
         """
-        self._index.add(key, loader())
+        self._check_new([key])
+        loader()
         self._loaders[key] = loader
 
     def __len__(self) -> int:
         return len(self._objects) + len(self._loaders)
 
-    def _resolve(self, key: Hashable) -> MovingPoint:
-        mp = self._objects.get(key)
-        if mp is not None:
-            return mp
-        return self._loaders[key]()
-
-    def _snapshot_column(
+    def _members(
         self, strict: bool
-    ) -> Tuple[List[Hashable], UPointColumn]:
-        """Keys + the whole collection as one ``UPointColumn``.
+    ) -> Tuple[List[Hashable], Sequence[MovingPoint]]:
+        """Keys + the moving points they name, index-aligned.
 
-        Eager objects come from the cached fleet column; lazy loaders
-        are materialized per query (their storage may have changed).
-        With ``strict=False`` loaders that fail are quarantined (counted
-        under ``storage.quarantined``) and simply excluded — the same
-        skip the scalar refinement loop performs.
+        Without lazy objects the members are the fleet itself (its
+        column cached); otherwise a list, the loaders read now (their
+        storage may have changed).  With ``strict=False`` loaders that
+        fail are quarantined (counted under ``storage.quarantined``) and
+        simply excluded.
         """
+        keys = list(self._objects)
         if not self._loaders:
-            return list(self._keys), column_for(self._fleet, "upoint")
-        keys = list(self._keys)
-        mappings: List[MovingPoint] = list(self._fleet)
+            return keys, self._fleet
+        members: List[MovingPoint] = list(self._fleet.members())
         for key, loader in self._loaders.items():
-            if strict:
+            try:
                 mp = loader()
-            else:
-                try:
-                    mp = loader()
-                except StorageError:
-                    if obs.enabled:
-                        obs.counters.add("storage.quarantined")
-                    continue
+            except StorageError:
+                if strict:
+                    raise
+                if obs.enabled:
+                    obs.counters.add("storage.quarantined")
+                continue
             keys.append(key)
-            mappings.append(mp)
-        return keys, UPointColumn.from_mappings(mappings)
+            members.append(mp)
+        return keys, members
 
     def query(
         self,
@@ -188,65 +219,39 @@ class WindowQueryEngine:
         workers: Optional[int] = None,
     ) -> List[Tuple[Hashable, RangeSet[float]]]:
         """Objects inside ``rect`` at some instant of [t0, t1], with the
-        exact time sets of their presence (restricted to the window).
+        exact time sets of their presence (restricted to the window),
+        ordered by ``str(key)``.
 
-        On every columnar backend filter *and* refinement are one
-        ``window_intervals`` sweep over the units of the collection
-        column whose time interval meets ``[t0, t1]`` (chunked over
-        ``workers`` pool processes where the backend has a pool), the
-        answer assembled straight from the kernel's canonical interval
-        runs; ``scalar`` is the reference: R-tree descent, then
-        the exact per-unit refinement of each candidate — same results.
-        ``strict=False`` quarantines objects whose storage
-        representation fails to load (skipped, counted under
+        One ``window_intervals`` evaluation over every member on
+        ``backend``: on the columnar backends filter *and* refinement
+        are one kernel sweep over the units whose time interval meets
+        ``[t0, t1]`` (chunked over ``workers`` pool processes where the
+        backend has a pool); ``scalar`` refines every object exactly —
+        same results.  ``strict=False`` quarantines objects whose
+        storage representation fails to load (skipped, counted under
         ``storage.quarantined``) instead of aborting the query.
         """
-        if backends.columnar(backend):
-            try:
-                keys, col = self._snapshot_column(strict)
-            except (InvalidValue, StorageError):
-                backends.count_fallback("vector", "window_column")
-            else:
-                from repro.parallel import group_intervals
-
-                rows = backends.on_column(
-                    "window_intervals", col, (rect, t0, t1), backend, workers
-                )
-                grouped = group_intervals(*rows, keys=keys)
-                grouped.sort(key=lambda kv: str(kv[0]))
-                return grouped
-        window_times = RangeSet([Interval(t0, t1)])
-        results: List[Tuple[Hashable, RangeSet[float]]] = []
-        # The refinement admits a coordinate within EPSILON of the window
-        # (``fle`` in ``_linear_within``); so must the filter before it.
-        cube = Cube(
-            rect.xmin - EPSILON, rect.ymin - EPSILON, t0,
-            rect.xmax + EPSILON, rect.ymax + EPSILON, t1,
+        Interval(t0, t1)  # a reversed or NaN window is InvalidValue here
+        keys, members = self._members(strict)
+        rows = backends.evaluate(
+            "window_intervals", members, (rect, t0, t1), backend, workers
         )
-        for key in sorted(self._index.candidates_in_cube(cube), key=str):
-            if strict:
-                mp = self._resolve(key)
-            else:
-                try:
-                    mp = self._resolve(key)
-                except StorageError:
-                    if obs.enabled:
-                        obs.counters.add("storage.quarantined")
-                    continue
-            times = mpoint_within_rect_times(mp, rect)
-            clipped = times.intersection(window_times)
-            if clipped:
-                results.append((key, clipped))
-        return results
+        grouped = group_intervals(*rows, keys=keys)
+        grouped.sort(key=lambda kv: str(kv[0]))
+        return grouped
 
     def query_naive(
         self, rect: Rect, t0: float, t1: float
     ) -> List[Tuple[Hashable, RangeSet[float]]]:
-        """The same query without the index filter (the ablation baseline)."""
+        """The same answer, refined object by object with no operator
+        table: the independent reference :meth:`query` is tested
+        against."""
         window_times = RangeSet([Interval(t0, t1)])
         results: List[Tuple[Hashable, RangeSet[float]]] = []
         for key in sorted([*self._objects, *self._loaders], key=str):
-            times = mpoint_within_rect_times(self._resolve(key), rect)
+            loader = self._loaders.get(key)
+            mp = self._objects[key] if loader is None else loader()
+            times = mpoint_within_rect_times(mp, rect)
             clipped = times.intersection(window_times)
             if clipped:
                 results.append((key, clipped))

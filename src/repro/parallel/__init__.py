@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from repro.parallel.exec import (
     chunk_bounds,
-    group_intervals,
     parallel_atinstant,
     parallel_bbox_filter,
     parallel_count_inside,
@@ -34,7 +33,6 @@ __all__ = [
     "chunk_bounds",
     "effective_workers",
     "get_workers",
-    "group_intervals",
     "pack",
     "parallel_atinstant",
     "parallel_bbox_filter",

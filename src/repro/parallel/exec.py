@@ -20,7 +20,7 @@ non-library reason (``.error``/``.pool_broken``; library errors such as
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Tuple
 
 import numpy as np
 
@@ -163,36 +163,3 @@ def parallel_count_inside(
         "count_inside", col, (float(t), region), "parallel", workers
     )
     return int(np.count_nonzero(mask))
-
-
-def group_intervals(
-    owners: np.ndarray,
-    s: np.ndarray,
-    e: np.ndarray,
-    lc: np.ndarray,
-    rc: np.ndarray,
-    keys: Sequence[Any],
-) -> List[Tuple[Any, Any]]:
-    """Assemble kernel interval rows into ``(key, RangeSet)`` results.
-
-    Rows arrive grouped by owner in canonical time order (see
-    ``window_intervals_batch``), so each owner's slice already satisfies
-    the ``RangeSet`` ordering/disjointness invariants and goes straight
-    through the validating constructor.
-    """
-    from repro.ranges.interval import Interval
-    from repro.ranges.rangeset import RangeSet
-
-    out: List[Tuple[Any, Any]] = []
-    if len(owners) == 0:
-        return out
-    split_at = np.flatnonzero(owners[1:] != owners[:-1]) + 1
-    starts = np.concatenate(([0], split_at))
-    ends = np.concatenate((split_at, [len(owners)]))
-    for a, b in zip(starts, ends):
-        ivs = [
-            Interval(float(s[j]), float(e[j]), bool(lc[j]), bool(rc[j]))
-            for j in range(a, b)
-        ]
-        out.append((keys[int(owners[a])], RangeSet(ivs)))
-    return out

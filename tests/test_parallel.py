@@ -19,7 +19,6 @@ from repro.parallel import (
     attach,
     chunk_bounds,
     effective_workers,
-    group_intervals,
     pack,
     parallel_atinstant,
     parallel_bbox_filter,
@@ -29,7 +28,9 @@ from repro.parallel import (
     set_workers,
 )
 from repro.errors import InvalidValue
-from repro.ops.window import WindowQueryEngine, mpoint_within_rect_times
+from repro.ops.window import (
+    WindowQueryEngine, group_intervals, mpoint_within_rect_times,
+)
 from repro.ranges.interval import Interval
 from repro.ranges.rangeset import RangeSet
 from repro.spatial.bbox import Cube, Rect

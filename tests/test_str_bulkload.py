@@ -186,32 +186,3 @@ class TestUnitIndexBoundaries:
             assert idx.unit_entries == 2
             everywhere = Rect(-1, -1, 6, 6)
             assert idx.candidates_at(everywhere, 5.0) == {"m"}, (lc, rc)
-
-    def test_bulk_load_matches_add(self):
-        flights = {
-            f"f{k}": flight(
-                [
-                    (t, k * 3.0 + t, (t // 2 % 2) * 5.0)  # zigzag in y
-                    for t in range(0, 9, 2)
-                ]
-            )
-            for k in range(12)
-        }
-        incremental = MovingObjectIndex()
-        for key, mp in flights.items():
-            incremental.add(key, mp)
-        bulk = MovingObjectIndex()
-        bulk.bulk_load(flights.items())
-        assert len(bulk) == len(incremental)
-        assert bulk.unit_entries == incremental.unit_entries
-        for t in (0.0, 3.0, 8.0, 20.0):
-            rect = Rect(-100, -100, 100, 100)
-            assert bulk.candidates_at(rect, t) == \
-                incremental.candidates_at(rect, t), t
-
-    def test_add_after_bulk_load(self):
-        idx = MovingObjectIndex()
-        idx.bulk_load([("a", flight([(0, 0, 0), (5, 5, 5)]))])
-        idx.add("b", flight([(0, 50, 50), (5, 55, 55)]))
-        assert len(idx) == 2
-        assert idx.candidates_at(Rect(49, 49, 56, 56), 2.0) == {"b"}
