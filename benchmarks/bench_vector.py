@@ -10,9 +10,9 @@ Runs as pytest (equivalence + speedup asserted together); the timings
 that are tracked over time are ``kernels.*`` / ``fleet.*`` of
 ``benchmarks/e2e/run.py --workload api_scan_warm``.
 
-Run as a script, it prints the batch kernels' per-call cost — report
-only, nothing asserted — so one command gives a before/after of a
-kernel change::
+Run as a script, it prints the batch kernels' per-call cost and the
+ingest apply's per-batch column advance — report only, nothing
+asserted — so one command gives a before/after of a kernel change::
 
     PYTHONPATH=src python benchmarks/bench_vector.py
 """
@@ -25,7 +25,8 @@ import numpy as np
 
 from repro.spatial.bbox import Cube, Rect
 from repro.temporal.mapping import MovingPoint
-from repro.vector.cache import Fleet, clear_cache, column_for
+from repro.temporal.upoint import UPoint
+from repro.vector.cache import ColumnCache, Fleet, clear_cache, column_for
 from repro.vector.columns import BBoxColumn, UPointColumn
 from repro.vector.kernels import atinstant_batch, bbox_filter_batch, window_times_batch
 
@@ -180,6 +181,33 @@ def _median_us(fn, args, rounds: int = 7) -> float:
     return statistics.median(per_call)
 
 
+def advance_us(count: int, batches: int = 20) -> float:
+    """Median µs of one ingest batch's column advance
+    (``ColumnCache.advance``) when the batch changed one object of a
+    ``count``-object fleet whose ``upoint`` column is cached.
+
+    Each batch replaces the middle object with the same one-unit-longer
+    track, so every round splices equal work.  The splice reads only
+    the changed member, so the other members are placeholders and the
+    column is built from arrays (:func:`waypoint_column`).
+    """
+    col = waypoint_column(count)
+    i = count // 2
+    track = col.chunk(i, i + 1).to_mappings()[0]
+    end = track.units[-1].interval.e
+    grown = track.appended(UPoint.between(end + 1.0, (0.0, 0.0), end + 5.0, (1.0, 1.0)))
+    fleet = Fleet([None] * count)
+    cache = ColumnCache()
+    cache.keep(fleet, "upoint", fleet.version, col)
+
+    def one_batch():
+        since = fleet.version
+        fleet[i] = grown
+        cache.advance(fleet, since, [i])
+
+    return _median_us(one_batch, [()] * batches)
+
+
 def kernel_report(scale: float = 1.0) -> dict:
     """Median µs per call of the batch kernels at fleet scale.
 
@@ -187,7 +215,9 @@ def kernel_report(scale: float = 1.0) -> dict:
       starts and ends (the boundary lanes), 300 anywhere, and ±inf;
     - ``window_times_batch`` over the whole column for 50 500×500
       rectangles, at 20k flights and at 100k local legs (moves of at
-      most 50 per axis per leg in a 10k world).
+      most 50 per axis per leg in a 10k world);
+    - the per-batch column advance (:func:`advance_us`) with one
+      changed object at 10k and at 100k flights.
 
     ``scale`` shrinks every fleet (a smoke run); nothing is asserted.
     """
@@ -209,6 +239,9 @@ def kernel_report(scale: float = 1.0) -> dict:
         corners = rng.uniform(lo, hi, (50, 2))
         rects = [(col, Rect(x, y, x + 500.0, y + 500.0)) for x, y in corners]
         report[name] = _median_us(window_times_batch, rects, rounds=5)
+    for count in (10_000, 100_000):
+        report[f"advance 1 object of {count // 1000}k flights"] = advance_us(
+            max(2, int(count * scale)))
     return report
 
 
@@ -245,7 +278,7 @@ def test_v1_kernel_report_runs():
     """The report runs end to end (at a hundredth of its size); its
     numbers are for reading, not asserting."""
     report = kernel_report(scale=0.01)
-    assert len(report) == 3 and all(us > 0 for us in report.values())
+    assert len(report) == 5 and all(us > 0 for us in report.values())
 
 
 if __name__ == "__main__":

@@ -1046,14 +1046,11 @@ GUARDED_BY: Dict[Tuple[str, str], Tuple[Guard, ...]] = {
         Guard(
             lock="_lock",
             # The repro.residency table (entries, byte total, CLOCK
-            # state), which takes no lock of its own; _entry_of and
-            # _store_entry are the "caller holds the lock" fetch and
-            # put+fit helpers of the locked get/lookup/keep paths.
+            # state), which takes no lock of its own; _reap, _entry_of
+            # and _store_entry are the "caller holds the lock" evict,
+            # fetch and put+fit helpers of the locked public methods.
             attrs=("_entries",),
-            owners=(
-                "__init__", "_get_versioned_locked", "_entry_of",
-                "_store_entry",
-            ),
+            owners=("__init__", "_reap", "_entry_of", "_store_entry"),
         ),
     ),
     ("repro/shard/manager.py", "ShardManager"): (

@@ -38,7 +38,7 @@ from repro.errors import InvalidValue, QueryError, StorageError
 from repro.temporal.mapping import MovingPoint
 from repro.temporal.upoint import UPoint
 from repro.vector import backends
-from repro.vector.cache import Fleet, column_for_versioned
+from repro.vector.cache import Fleet, advance_column, column_for_versioned
 from repro.vector.columns import KINDS
 
 __all__ = ["FleetExecutor", "Snapshot", "SnapshotRows"]
@@ -280,16 +280,38 @@ class FleetExecutor:
         ``server.ingest_crash`` failpoint fires *inside* the apply loop
         — after the WAL barrier — so the crash matrix can prove that
         recovery resurrects a durable batch the process died applying.
+
+        The apply is the one writer of the served fleets, so it also
+        advances their cached ``upoint`` columns: after the loop, each
+        fleet the batch changed has its column spliced forward over the
+        objects the batch replaced or appended
+        (:func:`repro.vector.cache.advance_column`), before the ack and
+        under this lock, so the next read is a hit.  A batch that raises
+        advances nothing; the next read rebuilds.
         """
         out: List[Any] = []
+        # fleet name -> (fleet, version before its first change, objects
+        # changed in order: one version bump each).
+        touched: Dict[str, Tuple[Fleet, int, List[int]]] = {}
         with self._lock:
             for req in requests:
                 if faults.active:
                     faults.fail("server.ingest_crash")
+                fleet = self._fleets.get(req.fleet)
+                since = fleet.version if fleet is not None else 0
                 try:
                     out.append(self._apply_one(req))
                 except (InvalidValue, QueryError) as exc:
                     out.append(exc)
+                if fleet is not None and fleet.version != since:
+                    touched.setdefault(req.fleet, (fleet, since, []))[2].append(
+                        req.obj
+                    )
+            for fleet, since, objs in touched.values():
+                # Anything but this loop moving the fleet leaves its
+                # column to the next read.
+                if fleet.version == since + len(objs):
+                    advance_column(fleet, since, objs)
         return out
 
     def _apply_one(self, req: Any) -> int:

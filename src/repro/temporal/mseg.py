@@ -54,8 +54,17 @@ class MPoint:
         return cls(p[0], 0.0, p[1], 0.0)
 
     def at(self, t: float) -> Vec:
-        """Evaluate ι at time ``t``."""
-        return (self.x0 + self.x1 * t, self.y0 + self.y1 * t)
+        """Evaluate ι at time ``t``.
+
+        A zero velocity contributes nothing at any instant: at an
+        infinite ``t`` a stationary coordinate keeps its value instead
+        of becoming ``0·∞ = nan`` (a finite ``t`` takes the plain sum).
+        """
+        x, y = self.x0 + self.x1 * t, self.y0 + self.y1 * t
+        if math.isinf(t):
+            x = x if self.x1 else self.x0
+            y = y if self.y1 else self.y0
+        return (x, y)
 
     @property
     def velocity(self) -> Vec:

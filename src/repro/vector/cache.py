@@ -12,15 +12,20 @@ mutation tracking:
   monotonically increasing *version stamp*, bumped by every mutating
   operation (``append``/``__setitem__``/``__delitem__``/``insert``/…).
 * :class:`ColumnCache` memoizes built columns under the key
-  ``(id(fleet), kind)`` and revalidates by version: a stamp mismatch is
-  an *invalidation* (the fleet mutated since the column was built) and
-  the column is rebuilt.  A weak reference guards against ``id`` reuse
-  after the original fleet is garbage collected.
+  ``(id(fleet), kind)`` and revalidates by version: a read either hits
+  (the stamp matches) or finds an *invalidation* (the fleet mutated
+  since the column was built) and rebuilds.  A weak reference guards
+  against ``id`` reuse, and an owner's death evicts its entries.
+* The one writer that changes a served fleet — the query service's
+  ingest apply — knows which objects it changed and advances the
+  ``upoint`` entry itself (:meth:`ColumnCache.advance`), splicing the
+  changed objects into the column instead of leaving a rebuild to the
+  next reader.
 
 Plain sequences (lists, tuples) have no version stamp and bypass the
 cache entirely — they get a fresh column per call, exactly the pre-cache
 behaviour.  Counters: ``colcache.hits`` / ``colcache.misses`` /
-``colcache.invalidations``.
+``colcache.invalidations`` / ``colcache.extended`` (writer-side splices).
 
 A relation's scan state (:class:`repro.db.executor.VectorScan`) lives in
 the same table under the same budget, lock and counters: any owner with
@@ -30,22 +35,16 @@ a ``version`` keeps values under :meth:`ColumnCache.lookup` /
 
 from __future__ import annotations
 
-import operator
 import os
 import weakref
+from collections import deque
 from collections.abc import MutableSequence
-from typing import Any, Hashable, Iterable, List, Optional, Set, Tuple
+from typing import Any, Deque, Hashable, Iterable, List, Optional, Tuple
 
 from repro import config, obs
 from repro.analysis import dynlock
-from repro.errors import InvalidValue
 from repro.residency import Residency
 from repro.vector.columns import KINDS, column_class
-
-#: Changelog entries kept per fleet.  Past the cap the oldest half is
-#: trimmed and versions at or below the trim point become unknowable
-#: (``changes_since`` answers None → callers fall back to a rebuild).
-_CHANGELOG_CAP = 4096
 
 
 class Fleet(MutableSequence[Any]):
@@ -53,23 +52,18 @@ class Fleet(MutableSequence[Any]):
 
     Behaves like a list for every read, but every mutation bumps
     :attr:`version`, which is what lets :class:`ColumnCache` decide
-    whether a previously built column still describes the fleet.  A
-    bounded changelog additionally records *which* object each version
-    bump touched, so the cache can splice stale columns forward
-    (:meth:`changes_since`) instead of rebuilding from scratch —
-    structural mutations (deletions, mid-sequence inserts, slice
-    assignment, :meth:`invalidate`) shift indices and poison the log
-    back to a full rebuild.
+    whether a previously built column still describes the fleet.  The
+    fleet does not record *what* changed: the writer that changed it
+    knows, and advances the cached column itself
+    (:meth:`ColumnCache.advance`); any other mutation makes the next
+    read rebuild.
 
     The version restarts at 0 in every fleet, so outside the process it
     says nothing; :attr:`stamp` is what a stored copy of a column is
     signed with.
     """
 
-    __slots__ = (
-        "_items", "_version", "_changes", "_floor", "_members", "_identity",
-        "__weakref__",
-    )
+    __slots__ = ("_items", "_version", "_members", "_identity", "__weakref__")
 
     def __init__(self, items: Iterable[Any] = ()):
         self._items: List[Any] = list(items)
@@ -79,9 +73,6 @@ class Fleet(MutableSequence[Any]):
         self._identity = int.from_bytes(os.urandom(16), "big")
         # (version, members at that version), built on first ask.
         self._members: Optional[Tuple[int, Tuple[Any, ...]]] = None
-        # (version, object index) per mutation; index -1 = structural.
-        self._changes: List[Tuple[int, int]] = []
-        self._floor = 0
 
     @property
     def version(self) -> int:
@@ -95,14 +86,6 @@ class Fleet(MutableSequence[Any]):
         (``fleet_version=``), so a stored generation is served only to
         the object that wrote it, at the version it wrote it."""
         return (self._identity << 64) | self._version
-
-    def _record(self, idx: int) -> None:
-        self._version += 1
-        self._changes.append((self._version, idx))
-        if len(self._changes) > _CHANGELOG_CAP:
-            drop = len(self._changes) - _CHANGELOG_CAP // 2
-            self._floor = self._changes[drop - 1][0]
-            del self._changes[:drop]
 
     def members(self) -> Tuple[Any, ...]:
         """The current members as an immutable tuple, shared until the
@@ -121,34 +104,14 @@ class Fleet(MutableSequence[Any]):
             held = self._members = (self._version, tuple(self._items))
         return held[1]
 
-    def changes_since(self, version: int) -> Optional[Set[int]]:
-        """Object indices mutated after ``version``, or None when the
-        change set is unknowable — a structural mutation happened, the
-        changelog was trimmed past ``version``, or the stamp is not one
-        this fleet ever issued.  An empty set means "nothing changed"
-        (the stamp is current)."""
-        if version == self._version:
-            return set()
-        if version < self._floor or version > self._version:
-            return None
-        out: Set[int] = set()
-        for v, idx in reversed(self._changes):
-            if v <= version:
-                break
-            if idx < 0:
-                return None
-            out.add(idx)
-        return out
-
     def invalidate(self) -> None:
         """Bump the version without changing contents.
 
         For callers that mutated a *member* in place (the fleet cannot
-        observe that), so cached columns must be declared stale by hand.
-        The mutated object is unknown, so this also poisons the
-        changelog: the next cache access is a full rebuild.
+        observe that), so cached columns must be declared stale by hand:
+        the next cache access rebuilds.
         """
-        self._record(-1)
+        self._version += 1
 
     # -- MutableSequence core ------------------------------------------------
 
@@ -160,50 +123,36 @@ class Fleet(MutableSequence[Any]):
 
     def __setitem__(self, i: Any, value: Any) -> None:
         self._items[i] = value
-        if isinstance(i, slice):
-            self._record(-1)
-        else:
-            # Anything the list took as a position: an int, a numpy
-            # integer out of ``np.flatnonzero``, any ``__index__``.
-            i = operator.index(i)
-            self._record(i if i >= 0 else len(self._items) + i)
+        self._version += 1
 
     def __delitem__(self, i: Any) -> None:
         del self._items[i]
-        self._record(-1)
+        self._version += 1
 
     def insert(self, i: int, value: Any) -> None:
-        tail = i >= len(self._items)
         self._items.insert(i, value)
-        self._record(len(self._items) - 1 if tail else -1)
+        self._version += 1
 
     def __repr__(self) -> str:
         return f"Fleet({len(self._items)} objects, version={self._version})"
 
-    # Slots copy shallowly: without these a copy would share the list and
-    # changelog with its original, and a pickled twin would carry the
-    # original's identity — two diverging fleets showing one stamp.
+    # Slots copy shallowly: without these a copy would share the list
+    # with its original, and a pickled twin would carry the original's
+    # identity — two diverging fleets showing one stamp.
 
     def __reduce__(self) -> Tuple[Any, ...]:
-        return _clone, (
-            type(self), self._items, self._version, self._changes, self._floor
-        )
+        return _clone, (type(self), self._items, self._version)
 
     def __copy__(self) -> "Fleet":
         return _clone(*self.__reduce__()[1])
 
 
-def _clone(
-    cls: type, items: List[Any], version: int, changes: List[Tuple[int, int]],
-    floor: int,
-) -> Fleet:
-    """A fleet with ``items`` at ``version`` under a list, changelog and
-    identity of its own (what copying or unpickling a fleet builds)."""
+def _clone(cls: type, items: List[Any], version: int) -> Fleet:
+    """A fleet with ``items`` at ``version`` under a list and identity
+    of its own (what copying or unpickling a fleet builds)."""
     twin = cls.__new__(cls)
     Fleet.__init__(twin, items)
     twin._version = version
-    twin._changes = list(changes)
-    twin._floor = floor
     return twin
 
 
@@ -219,10 +168,11 @@ class ColumnCache:
     :mod:`repro.vector.store` never enters (the
     :class:`~repro.shard.manager.ShardManager` that mapped it charges
     it).  The high-water mark is tracked as the ``colcache.bytes``
-    gauge.
+    gauge.  An entry leaves with its owner: once the fleet or relation
+    it was kept for is collected, the cache's next operation evicts it.
     """
 
-    __slots__ = ("_budget", "_entries", "_lock")
+    __slots__ = ("_budget", "_entries", "_lock", "_dead")
 
     def __init__(self, budget: Optional[int] = None):
         self._budget = budget
@@ -236,29 +186,38 @@ class ColumnCache:
         # because a column build may re-enter the cache via the fleet's
         # own __getitem__.
         self._lock = dynlock.rlock("vector.colcache")
+        # Keys whose owner died.  The collector may run a weakref
+        # callback under any lock the dying owner's last holder had, so
+        # the callback only appends here (one atomic deque operation)
+        # and the next cache operation evicts under the cache lock.
+        self._dead: Deque[Tuple[int, Hashable]] = deque()
 
     def __len__(self) -> int:
         with self._lock:
+            self._reap()
             return len(self._entries)
 
     @property
     def resident_bytes(self) -> int:
         """Current resident bytes (the budgeted quantity)."""
         with self._lock:
+            self._reap()
             return self._entries.total
 
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
+            self._dead.clear()
 
     def drop_fleet(self, fleet: Any) -> None:
         """Forget everything held for ``fleet`` (a fleet's columns of
         all kinds, a relation's scan state).
 
-        Used by the catalog when a relation is dropped: dropping only
-        its own reference would leave the bytes resident here.
+        Used by the catalog when a relation is dropped: its entries
+        leave now, not when the relation is collected.
         """
         with self._lock:
+            self._reap()
             for key in [key for key in self._entries if key[0] == id(fleet)]:
                 self._entries.evict(key)
 
@@ -269,15 +228,56 @@ class ColumnCache:
     def get_versioned(self, fleet: Fleet, kind: str) -> Tuple[int, Any]:
         """``(version, column)`` — the stamp the column was built at.
 
-        Callers that dispatch a kernel *after* obtaining the column
-        compare the returned version against ``fleet.version`` at use
-        time (:func:`revalidate`): a fleet mutated in between — even by
-        its own builder iteration — must not silently feed the kernel a
+        A hit when the entry is at ``fleet.version``; otherwise a stale
+        entry is an invalidation and the column is rebuilt.  Callers
+        that dispatch a kernel *after* obtaining the column compare the
+        returned version against ``fleet.version`` at use time
+        (:func:`revalidate`): a fleet mutated in between — even by its
+        own builder iteration — must not silently feed the kernel a
         stale column.
         """
-        column_class(kind)
+        cls = column_class(kind)
         with self._lock:
-            return self._get_versioned_locked(fleet, kind)
+            version = fleet.version
+            column = self.lookup(fleet, kind)
+            if column is None:
+                column = cls.from_mappings(fleet)
+                self.keep(fleet, kind, version, column)
+            return version, column
+
+    def advance(self, fleet: Fleet, since: int, changed: Iterable[int]) -> None:
+        """Splice ``fleet``'s ``upoint`` entry forward from version
+        ``since`` to the fleet's current version.
+
+        ``changed`` names every object the fleet's writer replaced or
+        appended after ``since``, and nothing else may have changed the
+        fleet in between; the writer calls this under the lock that
+        serializes the fleet's mutators.  Only an entry that sits at
+        ``since`` moves (counted ``colcache.extended``); any other is
+        left for the next read to rebuild.  Python work is
+        O(changed units), array work O(column)
+        (:meth:`~repro.vector.columns.UnitColumn.extended`).
+        """
+        key = (id(fleet), "upoint")
+        with self._lock:
+            self._reap()
+            entry = self._entry_of(fleet, key)
+            if entry is None or entry[0] != since:
+                return
+            version = fleet.version
+            column = entry[2].extended(fleet.members(), changed)
+            if obs.enabled:
+                obs.counters.add("colcache.extended")
+            self._store_entry(key, version, entry[1], column)
+
+    def _reap(self) -> None:
+        """Evict the entries whose owner died.  Caller holds the lock."""
+        while self._dead:
+            key = self._dead.popleft()
+            entry = self._entries.get(key)
+            # The id may already name a new owner with an entry of its own.
+            if entry is not None and entry[1]() is None:
+                self._entries.evict(key)
 
     def _entry_of(
         self, owner: Any, key: Tuple[int, Hashable]
@@ -297,6 +297,7 @@ class ColumnCache:
         (the entry goes) or a miss, counted like a column's."""
         key = (id(owner), slot)
         with self._lock:
+            self._reap()
             entry = self._entry_of(owner, key)
             if entry is not None and entry[0] == owner.version:
                 if obs.enabled:
@@ -324,38 +325,14 @@ class ColumnCache:
         """
         key = (id(owner), slot)
         with self._lock:
+            self._reap()
             entry = self._entry_of(owner, key)
-            if entry is None or entry[0] <= version:
-                self._store_entry(key, version, weakref.ref(owner), value)
-
-    def _get_versioned_locked(self, fleet: Fleet, kind: str) -> Tuple[int, Any]:
-        key = (id(fleet), kind)
-        entry = self._entry_of(fleet, key)
-        if entry is not None:
-            version, ref, column = entry
-            if version == fleet.version:
-                if obs.enabled:
-                    obs.counters.add("colcache.hits")
-                return version, column
-            # Stale: splice the changed objects into the existing
-            # column when the fleet's changelog pins exactly which
-            # ones they are — O(changed) instead of a full rebuild.
-            new_version = fleet.version
-            spliced = self._try_extend(fleet, version, column)
-            if spliced is not None and fleet.version == new_version:
-                if obs.enabled:
-                    obs.counters.add("colcache.extended")
-                self._store_entry(key, new_version, ref, spliced)
-                return new_version, spliced
-            if obs.enabled:
-                obs.counters.add("colcache.invalidations")
-            self._entries.evict(key)
-        if obs.enabled:
-            obs.counters.add("colcache.misses")
-        version = fleet.version
-        column = KINDS[kind].from_mappings(fleet)
-        self._store_entry(key, version, weakref.ref(fleet), column)
-        return version, column
+            if entry is None:
+                dead = self._dead
+                ref = weakref.ref(owner, lambda _ref: dead.append(key))
+                self._store_entry(key, version, ref, value)
+            elif entry[0] <= version:
+                self._store_entry(key, version, entry[1], value)
 
     def _store_entry(
         self, key: Tuple[int, Hashable], version: int, ref: Any, column: Any
@@ -367,19 +344,6 @@ class ColumnCache:
         obs.high_water("colcache.bytes", float(self._entries.total))
         budget = self._budget if self._budget is not None else config.COLCACHE_BYTES
         self._entries.fit(max(budget, 0))
-
-    @staticmethod
-    def _try_extend(fleet: Fleet, old_version: int, column: Any) -> Optional[Any]:
-        """``column`` spliced forward to ``fleet.version``, or None when
-        only a full rebuild is sound (structural mutation, trimmed
-        changelog, splice-incompatible)."""
-        changed = fleet.changes_since(old_version)
-        if not changed:
-            return None
-        try:
-            return column.extended(fleet.members(), changed)
-        except (InvalidValue, IndexError):
-            return None
 
 
 #: Process-wide cache used by the fleet helpers and the query engine.
@@ -431,6 +395,11 @@ def revalidate(fleet: Any, kind: str, version: Optional[int], column: Any) -> An
             return column
         version, column = _CACHE.get_versioned(fleet, kind)
     return column
+
+
+def advance_column(fleet: Fleet, since: int, changed: Iterable[int]) -> None:
+    """:meth:`ColumnCache.advance` on the process-wide cache."""
+    _CACHE.advance(fleet, since, changed)
 
 
 def lookup(owner: Any, slot: Hashable) -> Any:

@@ -51,6 +51,21 @@ def _as_offsets(counts: Union[Sequence[int], np.ndarray]) -> np.ndarray:
     return offsets
 
 
+def coordinate_at(
+    c0: np.ndarray, c1: np.ndarray, t: Union[float, np.ndarray]
+) -> np.ndarray:
+    """``c0 + c1·t`` per lane, by ``MPoint.at``'s rule: a zero velocity
+    contributes nothing, so at an infinite instant a stationary lane
+    keeps ``c0`` instead of becoming ``0·∞ = nan``."""
+    with np.errstate(invalid="ignore"):
+        v = c0 + c1 * t
+    # The coefficients are finite, so a NaN lane is exactly a 0·∞ one.
+    still = np.isnan(v)
+    if still.any():
+        v[still] = c0[still]
+    return v
+
+
 def _sorted_changes(changed: Sequence[int], n_new: int) -> np.ndarray:
     """The distinct changed object indices, ascending, all inside the fleet."""
     out = np.array(sorted({int(i) for i in changed}), dtype=np.int64)
@@ -296,8 +311,9 @@ class UnitColumn(Column):
 
         Raises :class:`InvalidValue` when ``changed`` is inconsistent
         with the new fleet (an index out of range, an appended object
-        not marked changed, a shrunk fleet) — callers degrade to a full
-        rebuild.
+        not marked changed, a shrunk fleet).  The ingest apply's column
+        advance (:meth:`repro.vector.cache.ColumnCache.advance`) is the
+        serving caller.
         """
         n_new = len(mappings)
         n_old = self.n_objects
@@ -532,10 +548,12 @@ class BBoxColumn(Column):
         """One box per object of ``col`` that has units, from its arrays.
 
         Each unit's end points are ``x0 + x1·s`` and ``x0 + x1·e`` — the
-        two correctly rounded operations ``MPoint.at`` performs — and an
-        object's box is the min/max over its CSR segment, so every field
-        equals ``Mapping.bounding_cube()``'s.  Objects without units
-        contribute no entry, as in :meth:`from_mappings`.
+        two correctly rounded operations ``MPoint.at`` performs, with its
+        rule for a stationary coordinate at an infinite bound
+        (:func:`coordinate_at`) — and an object's box is the min/max
+        over its CSR segment, so every field equals
+        ``Mapping.bounding_cube()``'s.  Objects without units contribute
+        no entry, as in :meth:`from_mappings`.
         """
         lanes = np.flatnonzero(np.diff(col.offsets))
         if lanes.size == 0:
@@ -543,8 +561,8 @@ class BBoxColumn(Column):
         # Empty objects own no unit rows, so the segment starts of the
         # non-empty ones are consecutive cuts of the unit arrays.
         cuts = col.offsets[lanes]
-        xa, xb = col.x0 + col.x1 * col.starts, col.x0 + col.x1 * col.ends
-        ya, yb = col.y0 + col.y1 * col.starts, col.y0 + col.y1 * col.ends
+        xa, xb = (coordinate_at(col.x0, col.x1, t) for t in (col.starts, col.ends))
+        ya, yb = (coordinate_at(col.y0, col.y1, t) for t in (col.starts, col.ends))
         lo, hi = np.minimum.reduceat, np.maximum.reduceat
         return cls(
             lanes,
@@ -594,53 +612,6 @@ class BBoxColumn(Column):
 
     def __len__(self) -> int:
         return len(self.xmin)
-
-    def extended(
-        self, mappings: Sequence[Mapping], changed: Sequence[int]
-    ) -> "BBoxColumn":
-        """Splice an updated fleet into a new bbox column.
-
-        Mirror of :meth:`UnitColumn.extended` for ``from_mappings``:
-        only changed objects have their bounding cubes recomputed;
-        everything else is merged back in key order.  Python work is
-        O(changed); what grows with the column is array work only (a
-        ``diff`` and a keep mask over the keys, one ``insert`` per
-        coordinate).  Raises :class:`InvalidValue` for a column whose
-        keys do not ascend, or when ``changed`` is inconsistent with the
-        fleet — callers degrade to a full rebuild.
-        """
-        n_new = len(mappings)
-        old_keys = self.keys
-        if np.any(np.diff(old_keys) <= 0):
-            raise InvalidValue(
-                "BBoxColumn extension needs ascending unique keys "
-                "(the default per-object build)"
-            )
-        changed_sorted = _sorted_changes(changed, n_new)
-        if old_keys.size and old_keys[-1] >= n_new:
-            raise InvalidValue("column extension cannot shrink the fleet")
-        sub = BBoxColumn.from_mappings(
-            [mappings[i] for i in changed_sorted.tolist()]
-        )
-        sub_keys = changed_sorted[sub.keys]
-        # Entries of changed objects go: where each changed index sits
-        # among the (ascending) keys, if it is there at all.
-        at_old = np.searchsorted(old_keys, changed_sorted)
-        inside = at_old < len(old_keys)
-        at_old, wanted = at_old[inside], changed_sorted[inside]
-        keep = np.ones(len(old_keys), dtype=bool)
-        keep[at_old[old_keys[at_old] == wanted]] = False
-        kept_keys = old_keys[keep]
-        # Both sides ascend and share no key: inserting each new entry
-        # before the first kept key above it is the merge in key order.
-        at = np.searchsorted(kept_keys, sub_keys)
-        return BBoxColumn(
-            np.insert(kept_keys, at, sub_keys),
-            *(
-                np.insert(old[keep], at, new)
-                for old, new in zip(self.arrays(), sub.arrays())
-            ),
-        )
 
     def overlap_mask(self, cube: Cube) -> np.ndarray:
         """Boolean mask of entries whose box intersects ``cube``.

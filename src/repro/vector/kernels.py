@@ -18,6 +18,7 @@ per-operation counters.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Sequence, Tuple, Union
 
 import numpy as np
@@ -28,7 +29,13 @@ from repro.errors import InvalidValue
 from repro.geometry.segment import Seg
 from repro.spatial.bbox import Cube, Rect
 from repro.spatial.region import Region
-from repro.vector.columns import BBoxColumn, UnitColumn, UPointColumn, URealColumn
+from repro.vector.columns import (
+    BBoxColumn,
+    UnitColumn,
+    UPointColumn,
+    URealColumn,
+    coordinate_at,
+)
 
 
 def _record_rows(kernel: str, rows: int) -> None:
@@ -139,12 +146,16 @@ def atinstant_batch(
         nan = np.full(col.n_objects, np.nan)
         _record_rows("atinstant_batch", col.n_objects)
         return nan, nan.copy(), defined
-    x = col.x1[unit]
-    x *= t
-    x += col.x0[unit]
-    y = col.y1[unit]
-    y *= t
-    y += col.y0[unit]
+    if math.isinf(t):
+        x = coordinate_at(col.x0[unit], col.x1[unit], t)
+        y = coordinate_at(col.y0[unit], col.y1[unit], t)
+    else:
+        x = col.x1[unit]
+        x *= t
+        x += col.x0[unit]
+        y = col.y1[unit]
+        y *= t
+        y += col.y0[unit]
     undefined = ~defined
     x[undefined] = np.nan
     y[undefined] = np.nan

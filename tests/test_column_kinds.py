@@ -94,10 +94,10 @@ CHANGE_SHAPES = {
 }
 
 
-@pytest.mark.parametrize("kind", sorted(KINDS))
 class TestProtocol:
     """Every kind answers the same protocol the same way."""
 
+    @pytest.mark.parametrize("kind", sorted(KINDS))
     @settings(max_examples=40, deadline=None)
     @given(fleet=fleets(), data=st.data())
     def test_protocol(self, kind, fleet, data):
@@ -139,6 +139,8 @@ class TestProtocol:
             segment.close()
             segment.unlink()
 
+    # The unit kinds splice; a bbox column is rebuilt.
+    @pytest.mark.parametrize("kind", ["upoint", "ureal"])
     @settings(max_examples=120, deadline=None)
     @given(
         fleet=fleets(min_size=0),
@@ -160,11 +162,6 @@ class TestProtocol:
         spliced = cls.from_mappings(old).extended(tuple(current), changed)
         rebuilt = cls.from_mappings(current)
         same_arrays(spliced, rebuilt)
-        if kind == "bbox":
-            assert spliced.keys.dtype == rebuilt.keys.dtype == np.int64
-            assert np.array_equal(spliced.keys, rebuilt.keys)
-            # A spliced column splices again (the serving path does).
-            same_arrays(spliced.extended(tuple(current), claimed), rebuilt)
 
 
 DARRAY_FLEET = [

@@ -281,8 +281,9 @@ def test_shard_manager_trace_is_pinned():
 
 
 def test_column_splice_growth_evicts_to_budget():
-    """A cached column that grows by splicing (``colcache.extended``)
-    pays for its new bytes like a fresh build would."""
+    """A cached column that its writer grows by splicing
+    (``ColumnCache.advance``, counted ``colcache.extended``) pays for
+    its new bytes like a fresh build would."""
     other, grown = Fleet(random_flights(10, seed=1)), Fleet(random_flights(10, seed=2))
     extra = random_flights(5, seed=3)
     sizing = ColumnCache()
@@ -293,8 +294,9 @@ def test_column_splice_growth_evicts_to_budget():
     assert len(cache) == 2
     with obs.capture() as counters:
         for m in extra:
+            since = grown.version
             grown.append(m)
-            cache.get(grown, "upoint")
+            cache.advance(grown, since, [len(grown) - 1])
             assert cache.resident_bytes <= both + 64
-    assert counters.get("colcache.extended") >= 1
+    assert counters.get("colcache.extended") == len(extra)
     assert len(cache) == 1  # the cold fleet's column made the room

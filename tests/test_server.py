@@ -4,7 +4,7 @@ Covers the PR-7 subsystem end to end: line-protocol parsing, the
 executor's snapshot-isolated reads (a query pinned before an ingest
 batch answers bit-identically to the pre-ingest state), the
 append-only column extension path (``Mapping.appended``,
-``Fleet.changes_since``, ``UnitColumn.extended``, the cache splice),
+``UnitColumn.extended``, the ingest apply's column advance),
 WAL group commit + recovery replay, the
 two new crash-matrix failpoints, and the live wire behaviour of the
 asyncio session layer (including the ColumnCache concurrent-access
@@ -61,7 +61,7 @@ from repro.storage.wal import Wal, WalRecord
 from repro.temporal.mapping import MovingPoint
 from repro.temporal.upoint import UPoint
 from repro.vector.cache import Fleet, clear_cache, column_for_versioned
-from repro.vector.columns import KINDS, BBoxColumn, UPointColumn
+from repro.vector.columns import KINDS, UPointColumn
 from repro.workloads.trajectories import FlightGenerator
 
 
@@ -167,56 +167,6 @@ class TestMappingAppended:
             m.appended(_unit(2.0, 0, 0, 6.0, 1, 1))
 
 
-class TestFleetChangelog:
-    def test_setitem_is_tracked(self):
-        fleet = Fleet(_mappings(4))
-        v = fleet.version
-        fleet[2] = fleet[2].appended(_unit(1e6, 0, 0, 1e6 + 1, 1, 1))
-        assert fleet.changes_since(v) == {2}
-        assert fleet.changes_since(fleet.version) == set()
-
-    def test_tail_append_is_tracked(self):
-        fleet = Fleet(_mappings(3))
-        v = fleet.version
-        fleet.append(_mappings(1, seed=9)[0])
-        assert fleet.changes_since(v) == {3}
-
-    def test_structural_mutation_forces_rebuild(self):
-        fleet = Fleet(_mappings(3))
-        v = fleet.version
-        del fleet[0]
-        assert fleet.changes_since(v) is None
-
-    def test_unknown_versions_force_rebuild(self):
-        fleet = Fleet(_mappings(2))
-        assert fleet.changes_since(fleet.version + 1) is None
-        assert fleet.changes_since(-50) is None
-
-    @pytest.mark.parametrize("index", [np.int64(3), np.int32(-1), np.uint8(3)])
-    def test_numpy_integer_index_is_one_object_not_structural(self, index):
-        """An index straight out of ``np.flatnonzero`` used to be logged
-        as a structural change: the next read rebuilt the whole column."""
-        fleet = Fleet(_mappings(4))
-        _, before = column_for_versioned(fleet, "upoint")
-        v = fleet.version
-        with obs.capture() as seen:
-            fleet[index] = fleet[3].appended(_unit(1e6, 0, 0, 1e6 + 1, 1, 1))
-            assert fleet.changes_since(v) == {3}
-            _, after = column_for_versioned(fleet, "upoint")
-        assert seen.get("colcache.extended") == 1
-        assert seen.get("colcache.invalidations") == 0
-        assert after.n_units == before.n_units + 1
-
-    def test_slice_assignment_stays_structural(self):
-        fleet = Fleet(_mappings(3))
-        v = fleet.version
-        fleet[0:1] = _mappings(1, seed=9)
-        assert fleet.changes_since(v) is None
-        with pytest.raises(TypeError):
-            fleet["1"] = fleet[1]
-        assert fleet.version == v + 1
-
-
 def _fleet_mutations():
     """Every way a ``MutableSequence`` changes, by name."""
     a, b, c = _mappings(3, seed=11)
@@ -277,6 +227,16 @@ class TestFleetMembers:
         twin[1] = "B"
         assert twin.members() == tuple(twin) == ("a", "B", "c")
 
+    def test_an_index_moves_the_version_once_or_not_at_all(self):
+        fleet = Fleet(["a", "b", "c", "d"])
+        for index in (np.int64(3), np.int32(-1), np.uint8(3)):
+            v = fleet.version
+            fleet[index] = "D"
+            assert fleet.version == v + 1 and fleet.members()[3] == "D"
+        with pytest.raises(TypeError):
+            fleet["1"] = "B"
+        assert fleet.version == 3 and fleet.members() == ("a", "b", "c", "D")
+
     def test_a_copy_leaves_the_original_alone(self):
         fleet = Fleet(["a", "b", "c"])
         fleet[2] = "C"
@@ -284,9 +244,7 @@ class TestFleetMembers:
         twin[0] = "X"
         twin.append("d")
         assert list(fleet) == ["a", "b", "C"] and fleet.version == 1
-        assert fleet.changes_since(0) == {2}
         assert list(twin) == ["X", "b", "C", "d"] and twin.version == 3
-        assert twin.changes_since(0) == {0, 2, 3}
 
     @pytest.mark.parametrize(
         "clone", [copy.copy, lambda f: pickle.loads(pickle.dumps(f))],
@@ -317,16 +275,6 @@ class TestColumnExtended:
                   "x0", "x1", "y0", "y1"):
             assert np.array_equal(getattr(ext, f), getattr(ref, f)), f
 
-    def test_bbox_extension_bit_identical(self):
-        mappings = _mappings(4)
-        col = BBoxColumn.from_mappings(mappings)
-        new = list(mappings)
-        new[0] = new[0].appended(_unit(1e6, 9, 9, 1e6 + 2, 10, 10))
-        ext = col.extended(new, {0})
-        ref = BBoxColumn.from_mappings(new)
-        for f in ("xmin", "ymin", "tmin", "xmax", "ymax", "tmax"):
-            assert np.array_equal(getattr(ext, f), getattr(ref, f)), f
-
     def test_extension_rejects_unlisted_growth(self):
         mappings = _mappings(3)
         col = UPointColumn.from_mappings(mappings)
@@ -338,19 +286,12 @@ class TestColumnExtended:
         mappings = _mappings(4)
         more = mappings + _mappings(2, seed=5)
         upoint = UPointColumn.from_mappings(mappings)
-        bbox = BBoxColumn.from_mappings(mappings)
-        cubes = [(k, m.bounding_cube()) for k, m in enumerate(mappings)]
         cases = [
             (upoint, mappings[:3], set(), "column extension cannot shrink the fleet"),
             (upoint, mappings, {4}, "changed object index out of range"),
             (upoint, mappings, {-1}, "changed object index out of range"),
             (upoint, more, {0, 5}, "appended object 4 missing from the change set"),
             (upoint, more, {4}, "appended object 5 missing from the change set"),
-            (bbox, mappings[:3], set(), "column extension cannot shrink the fleet"),
-            (bbox, mappings, {4}, "changed object index out of range"),
-            (BBoxColumn.from_cubes(cubes[::-1]), mappings, {0},
-             "BBoxColumn extension needs ascending unique keys "
-             "(the default per-object build)"),
         ]
         for column, fleet, changed, message in cases:
             with pytest.raises(InvalidValue) as exc_info:
@@ -358,22 +299,29 @@ class TestColumnExtended:
             assert str(exc_info.value) == message
 
     def test_cache_splices_forward_on_ingest(self):
-        fleet = Fleet(_mappings(4))
+        ex = FleetExecutor()
+        fleet = ex.register_fleet("fleet", _mappings(4))
         _, before = column_for_versioned(fleet, "upoint")
         obs.reset()
         obs.enable()
         try:
-            fleet[2] = fleet[2].appended(_unit(1e6, 0, 0, 1e6 + 5, 1, 1))
+            ex.apply_units([
+                IngestRequest("fleet", 2, (1e6, 0, 0, 1e6 + 5, 1, 1)),
+                IngestRequest("fleet", 4, (1e6, 3, 3, 1e6 + 5, 4, 4)),
+            ])
             version, after = column_for_versioned(fleet, "upoint")
             counters = obs.snapshot()["counters"]
         finally:
             obs.disable()
         assert version == fleet.version
         assert counters.get("colcache.extended") == 1
+        assert counters.get("colcache.hits") == 1
         assert "colcache.invalidations" not in counters
+        assert "colcache.misses" not in counters
         ref = UPointColumn.from_mappings(list(fleet))
-        assert np.array_equal(after.offsets, ref.offsets)
-        assert np.array_equal(after.x0, ref.x0)
+        assert after.n_units == before.n_units + 2
+        for f in UPointColumn.ARRAYS:
+            assert np.array_equal(getattr(after, f), getattr(ref, f)), f
 
 
 # ---------------------------------------------------------------------------
