@@ -15,9 +15,18 @@ against a single-process pass *including its column build*; the
 end-to-end comparison with columns resident is
 ``parallel.speedup_vs_vector`` of ``benchmarks/e2e/run.py --workload
 api_scan_warm``.
+
+Run as a script, it prints what the pool's one column transport costs:
+the median ``shmcol.pack`` of a 20k-object ``upoint`` column held in
+memory and of the same column mapped from a ``ColumnStore`` — report
+only, nothing asserted::
+
+    PYTHONPATH=src python benchmarks/bench_parallel.py
 """
 
 import random
+import statistics
+import tempfile
 import time
 
 import numpy as np
@@ -25,13 +34,15 @@ import numpy as np
 from bench_vector import build_fleet
 from repro import config, obs
 from repro.index.rtree import RTree3D
-from repro.parallel import parallel_atinstant, parallel_window_intervals
+from repro.parallel import parallel_atinstant, parallel_window_intervals, shmcol
 from repro.spatial.bbox import Cube, Rect
 from repro.vector.cache import Fleet, clear_cache, column_for
 from repro.vector.columns import UPointColumn
 from repro.vector.kernels import atinstant_batch, window_intervals_batch
+from repro.vector.store import ColumnStore
 
 FLEET_SIZE = 10_000
+PACK_OBJECTS = 20_000
 WORKERS = 4
 RECT = Rect(200, 200, 800, 800)
 WINDOW = (10.0, 90.0)
@@ -203,6 +214,36 @@ def measure_str_bulk(entries_n: int = 10_000, queries_n: int = 50) -> dict:
     }
 
 
+def _pack_ms(col, rounds: int) -> float:
+    """Median wall time of one ``shmcol.pack`` of ``col``, in ms (each
+    segment is released before the next round)."""
+    times = []
+    for _ in range(rounds):
+        tic = time.perf_counter()
+        _descriptor, shm = shmcol.pack(col)
+        times.append(time.perf_counter() - tic)
+        shm.close()
+        shm.unlink()
+    return 1e3 * statistics.median(times)
+
+
+def measure_pack(count: int = PACK_OBJECTS, rounds: int = 7) -> dict:
+    """``pack_ms`` of one ``upoint`` column of ``count`` flights, built
+    in memory and loaded from a ``ColumnStore`` (read-only views over
+    the mapped files).  Both reach workers through the same copy; the
+    numbers say what that copy costs per column lifetime."""
+    fleet = Fleet(build_fleet(count))
+    built = UPointColumn.from_mappings(fleet)
+    with tempfile.TemporaryDirectory() as root:
+        store = ColumnStore(root)
+        store.save("upoint", built, fleet.stamp)
+        loaded = store.load("upoint")
+        return {
+            "objects": count,
+            "in_memory": {"pack_ms": _pack_ms(built, rounds)},
+            "store_loaded": {"pack_ms": _pack_ms(loaded, rounds)},
+        }
+
 
 # -- pytest entry points ------------------------------------------------------
 
@@ -228,3 +269,20 @@ def test_v5_str_bulk_load_speedup():
     assert stats["mismatches"] == 0
     assert stats["speedup"] >= 5.0, stats
     assert stats["node_visits_packed"] <= stats["node_visits_grown"], stats
+
+
+def test_v5_pack_report_runs():
+    """The transport report runs end to end (at a hundredth of its
+    size); its numbers are for reading, not asserting."""
+    stats = measure_pack(PACK_OBJECTS // 100, rounds=1)
+    assert stats["in_memory"]["pack_ms"] > 0
+    assert stats["store_loaded"]["pack_ms"] > 0
+
+
+if __name__ == "__main__":
+    stats = measure_pack()
+    for name in ("in_memory", "store_loaded"):
+        print(
+            f"pack_ms {stats['objects'] // 1000}k-object {name} upoint column"
+            f" {stats[name]['pack_ms']:8.2f}"
+        )

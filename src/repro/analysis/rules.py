@@ -450,8 +450,7 @@ class ObsDiscipline(Rule):
     instead): ``_record_rows`` in the vector kernels, ``count_fallback``
     in the operator table (the one counter of every backend rung —
     inside the table module its reason may be derived from a literal
-    ``Operation(kind=...)`` row, which is read instead),
-    ``_mmap_fallback`` in the shared-column transport, and
+    ``Operation(kind=...)`` row, which is read instead), and
     ``_merge_counters`` in the pool layer (which folds worker-captured
     snapshots whose names were validated when the workers wrote them).
     """
@@ -464,7 +463,6 @@ class ObsDiscipline(Rule):
     _WRAPPER_BODIES = {
         ("repro/vector/kernels.py", "_record_rows"),
         (_TABLE, "count_fallback"),
-        ("repro/parallel/shmcol.py", "_mmap_fallback"),
         ("repro/parallel/pool.py", "_merge_counters"),
     }
     #: ``count_fallback(stage, reason)`` → counter family per stage.
@@ -612,11 +610,6 @@ class ObsDiscipline(Rule):
                         ("counter", f"vector.{arg0}.rows"),
                         ("gauge", "vector.rows_per_call"),
                     ]
-                elif wrapper == "_mmap_fallback" and arg0 is not None:
-                    derived = [
-                        ("counter", "colstore.mmap_fallback"),
-                        ("counter", f"colstore.mmap_fallback.{arg0}"),
-                    ]
                 elif wrapper == "count_fallback":
                     family = self._FALLBACK_FAMILY.get(arg0 or "")
                     reason = (
@@ -642,7 +635,7 @@ class ObsDiscipline(Rule):
                         for k in kinds
                     ]
                 if wrapper in (
-                    "_record_rows", "_mmap_fallback", "count_fallback",
+                    "_record_rows", "count_fallback",
                 ) and derived is None:
                     derived = [("counter", None)]
                 if derived is not None:
@@ -732,13 +725,6 @@ class BackendDispatch(Rule):
       (``*.from_mappings``) inside it must be guarded by try/except — it
       raises ``InvalidValue`` on inputs only the scalar path can
       evaluate.
-
-    The same discipline covers the column *transport* dispatch in
-    :mod:`repro.parallel`: descriptor-scheme literals (``"mmap"`` /
-    ``"shm"``) must be compared through ``_scheme_of``, and an
-    ``if scheme == "mmap":`` arm must leave the shm copy path as its
-    fall-through (handlers counted via ``_mmap_fallback``) — the mmap
-    transport is an optimisation, never the only arm.
     """
 
     code = "MOD005"
@@ -748,24 +734,8 @@ class BackendDispatch(Rule):
     _BATCH_LITERALS = {"vector", "parallel"}
     #: Table predicates whose if-arms are batched paths too.
     _PREDICATES = {"columnar", "pooled"}
-    _COUNTERS = ("count_fallback", "_mmap_fallback")
-    #: (module scope, literals, resolvers, fast-arm literals, diagnostic)
-    #: — where each resolved/two-armed dispatch discipline applies.
-    _FAMILIES: List[Tuple[str, Set[str], Set[str], Set[str], str]] = [
-        (
-            _TABLE, _BATCH_LITERALS | {"scalar"},
-            {"resolve", "get_backend"}, _BATCH_LITERALS,
-            "backend literal compared without going through "
-            "resolve()/get_backend(); a raw parameter compare misreads "
-            "backend=None",
-        ),
-        (
-            "repro/parallel/", {"mmap", "shm"}, {"_scheme_of"}, {"mmap"},
-            "descriptor scheme literal compared without going through "
-            "_scheme_of(); a raw prefix compare drifts from the "
-            "descriptor format",
-        ),
-    ]
+    _LITERALS = _BATCH_LITERALS | {"scalar"}
+    _RESOLVERS = {"resolve", "get_backend"}
 
     @staticmethod
     def _compared(node: ast.Compare) -> Set[Optional[str]]:
@@ -779,28 +749,26 @@ class BackendDispatch(Rule):
             out.update(_str_const(e) for e in elts)
         return out
 
-    def _resolved(
-        self, mod: SourceModule, node: ast.Compare, resolvers: Set[str]
-    ) -> bool:
+    def _resolved(self, mod: SourceModule, node: ast.Compare) -> bool:
         """Whether ``node`` compares a resolver's result: a resolver
         call, a name assigned from one in the same function, or any
         compare in a resolver's own body."""
         scope = mod.enclosing(
             node, ast.FunctionDef, ast.AsyncFunctionDef
         ) or mod.tree
-        if isinstance(scope, ast.FunctionDef) and scope.name in resolvers:
+        if isinstance(scope, ast.FunctionDef) and scope.name in self._RESOLVERS:
             return True
         local = {
             t.id
             for sub in ast.walk(scope)
             if isinstance(sub, ast.Assign)
             and isinstance(sub.value, ast.Call)
-            and _call_name(sub.value) in resolvers
+            and _call_name(sub.value) in self._RESOLVERS
             for t in sub.targets
             if isinstance(t, ast.Name)
         }
         return any(
-            (isinstance(o, ast.Call) and _call_name(o) in resolvers)
+            (isinstance(o, ast.Call) and _call_name(o) in self._RESOLVERS)
             or (isinstance(o, ast.Name) and o.id in local)
             for o in [node.left, *node.comparators]
         )
@@ -811,42 +779,37 @@ class BackendDispatch(Rule):
         if "repro/analysis/" in mod.relpath:
             return
         in_table = mod.relpath.endswith(self._TABLE)
-        families = [f for f in self._FAMILIES if f[0] in mod.relpath]
         for node in ast.walk(mod.tree):
             if isinstance(node, ast.Compare):
-                if not in_table and (
-                    self._compared(node) & self._BATCH_LITERALS
-                ):
+                compared = self._compared(node)
+                if not in_table and compared & self._BATCH_LITERALS:
                     yield mod.violation(
                         node, self.code,
                         "backend name compared outside the operator "
                         "table; pass the name through and let "
                         "repro.vector.backends decide what runs",
                     )
-                for _scope, literals, resolvers, _fast, diagnostic in families:
-                    if (
-                        self._compared(node) & literals
-                        and all(
-                            isinstance(op, (ast.Eq, ast.NotEq))
-                            for op in node.ops
-                        )
-                        and not self._resolved(mod, node, resolvers)
-                    ):
-                        yield mod.violation(node, self.code, diagnostic)
-            if isinstance(node, ast.If):
-                tests = list(ast.walk(node.test))
-                batched = in_table and any(
-                    isinstance(c, ast.Call)
-                    and _call_name(c) in self._PREDICATES
-                    for c in tests
-                )
-                for _scope, _literals, _resolvers, fast, _diag in families:
-                    batched = batched or any(
-                        isinstance(c, ast.Compare) and self._compared(c) & fast
-                        for c in tests
+                elif (
+                    in_table
+                    and compared & self._LITERALS
+                    and all(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops)
+                    and not self._resolved(mod, node)
+                ):
+                    yield mod.violation(
+                        node, self.code,
+                        "backend literal compared without going through "
+                        "resolve()/get_backend(); a raw parameter compare "
+                        "misreads backend=None",
                     )
-                if batched:
-                    yield from self._check_batched_arm(mod, node)
+            elif in_table and isinstance(node, ast.If) and any(
+                (isinstance(c, ast.Call) and _call_name(c) in self._PREDICATES)
+                or (
+                    isinstance(c, ast.Compare)
+                    and self._compared(c) & self._BATCH_LITERALS
+                )
+                for c in ast.walk(node.test)
+            ):
+                yield from self._check_batched_arm(mod, node)
 
     def _check_batched_arm(
         self, mod: SourceModule, if_node: ast.If
@@ -872,7 +835,7 @@ class BackendDispatch(Rule):
             if isinstance(sub, ast.ExceptHandler):
                 counted = any(
                     isinstance(c, ast.Call)
-                    and _call_name(c) in self._COUNTERS
+                    and _call_name(c) == "count_fallback"
                     for c in ast.walk(sub)
                 )
                 if not counted:

@@ -67,8 +67,9 @@ COLCACHE_BYTES: int = 256 * 1024 * 1024
 
 
 def feq(a: float, b: float, eps: float = EPSILON) -> bool:
-    """Return True if ``a`` and ``b`` are equal within tolerance."""
-    return abs(a - b) <= eps
+    """Return True if ``a`` and ``b`` are equal within tolerance (equal
+    infinities too: their difference is NaN)."""
+    return a == b or abs(a - b) <= eps
 
 
 def fle(a: float, b: float, eps: float = EPSILON) -> bool:
@@ -108,7 +109,10 @@ def fstationary(velocity, duration, eps: float = EPSILON):
     duration, an unbounded one included.  Elementwise on arrays, so the
     scalar window refinement and its batch kernel share this one rule.
     """
-    return (velocity == 0) | (abs(velocity) * duration <= eps)
+    still = velocity == 0
+    # A still lane multiplies ``1·duration``, not ``0·duration``: ``0·∞``
+    # is NaN, and ``still`` decides that lane anyway.
+    return still | ((abs(velocity) + still) * duration <= eps)
 
 
 def fsign(a: float, eps: float = EPSILON) -> int:

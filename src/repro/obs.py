@@ -161,11 +161,6 @@ COUNTER_NAMES: FrozenSet[str] = frozenset({
     "colstore.rebuilds",
     "colstore.validations",
     "colstore.bytes_mapped",
-    "colstore.mmap_direct",
-    # mmap→shm downgrades (via _mmap_fallback(reason))
-    "colstore.mmap_fallback",
-    "colstore.mmap_fallback.manifest",
-    "colstore.mmap_fallback.stale",
     # parallel execution (via count_fallback("parallel", reason))
     "parallel.chunks",
     "parallel.fallback",

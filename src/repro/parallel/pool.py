@@ -321,20 +321,20 @@ def _merge_counters(snapshot: Mapping[str, Any]) -> None:
 # Worker-side task entry points
 # ---------------------------------------------------------------------------
 
-#: Worker-local table of attached columns, keyed by ``(kind, name)``: the
-#: ``upoint`` and ``bbox`` columns of one store share an ``mmap://`` name.
-_ATTACHED: Residency[Tuple[str, str], shmcol.AttachedColumn] = Residency(
+#: Worker-local table of attached columns, keyed by segment name (one
+#: segment per packed column).
+_ATTACHED: Residency[str, shmcol.AttachedColumn] = Residency(
     on_evict=lambda _key, wrapper: wrapper.close()
 )
 _ATTACH_LIMIT = 16
 
 
 def _attached_column(descriptor: shmcol.Descriptor) -> Any:
-    key = descriptor[:2]
-    wrapper = _ATTACHED.get(key)
+    name = descriptor[1]
+    wrapper = _ATTACHED.get(name)
     if wrapper is None:
         wrapper = shmcol.attach(descriptor)
-        _ATTACHED.put(key, wrapper, 1)
+        _ATTACHED.put(name, wrapper, 1)
         _ATTACHED.fit(_ATTACH_LIMIT)
     return wrapper.column
 

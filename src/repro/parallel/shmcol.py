@@ -18,13 +18,9 @@ garbage collected (or the interpreter exits) the segment is closed and
 unlinked.  Workers unregister their attachments from multiprocessing's
 resource tracker: the *owner* unlinks, an attaching process must not.
 
-Columns backed by the persistent store (:mod:`repro.vector.store`)
-skip shared memory entirely: their descriptor carries an ``mmap://``
-scheme naming the store directory and manifest generation, and each
-worker memory-maps the same files the parent did (counted under
-``colstore.mmap_direct``).  When the store on disk no longer matches
-the column's generation the dispatch falls back to the shm copy path
-(counted under ``colstore.mmap_fallback``) — same bytes, higher cost.
+This is the only way a column reaches a worker: a column mapped from
+the persistent store (:mod:`repro.vector.store`) is packed like any
+other, the copy reading its read-only views once.
 """
 
 from __future__ import annotations
@@ -32,34 +28,17 @@ from __future__ import annotations
 import multiprocessing
 import weakref
 from multiprocessing import resource_tracker, shared_memory
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 import numpy as np
 
 from repro import faults, obs
-from repro.errors import CorruptColumnError, InvalidValue
+from repro.errors import InvalidValue
 from repro.vector.columns import Column, column_class
 
 #: A picklable shared-column handle: (kind, segment name, field layout),
 #: the layout being ``(field, dtype, length, byte offset)`` tuples.
-#: Persistent-store columns use the name ``mmap://<crc>:<root>`` with an
-#: empty layout — workers reconstruct the column from the files, not
-#: from a segment.
 Descriptor = Tuple[str, str, Tuple[Tuple[str, str, int, int], ...]]
-
-_MMAP_PREFIX = "mmap://"
-
-
-def _scheme_of(name: str) -> str:
-    """Transport scheme of a descriptor name: ``"mmap"`` or ``"shm"``."""
-    return "mmap" if name.startswith(_MMAP_PREFIX) else "shm"
-
-
-def _mmap_fallback(reason: str) -> None:
-    """Count one mmap→shm dispatch downgrade (store stale or unreadable)."""
-    if obs.enabled:
-        obs.add("colstore.mmap_fallback")
-        obs.add(f"colstore.mmap_fallback.{reason}")
 
 
 def _align8(n: int) -> int:
@@ -113,18 +92,15 @@ def pack(col: Any) -> Tuple[Descriptor, shared_memory.SharedMemory]:
 
 
 class AttachedColumn:
-    """A column whose arrays are views over an attached shared segment,
-    or over memory-mapped store files (``shm is None``)."""
+    """A column whose arrays are views over an attached shared segment."""
 
     __slots__ = ("shm", "column")
 
-    def __init__(self, shm: Optional[shared_memory.SharedMemory], column: Any):
+    def __init__(self, shm: shared_memory.SharedMemory, column: Any):
         self.shm = shm
         self.column = column
 
     def close(self) -> None:
-        if self.shm is None:
-            return  # mmap-backed: the memmap closes with the column
         try:
             self.shm.close()
         except (OSError, BufferError):
@@ -133,35 +109,10 @@ class AttachedColumn:
             pass
 
 
-def _attach_mmap(kind: str, name: str) -> AttachedColumn:
-    """Open an ``mmap://`` descriptor: map the store files directly.
-
-    The descriptor pins the manifest generation (its CRC); if the store
-    on disk was rebuilt since the parent dispatched, the generation no
-    longer matches and this raises :class:`CorruptColumnError` rather
-    than serving bytes from a different fleet.
-    """
-    from repro.vector.store import ColumnStore
-
-    crc_text, _, root = name[len(_MMAP_PREFIX):].partition(":")
-    try:
-        crc = int(crc_text)
-    except ValueError as exc:
-        raise CorruptColumnError(f"malformed mmap descriptor {name!r}") from exc
-    column, _entry = ColumnStore(root)._load(kind)
-    if column.source is None or column.source.manifest_crc != crc:
-        raise CorruptColumnError(
-            f"column store at {root!r} is no longer generation {crc:#010x}"
-        )
-    return AttachedColumn(None, column)
-
-
 def attach(descriptor: Descriptor) -> AttachedColumn:
     """Open a packed column in this process (typically a pool worker)."""
     kind, name, layout = descriptor
     cls = column_class(kind)
-    if _scheme_of(name) == "mmap":
-        return _attach_mmap(kind, name)
     shm = shared_memory.SharedMemory(name=name)
     # Fork-context pool workers share the parent's resource tracker, so
     # the attach-side registration is an idempotent no-op there and the
@@ -212,52 +163,17 @@ def _release(key: int, shm: shared_memory.SharedMemory) -> None:
         pass
 
 
-def _mmap_descriptor(col: Any) -> Optional[Descriptor]:
-    """An ``mmap://`` descriptor for a store-backed column, if still valid.
-
-    Re-checks the store's manifest CRC against the column's generation:
-    a store rebuilt on disk since this column was opened must not be
-    dispatched (workers would map different bytes than the parent
-    holds).  Returns None — after counting the downgrade — when the
-    store cannot serve, and the caller packs to shared memory instead.
-    """
-    source = getattr(col, "source", None)
-    if source is None:
-        return None
-    from repro.vector.store import ColumnStore
-
-    try:
-        crc = ColumnStore(source.root).manifest_crc()
-    except CorruptColumnError:
-        _mmap_fallback("manifest")
-        return None
-    if crc != source.manifest_crc:
-        _mmap_fallback("stale")
-        return None
-    if obs.enabled:
-        obs.add("colstore.mmap_direct")
-    return (
-        col.KIND,
-        f"{_MMAP_PREFIX}{source.manifest_crc}:{source.root}",
-        (),
-    )
-
-
 def shared_descriptor(col: Any) -> Descriptor:
     """The (cached) transport descriptor of ``col``.
 
-    Store-backed columns get an ``mmap://`` descriptor — workers map
-    the same files, no copy.  Everything else packs into shared memory
-    on first call; subsequent calls for the same live column reuse the
-    segment, which is released when the column is collected.
+    Packs into shared memory on first call; subsequent calls for the
+    same live column reuse the segment, which is released when the
+    column is collected.
     """
     key = id(col)
     seg = _SEGMENTS.get(key)
     if seg is not None and seg.ref() is col:
         return seg.descriptor
-    descriptor = _mmap_descriptor(col)
-    if descriptor is not None:
-        return descriptor
     descriptor, shm = pack(col)
     finalizer = weakref.finalize(col, _release, key, shm)
     _SEGMENTS[key] = _Segment(descriptor, weakref.ref(col), finalizer)

@@ -99,6 +99,9 @@ def _tile(boxes: np.ndarray, k: int) -> np.ndarray:
     """Tile index in ``range(k)`` for each cube: ``k`` groups whose
     sizes differ by at most one, by recursive bisection on cube centres.
     """
+    # A side at ±∞ is placed at ±1e200, beyond any modelled coordinate:
+    # ±∞ has no centre and ∞ − ∞ no extent (finite cubes are untouched).
+    boxes = np.clip(boxes, -1e200, 1e200)
     centres = (boxes[:, :3] + boxes[:, 3:]) / 2.0
     extents = boxes[:, 3:] - boxes[:, :3]
     out = np.zeros(len(boxes), dtype=np.int64)

@@ -87,10 +87,7 @@ class Column:
 
     # __weakref__ lets the column cache and the shared-memory segment
     # registry key off column/owner identity without keeping it alive.
-    # ``source`` identifies the persistent store a memmap-backed column
-    # was opened from (:mod:`repro.vector.store`), or None for columns
-    # that live purely in process memory.
-    __slots__ = ("source", "__weakref__")
+    __slots__ = ("__weakref__",)
 
     KIND: str
     FILES: Tuple[Tuple[str, np.dtype], ...]
@@ -109,7 +106,7 @@ class Column:
     def nbytes(self) -> int:
         """Resident bytes: the sum of the payload arrays (the unit of
         account of the column cache's and the shard manager's budgets).
-        Keys and sources are bookkeeping, not payload."""
+        Keys are bookkeeping, not payload."""
         return sum(int(a.nbytes) for a in self.arrays())
 
 
@@ -159,7 +156,6 @@ class UnitColumn(Column):
         self.offsets = offsets
         for attr, a in zip(self.FIELDS, fields):
             setattr(self, attr, a)
-        self.source = None
         self._depth: Optional[int] = None
 
     @property
@@ -496,7 +492,6 @@ class BBoxColumn(Column):
         self.keys = np.ascontiguousarray(keys, dtype=np.int64)
         for name, a in zip(self.ARRAYS, coords, strict=True):
             setattr(self, name, np.ascontiguousarray(a, dtype=np.float64))
-        self.source = None
         if len(self.keys) != len(self.xmin):
             raise InvalidValue("BBoxColumn keys and coordinates disagree in length")
 
@@ -603,7 +598,6 @@ class BBoxColumn(Column):
         col.keys = rec["key"]
         for name in cls.ARRAYS:
             setattr(col, name, rec[name])
-        col.source = None
         return col
 
     def chunk(self, lo: int, hi: int) -> "BBoxColumn":

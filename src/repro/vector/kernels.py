@@ -434,15 +434,19 @@ def _window_spans(
     a = np.maximum(xa, ya, out=xa)
     b = np.minimum(xb, yb, out=xb)
     ok = xok & yok & (a <= b)
+    hit = np.flatnonzero(ok)
 
     def inherit(
         span_end: np.ndarray, unit_end: np.ndarray, flag: np.ndarray
     ) -> np.ndarray:
         """The unit's own flag on the ``ok`` lanes whose span reaches its
-        interval's end (eps-compared, the scalar's ``feq``), else closed."""
+        interval's end (equal or eps-close, the scalar's ``feq``; equal
+        ends are zeroed, not subtracted: ``∞ − ∞`` is NaN), else closed."""
         out = np.ones(len(ok), dtype=np.bool_)
-        gap = np.abs(span_end - unit_end)
-        near = np.flatnonzero(ok & (gap <= EPSILON))
+        x, y = span_end[hit], unit_end[hit]
+        same = x == y
+        x[same] = y[same] = 0.0
+        near = hit[np.abs(x - y) <= EPSILON]
         out[near] = flag[lanes][near]
         return out
 

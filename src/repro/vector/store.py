@@ -20,7 +20,9 @@ writer's :attr:`~repro.vector.cache.Fleet.stamp` (``fleet_version=`` —
 opaque here, compared for equality), and :meth:`ColumnStore.load_current`
 answers only a caller showing that same stamp, the same fleet object at
 the same version.  A :class:`~repro.shard.manager.ShardManager` is the
-owner that opens stores this way.
+owner that opens stores this way.  A mapped column is an ordinary
+column: it reaches pool workers, like any other, through the
+shared-memory copy of :mod:`repro.parallel.shmcol`.
 
 File layout (all little-endian)::
 
@@ -67,10 +69,7 @@ from repro import faults, obs
 from repro.errors import CorruptColumnError, InvalidValue
 from repro.vector.columns import KINDS, column_class
 
-__all__ = [
-    "ColumnStore",
-    "MmapSource",
-]
+__all__ = ["ColumnStore"]
 
 #: Column-file header: magic, format version, reserved, record count.
 #: 16 bytes so the record payload starts 8-byte aligned.
@@ -111,8 +110,8 @@ def _check_header(name: str, head: bytes, count: int) -> None:
 
 
 @functools.lru_cache(maxsize=128)
-def _parse_manifest(raw: bytes) -> Tuple[dict, int]:
-    """``(payload, payload_crc)`` of manifest bytes ``raw``, verified.
+def _parse_manifest(raw: bytes) -> dict:
+    """The payload of manifest bytes ``raw``, CRC-verified.
 
     Memoised on the bytes themselves — identical bytes get the identical
     verdict, which no mtime/size/inode key can promise — so a column map
@@ -142,32 +141,7 @@ def _parse_manifest(raw: bytes) -> Tuple[dict, int]:
         )
     if not isinstance(columns, dict):
         raise CorruptColumnError("column store manifest: columns not a map")
-    return payload, actual
-
-
-class MmapSource:
-    """Identity of the persistent files a memmap-backed column came from.
-
-    Carried on ``column.source`` so downstream layers can see (and
-    re-open) the backing store: the parallel backend ships this to fork
-    workers instead of copying bytes into shared memory.
-    ``manifest_crc`` pins the exact store generation — a rebuild changes
-    the manifest, so stale worker attachments are detected rather than
-    silently served.
-    """
-
-    __slots__ = ("root", "kind", "manifest_crc")
-
-    def __init__(self, root: str, kind: str, manifest_crc: int):
-        self.root = root
-        self.kind = kind
-        self.manifest_crc = manifest_crc
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"MmapSource({self.root!r}, {self.kind!r}, "
-            f"crc={self.manifest_crc:#010x})"
-        )
+    return payload
 
 
 class ColumnStore:
@@ -190,8 +164,8 @@ class ColumnStore:
 
     # -- manifest ---------------------------------------------------------
 
-    def _manifest(self) -> Tuple[dict, int]:
-        """``(payload, payload_crc)`` of the manifest, CRC-verified.
+    def _manifest(self) -> dict:
+        """The manifest payload, CRC-verified.
 
         The file is read on every call — that read is the staleness
         check — but the payload is the memoised, *shared* parse of those
@@ -209,17 +183,12 @@ class ColumnStore:
     def manifest(self) -> dict:
         """The manifest payload, the caller's own copy (raises
         :class:`CorruptColumnError`)."""
-        return copy.deepcopy(self._manifest()[0])
-
-    def manifest_crc(self) -> int:
-        """CRC32 of the manifest payload — what pins a store generation
-        (raises :class:`CorruptColumnError`)."""
-        return self._manifest()[1]
+        return copy.deepcopy(self._manifest())
 
     def fleet_version(self, kind: str) -> Optional[int]:
         """Fleet version column ``kind`` was built from, or None."""
         try:
-            payload, _crc = self._manifest()
+            payload = self._manifest()
         except CorruptColumnError:
             return None
         entry = payload["columns"].get(kind)
@@ -338,8 +307,7 @@ class ColumnStore:
         """``(memmap-backed column, its manifest entry)`` for ``kind``
         (cheap validation tier) — the entry is the one the column was
         mapped from, so staleness is judged against the same read."""
-        payload, crc = self._manifest()
-        entry = payload["columns"].get(kind)
+        entry = self._manifest()["columns"].get(kind)
         cls = KINDS.get(kind)
         if entry is None or cls is None:
             raise CorruptColumnError(
@@ -362,7 +330,6 @@ class ColumnStore:
             raise CorruptColumnError(
                 f"{kind} column files are mutually inconsistent: {exc}"
             ) from exc
-        col.source = MmapSource(self.root, kind, crc)
         if obs.enabled:
             obs.add("colstore.validations")
         return col, entry
@@ -404,7 +371,7 @@ class ColumnStore:
         caught.  Raises :class:`CorruptColumnError` on the first
         failure.
         """
-        payload, _crc = self._manifest()
+        payload = self._manifest()
         kinds = [kind] if kind is not None else sorted(payload["columns"])
         for k in kinds:
             entry = payload["columns"].get(k)
@@ -438,9 +405,9 @@ class ColumnStore:
     ):
         """Build ``kind`` from ``mappings``, save it under
         ``fleet_version`` (counted ``colstore.rebuilds``) and re-open it
-        from disk so the caller gets a memmap-backed column with
-        ``source`` set; if even the re-open fails (disk gone), the built
-        column itself is returned — degraded, never wrong."""
+        from disk so the caller gets a memmap-backed column; if even the
+        re-open fails (disk gone), the built column itself is returned —
+        degraded, never wrong."""
         built = column_class(kind).from_mappings(mappings, **build_kwargs)
         if obs.enabled:
             obs.add("colstore.rebuilds")

@@ -305,39 +305,6 @@ class TestMOD004ObsDiscipline:
         }, select={"MOD004"})
         assert out == []
 
-    def test_mmap_fallback_call_site_expands_derived_names(self, tmp_path):
-        # `_mmap_fallback("stale")` implies both the base downgrade
-        # counter and the per-reason one; neither is registered here,
-        # so both derived names must be flagged.
-        out = lint_snippets(tmp_path, {
-            "src/repro/obs.py": OBS_REGISTRY,
-            "src/repro/parallel/snippet.py": """
-                def f():
-                    _mmap_fallback("stale")
-            """,
-        }, select={"MOD004"})
-        assert codes(out) == ["MOD004", "MOD004"]
-        flagged = " ".join(v.message for v in out)
-        assert "colstore.mmap_fallback`" in flagged
-        assert "colstore.mmap_fallback.stale" in flagged
-
-    def test_mmap_fallback_registered_reasons_clean(self, tmp_path):
-        out = lint_snippets(tmp_path, {
-            "src/repro/obs.py": """
-                COUNTER_NAMES = frozenset({
-                    "colstore.mmap_fallback",
-                    "colstore.mmap_fallback.stale",
-                })
-                TIMER_NAMES = frozenset()
-                GAUGE_NAMES = frozenset()
-            """,
-            "src/repro/parallel/snippet.py": """
-                def f():
-                    _mmap_fallback("stale")
-            """,
-        }, select={"MOD004"})
-        assert out == []
-
     def test_count_fallback_call_site_expands_per_stage_family(self, tmp_path):
         # count_fallback(stage, reason) is the one backend-fallback
         # counter: each call site implies its stage's family counter
@@ -515,66 +482,6 @@ class TestMOD005BackendDispatch:
                     if backend == "vector":  # modlint: disable=MOD005 CLI entry point, backend pre-resolved upstream
                         return 1
                     return 2
-            """,
-        }, select={"MOD005"})
-        assert out == []
-
-    def test_raw_scheme_compare_flagged_in_parallel_package(self, tmp_path):
-        out = lint_snippets(tmp_path, {
-            "src/repro/parallel/snippet.py": """
-                def attach(name):
-                    if name == "mmap":
-                        return 1
-                    return 2
-            """,
-        }, select={"MOD005"})
-        assert codes(out) == ["MOD005"]
-        assert "_scheme_of" in out[0].message
-
-    def test_scheme_compare_outside_parallel_package_ignored(self, tmp_path):
-        out = lint_snippets(tmp_path, {
-            "src/repro/storage/snippet.py": """
-                def f(name):
-                    return name == "mmap"
-            """,
-        }, select={"MOD005"})
-        assert out == []
-
-    def test_resolved_scheme_dispatch_with_fallthrough_clean(self, tmp_path):
-        out = lint_snippets(tmp_path, {
-            "src/repro/parallel/snippet.py": """
-                def _scheme_of(name):
-                    return "mmap" if name.startswith("mmap://") else "shm"
-
-                def attach(name):
-                    if _scheme_of(name) == "mmap":
-                        return 1
-                    return 2
-            """,
-        }, select={"MOD005"})
-        assert out == []
-
-    def test_mmap_arm_without_shm_fallthrough_flagged(self, tmp_path):
-        out = lint_snippets(tmp_path, {
-            "src/repro/parallel/snippet.py": """
-                def attach(name):
-                    if _scheme_of(name) == "mmap":
-                        return 1
-            """,
-        }, select={"MOD005"})
-        assert codes(out) == ["MOD005"]
-        assert "no scalar arm" in out[0].message
-
-    def test_mmap_fallback_counts_as_handler(self, tmp_path):
-        out = lint_snippets(tmp_path, {
-            "src/repro/parallel/snippet.py": """
-                def dispatch(col, name):
-                    if _scheme_of(name) == "mmap":
-                        try:
-                            return descriptor_of(col)
-                        except CorruptColumnError:
-                            _mmap_fallback("manifest")
-                    return pack(col)
             """,
         }, select={"MOD005"})
         assert out == []

@@ -88,6 +88,13 @@ def save_all(root, mappings, stamp=None):
     return store
 
 
+def mapped(col):
+    """Whether every payload array of ``col`` is a read-only view, as
+    the arrays of a column mapped from a store are (a built column's
+    are writeable)."""
+    return all(not a.flags.writeable for a in col.arrays())
+
+
 def flip_byte(path, offset):
     with open(path, "r+b") as fh:
         fh.seek(offset)
@@ -105,7 +112,7 @@ def test_no_process_wide_store(tmp_path, capsys):
     from repro import cli, shard
     from repro.vector import store
 
-    assert set(store.__all__) == {"ColumnStore", "MmapSource"}
+    assert set(store.__all__) == {"ColumnStore"}
     assert not any(name.startswith(("set_", "get_")) for name in shard.__all__)
     # In halves: a grep for the flags finds nothing.
     for argv in (
@@ -154,8 +161,7 @@ class TestRoundTrip:
                 np.ascontiguousarray(built_rec, dtype=dtype).tobytes()
                 == np.ascontiguousarray(loaded_rec, dtype=dtype).tobytes()
             )
-        assert loaded.source is not None
-        assert loaded.source.kind == kind
+        assert type(loaded) is KINDS[kind] and mapped(loaded)
         assert counters()["colstore.hits"] == 1
 
     def test_kernel_results_identical_from_disk(self, tmp_path):
@@ -276,7 +282,7 @@ class TestLoadOrRebuild:
         obs.reset()
         col = store.load_or_rebuild("upoint", mappings, Fleet(mappings).stamp)
         assert counters()["colstore.rebuilds"] == 1
-        assert col.source is not None
+        assert mapped(col)
         store.verify("upoint")
 
     def test_another_fleets_store_is_rebuilt_not_served(self, tmp_path):
@@ -486,11 +492,11 @@ class TestManifestMemo:
             store.load("upoint")
         with open(store.path(MANIFEST_NAME), "wb") as fh:
             fh.write(good)
-        assert store.load("upoint").source is not None
+        assert mapped(store.load("upoint"))
 
     def test_manifest_is_the_callers_own_copy(self, tmp_path):
         store = save_all(tmp_path, make_mappings())
-        crc = store.manifest_crc()
+        before = store.manifest()
         mine = store.manifest()
         mine["format"] = 99
         mine["columns"]["upoint"]["files"]["upoint.bin"]["count"] = 0
@@ -499,7 +505,7 @@ class TestManifestMemo:
         assert again["format"] == 1 and set(again["columns"]) == set(KINDS)
         assert again["columns"]["upoint"]["files"]["upoint.bin"]["count"] > 0
         col = store.load("upoint")
-        assert len(col.x0) > 0 and col.source.manifest_crc == crc
+        assert len(col.x0) > 0 and store.manifest() == before
         assert "bbox" in store.manifest()["columns"]
 
     def test_save_between_loads_is_seen(self, tmp_path):
@@ -507,10 +513,11 @@ class TestManifestMemo:
         store = ColumnStore(os.fspath(tmp_path))
         store.save("upoint", UPointColumn.from_mappings(mappings), fleet_version=1)
         first = store.load("upoint")
+        before = store.manifest()
         store.save("bbox", KINDS["bbox"].from_mappings(mappings))
         second = store.load("upoint")
-        assert second.source.manifest_crc == store.manifest_crc()
-        assert second.source.manifest_crc != first.source.manifest_crc
+        assert _bytes_of(second) == _bytes_of(first)
+        assert store.manifest() != before
         assert "bbox" in store.manifest()["columns"]
         grown = mappings + make_mappings(3, seed=11)
         store.save("upoint", UPointColumn.from_mappings(grown), fleet_version=2)
@@ -523,13 +530,13 @@ class TestManifestMemo:
         bound = _parse_manifest.cache_info().maxsize
         assert bound is not None
         column = KINDS["bbox"].from_mappings(make_mappings(2))
-        crcs = set()
+        versions = set()
         for i in range(bound + 8):
             store = ColumnStore(os.fspath(tmp_path / f"s{i}"))
             store.save("bbox", column, fleet_version=i)
-            crcs.add(store.manifest_crc())
+            versions.add(store.fleet_version("bbox"))
         info = _parse_manifest.cache_info()
-        assert len(crcs) == bound + 8  # every manifest was a distinct one
+        assert len(versions) == bound + 8  # every manifest was a distinct one
         assert info.currsize == bound
 
 
@@ -553,7 +560,7 @@ class TestViewLifetime:
         manager.persist()
         manager.evict_all()
         col = manager.column(0, "upoint")
-        assert col.source is not None
+        assert mapped(col)
         frozen = _bytes_of(col)
         assert manager.evict_all() == 1
         gc.collect()

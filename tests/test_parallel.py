@@ -486,14 +486,19 @@ class TestSqlWiring:
 
 
 # ---------------------------------------------------------------------------
-# Worker attach table: one store, two column kinds, one mmap:// name
+# Worker attach table: store-loaded columns travel the one shm transport
 # ---------------------------------------------------------------------------
 
 
 class TestAttachTableKeyedByKind:
-    """The ``upoint`` and ``bbox`` columns of one store-backed fleet
-    share an ``mmap://<crc>:<root>`` descriptor name; a worker that has
-    attached one must not serve it for the other."""
+    """The ``upoint`` and ``bbox`` columns mapped from one store reach
+    workers the way every column does, packed into shared memory: each
+    kind gets a segment of its own, and a worker's attach table holds
+    one entry per segment name."""
+
+    CUBE = Cube(-500, -500, 0, 500, 500, 80)
+    RECT = Rect(-800, -800, 800, 800)
+    REGION = regular_polygon((0.0, 0.0), 600.0, 12)
 
     @pytest.fixture
     def store_columns(self, tmp_path):
@@ -503,9 +508,10 @@ class TestAttachTableKeyedByKind:
         store = ColumnStore(str(tmp_path))
         fleet = Fleet(make_fleet(30))
         for kind in ("upoint", "bbox"):  # persist both kinds, then reopen
-            store.rebuild(kind, fleet, fleet.stamp)  # from one generation
+            store.rebuild(kind, fleet, fleet.stamp)
         up, bb = store.load("upoint"), store.load("bbox")
-        assert up.source.manifest_crc == bb.source.manifest_crc
+        for col in (up, bb):  # read-only views over the store files
+            assert not any(a.flags.writeable for a in col.arrays())
         pool._ATTACHED.clear()
         yield up, bb
         pool._ATTACHED.clear()
@@ -516,22 +522,22 @@ class TestAttachTableKeyedByKind:
 
         up, bb = store_columns
         d_up, d_bb = shmcol.shared_descriptor(up), shmcol.shared_descriptor(bb)
-        assert d_up[1] == d_bb[1] and d_up[0] != d_bb[0]
-        cube = Cube(-500, -500, 0, 500, 500, 80)
+        assert (d_up[0], d_bb[0]) == ("upoint", "bbox")
+        assert d_up[1] != d_bb[1]
         n = len(up)
         for _ in range(2):  # second lap is served from the attach table
             (xs, ys, defined), _snap = pool.run_task(
                 ("atinstant", d_up, 0, n, (40.0,), False)
             )
             mask, _snap = pool.run_task(
-                ("bbox_filter", d_bb, 0, n, (cube,), False)
+                ("bbox_filter", d_bb, 0, n, (self.CUBE,), False)
             )
             ex, ey, ed = atinstant_batch(up, 40.0)
             assert np.array_equal(defined, ed)
             assert np.array_equal(xs[defined], ex[ed])
             assert np.array_equal(ys[defined], ey[ed])
-            assert np.array_equal(mask, bbox_filter_batch(bb, cube))
-        assert len(pool._ATTACHED) == 2
+            assert np.array_equal(mask, bbox_filter_batch(bb, self.CUBE))
+        assert sorted(pool._ATTACHED) == sorted([d_up[1], d_bb[1]])
 
     @pytest.mark.skipif(
         "fork" not in __import__("multiprocessing").get_all_start_methods(),
@@ -540,18 +546,39 @@ class TestAttachTableKeyedByKind:
     def test_alternating_ops_never_fall_back(
         self, store_columns, small_min_objects
     ):
+        from repro.vector.backends import on_column
+
         up, bb = store_columns
-        cube = Cube(-500, -500, 0, 500, 500, 80)
-        ex, ey, ed = atinstant_batch(up, 40.0)
+        t, (t0, t1) = 40.0, (10.0, 60.0)
+        calls = [
+            (parallel_atinstant, up, (t,), "atinstant"),
+            (parallel_present, up, (t,), "present"),
+            (parallel_window_intervals, up, (self.RECT, t0, t1),
+             "window_intervals"),
+            (parallel_bbox_filter, bb, (self.CUBE,), "bbox_filter"),
+        ]
+
+        def as_bytes(out):
+            if isinstance(out, tuple):
+                return [np.asarray(a).tobytes() for a in out]
+            return [np.asarray(out).tobytes()]
+
+        expected = [
+            as_bytes(on_column(op, col, args, "vector"))
+            for _fn, col, args, op in calls
+        ]
+        inside = int(np.count_nonzero(
+            on_column("count_inside", up, (t, self.REGION), "vector")
+        ))
         with obs.capture() as counters:
             for _ in range(3):
-                xs, ys, defined = parallel_atinstant(up, 40.0, workers=2)
-                mask = parallel_bbox_filter(bb, cube, workers=2)
-                assert np.array_equal(defined, ed)
-                assert np.array_equal(xs[defined], ex[ed])
-                assert np.array_equal(mask, bbox_filter_batch(bb, cube))
+                for (fn, col, args, _op), want in zip(calls, expected):
+                    assert as_bytes(fn(col, *args, workers=2)) == want
+                assert parallel_count_inside(
+                    up, self.REGION, t, workers=2
+                ) == inside
         assert counters.get("parallel.fallback") == 0
-        assert counters.get("parallel.chunks") == 12
+        assert counters.get("parallel.chunks") == 3 * 5 * 2
 
 
 # ---------------------------------------------------------------------------

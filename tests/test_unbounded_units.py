@@ -13,6 +13,8 @@ from math import inf
 import numpy as np
 import pytest
 
+from repro.config import feq
+from repro.ops.window import WindowQueryEngine
 from repro.ranges.interval import Interval
 from repro.shard import ShardedFleet, ShardManager
 from repro.shard.exec import sharded_window_intervals
@@ -34,12 +36,9 @@ def still(s, e, lc=True, rc=False, x=5.0, y=5.0):
     return MovingPoint([UPoint(Interval(s, e, lc, rc), MPoint(x, 0.0, y, 0.0))])
 
 
-@pytest.fixture(autouse=True)
-def _quiet_numpy():
-    # A moving coordinate at ±∞ is ±∞ and a window kernel subtracts
-    # such bounds; those warnings are not what is under test.
-    with np.errstate(invalid="ignore"):
-        yield
+#: No lane of any path here may compute a NaN: numpy's warning on one
+#: fails the test.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def test_mpoint_at_infinity_keeps_a_still_coordinate():
@@ -104,3 +103,45 @@ def test_atinstant_batch_infinite_instant_moving_and_still():
     )
     assert defined.tolist() == [True, True]
     assert xs.tolist() == [inf, 5.0] and ys.tolist() == [7.0, 5.0]
+
+
+def test_equal_infinities_are_equal_within_tolerance():
+    assert feq(inf, inf) and feq(-inf, -inf)
+    assert not feq(inf, -inf) and not feq(inf, 1e300)
+
+
+#: An open end at ±∞ and the deftime the window answer must keep.
+OPEN_ENDS = [
+    pytest.param(still(0, inf, lc=True, rc=False), id="[0,inf)"),
+    pytest.param(still(-inf, 0, lc=False, rc=True), id="(-inf,0]"),
+]
+
+
+@pytest.mark.parametrize("m", OPEN_ENDS)
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_window_keeps_an_open_end_at_infinity(backend, m):
+    """The unit's flag is inherited at an infinite end as at a finite
+    one: a point inside the rect throughout is inside exactly over its
+    deftime, which does not contain its open end."""
+    engine = WindowQueryEngine()
+    engine.add(0, m)
+    rect = Rect(0, 0, 10, 10)
+    want = [(0, m.deftime())]
+    assert engine.query(rect, -inf, inf, backend=backend, workers=2) == want
+    assert engine.query_naive(rect, -inf, inf) == want
+
+
+def test_window_kernel_computes_no_nan_at_an_open_end():
+    """A still and a moving ``[0, ∞)`` unit: no lane multiplies ``0·∞``
+    (the still coordinate's displacement) or subtracts ``∞ − ∞`` (the
+    shared end), so no numpy warning fires."""
+    moving = MovingPoint([
+        UPoint(Interval(0, inf, True, False), MPoint(5.0, 1e-3, 5.0, 0.0))
+    ])
+    col = UPointColumn.from_mappings([still(0, inf), moving])
+    owners, a, b, lc, rc = window_intervals_batch(
+        col, Rect(0, 0, 10, 10), -inf, inf
+    )
+    assert owners.tolist() == [0, 1]
+    assert a.tolist() == [0.0, 0.0] and b.tolist() == [inf, 5000.0]
+    assert lc.tolist() == [True, True] and rc.tolist() == [False, True]
