@@ -994,13 +994,13 @@ GUARDED_BY: Dict[Tuple[str, str], Tuple[Guard, ...]] = {
     ("repro/server/executor.py", "FleetExecutor"): (
         Guard(
             lock="_lock",
-            attrs=("_fleets", "_unit_counts", "_dedup"),
+            attrs=("_fleets", "_unit_counts", "_dedup", "_db"),
             owners=(
-                # _fleet/_apply_one/_append_unit/_pinned_column document
-                # "caller holds the lock" and are only reached from
-                # public methods that take it.
+                # _fleet/_apply_one/_append_unit/_pinned_column/_database
+                # document "caller holds the lock" and are only reached
+                # from public methods that take it.
                 "__init__", "_fleet", "_apply_one", "_append_unit",
-                "_pinned_column",
+                "_pinned_column", "_database",
             ),
         ),
         Guard(lock="_lat_lock", attrs=("_latencies",), owners=("__init__",)),

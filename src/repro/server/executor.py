@@ -24,7 +24,9 @@ moved-on fleet.
 from __future__ import annotations
 
 from collections import OrderedDict, deque
-from typing import Any, Deque, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Any, Deque, Dict, Iterator, List, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
@@ -32,14 +34,16 @@ from repro import deadline as deadline_mod
 from repro import faults, obs
 from repro.analysis import dynlock
 from repro.deadline import Deadline
-from repro.db.catalog import Database
-from repro.db.script import StatementResult, run_script
 from repro.errors import InvalidValue, QueryError, StorageError
 from repro.temporal.mapping import MovingPoint
 from repro.temporal.upoint import UPoint
 from repro.vector import backends
 from repro.vector.cache import Fleet, advance_column, column_for_versioned
 from repro.vector.columns import KINDS
+
+if TYPE_CHECKING:
+    from repro.db.catalog import Database
+    from repro.db.script import StatementResult
 
 __all__ = ["FleetExecutor", "Snapshot", "SnapshotRows"]
 
@@ -117,7 +121,9 @@ class FleetExecutor:
         self._fleets: Dict[str, Fleet] = {}
         # Units per fleet, kept incrementally so STATS is O(fleets).
         self._unit_counts: Dict[str, int] = {}
-        self._db = db if db is not None else Database("server")
+        # The SQL engine loads with the first QUERY / EXPLAIN (``_database``):
+        # a server that only serves SNAPSHOT and INGEST never imports it.
+        self._db = db
         self._latencies: Deque[float] = deque(maxlen=_LATENCY_WINDOW)
         # Idempotency table: seq token -> the unit count the original
         # apply returned.  Replay repopulates it (tokens ride in the WAL
@@ -126,6 +132,16 @@ class FleetExecutor:
 
     @property
     def db(self) -> Database:
+        """The server's SQL database, the same object on every call."""
+        with self._lock:
+            return self._database()
+
+    def _database(self) -> Database:
+        """The database, created on first use.  Caller holds the lock."""
+        if self._db is None:
+            from repro.db.catalog import Database
+
+            self._db = Database("server")
         return self._db
 
     # -- fleet registry ---------------------------------------------------
@@ -251,9 +267,11 @@ class FleetExecutor:
         """
         if deadline is not None:
             deadline.check()
+        from repro.db.script import run_script
+
         with self._lock:
             with deadline_mod.active(deadline):
-                return run_script(self._db, sql)
+                return run_script(self._database(), sql)
 
     def explain_sql(
         self, sql: str, deadline: Optional[Deadline] = None

@@ -43,6 +43,15 @@ from repro.vector.columns import column_class
 from repro.vector.store import ColumnStore
 
 
+def _derive_from(kind: str, built: Dict[str, Any]) -> Dict[str, Any]:
+    """Build arguments for ``kind`` given the shard's columns ``built``
+    so far: the boxes derive from the unit column when that is in hand,
+    not from a second walk over the shard's units."""
+    if kind == "bbox" and "upoint" in built:
+        return {"upoint": built["upoint"]}
+    return {}
+
+
 class _Resident:
     """One shard's mapped state: columns by kind and their cost."""
 
@@ -193,14 +202,9 @@ class ShardManager:
             shard = self.fleet.shards[s]
             built: Dict[str, Any] = {}
             for kind in kinds:
-                # The boxes derive from the unit column when that is in
-                # hand, not from a second walk over the shard's units.
-                derive = (
-                    {"upoint": built["upoint"]}
-                    if kind == "bbox" and "upoint" in built else {}
-                )
                 built[kind] = st.load_or_rebuild(
-                    kind, shard, fleet_version=shard.stamp, **derive
+                    kind, shard, fleet_version=shard.stamp,
+                    **_derive_from(kind, built),
                 )
 
     def verify_and_repair(self, kinds: Tuple[str, ...] = ("upoint",)) -> List[int]:
@@ -225,8 +229,12 @@ class ShardManager:
                         continue
                 except (CorruptColumnError, StorageError, OSError):
                     pass
+                built: Dict[str, Any] = {}
                 for kind in kinds:
-                    st.save(kind, column_class(kind).from_mappings(shard), shard.stamp)
+                    built[kind] = column_class(kind).from_mappings(
+                        shard, **_derive_from(kind, built)
+                    )
+                    st.save(kind, built[kind], shard.stamp)
                 # The rebuilt files replace whatever the resident entry
                 # was mapped over; drop it so the next map is clean.
                 self._resident.evict(s)

@@ -138,9 +138,16 @@ class Mapping(Generic[V]):
         if self._units and unit.sort_key() < self._units[-1].sort_key():
             return type(self)([*self._units, unit])
         self._check_invariants([*self._units[-1:], unit])
-        m = type(self).__new__(type(self))
-        object.__setattr__(m, "_units", (*self._units, unit))
-        object.__setattr__(m, "_starts", [*self._starts, unit.interval.s])
+        return self._assembled((*self._units, unit), [*self._starts, unit.interval.s])
+
+    @classmethod
+    def _assembled(cls, units: tuple, starts: List[Any]) -> "Mapping[V]":
+        """A mapping over ``units`` as given, neither sorted nor checked:
+        the caller guarantees they are in unit order and satisfy the
+        invariants, and ``starts`` holds their start instants."""
+        m = cls.__new__(cls)
+        object.__setattr__(m, "_units", units)
+        object.__setattr__(m, "_starts", starts)
         return m
 
     # -- container protocol ------------------------------------------------
@@ -443,19 +450,31 @@ class MovingPoint(Mapping[Point]):
         Consecutive samples are joined by linear units; the track is
         defined on the closed span ``[t0, tn]``.  Repeated positions
         produce stationary units.
+
+        One pass, no re-sort and no pairwise re-check: with strictly
+        increasing times the legs ``[t0, t1], (t1, t2], …`` are already
+        in unit order, disjoint and each adjacent to the next, so the
+        only invariant left is minimality — a leg whose ``MPoint``
+        equals the previous unit's (a constant-speed straight run, or
+        a repeated stationary position) extends that unit, the merge
+        :meth:`Mapping.normalized` would make.
         """
         wps = sorted(waypoints, key=lambda w: w[0])
         if len(wps) < 2:
             raise InvalidValue("a waypoint track needs at least two samples")
-        units = []
-        for k, ((t0, p0), (t1, p1)) in enumerate(zip(wps, wps[1:])):
+        units: List[UPoint] = []
+        lc = True
+        for (t0, p0), (t1, p1) in zip(wps, wps[1:]):
             if t1 <= t0:
                 raise InvalidValue("waypoint times must strictly increase")
-            lc = k == 0
-            units.append(
-                UPoint.between(t0, tuple(p0), t1, tuple(p1), lc=lc, rc=True)
-            )
-        return cls.normalized(units)
+            leg = UPoint.between(t0, tuple(p0), t1, tuple(p1), lc=lc, rc=True)
+            lc = False
+            if units and units[-1].motion == leg.motion:
+                last = units[-1]
+                units[-1] = last.with_interval(last.interval.merge(leg.interval))
+            else:
+                units.append(leg)
+        return cls._assembled(tuple(units), [u.interval.s for u in units])
 
     def trajectory(self) -> Line:
         """``trajectory``: the line swept in the plane (Section 2).

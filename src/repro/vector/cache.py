@@ -44,6 +44,7 @@ from typing import Any, Deque, Hashable, Iterable, List, Optional, Tuple
 from repro import config, obs
 from repro.analysis import dynlock
 from repro.residency import Residency
+from repro.temporal.mapping import MovingPoint
 from repro.vector.columns import KINDS, column_class
 
 
@@ -241,7 +242,15 @@ class ColumnCache:
             version = fleet.version
             column = self.lookup(fleet, kind)
             if column is None:
-                column = cls.from_mappings(fleet)
+                if kind == "bbox" and all(
+                    isinstance(m, MovingPoint) for m in fleet.members()
+                ):
+                    # Moving points' boxes are array work over their
+                    # unit column: reuse (or build and keep) that entry.
+                    version, upoint = self.get_versioned(fleet, "upoint")
+                    column = cls.from_upoint(upoint)
+                else:
+                    column = cls.from_mappings(fleet)
                 self.keep(fleet, kind, version, column)
             return version, column
 

@@ -17,6 +17,7 @@ just another view of the Section-4 on-disk structure.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -35,6 +36,8 @@ from repro.temporal.ureal import UReal
 OFFSETS_DTYPE = np.dtype("<i8")
 #: The interval quadruple every unit record starts with.
 _INTERVAL = [("s", "<f8"), ("e", "<f8"), ("lc", "?"), ("rc", "?")]
+#: Where a unit holds those four fields.
+_INTERVAL_SOURCES = tuple(f"_interval.{f}" for f, _ in _INTERVAL)
 
 _STRUCT_CODES = {"<f8": "d", "|b1": "?", "<i8": "q"}
 
@@ -116,10 +119,12 @@ class UnitColumn(Column):
 
     A subclass declares what its unit is — ``KIND``, ``FILES``, the record
     ``UNIT_DTYPE`` (interval quadruple ``s, e, lc, rc`` first) and its
-    ``MAPPING`` class — and the transcription pair ``_rows(units) ->
-    rows`` / ``_from_rows(rows) -> units``, called once per fleet so the
-    per-unit Python stays one comprehension.  Everything that only moves
-    arrays around is written once here, driven by the dtype's field names.
+    ``MAPPING`` class — and how to transcribe it: ``SOURCES``, the unit
+    attribute path each record field is read from (``from_mappings``
+    fills every field array with one ``np.fromiter`` over the units),
+    and ``_from_rows(rows) -> units`` for the way back.  Everything that
+    only moves arrays around is written once here, driven by the dtype's
+    field names.
     """
 
     __slots__ = ("offsets", "starts", "ends", "lc", "rc", "_depth")
@@ -127,6 +132,8 @@ class UnitColumn(Column):
     #: numpy layout of one unit record, byte-identical to ``UNIT_FORMAT``.
     UNIT_DTYPE: np.dtype
     MAPPING: type
+    #: Per ``UNIT_DTYPE`` field, the attribute path of a unit it holds.
+    SOURCES: Tuple[str, ...]
     #: struct layout of one root record (a unit-count offset).
     ROOT_FORMAT = _struct_format(np.dtype([("n", OFFSETS_DTYPE)]))
 
@@ -205,8 +212,14 @@ class UnitColumn(Column):
                 raise InvalidValue(
                     f"{cls.__name__} holds {cls.KIND} units, got {t.__name__}"
                 )
-        rec = np.array(cls._rows(units), dtype=cls.UNIT_DTYPE)
-        return cls(_as_offsets(counts), *(rec[name] for name in rec.dtype.names))
+        dtype, n = cls.UNIT_DTYPE, len(units)
+        return cls(
+            _as_offsets(counts),
+            *(
+                np.fromiter(map(attrgetter(path), units), dtype[name], n)
+                for name, path in zip(dtype.names, cls.SOURCES, strict=True)
+            ),
+        )
 
     def to_mappings(self) -> List:
         """Materialize the column back into ``MAPPING`` objects."""
@@ -379,13 +392,9 @@ class UPointColumn(UnitColumn):
     MAPPING = MovingPoint
     __slots__ = UNIT_DTYPE.names[4:]
 
-    @staticmethod
-    def _rows(units: Sequence[UPoint]) -> List[tuple]:
-        return [
-            (iv.s, iv.e, iv.lc, iv.rc, mo.x0, mo.x1, mo.y0, mo.y1)
-            for u in units
-            for iv, mo in [(u.interval, u.motion)]
-        ]
+    SOURCES = _INTERVAL_SOURCES + tuple(
+        f"_motion.{f}" for f in ("x0", "x1", "y0", "y1")
+    )
 
     @staticmethod
     def _from_rows(rows: Sequence[tuple]) -> List[UPoint]:
@@ -443,13 +452,7 @@ class URealColumn(UnitColumn):
     MAPPING = MovingReal
     __slots__ = UNIT_DTYPE.names[4:]
 
-    @staticmethod
-    def _rows(units: Sequence[UReal]) -> List[tuple]:
-        return [
-            (iv.s, iv.e, iv.lc, iv.rc, *u.coefficients)
-            for u in units
-            for iv in [u.interval]
-        ]
+    SOURCES = _INTERVAL_SOURCES + ("_a", "_b", "_c", "_r")
 
     @staticmethod
     def _from_rows(rows: Sequence[tuple]) -> List[UReal]:

@@ -398,7 +398,9 @@ def _window_spans(
     closed (``True``), which is what the ``ok`` lanes inherit there.
     """
     s, e = col.starts[lanes], col.ends[lanes]
-    duration = e - s
+    # A degenerate unit lasts 0: subtracting its equal ends would be
+    # ``∞ − ∞`` = NaN for one at infinity.
+    duration = np.subtract(e, s, out=np.zeros(len(s)), where=e != s)
 
     def axis(
         c0: np.ndarray, c1: np.ndarray, lo: float, hi: float

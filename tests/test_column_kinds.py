@@ -23,6 +23,7 @@ from repro.shard import ShardedFleet, ShardManager
 from repro.spatial.point import Point
 from repro.storage.records import MovingPointCodec, MovingRealCodec
 from repro.temporal.mapping import MovingPoint, MovingReal
+from repro.temporal.mseg import MPoint
 from repro.temporal.upoint import UPoint
 from repro.temporal.ureal import UReal
 from repro.vector.columns import (
@@ -162,6 +163,92 @@ class TestProtocol:
         spliced = cls.from_mappings(old).extended(tuple(current), changed)
         rebuilt = cls.from_mappings(current)
         same_arrays(spliced, rebuilt)
+
+
+def _record_reference(cls, mappings):
+    """The unit records as one structured array built from a tuple per
+    unit — the transcription ``from_mappings`` fills field by field."""
+    rows = []
+    for m in mappings:
+        for u in m.units:
+            iv = u.interval
+            rows.append((iv.s, iv.e, iv.lc, iv.rc, *u.coefficients))
+    return np.array(rows, dtype=cls.UNIT_DTYPE)
+
+
+#: Bounds and coefficients that a value-equal but bit-different
+#: transcription would get wrong: signed zeros and infinite bounds.
+_BOUND = st.one_of(
+    st.floats(-1e6, 1e6), st.sampled_from([-0.0, 0.0, float("inf"), float("-inf")])
+)
+_COEF = st.one_of(st.floats(-1e3, 1e3), st.sampled_from([-0.0, 0.0]))
+
+
+@st.composite
+def _unit_fleets(draw, kind):
+    """Mappings of ``kind`` units over disjoint, non-adjacent intervals
+    with every closure combination (a degenerate one closed)."""
+    out = []
+    for _ in range(draw(st.integers(0, 4))):
+        cuts = sorted(set(draw(st.lists(_BOUND, max_size=6))))
+        units = []
+        for s, e in zip(cuts[::2], cuts[1::2]):
+            if draw(st.booleans()) and abs(s) != float("inf"):
+                e, lc, rc = s, True, True
+            else:
+                lc, rc = draw(st.booleans()), draw(st.booleans())
+            iv = Interval(s, e, lc, rc)
+            if kind == "upoint":
+                units.append(UPoint(iv, MPoint(*draw(st.tuples(*[_COEF] * 4)))))
+            else:
+                # A root over an unbounded interval cannot be checked
+                # nonnegative (0·∞), so the constructor refuses it there.
+                r = draw(st.booleans()) and abs(s) != float("inf") != abs(e)
+                a, b, c = (0.0, 0.0, draw(st.floats(0, 1e3))) if r else draw(
+                    st.tuples(*[_COEF] * 3)
+                )
+                units.append(UReal(iv, a, b, c, r))
+        out.append(KINDS[kind].MAPPING(units))
+    return out
+
+
+@pytest.mark.parametrize("kind", ["upoint", "ureal"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_from_mappings_is_the_record_array_field_by_field(kind, data):
+    cls = KINDS[kind]
+    mappings = data.draw(_unit_fleets(kind))
+    col = cls.from_mappings(mappings)
+    ref = _record_reference(cls, mappings)
+    assert col.offsets.tolist() == [0, *np.cumsum([len(m) for m in mappings]).tolist()]
+    for attr, name in zip(cls.FIELDS, cls.UNIT_DTYPE.names):
+        got = getattr(col, attr)
+        assert got.dtype == ref.dtype[name], name
+        assert got.tobytes() == np.ascontiguousarray(ref[name]).tobytes(), name
+
+
+def test_from_mappings_keeps_signed_zeros_infinities_and_every_flag_pair():
+    flags = [(True, True), (True, False), (False, True), (False, False)]
+    inf = float("inf")
+    points = MovingPoint([
+        UPoint(Interval(-inf, -1.0, lc, rc), MPoint(-0.0, 0.0, 1.0, -0.0))
+        if k == 0 else
+        UPoint(Interval(2.0 * k, 2.0 * k + 1, lc, rc), MPoint(-0.0, 1.5, -0.0, 0.0))
+        for k, (lc, rc) in enumerate(flags)
+    ] + [UPoint(Interval(10.0, inf, True, False), MPoint(0.0, -0.0, 3.0, 0.0))])
+    reals = MovingReal([
+        UReal(Interval(2.0 * k, 2.0 * k + 1, lc, rc), -0.0, 0.0, -0.0)
+        for k, (lc, rc) in enumerate(flags)
+    ] + [UReal(Interval(8.0, 9.0), 0.0, -0.0, 4.0, r=True),
+         UReal(Interval(inf, inf), 0.0, -0.0, 4.0)])
+    for cls, m in ((UPointColumn, points), (URealColumn, reals)):
+        col = cls.from_mappings([m])
+        ref = _record_reference(cls, [m])
+        for attr, name in zip(cls.FIELDS, cls.UNIT_DTYPE.names):
+            assert getattr(col, attr).tobytes() == np.ascontiguousarray(ref[name]).tobytes()
+        assert np.signbit(getattr(col, cls.FIELDS[4])).tolist()[:4] == [True] * 4
+        assert col.lc.tolist()[:4] == [lc for lc, _ in flags]
+        assert col.rc.tolist()[:4] == [rc for _, rc in flags]
 
 
 DARRAY_FLEET = [

@@ -1,6 +1,11 @@
 """Tests for the mapping constructor — the sliced representation (Sec. 3.2.4)."""
 
+import math
+import struct
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.base.values import BoolVal, IntVal, RealVal
 from repro.errors import InvalidValue, UndefinedValue
@@ -218,3 +223,106 @@ class TestMovingPoint:
         mp = MovingPoint.from_waypoints([(0, (0, 0)), (10, (4, 2))])
         c = mp.bounding_cube()
         assert (c.tmin, c.tmax) == (0, 10)
+
+
+
+def reference_from_waypoints(waypoints):
+    """``from_waypoints`` as the sliced representation defines it: one
+    ``UPoint.between`` leg per consecutive pair of time-sorted samples,
+    then ``Mapping.normalized`` (re-sort, merge equal adjacent
+    functions, full validation)."""
+    wps = sorted(waypoints, key=lambda w: w[0])
+    if len(wps) < 2:
+        raise InvalidValue("a waypoint track needs at least two samples")
+    units = []
+    for k, ((t0, p0), (t1, p1)) in enumerate(zip(wps, wps[1:])):
+        if t1 <= t0:
+            raise InvalidValue("waypoint times must strictly increase")
+        units.append(UPoint.between(t0, tuple(p0), t1, tuple(p1), lc=k == 0, rc=True))
+    return MovingPoint.normalized(units)
+
+
+def _bits(v):
+    """A float's bytes: ``-0.0`` and ``0.0`` differ."""
+    return struct.pack("<d", v) if isinstance(v, float) else v
+
+
+def _record(m):
+    """Every field of every unit, plus the start index, bit for bit."""
+    units = [
+        tuple(map(_bits, (u.interval.s, u.interval.e, u.interval.lc, u.interval.rc,
+                          *u.coefficients)))
+        for u in m.units
+    ]
+    return units, [_bits(s) for s in m._starts]
+
+
+def _outcome(build, waypoints):
+    try:
+        return ("ok", _record(build(waypoints)))
+    except InvalidValue as exc:
+        return ("raises", type(exc), str(exc))
+
+
+#: Small integers keep the arithmetic exact, so collinear constant-speed
+#: samples give equal ``MPoint``s and merge.  One draw in eight is a
+#: value that must be refused (NaN, ±∞) or a signed zero.
+_SPECIAL = [-0.0, math.nan, math.inf, -math.inf]
+
+
+def _maybe_special(draw, value):
+    return draw(st.sampled_from(_SPECIAL)) if draw(st.integers(0, 7)) == 0 else value
+
+
+@st.composite
+def waypoint_tracks(draw):
+    """Samples in any order: on one constant-velocity line, repeated
+    (stationary legs), or anywhere; a time may repeat or be non-finite."""
+    n = draw(st.integers(0, 8))
+    times = [float(t) for t in draw(
+        st.lists(st.integers(-3, 30), min_size=n, max_size=n, unique=True)
+    )]
+    if times and draw(st.integers(0, 5)) == 0:
+        times[-1] = draw(st.sampled_from([times[0], *_SPECIAL]))
+    vx, vy, cx, cy = draw(st.tuples(*[st.integers(-2, 2).map(float)] * 4))
+    track = []
+    for t in times:
+        how = draw(st.sampled_from(["line", "line", "repeat", "free"]))
+        if how == "line":
+            p = (cx + vx * t, cy + vy * t)
+        elif how == "repeat" and track:
+            p = track[-1][1]
+        else:
+            p = (
+                _maybe_special(draw, float(draw(st.integers(-4, 4)))),
+                _maybe_special(draw, float(draw(st.integers(-4, 4)))),
+            )
+        track.append((t, p))
+    return draw(st.permutations(track))
+
+
+class TestFromWaypointsOnePass:
+    """``from_waypoints`` builds its mapping in one pass; it must equal
+    the two-pass reference bit for bit, errors included."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(waypoint_tracks())
+    @example([(2.0, (4.0, 4.0)), (0.0, (0.0, 0.0)), (1.0, (2.0, 2.0))])  # unsorted, merges
+    @example([(0.0, (1.0, 1.0)), (1.0, (1.0, 1.0)), (2.0, (1.0, 1.0))])  # still, merges
+    @example([(0.0, (0.0, 0.0)), (1.0, (1.0, 1.0)), (2.0, (1.0, 1.0))])  # moving, still
+    @example([(0.0, (0.0, 0.0)), (0.0, (1.0, 1.0))])  # equal times
+    @example([(0.0, (0.0, 0.0)), (math.nan, (1.0, 1.0))])  # NaN time
+    @example([(0.0, (0.0, 0.0)), (1.0, (math.nan, 1.0))])  # NaN position
+    @example([(0.0, (0.0, 0.0)), (math.inf, (1.0, 1.0))])  # unbounded leg
+    @example([(0.0, (0.0, 0.0))])  # one sample
+    @example([])
+    def test_equals_normalized_legs(self, waypoints):
+        assert _outcome(MovingPoint.from_waypoints, waypoints) == _outcome(
+            reference_from_waypoints, waypoints
+        )
+
+    def test_collinear_run_is_one_unit(self):
+        mp = MovingPoint.from_waypoints([(t, (2.0 * t, 1.0)) for t in (3.0, 0.0, 1.0, 2.0)])
+        assert len(mp.units) == 1
+        assert mp.units[0].interval == Interval(0.0, 3.0, True, True)
+        assert mp == reference_from_waypoints([(t, (2.0 * t, 1.0)) for t in range(4)])

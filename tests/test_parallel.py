@@ -130,8 +130,31 @@ class TestFleetCache:
             column_for(fleet, "bbox")
         finally:
             obs.disable()
+        # One miss per kind; the bbox build reads the upoint entry (a
+        # hit) besides the two repeated reads.
         assert obs.get("colcache.misses") == 2
-        assert obs.get("colcache.hits") == 2
+        assert obs.get("colcache.hits") == 3
+
+    def test_bbox_derives_from_the_cached_upoint_column(self):
+        members = make_fleet(12)
+        fleet = Fleet(members)
+        obs.reset()
+        obs.enable()
+        try:
+            box = column_for(fleet, "bbox")
+            col = column_for(fleet, "upoint")
+        finally:
+            obs.disable()
+        # The bbox miss built the unit column and kept it: the second
+        # read is a hit, and no unit was transcribed twice.
+        assert obs.get("colcache.misses") == 2
+        assert obs.get("colcache.hits") == 1
+        ref = BBoxColumn.from_cubes(
+            [(k, m.bounding_cube()) for k, m in enumerate(members)]
+        )
+        for a, b in zip([box.keys, *box.arrays()], [ref.keys, *ref.arrays()]):
+            assert a.tobytes() == b.tobytes()
+        assert col.n_objects == len(members)
 
     def test_plain_sequences_bypass_cache(self):
         fleet = make_fleet(4)

@@ -306,7 +306,7 @@ class TestExecutorDedup:
     def test_query_sql_binds_the_deadline_thread_locally(self):
         ex = FleetExecutor()
         seen = {}
-        orig = ex._db
+        orig = ex.db  # created on first use
 
         class Probe:
             def __getattr__(self, name):

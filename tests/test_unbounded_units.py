@@ -14,8 +14,9 @@ import numpy as np
 import pytest
 
 from repro.config import feq
-from repro.ops.window import WindowQueryEngine
+from repro.ops.window import WindowQueryEngine, upoint_within_rect_times
 from repro.ranges.interval import Interval
+from repro.ranges.rangeset import RangeSet
 from repro.shard import ShardedFleet, ShardManager
 from repro.shard.exec import sharded_window_intervals
 from repro.spatial.bbox import Cube, Rect
@@ -145,3 +146,32 @@ def test_window_kernel_computes_no_nan_at_an_open_end():
     assert owners.tolist() == [0, 1]
     assert a.tolist() == [0.0, 0.0] and b.tolist() == [inf, 5000.0]
     assert lc.tolist() == [True, True] and rc.tolist() == [False, True]
+
+
+#: A degenerate unit at infinity: ``Interval`` accepts ``[∞, ∞]``.
+AT_INFINITY = [
+    pytest.param(inf, id="[inf,inf]"),
+    pytest.param(-inf, id="[-inf,-inf]"),
+]
+
+
+@pytest.mark.parametrize("t", AT_INFINITY)
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_window_over_a_degenerate_unit_at_infinity(backend, t):
+    """The unit lasts 0, so no lane subtracts its equal ends (``∞ − ∞``);
+    every backend answers the instant itself, as the scalar refinement
+    of the one unit does."""
+    unit = UPoint(Interval(t, t, True, True), MPoint(5.0, 0.0, 5.0, 0.0))
+    m = MovingPoint([unit])
+    rect = Rect(0, 0, 10, 10)
+    want = upoint_within_rect_times(unit, rect)
+    assert want == Interval(t, t, True, True)
+    owners, a, b, lc, rc = window_intervals_batch(
+        UPointColumn.from_mappings([m]), rect, -inf, inf
+    )
+    assert owners.tolist() == [0]
+    assert (a[0], b[0], lc[0], rc[0]) == (want.s, want.e, want.lc, want.rc)
+    engine = WindowQueryEngine()
+    engine.add(0, m)
+    got = engine.query(rect, -inf, inf, backend=backend, workers=2)
+    assert got == [(0, RangeSet([want]))]
