@@ -6,7 +6,10 @@ prints two medians — spawn to the listening line, and spawn to the
 first whole-fleet SNAPSHOT reply (the column is built on that read) —
 then the same boot split in a fresh interpreter, ``k`` times: importing
 what ``cmd_serve`` imports, generating the fleet, and the first
-SNAPSHOT's column build.  Report only, nothing asserted::
+SNAPSHOT's column build, plus the generation's µs per unit and the
+tracemalloc bytes per unit of the generated objects (measured on a
+second, traced generation of at most 2 000 flights, after the timings).
+Report only, nothing asserted::
 
     PYTHONPATH=src python benchmarks/bench_boot.py [--objects 10000] [--seed 2000] [-k 5]
 
@@ -34,7 +37,7 @@ FLEET = "fleet"
 #: The in-process split, run in a fresh interpreter so the imports are
 #: cold: ``{imports}`` is ``cmd_serve``'s import statements.
 SPLIT = """
-import json, time
+import json, time, tracemalloc
 tic = time.perf_counter()
 {imports}
 imported = time.perf_counter()
@@ -45,8 +48,16 @@ executor = FleetExecutor()
 executor.register_fleet("fleet", mappings)
 executor.snapshot_rows("fleet", 0.0)
 built = time.perf_counter()
+units = sum(len(m.units) for m in mappings)
+gen = FlightGenerator(seed={seed})
+tracemalloc.start()
+sample = [gen.flight(legs=4) for _ in range(min({objects}, 2000))]
+traced = tracemalloc.get_traced_memory()[0]
+tracemalloc.stop()
 print(json.dumps({{"imports_s": imported - tic, "generate_s": generated - imported,
-                   "column_s": built - generated}}))
+                   "column_s": built - generated,
+                   "generate_us_per_unit": (generated - imported) / units * 1e6,
+                   "bytes_per_unit": traced / sum(len(m.units) for m in sample)}}))
 """
 
 
@@ -121,7 +132,8 @@ def test_boot_report_runs():
     reading, not asserting."""
     stats = measure(200, 2000, 1)
     assert 0 < stats["listening_s"] <= stats["first_reply_s"]
-    assert all(stats[n] > 0 for n in ("imports_s", "generate_s", "column_s"))
+    assert all(stats[n] > 0 for n in (
+        "imports_s", "generate_s", "column_s", "generate_us_per_unit", "bytes_per_unit"))
 
 
 if __name__ == "__main__":
@@ -134,4 +146,7 @@ if __name__ == "__main__":
     print(f"boot of repro serve --objects {args.objects} --seed {args.seed}, "
           f"median of {args.k}")
     for name, value in stats.items():
-        print(f"  {name:14s} {value:7.3f} s")
+        if name.endswith("_s"):
+            print(f"  {name:20s} {value:7.3f} s")
+        else:
+            print(f"  {name:20s} {value:7.1f}")

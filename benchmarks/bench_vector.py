@@ -11,14 +11,21 @@ that are tracked over time are ``kernels.*`` / ``fleet.*`` of
 ``benchmarks/e2e/run.py --workload api_scan_warm``.
 
 Run as a script, it prints the batch kernels' per-call cost and the
-ingest apply's per-batch column advance — report only, nothing
-asserted — so one command gives a before/after of a kernel change::
+ingest apply's per-batch column advance, then the minor page faults
+per call of ``atinstant_batch`` and ``window_intervals_batch`` at 20k
+flights, each in a fresh interpreter: its first call and its median
+call after warm-up — report only, nothing asserted — so one command
+gives a before/after of a kernel change::
 
     PYTHONPATH=src python benchmarks/bench_vector.py
 """
 
+import json
 import random
+import resource
 import statistics
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -28,7 +35,12 @@ from repro.temporal.mapping import MovingPoint
 from repro.temporal.upoint import UPoint
 from repro.vector.cache import ColumnCache, Fleet, clear_cache, column_for
 from repro.vector.columns import BBoxColumn, UPointColumn
-from repro.vector.kernels import atinstant_batch, bbox_filter_batch, window_times_batch
+from repro.vector.kernels import (
+    atinstant_batch,
+    bbox_filter_batch,
+    window_intervals_batch,
+    window_times_batch,
+)
 
 FLEET_SIZE = 10_000
 LEGS = 4
@@ -245,6 +257,44 @@ def kernel_report(scale: float = 1.0) -> dict:
     return report
 
 
+def _minor_faults(fn) -> int:
+    """Minor page faults this process takes during one ``fn()``."""
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    fn()
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+
+FAULT_KERNELS = ("atinstant_batch", "window_intervals_batch")
+
+
+def fault_report(kernel: str, count: int = 20_000, rounds: int = 20) -> dict:
+    """Minor page faults of one ``kernel`` call over ``count`` flights:
+    the first call in this process, and the median of ``rounds`` calls
+    after ``rounds`` warm-up calls.
+
+    ``atinstant_batch`` runs at the middle of the column's time span,
+    ``window_intervals_batch`` with a window covering the whole fleet
+    in space and time.  Called first thing in a fresh interpreter (the
+    script does), "first" is a fresh process's first call.
+    """
+    col = waypoint_column(count)
+    t_end = float(col.ends.max())
+    if kernel == "atinstant_batch":
+        def call():
+            return atinstant_batch(col, t_end / 2)
+    else:
+        world = Rect(-1e6, -1e6, 1e6, 1e6)
+
+        def call():
+            return window_intervals_batch(col, world, 0.0, t_end)
+    first = _minor_faults(call)
+    for _ in range(rounds):
+        call()
+    warm = statistics.median(_minor_faults(call) for _ in range(rounds))
+    label = f"{kernel} {count // 1000}k flights"
+    return {f"{label} first": first, f"{label} warm": warm}
+
+
 # -- pytest entry points ------------------------------------------------------
 
 
@@ -281,6 +331,22 @@ def test_v1_kernel_report_runs():
     assert len(report) == 5 and all(us > 0 for us in report.values())
 
 
+def test_v1_fault_report_runs():
+    """The fault report runs for each kernel (at a hundredth of its
+    size); its numbers are for reading, not asserting."""
+    for kernel in FAULT_KERNELS:
+        report = fault_report(kernel, count=200, rounds=3)
+        assert len(report) == 2 and all(n >= 0 for n in report.values())
+
+
 if __name__ == "__main__":
+    if sys.argv[1:2] == ["--faults"]:
+        print(json.dumps(fault_report(sys.argv[2])))
+        sys.exit()
     for kernel, us in kernel_report().items():
         print(f"{kernel:40s} {us:10.1f} us")
+    for kernel in FAULT_KERNELS:
+        out = subprocess.run([sys.executable, __file__, "--faults", kernel],
+                             capture_output=True, text=True, check=True)
+        for name, faults in json.loads(out.stdout).items():
+            print(f"{name:40s} {faults:10.1f} minor faults/call")

@@ -43,20 +43,34 @@ def _has_gap(a: Any, b: Any) -> bool:
     return a != b
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Interval(Generic[T]):
-    """An interval ``(s, e, lc, rc)`` over a totally ordered domain."""
+    """An interval ``(s, e, lc, rc)`` over a totally ordered domain.
+
+    A slotted record (see DESIGN.md, "Value records"): the dataclass
+    generates eq, hash and the frozen ``__setattr__``; the one
+    constructor validates and sets the slots.
+    """
+
+    __slots__ = ("s", "e", "lc", "rc")
 
     s: T
     e: T
-    lc: bool = True
-    rc: bool = True
+    lc: bool
+    rc: bool
 
-    def __post_init__(self):
-        if not self.s <= self.e:  # also refuses a NaN bound
-            raise InvalidValue(f"interval start {self.s!r} exceeds end {self.e!r}")
-        if self.s == self.e and not (self.lc and self.rc):
+    def __init__(self, s: T, e: T, lc: bool = True, rc: bool = True) -> None:
+        if not s <= e:  # also refuses a NaN bound
+            raise InvalidValue(f"interval start {s!r} exceeds end {e!r}")
+        if s == e and not (lc and rc):
             raise InvalidValue("a degenerate interval must be closed on both sides")
+        _set_s(self, s)
+        _set_e(self, e)
+        _set_lc(self, lc)
+        _set_rc(self, rc)
+
+    def __reduce__(self):
+        return (type(self), (self.s, self.e, self.lc, self.rc))
 
     # -- classification -------------------------------------------------
 
@@ -207,6 +221,13 @@ class Interval(Generic[T]):
 
         rb = "]" if self.rc else ")"
         return f"{lb}{fmt(self.s)}, {fmt(self.e)}{rb}"
+
+
+# The frozen __setattr__ refuses every assignment, so the constructor
+# writes through the slots' member descriptors.
+_set_s, _set_e, _set_lc, _set_rc = (
+    Interval.__dict__[name].__set__ for name in Interval.__slots__
+)
 
 
 def interval_at(v: T) -> Interval[T]:

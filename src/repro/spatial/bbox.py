@@ -16,18 +16,31 @@ from repro.errors import InvalidValue
 from repro.geometry.primitives import Vec
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Rect:
-    """An axis-aligned rectangle in the plane."""
+    """An axis-aligned rectangle in the plane.
+
+    A slotted record like :class:`~repro.ranges.interval.Interval`.
+    Infinite sides are legal; a NaN side is malformed.
+    """
+
+    __slots__ = ("xmin", "ymin", "xmax", "ymax")
 
     xmin: float
     ymin: float
     xmax: float
     ymax: float
 
-    def __post_init__(self):
-        if self.xmin > self.xmax or self.ymin > self.ymax:
+    def __init__(self, xmin: float, ymin: float, xmax: float, ymax: float) -> None:
+        if not (xmin <= xmax and ymin <= ymax):  # also refuses a NaN side
             raise InvalidValue("malformed rectangle")
+        _set_rect_xmin(self, xmin)
+        _set_rect_ymin(self, ymin)
+        _set_rect_xmax(self, xmax)
+        _set_rect_ymax(self, ymax)
+
+    def __reduce__(self):
+        return (type(self), (self.xmin, self.ymin, self.xmax, self.ymax))
 
     @classmethod
     def around(cls, points: Iterable[Vec]) -> "Rect":
@@ -105,9 +118,14 @@ class Rect:
         return ((self.xmin + self.xmax) / 2.0, (self.ymin + self.ymax) / 2.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Cube:
-    """An axis-aligned box in (x, y, t) space — the *bounding cube* of Section 4.2."""
+    """An axis-aligned box in (x, y, t) space — the *bounding cube* of Section 4.2.
+
+    A slotted record like :class:`Rect`, with the same rule on its sides.
+    """
+
+    __slots__ = ("xmin", "ymin", "tmin", "xmax", "ymax", "tmax")
 
     xmin: float
     ymin: float
@@ -116,9 +134,24 @@ class Cube:
     ymax: float
     tmax: float
 
-    def __post_init__(self):
-        if self.xmin > self.xmax or self.ymin > self.ymax or self.tmin > self.tmax:
+    def __init__(
+        self, xmin: float, ymin: float, tmin: float,
+        xmax: float, ymax: float, tmax: float,
+    ) -> None:
+        if not (xmin <= xmax and ymin <= ymax and tmin <= tmax):  # also refuses NaN
             raise InvalidValue("malformed cube")
+        _set_cube_xmin(self, xmin)
+        _set_cube_ymin(self, ymin)
+        _set_cube_tmin(self, tmin)
+        _set_cube_xmax(self, xmax)
+        _set_cube_ymax(self, ymax)
+        _set_cube_tmax(self, tmax)
+
+    def __reduce__(self):
+        return (
+            type(self),
+            (self.xmin, self.ymin, self.tmin, self.xmax, self.ymax, self.tmax),
+        )
 
     @classmethod
     def from_rect(cls, rect: Rect, tmin: float, tmax: float) -> "Cube":
@@ -174,3 +207,14 @@ class Cube:
     def enlargement(self, other: "Cube") -> float:
         """Volume growth if ``other`` were merged in (R-tree heuristic)."""
         return self.union(other).volume - self.volume
+
+
+# The frozen __setattr__ refuses every assignment, so the constructors
+# write through the slots' member descriptors.
+_set_rect_xmin, _set_rect_ymin, _set_rect_xmax, _set_rect_ymax = (
+    Rect.__dict__[name].__set__ for name in Rect.__slots__
+)
+(
+    _set_cube_xmin, _set_cube_ymin, _set_cube_tmin,
+    _set_cube_xmax, _set_cube_ymax, _set_cube_tmax,
+) = (Cube.__dict__[name].__set__ for name in Cube.__slots__)

@@ -21,19 +21,30 @@ from repro.geometry.segment import Seg, make_seg
 from repro.temporal.quadratics import Quad, mul_linear, sub_quad
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class MPoint:
-    """A linearly moving point: ``ι((x0,x1,y0,y1), t) = (x0+x1·t, y0+y1·t)``."""
+    """A linearly moving point: ``ι((x0,x1,y0,y1), t) = (x0+x1·t, y0+y1·t)``.
+
+    A slotted record like :class:`~repro.ranges.interval.Interval`.
+    """
+
+    __slots__ = ("x0", "x1", "y0", "y1")
 
     x0: float
     x1: float
     y0: float
     y1: float
 
-    def __post_init__(self):
-        for v in (self.x0, self.x1, self.y0, self.y1):
-            if not math.isfinite(v):
-                raise InvalidValue("MPoint coefficients must be finite")
+    def __init__(self, x0: float, x1: float, y0: float, y1: float) -> None:
+        if not (_isfinite(x0) and _isfinite(x1) and _isfinite(y0) and _isfinite(y1)):
+            raise InvalidValue("MPoint coefficients must be finite")
+        _set_x0(self, x0)
+        _set_x1(self, x1)
+        _set_y0(self, y0)
+        _set_y1(self, y1)
+
+    def __reduce__(self):
+        return (type(self), (self.x0, self.x1, self.y0, self.y1))
 
     @classmethod
     def linear_between(
@@ -126,7 +137,7 @@ class MPoint:
         return (self.x0, self.x1, self.y0, self.y1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class MSeg:
     """A moving segment: two distinct coplanar moving points.
 
@@ -134,16 +145,23 @@ class MSeg:
     constraint: the swept surface is a planar trapezium or triangle.
     """
 
+    __slots__ = ("s", "e")
+
     s: MPoint
     e: MPoint
 
-    def __post_init__(self):
-        if self.s == self.e:
+    def __init__(self, s: MPoint, e: MPoint) -> None:
+        if s == e:
             raise InvalidValue("MSeg end points must be distinct moving points")
-        if not self.coplanar(self.s, self.e):
+        if not self.coplanar(s, e):
             raise InvalidValue(
                 "MSeg end point trajectories must be coplanar (segments may not rotate)"
             )
+        _set_s(self, s)
+        _set_e(self, e)
+
+    def __reduce__(self):
+        return (type(self), (self.s, self.e))
 
     @staticmethod
     def coplanar(s: MPoint, e: MPoint, eps: float = 1e-7) -> bool:
@@ -200,3 +218,12 @@ class MSeg:
     def sort_key(self) -> tuple:
         """Lexicographic order on the component quadruples (Section 4.2)."""
         return self.s.sort_key() + self.e.sort_key()
+
+
+# The frozen __setattr__ refuses every assignment, so the constructors
+# write through the slots' member descriptors.
+_isfinite = math.isfinite
+_set_x0, _set_x1, _set_y0, _set_y1 = (
+    MPoint.__dict__[name].__set__ for name in MPoint.__slots__
+)
+_set_s, _set_e = (MSeg.__dict__[name].__set__ for name in MSeg.__slots__)

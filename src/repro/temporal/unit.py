@@ -40,7 +40,7 @@ class Unit(Generic[V]):
     __slots__ = ("_interval",)
 
     def __init__(self, interval) -> None:
-        object.__setattr__(self, "_interval", as_interval(interval))
+        _set_interval(self, as_interval(interval))
 
     def __setattr__(self, name, value):
         raise AttributeError("unit values are immutable")
@@ -143,3 +143,8 @@ class Unit(Generic[V]):
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self._interval.pretty()})"
+
+
+# Unit.__setattr__ refuses every assignment, so constructors write
+# through the slot's member descriptor.
+_set_interval = Unit.__dict__["_interval"].__set__

@@ -5,10 +5,11 @@ from __future__ import annotations
 from typing import Tuple
 
 from repro.geometry.primitives import Vec
+from repro.ranges.interval import Interval
 from repro.spatial.bbox import Cube, Rect
 from repro.spatial.point import Point
 from repro.temporal.mseg import MPoint
-from repro.temporal.unit import Unit
+from repro.temporal.unit import Unit, _set_interval, as_interval
 
 
 class UPoint(Unit[Point]):
@@ -17,14 +18,12 @@ class UPoint(Unit[Point]):
     __slots__ = ("_motion",)
 
     def __init__(self, interval, motion: MPoint):
-        super().__init__(interval)
-        object.__setattr__(self, "_motion", motion)
+        _set_interval(self, as_interval(interval))
+        _set_motion(self, motion)
 
     @classmethod
     def between(cls, t0: float, p0: Vec, t1: float, p1: Vec, lc=True, rc=True) -> "UPoint":
         """The unit moving linearly from ``p0`` at ``t0`` to ``p1`` at ``t1``."""
-        from repro.ranges.interval import Interval
-
         return cls(
             Interval(float(t0), float(t1), lc, rc),
             MPoint.linear_between(t0, p0, t1, p1),
@@ -91,3 +90,6 @@ class UPoint(Unit[Point]):
             f"UPoint({self.interval.pretty()}, "
             f"({p0[0]:g},{p0[1]:g})→({p1[0]:g},{p1[1]:g}))"
         )
+
+
+_set_motion = UPoint.__dict__["_motion"].__set__
