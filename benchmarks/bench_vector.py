@@ -11,7 +11,7 @@ that are tracked over time are ``kernels.*`` / ``fleet.*`` of
 ``benchmarks/e2e/run.py --workload api_scan_warm``.
 
 Run as a script, it prints the batch kernels' per-call cost and the
-ingest apply's per-batch column advance, then the minor page faults
+cost of a one-unit ingest apply, then the minor page faults
 per call of ``atinstant_batch`` and ``window_intervals_batch`` at 20k
 flights, each in a fresh interpreter: its first call and its median
 call after warm-up — report only, nothing asserted — so one command
@@ -33,7 +33,7 @@ import numpy as np
 from repro.spatial.bbox import Cube, Rect
 from repro.temporal.mapping import MovingPoint
 from repro.temporal.upoint import UPoint
-from repro.vector.cache import ColumnCache, Fleet, clear_cache, column_for
+from repro.vector.cache import Fleet, clear_cache, column_for
 from repro.vector.columns import BBoxColumn, UPointColumn
 from repro.vector.kernels import (
     atinstant_batch,
@@ -193,29 +193,29 @@ def _median_us(fn, args, rounds: int = 7) -> float:
     return statistics.median(per_call)
 
 
-def advance_us(count: int, batches: int = 20) -> float:
-    """Median µs of one ingest batch's column advance
-    (``ColumnCache.advance``) when the batch changed one object of a
-    ``count``-object fleet whose ``upoint`` column is cached.
+def apply_us(count: int, batches: int = 20) -> float:
+    """Median µs of one ingest batch (``FleetExecutor.apply_units``)
+    that appends one unit to the middle object of a served
+    ``count``-object fleet: materialize that object, check the unit,
+    splice the next column, publish it.
 
-    Each batch replaces the middle object with the same one-unit-longer
-    track, so every round splices equal work.  The splice reads only
-    the changed member, so the other members are placeholders and the
-    column is built from arrays (:func:`waypoint_column`).
+    Each batch continues the same track a little later, so every round
+    does equal work; the fleet is the waypoint column's members
+    (:func:`waypoint_column`).
     """
+    from repro.server.executor import FleetExecutor
+    from repro.server.ingest import IngestRequest
+
     col = waypoint_column(count)
     i = count // 2
-    track = col.chunk(i, i + 1).to_mappings()[0]
-    end = track.units[-1].interval.e
-    grown = track.appended(UPoint.between(end + 1.0, (0.0, 0.0), end + 5.0, (1.0, 1.0)))
-    fleet = Fleet([None] * count)
-    cache = ColumnCache()
-    cache.keep(fleet, "upoint", fleet.version, col)
+    end = col.mapping_at(i).units[-1].interval.e
+    ex = FleetExecutor()
+    ex.register_fleet("f", col.to_mappings())
+    starts = iter(end + 10.0 * k for k in range(1, 10 * batches + 1))
 
     def one_batch():
-        since = fleet.version
-        fleet[i] = grown
-        cache.advance(fleet, since, [i])
+        t0 = next(starts)
+        ex.apply_units([IngestRequest("f", i, (t0, 0.0, 0.0, t0 + 5.0, 1.0, 1.0))])
 
     return _median_us(one_batch, [()] * batches)
 
@@ -228,8 +228,8 @@ def kernel_report(scale: float = 1.0) -> dict:
     - ``window_times_batch`` over the whole column for 50 500×500
       rectangles, at 20k flights and at 100k local legs (moves of at
       most 50 per axis per leg in a 10k world);
-    - the per-batch column advance (:func:`advance_us`) with one
-      changed object at 10k and at 100k flights.
+    - a one-unit ingest batch (:func:`apply_us`) at 10k and at 100k
+      flights.
 
     ``scale`` shrinks every fleet (a smoke run); nothing is asserted.
     """
@@ -252,7 +252,7 @@ def kernel_report(scale: float = 1.0) -> dict:
         rects = [(col, Rect(x, y, x + 500.0, y + 500.0)) for x, y in corners]
         report[name] = _median_us(window_times_batch, rects, rounds=5)
     for count in (10_000, 100_000):
-        report[f"advance 1 object of {count // 1000}k flights"] = advance_us(
+        report[f"apply 1 unit to {count // 1000}k flights"] = apply_us(
             max(2, int(count * scale)))
     return report
 

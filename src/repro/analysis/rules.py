@@ -994,14 +994,18 @@ GUARDED_BY: Dict[Tuple[str, str], Tuple[Guard, ...]] = {
     ("repro/server/executor.py", "FleetExecutor"): (
         Guard(
             lock="_lock",
-            attrs=("_fleets", "_unit_counts", "_dedup", "_db"),
-            owners=(
-                # _fleet/_apply_one/_append_unit/_pinned_column/_database
-                # document "caller holds the lock" and are only reached
-                # from public methods that take it.
-                "__init__", "_fleet", "_apply_one", "_append_unit",
-                "_pinned_column", "_database",
-            ),
+            attrs=("_fleets", "_db"),
+            # _fleet/_database document "caller holds the lock" and are
+            # only reached from public methods that take it.
+            owners=("__init__", "_fleet", "_database"),
+        ),
+        Guard(
+            # Only writers read or change the idempotency table, and
+            # they serialize on the writer lock; _apply_one documents
+            # "caller holds the writer lock" (apply_units takes it).
+            lock="_write_lock",
+            attrs=("_dedup",),
+            owners=("__init__", "_apply_one"),
         ),
         Guard(lock="_lat_lock", attrs=("_latencies",), owners=("__init__",)),
     ),
@@ -1054,7 +1058,7 @@ GUARDED_BY: Dict[Tuple[str, str], Tuple[Guard, ...]] = {
 #: ``_entries`` — so those are only checked inside their own module.)
 _CROSS_MODULE_ATTRS: Dict[str, str] = {
     "_fleets": "repro/server/executor.py",
-    "_unit_counts": "repro/server/executor.py",
+    "_dedup": "repro/server/executor.py",
     "_latencies": "repro/server/executor.py",
     "_resident": "repro/shard/manager.py",
 }

@@ -79,6 +79,11 @@ class BaseValue:
     def __setattr__(self, name: str, value: Any):  # immutability
         raise AttributeError(f"{type(self).__name__} values are immutable")
 
+    def __reduce__(self):
+        # Copies and unpickles go through the constructor: the default
+        # slot-state restore would assign, which __setattr__ refuses.
+        return (type(self), (self._value,))
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, type(self)):
             return NotImplemented

@@ -268,9 +268,12 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from repro.workloads.trajectories import FlightGenerator
 
     gen = FlightGenerator(seed=args.seed)
-    mappings = [gen.flight(legs=4) for _ in range(args.objects)]
     executor = FleetExecutor()
-    executor.register_fleet(args.fleet, mappings)
+    # A generator: the fleet is transcribed a chunk at a time and never
+    # exists as objects all at once.
+    executor.register_fleet(
+        args.fleet, (gen.flight(legs=4) for _ in range(args.objects))
+    )
     wal = Wal(args.wal) if args.wal else None
     replayed = replay_ingest(wal, executor) if wal is not None else 0
 
@@ -287,7 +290,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
             except NotImplementedError:  # pragma: no cover - non-POSIX
                 signal.signal(sig, lambda *_: stop.set())
         boot = f"repro serve: listening on {args.host}:{server.port}, " \
-               f"fleet {args.fleet!r} with {len(mappings)} objects"
+               f"fleet {args.fleet!r} with {args.objects} objects"
         if replayed:
             boot += f" ({replayed} ingested unit(s) replayed from WAL)"
         print(boot, flush=True)

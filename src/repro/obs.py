@@ -175,8 +175,6 @@ COUNTER_NAMES: FrozenSet[str] = frozenset({
     "parallel.fallback.pool_broken",
     # STR bulk loading (RTree3D.bulk_load)
     "rtree.bulk_loaded",
-    # incremental column maintenance (live ingest)
-    "colcache.extended",
     # query service (repro.server)
     "server.sessions",
     "server.queries",

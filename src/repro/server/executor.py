@@ -1,31 +1,40 @@
 """Execution state of the query service: fleets and snapshots.
 
 The executor owns everything the protocol layer must never touch
-directly: the live :class:`~repro.vector.cache.Fleet` containers, the
-SQL database, and the mutation lock that serializes ingest against
-column builds.  Sessions hand it parsed requests and get immutable
-values back — statement results, or the kernel's own arrays.
+directly: the served fleets, the SQL database, and two locks — a writer
+lock that serializes ingest applies and registrations, and the executor
+lock, which readers take only to find a fleet and writers only to
+publish.  Sessions hand it parsed requests and get immutable values
+back — statement results, or the kernel's own arrays.
+
+A served fleet is its column
+----------------------------
+Each fleet is a :class:`~repro.vector.cache.ServedFleet`: one immutable
+``upoint`` column (Section 4's root records and unit arrays, for the
+whole fleet) and the version it describes — no Python object per unit.
+Registration transcribes the members a chunk at a time, so a generated
+fleet never exists whole; a read runs its kernel on the column.
 
 Snapshot isolation
 ------------------
-Every read pins a :class:`Snapshot` at start: the fleet's version stamp
-plus an immutable tuple of its members (``fleet.members()`` — built once
-per version and shared by every pin taken at it, so pinning costs the
-same at any fleet size).  Ingest never mutates a
-``Mapping`` in place — it *replaces* the member with a new mapping that
-shares the old unit slices (:meth:`repro.temporal.mapping.Mapping.
-appended`) — so a pinned tuple keeps describing exactly the pre-ingest
-fleet no matter how far the live fleet moves on.  Columns are pinned by
-version: a cached column whose stamp equals the pin is served as-is;
-otherwise the column is rebuilt from the pinned members, never from the
-moved-on fleet.
+Every read pins a :class:`Snapshot`: the fleet's ``(version, column)``,
+one attribute read.  Ingest never changes a column.  An apply
+materializes only the objects it appends to, checks each new unit with
+:meth:`repro.temporal.mapping.Mapping.appended`, builds the next column
+outside the executor lock (``UnitColumn.extended`` splices the changed
+objects into a copy), and publishes column, version and idempotency
+entries together under it — so a pin keeps describing exactly the fleet
+it was taken at, and a read never waits for a splice.  Members
+materialize on demand: from the pinned column (``Snapshot.items``) or
+from the live one (:meth:`FleetExecutor.fleet`).
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict, deque
 from typing import (
-    TYPE_CHECKING, Any, Deque, Dict, Iterator, List, Optional, Sequence, Tuple,
+    TYPE_CHECKING, Any, Deque, Dict, Iterable, Iterator, List, Optional,
+    Sequence, Tuple,
 )
 
 import numpy as np
@@ -34,12 +43,12 @@ from repro import deadline as deadline_mod
 from repro import faults, obs
 from repro.analysis import dynlock
 from repro.deadline import Deadline
-from repro.errors import InvalidValue, QueryError, StorageError
+from repro.errors import InvalidValue, QueryError
 from repro.temporal.mapping import MovingPoint
 from repro.temporal.upoint import UPoint
 from repro.vector import backends
-from repro.vector.cache import Fleet, advance_column, column_for_versioned
-from repro.vector.columns import KINDS
+from repro.vector.cache import ServedFleet
+from repro.vector.columns import UPointColumn
 
 if TYPE_CHECKING:
     from repro.db.catalog import Database
@@ -57,16 +66,21 @@ _DEDUP_CAPACITY = 65536
 
 
 class Snapshot:
-    """An immutable read view of one fleet, pinned at a version stamp."""
+    """An immutable read view of one served fleet: the ``(version,
+    column)`` it held when pinned."""
 
-    __slots__ = ("version", "items")
+    __slots__ = ("version", "column")
 
-    def __init__(self, fleet: Fleet):
-        self.version = fleet.version
-        self.items: Tuple[Any, ...] = fleet.members()
+    def __init__(self, fleet: ServedFleet):
+        self.version, self.column = fleet.pin()
+
+    @property
+    def items(self) -> Tuple[MovingPoint, ...]:
+        """The pinned members, built from the pinned column when asked."""
+        return tuple(self.column.to_mappings())
 
     def __len__(self) -> int:
-        return len(self.items)
+        return self.column.n_objects
 
 
 class SnapshotRows:
@@ -102,32 +116,67 @@ class SnapshotRows:
         return f"SnapshotRows({list(self)!r})"
 
 
+class _Draft:
+    """One fleet's changes within an apply batch, before they publish.
+
+    ``members`` holds the object each applied unit grew or appended, by
+    index; as a sequence (``len``, ``[i]`` for a changed ``i``) the draft
+    is what :meth:`UnitColumn.extended` splices into the base column.
+    """
+
+    __slots__ = ("fleet", "version", "column", "n_objects", "members")
+
+    def __init__(self, fleet: ServedFleet):
+        self.fleet = fleet
+        self.version, self.column = fleet.pin()
+        self.n_objects = self.column.n_objects
+        self.members: Dict[int, MovingPoint] = {}
+
+    def __len__(self) -> int:
+        return self.n_objects
+
+    def __getitem__(self, i: int) -> MovingPoint:
+        return self.members[i]
+
+    def member(self, i: int) -> Optional[MovingPoint]:
+        """Object ``i`` as this batch left it; None past the end."""
+        member = self.members.get(i)
+        if member is None and i < self.column.n_objects:
+            member = self.column.mapping_at(i)
+        return member
+
+    def next_column(self) -> UPointColumn:
+        """The base column with every changed object spliced in."""
+        return self.column.extended(self, self.members)
+
+
 class FleetExecutor:
     """Owns fleets and the SQL database; executes requests.
 
     Thread-safe: sessions call in from worker threads while the ingest
-    committer applies batches — every state access runs under one
-    re-entrant lock, and the computed results (snapshots, columns,
-    statement rows) are immutable once returned.  The lock discipline
-    is declared in the ``GUARDED_BY`` registry (repro.analysis.rules)
-    and enforced by lint rule MOD007; ``_latencies`` sits under its own
-    micro-lock so recording a sample from the event loop never waits
-    behind an ingest apply holding the main lock.
+    committer applies batches.  Writers (``apply_units``,
+    ``register_fleet``) serialize on ``_write_lock`` and take the
+    executor lock ``_lock`` only to publish; readers take ``_lock`` only
+    to find a fleet and pin it, so a read never waits for a splice.
+    Snapshots, columns and statement rows are immutable once returned.
+    The lock discipline is declared in the ``GUARDED_BY`` registry
+    (repro.analysis.rules) and enforced by lint rule MOD007;
+    ``_latencies`` sits under its own micro-lock so recording a sample
+    from the event loop never waits behind anything.
     """
 
     def __init__(self, db: Optional[Database] = None):
         self._lock = dynlock.rlock("server.executor")
+        self._write_lock = dynlock.rlock("server.executor.writer")
         self._lat_lock = dynlock.rlock("server.executor.latency")
-        self._fleets: Dict[str, Fleet] = {}
-        # Units per fleet, kept incrementally so STATS is O(fleets).
-        self._unit_counts: Dict[str, int] = {}
+        self._fleets: Dict[str, ServedFleet] = {}
         # The SQL engine loads with the first QUERY / EXPLAIN (``_database``):
         # a server that only serves SNAPSHOT and INGEST never imports it.
         self._db = db
         self._latencies: Deque[float] = deque(maxlen=_LATENCY_WINDOW)
         # Idempotency table: seq token -> the unit count the original
-        # apply returned.  Replay repopulates it (tokens ride in the WAL
-        # record), so dedup survives restarts.
+        # apply returned.  Only writers read it.  Replay repopulates it
+        # (tokens ride in the WAL record), so dedup survives restarts.
         self._dedup: "OrderedDict[str, int]" = OrderedDict()
 
     @property
@@ -149,33 +198,39 @@ class FleetExecutor:
     def register_fleet(
         self,
         name: str,
-        mappings: Sequence[MovingPoint],
+        mappings: Iterable[MovingPoint],
         index: bool = True,
-    ) -> Fleet:
-        """Adopt ``mappings`` as the live fleet ``name``.
+    ) -> ServedFleet:
+        """Serve ``mappings`` as the fleet ``name``.
 
-        Re-registering a name replaces the fleet.  ``index`` is accepted
-        and ignored: the executor keeps no spatial index (a window is a
-        mask on the kernel's output, see DESIGN.md).
+        ``mappings`` is any iterable of moving points (a list, or a
+        generator that never holds the whole fleet): it is transcribed a
+        chunk at a time into the fleet's column
+        (:meth:`ServedFleet.from_mappings`), and a member no ``upoint``
+        column can hold raises :class:`InvalidValue` with nothing
+        registered.  Re-registering a name replaces the fleet.
+        ``index`` is accepted and ignored: the executor keeps no spatial
+        index (a window is a mask on the kernel's output, see DESIGN.md).
         """
-        fleet = Fleet(mappings)
-        units = sum(len(m.units) for m in fleet.members())
-        with self._lock:
-            self._fleets[name] = fleet
-            self._unit_counts[name] = units
+        fleet = ServedFleet.from_mappings(mappings)
+        with self._write_lock:
+            with self._lock:
+                self._fleets[name] = fleet
         return fleet
 
     def fleet_names(self) -> List[str]:
         with self._lock:
             return sorted(self._fleets)
 
-    def _fleet(self, name: str) -> Fleet:
+    def _fleet(self, name: str) -> ServedFleet:
         fleet = self._fleets.get(name)
         if fleet is None:
             raise QueryError(f"no fleet named {name!r}")
         return fleet
 
-    def fleet(self, name: str) -> Fleet:
+    def fleet(self, name: str) -> ServedFleet:
+        """The live fleet ``name``: a read-only sequence whose members
+        are built from the served column when asked."""
         with self._lock:
             return self._fleet(name)
 
@@ -185,26 +240,6 @@ class FleetExecutor:
         """Pin an immutable view of fleet ``name`` at its current version."""
         with self._lock:
             return Snapshot(self._fleet(name))
-
-    def _pinned_column(
-        self, fleet: Fleet, snap: Snapshot, kind: str
-    ) -> Optional[Any]:
-        """The ``kind`` column describing exactly ``snap``, or None when
-        only the scalar path can evaluate the pinned members.
-
-        Must run under the lock: the shared column cache may build here,
-        and a build that interleaved with an ingest apply could pair the
-        pinned stamp with post-ingest bytes.
-        """
-        try:
-            version, col = column_for_versioned(fleet, kind)
-            if version == snap.version:
-                return col
-            # The fleet moved on past the pin: build from the pinned
-            # members themselves (immutable, so always consistent).
-            return KINDS[kind].from_mappings(snap.items)
-        except (InvalidValue, StorageError):
-            return None
 
     def snapshot_rows(
         self,
@@ -221,7 +256,7 @@ class FleetExecutor:
         window is a mask over the kernel's output arrays, not an index
         probe: the whole-fleet kernel is cheaper than any search that
         could stand in front of it.  The rows describe the pinned
-        snapshot exactly: ingest applied after the pin is invisible.
+        column exactly: ingest published after the pin is invisible.
 
         ``deadline`` is checked before pinning; the framing layer
         checks it again per block of rows it renders.
@@ -229,20 +264,11 @@ class FleetExecutor:
         if deadline is not None:
             deadline.check()
         with self._lock:
-            fleet = self._fleet(name)
-            snap = Snapshot(fleet)
-            col = self._pinned_column(fleet, snap, "upoint")
-        # The ``atinstant`` table entry over the pinned column, in
-        # process; its scalar reference loop when no column can describe
-        # the pin.
-        if col is not None:
-            xs, ys, defined = backends.on_column(
-                "atinstant", col, (t,), backend="vector"
-            )
-        else:
-            xs, ys, defined = backends.evaluate(
-                "atinstant", snap.items, (t,), backend="scalar", arrays=True
-            )
+            snap = Snapshot(self._fleet(name))
+        # The ``atinstant`` table entry over the pinned column, in process.
+        xs, ys, defined = backends.on_column(
+            "atinstant", snap.column, (t,), backend="vector"
+        )
         if window is not None:
             xmin, ymin, xmax, ymax = window
             defined = (
@@ -299,43 +325,44 @@ class FleetExecutor:
         — after the WAL barrier — so the crash matrix can prove that
         recovery resurrects a durable batch the process died applying.
 
-        The apply is the one writer of the served fleets, so it also
-        advances their cached ``upoint`` columns: after the loop, each
-        fleet the batch changed has its column spliced forward over the
-        objects the batch replaced or appended
-        (:func:`repro.vector.cache.advance_column`), before the ack and
-        under this lock, so the next read is a hit.  A batch that raises
-        advances nothing; the next read rebuilds.
+        The batch runs under the writer lock and stages its changes: the
+        objects it grew or appended (:class:`_Draft`) and its idempotency
+        tokens.  Each changed fleet's next column is spliced outside the
+        executor lock, and the columns, versions and tokens are published
+        together under it.  A batch that raises publishes nothing.
         """
         out: List[Any] = []
-        # fleet name -> (fleet, version before its first change, objects
-        # changed in order: one version bump each).
-        touched: Dict[str, Tuple[Fleet, int, List[int]]] = {}
-        with self._lock:
+        with self._write_lock:
+            drafts: Dict[str, _Draft] = {}
+            tokens: Dict[str, int] = {}
             for req in requests:
                 if faults.active:
                     faults.fail("server.ingest_crash")
-                fleet = self._fleets.get(req.fleet)
-                since = fleet.version if fleet is not None else 0
                 try:
-                    out.append(self._apply_one(req))
+                    out.append(self._apply_one(req, drafts, tokens))
                 except (InvalidValue, QueryError) as exc:
                     out.append(exc)
-                if fleet is not None and fleet.version != since:
-                    touched.setdefault(req.fleet, (fleet, since, []))[2].append(
-                        req.obj
-                    )
-            for fleet, since, objs in touched.values():
-                # Anything but this loop moving the fleet leaves its
-                # column to the next read.
-                if fleet.version == since + len(objs):
-                    advance_column(fleet, since, objs)
+            spliced = [
+                (draft, draft.next_column())
+                for draft in drafts.values() if draft.members
+            ]
+            with self._lock:
+                for draft, column in spliced:
+                    draft.fleet.publish(draft.version, column, draft.members)
+                self._dedup.update(tokens)
+                while len(self._dedup) > _DEDUP_CAPACITY:
+                    self._dedup.popitem(last=False)
         return out
 
-    def _apply_one(self, req: Any) -> int:
+    def _apply_one(
+        self, req: Any, drafts: Dict[str, _Draft], tokens: Dict[str, int]
+    ) -> int:
+        """One request of a batch.  Caller holds the writer lock."""
         seq = getattr(req, "seq", "")
         if seq:
-            cached = self._dedup.get(seq)
+            cached = tokens.get(seq)
+            if cached is None:
+                cached = self._dedup.get(seq)
             if cached is not None:
                 # A retry of an ingest that already applied (the ack was
                 # lost, or the WAL record replayed twice): answer from
@@ -343,23 +370,25 @@ class FleetExecutor:
                 if obs.enabled:
                     obs.add("ingest.dedup_hits")
                 return cached
-        count = self._append_unit(req)
+        draft = drafts.get(req.fleet)
+        if draft is None:
+            with self._lock:
+                draft = drafts[req.fleet] = _Draft(self._fleet(req.fleet))
+        count = self._append_unit(req, draft)
         if seq:
-            self._dedup[seq] = count
-            while len(self._dedup) > _DEDUP_CAPACITY:
-                self._dedup.popitem(last=False)
+            tokens[seq] = count
         return count
 
-    def _append_unit(self, req: Any) -> int:
-        fleet = self._fleet(req.fleet)
+    @staticmethod
+    def _append_unit(req: Any, draft: _Draft) -> int:
         t0, x0, y0, t1, x1, y1 = req.unit
         obj = req.obj
-        if not 0 <= obj <= len(fleet):
+        if not 0 <= obj <= len(draft):
             raise InvalidValue(
                 f"object index {obj} outside fleet "
-                f"{req.fleet!r} ({len(fleet)} objects)"
+                f"{req.fleet!r} ({len(draft)} objects)"
             )
-        prior = fleet[obj] if obj < len(fleet) else None
+        prior = draft.member(obj)
         lc = True
         if prior is not None and prior.units:
             last = prior.units[-1].interval
@@ -368,13 +397,11 @@ class FleetExecutor:
                 # shared boundary instant, so the new one opens left.
                 lc = False
         unit = UPoint.between(t0, (x0, y0), t1, (x1, y1), lc=lc, rc=True)
-        if prior is None:
-            grown: MovingPoint = MovingPoint([unit])
-            fleet.append(grown)
-        else:
-            grown = prior.appended(unit)
-            fleet[obj] = grown
-        self._unit_counts[req.fleet] += 1
+        grown = MovingPoint([unit]) if prior is None else prior.appended(unit)
+        draft.members[obj] = grown
+        draft.version += 1
+        if obj == draft.n_objects:
+            draft.n_objects += 1
         if obs.enabled:
             obs.add("ingest.units")
         return len(grown.units)
@@ -412,11 +439,11 @@ class FleetExecutor:
         """A flat name → value map for the STATS response."""
         out: Dict[str, object] = {}
         with self._lock:
-            for name in sorted(self._fleets):
-                fleet = self._fleets[name]
-                out[f"fleet.{name}.objects"] = len(fleet)
-                out[f"fleet.{name}.units"] = self._unit_counts[name]
-                out[f"fleet.{name}.version"] = fleet.version
+            pins = {name: self._fleets[name].pin() for name in sorted(self._fleets)}
+        for name, (version, column) in pins.items():
+            out[f"fleet.{name}.objects"] = column.n_objects
+            out[f"fleet.{name}.units"] = column.n_units
+            out[f"fleet.{name}.version"] = version
         p50, p99 = self.latency_percentiles()
         out["query_p50_ms"] = round(p50, 3)
         out["query_p99_ms"] = round(p99, 3)

@@ -80,6 +80,11 @@ class Mapping(Generic[V]):
     def __setattr__(self, name, value):
         raise AttributeError("mapping values are immutable")
 
+    def __reduce__(self):
+        # Copies and unpickles rebuild through the validating
+        # constructor, as units do.
+        return (type(self), (self._units,))
+
     def _check_invariants(self, units: List[Unit[V]]) -> None:
         expected = self.unit_type
         for u in units:

@@ -35,6 +35,9 @@ class ConstUnit(Unit[V], Generic[V]):
             )
         object.__setattr__(self, "_value", value)
 
+    def _constructor_args(self) -> tuple:
+        return (self._interval, self._value)
+
     @classmethod
     def of(cls, interval, value: Any) -> "ConstUnit":
         """Build a const unit, wrapping plain Python scalars into base values."""

@@ -57,6 +57,9 @@ class ULine(Unit[Line]):
         if validate:
             self._check_constraints()
 
+    def _constructor_args(self) -> tuple:
+        return (self._interval, self._msegs)
+
     # -- constructors ------------------------------------------------------
 
     @classmethod

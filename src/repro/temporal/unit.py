@@ -45,6 +45,16 @@ class Unit(Generic[V]):
     def __setattr__(self, name, value):
         raise AttributeError("unit values are immutable")
 
+    def __reduce__(self):
+        # Copies and unpickles rebuild through the validating
+        # constructor: the default slot-state restore would assign,
+        # which __setattr__ refuses.
+        return (type(self), self._constructor_args())
+
+    def _constructor_args(self) -> tuple:
+        """The arguments that rebuild this unit through ``type(self)``."""
+        raise NotImplementedError
+
     @property
     def interval(self) -> UnitInterval:
         """The unit interval."""

@@ -21,6 +21,9 @@ class UPoint(Unit[Point]):
         _set_interval(self, as_interval(interval))
         _set_motion(self, motion)
 
+    def _constructor_args(self) -> tuple:
+        return (self._interval, self._motion)
+
     @classmethod
     def between(cls, t0: float, p0: Vec, t1: float, p1: Vec, lc=True, rc=True) -> "UPoint":
         """The unit moving linearly from ``p0`` at ``t0`` to ``p1`` at ``t1``."""

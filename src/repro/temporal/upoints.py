@@ -33,6 +33,9 @@ class UPoints(Unit[Points]):
         object.__setattr__(self, "_motions", tuple(motion_list))
         object.__setattr__(self, "_cube", None)
 
+    def _constructor_args(self) -> tuple:
+        return (self._interval, self._motions)
+
     def _check_disjoint(self, motions: Sequence[MPoint]) -> None:
         iv = self.interval
         for i, a in enumerate(motions):

@@ -53,6 +53,9 @@ class UReal(Unit[RealVal]):
         object.__setattr__(self, "_c", c)
         object.__setattr__(self, "_r", bool(r))
 
+    def _constructor_args(self) -> tuple:
+        return (self._interval, self._a, self._b, self._c, self._r)
+
     # -- constructors -----------------------------------------------------
 
     @classmethod

@@ -197,6 +197,9 @@ class URegion(Unit[Region]):
         elif validate != "none":
             raise InvalidValue(f"unknown validation level {validate!r}")
 
+    def _constructor_args(self) -> tuple:
+        return (self._interval, self._faces)
+
     # -- constructors ------------------------------------------------------
 
     @classmethod

@@ -16,16 +16,15 @@ mutation tracking:
   (the stamp matches) or finds an *invalidation* (the fleet mutated
   since the column was built) and rebuilds.  A weak reference guards
   against ``id`` reuse, and an owner's death evicts its entries.
-* The one writer that changes a served fleet — the query service's
-  ingest apply — knows which objects it changed and advances the
-  ``upoint`` entry itself (:meth:`ColumnCache.advance`), splicing the
-  changed objects into the column instead of leaving a rebuild to the
-  next reader.
 
 Plain sequences (lists, tuples) have no version stamp and bypass the
 cache entirely — they get a fresh column per call, exactly the pre-cache
 behaviour.  Counters: ``colcache.hits`` / ``colcache.misses`` /
-``colcache.invalidations`` / ``colcache.extended`` (writer-side splices).
+``colcache.invalidations``.
+
+A :class:`ServedFleet` — the query service's fleet — needs no cache: it
+*is* its ``upoint`` column, and :func:`column_for_versioned` hands that
+column out as it stands.
 
 A relation's scan state (:class:`repro.db.executor.VectorScan`) lives in
 the same table under the same budget, lock and counters: any owner with
@@ -38,14 +37,23 @@ from __future__ import annotations
 import os
 import weakref
 from collections import deque
-from collections.abc import MutableSequence
-from typing import Any, Deque, Hashable, Iterable, List, Optional, Tuple
+from collections.abc import MutableSequence, Sequence
+from itertools import islice
+from typing import (
+    Any, Deque, Dict, Hashable, Iterable, Iterator, List, Optional, Tuple,
+)
 
 from repro import config, obs
 from repro.analysis import dynlock
+from repro.errors import InvalidValue
 from repro.residency import Residency
 from repro.temporal.mapping import MovingPoint
-from repro.vector.columns import KINDS, column_class
+from repro.vector.columns import BBoxColumn, UPointColumn, column_class
+
+#: Members a served fleet transcribes per step of its construction: an
+#: iterable is read this many at a time, so a generated fleet never
+#: exists whole beside its column.
+_BOOT_CHUNK = 1024
 
 
 class Fleet(MutableSequence[Any]):
@@ -53,11 +61,8 @@ class Fleet(MutableSequence[Any]):
 
     Behaves like a list for every read, but every mutation bumps
     :attr:`version`, which is what lets :class:`ColumnCache` decide
-    whether a previously built column still describes the fleet.  The
-    fleet does not record *what* changed: the writer that changed it
-    knows, and advances the cached column itself
-    (:meth:`ColumnCache.advance`); any other mutation makes the next
-    read rebuild.
+    whether a previously built column still describes the fleet: after
+    any mutation the next read rebuilds.
 
     The version restarts at 0 in every fleet, so outside the process it
     says nothing; :attr:`stamp` is what a stored copy of a column is
@@ -157,6 +162,115 @@ def _clone(cls: type, items: List[Any], version: int) -> Fleet:
     return twin
 
 
+class ServedFleet(Sequence[MovingPoint]):
+    """A fleet of moving points held as its ``upoint`` column alone.
+
+    Section 4 stores a moving point as a root record plus an array of
+    fixed unit records; a served fleet is that layout for all of its
+    objects at once — one immutable :class:`UPointColumn` and the
+    version it describes, and no member object.  The one writer (the
+    query service's ingest apply) builds each next column itself and
+    swaps it in with :meth:`publish`; :meth:`pin` reads the pair in one
+    attribute read, so a reader needs no lock to hold a consistent view.
+
+    As a sequence it is live and read-only: ``fleet[i]`` and iteration
+    build :class:`MovingPoint` values from the current column
+    (:meth:`UPointColumn.mapping_at`) and keep each one until a publish
+    changes that object.  Nothing is built unless asked.
+    """
+
+    __slots__ = ("_state", "__weakref__")
+
+    def __init__(self, column: UPointColumn, version: int = 0):
+        # (version, column, members built from that column), swapped
+        # whole: the members dict only ever holds values of its column.
+        self._state: Tuple[int, UPointColumn, Dict[int, MovingPoint]] = (
+            version, column, {},
+        )
+
+    @classmethod
+    def from_mappings(cls, mappings: Iterable[Any]) -> "ServedFleet":
+        """A fleet over ``mappings`` (any iterable), transcribed
+        ``_BOOT_CHUNK`` members at a time; the column is field for field
+        :meth:`UPointColumn.from_mappings` over the whole list.  A member
+        no ``upoint`` column can hold raises its :class:`InvalidValue`."""
+        members = iter(mappings)
+        chunks: List[UPointColumn] = []
+        while True:
+            chunk = list(islice(members, _BOOT_CHUNK))
+            if not chunk:
+                return cls(UPointColumn.concatenated(chunks))
+            chunks.append(UPointColumn.from_mappings(chunk))
+
+    @property
+    def version(self) -> int:
+        """The version the served column describes."""
+        return self._state[0]
+
+    @property
+    def column(self) -> UPointColumn:
+        """The served ``upoint`` column (immutable; replaced, never changed)."""
+        return self._state[1]
+
+    def pin(self) -> Tuple[int, UPointColumn]:
+        """``(version, column)`` as of one instant."""
+        version, column, _members = self._state
+        return version, column
+
+    def publish(
+        self, version: int, column: UPointColumn, changed: Iterable[int]
+    ) -> None:
+        """Serve ``column`` at ``version`` from now on.
+
+        ``changed`` names every object ``column`` holds differently from
+        the current column (appended ones included); their built members
+        are dropped and every other one is kept.  The caller serializes
+        publishes.
+        """
+        members = dict(self._state[2])
+        for i in changed:
+            members.pop(i, None)
+        self._state = (version, column, members)
+
+    def column_for(self, kind: str) -> Tuple[int, Any]:
+        """``(version, column)`` of ``kind``: the served column itself
+        for ``upoint``; a ``bbox`` column derived from it."""
+        version, column = self.pin()
+        if column_class(kind) is BBoxColumn:
+            return version, BBoxColumn.from_upoint(column)
+        if kind != UPointColumn.KIND:
+            raise InvalidValue(f"a served fleet holds no {kind} column")
+        return version, column
+
+    def __len__(self) -> int:
+        return self._state[1].n_objects
+
+    def __getitem__(self, i: Any) -> Any:
+        _version, column, members = self._state
+        n = column.n_objects
+        if not -n <= i < n:
+            raise IndexError("served fleet index out of range")
+        i %= n
+        member = members.get(i)
+        if member is None:
+            member = members[i] = column.mapping_at(i)
+        return member
+
+    def __iter__(self) -> Iterator[MovingPoint]:
+        _version, column, members = self._state
+        if not members:
+            members.update(enumerate(column.to_mappings()))
+        for i in range(column.n_objects):
+            member = members.get(i)
+            if member is None:
+                member = members[i] = column.mapping_at(i)
+            yield member
+
+    def __repr__(self) -> str:
+        version, column = self.pin()
+        return f"ServedFleet({column.n_objects} objects, version={version})"
+
+
 class ColumnCache:
     """Byte-budgeted cache of built columns keyed by fleet identity.
 
@@ -181,9 +295,9 @@ class ColumnCache:
         self._entries: Residency[
             Tuple[int, Hashable], Tuple[int, Any, Any]
         ] = Residency()
-        # The query service reads columns from executor threads while
-        # the ingest path mutates fleets; every cache operation that
-        # touches the entry table runs under this lock.  Re-entrant
+        # Any thread may read columns while another mutates a fleet or
+        # a relation; every cache operation that touches the entry
+        # table runs under this lock.  Re-entrant
         # because a column build may re-enter the cache via the fleet's
         # own __getitem__.
         self._lock = dynlock.rlock("vector.colcache")
@@ -253,31 +367,6 @@ class ColumnCache:
                     column = cls.from_mappings(fleet)
                 self.keep(fleet, kind, version, column)
             return version, column
-
-    def advance(self, fleet: Fleet, since: int, changed: Iterable[int]) -> None:
-        """Splice ``fleet``'s ``upoint`` entry forward from version
-        ``since`` to the fleet's current version.
-
-        ``changed`` names every object the fleet's writer replaced or
-        appended after ``since``, and nothing else may have changed the
-        fleet in between; the writer calls this under the lock that
-        serializes the fleet's mutators.  Only an entry that sits at
-        ``since`` moves (counted ``colcache.extended``); any other is
-        left for the next read to rebuild.  Python work is
-        O(changed units), array work O(column)
-        (:meth:`~repro.vector.columns.UnitColumn.extended`).
-        """
-        key = (id(fleet), "upoint")
-        with self._lock:
-            self._reap()
-            entry = self._entry_of(fleet, key)
-            if entry is None or entry[0] != since:
-                return
-            version = fleet.version
-            column = entry[2].extended(fleet.members(), changed)
-            if obs.enabled:
-                obs.counters.add("colcache.extended")
-            self._store_entry(key, version, entry[1], column)
 
     def _reap(self) -> None:
         """Evict the entries whose owner died.  Caller holds the lock."""
@@ -375,9 +464,12 @@ def column_for_versioned(
     fleet: Any, kind: str = "upoint"
 ) -> Tuple[Optional[int], Any]:
     """Like :func:`column_for`, plus the version stamp the column
-    describes (None for plain sequences, which carry no stamp)."""
+    describes (None for plain sequences, which carry no stamp).  A
+    :class:`ServedFleet` answers from its own column, cache untouched."""
     if isinstance(fleet, Fleet):
         return _CACHE.get_versioned(fleet, kind)
+    if isinstance(fleet, ServedFleet):
+        return fleet.column_for(kind)
     return None, column_class(kind).from_mappings(fleet)
 
 
@@ -404,11 +496,6 @@ def revalidate(fleet: Any, kind: str, version: Optional[int], column: Any) -> An
             return column
         version, column = _CACHE.get_versioned(fleet, kind)
     return column
-
-
-def advance_column(fleet: Fleet, since: int, changed: Iterable[int]) -> None:
-    """:meth:`ColumnCache.advance` on the process-wide cache."""
-    _CACHE.advance(fleet, since, changed)
 
 
 def lookup(owner: Any, slot: Hashable) -> Any:

@@ -221,6 +221,22 @@ class UnitColumn(Column):
             ),
         )
 
+    @classmethod
+    def concatenated(cls, columns: Sequence["UnitColumn"]):
+        """One column holding the objects of ``columns`` in order: field
+        for field what ``from_mappings`` builds over their inputs one
+        after the other."""
+        if not columns:
+            return cls.from_mappings([])
+        bases = np.cumsum([0] + [c.n_units for c in columns[:-1]])
+        return cls(
+            np.concatenate(
+                [columns[0].offsets[:1]]
+                + [c.offsets[1:] + base for c, base in zip(columns, bases.tolist())]
+            ),
+            *(np.concatenate([getattr(c, f) for c in columns]) for f in cls.FIELDS),
+        )
+
     def to_mappings(self) -> List:
         """Materialize the column back into ``MAPPING`` objects."""
         units = self._from_rows(zip(*(getattr(self, f).tolist() for f in self.FIELDS)))
@@ -232,6 +248,11 @@ class UnitColumn(Column):
             self.MAPPING(units[lo:hi], validate=False)  # modlint: disable=MOD002 see comment above
             for lo, hi in zip(cuts, cuts[1:])
         ]
+
+    def mapping_at(self, i: int):
+        """Object ``i`` alone as a ``MAPPING``: ``to_mappings()[i]``
+        without materializing the others."""
+        return self.chunk(i, i + 1).to_mappings()[0]
 
     # -- the column-kind protocol (see Column) ------------------------------
 
@@ -320,8 +341,8 @@ class UnitColumn(Column):
 
         Raises :class:`InvalidValue` when ``changed`` is inconsistent
         with the new fleet (an index out of range, an appended object
-        not marked changed, a shrunk fleet).  The ingest apply's column
-        advance (:meth:`repro.vector.cache.ColumnCache.advance`) is the
+        not marked changed, a shrunk fleet).  The ingest apply
+        (:meth:`repro.server.executor.FleetExecutor.apply_units`) is the
         serving caller.
         """
         n_new = len(mappings)

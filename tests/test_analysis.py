@@ -1015,27 +1015,29 @@ class TestDynlock:
                 pass
         assert counters.get("dynlock.acquisitions") == 1
 
-    def test_real_server_locks_witness_their_order(self, monkeypatch):
-        # Integration: a snapshot read on a real executor nests the
-        # executor lock over the column cache lock — the witness must
-        # see that edge and no inverse.
+    def test_real_server_locks_witness_their_order(self):
+        # Integration: a read on a real executor takes the executor lock
+        # alone, and an ingest apply publishes under the executor lock
+        # while it holds the writer lock — the witness must see that
+        # edge, no inverse, and nothing nested under a read.
         from repro.analysis import dynlock
         from repro.server.executor import FleetExecutor
+        from repro.server.ingest import IngestRequest
         from repro.temporal.mapping import MovingPoint
         from repro.temporal.upoint import UPoint
-        from repro.vector import cache as cachemod
 
-        # The module-global cache predates enable(); swap in one whose
-        # lock was created with the witness armed.
-        monkeypatch.setattr(cachemod, "_CACHE", cachemod.ColumnCache())
         ex = FleetExecutor()
         ex.register_fleet("f", [
             MovingPoint([UPoint.between(0.0, (0.0, 0.0), 1.0, (1.0, 1.0))])
         ])
+        dynlock.reset()
         ex.snapshot_rows("f", 0.5)
+        assert dynlock.edges() == frozenset()
+        ex.apply_units([IngestRequest("f", 0, (2.0, 1.0, 1.0, 3.0, 5.0, 2.0))])
+        ex.snapshot_rows("f", 2.5)
         recorded = dynlock.edges()
-        assert ("server.executor", "vector.colcache") in recorded
-        assert ("vector.colcache", "server.executor") not in recorded
+        assert ("server.executor.writer", "server.executor") in recorded
+        assert ("server.executor", "server.executor.writer") not in recorded
 
 
 class TestSuppressionPolicy:

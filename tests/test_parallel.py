@@ -112,11 +112,9 @@ class TestFleetCache:
         finally:
             obs.disable()
         # Every mutation makes the next read an invalidation and a
-        # rebuild, a tail append included: only the ingest apply, which
-        # knows what it wrote, splices a column forward.
+        # rebuild, a tail append included.
         assert obs.get("colcache.misses") == 3
         assert obs.get("colcache.hits") == 1
-        assert obs.get("colcache.extended") == 0
         assert obs.get("colcache.invalidations") == 2
 
     def test_kinds_cached_independently(self):

@@ -1,9 +1,9 @@
 """A served read executes the same Python at any fleet size.
 
-What a read does around the kernel — pin the snapshot, fetch or splice
-the column, mask the window — must not walk the fleet in Python: that
-work runs under the executor lock ingest needs, and grows with the
-fleet while the kernel beside it is one array pass.  Each guard counts
+What a read does around the kernel — pin the snapshot, fetch the
+column, mask the window — must not walk the fleet in Python, and
+neither must a one-unit ingest apply: either would grow with the fleet
+while the kernel beside it is one array pass.  Each guard counts
 the source lines one call executes (``tests/linecount.py``) over a
 1 000-object and an 8 000-object fleet of identically shaped members
 and requires the two counts to be *equal*; the arrays are eight times
@@ -20,7 +20,7 @@ from repro.spatial.point import Point
 from repro.temporal.mapping import MovingPoint, MovingReal
 from repro.temporal.upoint import UPoint
 from repro.temporal.ureal import UReal
-from repro.vector.cache import Fleet, clear_cache
+from repro.vector.cache import Fleet, ServedFleet, clear_cache
 from repro.vector.columns import KINDS, UPointColumn
 from repro.vector.fleet import fleet_atinstant
 from repro.vector.kernels import atinstant_batch
@@ -75,13 +75,16 @@ def same_at_both_sizes(measure):
 class TestPin:
     def test_snapshot_of_a_container(self):
         def measure(n):
-            fleet = Fleet(points(n))
+            members = points(n)
+            fleet = ServedFleet.from_mappings(members)
             cold, snap = lines_executed(Snapshot, fleet)
             assert len(snap) == n
-            # After a write the tuple is rebuilt — still not in Python.
-            fleet[n // 2] = grown(fleet[n // 2])
+            # After a publish the pin reads the new column — still one read.
+            members[n // 2] = grown(members[n // 2])
+            fleet.publish(1, fleet.column.extended(members, {n // 2}), [n // 2])
             moved, snap = lines_executed(Snapshot, fleet)
-            assert snap.items[n // 2] is fleet[n // 2]
+            assert snap.column is fleet.column and snap.version == 1
+            assert snap.items[n // 2] == fleet[n // 2] == members[n // 2]
             held, _ = lines_executed(Snapshot, fleet)
             return cold, moved, held
 
@@ -104,7 +107,7 @@ class TestSnapshotRows:
         def measure(n):
             ex = FleetExecutor()
             ex.register_fleet("f", points(n))
-            ex.snapshot_rows("f", T, window)  # builds the column
+            ex.snapshot_rows("f", T, window)
             count, (snap, rows) = lines_executed(ex.snapshot_rows, "f", T, window)
             assert len(snap) == n
             assert 0 < len(rows) < n if window else len(rows) == n
@@ -114,7 +117,7 @@ class TestSnapshotRows:
 
     @pytest.mark.parametrize("window", [None, WINDOW], ids=["whole", "window"])
     def test_right_after_an_ingest(self, window):
-        """The read that splices the column pays array work only."""
+        """The read after an apply reads the column the apply published."""
         def measure(n):
             ex = FleetExecutor()
             ex.register_fleet("f", points(n))
@@ -130,6 +133,22 @@ class TestSnapshotRows:
             return lines
 
         same_at_both_sizes(measure)
+
+
+def test_one_unit_apply():
+    """An ingest of one unit: materialize the one object, check the unit,
+    splice the next column and publish it — no walk over the fleet."""
+    def measure(n):
+        ex = FleetExecutor()
+        ex.register_fleet("f", points(n))
+        count, (result,) = lines_executed(
+            ex.apply_units,
+            [IngestRequest("f", n // 2, (20.0, 0.0, 0.0, 30.0, 1.0, 1.0))],
+        )
+        assert result == 3
+        return count
+
+    same_at_both_sizes(measure)
 
 
 def test_atinstant_batch():

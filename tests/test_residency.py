@@ -281,8 +281,8 @@ def test_shard_manager_trace_is_pinned():
 
 
 def test_column_splice_growth_evicts_to_budget():
-    """A cached column that its writer grows by splicing
-    (``ColumnCache.advance``, counted ``colcache.extended``) pays for
+    """A cached column that its owner grows by splicing
+    (``UnitColumn.extended``, kept again at the new version) pays for
     its new bytes like a fresh build would."""
     other, grown = Fleet(random_flights(10, seed=1)), Fleet(random_flights(10, seed=2))
     extra = random_flights(5, seed=3)
@@ -290,13 +290,12 @@ def test_column_splice_growth_evicts_to_budget():
     both = sizing.get(other, "upoint").nbytes + sizing.get(grown, "upoint").nbytes
     cache = ColumnCache(budget=both + 64)
     cache.get(other, "upoint")
-    cache.get(grown, "upoint")
+    column = cache.get(grown, "upoint")
     assert len(cache) == 2
-    with obs.capture() as counters:
-        for m in extra:
-            since = grown.version
-            grown.append(m)
-            cache.advance(grown, since, [len(grown) - 1])
-            assert cache.resident_bytes <= both + 64
-    assert counters.get("colcache.extended") == len(extra)
+    for m in extra:
+        grown.append(m)
+        column = column.extended(grown, [len(grown) - 1])
+        cache.keep(grown, "upoint", grown.version, column)
+        assert cache.resident_bytes <= both + 64
+    assert cache.lookup(grown, "upoint") is column
     assert len(cache) == 1  # the cold fleet's column made the room

@@ -21,6 +21,7 @@ import signal
 import socket
 import subprocess
 import sys
+import textwrap
 import threading
 import time
 
@@ -219,7 +220,7 @@ class TestFleetMembers:
     )
     @pytest.mark.parametrize("asked_before", [False, True])
     def test_a_cloned_fleet_answers_for_itself(self, clone, asked_before):
-        fleet = Fleet(["a", "b", "c"])  # unit values do not pickle
+        fleet = Fleet(["a", "b", "c"])
         if asked_before:
             fleet.members()
         twin = clone(fleet)
@@ -298,27 +299,24 @@ class TestColumnExtended:
                 column.extended(fleet, changed)
             assert str(exc_info.value) == message
 
-    def test_cache_splices_forward_on_ingest(self):
+    def test_ingest_splices_the_served_column(self):
         ex = FleetExecutor()
         fleet = ex.register_fleet("fleet", _mappings(4))
-        _, before = column_for_versioned(fleet, "upoint")
-        obs.reset()
-        obs.enable()
-        try:
+        before = fleet.column
+        with obs.capture() as seen:
             ex.apply_units([
                 IngestRequest("fleet", 2, (1e6, 0, 0, 1e6 + 5, 1, 1)),
                 IngestRequest("fleet", 4, (1e6, 3, 3, 1e6 + 5, 4, 4)),
             ])
             version, after = column_for_versioned(fleet, "upoint")
-            counters = obs.snapshot()["counters"]
-        finally:
-            obs.disable()
-        assert version == fleet.version
-        assert counters.get("colcache.extended") == 1
-        assert counters.get("colcache.hits") == 1
-        assert "colcache.invalidations" not in counters
-        assert "colcache.misses" not in counters
-        ref = UPointColumn.from_mappings(list(fleet))
+        # The served column is the fleet: no cache entry is consulted.
+        assert (version, after) == (2, fleet.column) and after is not before
+        assert not [k for k in seen.snapshot()["counters"] if k.startswith("colcache.")]
+        base = _mappings(4)
+        ref = UPointColumn.from_mappings([
+            *base[:2], base[2].appended(_unit(1e6, 0, 0, 1e6 + 5, 1, 1)), base[3],
+            MovingPoint([_unit(1e6, 3, 3, 1e6 + 5, 4, 4)]),
+        ])
         assert after.n_units == before.n_units + 2
         for f in UPointColumn.ARRAYS:
             assert np.array_equal(getattr(after, f), getattr(ref, f)), f
@@ -332,14 +330,14 @@ class TestColumnExtended:
 class TestExecutorIsolation:
     def test_pinned_snapshot_is_bit_identical_across_ingest(self):
         ex = FleetExecutor()
-        fleet = ex.register_fleet("fleet", _mappings(6))
+        ex.register_fleet("fleet", _mappings(6))
         t_future = 1e6 + 4.0
         _, rows_before = ex.snapshot_rows("fleet", t_future)
         assert rows_before == []  # nothing defined out there yet
 
-        # A query "starts": its snapshot pins version + members.
+        # A query "starts": its snapshot pins version + column.
         snap = ex.snapshot("fleet")
-        pre_column = UPointColumn.from_mappings(list(snap.items))
+        pre_column = UPointColumn.from_mappings(_mappings(6))
 
         # An ingest batch lands while that query is in flight.
         commit(None, ex, [
@@ -349,11 +347,9 @@ class TestExecutorIsolation:
 
         # The pinned column still describes the pre-ingest fleet, byte
         # for byte, even though the live fleet moved on.
-        col = ex._pinned_column(fleet, snap, "upoint")
-        for f in ("offsets", "starts", "x0", "y0"):
-            assert np.array_equal(
-                np.asarray(getattr(col, f)), getattr(pre_column, f)
-            ), f
+        for f in UPointColumn.ARRAYS:
+            assert np.array_equal(getattr(snap.column, f), getattr(pre_column, f)), f
+        assert snap.items == tuple(_mappings(6))
 
         # A query started *after* the batch sees every new unit.
         _, rows_after = ex.snapshot_rows("fleet", t_future)
@@ -364,27 +360,28 @@ class TestExecutorIsolation:
         mappings = _mappings(9)
         fleet = ex.register_fleet("fleet", mappings)
         first, second = ex.snapshot("fleet"), ex.snapshot("fleet")
-        assert first.items is second.items
-        assert first.items is ex.snapshot_rows("fleet", 60.0)[0].items
+        assert first.column is second.column is fleet.column
+        assert first.column is ex.snapshot_rows("fleet", 60.0)[0].column
         as_pinned = {
             kind: KINDS[kind].from_mappings(first.items).records()
             for kind in ("upoint", "bbox")
         }
 
-        old_member = fleet[2]
-        fleet[2] = old_member.appended(_unit(1e6, 0, 0, 1e6 + 8, 1, 1))
-        fleet.append(_mappings(1, seed=9)[0])
+        ex.apply_units([
+            IngestRequest("fleet", 2, (1e6, 0, 0, 1e6 + 8, 1, 1)),
+            IngestRequest("fleet", 9, (0.0, 0, 0, 10.0, 1, 1)),
+        ])
 
-        assert len(first) == 9 and first.items[2] is old_member
+        assert len(first) == 9 and first.items[2] == mappings[2]
         assert first.version != fleet.version
         assert first.items == tuple(mappings)
         for kind, records in as_pinned.items():
             again = KINDS[kind].from_mappings(first.items).records()
             assert [r.tobytes() for r in again] == [r.tobytes() for r in records]
         moved = ex.snapshot("fleet")
-        assert len(moved) == 10 and moved.items[2] is fleet[2]
-        assert moved.items is not first.items
-        assert moved.version == fleet.version
+        assert len(moved) == 10 and moved.items[2] == fleet[2]
+        assert moved.column is fleet.column and moved.column is not first.column
+        assert moved.version == fleet.version == 2
 
     def test_snapshot_rows_window_filter(self):
         ex = FleetExecutor()
@@ -634,6 +631,92 @@ class TestConcurrency:
         _, final = column_for_versioned(fleet, "upoint")
         ref = UPointColumn.from_mappings(list(fleet))
         assert np.array_equal(np.asarray(final.offsets), ref.offsets)
+
+    def test_a_read_does_not_wait_for_the_splice(self, monkeypatch):
+        """The apply splices its column outside the executor lock: a read
+        taken while a writer sits inside ``UnitColumn.extended`` answers
+        at once, from the pre-batch version; the read after it sees the
+        batch."""
+        ex = FleetExecutor()
+        ex.register_fleet("fleet", _mappings(4))
+        inside, release = threading.Event(), threading.Event()
+        extended = UPointColumn.extended
+
+        def held_splice(column, mappings, changed):
+            inside.set()
+            assert release.wait(20)
+            return extended(column, mappings, changed)
+
+        monkeypatch.setattr(UPointColumn, "extended", held_splice)
+        writer = threading.Thread(target=ex.apply_units, args=(
+            [IngestRequest("fleet", 1, (1e6, 0, 0, 1e6 + 5, 1, 1))],
+        ))
+        writer.start()
+        reads = []
+        try:
+            assert inside.wait(20)
+            reader = threading.Thread(target=lambda: reads.append(
+                (ex.snapshot_rows("fleet", 1e6 + 1), ex.stats())
+            ))
+            reader.start()
+            reader.join(10)
+            assert not reader.is_alive(), "the read waited for the splice"
+        finally:
+            release.set()
+            writer.join(20)
+        (snap, rows), stats = reads[0]
+        assert snap.version == 0 and rows == []
+        assert stats["fleet.fleet.version"] == 0
+        snap, rows = ex.snapshot_rows("fleet", 1e6 + 1)
+        assert snap.version == 1 and [i for i, _, _ in rows] == [1]
+
+    def test_readers_beside_a_writer_see_whole_batches(self):
+        """More reader threads than cores pin, read and materialize the
+        served fleet while a writer publishes one-unit batches, with a
+        short switch interval: every pin pairs a version with the column
+        of that version, and no built member outlives the column it was
+        built from."""
+        ex = FleetExecutor()
+        fleet = ex.register_fleet("fleet", _mappings(8))
+        units0 = fleet.column.n_units
+        errors, stop = [], threading.Event()
+
+        def reader(k):
+            try:
+                while not stop.is_set():
+                    snap, rows = ex.snapshot_rows("fleet", 60.0)
+                    if snap.column.n_units != units0 + snap.version:
+                        errors.append(f"version {snap.version} paired with another column")
+                    member = fleet[k % 8]
+                    if len(member.units) < len(_mappings(8)[k % 8].units):
+                        errors.append("member lost units")
+                    list(fleet)
+            except Exception as exc:  # pragma: no cover - the failure
+                errors.append(repr(exc))
+
+        readers = [
+            threading.Thread(target=reader, args=(k,))
+            for k in range(len(os.sched_getaffinity(0)) + 2)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for th in readers:
+                th.start()
+            for k in range(80):
+                t0 = 1e6 + 20.0 * (k // 8)
+                assert isinstance(ex.apply_units(
+                    [IngestRequest("fleet", k % 8, (t0, 0, 0, t0 + 10.0, 1, 1))]
+                )[0], int)
+        finally:
+            stop.set()
+            for th in readers:
+                th.join(timeout=20)
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in readers)
+        assert errors == []
+        assert fleet.version == 80
+        assert list(fleet) == fleet.column.to_mappings()
 
     def test_two_wire_sessions_one_ingesting(self):
         ex = FleetExecutor()
@@ -1232,6 +1315,80 @@ class TestUnitCount:
         ex.register_fleet("fleet", _mappings(4))
         ex.register_fleet("fleet", _mappings(2, legs=5))
         assert ex.stats()["fleet.fleet.units"] == 10
+
+
+class TestServedFleet:
+    """A served fleet is its column: boot from any iterable, no unit
+    object kept."""
+
+    def test_a_generator_boots_the_column_a_list_does(self):
+        gen = FlightGenerator(seed=11)
+        flights = (gen.flight(legs=4) for _ in range(2500))  # three chunks
+        ex = FleetExecutor()
+        fleet = ex.register_fleet("fleet", flights, index=False)
+        listed = _mappings(2500, seed=11, legs=4)
+        want = UPointColumn.from_mappings(listed)
+        assert [r.tobytes() for r in fleet.column.records()] == \
+            [r.tobytes() for r in want.records()]
+        assert len(fleet) == 2500 and fleet[-1] == listed[-1] and fleet[7] == listed[7]
+        assert fleet[7] is fleet[7]  # built once, then kept
+        empty = ex.register_fleet("none", iter(()))
+        assert len(empty) == 0 and list(empty) == [] and empty.column.n_units == 0
+
+    def test_a_member_no_column_holds_is_refused(self):
+        ex = FleetExecutor()
+        ex.register_fleet("fleet", _mappings(2))
+        with pytest.raises(InvalidValue, match="holds mappings, got str"):
+            ex.register_fleet("fleet", [*_mappings(2), "not a mapping"])
+        assert len(ex.fleet("fleet")) == 2  # nothing was registered
+
+    def test_built_members_are_kept_until_an_apply_changes_them(self):
+        ex = FleetExecutor()
+        fleet = ex.register_fleet("fleet", _mappings(3))
+        first = list(fleet)
+        ex.apply_units([IngestRequest("fleet", 1, (1e6, 0, 0, 1e6 + 5, 1, 1))])
+        again = list(fleet)
+        assert again[0] is first[0] and again[2] is first[2]
+        assert again[1] is not first[1] and len(again[1].units) == len(first[1].units) + 1
+
+    def test_the_server_keeps_no_unit_objects(self):
+        """Boot 2 000 generated flights from a generator, apply 200
+        INGESTs, and count what the collector tracks, in a fresh
+        interpreter so no other test's values are in sight."""
+        script = textwrap.dedent("""
+            import gc
+            from repro.ranges.interval import Interval
+            from repro.server.executor import FleetExecutor
+            from repro.server.ingest import IngestRequest
+            from repro.temporal.mapping import MovingPoint
+            from repro.temporal.mseg import MPoint
+            from repro.temporal.upoint import UPoint
+            from repro.workloads.trajectories import FlightGenerator
+
+            def held():
+                gc.collect()
+                kinds = (UPoint, Interval, MPoint, MovingPoint)
+                return sum(type(o) in kinds for o in gc.get_objects())
+
+            gen = FlightGenerator(seed=4)
+            ex = FleetExecutor()
+            ex.register_fleet("fleet", (gen.flight(legs=4) for _ in range(2000)))
+            for k in range(200):
+                t0 = 1e7 + 10.0 * k
+                ex.apply_units([IngestRequest("fleet", (37 * k) % 2010, (t0, 1, 1, t0 + 5, 2, 2))])
+            assert ex.stats()["fleet.fleet.units"] == 8000 + 200
+            print(held())
+            list(ex.fleet("fleet"))  # the count sees members once they exist
+            print(held())
+        """)
+        out = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            timeout=120, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert out.returncode == 0, out.stderr
+        served, materialized = map(int, out.stdout.split())
+        assert served == 0
+        assert materialized > 2000
 
 
 # ---------------------------------------------------------------------------
