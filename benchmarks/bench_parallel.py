@@ -4,8 +4,8 @@ Claim under test: with a fleet's columns resident in shared memory and a
 worker pool attached, a whole-fleet query answers ≥3× faster end-to-end
 than the single-process vector backend paying the one-shot cost (column
 build + kernel) — while returning the same answers bit for bit.  Two
-companion claims ride along: the column cache makes a warm snapshot ≥5×
-faster than a cold one, and STR bulk loading packs a 10k-entry
+companion claims ride along: the column a fleet keeps makes a warm
+snapshot ≥5× faster than a cold one, and STR bulk loading packs a 10k-entry
 ``RTree3D`` ≥5× faster than incremental insertion with node visits per
 query no worse.
 
@@ -36,7 +36,7 @@ from repro import config, obs
 from repro.index.rtree import RTree3D
 from repro.parallel import parallel_atinstant, parallel_window_intervals, shmcol
 from repro.spatial.bbox import Cube, Rect
-from repro.vector.cache import Fleet, clear_cache, column_for
+from repro.vector.cache import Fleet, column_for
 from repro.vector.columns import UPointColumn
 from repro.vector.kernels import atinstant_batch, window_intervals_batch
 from repro.vector.store import ColumnStore
@@ -78,14 +78,13 @@ def measure_parallel(fleet, workers: int = WORKERS) -> dict:
 
     The single-process side pays what a fresh query pays (column build +
     kernel); the parallel side pays what every steady-state query pays
-    (cached column lookup + chunked pool dispatch).  Equivalence is
+    (kept column lookup + chunked pool dispatch).  Equivalence is
     asserted in the same run.
     """
     min_objects = config.PARALLEL_MIN_OBJECTS
     config.PARALLEL_MIN_OBJECTS = min(min_objects, len(fleet))
     try:
         cached = Fleet(fleet)
-        clear_cache()
         col = column_for(cached)
         t = 60.0
         t0, t1 = WINDOW
@@ -133,20 +132,17 @@ def measure_parallel(fleet, workers: int = WORKERS) -> dict:
         }
     finally:
         config.PARALLEL_MIN_OBJECTS = min_objects
-        clear_cache()
 
 
 def measure_colcache(fleet) -> dict:
-    """Cold snapshot (column rebuild) vs warm snapshot (cache hit)."""
+    """Cold snapshot (column rebuild) vs warm snapshot (the kept column)."""
     cached = Fleet(fleet)
-    clear_cache()
     t = 60.0
     cold_s = _best_of(
         lambda: atinstant_batch(UPointColumn.from_mappings(fleet), t)
     )
     column_for(cached)  # prime
     warm_s = _best_of(lambda: atinstant_batch(column_for(cached), t))
-    clear_cache()
     return {
         "objects": len(fleet),
         "cold_s": cold_s,

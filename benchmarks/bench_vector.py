@@ -33,7 +33,7 @@ import numpy as np
 from repro.spatial.bbox import Cube, Rect
 from repro.temporal.mapping import MovingPoint
 from repro.temporal.upoint import UPoint
-from repro.vector.cache import Fleet, clear_cache, column_for
+from repro.vector.cache import Fleet, column_for
 from repro.vector.columns import BBoxColumn, UPointColumn
 from repro.vector.kernels import (
     atinstant_batch,
@@ -80,8 +80,9 @@ def measure_atinstant(fleet, t: float) -> dict:
     - ``build_s``    — constructing the SoA column from the fleet,
     - ``kernel_s``   — the batch kernel alone on a resident column,
     - ``end_to_end_cold_s`` — build + kernel, as a one-shot query pays,
-    - ``end_to_end_warm_s`` — kernel over the column cache
-      (:mod:`repro.vector.cache`), as every query after the first pays.
+    - ``end_to_end_warm_s`` — kernel over the column a
+      :class:`~repro.vector.cache.Fleet` keeps, as every query after the
+      first pays.
     """
     col = UPointColumn.from_mappings(fleet)
     build_s = _best_of(lambda: UPointColumn.from_mappings(fleet))
@@ -94,12 +95,10 @@ def measure_atinstant(fleet, t: float) -> dict:
         lambda: atinstant_batch(UPointColumn.from_mappings(fleet), t)
     )
     cached = Fleet(fleet)
-    clear_cache()
     column_for(cached)  # prime: first query pays the cold cost once
     end_to_end_warm_s = _best_of(
         lambda: atinstant_batch(column_for(cached), t)
     )
-    clear_cache()
 
     mismatches = 0
     for i, p in enumerate(scalar_out):
@@ -315,7 +314,7 @@ def test_v1_bbox_filter_equivalence():
 
 
 def test_v1_colcache_warm_beats_cold():
-    """The column-cache claim: a warm snapshot query is ≥5× faster than
+    """The kept-column claim: a warm snapshot query is ≥5× faster than
     one that rebuilds the column (mutation-invalidation is asserted in
     tests/test_parallel.py)."""
     fleet = build_fleet(FLEET_SIZE)

@@ -1009,21 +1009,12 @@ GUARDED_BY: Dict[Tuple[str, str], Tuple[Guard, ...]] = {
         ),
         Guard(lock="_lat_lock", attrs=("_latencies",), owners=("__init__",)),
     ),
-    ("repro/vector/cache.py", "ColumnCache"): (
-        Guard(
-            lock="_lock",
-            # The repro.residency table (entries, byte total, CLOCK
-            # state), which takes no lock of its own; _reap, _entry_of
-            # and _store_entry are the "caller holds the lock" evict,
-            # fetch and put+fit helpers of the locked public methods.
-            attrs=("_entries",),
-            owners=("__init__", "_reap", "_entry_of", "_store_entry"),
-        ),
-    ),
     ("repro/shard/manager.py", "ShardManager"): (
         Guard(
             lock="_lock",
-            attrs=("_resident",),  # the repro.residency table, as above
+            # The repro.residency table (entries, byte total, CLOCK
+            # state), which takes no lock of its own.
+            attrs=("_resident",),
             # _charge (put+fit) documents "caller holds the lock".
             owners=("__init__", "_charge"),
         ),
@@ -1061,6 +1052,9 @@ _CROSS_MODULE_ATTRS: Dict[str, str] = {
     "_dedup": "repro/server/executor.py",
     "_latencies": "repro/server/executor.py",
     "_resident": "repro/shard/manager.py",
+    # What a fleet or relation keeps (columns, scan state): read and
+    # written only by repro.vector.cache's lookup / keep, under its lock.
+    "_kept": "repro/vector/cache.py",
 }
 
 

@@ -172,8 +172,8 @@ def cmd_snapshot(args: argparse.Namespace) -> int:
     from repro.workloads.trajectories import FlightGenerator
 
     gen = FlightGenerator(seed=args.seed)
-    # A versioned Fleet (not a bare list) so the column cache can serve
-    # repeated queries.
+    # A versioned Fleet (not a bare list) so repeated queries reuse the
+    # columns it keeps.
     fleet = Fleet(gen.flight(legs=4) for _ in range(args.objects))
     t0 = min(m.deftime().minimum for m in fleet)
     t1 = max(m.deftime().maximum for m in fleet)

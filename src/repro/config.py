@@ -60,11 +60,6 @@ DEFAULT_WORKERS: int = 0
 #: Read at call time, so tests and benchmarks may lower it.
 PARALLEL_MIN_OBJECTS: int = 1024
 
-#: Byte budget of the fleet-identity column cache: the resident bytes of
-#: cached columns are held at or under this by CLOCK eviction
-#: (:mod:`repro.residency`).  High-water tracked as ``colcache.bytes``.
-COLCACHE_BYTES: int = 256 * 1024 * 1024
-
 
 def feq(a: float, b: float, eps: float = EPSILON) -> bool:
     """Return True if ``a`` and ``b`` are equal within tolerance (equal

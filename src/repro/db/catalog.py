@@ -78,9 +78,7 @@ class Database:
             raise CatalogError(f"no relation named {name!r}")
         if self._wal is not None:
             self._log_op({"op": "drop", "name": name})
-        from repro.vector.cache import evict_columns
-
-        evict_columns(self._relations.pop(name))  # its kept scan state
+        del self._relations[name]
 
     def _log_op(self, doc: dict) -> None:
         assert self._wal is not None

@@ -8,7 +8,6 @@ selection, and a projection — all the Section-2 queries need.
 
 from __future__ import annotations
 
-import sys
 from typing import (
     Any,
     Callable,
@@ -110,24 +109,16 @@ class _Held:
     the tuple's values in schema order, how many tuples the relation
     had, whether every one of them verified (``clean``), and — from the
     first statement that needs it — the attribute's column built from
-    exactly these rows.  Rows and column are one cache entry, so a
+    exactly these rows.  Rows and column are one kept value, so a
     statement never pairs the rows of one version with the column of
-    another.  ``nbytes`` is what the column cache charges: the rows,
-    and the column once it is built."""
+    another."""
 
-    __slots__ = ("version", "rows", "n", "clean", "rows_bytes", "column")
+    __slots__ = ("version", "rows", "n", "clean", "column")
 
-    def __init__(self, version: int, rows: Dict[int, List[Any]], n: int,
-                 rows_bytes: int):
+    def __init__(self, version: int, rows: Dict[int, List[Any]], n: int):
         self.version, self.rows, self.n = version, rows, n
         self.clean = len(rows) == n
-        self.rows_bytes = rows_bytes
         self.column: Any = None
-
-    @property
-    def nbytes(self) -> int:
-        column = self.column
-        return self.rows_bytes + (0 if column is None else column.nbytes)
 
 
 class VectorScan(SeqScan):
@@ -146,9 +137,9 @@ class VectorScan(SeqScan):
     tuple ids; a quarantined tuple is an empty lane that yields no row.
 
     What is kept outlives the statement.  The values read and the column
-    built from them are one entry (:class:`_Held`) per ``(relation,
-    attr)`` in the process-wide column cache (its byte budget, lock and
-    ``colcache.*`` counters), valid at the relation version it was read
+    built from them are one value (:class:`_Held`) per attribute, kept
+    in the relation itself (:func:`repro.vector.cache.keep`, counted
+    under ``colcache.*``) and valid at the relation version it was read
     at, so the next statement on an unchanged relation reads no page, no
     FLOB chain and re-verifies nothing.  The contract is the buffer
     pool's: a tuple is verified when it is read into residency, not on
@@ -226,10 +217,7 @@ class VectorScan(SeqScan):
                 tid: list(row.values())
                 for tid, row in enumerate(self.relation.scan())
             }
-            # The values are the relation's own; the containers are not.
-            overhead = sys.getsizeof(live)
-            overhead += sum(map(sys.getsizeof, live.values()))
-            return _Held(version, live, len(live), overhead)
+            return _Held(version, live, len(live))
         n = len(store)
         at = None if self.attr is None else self._attr_index()
         rows = {
@@ -242,26 +230,21 @@ class VectorScan(SeqScan):
                 is not _QUARANTINED
             )
         }
-        nbytes = sum(v.total_bytes for stored in rows.values() for v in stored)
-        return _Held(version, rows, n, nbytes)
-
-    def _keep(self, held: _Held) -> None:
-        """Share ``held`` (charged at what it weighs now) if it is clean."""
-        if held.clean:
-            from repro.vector import cache
-
-            cache.keep(self.relation, ("scan", self.attr), held.version, held)
+        return _Held(version, rows, n)
 
     def _state(self) -> _Held:
         """What this scan answers from: the read kept at the relation's
-        current version, or one of its own."""
+        current version, or one of its own (a read that quarantined a
+        tuple is never shared)."""
         if self._held is None:
             from repro.vector import cache
 
             held = cache.lookup(self.relation, ("scan", self.attr))
             if held is None:
                 held = self._read()
-                self._keep(held)
+                if held.clean:
+                    cache.keep(self.relation, ("scan", self.attr),
+                               held.version, held)
             self._held = held
         return self._held
 
@@ -347,7 +330,6 @@ class VectorScan(SeqScan):
         column = held.column
         if column is None:
             column = held.column = self._transcribe(held)
-            self._keep(held)
         return column
 
     def batch(self, op: str, *args: Any) -> Any:

@@ -30,9 +30,14 @@ class Relation:
 
     :attr:`version` stamps the contents: every :meth:`insert` moves it
     (after the tuple is visible), so what a scan read at one stamp may
-    be kept for as long as the stamp stands (``VectorScan``).  Recovery
-    builds a new relation object, which shares nothing kept for the old.
+    be kept for as long as the stamp stands (``VectorScan``).  What is
+    kept lives in the relation and leaves with it; recovery builds a new
+    relation object, which shares nothing kept for the old.
     """
+
+    #: Slot → ``(version, value)`` kept by :func:`repro.vector.cache.keep`;
+    #: nothing else reads or writes it.
+    _kept: Optional[Dict[Any, Any]] = None
 
     def __init__(
         self,

@@ -60,7 +60,7 @@ from repro.storage.tuplestore import TupleStore
 from repro.storage.wal import Wal
 from repro.temporal.mapping import MovingPoint
 from repro.temporal.upoint import UPoint
-from repro.vector.cache import Fleet, clear_cache, column_for_versioned
+from repro.vector.cache import Fleet, column_for_versioned
 from repro.vector.columns import UPointColumn
 from repro.vector.kernels import window_intervals_batch
 from repro.vector.store import ColumnStore
@@ -495,14 +495,14 @@ def _group_commit(run: Run) -> str:
     baseline = _tracks(run.seed, 4)
     wal = Wal()
     try:
-        clear_cache()
         ex = FleetExecutor()
         fleet = ex.register_fleet(FLEET, baseline)
-        column_for_versioned(fleet, "upoint")  # build the baseline column
+        column_for_versioned(fleet, "upoint")  # read the served column
         commit(wal, ex, [
             IngestRequest(FLEET, 0, (100.0, 0.0, 0.0, 101.5, 1.0, 1.0))
         ])
-        column_for_versioned(fleet, "upoint")  # splice the ingest into it
+        # Read the column the apply published with the ingest in it.
+        column_for_versioned(fleet, "upoint")
         with run.armed():
             commit(wal, ex, [
                 IngestRequest(FLEET, 1, (200.0, 5.0, 5.0, 201.5, 6.0, 6.0))
@@ -511,7 +511,6 @@ def _group_commit(run: Run) -> str:
         # "Restart": drop every live object, rebuild the boot-time
         # fleet, and replay the durable WAL prefix.
         del ex, fleet
-        clear_cache()
         ex2 = FleetExecutor()
         fleet2 = ex2.register_fleet(FLEET, baseline)
         replayed = replay_ingest(wal, ex2)
@@ -529,7 +528,6 @@ def _group_commit(run: Run) -> str:
         _expect_column(col, list(fleet2),
                        "post-recovery column differs from rebuild")
     finally:
-        clear_cache()
         wal.close()
     detail = ("durable batch resurrected by replay" if durable
               else "unsynced batch absent after replay")

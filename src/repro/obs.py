@@ -152,7 +152,7 @@ COUNTER_NAMES: FrozenSet[str] = frozenset({
     "vector.fallback_to_scalar.ureal_column",
     "vector.fallback_to_scalar.bbox_column",
     "vector.fallback_to_scalar.predicate",
-    # columnar cache (repro.vector.cache)
+    # columns and scan state kept by their owners (repro.vector.cache)
     "colcache.hits",
     "colcache.misses",
     "colcache.invalidations",
@@ -214,11 +214,8 @@ TIMER_NAMES: FrozenSet[str] = frozenset({
 GAUGE_NAMES: FrozenSet[str] = frozenset({
     "vector.rows_per_call",
     "parallel.workers",
-    "server.query_p50_ms",
-    "server.query_p99_ms",
     "server.inflight",
-    # resident-byte high-water marks of the two byte-budgeted caches
-    "colcache.bytes",
+    # resident-byte high-water mark of the shard manager's budget
     "shard.resident_bytes",
 })
 

@@ -187,7 +187,7 @@ class WindowQueryEngine:
         """Keys + the moving points they name, index-aligned.
 
         Without lazy objects the members are the fleet itself (its
-        column cached); otherwise a list, the loaders read now (their
+        column kept); otherwise a list, the loaders read now (their
         storage may have changed).  With ``strict=False`` loaders that
         fail are quarantined (counted under ``storage.quarantined``) and
         simply excluded.

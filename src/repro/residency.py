@@ -1,9 +1,11 @@
 """One residency policy: a cost-budgeted second-chance (CLOCK) table.
 
-Pool frames, built columns, mapped shard files and a worker's attached
-segments are the same Section-4 thing — keyed entries with a cost,
-brought into memory on demand and resident until the budget needs the
-room (DESIGN.md) — so what goes next is decided here, once.  The table
+Pool frames, mapped shard files and a worker's attached segments are
+the same Section-4 thing — keyed entries with a cost, brought into
+memory on demand and resident until the budget needs the room
+(DESIGN.md) — so what goes next is decided here, once.  A column a
+fleet or relation built is no entry: it lives in its owner and leaves
+with it (:mod:`repro.vector.cache`).  The table
 takes no lock and stores no budget: its owner serializes access and
 passes the budget to :meth:`Residency.fit` after every insert and every
 cost change.

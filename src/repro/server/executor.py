@@ -430,9 +430,6 @@ class FleetExecutor:
             return 0.0, 0.0
         p50 = lat[int(0.50 * (len(lat) - 1))]
         p99 = lat[int(0.99 * (len(lat) - 1))]
-        if obs.enabled:
-            obs.high_water("server.query_p50_ms", p50)
-            obs.high_water("server.query_p99_ms", p99)
         return p50, p99
 
     def stats(self) -> Dict[str, object]:

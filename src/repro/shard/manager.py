@@ -11,7 +11,7 @@ Eviction is the shared CLOCK policy (:mod:`repro.residency`): a resident
 shard costs its mapped column bytes, and whenever that cost is charged
 or grows the table is fitted back to the budget, cold shards first.
 The manager is a shard column's only owner — nothing it maps or builds
-enters the process column cache.  Eviction drops its *reference*, never
+is kept in the shard's :class:`~repro.vector.cache.Fleet`.  Eviction drops its *reference*, never
 bytes under a live reader: columns are immutable, so a scatter that
 obtained a column before the eviction keeps reading consistent data
 (the ``shard.evict_during_query`` chaos scenario pins exactly this).

@@ -21,10 +21,10 @@ columnar-ly, across *many* objects at once:
 * :mod:`repro.vector.backends` — the physical operator table: which
   code evaluates each fleet operation on each backend, and the counted
   ladder it degrades along; :mod:`repro.vector.fleet` binds its rows.
-* :mod:`repro.vector.cache` — the columnar cache: versioned
-  :class:`~repro.vector.cache.Fleet` sequences reuse built columns
-  across queries (``colcache.hits``), invalidated by mutation
-  (``colcache.invalidations``).
+* :mod:`repro.vector.cache` — versioned
+  :class:`~repro.vector.cache.Fleet` sequences keep the columns they
+  built across queries (``colcache.hits``) until a mutation stales
+  them (``colcache.invalidations``).
 
 Every kernel is observable through :mod:`repro.obs` (rows per kernel
 call, fallback-to-scalar events) and equivalent to the scalar unit-at-a-
@@ -33,7 +33,7 @@ time path — an equivalence the property tests and benchmarks assert.
 
 from __future__ import annotations
 
-from repro.vector.cache import ColumnCache, Fleet, clear_cache, column_for
+from repro.vector.cache import Fleet, column_for
 from repro.vector.columns import BBoxColumn, UPointColumn, URealColumn
 from repro.vector.fleet import (
     fleet_atinstant,
@@ -57,13 +57,11 @@ from repro.vector.kernels import (
 
 __all__ = [
     "BBoxColumn",
-    "ColumnCache",
     "Fleet",
     "UPointColumn",
     "URealColumn",
     "atinstant_batch",
     "bbox_filter_batch",
-    "clear_cache",
     "column_for",
     "crossings_above_batch",
     "fleet_atinstant",

@@ -1,52 +1,47 @@
-"""Columnar cache: built columns keyed by fleet identity + version stamp.
+"""Fleets and the columns they keep.
 
 The economics (``benchmarks/e2e/run.py --workload api_scan_warm``,
 ``cache.build_upoint_ms`` beside ``kernels.atinstant_ms``): the batched
 ``atinstant`` kernel costs well under a millisecond at 10,000 objects,
 but building its column costs tens of milliseconds — repeated snapshot
-and window queries were paying a ~40× overhead to re-transcribe an
-unchanged fleet.  The cache closes that gap for fleets that opt into
-mutation tracking:
+and window queries would pay a ~40× overhead to re-transcribe an
+unchanged fleet.  So a fleet keeps what it built, as Section 4's value
+keeps its database arrays:
 
 * :class:`Fleet` is a list-like sequence of moving objects carrying a
   monotonically increasing *version stamp*, bumped by every mutating
   operation (``append``/``__setitem__``/``__delitem__``/``insert``/…).
-* :class:`ColumnCache` memoizes built columns under the key
-  ``(id(fleet), kind)`` and revalidates by version: a read either hits
-  (the stamp matches) or finds an *invalidation* (the fleet mutated
-  since the column was built) and rebuilds.  A weak reference guards
-  against ``id`` reuse, and an owner's death evicts its entries.
+  :meth:`Fleet.column_for` builds a column kind once per version and
+  keeps it in the fleet: a read either hits (the stamp matches) or
+  finds an *invalidation* (the fleet mutated since the column was
+  built) and rebuilds.  The columns leave with their fleet.
+* :func:`lookup` / :func:`keep` are that kept state for any owner with
+  a ``version``: a fleet's columns, a relation's scan state
+  (:class:`repro.db.executor.VectorScan`).  Each owner holds its own
+  values in its ``_kept`` attribute, which nothing but this module
+  touches.
 
-Plain sequences (lists, tuples) have no version stamp and bypass the
-cache entirely — they get a fresh column per call, exactly the pre-cache
-behaviour.  Counters: ``colcache.hits`` / ``colcache.misses`` /
-``colcache.invalidations``.
+Plain sequences (lists, tuples) have no version stamp and keep nothing
+— they get a fresh column per call.  Counters: ``colcache.hits`` /
+``colcache.misses`` / ``colcache.invalidations``.
 
-A :class:`ServedFleet` — the query service's fleet — needs no cache: it
-*is* its ``upoint`` column, and :func:`column_for_versioned` hands that
-column out as it stands.
-
-A relation's scan state (:class:`repro.db.executor.VectorScan`) lives in
-the same table under the same budget, lock and counters: any owner with
-a ``version`` keeps values under :meth:`ColumnCache.lookup` /
-:meth:`ColumnCache.keep`.
+A :class:`ServedFleet` — the query service's fleet — keeps nothing
+either: it *is* its ``upoint`` column, and :func:`column_for_versioned`
+hands that column out as it stands.
 """
 
 from __future__ import annotations
 
 import os
-import weakref
-from collections import deque
 from collections.abc import MutableSequence, Sequence
 from itertools import islice
 from typing import (
-    Any, Deque, Dict, Hashable, Iterable, Iterator, List, Optional, Tuple,
+    Any, Dict, Hashable, Iterable, Iterator, List, Optional, Tuple,
 )
 
-from repro import config, obs
+from repro import obs
 from repro.analysis import dynlock
 from repro.errors import InvalidValue
-from repro.residency import Residency
 from repro.temporal.mapping import MovingPoint
 from repro.vector.columns import BBoxColumn, UPointColumn, column_class
 
@@ -55,21 +50,27 @@ from repro.vector.columns import BBoxColumn, UPointColumn, column_class
 #: exists whole beside its column.
 _BOOT_CHUNK = 1024
 
+#: Serializes every read and write of an owner's kept values, and a
+#: fleet's column build with them, so readers of a stale fleet build
+#: once.  Re-entrant because a build may re-enter through the fleet's
+#: own ``__getitem__``.
+_LOCK = dynlock.rlock("vector.colcache")
+
 
 class Fleet(MutableSequence[Any]):
     """A mutable sequence of moving objects with a version stamp.
 
     Behaves like a list for every read, but every mutation bumps
-    :attr:`version`, which is what lets :class:`ColumnCache` decide
-    whether a previously built column still describes the fleet: after
-    any mutation the next read rebuilds.
+    :attr:`version`, which is what lets :meth:`column_for` decide
+    whether a column it kept still describes the fleet: after any
+    mutation the next read rebuilds.
 
     The version restarts at 0 in every fleet, so outside the process it
     says nothing; :attr:`stamp` is what a stored copy of a column is
     signed with.
     """
 
-    __slots__ = ("_items", "_version", "_members", "_identity", "__weakref__")
+    __slots__ = ("_items", "_version", "_members", "_identity", "_kept")
 
     def __init__(self, items: Iterable[Any] = ()):
         self._items: List[Any] = list(items)
@@ -79,6 +80,8 @@ class Fleet(MutableSequence[Any]):
         self._identity = int.from_bytes(os.urandom(16), "big")
         # (version, members at that version), built on first ask.
         self._members: Optional[Tuple[int, Tuple[Any, ...]]] = None
+        # kind -> (version, column), filled by keep().
+        self._kept: Optional[Dict[Hashable, Tuple[int, Any]]] = None
 
     @property
     def version(self) -> int:
@@ -114,10 +117,36 @@ class Fleet(MutableSequence[Any]):
         """Bump the version without changing contents.
 
         For callers that mutated a *member* in place (the fleet cannot
-        observe that), so cached columns must be declared stale by hand:
-        the next cache access rebuilds.
+        observe that), so kept columns must be declared stale by hand:
+        the next :meth:`column_for` rebuilds.
         """
         self._version += 1
+
+    def column_for(self, kind: str) -> Tuple[int, Any]:
+        """``(version, column)`` of ``kind``: the column kept at the
+        current version, or one built now and kept.
+
+        The version is the stamp the column was built at.  Callers that
+        dispatch a kernel *after* obtaining the column compare it with
+        :attr:`version` at use time (:func:`revalidate`): a fleet
+        mutated in between — even by its own builder iteration — must
+        not silently feed the kernel a stale column.  A fleet of moving
+        points derives its ``bbox`` column from its ``upoint`` one.
+        """
+        cls = column_class(kind)
+        with _LOCK:
+            version = self._version
+            column = lookup(self, kind)
+            if column is None:
+                if cls is BBoxColumn and all(
+                    isinstance(m, MovingPoint) for m in self.members()
+                ):
+                    version, upoint = self.column_for(UPointColumn.KIND)
+                    column = cls.from_upoint(upoint)
+                else:
+                    column = cls.from_mappings(self)
+                keep(self, kind, version, column)
+            return version, column
 
     # -- MutableSequence core ------------------------------------------------
 
@@ -179,7 +208,7 @@ class ServedFleet(Sequence[MovingPoint]):
     changes that object.  Nothing is built unless asked.
     """
 
-    __slots__ = ("_state", "__weakref__")
+    __slots__ = ("_state",)
 
     def __init__(self, column: UPointColumn, version: int = 0):
         # (version, column, members built from that column), swapped
@@ -271,189 +300,12 @@ class ServedFleet(Sequence[MovingPoint]):
         return f"ServedFleet({column.n_objects} objects, version={version})"
 
 
-class ColumnCache:
-    """Byte-budgeted cache of built columns keyed by fleet identity.
-
-    Eviction is by resident *bytes*, not entry count: an entry-count cap
-    could hold N huge columns while evicting small ones, so an entry
-    costs its column's ``nbytes`` and the shared CLOCK policy
-    (:mod:`repro.residency`) evicts until the total fits the budget
-    (``config.COLCACHE_BYTES`` unless overridden per instance).  Every
-    entry is built in memory and charged; a column mapped from a
-    :mod:`repro.vector.store` never enters (the
-    :class:`~repro.shard.manager.ShardManager` that mapped it charges
-    it).  The high-water mark is tracked as the ``colcache.bytes``
-    gauge.  An entry leaves with its owner: once the fleet or relation
-    it was kept for is collected, the cache's next operation evicts it.
-    """
-
-    __slots__ = ("_budget", "_entries", "_lock", "_dead")
-
-    def __init__(self, budget: Optional[int] = None):
-        self._budget = budget
-        # (id(owner), kind or slot) -> (version, weakref, column or value)
-        self._entries: Residency[
-            Tuple[int, Hashable], Tuple[int, Any, Any]
-        ] = Residency()
-        # Any thread may read columns while another mutates a fleet or
-        # a relation; every cache operation that touches the entry
-        # table runs under this lock.  Re-entrant
-        # because a column build may re-enter the cache via the fleet's
-        # own __getitem__.
-        self._lock = dynlock.rlock("vector.colcache")
-        # Keys whose owner died.  The collector may run a weakref
-        # callback under any lock the dying owner's last holder had, so
-        # the callback only appends here (one atomic deque operation)
-        # and the next cache operation evicts under the cache lock.
-        self._dead: Deque[Tuple[int, Hashable]] = deque()
-
-    def __len__(self) -> int:
-        with self._lock:
-            self._reap()
-            return len(self._entries)
-
-    @property
-    def resident_bytes(self) -> int:
-        """Current resident bytes (the budgeted quantity)."""
-        with self._lock:
-            self._reap()
-            return self._entries.total
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self._dead.clear()
-
-    def drop_fleet(self, fleet: Any) -> None:
-        """Forget everything held for ``fleet`` (a fleet's columns of
-        all kinds, a relation's scan state).
-
-        Used by the catalog when a relation is dropped: its entries
-        leave now, not when the relation is collected.
-        """
-        with self._lock:
-            self._reap()
-            for key in [key for key in self._entries if key[0] == id(fleet)]:
-                self._entries.evict(key)
-
-    def get(self, fleet: Fleet, kind: str) -> Any:
-        """The ``kind`` column of ``fleet``, rebuilt only when stale."""
-        return self.get_versioned(fleet, kind)[1]
-
-    def get_versioned(self, fleet: Fleet, kind: str) -> Tuple[int, Any]:
-        """``(version, column)`` — the stamp the column was built at.
-
-        A hit when the entry is at ``fleet.version``; otherwise a stale
-        entry is an invalidation and the column is rebuilt.  Callers
-        that dispatch a kernel *after* obtaining the column compare the
-        returned version against ``fleet.version`` at use time
-        (:func:`revalidate`): a fleet mutated in between — even by its
-        own builder iteration — must not silently feed the kernel a
-        stale column.
-        """
-        cls = column_class(kind)
-        with self._lock:
-            version = fleet.version
-            column = self.lookup(fleet, kind)
-            if column is None:
-                if kind == "bbox" and all(
-                    isinstance(m, MovingPoint) for m in fleet.members()
-                ):
-                    # Moving points' boxes are array work over their
-                    # unit column: reuse (or build and keep) that entry.
-                    version, upoint = self.get_versioned(fleet, "upoint")
-                    column = cls.from_upoint(upoint)
-                else:
-                    column = cls.from_mappings(fleet)
-                self.keep(fleet, kind, version, column)
-            return version, column
-
-    def _reap(self) -> None:
-        """Evict the entries whose owner died.  Caller holds the lock."""
-        while self._dead:
-            key = self._dead.popleft()
-            entry = self._entries.get(key)
-            # The id may already name a new owner with an entry of its own.
-            if entry is not None and entry[1]() is None:
-                self._entries.evict(key)
-
-    def _entry_of(
-        self, owner: Any, key: Tuple[int, Hashable]
-    ) -> Optional[Tuple[int, Any, Any]]:
-        """``key``'s entry if it is ``owner``'s.  Caller holds the lock."""
-        entry = self._entries.get(key)
-        if entry is not None and entry[1]() is not owner:
-            # id() was recycled by a new owner: a stale stranger's
-            # entry, not an invalidation of *this* owner's value.
-            self._entries.evict(key)
-            return None
-        return entry
-
-    def lookup(self, owner: Any, slot: Hashable) -> Any:
-        """What :meth:`keep` holds for ``owner`` under ``slot`` if it was
-        kept at ``owner.version``, else None — a hit, an invalidation
-        (the entry goes) or a miss, counted like a column's."""
-        key = (id(owner), slot)
-        with self._lock:
-            self._reap()
-            entry = self._entry_of(owner, key)
-            if entry is not None and entry[0] == owner.version:
-                if obs.enabled:
-                    obs.counters.add("colcache.hits")
-                return entry[2]
-            if entry is not None:
-                if obs.enabled:
-                    obs.counters.add("colcache.invalidations")
-                self._entries.evict(key)
-            if obs.enabled:
-                obs.counters.add("colcache.misses")
-            return None
-
-    def keep(self, owner: Any, slot: Hashable, version: int, value: Any) -> None:
-        """Hold ``value`` (anything with ``nbytes``) for ``owner`` under
-        ``slot``, charged to the budget like a column.
-
-        ``version`` is ``owner.version`` as read *before* ``value`` was
-        built.  Versions only rise and move after a change is visible,
-        so an entry that still matches at :meth:`lookup` was built from
-        exactly the current contents; one overtaken meanwhile is never
-        served, and never replaces what a later version kept.  Keeping
-        the same value again charges it at what it weighs now.  The
-        value is shared from here on.
-        """
-        key = (id(owner), slot)
-        with self._lock:
-            self._reap()
-            entry = self._entry_of(owner, key)
-            if entry is None:
-                dead = self._dead
-                ref = weakref.ref(owner, lambda _ref: dead.append(key))
-                self._store_entry(key, version, ref, value)
-            elif entry[0] <= version:
-                self._store_entry(key, version, entry[1], value)
-
-    def _store_entry(
-        self, key: Tuple[int, Hashable], version: int, ref: Any, column: Any
-    ) -> None:
-        """Insert or replace one entry, then fit the cache to its budget
-        (a splice that grew the column pays like a fresh build); keeps
-        the ``colcache.bytes`` high-water gauge.  Caller holds the lock."""
-        self._entries.put(key, (version, ref, column), column.nbytes)
-        obs.high_water("colcache.bytes", float(self._entries.total))
-        budget = self._budget if self._budget is not None else config.COLCACHE_BYTES
-        self._entries.fit(max(budget, 0))
-
-
-#: Process-wide cache used by the fleet helpers and the query engine.
-_CACHE = ColumnCache()
-
-
 def column_for(fleet: Any, kind: str = "upoint") -> Any:
     """Build (or fetch) the ``kind`` column for ``fleet``.
 
-    Versioned :class:`Fleet` instances go through the process-wide
-    :class:`ColumnCache`; plain sequences are transcribed fresh per call
-    (no identity + version to validate against).  Raises whatever the
+    A :class:`Fleet` or :class:`ServedFleet` answers from what it holds
+    (:meth:`Fleet.column_for`); plain sequences are transcribed fresh
+    per call (no version to validate against).  Raises whatever the
     column builder raises (``InvalidValue`` for non-mapping members), so
     backend dispatchers keep their counted scalar fallback.
     """
@@ -464,11 +316,8 @@ def column_for_versioned(
     fleet: Any, kind: str = "upoint"
 ) -> Tuple[Optional[int], Any]:
     """Like :func:`column_for`, plus the version stamp the column
-    describes (None for plain sequences, which carry no stamp).  A
-    :class:`ServedFleet` answers from its own column, cache untouched."""
-    if isinstance(fleet, Fleet):
-        return _CACHE.get_versioned(fleet, kind)
-    if isinstance(fleet, ServedFleet):
+    describes (None for plain sequences, which carry no stamp)."""
+    if isinstance(fleet, (Fleet, ServedFleet)):
         return fleet.column_for(kind)
     return None, column_class(kind).from_mappings(fleet)
 
@@ -486,7 +335,7 @@ def revalidate(fleet: Any, kind: str, version: Optional[int], column: Any) -> An
     a kernel over it: if the fleet's version moved in between (an
     in-place mutation, possibly triggered *during* the column build by
     the fleet's own ``__getitem__``), the stale column is dropped and
-    re-fetched — counted under ``colcache.invalidations`` by the cache.
+    re-fetched — counted under ``colcache.invalidations``.
     Plain sequences (``version is None``) have no stamp to validate.
     """
     if version is None or not isinstance(fleet, Fleet):
@@ -494,29 +343,45 @@ def revalidate(fleet: Any, kind: str, version: Optional[int], column: Any) -> An
     for _ in range(_REVALIDATE_ROUNDS):
         if fleet.version == version:
             return column
-        version, column = _CACHE.get_versioned(fleet, kind)
+        version, column = fleet.column_for(kind)
     return column
 
 
 def lookup(owner: Any, slot: Hashable) -> Any:
-    """:meth:`ColumnCache.lookup` on the process-wide cache."""
-    return _CACHE.lookup(owner, slot)
+    """What :func:`keep` holds for ``owner`` under ``slot`` if it was
+    kept at ``owner.version``, else None — a hit, an invalidation (the
+    stale value goes) or a miss, counted under ``colcache.*``."""
+    with _LOCK:
+        kept = owner._kept
+        entry = None if kept is None else kept.get(slot)
+        if entry is not None and entry[0] == owner.version:
+            if obs.enabled:
+                obs.counters.add("colcache.hits")
+            return entry[1]
+        if entry is not None:
+            if obs.enabled:
+                obs.counters.add("colcache.invalidations")
+            del kept[slot]
+        if obs.enabled:
+            obs.counters.add("colcache.misses")
+        return None
 
 
 def keep(owner: Any, slot: Hashable, version: int, value: Any) -> None:
-    """:meth:`ColumnCache.keep` on the process-wide cache."""
-    _CACHE.keep(owner, slot, version, value)
+    """Hold ``value`` in ``owner`` under ``slot``, for as long as the
+    owner lives or a later version replaces it.
 
-
-def clear_cache() -> None:
-    """Drop every cached column (tests, benchmarks)."""
-    _CACHE.clear()
-
-
-def evict_columns(fleet: Any) -> None:
-    """Drop what the process cache holds for one fleet or relation.
-
-    The catalog calls this when it drops a relation, so the bytes
-    actually leave the process instead of lingering here.
+    ``version`` is ``owner.version`` as read *before* ``value`` was
+    built.  Versions only rise and move after a change is visible, so
+    a value that still matches at :func:`lookup` was built from exactly
+    the current contents; one overtaken meanwhile is never served, and
+    never replaces what a later version kept.  The value is shared from
+    here on.
     """
-    _CACHE.drop_fleet(fleet)
+    with _LOCK:
+        kept = owner._kept
+        if kept is None:
+            kept = owner._kept = {}
+        entry = kept.get(slot)
+        if entry is None or entry[0] <= version:
+            kept[slot] = (version, value)

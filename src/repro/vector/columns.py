@@ -88,8 +88,8 @@ class Column:
     ``chunk(lo, hi)``.
     """
 
-    # __weakref__ lets the column cache and the shared-memory segment
-    # registry key off column/owner identity without keeping it alive.
+    # __weakref__ lets the shared-memory segment registry key off a
+    # column's identity without keeping it alive.
     __slots__ = ("__weakref__",)
 
     KIND: str
@@ -108,7 +108,7 @@ class Column:
     @property
     def nbytes(self) -> int:
         """Resident bytes: the sum of the payload arrays (the unit of
-        account of the column cache's and the shard manager's budgets).
+        account of the shard manager's budget).
         Keys are bookkeeping, not payload."""
         return sum(int(a.nbytes) for a in self.arrays())
 

@@ -653,6 +653,23 @@ class TestMOD007LockDiscipline:
         assert codes(out) == ["MOD007"]
         assert "another module" in out[0].message
 
+    def test_kept_state_reached_from_its_owner_flagged(self, tmp_path):
+        # A relation's kept scan state belongs to repro.vector.cache,
+        # even read through the relation that holds it.
+        out = lint_snippets(tmp_path, {
+            "src/repro/db/relation.py": """
+                class Relation:
+                    def forget(self):
+                        self._kept = None
+            """,
+            "src/repro/vector/cache.py": """
+                def lookup(owner, slot):
+                    return owner._kept
+            """,
+        }, select={"MOD007"})
+        assert codes(out) == ["MOD007"]
+        assert out[0].path.endswith("db/relation.py")
+
     def test_suppression_with_reason_accepted(self, tmp_path):
         out = lint_snippets(tmp_path, {
             "src/repro/server/executor.py": """

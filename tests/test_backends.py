@@ -24,7 +24,6 @@ from repro.temporal.upoint import UPoint
 from repro.temporal.ureal import UReal
 from repro.vector import backends
 from repro.vector.backends import BACKENDS, OPERATIONS, evaluate
-from repro.vector.cache import clear_cache
 from repro.vector.columns import UPointColumn
 from repro.workloads.regions import regular_polygon
 
@@ -52,10 +51,8 @@ ARGS = {
 @pytest.fixture(autouse=True)
 def _clean_state():
     backends.set_backend("scalar")
-    clear_cache()
     yield
     backends.set_backend("scalar")
-    clear_cache()
     pool.shutdown()
     shmcol.release_all()
 

@@ -36,7 +36,7 @@ from repro.db.catalog import Database
 from repro.errors import CorruptColumnError, SimulatedCrash
 from repro.shard import ShardedFleet, ShardManager, sharded
 from repro.temporal.mapping import MovingPoint
-from repro.vector.cache import Fleet, clear_cache
+from repro.vector.cache import Fleet
 from repro.vector.columns import KINDS, UPointColumn
 from repro.vector.fleet import fleet_atinstant, set_backend
 from repro.vector.kernels import atinstant_batch
@@ -50,12 +50,10 @@ def _clean_state():
     faults.reset_fired()
     obs.enable()
     obs.reset()
-    clear_cache()
     set_backend("scalar")
     yield
     faults.disarm()
     faults.reset_fired()
-    clear_cache()
     set_backend("scalar")
     obs.reset()
     obs.disable()
@@ -390,7 +388,7 @@ class TestBackendParity:
         scalar = sorted(r["id"].value for r in db.query(sql))
         for backend in ("vector", "parallel"):
             set_backend(backend)
-            clear_cache()
+            db.relation("planes").invalidate()
             cold = sorted(r["id"].value for r in db.query(sql))
             warm = sorted(r["id"].value for r in db.query(sql))
             assert cold == warm == scalar

@@ -11,8 +11,8 @@ column and publishes it.  Checked here:
   still holds the column and the reply it held;
 * a batch publishes once per fleet it changed, and a batch that raises
   publishes nothing;
-* a served fleet never enters the column cache, and a plain ``Fleet``'s
-  cache entry leaves with its owner.
+* a served fleet keeps nothing beside its column, and a plain
+  ``Fleet``'s kept columns leave with it.
 """
 
 import gc
@@ -31,7 +31,7 @@ from repro.temporal.mapping import MovingPoint
 from repro.temporal.upoint import UPoint
 from repro.vector import backends
 from repro.vector import cache as cache_mod
-from repro.vector.cache import ColumnCache, Fleet, ServedFleet, clear_cache, column_for
+from repro.vector.cache import Fleet, ServedFleet, column_for
 from repro.vector.columns import UPointColumn
 from repro.workloads.trajectories import random_flights
 
@@ -40,11 +40,9 @@ from repro.workloads.trajectories import random_flights
 def _clean_slate():
     faults.disarm()
     faults.reset_fired()
-    clear_cache()
     yield
     faults.disarm()
     faults.reset_fired()
-    clear_cache()
 
 
 def tracks(n):
@@ -223,7 +221,6 @@ def test_a_served_fleet_never_enters_the_column_cache():
         ex.snapshot_rows("f", 10.5)
         version, column = cache_mod.column_for_versioned(fleet, "upoint")
     assert (version, column) == (1, fleet.column) and column is fleet.column
-    assert len(cache_mod._CACHE) == 0
     assert not [k for k in seen.snapshot()["counters"] if k.startswith("colcache.")]
 
 
@@ -231,29 +228,21 @@ def test_a_served_fleet_never_enters_the_column_cache():
 
 
 def test_dead_fleets_leave_the_cache():
-    cache = ColumnCache()
+    """A fleet's columns live in the fleet: they die with it, and a
+    living fleet still answers from its own."""
     fleets = [Fleet(random_flights(40, legs=3, seed=s)) for s in range(5)]
-    for f in fleets:
-        cache.get(f, "upoint")
-        cache.get(f, "bbox")
+    columns = [
+        weakref.ref(column_for(f, kind)) for f in fleets for kind in ("upoint", "bbox")
+    ]
     kept = Fleet(random_flights(10, legs=3, seed=9))
-    cache.get(kept, "upoint")
-    assert len(cache) == 11
-    del f, fleets
+    column = column_for(kept, "upoint")
+    assert all(ref() is not None for ref in columns)
+    del fleets
     gc.collect()
-    assert len(cache) == 1
-    assert cache.resident_bytes == cache.get(kept, "upoint").nbytes
-
-
-def test_dead_fleets_leave_the_process_cache():
-    before = len(cache_mod._CACHE)
-    fleets = [Fleet(random_flights(40, legs=3, seed=s)) for s in range(5)]
-    for f in fleets:
-        column_for(f, "upoint")
-    assert len(cache_mod._CACHE) == before + 5
-    del f, fleets
-    gc.collect()
-    assert len(cache_mod._CACHE) == before
+    assert [ref() for ref in columns] == [None] * 10
+    with obs.capture() as seen:
+        assert column_for(kept, "upoint") is column
+    assert seen.get("colcache.hits") == 1
 
 
 def test_a_reregistered_fleets_column_leaves_with_it():

@@ -18,7 +18,9 @@ shape of the work by count rather than by timing:
   lane per tuple and the EPSILON-wide band around a region's bounding box.
 """
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -41,7 +43,6 @@ from repro.storage.records import MovingPointCodec, pack_value
 from repro.temporal.mapping import MovingPoint
 from repro.temporal.upoint import UPoint
 from repro.vector import backends
-from repro.vector.cache import clear_cache
 from repro.vector.columns import UPointColumn
 from repro.vector.fleet import fleet_count_inside, set_backend
 from repro.vector.kernels import inside_prefilter
@@ -56,10 +57,8 @@ COLUMN_FIELDS = (
 def _clean_state():
     obs.enable()
     obs.reset()
-    clear_cache()
     set_backend("scalar")
     yield
-    clear_cache()
     set_backend("scalar")
     obs.reset()
     obs.disable()
@@ -671,41 +670,57 @@ class TestKeptScanState:
             assert work() == (0, 0, 0)
 
     @pytest.mark.parametrize("name", _scan_class.COLUMNAR)
-    def test_kept_state_is_charged_to_the_column_cache(self, name):
-        from repro.vector import cache
-
+    def test_kept_state_lives_in_the_relation(self, name):
+        """One read per attribute, kept in the relation at the version it
+        was read at: hit while that stands, replaced once it moves."""
         db, rel, _pages = _planes(n=6, flob={1, 4})
+        slot = ("scan", "flight")
         with _scan_class(name):
-            assert cache._CACHE.resident_bytes == 0
+            assert rel._kept is None
             with obs.capture() as c:
                 db.query(self.Q1)
             assert c.get("colcache.misses") >= 1 and not c.get("colcache.hits")
-            held = cache._CACHE.resident_bytes
-            assert held >= sum(len(t) for t in rel.store._tuples) // 2
+            version, held = rel._kept[slot]
+            assert version == rel.version and held.column is not None
             with obs.capture() as c:
                 db.query(self.Q1)
             assert c.get("colcache.hits") >= 1 and not c.get("colcache.misses")
-            assert cache._CACHE.resident_bytes == held
+            assert rel._kept[slot] == (version, held)
             rel.invalidate()
             with obs.capture() as c:
                 db.query(self.Q1)
             assert c.get("colcache.invalidations") >= 1
-            assert cache._CACHE.resident_bytes == held  # replaced, not added
+            assert list(rel._kept) == [slot]  # replaced, not added
+            assert rel._kept[slot][0] == rel.version > version
 
     @pytest.mark.parametrize("name", _scan_class.COLUMNAR)
     def test_a_repeated_statement_adds_nothing_to_the_cache(self, name):
         """Regression: every statement once tiled the relation into fresh
-        shard fleets and left their columns in the process cache — dead
-        entries charged against its budget."""
-        from repro.vector import cache
-
-        db, _rel, _pages = _planes(n=12, flob={1, 4})
+        shard fleets and left their columns behind.  The relation keeps
+        one read, the same one for every statement."""
+        db, rel, _pages = _planes(n=12, flob={1, 4})
         with _scan_class(name):
-            sizes = []
+            kept = []
             for _ in range(6):
                 db.query("SELECT id FROM planes WHERE present(flight, 12.0)")
-                sizes.append((len(cache._CACHE), cache._CACHE.resident_bytes))
-        assert sizes[0][0] == 1 and sizes[1:] == sizes[:1] * 5
+                kept.append(dict(rel._kept))
+        assert len(kept[0]) == 1 and kept[1:] == kept[:1] * 5
+
+    def test_a_relations_kept_state_leaves_with_it(self):
+        from repro.db.executor import VectorScan
+        from repro.db.relation import Relation
+        from repro.db.schema import Schema
+
+        rel = Relation("planes", Schema(SCHEMA), materialized=True,
+                       inline_threshold=INLINE_THRESHOLD)
+        for i in range(3):
+            rel.insert([f"F{i}", i, _track(i)])
+        scan = VectorScan(rel, attr="flight")
+        column = weakref.ref(scan.column())
+        assert VectorScan(rel, attr="flight").column() is column()
+        del scan, rel
+        gc.collect()
+        assert column() is None
 
     def test_a_damaged_relation_is_never_kept(self):
         db, rel, _pages = _planes(n=4, flob={1})
@@ -785,14 +800,15 @@ class TestKeptScanState:
         assert [r["id"].value for r in db.query(text)] == ["F3"]
 
     def test_dropping_a_relation_releases_its_kept_state(self):
-        from repro.vector import cache
-
-        db, _rel, _pages = _planes(n=4, flob={1})
+        db, rel, _pages = _planes(n=4, flob={1})
         set_backend("vector")
         db.query(self.Q1)
-        assert cache._CACHE.resident_bytes > 0
+        _version, held = rel._kept[("scan", "flight")]
+        column = weakref.ref(held.column)
+        del rel, held
         db.drop_relation("planes")
-        assert cache._CACHE.resident_bytes == 0 and len(cache._CACHE) == 0
+        gc.collect()
+        assert column() is None
 
     def test_recovery_and_recreation_start_from_nothing(self):
         from repro.storage.wal import Wal

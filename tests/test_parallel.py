@@ -35,7 +35,7 @@ from repro.ranges.interval import Interval
 from repro.ranges.rangeset import RangeSet
 from repro.spatial.bbox import Cube, Rect
 from repro.temporal.mapping import MovingPoint
-from repro.vector.cache import Fleet, clear_cache, column_for
+from repro.vector.cache import Fleet, column_for
 from repro.vector.columns import BBoxColumn, UPointColumn
 from repro.vector.fleet import (
     fleet_atinstant,
@@ -57,11 +57,9 @@ def _clean_state():
     """Scalar default, no worker override, empty column cache."""
     set_backend("scalar")
     set_workers(None)
-    clear_cache()
     yield
     set_backend("scalar")
     set_workers(None)
-    clear_cache()
 
 
 @pytest.fixture
@@ -75,7 +73,7 @@ def make_fleet(n=40, seed=7):
 
 
 # ---------------------------------------------------------------------------
-# Fleet + ColumnCache
+# Fleet and the columns it keeps
 # ---------------------------------------------------------------------------
 
 

@@ -24,7 +24,6 @@ from repro.errors import SimulatedCrash
 from repro.parallel import shmcol
 from repro.vector.cache import (
     Fleet,
-    clear_cache,
     column_for_versioned,
     revalidate,
 )
@@ -39,12 +38,10 @@ def _clean_state():
     faults.reset_fired()
     obs.enable()
     obs.reset()
-    clear_cache()
     set_backend("scalar")
     yield
     faults.disarm()
     faults.reset_fired()
-    clear_cache()
     set_backend("scalar")
     shmcol.release_all()
     obs.reset()

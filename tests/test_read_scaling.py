@@ -20,7 +20,7 @@ from repro.spatial.point import Point
 from repro.temporal.mapping import MovingPoint, MovingReal
 from repro.temporal.upoint import UPoint
 from repro.temporal.ureal import UReal
-from repro.vector.cache import Fleet, ServedFleet, clear_cache
+from repro.vector.cache import Fleet, ServedFleet
 from repro.vector.columns import KINDS, UPointColumn
 from repro.vector.fleet import fleet_atinstant
 from repro.vector.kernels import atinstant_batch
@@ -55,13 +55,6 @@ def grown(m: MovingPoint) -> MovingPoint:
     e = last.interval.e
     x, y = last.vec_at(e)
     return m.appended(UPoint.between(e, (x, y), e + 10.0, (x + 1.0, y), lc=False))
-
-
-@pytest.fixture(autouse=True)
-def _fresh_cache():
-    clear_cache()
-    yield
-    clear_cache()
 
 
 def same_at_both_sizes(measure):

@@ -10,8 +10,7 @@ eviction loops without changing what gets evicted:
 * fixed-seed traces through the real :class:`BufferPool` (counters
   recorded on the commit before the policy was shared) and
   :class:`ShardManager` (column accesses under a three-shard budget,
-  counters pinned), plus a regression test for the path that used to
-  change an entry's cost without fitting the budget;
+  counters pinned);
 * second-chance behaviour itself, by hit count through the pool: a loop
   that fits stays resident, and a re-referenced hot set survives a
   looping scan larger than the pool (LRU's worst case).
@@ -27,7 +26,6 @@ from repro.residency import Residency
 from repro.shard import ShardedFleet, ShardManager
 from repro.storage.buffer import BufferPool
 from repro.storage.pages import PageFile
-from repro.vector.cache import ColumnCache, Fleet, clear_cache
 from repro.workloads.trajectories import random_flights
 
 
@@ -244,21 +242,18 @@ def shard_trace(seed=2026, steps=600):
     """Random column accesses over 8 shards, half of them to three hot
     ones, under a budget of three fully loaded shards' worth."""
     rng = random.Random(seed)
-    clear_cache()
     fleet = ShardedFleet(random_flights(160, seed=11), 8)
     probe = ShardManager(fleet)
     for s in range(8):
         probe.column(s, "upoint")
         probe.column(s, "bbox")
     budget = 3 * probe.resident_bytes // 8
-    clear_cache()
     manager = ShardManager(fleet, budget=budget)
     with obs.capture() as counters:
         for _ in range(steps):
             s = rng.randrange(3) if rng.random() < 0.5 else rng.randrange(8)
             manager.column(s, "upoint" if rng.random() < 0.7 else "bbox")
         assert manager.resident_bytes <= budget
-    clear_cache()
     return {
         name: counters.get(name)
         for name in ("shard.hits", "shard.maps", "shard.evictions")
@@ -273,29 +268,3 @@ def test_shard_manager_trace_is_pinned():
     assert counts == {
         "shard.hits": 261, "shard.maps": 339, "shard.evictions": 258,
     }
-
-
-# ---------------------------------------------------------------------------
-# Cost growth passes through the budget
-# ---------------------------------------------------------------------------
-
-
-def test_column_splice_growth_evicts_to_budget():
-    """A cached column that its owner grows by splicing
-    (``UnitColumn.extended``, kept again at the new version) pays for
-    its new bytes like a fresh build would."""
-    other, grown = Fleet(random_flights(10, seed=1)), Fleet(random_flights(10, seed=2))
-    extra = random_flights(5, seed=3)
-    sizing = ColumnCache()
-    both = sizing.get(other, "upoint").nbytes + sizing.get(grown, "upoint").nbytes
-    cache = ColumnCache(budget=both + 64)
-    cache.get(other, "upoint")
-    column = cache.get(grown, "upoint")
-    assert len(cache) == 2
-    for m in extra:
-        grown.append(m)
-        column = column.extended(grown, [len(grown) - 1])
-        cache.keep(grown, "upoint", grown.version, column)
-        assert cache.resident_bytes <= both + 64
-    assert cache.lookup(grown, "upoint") is column
-    assert len(cache) == 1  # the cold fleet's column made the room

@@ -46,7 +46,6 @@ from repro.spatial.bbox import Rect
 from repro.storage.wal import Wal, WalRecord
 from repro.temporal.mapping import MovingPoint
 from repro.temporal.upoint import UPoint
-from repro.vector.cache import clear_cache
 from repro.vector.columns import UPointColumn
 from repro.workloads.trajectories import FlightGenerator
 
@@ -55,11 +54,9 @@ from repro.workloads.trajectories import FlightGenerator
 def _clean_slate():
     faults.disarm()
     faults.reset_fired()
-    clear_cache()
     yield
     faults.disarm()
     faults.reset_fired()
-    clear_cache()
     pool.shutdown()
     shmcol.release_all()
 

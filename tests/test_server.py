@@ -7,7 +7,7 @@ append-only column extension path (``Mapping.appended``,
 ``UnitColumn.extended``, the ingest apply's column advance),
 WAL group commit + recovery replay, the
 two new crash-matrix failpoints, and the live wire behaviour of the
-asyncio session layer (including the ColumnCache concurrent-access
+asyncio session layer (including the concurrent column-access
 regression: two sessions, one mutating ingest).
 """
 
@@ -61,7 +61,7 @@ from repro.storage import wal as walmod
 from repro.storage.wal import Wal, WalRecord
 from repro.temporal.mapping import MovingPoint
 from repro.temporal.upoint import UPoint
-from repro.vector.cache import Fleet, clear_cache, column_for_versioned
+from repro.vector.cache import Fleet, column_for_versioned
 from repro.vector.columns import KINDS, UPointColumn
 from repro.workloads.trajectories import FlightGenerator
 
@@ -70,11 +70,9 @@ from repro.workloads.trajectories import FlightGenerator
 def _clean_slate():
     faults.disarm()
     faults.reset_fired()
-    clear_cache()
     yield
     faults.disarm()
     faults.reset_fired()
-    clear_cache()
 
 
 def _mappings(n: int, seed: int = 7, legs: int = 3):

@@ -16,7 +16,6 @@ from repro.errors import InvalidValue
 from repro.shard import ShardManager, ShardedFleet, sharded, sharded_window_intervals
 from repro.spatial.bbox import Cube, Rect
 from repro.temporal.mapping import MovingPoint
-from repro.vector.cache import ColumnCache, Fleet, clear_cache
 from repro.vector.columns import UPointColumn
 from repro.vector.fleet import set_backend
 from repro.vector.kernels import atinstant_batch, window_intervals_batch
@@ -25,12 +24,10 @@ from repro.workloads.trajectories import random_flights
 
 @pytest.fixture(autouse=True)
 def _clean_state():
-    """Scalar default, empty caches."""
+    """Scalar default."""
     set_backend("scalar")
-    clear_cache()
     yield
     set_backend("scalar")
-    clear_cache()
 
 
 def make_fleet(n=60, seed=11):
@@ -104,55 +101,6 @@ class TestShardedFleet:
 
 
 # ---------------------------------------------------------------------------
-# Column cache byte budget (satellite: colcache.bytes)
-# ---------------------------------------------------------------------------
-
-
-class TestColumnCacheBudget:
-    def test_bytes_accounted_and_evicted(self):
-        cache = ColumnCache(budget=1)
-        a, b = Fleet(make_fleet(10)), Fleet(make_fleet(10, seed=12))
-        cache.get(a, "upoint")
-        cache.get(b, "upoint")
-        # Budget of one byte: at most one entry can be mid-insertion
-        # resident; the eviction loop then drops it too.
-        assert cache.resident_bytes <= cache.get(b, "upoint").nbytes
-        assert len(cache) <= 1
-
-    def test_unbudgeted_keeps_entries(self):
-        cache = ColumnCache()
-        fleets = [Fleet(make_fleet(5, seed=s)) for s in range(4)]
-        for f in fleets:
-            cache.get(f, "upoint")
-        assert len(cache) == 4
-        assert cache.resident_bytes == sum(
-            cache.get(f, "upoint").nbytes for f in fleets
-        )
-
-    def test_high_water_gauge(self):
-        obs.reset()
-        obs.enable()
-        try:
-            cache = ColumnCache()
-            fleet = Fleet(make_fleet(8))
-            col = cache.get(fleet, "upoint")
-            gauge = obs.snapshot()["gauges"].get("colcache.bytes", 0.0)
-        finally:
-            obs.disable()
-        assert gauge >= col.nbytes
-
-    def test_drop_fleet_releases_bytes(self):
-        cache = ColumnCache()
-        fleet = Fleet(make_fleet(6))
-        cache.get(fleet, "upoint")
-        cache.get(fleet, "bbox")
-        assert cache.resident_bytes > 0
-        cache.drop_fleet(fleet)
-        assert cache.resident_bytes == 0
-        assert len(cache) == 0
-
-
-# ---------------------------------------------------------------------------
 # ShardManager residency
 # ---------------------------------------------------------------------------
 
@@ -186,16 +134,16 @@ class TestShardManager:
         assert counters.get("shard.hits") == 1
         assert counters.get("shard.maps") == 1
 
-    def test_root_less_columns_stay_out_of_the_process_cache(self):
-        """The manager's CLOCK is a shard column's only owner."""
-        from repro.vector import cache as cachemod
-
-        manager = ShardManager(ShardedFleet(make_fleet(40), 4))
+    def test_root_less_columns_are_the_managers_alone(self):
+        """The manager's CLOCK is a shard column's only owner: the shard
+        fleets it built them from keep nothing."""
+        fleet = ShardedFleet(make_fleet(40), 4)
+        manager = ShardManager(fleet)
         for s in range(4):
             for kind in ("upoint", "bbox"):
                 manager.column(s, kind)
         assert manager.resident_shards() == [0, 1, 2, 3]
-        assert len(cachemod._CACHE) == 0
+        assert [shard._kept for shard in fleet.shards] == [None] * 4
 
     def test_prune_rules_out_disjoint_shards(self):
         fleet = ShardedFleet(make_fleet(40), 4)
@@ -312,17 +260,14 @@ class TestShardManager:
 
     def test_total_column_bytes_is_arithmetic(self, tmp_path):
         """The bbox total equals the persisted records' bytes, and asking
-        for it maps nothing and caches nothing."""
-        from repro.vector import cache as cachemod
-
+        for it maps nothing and keeps nothing."""
         mappings = make_fleet(30) + [MovingPoint([])]
-        manager = ShardManager(
-            ShardedFleet(mappings, 3), root=os.fspath(tmp_path), budget=1
-        )
+        fleet = ShardedFleet(mappings, 3)
+        manager = ShardManager(fleet, root=os.fspath(tmp_path), budget=1)
         total = manager.total_column_bytes("bbox")
         assert manager.resident_bytes == 0
         assert manager.resident_shards() == []
-        assert len(cachemod._CACHE) == 0
+        assert [shard._kept for shard in fleet.shards] == [None] * 3
         assert total == sum(
             manager.column(s, "bbox").records()[0].nbytes for s in range(3)
         )
@@ -484,7 +429,6 @@ def test_v10_smoke_shard_bench(tmp_path):
         )
     with obs.capture() as counted:
         manager.evict_all()
-        clear_cache()
         for rect, t0, t1 in windows[:1] + windows:  # cold, warm, sweep
             got = sharded_window_intervals(manager, rect, t0, t1)
             want = window_intervals_batch(flat, rect, t0, t1)

@@ -1003,7 +1003,6 @@ class TestLengthPredicate:
     def test_sql_predicate_equals_the_row_loop(self, fleet, op, pick, nudge, far):
         from repro import obs
         from repro.db.catalog import Database
-        from repro.vector.cache import clear_cache
         from repro.vector.fleet import set_backend
 
         lengths = [m.trajectory().length() for m in fleet]
@@ -1039,7 +1038,6 @@ class TestLengthPredicate:
         finally:
             obs.disable()
             set_backend("scalar")
-            clear_cache()
 
     @pytest.mark.parametrize("text", [
         "length(trajectory(flight)) = 5.0",

@@ -42,16 +42,8 @@ from repro.server.session import serve_in_thread
 from repro.storage.wal import Wal
 from repro.temporal.mapping import MovingPoint
 from repro.temporal.upoint import UPoint
-from repro.vector.cache import clear_cache
 from tests.test_columnar_paths import coord, fleets, instant
 from tests.test_server import _in_pieces, _snapshot_line, _stub_server
-
-
-@pytest.fixture(autouse=True)
-def _clean_slate():
-    clear_cache()
-    yield
-    clear_cache()
 
 
 def _table(rows):
