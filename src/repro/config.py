@@ -41,8 +41,8 @@ BUFFER_RETRY_BASE_DELAY: float = 0.0005
 #: Default evaluation backend for fleet-level operations: ``"scalar"``
 #: (per-object reference loops), ``"vector"`` (columnar numpy kernels,
 #: :mod:`repro.vector`) or ``"parallel"`` (those kernels chunked over a
-#: process pool whose workers map store-backed columns from their files
-#: and attach the rest through shared memory, :mod:`repro.parallel`).
+#: process pool whose workers attach every column through shared
+#: memory, :mod:`repro.parallel`).
 #: A sharded fleet (:mod:`repro.shard`) ignores it and scatters on
 #: ``vector``.  Flip at runtime with ``repro.vector.set_backend`` or the
 #: CLI's ``--backend``.

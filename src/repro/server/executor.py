@@ -56,7 +56,8 @@ if TYPE_CHECKING:
 
 __all__ = ["FleetExecutor", "Snapshot", "SnapshotRows"]
 
-#: Latency samples kept for the p50/p99 gauges (a sliding window).
+#: Latency samples kept for STATS' ``query_p50_ms`` / ``query_p99_ms``
+#: and the shed reply's ``retry_after_ms`` hint (a sliding window).
 _LATENCY_WINDOW = 512
 
 #: Idempotency tokens remembered per executor.  Bounded FIFO: a token

@@ -18,7 +18,8 @@ The layouts follow the paper:
   ``next_cycle``; the root record carries counts, bounding box, area
   and perimeter (Section 4.1).
 * fixed-size units (``const``, ``ureal``, ``upoint``) — a record with an
-  interval component and the unit function inline (Section 4.2).
+  interval component and the unit function inline (Section 4.2), declared
+  once per type by :class:`UnitsCodec`.
 * variable-size units (``upoints``, ``uline``, ``uregion``) — records
   whose function component is one or more *subarray* references (lo/hi
   indices) into arrays shared by the whole mapping, plus a bounding
@@ -33,6 +34,8 @@ from __future__ import annotations
 import struct
 import zlib
 from dataclasses import dataclass, field
+from itertools import starmap
+from operator import attrgetter
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
@@ -171,15 +174,6 @@ class Codec:
 # ---------------------------------------------------------------------------
 
 _INTERVAL = struct.Struct("<dd??")
-
-
-def _pack_interval(iv: Interval) -> bytes:
-    return _INTERVAL.pack(iv.s, iv.e, iv.lc, iv.rc)
-
-
-def _unpack_interval(data: bytes, off: int = 0) -> Interval:
-    s, e, lc, rc = _INTERVAL.unpack_from(data, off)
-    return Interval(s, e, lc, rc)
 
 
 class IntCodec(Codec):
@@ -470,116 +464,50 @@ class IntimeCodec(Codec):
 # Mappings of fixed-size units (const, ureal, upoint)
 # ---------------------------------------------------------------------------
 
+#: The interval quadruple every fixed-size unit record starts with.
+_INTERVAL_RECORD = (
+    ("s", "d", "_interval.s"),
+    ("e", "d", "_interval.e"),
+    ("lc", "?", "_interval.lc"),
+    ("rc", "?", "_interval.rc"),
+)
 
-class MovingBoolCodec(Codec):
-    type_name = "mbool"
+
+class UnitsCodec(Codec):
+    """``mapping(α)`` of fixed-size units (Section 4.2): the root record
+    is the unit count, one database array holds a record per unit — its
+    interval and its unit function inline.
+
+    A subclass declares only its ``MAPPING``, its ``RECORD`` (per field:
+    the name, the little-endian ``struct`` code and the unit attribute
+    it is read from) and the static ``unit(*fields)``, the way back.
+    ``FORMAT`` and ``fields(unit)`` derive from ``RECORD`` (``mstring``
+    overrides ``fields``: it stores bytes plus a length).  The column
+    kinds of :mod:`repro.vector.columns` read the same declaration.
+    """
+
     _ROOT = struct.Struct("<I")
-    _UNIT = struct.Struct("<dd???")  # interval + value
+    MAPPING: type
+    RECORD: Tuple[Tuple[str, str, str], ...]
+    FORMAT: str
+    fields: Callable[[Any], tuple]
+    unit: Callable[..., Any]
 
-    def pack(self, value: MovingBool) -> StoredValue:
-        arr = DatabaseArray(self._UNIT.format)
-        for u in value.units:
-            assert isinstance(u, ConstUnit)
-            iv = u.interval
-            arr.append(iv.s, iv.e, iv.lc, iv.rc, bool(u.value.value))
-        return StoredValue(self.type_name, self._ROOT.pack(len(arr)), [arr])
+    def __init_subclass__(cls) -> None:
+        cls.FORMAT = "<" + "".join(code for _name, code, _src in cls.RECORD)
+        cls._RECORD = struct.Struct(cls.FORMAT)
+        if "fields" not in cls.__dict__:
+            cls.fields = staticmethod(attrgetter(*(src for *_, src in cls.RECORD)))
 
-    def unpack(self, stored: StoredValue) -> MovingBool:
-        units = [
-            ConstUnit(Interval(s, e, lc, rc), BoolVal(v))
-            for s, e, lc, rc, v in stored.arrays[0]
-        ]
-        return MovingBool(units, validate=False)
+    def pack(self, value: Mapping) -> StoredValue:
+        units = value.units
+        record, fields = self._RECORD.pack, self.fields
+        arr = DatabaseArray(self.FORMAT)
+        arr.extend_packed(b"".join([record(*fields(u)) for u in units]), len(units))
+        return StoredValue(self.type_name, self._ROOT.pack(len(units)), [arr])
 
-
-class MovingIntCodec(Codec):
-    type_name = "mint"
-    _ROOT = struct.Struct("<I")
-    _UNIT = struct.Struct("<dd??q")
-
-    def pack(self, value: MovingInt) -> StoredValue:
-        arr = DatabaseArray(self._UNIT.format)
-        for u in value.units:
-            assert isinstance(u, ConstUnit)
-            iv = u.interval
-            arr.append(iv.s, iv.e, iv.lc, iv.rc, int(u.value.value))
-        return StoredValue(self.type_name, self._ROOT.pack(len(arr)), [arr])
-
-    def unpack(self, stored: StoredValue) -> MovingInt:
-        units = [
-            ConstUnit(Interval(s, e, lc, rc), IntVal(v))
-            for s, e, lc, rc, v in stored.arrays[0]
-        ]
-        return MovingInt(units, validate=False)
-
-
-class MovingStringCodec(Codec):
-    type_name = "mstring"
-    _ROOT = struct.Struct("<I")
-    _UNIT = struct.Struct(f"<dd??{MAX_STRING}sB")
-
-    def pack(self, value: MovingString) -> StoredValue:
-        arr = DatabaseArray(self._UNIT.format)
-        for u in value.units:
-            assert isinstance(u, ConstUnit)
-            iv = u.interval
-            raw = u.value.value.encode("utf-8")
-            arr.append(iv.s, iv.e, iv.lc, iv.rc, raw, len(raw))
-        return StoredValue(self.type_name, self._ROOT.pack(len(arr)), [arr])
-
-    def unpack(self, stored: StoredValue) -> MovingString:
-        units = []
-        for s, e, lc, rc, raw, length in stored.arrays[0]:
-            units.append(
-                ConstUnit(
-                    Interval(s, e, lc, rc), StringVal(raw[:length].decode("utf-8"))
-                )
-            )
-        return MovingString(units, validate=False)
-
-
-class MovingRealCodec(Codec):
-    type_name = "mreal"
-    _ROOT = struct.Struct("<I")
-    _UNIT = struct.Struct("<dd??ddd?")  # interval + (a, b, c, r)
-
-    def pack(self, value: MovingReal) -> StoredValue:
-        arr = DatabaseArray(self._UNIT.format)
-        for u in value.units:
-            assert isinstance(u, UReal)
-            iv = u.interval
-            a, b, c, r = u.coefficients
-            arr.append(iv.s, iv.e, iv.lc, iv.rc, a, b, c, r)
-        return StoredValue(self.type_name, self._ROOT.pack(len(arr)), [arr])
-
-    def unpack(self, stored: StoredValue) -> MovingReal:
-        units = [
-            UReal(Interval(s, e, lc, rc), a, b, c, r)
-            for s, e, lc, rc, a, b, c, r in stored.arrays[0]
-        ]
-        return MovingReal(units, validate=False)
-
-
-class MovingPointCodec(Codec):
-    type_name = "mpoint"
-    _ROOT = struct.Struct("<I")
-    _UNIT = struct.Struct("<dd??dddd")  # interval + MPoint quadruple
-
-    def pack(self, value: MovingPoint) -> StoredValue:
-        arr = DatabaseArray(self._UNIT.format)
-        for u in value.units:
-            assert isinstance(u, UPoint)
-            iv = u.interval
-            m = u.motion
-            arr.append(iv.s, iv.e, iv.lc, iv.rc, m.x0, m.x1, m.y0, m.y1)
-        return StoredValue(self.type_name, self._ROOT.pack(len(arr)), [arr])
-
-    def unpack(self, stored: StoredValue) -> MovingPoint:
-        units = [
-            UPoint(Interval(s, e, lc, rc), MPoint(x0, x1, y0, y1))
-            for s, e, lc, rc, x0, x1, y0, y1 in stored.arrays[0]
-        ]
-        return MovingPoint(units, validate=False)
+    def unpack(self, stored: StoredValue) -> Mapping:
+        return self.MAPPING(list(starmap(self.unit, stored.arrays[0])), validate=False)
 
     def unit_array(self, stored: StoredValue) -> DatabaseArray:
         """The stored units array, for readers that reinterpret its
@@ -590,13 +518,76 @@ class MovingPointCodec(Codec):
         if (
             codec_for(stored.type_name) is not self
             or not stored.arrays
-            or stored.arrays[0].record_format != self._UNIT.format
+            or stored.arrays[0].record_format != self.FORMAT
         ):
             raise CorruptRecordError(
                 f"value of type {stored.type_name!r} does not hold a "
                 f"{self.type_name} units array"
             )
         return stored.arrays[0]
+
+
+class MovingBoolCodec(UnitsCodec):
+    type_name = "mbool"
+    MAPPING = MovingBool
+    RECORD = _INTERVAL_RECORD + (("value", "?", "_value.value"),)
+
+    @staticmethod
+    def unit(s, e, lc, rc, v):
+        return ConstUnit(Interval(s, e, lc, rc), BoolVal(v))
+
+
+class MovingIntCodec(UnitsCodec):
+    type_name = "mint"
+    MAPPING = MovingInt
+    RECORD = _INTERVAL_RECORD + (("value", "q", "_value.value"),)
+
+    @staticmethod
+    def unit(s, e, lc, rc, v):
+        return ConstUnit(Interval(s, e, lc, rc), IntVal(v))
+
+
+class MovingStringCodec(UnitsCodec):
+    type_name = "mstring"
+    MAPPING = MovingString
+    RECORD = _INTERVAL_RECORD + (
+        ("raw", f"{MAX_STRING}s", "_value.value"),
+        ("length", "B", "_value.value"),
+    )
+
+    @staticmethod
+    def fields(u):
+        iv = u.interval
+        raw = u.value.value.encode("utf-8")
+        return (iv.s, iv.e, iv.lc, iv.rc, raw, len(raw))
+
+    @staticmethod
+    def unit(s, e, lc, rc, raw, length):
+        return ConstUnit(Interval(s, e, lc, rc), StringVal(raw[:length].decode("utf-8")))
+
+
+class MovingRealCodec(UnitsCodec):
+    type_name = "mreal"
+    MAPPING = MovingReal
+    RECORD = _INTERVAL_RECORD + (
+        ("a", "d", "_a"), ("b", "d", "_b"), ("c", "d", "_c"), ("r", "?", "_r"),
+    )
+
+    @staticmethod
+    def unit(s, e, lc, rc, a, b, c, r):
+        return UReal(Interval(s, e, lc, rc), a, b, c, r)
+
+
+class MovingPointCodec(UnitsCodec):
+    type_name = "mpoint"
+    MAPPING = MovingPoint
+    RECORD = _INTERVAL_RECORD + tuple(
+        (f, "d", f"_motion.{f}") for f in ("x0", "x1", "y0", "y1")
+    )
+
+    @staticmethod
+    def unit(s, e, lc, rc, x0, x1, y0, y1):
+        return UPoint(Interval(s, e, lc, rc), MPoint(x0, x1, y0, y1))
 
 
 # ---------------------------------------------------------------------------

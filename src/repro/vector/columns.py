@@ -10,41 +10,36 @@ of those arrays belongs to which object.  Batched kernels
 of interpreting one unit at a time.
 
 Columns are built from, and convert back to, the existing ``Mapping``
-objects, and bridge losslessly to :class:`repro.storage.darray.
-DatabaseArray` records (same field layout, bulk-packed), so a column is
-just another view of the Section-4 on-disk structure.
+objects.  A unit kind's record is the one its storage codec declares
+(:class:`repro.storage.records.UnitsCodec`): the column's record dtype,
+field sources and way back are read from that codec, so stored unit
+arrays reinterpret as column records byte for byte
+(:meth:`UPointColumn.from_unit_arrays`).
 """
 
 from __future__ import annotations
 
+from itertools import starmap
 from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.errors import InvalidValue
-from repro.ranges.interval import Interval
 from repro.spatial.bbox import Cube
 from repro.storage.darray import DatabaseArray
-from repro.temporal.mapping import Mapping, MovingPoint, MovingReal
-from repro.temporal.mseg import MPoint
-from repro.temporal.upoint import UPoint
-from repro.temporal.ureal import UReal
+from repro.storage.records import MovingPointCodec, MovingRealCodec
+from repro.temporal.mapping import Mapping, MovingPoint
 
 
 #: Record layout of a CSR offsets file (the stacked root records).
 OFFSETS_DTYPE = np.dtype("<i8")
-#: The interval quadruple every unit record starts with.
-_INTERVAL = [("s", "<f8"), ("e", "<f8"), ("lc", "?"), ("rc", "?")]
-#: Where a unit holds those four fields.
-_INTERVAL_SOURCES = tuple(f"_interval.{f}" for f, _ in _INTERVAL)
-
-_STRUCT_CODES = {"<f8": "d", "|b1": "?", "<i8": "q"}
 
 
-def _struct_format(dtype: np.dtype) -> str:
-    """The ``struct`` format whose bytes equal one packed ``dtype`` record."""
-    return "<" + "".join(_STRUCT_CODES[dtype[name].str] for name in dtype.names)
+def _record_dtype(codec) -> np.dtype:
+    """numpy layout of ``codec``'s unit record: its ``RECORD`` field by
+    field, packed, so one record's bytes equal ``codec.FORMAT``'s."""
+    return np.dtype([(name, "<" + code) for name, code, _src in codec.RECORD])
 
 
 def _as_offsets(counts: Union[Sequence[int], np.ndarray]) -> np.ndarray:
@@ -117,32 +112,31 @@ class UnitColumn(Column):
     """A fleet of ``mapping(unit)`` values as arrays: CSR ``offsets`` plus
     one array per field of the unit record.
 
-    A subclass declares what its unit is — ``KIND``, ``FILES``, the record
-    ``UNIT_DTYPE`` (interval quadruple ``s, e, lc, rc`` first) and its
-    ``MAPPING`` class — and how to transcribe it: ``SOURCES``, the unit
-    attribute path each record field is read from (``from_mappings``
-    fills every field array with one ``np.fromiter`` over the units),
-    and ``_from_rows(rows) -> units`` for the way back.  Everything that
-    only moves arrays around is written once here, driven by the dtype's
-    field names.
+    A subclass names ``KIND``, ``FILES`` and ``CODEC``, the storage codec
+    (:class:`repro.storage.records.UnitsCodec`) whose ``RECORD`` is its
+    unit record (interval quadruple ``s, e, lc, rc`` first); the record
+    ``UNIT_DTYPE`` is :func:`_record_dtype` of it.  The rest is read off
+    the codec: ``UNIT_FORMAT``, the ``MAPPING`` class, the unit attribute
+    each field is transcribed from (``from_mappings`` fills every field
+    array with one ``np.fromiter`` over the units) and ``CODEC.unit``
+    for the way back.  Everything that only moves arrays around is
+    written once here, driven by the dtype's field names.
     """
 
     __slots__ = ("offsets", "starts", "ends", "lc", "rc", "_depth")
 
+    #: The storage codec that declares the unit record.
+    CODEC: type
     #: numpy layout of one unit record, byte-identical to ``UNIT_FORMAT``.
     UNIT_DTYPE: np.dtype
-    MAPPING: type
-    #: Per ``UNIT_DTYPE`` field, the attribute path of a unit it holds.
-    SOURCES: Tuple[str, ...]
-    #: struct layout of one root record (a unit-count offset).
-    ROOT_FORMAT = _struct_format(np.dtype([("n", OFFSETS_DTYPE)]))
 
     def __init_subclass__(cls) -> None:
         #: Attribute per unit-record field, in record order.
         cls.FIELDS = ("starts", "ends", "lc", "rc") + cls.UNIT_DTYPE.names[4:]
         cls.ARRAYS = ("offsets",) + cls.FIELDS
         #: struct layout of one unit record in a database array.
-        cls.UNIT_FORMAT = _struct_format(cls.UNIT_DTYPE)
+        cls.UNIT_FORMAT = cls.CODEC.FORMAT
+        cls.MAPPING = cls.CODEC.MAPPING
 
     def __init__(self, offsets: np.ndarray, *fields: np.ndarray):
         dtype = self.UNIT_DTYPE
@@ -216,8 +210,8 @@ class UnitColumn(Column):
         return cls(
             _as_offsets(counts),
             *(
-                np.fromiter(map(attrgetter(path), units), dtype[name], n)
-                for name, path in zip(dtype.names, cls.SOURCES, strict=True)
+                np.fromiter(map(attrgetter(src), units), dtype[name], n)
+                for name, _code, src in cls.CODEC.RECORD
             ),
         )
 
@@ -239,7 +233,9 @@ class UnitColumn(Column):
 
     def to_mappings(self) -> List:
         """Materialize the column back into ``MAPPING`` objects."""
-        units = self._from_rows(zip(*(getattr(self, f).tolist() for f in self.FIELDS)))
+        units = list(starmap(
+            self.CODEC.unit, zip(*(getattr(self, f).tolist() for f in self.FIELDS))
+        ))
         cuts = self.offsets.tolist()
         # Units come back in CSR order, which is the validated unit
         # order they were transcribed in; revalidating every
@@ -298,30 +294,6 @@ class UnitColumn(Column):
         return type(self)(
             offsets[lo : hi + 1] - u0,
             *(getattr(self, f)[u0:u1] for f in self.FIELDS),
-        )
-
-    def to_darrays(self) -> Tuple[DatabaseArray, DatabaseArray]:
-        """Serialize as Section-4 database arrays ``(root, units)``.
-
-        ``root`` holds the offsets array (one record per object plus the
-        final sentinel); ``units`` holds the fixed-size unit records.
-        Packing is a single buffer copy — the numpy record layout is
-        byte-identical to the struct format.
-        """
-        rec, offsets = self.records()
-        root = DatabaseArray(self.ROOT_FORMAT)
-        root.extend_packed(offsets.tobytes(), len(offsets))
-        units = DatabaseArray(self.UNIT_FORMAT)
-        units.extend_packed(rec.tobytes(), len(rec))
-        return root, units
-
-    @classmethod
-    def from_darrays(cls, root: DatabaseArray, units: DatabaseArray):
-        """Rebuild a column from database arrays written by :meth:`to_darrays`."""
-        rec = np.frombuffer(units.payload, dtype=cls.UNIT_DTYPE)
-        return cls(
-            np.frombuffer(root.payload, dtype=OFFSETS_DTYPE),
-            *(rec[name] for name in rec.dtype.names),
         )
 
     def extended(self, mappings: Sequence[Mapping], changed: Sequence[int]):
@@ -398,31 +370,14 @@ class UnitColumn(Column):
 
 
 class UPointColumn(UnitColumn):
-    """Columnar ``mapping(upoint)`` fleet: motion coefficients per unit.
-
-    The per-unit fields mirror the ``upoint`` unit record of Section 4.2
-    — interval ``(s, e, lc, rc)`` plus the MPoint quadruple
-    ``(x0, x1, y0, y1)`` with position ``(x0 + x1·t, y0 + y1·t)``.
-    """
+    """Columnar ``mapping(upoint)`` fleet: the MPoint quadruple
+    ``(x0, x1, y0, y1)`` per unit, the record ``MovingPointCodec`` stores."""
 
     KIND = "upoint"
-    UNIT_DTYPE = np.dtype(
-        _INTERVAL + [("x0", "<f8"), ("x1", "<f8"), ("y0", "<f8"), ("y1", "<f8")]
-    )
+    CODEC = MovingPointCodec
+    UNIT_DTYPE = _record_dtype(CODEC)
     FILES = (("upoint.bin", UNIT_DTYPE), ("offsets.bin", OFFSETS_DTYPE))
-    MAPPING = MovingPoint
     __slots__ = UNIT_DTYPE.names[4:]
-
-    SOURCES = _INTERVAL_SOURCES + tuple(
-        f"_motion.{f}" for f in ("x0", "x1", "y0", "y1")
-    )
-
-    @staticmethod
-    def _from_rows(rows: Sequence[tuple]) -> List[UPoint]:
-        return [
-            UPoint(Interval(s, e, lc, rc), MPoint(x0, x1, y0, y1))
-            for s, e, lc, rc, x0, x1, y0, y1 in rows
-        ]
 
     @classmethod
     def from_unit_arrays(
@@ -462,25 +417,16 @@ class UPointColumn(UnitColumn):
             rec = rec[np.lexsort((rec["rc"], e, ~rec["lc"], s, owner))]
         return cls.from_records([rec, _as_offsets(counts)])
 
+
 class URealColumn(UnitColumn):
-    """Columnar ``mapping(ureal)`` fleet: ``(a, b, c, r)`` per unit."""
+    """Columnar ``mapping(ureal)`` fleet: ``(a, b, c, r)`` per unit, the
+    record ``MovingRealCodec`` stores."""
 
     KIND = "ureal"
-    UNIT_DTYPE = np.dtype(
-        _INTERVAL + [("a", "<f8"), ("b", "<f8"), ("c", "<f8"), ("r", "?")]
-    )
+    CODEC = MovingRealCodec
+    UNIT_DTYPE = _record_dtype(CODEC)
     FILES = (("ureal.bin", UNIT_DTYPE), ("ureal_offsets.bin", OFFSETS_DTYPE))
-    MAPPING = MovingReal
     __slots__ = UNIT_DTYPE.names[4:]
-
-    SOURCES = _INTERVAL_SOURCES + ("_a", "_b", "_c", "_r")
-
-    @staticmethod
-    def _from_rows(rows: Sequence[tuple]) -> List[UReal]:
-        return [
-            UReal(Interval(s, e, lc, rc), a, b, c, r)
-            for s, e, lc, rc, a, b, c, r in rows
-        ]
 
 
 class BBoxColumn(Column):
@@ -504,8 +450,6 @@ class BBoxColumn(Column):
             ("tmax", "<f8"),
         ]
     )
-    #: struct layout with identical bytes.
-    RECORD_FORMAT = _struct_format(RECORD_DTYPE)
     FILES = (("bbox.bin", RECORD_DTYPE),)
     #: Names of :meth:`arrays`: the cube coordinates (keys are identity,
     #: not payload — a column rebuilt from its arrays is keyed by position).

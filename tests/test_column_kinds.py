@@ -29,7 +29,6 @@ from repro.temporal.ureal import UReal
 from repro.vector.columns import (
     KINDS,
     OFFSETS_DTYPE,
-    BBoxColumn,
     UPointColumn,
     URealColumn,
     column_class,
@@ -266,28 +265,14 @@ REALS = [
 ]
 
 
-@pytest.mark.parametrize("kind", ["upoint", "ureal"])
-def test_darray_round_trip(kind):
-    """Unit kinds serialize as Section-4 ``(root, units)`` database
-    arrays and come back equal, mapping for mapping."""
-    fleet = {"upoint": DARRAY_FLEET, "ureal": REALS}[kind]
-    col = KINDS[kind].from_mappings(fleet)
-    root, units = col.to_darrays()
-    assert len(root) == col.n_objects + 1
-    assert len(units) == col.n_units
-    assert KINDS[kind].from_darrays(root, units).to_mappings() == fleet
-
-
 class TestPinnedLayouts:
     """Bytes other code reinterprets on trust."""
 
     def test_struct_formats_are_the_codecs(self):
         """``from_unit_arrays`` reads page bytes through ``UNIT_DTYPE``;
         the storage codecs wrote them through these struct formats."""
-        assert UPointColumn.UNIT_FORMAT == MovingPointCodec._UNIT.format == "<dd??dddd"
-        assert URealColumn.UNIT_FORMAT == MovingRealCodec._UNIT.format == "<dd??ddd?"
-        assert UPointColumn.ROOT_FORMAT == URealColumn.ROOT_FORMAT == "<q"
-        assert BBoxColumn.RECORD_FORMAT == "<qdddddd"
+        assert UPointColumn.UNIT_FORMAT is MovingPointCodec.FORMAT == "<dd??dddd"
+        assert URealColumn.UNIT_FORMAT is MovingRealCodec.FORMAT == "<dd??ddd?"
 
     def test_file_names_and_fingerprints(self):
         """What the manifest of every store ever written records."""
